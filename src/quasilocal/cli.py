@@ -9,11 +9,11 @@ Subcommands:
     gen-data   write a physical-data table to a file
 
 Every report is flat 'key = value' text prefixed with the artifact
-version, command, grid size, and seed, so a fixed configuration and seed
-reproduce the output byte for byte.  Column files for plotting carry
-'theta value' (or 'iteration energy') rows.  Exit status: 0 on success,
-1 on a validation error naming the offending field, 2 when a computation
-or certification suite fails.
+version, command, grid size, data source and time function, so a fixed
+configuration reproduces the output byte for byte.  Column files for
+plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
+0 on success, 1 on a validation error naming the offending field, 2 when
+a computation or certification suite fails.
 """
 
 from __future__ import annotations
@@ -86,11 +86,10 @@ class CliValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One command invocation: sizes, seeds, echoes of the input specs."""
+    """One command invocation: sizes and echoes of the input specs."""
 
     command: str
     grid_n: int
-    seed: int
     source: str
     tau_spec: str
     tolerance: float = 1e-7
@@ -106,7 +105,6 @@ class RunConfig:
             f"artifact = quasilocal {__version__}",
             f"command = {self.command}",
             f"grid_n = {self.grid_n}",
-            f"seed = {self.seed}",
             f"source = {self.source}",
             f"tau = {self.tau_spec}",
         ]
@@ -298,7 +296,7 @@ def cmd_energy(args) -> int:
     grid = build_grid(args.grid_n)
     d, echo = require_data(args, grid)
     tau = parse_tau(args.tau, grid)
-    config = RunConfig("energy", args.grid_n, args.seed, echo, args.tau)
+    config = RunConfig("energy", args.grid_n, echo, args.tau)
     breakdown = qle(d, tau)
     cross = qle_angle_form(d, tau)
     body = [
@@ -317,7 +315,7 @@ def cmd_residual(args) -> int:
     grid = build_grid(args.grid_n)
     d, echo = require_data(args, grid)
     tau = parse_tau(args.tau, grid)
-    config = RunConfig("residual", args.grid_n, args.seed, echo, args.tau)
+    config = RunConfig("residual", args.grid_n, echo, args.tau)
     field = residual(d, tau)
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
     body = [
@@ -349,7 +347,7 @@ def _initial_coefficients(args, grid: Grid) -> TauCoefficients:
 def cmd_minimize(args) -> int:
     grid = build_grid(args.grid_n)
     d, echo = require_data(args, grid)
-    config = RunConfig("minimize", args.grid_n, args.seed, echo, args.tau, tolerance=args.tol)
+    config = RunConfig("minimize", args.grid_n, echo, args.tau, tolerance=args.tol)
     init = _initial_coefficients(args, grid)
     report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
     body = [
@@ -396,7 +394,7 @@ def cmd_verify(args) -> int:
                 "--schwarzschild/--minkowski/--data", "suite theorem3 needs a data source"
             )
         report = check_theorem3(d)
-    config = RunConfig(f"verify {args.suite}", args.grid_n, args.seed, echo, args.tau)
+    config = RunConfig(f"verify {args.suite}", args.grid_n, echo, args.tau)
     _emit(config, format_report(report).splitlines(), args.out)
     return 0 if report.passed else 2
 
@@ -425,7 +423,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub, tau_default="zero"):
     sub.add_argument("--grid-n", type=int, default=32, help="collocation nodes (default 32)")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     sub.add_argument("--out", default=None, help="write the report to this path")
     sub.add_argument("--schwarzschild", default=None, metavar="m=M,r=R",
                      help="round sphere of radius R in the mass-M time-symmetric slice")

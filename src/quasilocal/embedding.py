@@ -83,15 +83,22 @@ class RevolutionSurface:
     u_prime and v_prime cache the theta derivatives of the profile,
     computed analytically rather than by re-differentiating node values:
     both carry sin(theta) factors that spectral differentiation in x
-    would mangle.  v is anchored to 0 at the north pole and v_prime is
-    the nonnegative root, which orients the unit normal outward.
+    would mangle.  v_prime is the nonnegative root, which orients the
+    unit normal outward.  The height v, anchored to 0 at the north pole,
+    is computed when read: the curvature formulas need only u' and v'.
     """
 
     metric: AxisymMetric
     u: np.ndarray
-    v: np.ndarray
     u_prime: np.ndarray
     v_prime: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        # v'/sin(theta) is smooth in x for pole-regular profiles, so
+        # integrating it in x recovers the height with spectral accuracy
+        g = self.metric.grid
+        return g.integral_from_north(self.v_prime / g.sin_theta)
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,7 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     j = int(np.argmin(margin))
     if margin[j] <= 0.0:
         raise NonEmbeddableError(j, float(g.nodes[j]), float(margin[j]))
-    # v'/sin(theta) is smooth in x for pole-regular profiles; integrate
-    # it in x to recover the height with spectral accuracy
-    w = np.sqrt(margin) / g.sin_theta
-    v = g.integral_from_north(w)
-    v_prime = np.sqrt(margin)
-    return RevolutionSurface(metric=m, u=u, v=v, u_prime=u_prime, v_prime=v_prime)
+    return RevolutionSurface(metric=m, u=u, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 
 def isometry_residual(surf: RevolutionSurface) -> np.ndarray:

@@ -66,7 +66,7 @@ class GaugeData:
 
 
 def _boost_angle(d: PhysicalData, tau: np.ndarray):
-    """sinh of the boost angle, its cosh, and the angle itself.
+    """cosh of the boost angle and the angle itself.
 
     sinh(theta) = -Dtau / (|H| sqrt(1+|grad tau|^2)); cosh is computed
     from sinh directly rather than through the angle.
@@ -75,7 +75,7 @@ def _boost_angle(d: PhysicalData, tau: np.ndarray):
     s1 = np.sqrt(1.0 + gradient_norm_sq(m, tau))
     lap = laplacian(m, tau)
     sh = -lap / (d.norm_H * s1)
-    return sh, np.sqrt(1.0 + sh * sh), np.arcsinh(sh)
+    return np.sqrt(1.0 + sh * sh), np.arcsinh(sh)
 
 
 def reference_mean_curvature_integral(m: AxisymMetric, tau: np.ndarray) -> float:
@@ -115,7 +115,7 @@ def qle_angle_form(d: PhysicalData, tau: np.ndarray) -> EnergyBreakdown:
     m = d.metric
     tau = _check_field(m.grid, tau, "tau")
     s1 = np.sqrt(1.0 + gradient_norm_sq(m, tau))
-    _, ch, angle = _boost_angle(d, tau)
+    ch, angle = _boost_angle(d, tau)
     angle_form = OneForm(theta=m.grid.dtheta(angle))
     integrand = (
         s1 * ch * d.norm_H
@@ -150,7 +150,7 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray) -> GaugeData:
     the quasi-local energy.
     """
     tau = _check_field(d.metric.grid, tau, "tau")
-    _, ch, angle = _boost_angle(d, tau)
+    ch, angle = _boost_angle(d, tau)
     return GaugeData(
         inner_h=-ch * d.norm_H,
         alpha=OneForm(theta=d.alpha_H.theta + d.metric.grid.dtheta(angle)),
@@ -209,7 +209,7 @@ def residual(d: PhysicalData, tau: np.ndarray) -> np.ndarray:
         - cross_pp_scaled
     )
 
-    _, ch, angle = _boost_angle(d, tau)
+    ch, angle = _boost_angle(d, tau)
     # one-form components with the sin(theta) factor divided out, as
     # divergence_from_x_component expects: grad(theta)/sin = -dx(angle)
     flux = (

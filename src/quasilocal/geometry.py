@@ -71,7 +71,7 @@ class Grid:
     weights: np.ndarray
     diff_matrix: np.ndarray
     diff_matrix_x: np.ndarray
-    legendre_vandermonde: np.ndarray = field(repr=False, default=None)
+    legendre_vandermonde: np.ndarray = field(repr=False)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
@@ -99,15 +99,18 @@ class Grid:
         l = np.arange(self.n_nodes)
         return (2 * l + 1) / 2.0 * (self.legendre_vandermonde.T @ (self.weights * f))
 
+    def legendre_synthesis(self, coeffs) -> np.ndarray:
+        """Node values of sum_l coeffs[l] * P_l(x)."""
+        return npleg.legval(self.x, coeffs)
+
     def integral_from_north(self, f: np.ndarray) -> np.ndarray:
         """Node values of x -> integral of f dx' from x to 1.
 
         The north pole is theta = 0, x = 1.  Used to reconstruct height
         profiles from their derivatives with spectral accuracy.
         """
-        coeffs = self.legendre_coeffs(f)
-        anti = npleg.legint(coeffs, lbnd=1.0)
-        return -npleg.legval(self.x, anti)
+        anti = npleg.legint(self.legendre_coeffs(f), lbnd=1.0)
+        return -self.legendre_synthesis(anti)
 
 
 def make_grid(n: int) -> Grid:
@@ -194,10 +197,6 @@ class OneForm:
     """Axisymmetric one-form; only the dtheta component survives."""
 
     theta: np.ndarray
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.zeros_like(self.theta)
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ is kept inside the region where the lifted metric stays convex.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .geometry import (
     AxisymMetric,
+    FieldShapeError,
     _check_field,
     gauss_curvature,
     gradient_norm_sq,
     hat_gauss_curvature,
     integrate_surface,
 )
+from .embedding import GaugeOrientationError, NonEmbeddableError, NonSpacelikeMeanCurvatureError
 from .energy import qle, residual
 from .physdata import PhysicalData
 
@@ -65,13 +66,8 @@ class MinimizeReport:
     calibration_rel_error: float
 
 
-def mode_matrix(grid, count: int) -> np.ndarray:
-    """Columns P_1(x)..P_count(x) on the collocation nodes."""
-    return npleg.legvander(grid.x, count)[:, 1:]
-
-
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
-    return npleg.legval(grid.x, np.concatenate([[0.0], tau.coeffs]))
+    return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
 
 
 def convexity_guard(m: AxisymMetric, tau: np.ndarray) -> float:
@@ -97,12 +93,12 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     of qle along each mode reproduce these pairings.
     """
     grid = d.metric.grid
-    field = tau_from_coefficients(grid, tau)
-    res = residual(d, field)
-    modes = mode_matrix(grid, len(tau.coeffs))
-    return np.array(
-        [integrate_surface(d.metric, res * modes[:, l]) for l in range(modes.shape[1])]
-    )
+    count = len(tau.coeffs)
+    if count >= grid.n_nodes:
+        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
+    res = residual(d, tau_from_coefficients(grid, tau))
+    modes = grid.legendre_vandermonde[:, 1 : count + 1]
+    return np.array([integrate_surface(d.metric, res * modes[:, l]) for l in range(count)])
 
 
 def _fd_gradient(d: PhysicalData, coeffs: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -178,7 +174,8 @@ def minimize_energy(
             else:
                 try:
                     trial_energy = qle(d, field).total
-                except ValueError:
+                except (NonEmbeddableError, NonSpacelikeMeanCurvatureError,
+                        GaugeOrientationError):
                     trial_energy = np.inf
                 predicted = -armijo * step * slope
                 if trial_energy <= energy - (predicted if predicted >= noise else 0.0):
@@ -209,8 +206,7 @@ def minimize_energy(
         iterations += 1
 
     tau_star = TauCoefficients(tuple(coeffs))
-    field = tau_from_coefficients(grid, tau_star)
-    res = residual(d, field)
+    res = residual(d, tau_from_coefficients(grid, tau_star))
     return MinimizeReport(
         tau_star=tau_star,
         energy_star=energy,

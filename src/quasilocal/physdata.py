@@ -14,7 +14,8 @@ declaring the grid size and one header line naming the columns:
     <one row per node, 17 significant digits>
 
 Node positions are regenerated from the declared grid size on load and
-checked against the theta column; values are never interpolated.
+checked against the theta column; values must be finite and are never
+interpolated.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalData:
-    """Surface data (metric, |H|, alpha_H) with a provenance tag."""
+    """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag."""
 
     metric: AxisymMetric
     norm_H: np.ndarray
@@ -57,6 +58,11 @@ class PhysicalData:
 
     def __post_init__(self):
         norm_h = _check_field(self.metric.grid, self.norm_H, "normH")
+        alpha = _check_field(self.metric.grid, self.alpha_H.theta, "alpha_theta")
+        for name, values in (("normH", norm_h), ("alpha_theta", alpha)):
+            j = int(np.argmin(np.isfinite(values)))
+            if not np.isfinite(values[j]):
+                raise InvalidParameterError(f"{name} must be finite, got {values[j]} at node {j}")
         j = int(np.argmin(norm_h))
         if norm_h[j] <= 0.0:
             raise InvalidParameterError(
@@ -154,6 +160,8 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
                 raise DataFormatError(
                     f"row {i}, column {COLUMNS[j]}: not a number: {part!r}"
                 ) from None
+            if not np.isfinite(table[i, j]):
+                raise DataFormatError(f"row {i}, column {COLUMNS[j]}: not finite: {part!r}")
 
     grid = make_grid(n)
     theta = table[:, 0]

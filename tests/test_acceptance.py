@@ -189,7 +189,7 @@ def test_criterion_12_deterministic_reports(tmp_path, capsys):
     paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
     for path in paths:
         argv = ["verify", "--suite", "theorem1", "--schwarzschild", "m=1,r=4",
-                "--seed", "11", "--out", str(path)]
+                "--out", str(path)]
         assert main(argv) == 0
     capsys.readouterr()
     announce(12, "byte-identical reports", paths[0].read_bytes() == paths[1].read_bytes())

@@ -82,12 +82,11 @@ class TestEnergyCommand:
 
     def test_report_file_and_header(self, tmp_path, capsys):
         out = tmp_path / "energy.txt"
-        argv = ["energy", "--schwarzschild", "m=1,r=4", "--seed", "7", "--out", str(out)]
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--out", str(out)]
         assert main(argv) == 0
         assert f"wrote {out}" in capsys.readouterr().out
         text = out.read_text()
         assert report_value(text, "artifact") == "quasilocal 0.1.0"
-        assert report_value(text, "seed") == "7"
         assert report_value(text, "grid_n") == "32"
         assert report_value(text, "source") == "schwarzschild m=1,r=4"
 
@@ -175,7 +174,7 @@ class TestVerifyCommand:
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for path in paths:
             argv = ["verify", "--suite", "identities", "--tau", "0.2*P2",
-                    "--seed", "3", "--out", str(path)]
+                    "--out", str(path)]
             assert main(argv) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -202,6 +201,18 @@ class TestGenDataCommand:
         assert main(["energy", "--data", str(out), "--tau", "zero"]) == 0
         total = float(report_value(capsys.readouterr().out, "total"))
         assert abs(total - SPHERE_ENERGY) <= 1e-10 * SPHERE_ENERGY
+
+    def test_nonfinite_table_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sphere.dat"
+        main(["gen-data", "--schwarzschild", "m=1,r=4", "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        parts = lines[7].split()
+        parts[3] = "nan"
+        lines[7] = " ".join(parts)
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["energy", "--data", str(out), "--tau", "zero"]) == 1
+        assert "row 5, column normH" in capsys.readouterr().err
 
 
 class TestExitPaths:

@@ -233,8 +233,6 @@ class TestExtrinsicData:
         m = regular_random_metric(grid, rng)
         data = extrinsic_data(embed_lifted(m, random_time_profile(grid, rng)))
         assert np.max(np.abs(data.norm_H**2 - data.mean_sq)) <= 1e-12
-        assert np.all(data.alpha_H.phi == 0.0)
-        assert np.all(data.breve_alpha.phi == 0.0)
 
     def test_non_spacelike_mean_curvature_rejected(self):
         grid = make_grid(32)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import legendre_mode, random_time_profile
+import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
+    FieldShapeError,
     hat_gauss_curvature,
     integrate_surface,
     make_grid,
@@ -102,6 +104,12 @@ class TestEnergyGradient:
                 ) / (2.0 * step)
             assert np.linalg.norm(fd - grad) <= 1e-5 * np.linalg.norm(fd)
 
+    def test_more_modes_than_the_grid_resolves_rejected(self):
+        grid = make_grid(8)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        with pytest.raises(FieldShapeError, match="8 modes"):
+            energy_gradient(d, TauCoefficients.zeros(8))
+
     def test_constant_mode_pairing_vanishes(self):
         # the excluded l = 0 direction is flat: the residual integrates
         # to zero whatever the (resolved) evaluation point
@@ -147,6 +155,26 @@ class TestMinimizeEnergy:
         assert report.guard_active is False
         assert len(report.energy_trace) == 1
         assert report.energy_star == qle(d, np.zeros(32)).total
+
+    def test_shape_error_in_a_trial_step_propagates(self, monkeypatch):
+        # a FieldShapeError is a bug, not a rejected step: the line search
+        # must not swallow it
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        init = TauCoefficients((0.05, 0.02))
+        setup_calls = 1 + 2 * len(init.coeffs)  # start energy and calibration
+        calls = []
+
+        def qle_failing_in_trials(data, tau):
+            calls.append(None)
+            if len(calls) > setup_calls:
+                raise FieldShapeError("trial field")
+            return qle(data, tau)
+
+        monkeypatch.setattr(optimize_module, "qle", qle_failing_in_trials)
+        with pytest.raises(FieldShapeError, match="trial field"):
+            minimize_energy(d, init)
+        assert len(calls) == setup_calls + 1
 
     def test_guard_violation_at_init_raises(self):
         grid = make_grid(32)

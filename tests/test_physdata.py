@@ -104,6 +104,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="node 3"):
             PhysicalData(round_sphere(grid), bad, OneForm(np.zeros(8)), "file")
 
+    def test_nonfinite_norm_rejected(self):
+        grid = make_grid(8)
+        bad = np.ones(8)
+        bad[2] = np.nan
+        with pytest.raises(InvalidParameterError, match="normH must be finite, got nan at node 2"):
+            PhysicalData(round_sphere(grid), bad, OneForm(np.zeros(8)), "file")
+
+    def test_nonfinite_alpha_rejected(self):
+        grid = make_grid(8)
+        alpha = np.zeros(8)
+        alpha[6] = -np.inf
+        with pytest.raises(InvalidParameterError, match="alpha_theta must be finite, got -inf at node 6"):
+            PhysicalData(round_sphere(grid), np.ones(8), OneForm(alpha), "file")
+
 
 class TestTableRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
@@ -161,6 +175,18 @@ class TestTableRoundTrip:
         rows = self._valid_rows()
         rows[5] = rows[5].rsplit(" ", 2)[0] + " 0 0"
         with pytest.raises(DataFormatError, match="row 5, column normH"):
+            load_physical_data(self._write_rows(tmp_path, rows))
+
+    @pytest.mark.parametrize(
+        "column, value", [(1, "inf"), (2, "-inf"), (3, "nan"), (4, "inf")]
+    )
+    def test_nonfinite_value_named(self, tmp_path, column, value):
+        rows = self._valid_rows()
+        parts = rows[3].split()
+        parts[column] = value
+        rows[3] = " ".join(parts)
+        name = ("theta", "P", "Q", "normH", "alpha_theta")[column]
+        with pytest.raises(DataFormatError, match=f"row 3, column {name}: not finite"):
             load_physical_data(self._write_rows(tmp_path, rows))
 
     def test_non_numeric_field_named(self, tmp_path):
