@@ -48,7 +48,7 @@ from .physdata import (
     schwarzschild_sphere,
     store_physical_data,
 )
-from .energy import qle, qle_angle_form, residual
+from .energy import evaluate, qle, qle_angle_form, residual
 from .optimize import (
     GuardViolationError,
     LineSearchError,
@@ -97,8 +97,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.grid_n >= 4:
             raise CliValidationError("--grid-n", f"must be at least 4, got {self.grid_n}")
-        if not self.tolerance > 0.0:
-            raise CliValidationError("--tol", f"must be positive, got {self.tolerance}")
+        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
+            raise CliValidationError("--tol", f"must be positive and finite, got {self.tolerance}")
 
     def header(self) -> list:
         return [
@@ -135,6 +135,7 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     if not compact:
         raise CliValidationError(field, "empty time-function spec")
     total = np.zeros(grid.n_nodes)
+    scale = 0.0  # bounds max |total|, since |P_l| <= 1 on the grid
     pos = 0
     while pos < len(compact):
         match = _TERM.match(compact, pos)
@@ -143,6 +144,11 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
                 field, f"unparseable term at {compact[pos:]!r} (grammar: zero | c*Pl sums | file:PATH)"
             )
         coeff = float(match.group(1))
+        scale += abs(coeff)
+        if not np.isfinite(scale):
+            raise CliValidationError(
+                field, f"coefficient {match.group(1)} is not finite or the sum overflows"
+            )
         if match.group(2) is None:
             total = total + coeff
         else:
@@ -163,6 +169,9 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
         raise CliValidationError(field, f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
+    if not np.isfinite(table).all():
+        j = int(np.argmin(np.isfinite(table).ravel()))
+        raise CliValidationError(field, f"{path}: value {table.ravel()[j]} is not finite")
     if table.ndim == 2 and table.shape[1] == 2:
         theta, values = table[:, 0], table[:, 1]
         if theta.shape != grid.nodes.shape or np.max(np.abs(theta - grid.nodes)) > 1e-12:
@@ -196,9 +205,12 @@ def _parse_assignments(spec: str, field: str, keys: tuple) -> dict:
 
 def _float_of(raw: str, field: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise CliValidationError(field, f"not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise CliValidationError(field, f"not finite: {raw!r}")
+    return value
 
 
 def build_metric(spec: str, grid: Grid) -> AxisymMetric:
@@ -297,15 +309,16 @@ def cmd_energy(args) -> int:
     d, echo = require_data(args, grid)
     tau = parse_tau(args.tau, grid)
     config = RunConfig("energy", args.grid_n, echo, args.tau)
-    breakdown = qle(d, tau)
-    cross = qle_angle_form(d, tau)
+    at_tau = evaluate(d.metric, tau)
+    breakdown = qle(d, at_tau)
+    cross = qle_angle_form(d, at_tau)
     body = [
         f"reference_term = {_fmt(breakdown.reference_term)}",
         f"physical_term = {_fmt(breakdown.physical_term)}",
         f"total = {_fmt(breakdown.total)}",
         f"cross_check_total = {_fmt(cross.total)}",
         f"cross_check_deviation = {_fmt(abs(cross.total - breakdown.total))}",
-        f"guard_margin = {_fmt(convexity_guard(d.metric, tau))}",
+        f"guard_margin = {_fmt(convexity_guard(d.metric, at_tau))}",
     ]
     _emit(config, body, args.out)
     return 0

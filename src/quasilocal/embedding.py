@@ -30,6 +30,7 @@ unit sphere at tau = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .geometry import (
     _check_field,
     divergence_from_x_component,
     laplacian,
-    sin_factored_theta_derivative,
 )
 
 
@@ -86,6 +86,7 @@ class RevolutionSurface:
     would mangle.  v_prime is the nonnegative root, which orients the
     unit normal outward.  The height v, anchored to 0 at the north pole,
     is computed when read: the curvature formulas need only u' and v'.
+    hhat, the second fundamental form, is computed once when first read.
     """
 
     metric: AxisymMetric
@@ -99,6 +100,10 @@ class RevolutionSurface:
         # integrating it in x recovers the height with spectral accuracy
         g = self.metric.grid
         return g.integral_from_north(self.v_prime / g.sin_theta)
+
+    @cached_property
+    def hhat(self) -> SymTensorField:
+        return second_fundamental_form(self)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     """
     g = m.grid
     u = m.Q * g.sin_theta
-    u_prime = sin_factored_theta_derivative(g, m.Q)
+    u_prime = m.u_prime
     margin = m.P**2 - u_prime**2
     j = int(np.argmin(margin))
     if margin[j] <= 0.0:
@@ -171,7 +176,7 @@ def second_fundamental_form(surf: RevolutionSurface) -> SymTensorField:
     g = surf.metric.grid
     P = surf.metric.P
     w = surf.v_prime / g.sin_theta
-    u2 = -g.sin_theta * g.dx(surf.u_prime)
+    u2 = surf.metric.u_second
     v2 = g.x * w - (1.0 - g.x * g.x) * g.dx(w)
     tt = (surf.u_prime * v2 - u2 * surf.v_prime) / P
     pp = surf.u * surf.v_prime / P
@@ -182,7 +187,7 @@ def mean_curvature(surf: RevolutionSurface) -> np.ndarray:
     """Scalar mean curvature (sum of principal curvatures), outward."""
     g = surf.metric.grid
     P = surf.metric.P
-    h = second_fundamental_form(surf)
+    h = surf.hhat
     # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
     w = surf.v_prime / g.sin_theta
     return h.theta_theta / P**2 + w / (surf.metric.Q * P)
@@ -192,7 +197,7 @@ def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
     """Gauss curvature as the determinant of the shape operator."""
     g = surf.metric.grid
     P = surf.metric.P
-    h = second_fundamental_form(surf)
+    h = surf.hhat
     w = surf.v_prime / g.sin_theta
     return (h.theta_theta / P**2) * (w / (surf.metric.Q * P))
 
@@ -203,7 +208,7 @@ def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> LorentzSurface:
     tau = _check_field(g, tau, "tau")
     tau_theta = g.dtheta(tau)
     p_hat = np.sqrt(m.P**2 + tau_theta**2)
-    projected = embed_r3(AxisymMetric(g, p_hat, m.Q))
+    projected = embed_r3(m.with_P(p_hat))
     return LorentzSurface(base_metric=m, tau=tau, projected=projected)
 
 
@@ -263,7 +268,7 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
     proj = surf.projected
     p_hat = proj.metric.P
 
-    hhat = second_fundamental_form(proj)
+    hhat = proj.hhat
     h_hat = mean_curvature(proj)
 
     lu, lap_vt, lap_tau = _lift_laplacians(surf)

@@ -22,6 +22,7 @@ have; the mixed and dphi pieces vanish identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -153,14 +154,24 @@ def _check_field(grid: Grid, f: np.ndarray, name: str) -> np.ndarray:
     return f
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class AxisymMetric:
     """Axially symmetric metric P^2 dtheta^2 + Q^2 sin^2(theta) dphi^2.
 
-    P and Q are node-value arrays on grid and must be strictly positive.
-    Smoothness of the round metric at the poles corresponds to profiles
-    smooth in x with P = Q at x = +-1; all constructors in this package
-    produce such profiles.
+    P and Q are node-value arrays on grid and must be finite and strictly
+    positive.  Smoothness of the round metric at the poles corresponds to
+    profiles smooth in x with P = Q at x = +-1; all constructors in this
+    package produce such profiles.
+
+    The fields that depend on the metric alone (u' with u = Q sin(theta),
+    the u'' term of the second fundamental form, dP/dtheta and the Gauss
+    curvature K) are computed when first read and kept as read-only
+    arrays.  with_P builds a metric with the same Q that shares u' and u''.
     """
 
     grid: Grid
@@ -170,6 +181,13 @@ class AxisymMetric:
     def __post_init__(self):
         P = _check_field(self.grid, self.P, "P")
         Q = _check_field(self.grid, self.Q, "Q")
+        for name, values in (("P", P), ("Q", Q)):
+            if not np.isfinite(values).all():
+                j = int(np.argmin(np.isfinite(values)))
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {values[j]} at node {j} "
+                    f"(theta = {self.grid.nodes[j]})"
+                )
         if not np.all(P > 0.0):
             j = int(np.argmin(P))
             raise InvalidParameterError(
@@ -182,6 +200,34 @@ class AxisymMetric:
             )
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
+
+    def with_P(self, P: np.ndarray) -> "AxisymMetric":
+        """The metric with profile P and this Q, sharing the Q-only fields."""
+        other = AxisymMetric(self.grid, P, self.Q)
+        other.__dict__["u_prime"] = self.u_prime
+        other.__dict__["u_second"] = self.u_second
+        return other
+
+    @cached_property
+    def u_prime(self) -> np.ndarray:
+        """d/dtheta of u = Q sin(theta), smooth in x."""
+        return _read_only(sin_factored_theta_derivative(self.grid, self.Q))
+
+    @cached_property
+    def u_second(self) -> np.ndarray:
+        """d^2u/dtheta^2, assembled from the x-derivative of u'."""
+        g = self.grid
+        return _read_only(-g.sin_theta * g.dx(self.u_prime))
+
+    @cached_property
+    def P_theta(self) -> np.ndarray:
+        """dP/dtheta."""
+        return _read_only(self.grid.dtheta(self.P))
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Gauss curvature; see gauss_curvature."""
+        return _read_only(self.grid.dx(self.u_prime / self.P) / (self.P * self.Q))
 
 
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
@@ -249,15 +295,22 @@ def laplacian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
 def gradient_norm_sq(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     """|grad f|^2 = (df/dtheta)^2 / P^2 for axisymmetric f."""
     f = _check_field(m.grid, f, "f")
-    ft = m.grid.dtheta(f)
-    return (ft / m.P) ** 2
+    return _norm_sq(m, m.grid.dtheta(f))
+
+
+def _norm_sq(m: AxisymMetric, f_theta: np.ndarray) -> np.ndarray:
+    return (f_theta / m.P) ** 2
 
 
 def contract_with_gradient(m: AxisymMetric, alpha: OneForm, f: np.ndarray) -> np.ndarray:
     """Pairing alpha(grad f) = alpha_theta * f_theta / P^2."""
     f = _check_field(m.grid, f, "f")
     a = _check_field(m.grid, alpha.theta, "alpha.theta")
-    return a * m.grid.dtheta(f) / m.P**2
+    return _pairing(m, a, m.grid.dtheta(f))
+
+
+def _pairing(m: AxisymMetric, a: np.ndarray, f_theta: np.ndarray) -> np.ndarray:
+    return a * f_theta / m.P**2
 
 
 def hessian(m: AxisymMetric, f: np.ndarray) -> SymTensorField:
@@ -273,16 +326,18 @@ def hessian(m: AxisymMetric, f: np.ndarray) -> SymTensorField:
     a sin(theta) factor and cannot be differentiated spectrally in x.
     """
     f = _check_field(m.grid, f, "f")
+    return _hessian(m, m.grid.dx(f))
+
+
+def _hessian(m: AxisymMetric, fx: np.ndarray) -> SymTensorField:
+    """hessian of the field whose x-derivative is fx."""
     g = m.grid
-    fx = g.dx(f)
     fxx = g.dx(fx)
     f1 = -g.sin_theta * fx
     f2 = -g.x * fx + (1.0 - g.x * g.x) * fxx
-    p1 = g.dtheta(m.P)
     u = m.Q * g.sin_theta
-    uprime = sin_factored_theta_derivative(g, m.Q)
-    tt = f2 - (p1 / m.P) * f1
-    pp = u * uprime * f1 / m.P**2
+    tt = f2 - (m.P_theta / m.P) * f1
+    pp = u * m.u_prime * f1 / m.P**2
     return SymTensorField(theta_theta=tt, phi_phi=pp)
 
 
@@ -305,11 +360,9 @@ def gauss_curvature(m: AxisymMetric) -> np.ndarray:
         K = -(1 / (P u)) d/dtheta (u'/P) = d/dx(u'/P) / (P Q)
 
     after the sin(theta) factors cancel.  Valid for any admissible
-    metric, embeddable or not.
+    metric, embeddable or not.  Computed once per metric (m.K).
     """
-    g = m.grid
-    uprime = sin_factored_theta_derivative(g, m.Q)
-    return g.dx(uprime / m.P) / (m.P * m.Q)
+    return m.K
 
 
 def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
@@ -327,13 +380,14 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
     augmented metric embeds as a convex surface of revolution.
     """
     tau = _check_field(m.grid, tau, "tau")
-    g = m.grid
-    hess = hessian(m, tau)
-    u = m.Q * g.sin_theta
-    uprime = sin_factored_theta_derivative(g, m.Q)
-    taux = g.dx(tau)
+    taux = m.grid.dx(tau)
+    return _hat_gauss_curvature(
+        m, _hessian(m, taux).theta_theta, taux, gradient_norm_sq(m, tau)
+    )
+
+
+def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:
+    """hat_gauss_curvature from Hess_tt, d(tau)/dx and |grad tau|^2."""
     # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
-    det = hess.theta_theta * (-uprime * taux) / (m.P**4 * m.Q)
-    k = gauss_curvature(m)
-    gsq = gradient_norm_sq(m, tau)
-    return (k + det / (1.0 + gsq)) / (1.0 + gsq)
+    det = hess_tt * (-m.u_prime * taux) / (m.P**4 * m.Q)
+    return (m.K + det / (1.0 + gsq)) / (1.0 + gsq)

@@ -11,17 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    AxisymMetric,
-    FieldShapeError,
-    _check_field,
-    gauss_curvature,
-    gradient_norm_sq,
-    hat_gauss_curvature,
-    integrate_surface,
-)
+from .geometry import AxisymMetric, FieldShapeError, integrate_surface
 from .embedding import GaugeOrientationError, NonEmbeddableError, NonSpacelikeMeanCurvatureError
-from .energy import qle, residual
+from .energy import Evaluation, evaluate, qle, residual
 from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
@@ -70,7 +62,7 @@ def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
     return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
 
 
-def convexity_guard(m: AxisymMetric, tau: np.ndarray) -> float:
+def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float:
     """Worst convexity margin of the lifted metric.
 
     Returns the least of: the Gauss curvature of sigma + dtau x dtau,
@@ -79,11 +71,7 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray) -> float:
     convex along the segment s*tau, s in [0, 1].  A negative value is
     a measurement, not an error.
     """
-    tau = _check_field(m.grid, tau, "tau")
-    k_hat = hat_gauss_curvature(m, tau)
-    k = gauss_curvature(m)
-    scaled = k_hat * (1.0 + gradient_norm_sq(m, tau))
-    return float(min(k_hat.min(), k.min(), scaled.min()))
+    return evaluate(m, tau).convexity_guard()
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
@@ -92,11 +80,15 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     The positive sign is the calibrated one: central finite differences
     of qle along each mode reproduce these pairings.
     """
+    return _gradient(d, tau_from_coefficients(d.metric.grid, tau), len(tau.coeffs))
+
+
+def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.ndarray:
+    """energy_gradient over count modes at the field tau."""
     grid = d.metric.grid
-    count = len(tau.coeffs)
     if count >= grid.n_nodes:
         raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
-    res = residual(d, tau_from_coefficients(grid, tau))
+    res = residual(d, tau)
     modes = grid.legendre_vandermonde[:, 1 : count + 1]
     return np.array([integrate_surface(d.metric, res * modes[:, l]) for l in range(count)])
 
@@ -132,16 +124,23 @@ def minimize_energy(
     accepted iterate is admissible.  Terminates when the coefficient
     gradient norm drops below tol.  The first gradient is calibrated
     against central finite differences and the relative error recorded.
+
+    Each synthesized field is evaluated once: the guard, the energy and,
+    for an accepted step, the gradient read one Evaluation, and a trial
+    field byte-equal to one seen earlier in the run reuses its energy
+    (or its guard rejection) instead of being evaluated again.
     """
-    grid = d.metric.grid
+    m = d.metric
+    grid = m.grid
     coeffs = np.array(init.coeffs, dtype=float)
 
-    margin = convexity_guard(d.metric, tau_from_coefficients(grid, init))
+    current = evaluate(m, tau_from_coefficients(grid, init))
+    margin = convexity_guard(m, current)
     if margin <= 0.0:
         raise GuardViolationError(margin)
 
-    energy = qle(d, tau_from_coefficients(grid, init)).total
-    grad = energy_gradient(d, init)
+    energy = qle(d, current).total
+    grad = _gradient(d, current, coeffs.size)
 
     fd = _fd_gradient(d, coeffs)
     scale = max(float(np.linalg.norm(fd)), tol)
@@ -152,6 +151,9 @@ def minimize_energy(
     iterations = 0
     inverse_model = np.eye(coeffs.size)
     first_pair = True
+    current_key = current.tau.tobytes()
+    # trial energy by the bytes of the trial field; None: the guard rejected it
+    seen = {current_key: energy}
 
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
         direction = -(inverse_model @ grad)
@@ -169,14 +171,16 @@ def minimize_energy(
         while step >= step_floor:
             trial = coeffs + step * direction
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
-            if convexity_guard(d.metric, field) <= 0.0:
+            key = field.tobytes()
+            evaluation = None
+            if key in seen:
+                trial_energy = seen[key]
+            else:
+                evaluation = evaluate(m, field)
+                trial_energy = seen[key] = _trial_energy(d, evaluation)
+            if trial_energy is None:
                 guard_active = True
             else:
-                try:
-                    trial_energy = qle(d, field).total
-                except (NonEmbeddableError, NonSpacelikeMeanCurvatureError,
-                        GaugeOrientationError):
-                    trial_energy = np.inf
                 predicted = -armijo * step * slope
                 if trial_energy <= energy - (predicted if predicted >= noise else 0.0):
                     accepted = True
@@ -187,7 +191,12 @@ def minimize_energy(
                 f"no acceptable step above {step_floor:.1e} at iteration {iterations}"
             )
 
-        new_grad = energy_gradient(d, TauCoefficients(tuple(trial)))
+        if key == current_key:
+            new_grad = grad
+        else:
+            current = evaluation if evaluation is not None else evaluate(m, field)
+            current_key = key
+            new_grad = _gradient(d, current, coeffs.size)
         s = trial - coeffs
         y = new_grad - grad
         sy = float(s @ y)
@@ -205,14 +214,23 @@ def minimize_energy(
         trace.append(energy)
         iterations += 1
 
-    tau_star = TauCoefficients(tuple(coeffs))
-    res = residual(d, tau_from_coefficients(grid, tau_star))
+    res = residual(d, current)
     return MinimizeReport(
-        tau_star=tau_star,
+        tau_star=TauCoefficients(tuple(coeffs)),
         energy_star=energy,
-        residual_norm=float(np.sqrt(integrate_surface(d.metric, res * res))),
+        residual_norm=float(np.sqrt(integrate_surface(m, res * res))),
         iterations=iterations,
         guard_active=guard_active,
         energy_trace=tuple(trace),
         calibration_rel_error=calibration,
     )
+
+
+def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
+    """qle at a line-search trial: None outside the guard, inf where the lift fails."""
+    if convexity_guard(d.metric, evaluation) <= 0.0:
+        return None
+    try:
+        return qle(d, evaluation).total
+    except (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError):
+        return np.inf

@@ -34,7 +34,7 @@ from .geometry import (
     make_grid,
     round_sphere,
 )
-from .embedding import embed_lifted, extrinsic_data
+from .energy import Evaluation, evaluate
 
 COLUMNS = ("theta", "P", "Q", "normH", "alpha_theta")
 
@@ -92,9 +92,9 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
     )
 
 
-def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
+def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> PhysicalData:
     """Data of the lift of (m, tau0) viewed as a surface in flat spacetime."""
-    data = extrinsic_data(embed_lifted(m, tau0))
+    data = evaluate(m, tau0).extrinsic
     return PhysicalData(
         metric=m, norm_H=data.norm_H, alpha_H=data.alpha_H, provenance="minkowski"
     )

@@ -32,7 +32,6 @@ from numpy.polynomial import chebyshev as npcheb
 from .geometry import (
     AxisymMetric,
     Grid,
-    contract_with_gradient,
     divergence_from_x_component,
     gradient_norm_sq,
     hessian,
@@ -40,15 +39,9 @@ from .geometry import (
     laplacian,
     sin_factored_theta_derivative,
 )
-from .embedding import embed_r3, embed_lifted, extrinsic_data, mean_curvature
+from .embedding import embed_r3, mean_curvature
 from .physdata import PhysicalData, minkowski_surface_data
-from .energy import (
-    breve_gauge,
-    generalized_mean_curvature,
-    qle,
-    residual,
-    tilde_energy,
-)
+from .energy import GaugeData, evaluate, qle, residual, tilde_energy
 from .optimize import convexity_guard
 
 # a strict hypothesis must clear this floor; discretization noise in the
@@ -199,25 +192,25 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
                             Hess / (1 + |grad tau|^2)
     """
     g = m.grid
-    lift = embed_lifted(m, tau)
-    data = extrinsic_data(lift)
-    proj = lift.projected
+    ev = evaluate(m, tau)
+    data = ev.extrinsic
+    proj = ev.lift.projected
     p_hat = proj.metric.P
-    tau_theta = g.dtheta(tau)
-    s1 = np.sqrt(1.0 + gradient_norm_sq(m, tau))
+    tau_theta = ev.tau_theta
+    s1 = ev.s1
 
     # rest embedding quantities for the mean curvature identity
     base = embed_r3(m)
     h0 = mean_curvature(base)
     w_v = base.v_prime / g.sin_theta
-    taux = g.dx(tau)
-    defect = (w_v * laplacian(m, tau) + taux * divergence_from_x_component(m, w_v)) ** 2
+    taux = ev.tau_x
+    defect = (w_v * ev.lap + taux * divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
-    h_gen = generalized_mean_curvature(breve_gauge(lift), m, tau)
+    h_gen = ev.generalized_mean_curvature(GaugeData.breve(data))
     prop_dev = np.max(np.abs(h_gen / s1 - data.Hhat))
 
-    alpha_pair = contract_with_gradient(m, data.breve_alpha, tau)
+    alpha_pair = ev.pairing(data.breve_alpha)
     proj_dev = np.max(np.abs(data.Hhat + data.breve_h + alpha_pair / s1))
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
@@ -233,9 +226,8 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     tau_up = tau_theta / m.P**2
     inverse_dev = np.max(np.abs((1.0 / m.P**2 - tau_up**2 / s1**2) * p_hat**2 - 1.0))
 
-    hess_hat = hessian(AxisymMetric(g, p_hat, m.Q), tau)
-    hess = hessian(m, tau)
-    graph_dev = np.max(np.abs(hess_hat.theta_theta - hess.theta_theta / s1**2))
+    hess_hat = hessian(proj.metric, ev.tau)
+    graph_dev = np.max(np.abs(hess_hat.theta_theta - ev.hess.theta_theta / s1**2))
 
     checks = tuple(
         CheckOutcome(label, -float(dev), tolerance)
@@ -280,13 +272,12 @@ def check_lemma41(
     else:
         variations = tuple(np.asarray(v, dtype=float) for v in variations)
 
-    lift = embed_lifted(m, tau)
-    data = extrinsic_data(lift)
-    p_hat = lift.projected.metric.P
-    tau_theta = g.dtheta(tau)
-    s1 = np.sqrt(1.0 + gradient_norm_sq(m, tau))
-    tau_up = tau_theta / m.P**2
-    alpha_pair = contract_with_gradient(m, data.breve_alpha, tau)
+    ev = evaluate(m, tau)
+    data = ev.extrinsic
+    p_hat = ev.lift.projected.metric.P
+    s1 = ev.s1
+    tau_up = ev.tau_theta / m.P**2
+    alpha_pair = ev.pairing(data.breve_alpha)
     flux = (
         -data.hhat.theta_theta * tau_up / (p_hat**2 * s1)
         - tau_up * alpha_pair / s1**2
@@ -294,11 +285,11 @@ def check_lemma41(
     )
     flux_dev = float(np.max(np.abs(flux)))
 
-    gauge = breve_gauge(lift)
+    gauge = GaugeData.breve(data)
     checks = [CheckOutcome("flux", -flux_dev, flux_tolerance)]
     for i, delta in enumerate(variations, start=1):
-        upper = tilde_energy(lift, gauge, tau + step * delta)
-        lower = tilde_energy(lift, gauge, tau - step * delta)
+        upper = tilde_energy(ev.lift, gauge, ev.tau + step * delta)
+        lower = tilde_energy(ev.lift, gauge, ev.tau - step * delta)
         derivative = (upper - lower) / (2.0 * step)
         checks.append(
             CheckOutcome(f"variation-{i}", -abs(float(derivative)), derivative_tolerance)
@@ -350,14 +341,17 @@ def check_theorem1(
     if tau_samples is None:
         tau_samples = tuple(tau0 + f for f in coefficient_box(g))
 
-    reference = minkowski_surface_data(m, tau0)
+    # one evaluation per time function serves the guard and both energies;
+    # reference shares the metric m with d
+    at_tau0 = evaluate(m, tau0)
+    reference = minkowski_surface_data(m, at_tau0)
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
-    res = residual(d, tau0)
+    res = residual(d, at_tau0)
     res_norm = float(np.sqrt(integrate_surface(m, res * res)))
 
-    energy_tau0 = qle(d, tau0).total
-    s1 = np.sqrt(1.0 + gradient_norm_sq(m, tau0))
-    x0 = laplacian(m, tau0) / s1
+    energy_tau0 = qle(d, at_tau0).total
+    s1 = at_tau0.s1
+    x0 = at_tau0.lap / s1
     closed_form = integrate_surface(
         m, (np.sqrt(reference.norm_H**2 + x0**2) - np.sqrt(d.norm_H**2 + x0**2)) / s1
     )
@@ -366,16 +360,16 @@ def check_theorem1(
     gaps = []
     skipped = 0
     for tau in tau_samples:
-        tau = np.asarray(tau, dtype=float)
-        if convexity_guard(m, tau) <= 0.0:
+        ev = evaluate(m, tau)
+        if convexity_guard(m, ev) <= 0.0:
             skipped += 1
             continue
-        gaps.append(qle(d, tau).total - energy_tau0 - qle(reference, tau).total)
+        gaps.append(qle(d, ev).total - energy_tau0 - qle(reference, ev).total)
     worst_gap = float(np.min(gaps)) if gaps else -np.inf
 
     equality_cases = []
     for shift in equality_shifts:
-        shifted = tau0 + float(shift)
+        shifted = evaluate(m, tau0 + float(shift))
         gap = qle(d, shifted).total - energy_tau0 - qle(reference, shifted).total
         equality_cases.append((f"shift{shift:+g}", float(gap)))
     equality_dev = max((abs(v) for _, v in equality_cases), default=0.0)
@@ -455,11 +449,14 @@ def check_theorem3(
     interior = s_grid >= s_min
 
     alpha_dev = float(np.max(np.abs(d.alpha_H.theta)))
-    rest = minkowski_surface_data(m, np.zeros(g.n_nodes))
+    # one evaluation per time function serves the guard, both energies and
+    # the closed form; rest shares the metric m with d
+    at_rest = evaluate(m, np.zeros(g.n_nodes))
+    rest = minkowski_surface_data(m, at_rest)
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
 
-    energy_rest = qle(d, np.zeros(g.n_nodes)).total
+    energy_rest = qle(d, at_rest).total
     guard_min = np.inf
     zero_dev = 0.0
     zero_slope_dev = 0.0
@@ -472,14 +469,15 @@ def check_theorem3(
     skipped = 0
 
     for tau in tau_samples:
-        sample_guard = min(convexity_guard(m, s * tau) for s in s_grid)
+        family_evals = [evaluate(m, s * tau) for s in s_grid]
+        sample_guard = min(convexity_guard(m, ev) for ev in family_evals)
         guard_min = min(guard_min, sample_guard)
         if sample_guard <= 0.0:
             skipped += 1
             continue
         evaluated += 1
 
-        breakdowns = [qle(rest, s * tau) for s in s_grid]
+        breakdowns = [qle(rest, ev) for ev in family_evals]
         family = np.array([b.total for b in breakdowns])
         slope = _spectral_s_derivative(s_grid, family)
         zero_dev = max(zero_dev, abs(family[0]))
@@ -496,7 +494,7 @@ def check_theorem3(
         grad_sq = gradient_norm_sq(m, tau)
         for i in np.nonzero(interior)[0]:
             s0 = s_grid[i]
-            mean_sq = extrinsic_data(embed_lifted(m, s0 * tau)).mean_sq
+            mean_sq = family_evals[i].extrinsic.mean_sq
             s1_sq = 1.0 + s0**2 * grad_sq
             integrand = np.sqrt(mean_sq + (s0 * lap) ** 2 / s1_sq) / np.sqrt(s1_sq)
             closed = (reference[i] - integrate_surface(m, integrand)) / s0
@@ -508,7 +506,7 @@ def check_theorem3(
             strict_increase = min(strict_increase, increase)
 
     # degenerate member of every family: the zero profile, exactly flat
-    constant_value = abs(qle(rest, np.zeros(g.n_nodes)).total)
+    constant_value = abs(qle(rest, at_rest).total)
 
     checks = (
         CheckOutcome("alpha-rest", -alpha_dev, alpha_bound),

@@ -245,3 +245,47 @@ class TestExitPaths:
     def test_help_shows_the_grammar(self, capsys):
         assert main(["--help"]) == 0
         assert "c*Pl" in capsys.readouterr().out
+
+
+class TestNonFiniteInput:
+    """Each non-finite input exits 1 naming its flag before any numerics run."""
+
+    def expect_rejected(self, argv, flag, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_infinite_radius_in_identity_suite(self, capsys):
+        argv = ["verify", "--suite", "identities", "--metric", "sphere:r=inf"]
+        self.expect_rejected(argv, "--metric", capsys)
+
+    def test_infinite_radius_under_minkowski_data(self, capsys):
+        argv = ["energy", "--minkowski", "tau0=zero", "--metric", "sphere:r=inf"]
+        self.expect_rejected(argv, "--metric", capsys)
+
+    def test_overflowing_tau_coefficient(self, capsys):
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e400*P1"]
+        self.expect_rejected(argv, "--tau", capsys)
+
+    def test_tau_coefficients_summing_past_the_float_range(self, capsys):
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e308*P1+1e308*P2"]
+        self.expect_rejected(argv, "--tau", capsys)
+
+    def test_infinite_schwarzschild_radius(self, capsys):
+        argv = ["energy", "--schwarzschild", "m=1,r=inf"]
+        self.expect_rejected(argv, "--schwarzschild", capsys)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tolerance(self, tol, capsys):
+        argv = ["minimize", "--schwarzschild", "m=1,r=4", "--tol", tol]
+        self.expect_rejected(argv, "--tol", capsys)
+
+    def test_nan_in_a_tau_file(self, tmp_path, capsys):
+        path = tmp_path / "tau.txt"
+        values = np.zeros(32)
+        values[5] = np.nan
+        np.savetxt(path, values)
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
+        self.expect_rejected(argv, "--tau", capsys)

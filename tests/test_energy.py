@@ -24,6 +24,7 @@ from quasilocal.energy import (
     canonical_gauge,
     comparison_f,
     comparison_f_prime,
+    evaluate,
     generalized_mean_curvature,
     qle,
     qle_angle_form,
@@ -85,6 +86,25 @@ class TestQle:
         )
         with pytest.raises(NonEmbeddableError):
             qle(d, np.zeros(32))
+
+
+class TestEvaluation:
+    def test_shared_evaluation_gives_the_array_results(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        tau = generic_tau(grid)
+        at_tau = evaluate(d.metric, tau)
+        assert qle(d, at_tau) == qle(d, tau)
+        assert qle_angle_form(d, at_tau) == qle_angle_form(d, tau)
+        assert np.array_equal(residual(d, at_tau), residual(d, tau))
+        assert evaluate(d.metric, at_tau) is at_tau
+
+    def test_evaluation_of_another_metric_rejected(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        other = evaluate(round_sphere(grid, 4.0), generic_tau(grid))
+        with pytest.raises(InvalidParameterError, match="different metric"):
+            qle(d, other)
 
 
 class TestFormEquivalence:

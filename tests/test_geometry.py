@@ -105,6 +105,25 @@ class TestAxisymMetric:
         with pytest.raises(FieldShapeError):
             AxisymMetric(grid, np.ones(9), np.ones(8))
 
+    @pytest.mark.parametrize("name", ["P", "Q"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_profile_naming_field_and_node(self, name, bad):
+        grid = make_grid(8)
+        profiles = {"P": np.ones(grid.n_nodes), "Q": np.ones(grid.n_nodes)}
+        profiles[name][4] = bad
+        message = f"{name} must be finite, got {bad} at node 4"
+        with pytest.raises(InvalidParameterError, match=message):
+            AxisymMetric(grid, profiles["P"], profiles["Q"])
+
+    def test_lifted_metric_shares_the_q_only_fields(self):
+        grid = make_grid(16)
+        m = round_sphere(grid, 2.0)
+        lifted = m.with_P(np.full(grid.n_nodes, 3.0))
+        assert lifted.Q is m.Q
+        assert lifted.u_prime is m.u_prime
+        assert lifted.u_second is m.u_second
+        assert np.all(lifted.P == 3.0)
+
     def test_round_sphere_profiles(self):
         grid = make_grid(8)
         m = round_sphere(grid, 2.5)

@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
+import quasilocal
 from conftest import legendre_mode
 from quasilocal.geometry import (
     AxisymMetric,
@@ -148,6 +150,33 @@ class TestCheckLemma41:
         )
         assert report.samples == 1
         assert len(report.checks) == 2
+
+
+class TestLiftsAreShared:
+    """Each lift the identity suites hold has its extrinsic data computed once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(quasilocal.embedding, name)
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        modules = (quasilocal.embedding, quasilocal.energy, quasilocal.physdata, quasilocal.verify)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
+    def test_one_extrinsic_data_call(self, suite, monkeypatch):
+        grid = make_grid(32)
+        m = oblate_metric(grid)
+        extrinsic = self.count_calls(monkeypatch, "extrinsic_data")
+        assert suite(m, 0.2 * legendre_mode(grid, 1)).passed
+        assert len(extrinsic) == 1
 
 
 class TestCheckTheorem1:
