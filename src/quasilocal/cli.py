@@ -67,7 +67,7 @@ from .verify import (
 )
 
 TAU_GRAMMAR = """\
-time function grammar (--tau, --tau0, and tau0= in --minkowski):
+time function grammar (--tau and tau0= in --minkowski):
   zero               the zero profile
   c*Pl[+c*Pl...]     signed sum of Legendre-coefficient terms, e.g.
                      0.3*P1+0.1*P2 or 0.5*P1-2e-2*P3; bare constants allowed
@@ -395,17 +395,15 @@ def cmd_verify(args) -> int:
     if args.suite in ("identities", "lemma41"):
         metric = d.metric if d is not None else build_metric(args.metric, grid)
         report = (check_identities if args.suite == "identities" else check_lemma41)(metric, tau)
+    elif d is None:
+        raise CliValidationError(
+            "--schwarzschild/--minkowski/--data", f"suite {args.suite} needs a data source"
+        )
     elif args.suite == "theorem1":
-        if d is None:
-            raise CliValidationError(
-                "--schwarzschild/--minkowski/--data", "suite theorem1 needs a data source"
-            )
-        report = check_theorem1(d, parse_tau(args.tau0, grid, field="--tau0"))
+        report = check_theorem1(d, tau)
+    elif np.any(tau != 0.0):
+        raise CliValidationError("--tau", f"suite theorem3 certifies tau = zero, got {args.tau!r}")
     else:
-        if d is None:
-            raise CliValidationError(
-                "--schwarzschild/--minkowski/--data", "suite theorem3 needs a data source"
-            )
         report = check_theorem3(d)
     config = RunConfig(f"verify {args.suite}", args.grid_n, echo, args.tau)
     _emit(config, format_report(report).splitlines(), args.out)
@@ -434,7 +432,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, tau_default="zero"):
+def _add_command(commands, name: str, help_text: str, run):
+    """A subcommand with the grid, output and data-source flags."""
+    sub = commands.add_parser(name, help=help_text, epilog=TAU_GRAMMAR,
+                              formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub.set_defaults(run=run)
     sub.add_argument("--grid-n", type=int, default=32, help="collocation nodes (default 32)")
     sub.add_argument("--out", default=None, help="write the report to this path")
     sub.add_argument("--schwarzschild", default=None, metavar="m=M,r=R",
@@ -444,7 +446,7 @@ def _add_common(sub, tau_default="zero"):
     sub.add_argument("--data", default=None, metavar="PATH", help="physical-data table")
     sub.add_argument("--metric", default="unit-sphere",
                      help="metric for --minkowski and the identity suites (unit-sphere | sphere:r=R)")
-    sub.add_argument("--tau", default=tau_default, help="time function (see grammar below)")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,38 +459,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quasilocal {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("energy", help="energy breakdown",
-                              epilog=TAU_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(sub)
-    sub.set_defaults(run=cmd_energy)
+    sub = _add_command(commands, "energy", "energy breakdown", cmd_energy)
+    sub.add_argument("--tau", default="zero", help="time function (see grammar below)")
 
-    sub = commands.add_parser("residual", help="criticality residual",
-                              epilog=TAU_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(sub)
+    sub = _add_command(commands, "residual", "criticality residual", cmd_residual)
+    sub.add_argument("--tau", default="zero", help="time function (see grammar below)")
     sub.add_argument("--columns", default=None, help="write 'theta residual' rows to this path")
-    sub.set_defaults(run=cmd_residual)
 
-    sub = commands.add_parser("minimize", help="minimize the energy",
-                              epilog=TAU_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(sub)
+    sub = _add_command(commands, "minimize", "minimize the energy", cmd_minimize)
+    sub.add_argument("--tau", default="zero", help="initial time function (see grammar below)")
     sub.add_argument("--tol", type=float, default=1e-7, help="gradient norm target (default 1e-7)")
     sub.add_argument("--max-iterations", type=int, default=500)
     sub.add_argument("--modes", type=int, default=8, help="Legendre modes optimized (default 8)")
     sub.add_argument("--columns", default=None, help="write 'iteration energy' rows to this path")
-    sub.set_defaults(run=cmd_minimize)
 
-    sub = commands.add_parser("verify", help="run a certification suite",
-                              epilog=TAU_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(sub)
+    sub = _add_command(commands, "verify", "run a certification suite", cmd_verify)
+    sub.add_argument("--tau", default="zero",
+                     help="time function; theorem1's base point, zero for theorem3 (see grammar below)")
     sub.add_argument("--suite", required=True,
                      choices=("identities", "theorem1", "theorem3", "lemma41"))
-    sub.add_argument("--tau0", default="zero", help="base point for the theorem1 suite")
-    sub.set_defaults(run=cmd_verify)
 
-    sub = commands.add_parser("gen-data", help="write a physical-data table",
-                              epilog=TAU_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(sub)
-    sub.set_defaults(run=cmd_gen_data)
+    _add_command(commands, "gen-data", "write a physical-data table", cmd_gen_data)
 
     return parser
 

@@ -41,6 +41,7 @@ from .geometry import (
     _check_field,
     divergence_from_x_component,
     laplacian,
+    sin_factored_theta_derivative,
 )
 
 
@@ -86,7 +87,8 @@ class RevolutionSurface:
     would mangle.  v_prime is the nonnegative root, which orients the
     unit normal outward.  The height v, anchored to 0 at the north pole,
     is computed when read: the curvature formulas need only u' and v'.
-    hhat, the second fundamental form, is computed once when first read.
+    w = v'/sin(theta), the second fundamental form hhat and the mean
+    curvature are each computed once, when first read.
     """
 
     metric: AxisymMetric
@@ -96,14 +98,25 @@ class RevolutionSurface:
 
     @property
     def v(self) -> np.ndarray:
-        # v'/sin(theta) is smooth in x for pole-regular profiles, so
-        # integrating it in x recovers the height with spectral accuracy
-        g = self.metric.grid
-        return g.integral_from_north(self.v_prime / g.sin_theta)
+        # w is smooth in x, so integrating it in x recovers the height
+        # with spectral accuracy
+        return self.metric.grid.integral_from_north(self.w)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """v'/sin(theta), smooth in x for pole-regular profiles."""
+        return self.v_prime / self.metric.grid.sin_theta
 
     @cached_property
     def hhat(self) -> SymTensorField:
         return second_fundamental_form(self)
+
+    @cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """See mean_curvature."""
+        P = self.metric.P
+        # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
+        return self.hhat.theta_theta / P**2 + self.w / (self.metric.Q * P)
 
 
 @dataclass(frozen=True)
@@ -111,11 +124,12 @@ class LorentzSurface:
     """Spacelike graph in R^{3,1} over a revolution surface.
 
     base_metric is the induced metric sigma of the graph itself; the
-    projected surface embeds sigma + dtau x dtau.
+    projected surface embeds sigma + dtau x dtau.  tau_theta is dtau/dtheta.
     """
 
     base_metric: AxisymMetric
     tau: np.ndarray
+    tau_theta: np.ndarray
     projected: RevolutionSurface
 
 
@@ -173,33 +187,26 @@ def second_fundamental_form(surf: RevolutionSurface) -> SymTensorField:
     Positive on convex surfaces: the round sphere of radius r gives
     h_ab = sigma_ab / r.
     """
-    g = surf.metric.grid
     P = surf.metric.P
-    w = surf.v_prime / g.sin_theta
     u2 = surf.metric.u_second
-    v2 = g.x * w - (1.0 - g.x * g.x) * g.dx(w)
+    v2 = sin_factored_theta_derivative(surf.metric.grid, surf.w)
     tt = (surf.u_prime * v2 - u2 * surf.v_prime) / P
     pp = surf.u * surf.v_prime / P
     return SymTensorField(theta_theta=tt, phi_phi=pp)
 
 
 def mean_curvature(surf: RevolutionSurface) -> np.ndarray:
-    """Scalar mean curvature (sum of principal curvatures), outward."""
-    g = surf.metric.grid
-    P = surf.metric.P
-    h = surf.hhat
-    # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
-    w = surf.v_prime / g.sin_theta
-    return h.theta_theta / P**2 + w / (surf.metric.Q * P)
+    """Scalar mean curvature (sum of principal curvatures), outward.
+
+    Computed once per surface and kept on it.
+    """
+    return surf.mean_curvature
 
 
 def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
     """Gauss curvature as the determinant of the shape operator."""
-    g = surf.metric.grid
     P = surf.metric.P
-    h = surf.hhat
-    w = surf.v_prime / g.sin_theta
-    return (h.theta_theta / P**2) * (w / (surf.metric.Q * P))
+    return (surf.hhat.theta_theta / P**2) * (surf.w / (surf.metric.Q * P))
 
 
 def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> LorentzSurface:
@@ -209,15 +216,13 @@ def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> LorentzSurface:
     tau_theta = g.dtheta(tau)
     p_hat = np.sqrt(m.P**2 + tau_theta**2)
     projected = embed_r3(m.with_P(p_hat))
-    return LorentzSurface(base_metric=m, tau=tau, projected=projected)
+    return LorentzSurface(base_metric=m, tau=tau, tau_theta=tau_theta, projected=projected)
 
 
 def minkowski_isometry_residual(surf: LorentzSurface) -> np.ndarray:
     """Pointwise defect -tau'^2 + u'^2 + v_tilde'^2 - P^2."""
-    g = surf.base_metric.grid
-    tau_theta = g.dtheta(surf.tau)
-    vt_theta = g.dtheta(surf.projected.v)
-    return -(tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.base_metric.P**2
+    vt_theta = surf.base_metric.grid.dtheta(surf.projected.v)
+    return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.base_metric.P**2
 
 
 def _lift_laplacians(surf: LorentzSurface):
@@ -233,9 +238,8 @@ def _lift_laplacians(surf: LorentzSurface):
     g = m.grid
     proj = surf.projected
     b = m.Q * proj.u_prime / m.P
-    lu = (g.x * b - (1.0 - g.x * g.x) * g.dx(b) - m.P) / (m.P * m.Q * g.sin_theta)
-    w_tilde = proj.v_prime / g.sin_theta
-    lap_vt = divergence_from_x_component(m, w_tilde)
+    lu = (sin_factored_theta_derivative(g, b) - m.P) / (m.P * m.Q * g.sin_theta)
+    lap_vt = divergence_from_x_component(m, proj.w)
     lap_tau = laplacian(m, surf.tau)
     return lu, lap_vt, lap_tau
 
@@ -269,7 +273,6 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
     p_hat = proj.metric.P
 
     hhat = proj.hhat
-    h_hat = mean_curvature(proj)
 
     lu, lap_vt, lap_tau = _lift_laplacians(surf)
     mean_sq = lu**2 + lap_vt**2 - lap_tau**2
@@ -278,7 +281,7 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
         raise NonSpacelikeMeanCurvatureError(mean_sq, j)
     norm_h = np.sqrt(mean_sq)
 
-    tau_theta = g.dtheta(surf.tau)
+    tau_theta = surf.tau_theta
     breve_h = (lu * proj.v_prime - lap_vt * proj.u_prime) / p_hat
     jb = int(np.argmax(breve_h))
     if breve_h[jb] >= 0.0:
@@ -296,7 +299,7 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
 
     return ExtrinsicData(
         hhat=hhat,
-        Hhat=h_hat,
+        Hhat=mean_curvature(proj),
         mean_sq=mean_sq,
         norm_H=norm_h,
         alpha_H=OneForm(theta=alpha_h),

@@ -193,10 +193,9 @@ class Evaluation:
         tau_x = self.tau_x
         hess_tt = self.hess.theta_theta
         u_prime = proj.u_prime
-        w_tilde = proj.v_prime / grid.sin_theta
 
         hess_pp_scaled = -u_prime * tau_x / (m.P**2 * m.Q)
-        cross_pp_scaled = -w_tilde * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
+        cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
         trace_term = (
             data.Hhat * (hess_tt / p_hat**2 + hess_pp_scaled)
             - data.hhat.theta_theta * hess_tt / p_hat**4

@@ -36,6 +36,12 @@ class FieldShapeError(ValueError):
     """A node-value array does not match the grid it is used with."""
 
 
+# The product form of the barycentric weights in _differentiation_matrix
+# underflows past this size: with numpy 2.4 the matrix is finite for
+# n = 861 and NaN from n = 862 on.  Closed-form weights would lift it.
+MAX_GRID_N = 861
+
+
 def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
     """Derivative of the polynomial interpolant through the nodes x.
 
@@ -45,7 +51,7 @@ def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
     n = x.size
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    # log-free product of row differences; safe in float64 up to n ~ 100
+    # log-free product of row differences; finite up to MAX_GRID_N
     b = 1.0 / diff.prod(axis=1)
     b = b / np.abs(b).max()
     d = (b[None, :] / b[:, None]) / diff
@@ -117,13 +123,17 @@ class Grid:
 def make_grid(n: int) -> Grid:
     """Build the n-node Gauss-Legendre grid on the sphere.
 
-    n must be at least 4; accuracy of the curvature operators suggests
-    n >= 16 for production work.
+    n must be at least 4 and at most MAX_GRID_N; accuracy of the
+    curvature operators suggests n >= 16 for production work.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"grid size must be an integer, got {n!r}")
     if n < 4:
         raise InvalidParameterError(f"grid size must be at least 4, got {n}")
+    if n > MAX_GRID_N:
+        raise InvalidParameterError(
+            f"grid size must be at most {MAX_GRID_N} (the differentiation matrix underflows), got {n}"
+        )
     x_asc, w_asc = npleg.leggauss(int(n))
     # ascending theta means descending x
     x = x_asc[::-1].copy()

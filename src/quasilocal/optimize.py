@@ -18,6 +18,12 @@ from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
 
+# Armijo sufficient-decrease factor; the step below which the line search
+# gives up; the central-difference step that calibrates the first gradient
+ARMIJO = 1e-4
+STEP_FLOOR = 1e-14
+FD_STEP = 1e-5
+
 
 class GuardViolationError(ValueError):
     """Starting point outside the convexity region."""
@@ -93,15 +99,15 @@ def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.n
     return np.array([integrate_surface(d.metric, res * modes[:, l]) for l in range(count)])
 
 
-def _fd_gradient(d: PhysicalData, coeffs: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def _fd_gradient(d: PhysicalData, coeffs: np.ndarray) -> np.ndarray:
     grid = d.metric.grid
     out = np.empty_like(coeffs)
     for l in range(coeffs.size):
         bump = np.zeros_like(coeffs)
-        bump[l] = step
+        bump[l] = FD_STEP
         plus = qle(d, tau_from_coefficients(grid, TauCoefficients(tuple(coeffs + bump)))).total
         minus = qle(d, tau_from_coefficients(grid, TauCoefficients(tuple(coeffs - bump)))).total
-        out[l] = (plus - minus) / (2.0 * step)
+        out[l] = (plus - minus) / (2.0 * FD_STEP)
     return out
 
 
@@ -110,8 +116,6 @@ def minimize_energy(
     init: TauCoefficients,
     tol: float = 1e-7,
     max_iterations: int = 500,
-    armijo: float = 1e-4,
-    step_floor: float = 1e-14,
 ) -> MinimizeReport:
     """Descend qle over the coefficient space from init.
 
@@ -168,7 +172,7 @@ def minimize_energy(
         # energy itself, certifying strict decrease is impossible; accept
         # any non-increasing step there (monotonicity is preserved)
         noise = 16.0 * np.finfo(float).eps * max(1.0, abs(energy))
-        while step >= step_floor:
+        while step >= STEP_FLOOR:
             trial = coeffs + step * direction
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
             key = field.tobytes()
@@ -181,14 +185,14 @@ def minimize_energy(
             if trial_energy is None:
                 guard_active = True
             else:
-                predicted = -armijo * step * slope
+                predicted = -ARMIJO * step * slope
                 if trial_energy <= energy - (predicted if predicted >= noise else 0.0):
                     accepted = True
                     break
             step *= 0.5
         if not accepted:
             raise LineSearchError(
-                f"no acceptable step above {step_floor:.1e} at iteration {iterations}"
+                f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
             )
 
         if key == current_key:

@@ -33,10 +33,8 @@ from .geometry import (
     AxisymMetric,
     Grid,
     divergence_from_x_component,
-    gradient_norm_sq,
     hessian,
     integrate_surface,
-    laplacian,
     sin_factored_theta_derivative,
 )
 from .embedding import embed_r3, mean_curvature
@@ -132,23 +130,23 @@ def legendre_mode(grid: Grid, degree: int, coeff: float = 1.0) -> np.ndarray:
     return grid.legendre_synthesis(c)
 
 
-def coefficient_box(grid: Grid, amplitudes=(0.05, 0.2, 0.5)) -> tuple:
+def coefficient_box(grid: Grid) -> tuple:
     """The +-amplitude box over the first two Legendre modes.
 
     Returns all (c, d) combinations of c*P1 + d*P2 with c and d running
-    over the amplitudes and their negatives: the default sample family
+    over 0.05, 0.2, 0.5 and their negatives: the default sample family
     for the comparison inequality.
     """
-    signed = [a * s for a in amplitudes for s in (1.0, -1.0)]
+    signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
     p1 = legendre_mode(grid, 1)
     p2 = legendre_mode(grid, 2)
     return tuple(c * p1 + d * p2 for c in signed for d in signed)
 
 
-def chebyshev_s_grid(count: int = 33) -> np.ndarray:
-    """Chebyshev-Lobatto nodes on [0, 1], ascending from s = 0."""
-    k = np.arange(count)
-    return (1.0 - np.cos(np.pi * k / (count - 1))) / 2.0
+def chebyshev_s_grid() -> np.ndarray:
+    """The 33 Chebyshev-Lobatto nodes on [0, 1], ascending from s = 0."""
+    k = np.arange(33)
+    return (1.0 - np.cos(np.pi * k / 32)) / 2.0
 
 
 def _spectral_s_derivative(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -202,7 +200,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     # rest embedding quantities for the mean curvature identity
     base = embed_r3(m)
     h0 = mean_curvature(base)
-    w_v = base.v_prime / g.sin_theta
+    w_v = base.w
     taux = ev.tau_x
     defect = (w_v * ev.lap + taux * divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
@@ -215,8 +213,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
     # e3 carries a sin factor, so its derivative is assembled analytically
-    w_tilde = proj.v_prime / g.sin_theta
-    d_vert = sin_factored_theta_derivative(g, w_tilde / p_hat)
+    d_vert = sin_factored_theta_derivative(g, proj.w / p_hat)
     d_horiz = g.dtheta(-proj.u_prime / p_hat)
     frame_alpha = (
         d_vert * tau_theta * proj.u_prime + d_horiz * tau_theta * proj.v_prime
@@ -243,14 +240,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     return TheoremReport(name="identities", samples=1, checks=checks)
 
 
-def check_lemma41(
-    m: AxisymMetric,
-    tau: np.ndarray,
-    variations=None,
-    flux_tolerance: float = 1e-8,
-    derivative_tolerance: float = 1e-6,
-    step: float = 1e-4,
-) -> TheoremReport:
+def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremReport:
     """Certify that tau is a critical point of its own gauge-fixed energy.
 
     Two faces of the same statement.  The pointwise flux identity
@@ -286,14 +276,13 @@ def check_lemma41(
     flux_dev = float(np.max(np.abs(flux)))
 
     gauge = GaugeData.breve(data)
-    checks = [CheckOutcome("flux", -flux_dev, flux_tolerance)]
+    step = 1e-4
+    checks = [CheckOutcome("flux", -flux_dev, 1e-8)]
     for i, delta in enumerate(variations, start=1):
         upper = tilde_energy(ev.lift, gauge, ev.tau + step * delta)
         lower = tilde_energy(ev.lift, gauge, ev.tau - step * delta)
         derivative = (upper - lower) / (2.0 * step)
-        checks.append(
-            CheckOutcome(f"variation-{i}", -abs(float(derivative)), derivative_tolerance)
-        )
+        checks.append(CheckOutcome(f"variation-{i}", -abs(float(derivative)), 1e-6))
 
     return TheoremReport(name="lemma41", samples=len(variations), checks=tuple(checks))
 
@@ -303,16 +292,7 @@ def check_lemma41(
 # ---------------------------------------------------------------------------
 
 
-def check_theorem1(
-    d: PhysicalData,
-    tau0: np.ndarray,
-    tau_samples=None,
-    equality_shifts=(3.0,),
-    gap_tolerance: float = 1e-8,
-    equality_tolerance: float = 1e-9,
-    closed_form_tolerance: float = 1e-7,
-    residual_bound: float = 1e-6,
-) -> TheoremReport:
+def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> TheoremReport:
     """Certify the comparison inequality at a critical time function.
 
     With tau0 critical for the data and the lifted mean curvature norm
@@ -330,7 +310,7 @@ def check_theorem1(
                            form in |H_tau0|, |H| and the reduced Laplacian
       gap                  worst sampled inequality gap; -inf if no sample
                            passed the convexity guard
-      equality             gaps at tau = tau0 + shift, which must vanish
+      equality             gap at tau = tau0 + 3, which must vanish
 
     Samples failing the convexity guard are skipped and counted in the
     details, never silently dropped.
@@ -367,19 +347,15 @@ def check_theorem1(
         gaps.append(qle(d, ev).total - energy_tau0 - qle(reference, ev).total)
     worst_gap = float(np.min(gaps)) if gaps else -np.inf
 
-    equality_cases = []
-    for shift in equality_shifts:
-        shifted = evaluate(m, tau0 + float(shift))
-        gap = qle(d, shifted).total - energy_tau0 - qle(reference, shifted).total
-        equality_cases.append((f"shift{shift:+g}", float(gap)))
-    equality_dev = max((abs(v) for _, v in equality_cases), default=0.0)
+    shifted = evaluate(m, tau0 + 3.0)
+    equality_gap = float(qle(d, shifted).total - energy_tau0 - qle(reference, shifted).total)
 
     checks = (
-        CheckOutcome("criticality", -res_norm, residual_bound),
+        CheckOutcome("criticality", -res_norm, 1e-6),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
-        CheckOutcome("closed-form", -float(closed_dev), closed_form_tolerance),
-        CheckOutcome("gap", worst_gap, gap_tolerance),
-        CheckOutcome("equality", -float(equality_dev), equality_tolerance),
+        CheckOutcome("closed-form", -float(closed_dev), 1e-7),
+        CheckOutcome("gap", worst_gap, 1e-8),
+        CheckOutcome("equality", -abs(equality_gap), 1e-9),
     )
     details = (
         ("skipped-samples", float(skipped)),
@@ -391,7 +367,7 @@ def check_theorem1(
         name="theorem1",
         samples=len(gaps),
         checks=checks,
-        equality_cases=tuple(equality_cases),
+        equality_cases=(("shift+3", equality_gap),),
         details=details,
     )
 
@@ -403,18 +379,7 @@ def _default_profiles(grid: Grid) -> tuple:
     return (0.3 * p1, 0.2 * p1 + 0.1 * p2, 0.1 * p2 + 0.05 * p3)
 
 
-def check_theorem3(
-    d: PhysicalData,
-    tau_samples=None,
-    s_grid=None,
-    zero_tolerance: float = 1e-10,
-    derivative_tolerance: float = 1e-7,
-    ode_tolerance: float = 1e-7,
-    monotonicity_tolerance: float = 1e-8,
-    reference_derivative_tolerance: float = 1e-6,
-    alpha_bound: float = 1e-10,
-    s_min: float = 0.02,
-) -> TheoremReport:
+def check_theorem3(d: PhysicalData, tau_samples=None, s_grid=None) -> TheoremReport:
     """Certify that the rest time function is the global axisymmetric minimum.
 
     Hypotheses: alpha_H vanishes (so tau = 0 is critical) and the rest
@@ -426,7 +391,7 @@ def check_theorem3(
                            strict: the whole segment must stay embeddable
       zero-value           F(0) = 0
       zero-derivative      F'(0) = 0 by spectral differentiation
-      ode                  F'(s) - F(s)/s >= 0 for s >= s_min
+      ode                  F'(s) - F(s)/s >= 0 for s >= 0.02
       positivity           F(1) >= 0, the certified conclusion
       monotonicity         E(Sigma, tau) - E(Sigma, 0) >= 0 on the
                            physical data
@@ -446,7 +411,7 @@ def check_theorem3(
     if s_grid is None:
         s_grid = chebyshev_s_grid()
     s_grid = np.asarray(s_grid, dtype=float)
-    interior = s_grid >= s_min
+    interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
     alpha_dev = float(np.max(np.abs(d.alpha_H.theta)))
     # one evaluation per time function serves the guard, both energies and
@@ -469,7 +434,10 @@ def check_theorem3(
     skipped = 0
 
     for tau in tau_samples:
-        family_evals = [evaluate(m, s * tau) for s in s_grid]
+        # one evaluation of tau serves the family's s = 1 member (1.0 * tau
+        # is tau to the bit), the monotonicity energy and the closed form
+        at_tau = evaluate(m, tau)
+        family_evals = [at_tau if s == 1.0 else evaluate(m, s * tau) for s in s_grid]
         sample_guard = min(convexity_guard(m, ev) for ev in family_evals)
         guard_min = min(guard_min, sample_guard)
         if sample_guard <= 0.0:
@@ -490,8 +458,8 @@ def check_theorem3(
         # rest shares the metric m, so these are the reference integrals of m
         reference = np.array([b.reference_term for b in breakdowns])
         reference_slope = _spectral_s_derivative(s_grid, reference)
-        lap = laplacian(m, tau)
-        grad_sq = gradient_norm_sq(m, tau)
+        lap = at_tau.lap
+        grad_sq = at_tau.grad_sq
         for i in np.nonzero(interior)[0]:
             s0 = s_grid[i]
             mean_sq = family_evals[i].extrinsic.mean_sq
@@ -500,7 +468,7 @@ def check_theorem3(
             closed = (reference[i] - integrate_surface(m, integrand)) / s0
             reference_dev = max(reference_dev, abs(reference_slope[i] - closed))
 
-        increase = qle(d, tau).total - energy_rest
+        increase = qle(d, at_tau).total - energy_rest
         monotone_margin = min(monotone_margin, increase)
         if not _is_constant(tau):
             strict_increase = min(strict_increase, increase)
@@ -509,16 +477,16 @@ def check_theorem3(
     constant_value = abs(qle(rest, at_rest).total)
 
     checks = (
-        CheckOutcome("alpha-rest", -alpha_dev, alpha_bound),
+        CheckOutcome("alpha-rest", -alpha_dev, 1e-10),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
         CheckOutcome("physical-mean-curvature", positive_margin, -STRICT_FLOOR),
         CheckOutcome("guard", float(guard_min), -STRICT_FLOOR),
-        CheckOutcome("zero-value", -float(zero_dev), zero_tolerance),
-        CheckOutcome("zero-derivative", -float(zero_slope_dev), derivative_tolerance),
-        CheckOutcome("ode", float(ode_margin), ode_tolerance),
-        CheckOutcome("positivity", float(final_margin), monotonicity_tolerance),
-        CheckOutcome("monotonicity", float(monotone_margin), monotonicity_tolerance),
-        CheckOutcome("reference-derivative", -float(reference_dev), reference_derivative_tolerance),
+        CheckOutcome("zero-value", -float(zero_dev), 1e-10),
+        CheckOutcome("zero-derivative", -float(zero_slope_dev), 1e-7),
+        CheckOutcome("ode", float(ode_margin), 1e-7),
+        CheckOutcome("positivity", float(final_margin), 1e-8),
+        CheckOutcome("monotonicity", float(monotone_margin), 1e-8),
+        CheckOutcome("reference-derivative", -float(reference_dev), 1e-6),
     )
     details = (
         ("skipped-samples", float(skipped)),

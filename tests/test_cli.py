@@ -6,7 +6,7 @@ import pytest
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
 from quasilocal.physdata import load_physical_data, schwarzschild_sphere
-from quasilocal.verify import legendre_mode
+from quasilocal.verify import check_theorem1, format_report, legendre_mode
 
 SPHERE_ENERGY = 32.0 * np.pi * (1.0 - np.sqrt(0.5))
 
@@ -289,3 +289,41 @@ class TestNonFiniteInput:
         np.savetxt(path, values)
         argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
         self.expect_rejected(argv, "--tau", capsys)
+
+
+class TestEachFlagIsRead:
+    """A subcommand accepts only the flags it reads."""
+
+    def test_gen_data_rejects_tau(self, tmp_path, capsys):
+        argv = ["gen-data", "--schwarzschild", "m=1,r=4", "--out", str(tmp_path / "t.dat"),
+                "--tau", "zero"]
+        assert main(argv) == 1
+        assert "--tau" in capsys.readouterr().err
+        assert not (tmp_path / "t.dat").exists()
+
+    def test_verify_rejects_tau0(self, capsys):
+        assert main(["verify", "--suite", "identities", "--tau0", "zero"]) == 1
+        assert "--tau0" in capsys.readouterr().err
+
+    def test_theorem3_rejects_a_nonzero_tau(self, capsys):
+        argv = ["verify", "--suite", "theorem3", "--schwarzschild", "m=1,r=4", "--tau", "0.3*P1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --tau: ")
+        assert captured.out == ""
+
+    def test_theorem1_base_point_is_tau(self, capsys):
+        argv = ["verify", "--suite", "theorem1", "--schwarzschild", "m=1,r=4", "--tau", "0.01*P1"]
+        assert main(argv) == 2
+        text = capsys.readouterr().out
+        assert report_value(text, "tau") == "0.01*P1"
+        grid = make_grid(32)
+        report = check_theorem1(schwarzschild_sphere(grid, 1.0, 4.0), parse_tau("0.01*P1", grid))
+        body = text.partition("tau = 0.01*P1\n")[2]
+        assert body == format_report(report)
+
+
+class TestGridSizeLimit:
+    def test_grid_past_the_size_limit_names_grid_n(self, capsys):
+        assert main(["energy", "--schwarzschild", "m=1,r=4", "--grid-n", "862"]) == 1
+        assert capsys.readouterr().err.startswith("error: --grid-n: ")

@@ -1,5 +1,7 @@
 """Energy functional, gauge energy, residual, and the comparison scalar."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from quasilocal.geometry import (
     round_sphere,
     AxisymMetric,
 )
-from quasilocal.embedding import NonEmbeddableError, embed_lifted, mean_curvature
+from quasilocal.embedding import NonEmbeddableError, RevolutionSurface, embed_lifted, mean_curvature
 from quasilocal.physdata import (
     PhysicalData,
     minkowski_surface_data,
@@ -105,6 +107,27 @@ class TestEvaluation:
         other = evaluate(round_sphere(grid, 4.0), generic_tau(grid))
         with pytest.raises(InvalidParameterError, match="different metric"):
             qle(d, other)
+
+
+class TestMeanCurvatureOnce:
+    def test_reference_and_extrinsic_share_one_computation(self, monkeypatch):
+        formula = RevolutionSurface.mean_curvature.func
+        calls = []
+
+        def counting(surf):
+            calls.append(surf)
+            return formula(surf)
+
+        counted = cached_property(counting)
+        counted.__set_name__(RevolutionSurface, "mean_curvature")
+        monkeypatch.setattr(RevolutionSurface, "mean_curvature", counted)
+        grid = make_grid(32)
+        at_tau = evaluate(schwarzschild_sphere(grid, 1.0, 4.0).metric, generic_tau(grid))
+        reference = at_tau.reference
+        hhat = at_tau.extrinsic.Hhat
+        assert len(calls) == 1
+        assert calls[0] is at_tau.lift.projected
+        assert reference == integrate_surface(calls[0].metric, hhat)
 
 
 class TestFormEquivalence:

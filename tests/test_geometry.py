@@ -91,6 +91,19 @@ class TestMakeGrid:
 # ---------------------------------------------------------------------------
 
 
+class TestGridSizeLimit:
+    """The product-form weights of the differentiation matrix underflow past n = 861."""
+
+    def test_largest_grid_has_a_finite_differentiation_matrix(self):
+        grid = make_grid(861)
+        assert np.isfinite(grid.diff_matrix_x).all()
+        assert np.isfinite(grid.diff_matrix).all()
+
+    def test_next_size_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at most 861"):
+            make_grid(862)
+
+
 class TestAxisymMetric:
     def test_rejects_nonpositive_profile(self):
         grid = make_grid(8)

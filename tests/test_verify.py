@@ -179,6 +179,17 @@ class TestLiftsAreShared:
         assert len(extrinsic) == 1
 
 
+class TestTheorem3SharesEachSample:
+    def test_one_lift_per_time_function(self, monkeypatch):
+        # the rest profile plus each sample's s-family, whose s = 1 member
+        # also serves the monotonicity energy and the closed form
+        grid = make_grid(32)
+        lifts = TestLiftsAreShared.count_calls(monkeypatch, "embed_lifted")
+        report = check_theorem3(schwarzschild_sphere(grid, 1.0, 4.0))
+        assert report.passed
+        assert len(lifts) == 1 + report.samples * len(chebyshev_s_grid())
+
+
 class TestCheckTheorem1:
     def test_schwarzschild_box(self):
         grid = make_grid(32)
