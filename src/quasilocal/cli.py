@@ -12,8 +12,9 @@ Every report is flat 'key = value' text prefixed with the artifact
 version, command, grid size, data source and time function, so a fixed
 configuration reproduces the output byte for byte.  Column files for
 plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
-0 on success, 1 on a validation error naming the offending field, 2 when
-a computation or certification suite fails.
+0 on success, 1 on a validation error or an unreadable or unwritable
+path, naming the offending flag, 2 when a computation or certification
+suite fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -84,30 +85,12 @@ class CliValidationError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation: sizes and echoes of the input specs."""
-
-    command: str
-    grid_n: int
-    source: str
-    tau_spec: str
-    tolerance: float = 1e-7
-
-    def __post_init__(self):
-        if not self.grid_n >= 4:
-            raise CliValidationError("--grid-n", f"must be at least 4, got {self.grid_n}")
-        if not (self.tolerance > 0.0 and np.isfinite(self.tolerance)):
-            raise CliValidationError("--tol", f"must be positive and finite, got {self.tolerance}")
-
-    def header(self) -> list:
-        return [
-            f"artifact = quasilocal {__version__}",
-            f"command = {self.command}",
-            f"grid_n = {self.grid_n}",
-            f"source = {self.source}",
-            f"tau = {self.tau_spec}",
-        ]
+def _for_flag(field: str, build, *args):
+    """build(*args), with rejected input and unreadable or unwritable paths blamed on field."""
+    try:
+        return build(*args)
+    except (InvalidParameterError, DataFormatError, OSError) as exc:
+        raise CliValidationError(field, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +98,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 _TERM = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?:\*P(\d+))?")
-
-
-def build_grid(n: int) -> Grid:
-    try:
-        return make_grid(n)
-    except InvalidParameterError as exc:
-        raise CliValidationError("--grid-n", str(exc)) from None
 
 
 def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
@@ -213,12 +189,13 @@ def _float_of(raw: str, field: str) -> float:
     return value
 
 
-def build_metric(spec: str, grid: Grid) -> AxisymMetric:
-    if spec == "unit-sphere":
+def build_metric(spec: str | None, grid: Grid) -> AxisymMetric:
+    """The metric of a --metric spec; no spec is the unit sphere."""
+    if spec in (None, "unit-sphere"):
         return round_sphere(grid)
     if spec.startswith("sphere:"):
         params = _parse_assignments(spec[len("sphere:"):], "--metric", ("r",))
-        return round_sphere(grid, _float_of(params["r"], "--metric"))
+        return _for_flag("--metric", round_sphere, grid, _float_of(params["r"], "--metric"))
     raise CliValidationError("--metric", f"unknown metric {spec!r} (unit-sphere | sphere:r=R)")
 
 
@@ -235,16 +212,17 @@ def build_data(args, grid: Grid):
     ]
     if len(chosen) > 1:
         raise CliValidationError("/".join(chosen), "give exactly one data source")
+    if args.metric is not None and chosen and chosen != ["--minkowski"]:
+        raise CliValidationError(
+            "--metric", f"is read only with --minkowski or without a data source, not with {chosen[0]}"
+        )
     if not chosen:
-        return None, f"metric {args.metric}"
+        return None, f"metric {args.metric or 'unit-sphere'}"
     if args.schwarzschild is not None:
         params = _parse_assignments(args.schwarzschild, "--schwarzschild", ("m", "r"))
         mass = _float_of(params["m"], "--schwarzschild")
         radius = _float_of(params["r"], "--schwarzschild")
-        try:
-            d = schwarzschild_sphere(grid, mass, radius)
-        except InvalidParameterError as exc:
-            raise CliValidationError("--schwarzschild", str(exc)) from None
+        d = _for_flag("--schwarzschild", schwarzschild_sphere, grid, mass, radius)
         return d, f"schwarzschild {args.schwarzschild}"
     if args.minkowski is not None:
         spec = args.minkowski.strip()
@@ -253,10 +231,7 @@ def build_data(args, grid: Grid):
         tau0 = parse_tau(spec[len("tau0="):], grid, field="--minkowski")
         d = minkowski_surface_data(build_metric(args.metric, grid), tau0)
         return d, f"minkowski {spec}"
-    try:
-        d = load_physical_data(args.data)
-    except DataFormatError as exc:
-        raise CliValidationError("--data", str(exc)) from None
+    d = _for_flag("--data", load_physical_data, args.data)
     if d.metric.grid.n_nodes != grid.n_nodes:
         raise CliValidationError(
             "--data", f"file grid n={d.metric.grid.n_nodes} does not match --grid-n {grid.n_nodes}"
@@ -282,12 +257,19 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _emit(config: RunConfig, body: list, out) -> None:
-    text = "\n".join(config.header() + body) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}")
+def _emit(command: str, args, echo: str, body: list) -> None:
+    """Print the report, or write it to --out, under its header."""
+    header = [
+        f"artifact = quasilocal {__version__}",
+        f"command = {command}",
+        f"grid_n = {args.grid_n}",
+        f"source = {echo}",
+        f"tau = {args.tau}",
+    ]
+    text = "\n".join(header + body) + "\n"
+    if args.out:
+        _for_flag("--out", Path(args.out).write_text, text)
+        print(f"wrote {args.out}")
     else:
         print(text, end="")
 
@@ -295,8 +277,8 @@ def _emit(config: RunConfig, body: list, out) -> None:
 def _write_columns(path, first, second, labels) -> None:
     lines = [f"# {labels[0]} {labels[1]}"]
     lines.extend(f"{_fmt(a)} {_fmt(b)}" for a, b in zip(first, second))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _for_flag("--columns", Path(path).write_text, "\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +287,9 @@ def _write_columns(path, first, second, labels) -> None:
 
 
 def cmd_energy(args) -> int:
-    grid = build_grid(args.grid_n)
+    grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
     tau = parse_tau(args.tau, grid)
-    config = RunConfig("energy", args.grid_n, echo, args.tau)
     at_tau = evaluate(d.metric, tau)
     breakdown = qle(d, at_tau)
     cross = qle_angle_form(d, at_tau)
@@ -320,29 +301,32 @@ def cmd_energy(args) -> int:
         f"cross_check_deviation = {_fmt(abs(cross.total - breakdown.total))}",
         f"guard_margin = {_fmt(convexity_guard(d.metric, at_tau))}",
     ]
-    _emit(config, body, args.out)
+    _emit("energy", args, echo, body)
     return 0
 
 
 def cmd_residual(args) -> int:
-    grid = build_grid(args.grid_n)
+    grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
     tau = parse_tau(args.tau, grid)
-    config = RunConfig("residual", args.grid_n, echo, args.tau)
     field = residual(d, tau)
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
     body = [
         f"residual_l2 = {_fmt(norm)}",
         f"residual_max = {_fmt(np.max(np.abs(field)))}",
     ]
-    _emit(config, body, args.out)
+    _emit("residual", args, echo, body)
     if args.columns:
         _write_columns(args.columns, grid.nodes, field, ("theta", "residual"))
-        print(f"wrote {args.columns}")
     return 0
 
 
 def _initial_coefficients(args, grid: Grid) -> TauCoefficients:
+    """The start of minimize, after checking --tol, --max-iterations and --modes."""
+    if not (args.tol > 0.0 and np.isfinite(args.tol)):
+        raise CliValidationError("--tol", f"must be positive and finite, got {args.tol}")
+    if args.max_iterations < 0:
+        raise CliValidationError("--max-iterations", f"must be at least 0, got {args.max_iterations}")
     field = parse_tau(args.tau, grid)
     coeffs = grid.legendre_coeffs(field)
     if args.modes < 1 or args.modes >= grid.n_nodes:
@@ -358,9 +342,8 @@ def _initial_coefficients(args, grid: Grid) -> TauCoefficients:
 
 
 def cmd_minimize(args) -> int:
-    grid = build_grid(args.grid_n)
+    grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
-    config = RunConfig("minimize", args.grid_n, echo, args.tau, tolerance=args.tol)
     init = _initial_coefficients(args, grid)
     report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
     body = [
@@ -376,7 +359,7 @@ def cmd_minimize(args) -> int:
         f"coefficient.P{i} = {_fmt(c)}" for i, c in enumerate(report.tau_star.coeffs, start=1)
     )
     body.extend(f"trace.{k} = {_fmt(e)}" for k, e in enumerate(report.energy_trace))
-    _emit(config, body, args.out)
+    _emit("minimize", args, echo, body)
     if args.columns:
         _write_columns(
             args.columns,
@@ -384,12 +367,11 @@ def cmd_minimize(args) -> int:
             np.asarray(report.energy_trace),
             ("iteration", "energy"),
         )
-        print(f"wrote {args.columns}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    grid = build_grid(args.grid_n)
+    grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = build_data(args, grid)
     tau = parse_tau(args.tau, grid)
     if args.suite in ("identities", "lemma41"):
@@ -405,17 +387,16 @@ def cmd_verify(args) -> int:
         raise CliValidationError("--tau", f"suite theorem3 certifies tau = zero, got {args.tau!r}")
     else:
         report = check_theorem3(d)
-    config = RunConfig(f"verify {args.suite}", args.grid_n, echo, args.tau)
-    _emit(config, format_report(report).splitlines(), args.out)
+    _emit(f"verify {args.suite}", args, echo, format_report(report).splitlines())
     return 0 if report.passed else 2
 
 
 def cmd_gen_data(args) -> int:
-    grid = build_grid(args.grid_n)
+    grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
     if not args.out:
         raise CliValidationError("--out", "gen-data needs an output path")
-    store_physical_data(d, args.out)
+    _for_flag("--out", store_physical_data, d, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -444,7 +425,7 @@ def _add_command(commands, name: str, help_text: str, run):
     sub.add_argument("--minkowski", default=None, metavar="tau0=SPEC",
                      help="lift of the metric by the given time function, as flat-space data")
     sub.add_argument("--data", default=None, metavar="PATH", help="physical-data table")
-    sub.add_argument("--metric", default="unit-sphere",
+    sub.add_argument("--metric", default=None,
                      help="metric for --minkowski and the identity suites (unit-sphere | sphere:r=R)")
     return sub
 
@@ -492,7 +473,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (CliValidationError, DataFormatError, FieldShapeError) as exc:
+    except (CliValidationError, FieldShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -125,7 +125,10 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     and column on any violation.
     """
     with open(path) as fh:
-        raw = [line.strip() for line in fh]
+        try:
+            raw = [line.strip() for line in fh]
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not a text table: {exc}") from None
     lines = [line for line in raw if line]
     if not lines or not lines[0].startswith("#"):
         raise DataFormatError("missing '# n=<N>' declaration on the first line")

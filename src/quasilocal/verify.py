@@ -379,7 +379,7 @@ def _default_profiles(grid: Grid) -> tuple:
     return (0.3 * p1, 0.2 * p1 + 0.1 * p2, 0.1 * p2 + 0.05 * p3)
 
 
-def check_theorem3(d: PhysicalData, tau_samples=None, s_grid=None) -> TheoremReport:
+def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     """Certify that the rest time function is the global axisymmetric minimum.
 
     Hypotheses: alpha_H vanishes (so tau = 0 is critical) and the rest
@@ -408,9 +408,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None, s_grid=None) -> TheoremRep
     if tau_samples is None:
         tau_samples = _default_profiles(g)
     tau_samples = tuple(np.asarray(t, dtype=float) for t in tau_samples)
-    if s_grid is None:
-        s_grid = chebyshev_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
     alpha_dev = float(np.max(np.abs(d.alpha_H.theta)))

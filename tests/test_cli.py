@@ -5,7 +5,7 @@ import pytest
 
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
-from quasilocal.physdata import load_physical_data, schwarzschild_sphere
+from quasilocal.physdata import load_physical_data, schwarzschild_sphere, store_physical_data
 from quasilocal.verify import check_theorem1, format_report, legendre_mode
 
 SPHERE_ENERGY = 32.0 * np.pi * (1.0 - np.sqrt(0.5))
@@ -327,3 +327,46 @@ class TestGridSizeLimit:
     def test_grid_past_the_size_limit_names_grid_n(self, capsys):
         assert main(["energy", "--schwarzschild", "m=1,r=4", "--grid-n", "862"]) == 1
         assert capsys.readouterr().err.startswith("error: --grid-n: ")
+
+
+class TestFlagBoundary:
+    """Each rejected input or path exits 1 with the name of its flag.
+
+    Commands run in a directory holding a valid table (t.dat), a
+    directory (adir) and a file that is not text (bin.dat); nodir does
+    not exist, so nothing can be written under it.
+    """
+
+    CASES = [
+        (["energy", "--data", "nope.dat"], "--data"),
+        (["energy", "--data", "adir"], "--data"),
+        (["energy", "--data", "bin.dat"], "--data"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", "nodir/r.cols"], "--columns"),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--grid-n", "16", "--out", "nodir/r.txt"],
+         "--out"),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--grid-n", "16", "--columns", "nodir/r.cols"],
+         "--columns"),
+        (["verify", "--suite", "theorem1", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"],
+         "--out"),
+        (["gen-data", "--schwarzschild", "m=1,r=4", "--out", "nodir/t.dat"], "--out"),
+        (["verify", "--suite", "identities", "--metric", "sphere:r=0"], "--metric"),
+        (["energy", "--minkowski", "tau0=zero", "--metric", "sphere:r=-2"], "--metric"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--metric", "torus"], "--metric"),
+        (["verify", "--suite", "identities", "--schwarzschild", "m=1,r=4",
+          "--metric", "sphere:r=2"], "--metric"),
+        (["energy", "--data", "t.dat", "--metric", "unit-sphere"], "--metric"),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-3"], "--max-iterations"),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-1"], "--max-iterations"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_rejected_input_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        store_physical_data(schwarzschild_sphere(make_grid(32), 1.0, 4.0), "t.dat")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")

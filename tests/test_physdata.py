@@ -214,3 +214,9 @@ class TestTableRoundTrip:
         rows[4] = " ".join(parts)
         with pytest.raises(DataFormatError, match="row 4, column theta"):
             load_physical_data(self._write_rows(tmp_path, rows))
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "table.dat"
+        path.write_bytes(b"# n=2\ntheta P Q normH alpha_theta\n\xff\xfe 1 1 2 0\n\x81 1 1 2 0\n")
+        with pytest.raises(DataFormatError):
+            load_physical_data(path)
