@@ -30,6 +30,7 @@ from . import __version__
 from .geometry import (
     FieldShapeError,
     InvalidParameterError,
+    check_lift_lengths,
     integrate_surface,
     make_grid,
     round_sphere,
@@ -138,6 +139,13 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     return total
 
 
+def _tau_on(spec: str, metric: AxisymMetric, field: str = "--tau") -> np.ndarray:
+    """parse_tau on the metric's grid, rejecting a time function whose lift leaves the length range."""
+    tau = parse_tau(spec, metric.grid, field)
+    _for_flag(field, check_lift_lengths, metric, tau)
+    return tau
+
+
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
     try:
         table = np.loadtxt(path)
@@ -228,8 +236,8 @@ def build_data(args, grid: Grid):
         spec = args.minkowski.strip()
         if not spec.startswith("tau0="):
             raise CliValidationError("--minkowski", f"expected tau0=SPEC, got {spec!r}")
-        tau0 = parse_tau(spec[len("tau0="):], grid, field="--minkowski")
-        d = minkowski_surface_data(build_metric(args.metric, grid), tau0)
+        metric = build_metric(args.metric, grid)
+        d = minkowski_surface_data(metric, _tau_on(spec[len("tau0="):], metric, "--minkowski"))
         return d, f"minkowski {spec}"
     d = _for_flag("--data", load_physical_data, args.data)
     if d.metric.grid.n_nodes != grid.n_nodes:
@@ -289,7 +297,7 @@ def _write_columns(path, first, second, labels) -> None:
 def cmd_energy(args) -> int:
     grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
-    tau = parse_tau(args.tau, grid)
+    tau = _tau_on(args.tau, d.metric)
     at_tau = evaluate(d.metric, tau)
     breakdown = qle(d, at_tau)
     cross = qle_angle_form(d, at_tau)
@@ -308,7 +316,7 @@ def cmd_energy(args) -> int:
 def cmd_residual(args) -> int:
     grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
-    tau = parse_tau(args.tau, grid)
+    tau = _tau_on(args.tau, d.metric)
     field = residual(d, tau)
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
     body = [
@@ -321,13 +329,14 @@ def cmd_residual(args) -> int:
     return 0
 
 
-def _initial_coefficients(args, grid: Grid) -> TauCoefficients:
+def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
     """The start of minimize, after checking --tol, --max-iterations and --modes."""
+    grid = metric.grid
     if not (args.tol > 0.0 and np.isfinite(args.tol)):
         raise CliValidationError("--tol", f"must be positive and finite, got {args.tol}")
     if args.max_iterations < 0:
         raise CliValidationError("--max-iterations", f"must be at least 0, got {args.max_iterations}")
-    field = parse_tau(args.tau, grid)
+    field = _tau_on(args.tau, metric)
     coeffs = grid.legendre_coeffs(field)
     if args.modes < 1 or args.modes >= grid.n_nodes:
         raise CliValidationError("--modes", f"must be in [1, {grid.n_nodes - 1}], got {args.modes}")
@@ -344,13 +353,14 @@ def _initial_coefficients(args, grid: Grid) -> TauCoefficients:
 def cmd_minimize(args) -> int:
     grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = require_data(args, grid)
-    init = _initial_coefficients(args, grid)
+    init = _initial_coefficients(args, d.metric)
     report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
     body = [
         f"tolerance = {_fmt(args.tol)}",
         f"initial_energy = {_fmt(report.energy_trace[0])}",
         f"energy = {_fmt(report.energy_star)}",
         f"iterations = {report.iterations}",
+        f"stop = {report.stop}",
         f"residual_norm = {_fmt(report.residual_norm)}",
         f"guard_active = {'true' if report.guard_active else 'false'}",
         f"calibration_rel_error = {_fmt(report.calibration_rel_error)}",
@@ -373,14 +383,14 @@ def cmd_minimize(args) -> int:
 def cmd_verify(args) -> int:
     grid = _for_flag("--grid-n", make_grid, args.grid_n)
     d, echo = build_data(args, grid)
-    tau = parse_tau(args.tau, grid)
-    if args.suite in ("identities", "lemma41"):
-        metric = d.metric if d is not None else build_metric(args.metric, grid)
-        report = (check_identities if args.suite == "identities" else check_lemma41)(metric, tau)
-    elif d is None:
+    if d is None and args.suite not in ("identities", "lemma41"):
         raise CliValidationError(
             "--schwarzschild/--minkowski/--data", f"suite {args.suite} needs a data source"
         )
+    metric = d.metric if d is not None else build_metric(args.metric, grid)
+    tau = _tau_on(args.tau, metric)
+    if args.suite in ("identities", "lemma41"):
+        report = (check_identities if args.suite == "identities" else check_lemma41)(metric, tau)
     elif args.suite == "theorem1":
         report = check_theorem1(d, tau)
     elif np.any(tau != 0.0):

@@ -37,9 +37,20 @@ class FieldShapeError(ValueError):
 
 
 # The product form of the barycentric weights in _differentiation_matrix
-# underflows past this size: with numpy 2.4 the matrix is finite for
-# n = 861 and NaN from n = 862 on.  Closed-form weights would lift it.
+# underflows past MAX_GRID_N: with numpy 2.4 the matrix is finite for
+# n = 861 and NaN from n = 862 on.  It turns inaccurate before that, so
+# make_grid also measures the matrix on P_{n-1} and rejects a relative
+# L2 error above DIFF_CHECK_TOL; with numpy 2.4 that error is 1.8e-11 at
+# n = 790, 1.1e-9 at 794 and 2.4e-7 at 800, so n = 793 is the largest grid.
 MAX_GRID_N = 861
+DIFF_CHECK_TOL = 1e-9
+
+# Profiles, time functions and lifted profiles are lengths, and the
+# operators form products of up to five of them or of their inverses (P^4 Q
+# in the convexity guard), squared again in places.  Keeping every length
+# within [1/LENGTH_MAX, LENGTH_MAX], about the eighth root of the float
+# range, keeps those products finite and normal.
+LENGTH_MAX = 1e38
 
 
 def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
@@ -51,7 +62,8 @@ def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
     n = x.size
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    # log-free product of row differences; finite up to MAX_GRID_N
+    # log-free product of row differences; finite up to MAX_GRID_N, not
+    # accurate that far (make_grid checks the result)
     b = 1.0 / diff.prod(axis=1)
     b = b / np.abs(b).max()
     d = (b[None, :] / b[:, None]) / diff
@@ -123,8 +135,9 @@ class Grid:
 def make_grid(n: int) -> Grid:
     """Build the n-node Gauss-Legendre grid on the sphere.
 
-    n must be at least 4 and at most MAX_GRID_N; accuracy of the
-    curvature operators suggests n >= 16 for production work.
+    n must be at least 4, and the differentiation matrix must pass its
+    check on P_{n-1}; accuracy of the curvature operators suggests
+    n >= 16 for production work.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"grid size must be an integer, got {n!r}")
@@ -143,6 +156,16 @@ def make_grid(n: int) -> Grid:
     dmat_x = _differentiation_matrix(x)
     dmat_theta = -sin_theta[:, None] * dmat_x
     vander = npleg.legvander(x, int(n) - 1)
+    # D is exact on P_k, k = n - 1, where (1 - x^2) P_k' = k (P_{k-1} - x P_k)
+    k = int(n) - 1
+    exact = k * (vander[:, k - 1] - x * vander[:, k])
+    defect = (1.0 - x * x) * (dmat_x @ vander[:, k]) - exact
+    error = np.sqrt((w @ defect**2) / (w @ exact**2))
+    if not error <= DIFF_CHECK_TOL:
+        raise InvalidParameterError(
+            f"grid size {n} is too large: the differentiation matrix misses P_{k}' "
+            f"by {error:.1e} (relative L2), above {DIFF_CHECK_TOL:g}"
+        )
     return Grid(
         n_nodes=int(n),
         nodes=theta,
@@ -173,10 +196,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class AxisymMetric:
     """Axially symmetric metric P^2 dtheta^2 + Q^2 sin^2(theta) dphi^2.
 
-    P and Q are node-value arrays on grid and must be finite and strictly
-    positive.  Smoothness of the round metric at the poles corresponds to
-    profiles smooth in x with P = Q at x = +-1; all constructors in this
-    package produce such profiles.
+    P and Q are node-value arrays on grid and must be finite and lie in
+    [1/LENGTH_MAX, LENGTH_MAX].  Smoothness of the round metric at the
+    poles corresponds to profiles smooth in x with P = Q at x = +-1; all
+    constructors in this package produce such profiles.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
     the u'' term of the second fundamental form, dP/dtheta and the Gauss
@@ -198,16 +221,8 @@ class AxisymMetric:
                     f"{name} must be finite, got {values[j]} at node {j} "
                     f"(theta = {self.grid.nodes[j]})"
                 )
-        if not np.all(P > 0.0):
-            j = int(np.argmin(P))
-            raise InvalidParameterError(
-                f"P must be positive; P[{j}] = {P[j]} at theta = {self.grid.nodes[j]}"
-            )
-        if not np.all(Q > 0.0):
-            j = int(np.argmin(Q))
-            raise InvalidParameterError(
-                f"Q must be positive; Q[{j}] = {Q[j]} at theta = {self.grid.nodes[j]}"
-            )
+        _check_lengths(self.grid, "P", P)
+        _check_lengths(self.grid, "Q", Q)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
@@ -238,6 +253,32 @@ class AxisymMetric:
     def K(self) -> np.ndarray:
         """Gauss curvature; see gauss_curvature."""
         return _read_only(self.grid.dx(self.u_prime / self.P) / (self.P * self.Q))
+
+
+def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
+    outside = (values < 1.0 / LENGTH_MAX) | (values > LENGTH_MAX)
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise InvalidParameterError(
+            f"{name} must lie in [{1.0 / LENGTH_MAX:g}, {LENGTH_MAX:g}]; "
+            f"{name}[{j}] = {values[j]} at theta = {grid.nodes[j]}"
+        )
+
+
+def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
+    """Reject a time function whose values or lifted profile leave the length range.
+
+    The lift of (m, tau) has profile sqrt(P^2 + tau_theta^2); with |tau| at
+    most LENGTH_MAX that profile is computed without overflow.
+    """
+    tau = _check_field(m.grid, tau, "tau")
+    big = np.abs(tau) > LENGTH_MAX
+    if big.any():
+        j = int(np.argmax(big))
+        raise InvalidParameterError(
+            f"|tau| must be at most {LENGTH_MAX:g}; tau[{j}] = {tau[j]} at theta = {m.grid.nodes[j]}"
+        )
+    _check_lengths(m.grid, "sqrt(P^2 + tau_theta^2)", np.sqrt(m.P**2 + m.grid.dtheta(tau) ** 2))
 
 
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:

@@ -19,10 +19,12 @@ from .physdata import PhysicalData
 DEFAULT_MODE_COUNT = 8
 
 # Armijo sufficient-decrease factor; the step below which the line search
-# gives up; the central-difference step that calibrates the first gradient
+# gives up; the central-difference step that calibrates the first gradient;
+# how many rounding floors of the energy a converged run may still predict
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-14
 FD_STEP = 1e-5
+FLOOR_MULTIPLE = 8.0
 
 
 class GuardViolationError(ValueError):
@@ -62,6 +64,7 @@ class MinimizeReport:
     guard_active: bool
     energy_trace: tuple
     calibration_rel_error: float
+    stop: str  # "gradient", "rounding-floor" or "iterations"
 
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
@@ -125,14 +128,17 @@ def minimize_energy(
     unless the secant pair has positive curvature, which keeps every
     search direction a descent direction.  Steps leaving the convexity
     region or the embeddable family are rejected and shortened, so every
-    accepted iterate is admissible.  Terminates when the coefficient
-    gradient norm drops below tol.  The first gradient is calibrated
+    accepted iterate is admissible.  The first gradient is calibrated
     against central finite differences and the relative error recorded.
 
-    Each synthesized field is evaluated once: the guard, the energy and,
-    for an accepted step, the gradient read one Evaluation, and a trial
-    field byte-equal to one seen earlier in the run reuses its energy
-    (or its guard rejection) instead of being evaluated again.
+    MinimizeReport.stop says why the run ended: "gradient" when the
+    gradient norm drops below tol, "iterations" after max_iterations
+    steps, "rounding-floor" when backtracking finds no step (the trial
+    field equals the current one, or the step passes STEP_FLOOR) and the
+    predicted decrease -g.d is below FLOOR_MULTIPLE times the energy's
+    rounding floor 16 eps max(1, |E|).  No step above that floor raises
+    LineSearchError.  Each trial field is evaluated once, for the guard,
+    the energy and, if accepted, the gradient.
     """
     m = d.metric
     grid = m.grid
@@ -155,9 +161,6 @@ def minimize_energy(
     iterations = 0
     inverse_model = np.eye(coeffs.size)
     first_pair = True
-    current_key = current.tau.tobytes()
-    # trial energy by the bytes of the trial field; None: the guard rejected it
-    seen = {current_key: energy}
 
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
         direction = -(inverse_model @ grad)
@@ -168,20 +171,16 @@ def minimize_energy(
 
         accepted = False
         step = 1.0
-        # once the Armijo decrease falls below the rounding floor of the
-        # energy itself, certifying strict decrease is impossible; accept
-        # any non-increasing step there (monotonicity is preserved)
+        # strict decrease below the energy's rounding floor cannot be
+        # certified; accept any non-increasing step there (still monotone)
         noise = 16.0 * np.finfo(float).eps * max(1.0, abs(energy))
         while step >= STEP_FLOOR:
             trial = coeffs + step * direction
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
-            key = field.tobytes()
-            evaluation = None
-            if key in seen:
-                trial_energy = seen[key]
-            else:
-                evaluation = evaluate(m, field)
-                trial_energy = seen[key] = _trial_energy(d, evaluation)
+            if np.array_equal(field, current.tau):
+                break
+            evaluation = evaluate(m, field)
+            trial_energy = _trial_energy(d, evaluation)
             if trial_energy is None:
                 guard_active = True
             else:
@@ -191,16 +190,15 @@ def minimize_energy(
                     break
             step *= 0.5
         if not accepted:
+            if -slope < FLOOR_MULTIPLE * noise:
+                stop = "rounding-floor"
+                break
             raise LineSearchError(
                 f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
             )
 
-        if key == current_key:
-            new_grad = grad
-        else:
-            current = evaluation if evaluation is not None else evaluate(m, field)
-            current_key = key
-            new_grad = _gradient(d, current, coeffs.size)
+        current = evaluation
+        new_grad = _gradient(d, current, coeffs.size)
         s = trial - coeffs
         y = new_grad - grad
         sy = float(s @ y)
@@ -217,7 +215,8 @@ def minimize_energy(
         grad = new_grad
         trace.append(energy)
         iterations += 1
-
+    else:
+        stop = "gradient" if np.linalg.norm(grad) < tol else "iterations"
     res = residual(d, current)
     return MinimizeReport(
         tau_star=TauCoefficients(tuple(coeffs)),
@@ -227,6 +226,7 @@ def minimize_energy(
         guard_active=guard_active,
         energy_trace=tuple(trace),
         calibration_rel_error=calibration,
+        stop=stop,
     )
 
 

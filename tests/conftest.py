@@ -27,6 +27,11 @@ def regular_random_metric(grid, rng, scale=0.05):
     """Smooth metric with P = Q at the poles (no conical defect)."""
     bq = scale * rng.uniform(-1.0, 1.0, 3) / MODE_WEIGHTS
     rho = scale * rng.uniform(-1.0, 1.0, 3) / MODE_WEIGHTS
+    return regular_metric(grid, bq, rho)
+
+
+def regular_metric(grid, bq, rho):
+    """The pole-regular metric whose Q and P/Q carry these Legendre modes."""
     Q = 1.0 + npleg.legval(grid.x, np.concatenate([[0.0], bq]))
     P = Q * (1.0 + (1.0 - grid.x**2) * npleg.legval(grid.x, np.concatenate([[0.0], rho])))
     return AxisymMetric(grid, P, Q)

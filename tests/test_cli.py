@@ -360,6 +360,14 @@ class TestFlagBoundary:
         (["energy", "--data", "t.dat", "--metric", "unit-sphere"], "--metric"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-3"], "--max-iterations"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-1"], "--max-iterations"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "820"], "--grid-n"),
+        # finite, but overflowing in the lift
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e200*P1"], "--tau"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e300"], "--tau"),
+        (["energy", "--minkowski", "tau0=1e200*P1"], "--minkowski"),
+        (["verify", "--suite", "identities", "--metric", "sphere:r=1e300"], "--metric"),
+        (["energy", "--schwarzschild", "m=1e300,r=1e301"], "--schwarzschild"),
+        (["verify", "--suite", "identities", "--metric", "sphere:r=1e-300"], "--metric"),
     ]
 
     @pytest.mark.parametrize("argv, flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])

@@ -92,12 +92,27 @@ class TestMakeGrid:
 
 
 class TestGridSizeLimit:
-    """The product-form weights of the differentiation matrix underflow past n = 861."""
+    """make_grid rejects a differentiation matrix that misses P_{n-1}' by more than 1e-9.
 
-    def test_largest_grid_has_a_finite_differentiation_matrix(self):
-        grid = make_grid(861)
+    The product-form weights underflow to NaN past n = 861; they lose
+    accuracy before that, between n = 790 and 800.
+    """
+
+    def test_accepted_grid_differentiates_its_top_mode(self):
+        n = 790
+        grid = make_grid(n)
+        top = np.zeros(n)
+        top[-1] = 1.0
+        exact = npleg.legval(grid.x, npleg.legder(top))
+        error = grid.dx(npleg.legval(grid.x, top)) - exact
+        assert np.sqrt((grid.weights @ error**2) / (grid.weights @ exact**2)) <= 1e-9
         assert np.isfinite(grid.diff_matrix_x).all()
         assert np.isfinite(grid.diff_matrix).all()
+
+    @pytest.mark.parametrize("n", [800, 820, 861])
+    def test_inaccurate_grid_is_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match=f"grid size {n} is too large"):
+            make_grid(n)
 
     def test_next_size_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="at most 861"):
@@ -112,6 +127,14 @@ class TestAxisymMetric:
         Q[3] = 0.0
         with pytest.raises(InvalidParameterError, match="Q"):
             AxisymMetric(grid, P, Q)
+
+    @pytest.mark.parametrize("value", [1e-39, 2e38])
+    def test_rejects_profile_outside_the_length_range(self, value):
+        grid = make_grid(8)
+        P = np.ones(grid.n_nodes)
+        P[5] = value
+        with pytest.raises(InvalidParameterError, match=r"P must lie in \[1e-38, 1e\+38\]; P\[5\]"):
+            AxisymMetric(grid, P, np.ones(grid.n_nodes))
 
     def test_rejects_wrong_length(self):
         grid = make_grid(8)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from conftest import legendre_mode, random_time_profile
+from conftest import legendre_mode, random_time_profile, regular_metric
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
     FieldShapeError,
@@ -17,6 +18,7 @@ from quasilocal.energy import qle, residual
 from quasilocal.optimize import (
     DEFAULT_MODE_COUNT,
     GuardViolationError,
+    LineSearchError,
     TauCoefficients,
     convexity_guard,
     energy_gradient,
@@ -25,6 +27,42 @@ from quasilocal.optimize import (
 )
 
 MODE_WEIGHTS_8 = np.array([float(l * l) for l in range(1, 9)])
+
+
+def lift_data(bq, rho, c0):
+    """Lift data on n = 32 of the pole-regular metric by the time function with modes c0."""
+    grid = make_grid(32)
+    tau0 = npleg.legval(grid.x, np.concatenate([[0.0], c0]))
+    return minkowski_surface_data(regular_metric(grid, bq, rho), tau0)
+
+
+def schwarzschild_energy(mass, radius):
+    return 8.0 * np.pi * radius * (1.0 - np.sqrt(1.0 - 2.0 * mass / radius))
+
+
+# Runs whose line search runs out of steps once the energy is exact, from
+# the benchmark's minimize-sweep (seed 1, jobs 15 and 33): (data, start,
+# exact energy).
+AT_THE_FLOOR = {
+    "lift": (
+        lambda: lift_data(
+            [0.04808491155428866, 0.008683129801754766, 0.0005076954064338712],
+            [0.011005369576599833, -0.0007348156945324286, -0.0013372973067937981],
+            [0.25445770160399883, -0.029451177202536004, 0.00843093118774935],
+        ),
+        (0.29179702229725774, -0.02182573896835864, 0.007830560675762193,
+         -0.0016556778955486061, -0.0017819350142744372, 0.0003705367695101368,
+         -0.0006821246142955596, 0.0007030567345851202),
+        0.0,
+    ),
+    "schwarzschild": (
+        lambda: schwarzschild_sphere(make_grid(32), 0.20802094929705459, 8.502917619919913),
+        (0.0036149545527398687, -0.007967223094813406, 0.0031354412739398874,
+         0.0025631446990345276, -0.0010457665975091737, -0.0010845484065304973,
+         -0.000751743967812032, 0.0007353881751504866),
+        schwarzschild_energy(0.20802094929705459, 8.502917619919913),
+    ),
+}
 
 
 def weighted_coefficients(rng, scale=0.3):
@@ -184,3 +222,26 @@ class TestMinimizeEnergy:
         with pytest.raises(GuardViolationError) as info:
             minimize_energy(d, bad)
         assert info.value.margin < 0.0
+
+    @pytest.mark.parametrize("name", sorted(AT_THE_FLOOR))
+    def test_run_at_the_rounding_floor_stops_converged(self, name):
+        build, start, exact = AT_THE_FLOOR[name]
+        report = minimize_energy(build(), TauCoefficients(start))
+        assert report.stop == "rounding-floor"
+        assert abs(report.energy_star - exact) <= 1e-9 * max(abs(exact), 1.0)
+
+    def test_stop_names_the_gradient_or_the_cap(self):
+        d = schwarzschild_sphere(make_grid(16), 1.0, 4.0)
+        assert minimize_energy(d, TauCoefficients.zeros()).stop == "gradient"
+        capped = minimize_energy(d, TauCoefficients((0.05, 0.02)), max_iterations=0)
+        assert capped.stop == "iterations"
+
+    def test_guard_rejecting_every_trial_raises(self, monkeypatch):
+        # the decrease -g.d is far above the rounding floor, so running out
+        # of steps is a failure; once the step is short enough the trial
+        # field rounds to the current one, which is no move to accept
+        grid = make_grid(32)
+        d = minkowski_surface_data(round_sphere(grid), 0.3 * grid.x)
+        monkeypatch.setattr(optimize_module, "_trial_energy", lambda data, evaluation: None)
+        with pytest.raises(LineSearchError, match="no acceptable step above 1.0e-14 at iteration 0"):
+            minimize_energy(d, TauCoefficients((0.3, 1e-6)))
