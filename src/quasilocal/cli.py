@@ -65,7 +65,6 @@ from .verify import (
     check_theorem1,
     check_theorem3,
     format_report,
-    legendre_mode,
 )
 
 TAU_GRAMMAR = """\
@@ -111,8 +110,8 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     compact = spec.replace(" ", "")
     if not compact:
         raise CliValidationError(field, "empty time-function spec")
-    total = np.zeros(grid.n_nodes)
-    scale = 0.0  # bounds max |total|, since |P_l| <= 1 on the grid
+    coeffs = np.zeros(grid.n_nodes)
+    scale = 0.0  # bounds max |tau|, since |P_l| <= 1 on the grid
     pos = 0
     while pos < len(compact):
         match = _TERM.match(compact, pos)
@@ -126,17 +125,14 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
             raise CliValidationError(
                 field, f"coefficient {match.group(1)} is not finite or the sum overflows"
             )
-        if match.group(2) is None:
-            total = total + coeff
-        else:
-            degree = int(match.group(2))
-            if degree >= grid.n_nodes:
-                raise CliValidationError(
-                    field, f"mode P{degree} is not resolved on an n={grid.n_nodes} grid"
-                )
-            total = total + legendre_mode(grid, degree, coeff)
+        degree = 0 if match.group(2) is None else int(match.group(2))
+        if degree >= grid.n_nodes:
+            raise CliValidationError(
+                field, f"mode P{degree} is not resolved on an n={grid.n_nodes} grid"
+            )
+        coeffs[degree] += coeff
         pos = match.end()
-    return total
+    return grid.legendre_synthesis(np.trim_zeros(coeffs, "b"))
 
 
 def _tau_on(spec: str, metric: AxisymMetric, field: str = "--tau") -> np.ndarray:

@@ -119,17 +119,27 @@ class Grid:
         return (2 * l + 1) / 2.0 * (self.legendre_vandermonde.T @ (self.weights * f))
 
     def legendre_synthesis(self, coeffs) -> np.ndarray:
-        """Node values of sum_l coeffs[l] * P_l(x)."""
-        return npleg.legval(self.x, coeffs)
+        """Node values of sum_l coeffs[l] * P_l(x), a legendre_vandermonde product.
+
+        Raises FieldShapeError for more coefficients than nodes: the grid
+        cannot resolve those modes.
+        """
+        k = len(coeffs)
+        if k > self.n_nodes:
+            raise FieldShapeError(f"{k} Legendre coefficients, the grid resolves {self.n_nodes}")
+        return self.legendre_vandermonde[:, :k] @ np.asarray(coeffs, dtype=float)
 
     def integral_from_north(self, f: np.ndarray) -> np.ndarray:
         """Node values of x -> integral of f dx' from x to 1.
 
         The north pole is theta = 0, x = 1.  Used to reconstruct height
-        profiles from their derivatives with spectral accuracy.
+        profiles from their derivatives with spectral accuracy; legint's
+        coefficients are synthesized by legendre_synthesis.
         """
         anti = npleg.legint(self.legendre_coeffs(f), lbnd=1.0)
-        return -self.legendre_synthesis(anti)
+        # the antiderivative has degree n_nodes, but P_{n_nodes} vanishes at
+        # the n_nodes Gauss nodes, so its coefficient adds nothing there
+        return -self.legendre_synthesis(anti[:-1])
 
 
 def make_grid(n: int) -> Grid:

@@ -89,29 +89,26 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     The positive sign is the calibrated one: central finite differences
     of qle along each mode reproduce these pairings.
     """
-    return _gradient(d, tau_from_coefficients(d.metric.grid, tau), len(tau.coeffs))
+    grid = d.metric.grid
+    count = len(tau.coeffs)
+    if count >= grid.n_nodes:
+        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
+    return _gradient(d, tau_from_coefficients(grid, tau), count)
 
 
 def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.ndarray:
-    """energy_gradient over count modes at the field tau."""
-    grid = d.metric.grid
-    if count >= grid.n_nodes:
-        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
-    res = residual(d, tau)
-    modes = grid.legendre_vandermonde[:, 1 : count + 1]
-    return np.array([integrate_surface(d.metric, res * modes[:, l]) for l in range(count)])
+    """energy_gradient over count modes at the field tau: the synthesis, transposed."""
+    m = d.metric
+    modes = m.grid.legendre_vandermonde[:, 1 : count + 1]
+    return 2.0 * np.pi * (modes.T @ (m.grid.weights * m.P * m.Q * residual(d, tau)))
 
 
 def _fd_gradient(d: PhysicalData, coeffs: np.ndarray) -> np.ndarray:
-    grid = d.metric.grid
-    out = np.empty_like(coeffs)
-    for l in range(coeffs.size):
-        bump = np.zeros_like(coeffs)
-        bump[l] = FD_STEP
-        plus = qle(d, tau_from_coefficients(grid, TauCoefficients(tuple(coeffs + bump)))).total
-        minus = qle(d, tau_from_coefficients(grid, TauCoefficients(tuple(coeffs - bump)))).total
-        out[l] = (plus - minus) / (2.0 * FD_STEP)
-    return out
+    def total(c):
+        return qle(d, tau_from_coefficients(d.metric.grid, TauCoefficients(tuple(c)))).total
+
+    bumps = FD_STEP * np.eye(coeffs.size)
+    return np.array([(total(coeffs + b) - total(coeffs - b)) / (2.0 * FD_STEP) for b in bumps])
 
 
 def minimize_energy(
@@ -133,12 +130,13 @@ def minimize_energy(
 
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol, "iterations" after max_iterations
-    steps, "rounding-floor" when backtracking finds no step (the trial
-    field equals the current one, or the step passes STEP_FLOOR) and the
-    predicted decrease -g.d is below FLOOR_MULTIPLE times the energy's
-    rounding floor 16 eps max(1, |E|).  No step above that floor raises
-    LineSearchError.  Each trial field is evaluated once, for the guard,
-    the energy and, if accepted, the gradient.
+    steps, "rounding-floor" when the predicted decrease -g.d is below
+    FLOOR_MULTIPLE times the energy's rounding floor 16 eps max(1, |E|)
+    and backtracking finds no step (the trial field equals the current
+    one, or the step passes STEP_FLOOR) or one whose energy ties the
+    current energy; the run ends at the current iterate.  No step above
+    that floor raises LineSearchError.  Each trial field is evaluated
+    once, for the guard, the energy and, if accepted, the gradient.
     """
     m = d.metric
     grid = m.grid
@@ -189,10 +187,10 @@ def minimize_energy(
                     accepted = True
                     break
             step *= 0.5
+        if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * noise:
+            stop = "rounding-floor"
+            break
         if not accepted:
-            if -slope < FLOOR_MULTIPLE * noise:
-                stop = "rounding-floor"
-                break
             raise LineSearchError(
                 f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
             )

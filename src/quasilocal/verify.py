@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from .geometry import (
     AxisymMetric,
     Grid,
+    _differentiation_matrix,
     divergence_from_x_component,
     hessian,
     integrate_surface,
@@ -125,9 +125,7 @@ def format_report(report: TheoremReport) -> str:
 
 def legendre_mode(grid: Grid, degree: int, coeff: float = 1.0) -> np.ndarray:
     """Node values of coeff * P_degree(cos theta)."""
-    c = np.zeros(degree + 1)
-    c[degree] = coeff
-    return grid.legendre_synthesis(c)
+    return coeff * grid.legendre_vandermonde[:, degree]
 
 
 def coefficient_box(grid: Grid) -> tuple:
@@ -152,12 +150,10 @@ def chebyshev_s_grid() -> np.ndarray:
 def _spectral_s_derivative(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Derivative of the polynomial interpolant through (s_grid, values).
 
-    Chebyshev fit in t = 2s - 1; exact interpolation since the degree
-    matches the node count, well conditioned on Lobatto-type grids.
+    The grid's barycentric differentiation matrix, the one make_grid
+    builds, applied on these nodes; well conditioned on Lobatto-type grids.
     """
-    t = 2.0 * s_grid - 1.0
-    coeffs = npcheb.chebfit(t, values, len(s_grid) - 1)
-    return 2.0 * npcheb.chebval(t, npcheb.chebder(coeffs))
+    return _differentiation_matrix(s_grid) @ values
 
 
 def _is_constant(tau: np.ndarray) -> bool:

@@ -1,12 +1,15 @@
 """Minimizer results pinned to the last digit.
 
-The constants were produced by the implementation that rebuilt every
-lift per call and evaluated every line-search trial afresh.  Sharing one
-evaluation per time function must not change a single bit of them: a
-change that moves these digits changes which minimizations fail.  The
-three runs are a Schwarzschild sphere, a converging Minkowski lift and a
-Minkowski lift that stalls: its energy reaches the rounding floor before
-its gradient reaches the tolerance, and it stops there.
+The constants were captured when Legendre synthesis became a product
+with the grid's Vandermonde matrix and the energy gradient its
+transpose, and when a line-search step that only ties the energy at its
+rounding floor began to end the run.  That change moved the last
+digits; no other change may move a single bit of them, since a change
+that moves these digits changes which minimizations fail.  The three runs are a
+Schwarzschild sphere, a converging Minkowski lift and a Minkowski lift
+that stalls: its energy reaches the rounding floor before its gradient
+reaches the tolerance, and it stops there.  All three now stop at the
+rounding floor.
 """
 
 from dataclasses import dataclass
@@ -77,17 +80,17 @@ class Pinned:
 
 PINNED = {
     'schwarzschild': Pinned(
-        iterations=28,
-        calibration_rel_error=1.585157677600348e-08,
+        iterations=27,
+        calibration_rel_error=1.5851571080259582e-08,
         tau_star=(
-            -3.1171081937011574e-09,
-            -2.076358747853196e-09,
-            -3.9825095052176355e-11,
-            4.772492785526431e-10,
-            -3.960851518351785e-10,
-            4.2385035035211853e-10,
-            -2.3464586949324276e-10,
-            8.147766613823677e-11,
+            -1.765425632542586e-08,
+            -9.099871746088978e-09,
+            2.22357023385271e-10,
+            1.5020593468069131e-09,
+            -2.9322739293059196e-09,
+            6.137222898858912e-10,
+            -6.330168291129453e-10,
+            3.1524314391159874e-10,
         ),
         trace_runs=(
             (16.18986246119374, 1),
@@ -117,86 +120,86 @@ PINNED = {
             (16.189339159779365, 1),
             (16.189339150950303, 1),
             (16.189339150877345, 1),
-            (16.189339150877146, 2),
+            (16.189339150877146, 1),
         ),
     ),
     'converging-lift': Pinned(
-        iterations=25,
-        calibration_rel_error=8.29059930269053e-08,
+        iterations=24,
+        calibration_rel_error=8.286096705637988e-08,
         tau_star=(
-            -0.06425217193426934,
-            -0.05496769300323995,
-            -0.007076280374236669,
-            -0.00010425958710118972,
-            9.556154539415369e-07,
-            3.953300280443933e-07,
-            3.179704538496537e-08,
-            3.815778982456732e-09,
+            -0.06425217194948331,
+            -0.05496769264689153,
+            -0.00707628032234083,
+            -0.00010425970772947337,
+            9.557798583759312e-07,
+            3.953777810000526e-07,
+            3.175587042818165e-08,
+            3.77790586311202e-09,
         ),
         trace_runs=(
-            (0.0025626191287422273, 1),
-            (0.0017052451377246314, 1),
-            (0.0012553091335512079, 1),
+            (0.002562619128735122, 1),
+            (0.0017052451377210787, 1),
+            (0.0012553091335654187, 1),
             (0.0007396399457455516, 1),
             (0.0005453848570660114, 1),
             (0.0003738676620947956, 1),
             (0.00027180030553708434, 1),
             (0.00019859790629794816, 1),
-            (0.00015475520266861054, 1),
+            (0.00015475520266505782, 1),
             (0.00012328436021036282, 1),
-            (0.00010060470658856957, 1),
+            (0.00010060470659212228, 1),
             (8.292894612083046e-05, 1),
             (6.934966257432507e-05, 1),
             (5.79963364515379e-05, 1),
             (4.6021694458886486e-05, 1),
             (3.0528258047723966e-05, 1),
-            (1.3577046058088627e-05, 1),
+            (1.3577046054535913e-05, 1),
             (3.0004155853191605e-06, 1),
-            (2.608991778174641e-07, 1),
-            (9.103754194939029e-09, 1),
-            (2.5148239046757226e-10, 1),
+            (2.608991742647504e-07, 1),
+            (9.103747089511671e-09, 1),
+            (2.5147883775389346e-10, 1),
             (1.0302869668521453e-11, 1),
-            (2.3447910280083306e-13, 1),
+            (2.2737367544323206e-13, 1),
             (4.263256414560601e-14, 1),
-            (3.552713678800501e-14, 2),
+            (3.552713678800501e-14, 1),
         ),
     ),
     'stalled-lift': Pinned(
-        iterations=26,
-        calibration_rel_error=1.929678386350306e-08,
+        iterations=21,
+        calibration_rel_error=1.9598503303055127e-08,
         tau_star=(
-            0.21461898319504655,
-            -0.07257957495815855,
-            -0.012471295654976454,
-            -8.20820527982027e-05,
-            -5.393457023976122e-06,
-            -2.7499423267292363e-07,
-            4.4594729893048634e-08,
-            2.141918380119771e-08,
+            0.21461898319504671,
+            -0.07257957495815816,
+            -0.01247129565497604,
+            -8.208205279762323e-05,
+            -5.393457023995175e-06,
+            -2.7499423257999485e-07,
+            4.4594729738212745e-08,
+            2.141918395885735e-08,
         ),
         trace_runs=(
             (0.0024077010119292197, 1),
-            (0.0018267990017228897, 1),
-            (0.0011934145997543055, 1),
-            (0.0009725782888203582, 1),
+            (0.001826799001719337, 1),
+            (0.0011934145997472, 1),
+            (0.0009725782888274637, 1),
             (0.0006826434434792361, 1),
-            (0.0005531731947989726, 1),
-            (0.0004197889126125176, 1),
+            (0.0005531731948025254, 1),
+            (0.00041978891259830675, 1),
             (0.0003204796798677023, 1),
             (0.0002362250959961898, 1),
             (0.00017372005936522328, 1),
-            (0.00012374788629898603, 1),
-            (8.73101852398861e-05, 1),
-            (5.750519142821986e-05, 1),
-            (2.9882251752155753e-05, 1),
-            (9.16983836063423e-06, 1),
-            (1.2467687007244876e-06, 1),
+            (0.00012374788630253875, 1),
+            (8.731018522922795e-05, 1),
+            (5.750519142111443e-05, 1),
+            (2.988225175926118e-05, 1),
+            (9.169838342870662e-06, 1),
+            (1.246768707829915e-06, 1),
             (6.381967665447519e-08, 1),
-            (1.4519976332394435e-09, 1),
-            (3.1199931527226e-11, 1),
+            (1.4519834223847283e-09, 1),
+            (3.12070369545836e-11, 1),
             (7.993605777301127e-13, 1),
-            (6.039613253960852e-14, 1),
-            (4.618527782440651e-14, 6),
+            (6.750155989720952e-14, 1),
+            (5.684341886080802e-14, 1),
         ),
     ),
 }
