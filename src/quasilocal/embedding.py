@@ -14,6 +14,10 @@ lifts the picture to Minkowski space R^{3,1}: the graph
 over the revolution surface of sigma + dtau x dtau is an isometric
 embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 
+Every function here takes one time function or a (k, n) stack of them,
+whose lifts share the base metric; an error names the first failing row
+of a stack and the worst node in it.
+
 extrinsic_data collects everything downstream energy formulas need from
 such a lift: the second fundamental form and mean curvature of the
 spatial projection, the squared mean curvature vector of the lifted
@@ -38,6 +42,7 @@ from .geometry import (
     AxisymMetric,
     OneForm,
     SymTensorField,
+    _at,
     _check_field,
     divergence_from_x_component,
     laplacian,
@@ -45,31 +50,55 @@ from .geometry import (
 )
 
 
-class NonEmbeddableError(ValueError):
-    """The profile admits no revolution-surface embedding at some node."""
+def _first_nonpositive(values: np.ndarray) -> tuple | None:
+    """Where a field or stack that must stay positive first fails, or None.
 
-    def __init__(self, node_index: int, theta: float, margin: float):
+    (node,) of the least value of a field; (row, node) of the least value
+    in the first row of a stack whose least value is <= 0.
+    """
+    if values.ndim == 1:
+        j = int(np.argmin(values))
+        return (j,) if values[j] <= 0.0 else None
+    failing = np.flatnonzero(values.min(axis=1) <= 0.0)
+    if failing.size == 0:
+        return None
+    i = int(failing[0])
+    return i, int(np.argmin(values[i]))
+
+
+class NonEmbeddableError(ValueError):
+    """The profile admits no revolution-surface embedding at some node.
+
+    row is the failing row of a stack of profiles, None for one profile.
+    """
+
+    def __init__(self, node_index: int, theta: float, margin: float, row: int | None = None):
         self.node_index = node_index
         self.theta = theta
         self.margin = margin
+        self.row = row
+        where = _at((node_index,) if row is None else (row, node_index))
         super().__init__(
             "metric is not embeddable as a surface of revolution: "
-            f"P^2 - (Q sin)'^2 = {margin} at node {node_index} (theta = {theta})"
+            f"P^2 - (Q sin)'^2 = {margin} at {where} (theta = {theta})"
         )
 
 
 class NonSpacelikeMeanCurvatureError(ValueError):
     """<H, H> fails to be positive somewhere on the lifted surface.
 
-    The offending squared-norm field is attached as mean_sq.
+    The offending squared-norm field (the failing row's, for a stack) is
+    attached as mean_sq; row is None for one lift.
     """
 
-    def __init__(self, mean_sq: np.ndarray, node_index: int):
+    def __init__(self, mean_sq: np.ndarray, node_index: int, row: int | None = None):
         self.mean_sq = mean_sq
         self.node_index = node_index
+        self.row = row
+        where = _at((node_index,) if row is None else (row, node_index))
         super().__init__(
             "mean curvature vector is not spacelike: <H, H> = "
-            f"{mean_sq[node_index]} at node {node_index}"
+            f"{mean_sq[node_index]} at {where}"
         )
 
 
@@ -163,9 +192,10 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     u = m.Q * g.sin_theta
     u_prime = m.u_prime
     margin = m.P**2 - u_prime**2
-    j = int(np.argmin(margin))
-    if margin[j] <= 0.0:
-        raise NonEmbeddableError(j, float(g.nodes[j]), float(margin[j]))
+    bad = _first_nonpositive(margin)
+    if bad is not None:
+        row = bad[0] if len(bad) == 2 else None
+        raise NonEmbeddableError(bad[-1], float(g.nodes[bad[-1]]), float(margin[bad]), row)
     return RevolutionSurface(metric=m, u=u, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 
@@ -276,17 +306,18 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
 
     lu, lap_vt, lap_tau = _lift_laplacians(surf)
     mean_sq = lu**2 + lap_vt**2 - lap_tau**2
-    j = int(np.argmin(mean_sq))
-    if mean_sq[j] <= 0.0:
-        raise NonSpacelikeMeanCurvatureError(mean_sq, j)
+    bad = _first_nonpositive(mean_sq)
+    if bad is not None:
+        row = bad[0] if len(bad) == 2 else None
+        raise NonSpacelikeMeanCurvatureError(mean_sq[bad[:-1]], bad[-1], row)
     norm_h = np.sqrt(mean_sq)
 
     tau_theta = surf.tau_theta
     breve_h = (lu * proj.v_prime - lap_vt * proj.u_prime) / p_hat
-    jb = int(np.argmax(breve_h))
-    if breve_h[jb] >= 0.0:
+    bad = _first_nonpositive(-breve_h)
+    if bad is not None:
         raise GaugeOrientationError(
-            f"<H, e3_breve> = {breve_h[jb]} >= 0 at node {jb}; "
+            f"<H, e3_breve> = {breve_h[bad]} >= 0 at {_at(bad)}; "
             "the lifted surface is not convex enough to frame H"
         )
     breve_alpha = hhat.theta_theta * tau_theta / (m.P * p_hat)

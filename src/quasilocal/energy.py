@@ -23,8 +23,10 @@ h = -sqrt(1+|grad f|^2) <H, e3> - alpha_{e3}(grad f); the energy proper
 is recovered in the canonical gauge of f.
 
 Every formula here reads its inputs from an Evaluation: one time
-function on one metric, whose derivatives, lift, reference integral and
-extrinsic data are each computed at most once.  The module functions
+function, or a (k, n) stack of them, on one metric, whose derivatives,
+lift, reference integral and extrinsic data are each computed at most
+once.  For a stack every operator is one matrix product over the rows,
+and each result gains a leading axis of length k.  The module functions
 accept either a node-value array or an Evaluation of the same metric, so
 a caller that needs the guard, the energy and the residual at one tau
 builds the lift once by passing one Evaluation to all three.
@@ -58,13 +60,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Reference and physical terms of the energy; total is their difference."""
+    """Reference and physical terms of the energy; total is their difference.
 
-    reference_term: float
-    physical_term: float
+    Floats for one time function, (k,) arrays for a stack of k.
+    """
+
+    reference_term: float | np.ndarray
+    physical_term: float | np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.reference_term - self.physical_term
 
 
@@ -84,10 +89,12 @@ class GaugeData:
 class Evaluation:
     """A time function tau on a metric, each derived field computed once.
 
-    The derivatives of tau, the lift of (metric, tau), the total mean
-    curvature of its projection and its extrinsic data are computed when
-    first read and then kept.  Quantities that depend on the physical
-    data take the data as an argument and are not kept.
+    tau is one field of node values or a (k, n) stack of fields; the
+    metric is shared by every row.  The derivatives of tau, the lift of
+    (metric, tau), the total mean curvature of its projection and its
+    extrinsic data are computed when first read and then kept.
+    Quantities that depend on the physical data take the data as an
+    argument and are not kept.
     """
 
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
@@ -127,7 +134,7 @@ class Evaluation:
         return embed_lifted(self.metric, self.tau)
 
     @cached_property
-    def reference(self) -> float:
+    def reference(self) -> float | np.ndarray:
         """Total mean curvature of the projected surface of the lift."""
         proj = self.lift.projected
         return integrate_surface(proj.metric, mean_curvature(proj))
@@ -212,16 +219,19 @@ class Evaluation:
         )
         return -trace_term / s1 + divergence_from_x_component(m, flux)
 
-    def convexity_guard(self) -> float:
+    def convexity_guard(self) -> float | np.ndarray:
         """See optimize.convexity_guard."""
         k_hat = _hat_gauss_curvature(self.metric, self.hess.theta_theta, self.tau_x, self.grad_sq)
         scaled = k_hat * (1.0 + self.grad_sq)
-        return float(min(k_hat.min(), self.metric.K.min(), scaled.min()))
+        worst = np.minimum(
+            np.minimum(k_hat.min(axis=-1), self.metric.K.min()), scaled.min(axis=-1)
+        )
+        return float(worst) if worst.ndim == 0 else worst
 
     def generalized_mean_curvature(self, g: GaugeData) -> np.ndarray:
         return -self.s1 * g.inner_h - self.pairing(g.alpha)
 
-    def tilde_energy(self, g: GaugeData) -> float:
+    def tilde_energy(self, g: GaugeData) -> float | np.ndarray:
         return self.reference - integrate_surface(self.metric, self.generalized_mean_curvature(g))
 
 
@@ -234,7 +244,9 @@ def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:
     return tau
 
 
-def reference_mean_curvature_integral(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float:
+def reference_mean_curvature_integral(
+    m: AxisymMetric, tau: np.ndarray | Evaluation
+) -> float | np.ndarray:
     """Total mean curvature of the projected surface of the lift of (m, tau)."""
     return evaluate(m, tau).reference
 
@@ -285,7 +297,9 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
     )
 
 
-def tilde_energy(surface: LorentzSurface, g: GaugeData, f: np.ndarray | Evaluation) -> float:
+def tilde_energy(
+    surface: LorentzSurface, g: GaugeData, f: np.ndarray | Evaluation
+) -> float | np.ndarray:
     """Gauge energy: reference term of f minus the integral of h(g, f).
 
     The surface supplies the base metric; the gauge carries all frame

@@ -14,9 +14,11 @@ apparent pole singularities analytically:
     integral f dv   = 2 pi sum_j w_j f_j P_j Q_j
     Delta f         = d/dx[ (1 - x^2) (Q/P) df/dx ] / (P Q)
 
-Scalar fields are plain float arrays of node values.  One-forms and
-symmetric 2-tensors carry only the components an axisymmetric field can
-have; the mixed and dphi pieces vanish identically.
+Scalar fields are plain float arrays of node values, or (k, n) stacks of
+k fields; every operator acts on the last axis, so a stack costs one
+matrix product per operator.  One-forms and symmetric 2-tensors carry
+only the components an axisymmetric field can have; the mixed and dphi
+pieces vanish identically.
 """
 
 from __future__ import annotations
@@ -39,11 +41,16 @@ class FieldShapeError(ValueError):
 # The product form of the barycentric weights in _differentiation_matrix
 # underflows past MAX_GRID_N: with numpy 2.4 the matrix is finite for
 # n = 861 and NaN from n = 862 on.  It turns inaccurate before that, so
-# make_grid also measures the matrix on P_{n-1} and rejects a relative
-# L2 error above DIFF_CHECK_TOL; with numpy 2.4 that error is 1.8e-11 at
-# n = 790, 1.1e-9 at 794 and 2.4e-7 at 800, so n = 793 is the largest grid.
+# make_grid also measures the matrix on P_{n-1} and on e^x sin 3x and
+# rejects a relative L2 error above DIFF_CHECK_TOL.  With numpy 2.4 the
+# top-mode error is 1.8e-11 at n = 790 and 1.1e-9 at 794, but the smooth
+# function's is 1.7e-10 at n = 789 and 5.1e-9 at 790, so n = 789 is the
+# largest grid.  e^x sin 3x is resolved to rounding from SMOOTH_CHECK_FROM_N
+# nodes on (its interpolant's derivative misses by 1.9e-9 at n = 16 and
+# 2.6e-14 at n = 20); smaller grids are checked on P_{n-1} only.
 MAX_GRID_N = 861
 DIFF_CHECK_TOL = 1e-9
+SMOOTH_CHECK_FROM_N = 20
 
 # Profiles, time functions and lifted profiles are lengths, and the
 # operators form products of up to five of them or of their inverses (P^4 Q
@@ -94,7 +101,7 @@ class Grid:
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
-        return self.diff_matrix_x @ np.asarray(f, dtype=float)
+        return np.asarray(f, dtype=float) @ self.diff_matrix_x.T
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
         """d/dtheta of the interpolant of f.
@@ -102,11 +109,15 @@ class Grid:
         The result carries a sin(theta) factor, so it is generally *not*
         smooth in x; never feed it back into dx or dtheta.
         """
-        return self.diff_matrix @ np.asarray(f, dtype=float)
+        return np.asarray(f, dtype=float) @ self.diff_matrix.T
 
-    def quad_dx(self, f: np.ndarray) -> float:
-        """integral of f over x in (-1, 1), i.e. of f sin(theta) dtheta."""
-        return float(self.weights @ np.asarray(f, dtype=float))
+    def quad_dx(self, f: np.ndarray) -> float | np.ndarray:
+        """integral of f over x in (-1, 1), i.e. of f sin(theta) dtheta.
+
+        A float for one field, one integral per row for a stack.
+        """
+        q = np.asarray(f, dtype=float) @ self.weights
+        return float(q) if q.ndim == 0 else q
 
     def legendre_coeffs(self, f: np.ndarray) -> np.ndarray:
         """Legendre coefficients of the interpolant of f.
@@ -116,7 +127,7 @@ class Grid:
         """
         f = np.asarray(f, dtype=float)
         l = np.arange(self.n_nodes)
-        return (2 * l + 1) / 2.0 * (self.legendre_vandermonde.T @ (self.weights * f))
+        return (2 * l + 1) / 2.0 * ((self.weights * f) @ self.legendre_vandermonde)
 
     def legendre_synthesis(self, coeffs) -> np.ndarray:
         """Node values of sum_l coeffs[l] * P_l(x), a legendre_vandermonde product.
@@ -124,10 +135,11 @@ class Grid:
         Raises FieldShapeError for more coefficients than nodes: the grid
         cannot resolve those modes.
         """
-        k = len(coeffs)
+        coeffs = np.asarray(coeffs, dtype=float)
+        k = coeffs.shape[-1]
         if k > self.n_nodes:
             raise FieldShapeError(f"{k} Legendre coefficients, the grid resolves {self.n_nodes}")
-        return self.legendre_vandermonde[:, :k] @ np.asarray(coeffs, dtype=float)
+        return coeffs @ self.legendre_vandermonde[:, :k].T
 
     def integral_from_north(self, f: np.ndarray) -> np.ndarray:
         """Node values of x -> integral of f dx' from x to 1.
@@ -136,18 +148,19 @@ class Grid:
         profiles from their derivatives with spectral accuracy; legint's
         coefficients are synthesized by legendre_synthesis.
         """
-        anti = npleg.legint(self.legendre_coeffs(f), lbnd=1.0)
+        anti = npleg.legint(self.legendre_coeffs(f), lbnd=1.0, axis=-1)
         # the antiderivative has degree n_nodes, but P_{n_nodes} vanishes at
         # the n_nodes Gauss nodes, so its coefficient adds nothing there
-        return -self.legendre_synthesis(anti[:-1])
+        return -self.legendre_synthesis(anti[..., :-1])
 
 
 def make_grid(n: int) -> Grid:
     """Build the n-node Gauss-Legendre grid on the sphere.
 
     n must be at least 4, and the differentiation matrix must pass its
-    check on P_{n-1}; accuracy of the curvature operators suggests
-    n >= 16 for production work.
+    checks on P_{n-1} and, from SMOOTH_CHECK_FROM_N nodes on, on
+    e^x sin 3x; accuracy of the curvature operators suggests n >= 16 for
+    production work.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"grid size must be an integer, got {n!r}")
@@ -169,13 +182,18 @@ def make_grid(n: int) -> Grid:
     # D is exact on P_k, k = n - 1, where (1 - x^2) P_k' = k (P_{k-1} - x P_k)
     k = int(n) - 1
     exact = k * (vander[:, k - 1] - x * vander[:, k])
-    defect = (1.0 - x * x) * (dmat_x @ vander[:, k]) - exact
-    error = np.sqrt((w @ defect**2) / (w @ exact**2))
-    if not error <= DIFF_CHECK_TOL:
-        raise InvalidParameterError(
-            f"grid size {n} is too large: the differentiation matrix misses P_{k}' "
-            f"by {error:.1e} (relative L2), above {DIFF_CHECK_TOL:g}"
-        )
+    checks = [(f"P_{k}'", (1.0 - x * x) * (dmat_x @ vander[:, k]), exact)]
+    if n >= SMOOTH_CHECK_FROM_N:
+        smooth = np.exp(x) * np.sin(3.0 * x)
+        derivative = np.exp(x) * (np.sin(3.0 * x) + 3.0 * np.cos(3.0 * x))
+        checks.append(("the derivative of e^x sin 3x", dmat_x @ smooth, derivative))
+    for name, got, want in checks:
+        error = np.sqrt((w @ (got - want) ** 2) / (w @ want**2))
+        if not error <= DIFF_CHECK_TOL:
+            raise InvalidParameterError(
+                f"grid size {n} is too large: the differentiation matrix misses {name} "
+                f"by {error:.1e} (relative L2), above {DIFF_CHECK_TOL:g}"
+            )
     return Grid(
         n_nodes=int(n),
         nodes=theta,
@@ -189,12 +207,34 @@ def make_grid(n: int) -> Grid:
 
 
 def _check_field(grid: Grid, f: np.ndarray, name: str) -> np.ndarray:
+    """f as a float array of node values, or a (k, n) stack of them."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (1, 2) or f.shape[-1] != grid.n_nodes:
+        raise FieldShapeError(
+            f"{name} has shape {f.shape}, expected ({grid.n_nodes},) or (k, {grid.n_nodes}) "
+            "for this grid"
+        )
+    return f
+
+
+def _check_single_field(grid: Grid, f: np.ndarray, name: str) -> np.ndarray:
+    """f as a float array of node values; stacks are rejected."""
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n_nodes,):
         raise FieldShapeError(
             f"{name} has shape {f.shape}, expected ({grid.n_nodes},) for this grid"
         )
     return f
+
+
+def _first(bad: np.ndarray) -> tuple:
+    """Index of the first True entry of a field or stack: (node,) or (row, node)."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _at(index: tuple) -> str:
+    """'node j', or 'row i, node j' in a stack."""
+    return f"node {index[-1]}" if len(index) == 1 else f"row {index[0]}, node {index[-1]}"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -209,7 +249,9 @@ class AxisymMetric:
     P and Q are node-value arrays on grid and must be finite and lie in
     [1/LENGTH_MAX, LENGTH_MAX].  Smoothness of the round metric at the
     poles corresponds to profiles smooth in x with P = Q at x = +-1; all
-    constructors in this package produce such profiles.
+    constructors in this package produce such profiles.  P may be a
+    (k, n) stack of profiles sharing Q: with_P builds one for the lifts of
+    a stack of time functions.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
     the u'' term of the second fundamental form, dP/dtheta and the Gauss
@@ -223,13 +265,14 @@ class AxisymMetric:
 
     def __post_init__(self):
         P = _check_field(self.grid, self.P, "P")
-        Q = _check_field(self.grid, self.Q, "Q")
+        Q = _check_single_field(self.grid, self.Q, "Q")
         for name, values in (("P", P), ("Q", Q)):
-            if not np.isfinite(values).all():
-                j = int(np.argmin(np.isfinite(values)))
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = _first(~finite)
                 raise InvalidParameterError(
-                    f"{name} must be finite, got {values[j]} at node {j} "
-                    f"(theta = {self.grid.nodes[j]})"
+                    f"{name} must be finite, got {values[i]} at {_at(i)} "
+                    f"(theta = {self.grid.nodes[i[-1]]})"
                 )
         _check_lengths(self.grid, "P", P)
         _check_lengths(self.grid, "Q", Q)
@@ -268,10 +311,10 @@ class AxisymMetric:
 def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
     outside = (values < 1.0 / LENGTH_MAX) | (values > LENGTH_MAX)
     if outside.any():
-        j = int(np.argmax(outside))
+        i = _first(outside)
         raise InvalidParameterError(
             f"{name} must lie in [{1.0 / LENGTH_MAX:g}, {LENGTH_MAX:g}]; "
-            f"{name}[{j}] = {values[j]} at theta = {grid.nodes[j]}"
+            f"{name}[{', '.join(map(str, i))}] = {values[i]} at theta = {grid.nodes[i[-1]]}"
         )
 
 
@@ -284,9 +327,10 @@ def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
     tau = _check_field(m.grid, tau, "tau")
     big = np.abs(tau) > LENGTH_MAX
     if big.any():
-        j = int(np.argmax(big))
+        i = _first(big)
         raise InvalidParameterError(
-            f"|tau| must be at most {LENGTH_MAX:g}; tau[{j}] = {tau[j]} at theta = {m.grid.nodes[j]}"
+            f"|tau| must be at most {LENGTH_MAX:g}; tau[{', '.join(map(str, i))}] = {tau[i]} "
+            f"at theta = {m.grid.nodes[i[-1]]}"
         )
     _check_lengths(m.grid, "sqrt(P^2 + tau_theta^2)", np.sqrt(m.P**2 + m.grid.dtheta(tau) ** 2))
 
@@ -323,8 +367,12 @@ class SymTensorField:
 # ---------------------------------------------------------------------------
 
 
-def integrate_surface(m: AxisymMetric, f: np.ndarray) -> float:
-    """integral of f over the surface, area element P Q sin(theta) dtheta dphi."""
+def integrate_surface(m: AxisymMetric, f: np.ndarray) -> float | np.ndarray:
+    """integral of f over the surface, area element P Q sin(theta) dtheta dphi.
+
+    A float for one field, one integral per row for a stack of integrands
+    or of metrics.
+    """
     f = _check_field(m.grid, f, "integrand")
     return 2.0 * np.pi * m.grid.quad_dx(f * m.P * m.Q)
 

@@ -71,14 +71,15 @@ def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
     return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
 
 
-def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float:
+def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np.ndarray:
     """Worst convexity margin of the lifted metric.
 
     Returns the least of: the Gauss curvature of sigma + dtau x dtau,
     the base Gauss curvature K, and K + det(Hess tau)/(1+|grad tau|^2).
     Positive margin means the lift embeds as a convex surface and stays
     convex along the segment s*tau, s in [0, 1].  A negative value is
-    a measurement, not an error.
+    a measurement, not an error.  A (k, n) stack of time functions gets
+    one margin per row; the guard never builds a lift.
     """
     return evaluate(m, tau).convexity_guard()
 
@@ -103,12 +104,14 @@ def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.n
     return 2.0 * np.pi * (modes.T @ (m.grid.weights * m.P * m.Q * residual(d, tau)))
 
 
-def _fd_gradient(d: PhysicalData, coeffs: np.ndarray) -> np.ndarray:
-    def total(c):
-        return qle(d, tau_from_coefficients(d.metric.grid, TauCoefficients(tuple(c)))).total
+def _fd_gradient(d: PhysicalData, tau: np.ndarray, count: int) -> np.ndarray:
+    """Central differences of qle along the first count modes at the field tau.
 
-    bumps = FD_STEP * np.eye(coeffs.size)
-    return np.array([(total(coeffs + b) - total(coeffs - b)) / (2.0 * FD_STEP) for b in bumps])
+    The 2 count perturbed fields tau +- FD_STEP P_l are one stacked evaluation.
+    """
+    bumps = FD_STEP * d.metric.grid.legendre_vandermonde[:, 1 : count + 1].T
+    totals = qle(d, np.concatenate([tau + bumps, tau - bumps])).total
+    return (totals[:count] - totals[count:]) / (2.0 * FD_STEP)
 
 
 def minimize_energy(
@@ -150,7 +153,7 @@ def minimize_energy(
     energy = qle(d, current).total
     grad = _gradient(d, current, coeffs.size)
 
-    fd = _fd_gradient(d, coeffs)
+    fd = _fd_gradient(d, current.tau, coeffs.size)
     scale = max(float(np.linalg.norm(fd)), tol)
     calibration = float(np.linalg.norm(fd - grad)) / scale if scale > tol else 0.0
 

@@ -30,7 +30,7 @@ from .geometry import (
     Grid,
     InvalidParameterError,
     OneForm,
-    _check_field,
+    _check_single_field,
     make_grid,
     round_sphere,
 )
@@ -57,8 +57,8 @@ class PhysicalData:
     provenance: str
 
     def __post_init__(self):
-        norm_h = _check_field(self.metric.grid, self.norm_H, "normH")
-        alpha = _check_field(self.metric.grid, self.alpha_H.theta, "alpha_theta")
+        norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
+        alpha = _check_single_field(self.metric.grid, self.alpha_H.theta, "alpha_theta")
         for name, values in (("normH", norm_h), ("alpha_theta", alpha)):
             j = int(np.argmin(np.isfinite(values)))
             if not np.isfinite(values[j]):

@@ -14,8 +14,14 @@ positive floor instead of merely staying above it; violated hypotheses
 fail the report rather than raising, so a run over inadmissible data
 still produces a document.
 
+Allowances of margins that are lengths (energies and their derivatives
+in s) are multiplied by the length scale L = max(1, sqrt(area / 4 pi)) of
+the surface, since the rounding of an energy grows with its terms, of
+size 8 pi L; allowances of hypotheses are not.
+
 Sampling is deterministic: the default sample families are fixed
-Legendre-coefficient boxes and profiles.  Derivatives in the family
+Legendre-coefficient boxes and profiles, and each family is evaluated as
+one stack of time functions.  Derivatives in the family
 parameter s are spectral (Chebyshev interpolation on a nested s-grid),
 never one-sided differences; the s = 0 endpoint is covered by dedicated
 value and derivative checks because the comparison inequality F' >= F/s
@@ -31,6 +37,7 @@ import numpy as np
 from .geometry import (
     AxisymMetric,
     Grid,
+    _check_single_field,
     _differentiation_matrix,
     divergence_from_x_component,
     hessian,
@@ -150,14 +157,43 @@ def chebyshev_s_grid() -> np.ndarray:
 def _spectral_s_derivative(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Derivative of the polynomial interpolant through (s_grid, values).
 
-    The grid's barycentric differentiation matrix, the one make_grid
-    builds, applied on these nodes; well conditioned on Lobatto-type grids.
+    values runs over s along its last axis.  The grid's barycentric
+    differentiation matrix, the one make_grid builds, applied on these
+    nodes; well conditioned on Lobatto-type grids.
     """
-    return _differentiation_matrix(s_grid) @ values
+    return values @ _differentiation_matrix(s_grid).T
 
 
-def _is_constant(tau: np.ndarray) -> bool:
-    return float(np.max(np.abs(tau - tau[0]))) <= 1e-14 * max(1.0, abs(float(tau[0])))
+def _is_constant(taus: np.ndarray) -> np.ndarray:
+    """Per row of a stack: is that time function constant?"""
+    first = taus[:, :1]
+    return np.max(np.abs(taus - first), axis=1) <= 1e-14 * np.maximum(1.0, np.abs(first[:, 0]))
+
+
+def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
+    """The sampled time functions as one (k, n) stack; k may be 0."""
+    samples = [_check_single_field(grid, t, "tau") for t in tau_samples]
+    return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
+
+
+def _length_scale(m: AxisymMetric) -> float:
+    """L = max(1, sqrt(area / 4 pi)), the factor on allowances that are lengths."""
+    return max(1.0, float(np.sqrt(integrate_surface(m, np.ones(m.grid.n_nodes)) / (4.0 * np.pi))))
+
+
+def _least(values: np.ndarray) -> float:
+    """The least value; inf when there is none."""
+    return float(np.min(values, initial=np.inf))
+
+
+def _deviation_margin(values: np.ndarray) -> float:
+    """Minus the largest |value|; 0 when there is none."""
+    return -float(np.max(np.abs(values), initial=0.0))
+
+
+def _worst_index(values: np.ndarray, rows: np.ndarray) -> float:
+    """The sample index rows[i] of the least values[i]; -1 when there is none."""
+    return float(rows[np.argmin(values)]) if values.size else -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +291,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
     g = m.grid
     if variations is None:
         variations = tuple(legendre_mode(g, degree) for degree in (1, 2, 3))
-    else:
-        variations = tuple(np.asarray(v, dtype=float) for v in variations)
+    variations = _sample_stack(g, variations)
 
     ev = evaluate(m, tau)
     data = ev.extrinsic
@@ -271,14 +306,17 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
     )
     flux_dev = float(np.max(np.abs(flux)))
 
-    gauge = GaugeData.breve(data)
+    # the perturbed time functions tau +- step * delta form one stack
     step = 1e-4
+    count = len(variations)
+    perturbed = np.concatenate([ev.tau + step * variations, ev.tau - step * variations])
+    energies = tilde_energy(ev.lift, GaugeData.breve(data), perturbed)
+    derivatives = (energies[:count] - energies[count:]) / (2.0 * step)
     checks = [CheckOutcome("flux", -flux_dev, 1e-8)]
-    for i, delta in enumerate(variations, start=1):
-        upper = tilde_energy(ev.lift, gauge, ev.tau + step * delta)
-        lower = tilde_energy(ev.lift, gauge, ev.tau - step * delta)
-        derivative = (upper - lower) / (2.0 * step)
-        checks.append(CheckOutcome(f"variation-{i}", -abs(float(derivative)), 1e-6))
+    checks += [
+        CheckOutcome(f"variation-{i}", -abs(float(dv)), 1e-6)
+        for i, dv in enumerate(derivatives, start=1)
+    ]
 
     return TheoremReport(name="lemma41", samples=len(variations), checks=tuple(checks))
 
@@ -309,16 +347,19 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
       equality             gap at tau = tau0 + 3, which must vanish
 
     Samples failing the convexity guard are skipped and counted in the
-    details, never silently dropped.
+    details, never silently dropped; the detail worst-gap-sample is the
+    index into tau_samples that set gap, -1 if none was admitted.
     """
     m = d.metric
     g = m.grid
     tau0 = np.asarray(tau0, dtype=float)
     if tau_samples is None:
         tau_samples = tuple(tau0 + f for f in coefficient_box(g))
+    samples = _sample_stack(g, tau_samples)
+    length = _length_scale(m)
 
-    # one evaluation per time function serves the guard and both energies;
-    # reference shares the metric m with d
+    # reference shares the metric m with d, so one evaluation of a time
+    # function serves the energies of both
     at_tau0 = evaluate(m, tau0)
     reference = minkowski_surface_data(m, at_tau0)
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
@@ -333,35 +374,30 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     )
     closed_dev = abs(closed_form - energy_tau0)
 
-    gaps = []
-    skipped = 0
-    for tau in tau_samples:
-        ev = evaluate(m, tau)
-        if convexity_guard(m, ev) <= 0.0:
-            skipped += 1
-            continue
-        gaps.append(qle(d, ev).total - energy_tau0 - qle(reference, ev).total)
-    worst_gap = float(np.min(gaps)) if gaps else -np.inf
-
-    shifted = evaluate(m, tau0 + 3.0)
-    equality_gap = float(qle(d, shifted).total - energy_tau0 - qle(reference, shifted).total)
+    # one guard over the samples, then one evaluation of the admitted ones
+    # and of the equality case tau0 + 3
+    admitted = np.flatnonzero(convexity_guard(m, samples) > 0.0)
+    trial = evaluate(m, np.concatenate([samples[admitted], [tau0 + 3.0]]))
+    trial_gaps = qle(d, trial).total - energy_tau0 - qle(reference, trial).total
+    gaps, equality_gap = trial_gaps[:-1], float(trial_gaps[-1])
 
     checks = (
         CheckOutcome("criticality", -res_norm, 1e-6),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
-        CheckOutcome("closed-form", -float(closed_dev), 1e-7),
-        CheckOutcome("gap", worst_gap, 1e-8),
-        CheckOutcome("equality", -abs(equality_gap), 1e-9),
+        CheckOutcome("closed-form", -float(closed_dev), 1e-7 * length),
+        CheckOutcome("gap", float(np.min(gaps)) if gaps.size else -np.inf, 1e-8 * length),
+        CheckOutcome("equality", -abs(equality_gap), 1e-9 * length),
     )
     details = (
-        ("skipped-samples", float(skipped)),
-        ("largest-gap", float(np.max(gaps)) if gaps else -np.inf),
+        ("skipped-samples", float(len(samples) - gaps.size)),
+        ("largest-gap", float(np.max(gaps, initial=-np.inf))),
         ("reference-mean-curvature-min", float(np.min(reference.norm_H))),
         ("physical-mean-curvature-max", float(np.max(d.norm_H))),
+        ("worst-gap-sample", _worst_index(gaps, admitted)),
     )
     return TheoremReport(
         name="theorem1",
-        samples=len(gaps),
+        samples=int(gaps.size),
         checks=checks,
         equality_cases=(("shift+3", equality_gap),),
         details=details,
@@ -397,75 +433,53 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
 
     Samples whose scaled segment violates the guard are skipped (the
     energies are undefined there) and fail the guard check; the counts
-    land in the details.
+    land in the details, with worst-ode-sample the index into tau_samples
+    that set ode, -1 if none was admitted.
     """
     m = d.metric
     g = m.grid
     if tau_samples is None:
         tau_samples = _default_profiles(g)
-    tau_samples = tuple(np.asarray(t, dtype=float) for t in tau_samples)
+    samples = _sample_stack(g, tau_samples)
+    length = _length_scale(m)
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
     alpha_dev = float(np.max(np.abs(d.alpha_H.theta)))
-    # one evaluation per time function serves the guard, both energies and
-    # the closed form; rest shares the metric m with d
+    # rest shares the metric m with d, so one evaluation of a time function
+    # serves the energies of both
     at_rest = evaluate(m, np.zeros(g.n_nodes))
     rest = minkowski_surface_data(m, at_rest)
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
-
     energy_rest = qle(d, at_rest).total
-    guard_min = np.inf
-    zero_dev = 0.0
-    zero_slope_dev = 0.0
-    ode_margin = np.inf
-    final_margin = np.inf
-    monotone_margin = np.inf
-    reference_dev = 0.0
-    strict_increase = np.inf
-    evaluated = 0
-    skipped = 0
 
-    for tau in tau_samples:
-        # one evaluation of tau serves the family's s = 1 member (1.0 * tau
-        # is tau to the bit), the monotonicity energy and the closed form
-        at_tau = evaluate(m, tau)
-        family_evals = [at_tau if s == 1.0 else evaluate(m, s * tau) for s in s_grid]
-        sample_guard = min(convexity_guard(m, ev) for ev in family_evals)
-        guard_min = min(guard_min, sample_guard)
-        if sample_guard <= 0.0:
-            skipped += 1
-            continue
-        evaluated += 1
+    # the families s * tau over the s-grid: one guard over every member,
+    # then one evaluation of the admitted families (1.0 * tau is tau to
+    # the bit, so the s = 1 rows serve the monotonicity energies)
+    n_s = s_grid.size
+    members = s_grid[None, :, None] * samples[:, None, :]
+    family_guard = convexity_guard(m, members.reshape(-1, g.n_nodes)).reshape(-1, n_s)
+    sample_guard = family_guard.min(axis=1)
+    admitted = np.flatnonzero(sample_guard > 0.0)
+    family_ev = evaluate(m, members[admitted].reshape(-1, g.n_nodes))
 
-        breakdowns = [qle(rest, ev) for ev in family_evals]
-        family = np.array([b.total for b in breakdowns])
-        slope = _spectral_s_derivative(s_grid, family)
-        zero_dev = max(zero_dev, abs(family[0]))
-        zero_slope_dev = max(zero_slope_dev, abs(slope[0]))
-        ode_margin = min(
-            ode_margin, float(np.min(slope[interior] - family[interior] / s_grid[interior]))
-        )
-        final_margin = min(final_margin, float(family[-1]))
+    on_rest = qle(rest, family_ev)
+    family = on_rest.total.reshape(-1, n_s)
+    slope = _spectral_s_derivative(s_grid, family)
+    ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 
-        # rest shares the metric m, so these are the reference integrals of m
-        reference = np.array([b.reference_term for b in breakdowns])
-        reference_slope = _spectral_s_derivative(s_grid, reference)
-        lap = at_tau.lap
-        grad_sq = at_tau.grad_sq
-        for i in np.nonzero(interior)[0]:
-            s0 = s_grid[i]
-            mean_sq = family_evals[i].extrinsic.mean_sq
-            s1_sq = 1.0 + s0**2 * grad_sq
-            integrand = np.sqrt(mean_sq + (s0 * lap) ** 2 / s1_sq) / np.sqrt(s1_sq)
-            closed = (reference[i] - integrate_surface(m, integrand)) / s0
-            reference_dev = max(reference_dev, abs(reference_slope[i] - closed))
+    # rest shares the metric m, so these are the reference integrals of m;
+    # their s-derivative has a closed form in the lifted mean curvature norm
+    reference = on_rest.reference_term.reshape(-1, n_s)
+    reference_slope = _spectral_s_derivative(s_grid, reference)
+    s1 = family_ev.s1
+    integrand = np.sqrt(family_ev.extrinsic.mean_sq + (family_ev.lap / s1) ** 2) / s1
+    physical = integrate_surface(m, integrand).reshape(-1, n_s)
+    closed = (reference[:, interior] - physical[:, interior]) / s_grid[interior]
 
-        increase = qle(d, at_tau).total - energy_rest
-        monotone_margin = min(monotone_margin, increase)
-        if not _is_constant(tau):
-            strict_increase = min(strict_increase, increase)
+    increase = qle(d, family_ev).total.reshape(-1, n_s)[:, -1] - energy_rest
+    varying = ~_is_constant(samples[admitted])
 
     # degenerate member of every family: the zero profile, exactly flat
     constant_value = abs(qle(rest, at_rest).total)
@@ -474,22 +488,27 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
         CheckOutcome("alpha-rest", -alpha_dev, 1e-10),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
         CheckOutcome("physical-mean-curvature", positive_margin, -STRICT_FLOOR),
-        CheckOutcome("guard", float(guard_min), -STRICT_FLOOR),
-        CheckOutcome("zero-value", -float(zero_dev), 1e-10),
-        CheckOutcome("zero-derivative", -float(zero_slope_dev), 1e-7),
-        CheckOutcome("ode", float(ode_margin), 1e-7),
-        CheckOutcome("positivity", float(final_margin), 1e-8),
-        CheckOutcome("monotonicity", float(monotone_margin), 1e-8),
-        CheckOutcome("reference-derivative", -float(reference_dev), 1e-6),
+        CheckOutcome("guard", _least(sample_guard), -STRICT_FLOOR),
+        CheckOutcome("zero-value", _deviation_margin(family[:, 0]), 1e-10 * length),
+        CheckOutcome("zero-derivative", _deviation_margin(slope[:, 0]), 1e-7 * length),
+        CheckOutcome("ode", _least(ode), 1e-7 * length),
+        CheckOutcome("positivity", _least(family[:, -1]), 1e-8 * length),
+        CheckOutcome("monotonicity", _least(increase), 1e-8 * length),
+        CheckOutcome(
+            "reference-derivative",
+            _deviation_margin(reference_slope[:, interior] - closed),
+            1e-6 * length,
+        ),
     )
     details = (
-        ("skipped-samples", float(skipped)),
-        ("strict-increase-min", float(strict_increase)),
+        ("skipped-samples", float(len(samples) - admitted.size)),
+        ("strict-increase-min", _least(increase[varying])),
         ("rest-energy", float(energy_rest)),
+        ("worst-ode-sample", _worst_index(ode, admitted)),
     )
     return TheoremReport(
         name="theorem3",
-        samples=evaluated,
+        samples=int(admitted.size),
         checks=checks,
         equality_cases=(("constant-profile", float(constant_value)),),
         details=details,

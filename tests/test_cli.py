@@ -361,6 +361,7 @@ class TestFlagBoundary:
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-3"], "--max-iterations"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-1"], "--max-iterations"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "820"], "--grid-n"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "790"], "--grid-n"),
         # finite, but overflowing in the lift
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e200*P1"], "--tau"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e300"], "--tau"),

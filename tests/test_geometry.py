@@ -38,11 +38,11 @@ class TestLegendreSynthesis:
     The two differ by rounding that grows with the degree near the poles,
     and most of it is legval's own: at n = 793, x = 0.99998, legval misses
     a 40-digit recurrence by 3.0e-12 and the product by 7.4e-13 (uniform
-    random coefficients, sum |c| = 396).  The bound is n eps sum |c|; these
+    random coefficients, sum |c| = 396).  The largest grid is now n = 789.  The bound is n eps sum |c|; these
     draws reach at most 0.28 of it.
     """
 
-    @pytest.mark.parametrize("n", [4, 32, 128, 793])
+    @pytest.mark.parametrize("n", [4, 32, 128, 789])
     def test_matches_legval(self, n):
         grid = make_grid(n)
         rng = np.random.default_rng(n)
@@ -56,7 +56,7 @@ class TestLegendreSynthesis:
         with pytest.raises(FieldShapeError, match="17 Legendre coefficients"):
             grid.legendre_synthesis(np.ones(17))
 
-    @pytest.mark.parametrize("n", [4, 32, 128, 793])
+    @pytest.mark.parametrize("n", [4, 32, 128, 789])
     def test_integral_from_north_matches_legint(self, n):
         grid = make_grid(n)
         f = npleg.legval(grid.x, np.random.default_rng(n).uniform(-1.0, 1.0, n))
@@ -125,14 +125,15 @@ class TestMakeGrid:
 
 
 class TestGridSizeLimit:
-    """make_grid rejects a differentiation matrix that misses P_{n-1}' by more than 1e-9.
+    """make_grid rejects a differentiation matrix that misses P_{n-1}' or the
+    derivative of e^x sin 3x by more than 1e-9.
 
     The product-form weights underflow to NaN past n = 861; they lose
-    accuracy before that, between n = 790 and 800.
+    accuracy before that: on e^x sin 3x from n = 790, on P_{n-1} from 794.
     """
 
     def test_accepted_grid_differentiates_its_top_mode(self):
-        n = 790
+        n = 789
         grid = make_grid(n)
         top = np.zeros(n)
         top[-1] = 1.0
@@ -146,6 +147,24 @@ class TestGridSizeLimit:
     def test_inaccurate_grid_is_rejected(self, n):
         with pytest.raises(InvalidParameterError, match=f"grid size {n} is too large"):
             make_grid(n)
+
+    @pytest.mark.parametrize("n", [790, 793])
+    def test_grid_inaccurate_on_a_smooth_function_is_rejected(self, n):
+        # these pass the top-mode check
+        with pytest.raises(InvalidParameterError, match=f"grid size {n} is too large: .* e\\^x sin 3x"):
+            make_grid(n)
+
+    def test_accepted_grid_differentiates_a_smooth_function(self):
+        grid = make_grid(789)
+        x = grid.x
+        exact = np.exp(x) * (np.sin(3.0 * x) + 3.0 * np.cos(3.0 * x))
+        error = grid.dx(np.exp(x) * np.sin(3.0 * x)) - exact
+        assert np.sqrt((grid.weights @ error**2) / (grid.weights @ exact**2)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_small_grids_are_checked_on_the_top_mode_only(self, n):
+        # e^x sin 3x is not resolved on them; the derivative misses by 2e-9 at n = 16
+        assert make_grid(n).n_nodes == n
 
     def test_next_size_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="at most 861"):

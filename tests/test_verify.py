@@ -181,13 +181,112 @@ class TestLiftsAreShared:
 
 class TestTheorem3SharesEachSample:
     def test_one_lift_per_time_function(self, monkeypatch):
-        # the rest profile plus each sample's s-family, whose s = 1 member
-        # also serves the monotonicity energy and the closed form
+        # the rest profile, then every sample's s-family as one stack, whose
+        # s = 1 rows also serve the monotonicity energies
         grid = make_grid(32)
-        lifts = TestLiftsAreShared.count_calls(monkeypatch, "embed_lifted")
+        rows = []
+        original = quasilocal.energy.embed_lifted
+
+        def counting(m, tau):
+            rows.append(np.atleast_2d(tau).shape[0])
+            return original(m, tau)
+
+        monkeypatch.setattr(quasilocal.energy, "embed_lifted", counting)
         report = check_theorem3(schwarzschild_sphere(grid, 1.0, 4.0))
         assert report.passed
-        assert len(lifts) == 1 + report.samples * len(chebyshev_s_grid())
+        assert rows == [1, report.samples * len(chebyshev_s_grid())]
+
+
+class TestWorstSample:
+    def test_theorem1_names_the_sample_that_set_the_gap(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        samples = [0.5 * grid.x, 0.05 * grid.x, 0.2 * grid.x]
+        report = check_theorem1(d, np.zeros(32), tau_samples=samples)
+        worst = int(detail(report, "worst-gap-sample"))
+        alone = check_theorem1(d, np.zeros(32), tau_samples=[samples[worst]])
+        assert outcome(alone, "gap").margin == pytest.approx(outcome(report, "gap").margin, abs=1e-12)
+        assert worst == 1  # the smallest excursion has the smallest gap
+
+    def test_theorem3_names_the_sample_that_set_the_ode_margin(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        # F(s) grows like a s^2, so the ode margin, about 0.02 a, is least
+        # for the smallest profile
+        samples = [a * legendre_mode(grid, 2) for a in (0.1, 0.05, 0.2)]
+        report = check_theorem3(d, tau_samples=samples)
+        assert detail(report, "worst-ode-sample") == 1.0
+        alone = check_theorem3(d, tau_samples=[samples[1]])
+        assert outcome(report, "ode").margin > 1e-4
+        assert outcome(alone, "ode").margin == pytest.approx(outcome(report, "ode").margin, rel=1e-6)
+
+    def test_index_counts_skipped_samples(self):
+        # a sample failing the guard keeps its place in tau_samples
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        report = check_theorem1(d, np.zeros(32), tau_samples=[3.0 * legendre_mode(grid, 4), 0.2 * grid.x])
+        assert detail(report, "skipped-samples") == 1.0
+        assert detail(report, "worst-gap-sample") == 1.0
+
+    def test_no_admitted_sample_gives_minus_one(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        bad = [3.0 * legendre_mode(grid, 4)]
+        assert detail(check_theorem1(d, np.zeros(32), tau_samples=bad), "worst-gap-sample") == -1.0
+        assert detail(check_theorem3(d, tau_samples=bad), "worst-ode-sample") == -1.0
+
+
+class TestScaleInvariantAllowances:
+    """Allowances of margins that are lengths grow with L = max(1, sqrt(area / 4 pi))."""
+
+    LENGTH_CHECKS = {
+        "theorem1": ("closed-form", "gap", "equality"),
+        "theorem3": (
+            "zero-value", "zero-derivative", "ode", "positivity", "monotonicity",
+            "reference-derivative",
+        ),
+    }
+
+    @staticmethod
+    def reports(mass, radius, scale=1.0):
+        # time functions are lengths too: the samples scale with the sphere
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, mass, radius)
+        box = [scale * f for f in coefficient_box(grid)]
+        profiles = [scale * p for p in (0.3 * grid.x, 0.1 * legendre_mode(grid, 2))]
+        return {
+            "theorem1": check_theorem1(d, np.zeros(32), tau_samples=box),
+            "theorem3": check_theorem3(d, tau_samples=profiles),
+        }
+
+    def test_both_suites_pass_at_radius_1e4(self):
+        for name, report in self.reports(0.1, 1e4).items():
+            assert report.passed, name
+
+    def test_length_checks_pass_at_radius_1e8(self):
+        # the strict hypotheses keep their absolute floor of 1e-9: |H0| - |H|
+        # is 2e-17 and the guard's K = 1/r^2 is 1e-16 here, so those fail
+        hypotheses = {"theorem1": {"mean-curvature-gap"}, "theorem3": {"mean-curvature-gap", "guard"}}
+        for name, report in self.reports(0.1, 1e8).items():
+            assert {c.label for c in report.checks if not c.ok} == hypotheses[name]
+
+    def test_allowances_unchanged_up_to_unit_radius(self):
+        for name, report in self.reports(0.2, 1.0).items():
+            allowances = dict(report.tolerances)
+            assert allowances[self.LENGTH_CHECKS[name][0]] in (1e-7, 1e-10), name
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e4])
+    def test_rescaled_sphere_keeps_its_length_check_flags(self, scale):
+        reference = self.reports(0.5, 4.0)
+        for name, report in self.reports(0.5 * scale, 4.0 * scale, scale).items():
+            for label in self.LENGTH_CHECKS[name]:
+                assert outcome(report, label).ok == outcome(reference[name], label).ok, (name, label)
+            if name == "theorem1":
+                assert report.passed == reference[name].passed
+
+    def test_flat_sphere_still_fails_the_strict_hypothesis(self):
+        for name, report in self.reports(0.0, 1e4).items():
+            assert not outcome(report, "mean-curvature-gap").ok, name
 
 
 class TestCheckTheorem1:
