@@ -24,7 +24,7 @@ pieces vanish identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -79,7 +79,7 @@ def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Gauss-Legendre collocation grid in x = cos(theta).
 
@@ -88,6 +88,9 @@ class Grid:
     to 2 and quadrature is exact for polynomials in x of degree
     2 n_nodes - 1.  diff_matrix maps node values to d/dtheta of the
     interpolant; it is exact on polynomials in x of degree n_nodes - 1.
+
+    make_grid shares one Grid per size, so its arrays are read-only and
+    grids compare and hash by identity.
     """
 
     n_nodes: int
@@ -155,12 +158,17 @@ class Grid:
 
 
 def make_grid(n: int) -> Grid:
-    """Build the n-node Gauss-Legendre grid on the sphere.
+    """The shared n-node Gauss-Legendre grid on the sphere.
 
     n must be at least 4, and the differentiation matrix must pass its
     checks on P_{n-1} and, from SMOOTH_CHECK_FROM_N nodes on, on
     e^x sin 3x; accuracy of the curvature operators suggests n >= 16 for
     production work.
+
+    Each size is built and checked once, and every later call returns
+    the same read-only Grid.  The last 8 sizes used are kept; a grid holds
+    three n x n matrices, about 24 n^2 bytes, so at most about 120 MB at
+    n = 789.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"grid size must be an integer, got {n!r}")
@@ -170,7 +178,14 @@ def make_grid(n: int) -> Grid:
         raise InvalidParameterError(
             f"grid size must be at most {MAX_GRID_N} (the differentiation matrix underflows), got {n}"
         )
-    x_asc, w_asc = npleg.leggauss(int(n))
+    # validated before the cache, where 16.0 would find the grid of 16: equal, same hash
+    return _build_grid(int(n))
+
+
+@lru_cache(maxsize=8)
+def _build_grid(n: int) -> Grid:
+    """make_grid for a validated size: build, check and freeze the grid."""
+    x_asc, w_asc = npleg.leggauss(n)
     # ascending theta means descending x
     x = x_asc[::-1].copy()
     w = w_asc[::-1].copy()
@@ -178,9 +193,9 @@ def make_grid(n: int) -> Grid:
     sin_theta = np.sqrt(1.0 - x * x)
     dmat_x = _differentiation_matrix(x)
     dmat_theta = -sin_theta[:, None] * dmat_x
-    vander = npleg.legvander(x, int(n) - 1)
+    vander = npleg.legvander(x, n - 1)
     # D is exact on P_k, k = n - 1, where (1 - x^2) P_k' = k (P_{k-1} - x P_k)
-    k = int(n) - 1
+    k = n - 1
     exact = k * (vander[:, k - 1] - x * vander[:, k])
     checks = [(f"P_{k}'", (1.0 - x * x) * (dmat_x @ vander[:, k]), exact)]
     if n >= SMOOTH_CHECK_FROM_N:
@@ -195,14 +210,14 @@ def make_grid(n: int) -> Grid:
                 f"by {error:.1e} (relative L2), above {DIFF_CHECK_TOL:g}"
             )
     return Grid(
-        n_nodes=int(n),
-        nodes=theta,
-        x=x,
-        sin_theta=sin_theta,
-        weights=w,
-        diff_matrix=dmat_theta,
-        diff_matrix_x=dmat_x,
-        legendre_vandermonde=vander,
+        n_nodes=n,
+        nodes=_read_only(theta),
+        x=_read_only(x),
+        sin_theta=_read_only(sin_theta),
+        weights=_read_only(w),
+        diff_matrix=_read_only(dmat_theta),
+        diff_matrix_x=_read_only(dmat_x),
+        legendre_vandermonde=_read_only(vander),
     )
 
 

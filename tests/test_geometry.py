@@ -1,5 +1,7 @@
 """Grid construction and the intrinsic differential operators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,38 @@ class TestMakeGrid:
     def test_rejects_non_integer(self):
         with pytest.raises(InvalidParameterError):
             make_grid(16.0)
+
+
+class TestSharedGrid:
+    """make_grid builds each size once and hands every caller that Grid."""
+
+    def test_same_size_is_the_same_grid(self):
+        assert make_grid(32) is make_grid(32)
+        assert make_grid(np.int64(32)) is make_grid(32)
+        assert make_grid(16) is not make_grid(32)
+
+    @pytest.mark.parametrize("bad", [16.0, True, np.float64(16.0)])
+    def test_non_integer_rejected_after_the_integer_is_cached(self, bad):
+        # 16.0 == 16 and hash(16.0) == hash(16), so a cache keyed on the
+        # argument would hand back the grid built for 16 or np.int64(16)
+        make_grid(16)
+        make_grid(np.int64(16))
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_grid(bad)
+
+    @pytest.mark.parametrize("n", [790, 862])
+    def test_rejected_size_raises_on_every_call(self, n):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match=f"{n}"):
+                make_grid(n)
+
+    def test_grids_compare_and_hash_by_identity(self):
+        grid = make_grid(8)
+        assert grid == make_grid(8)
+        assert grid != make_grid(16)
+        assert grid != replace(grid)
+        assert {grid: 1}[make_grid(8)] == 1
+        assert len({grid, make_grid(8), make_grid(16)}) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,13 @@ class TestTableRoundTrip:
         assert np.array_equal(back.alpha_H.theta, d.alpha_H.theta)
         assert back.provenance == "file"
 
+    def test_loaded_table_shares_the_grid(self, tmp_path):
+        # a --data run reuses the grid its --grid-n built instead of a second copy
+        d = schwarzschild_sphere(make_grid(24), 1.0, 4.0)
+        path = tmp_path / "sphere.dat"
+        store_physical_data(d, path)
+        assert load_physical_data(path).metric.grid is make_grid(24)
+
     def test_round_trip_generic_data(self, tmp_path):
         grid = make_grid(24)
         rng = np.random.default_rng(9)

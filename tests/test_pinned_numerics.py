@@ -242,3 +242,22 @@ def test_cached_metric_fields_are_read_only(name):
     m = round_sphere(make_grid(16), 2.0)
     with pytest.raises(ValueError):
         getattr(m, name)[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "nodes",
+        "x",
+        "sin_theta",
+        "weights",
+        "diff_matrix",
+        "diff_matrix_x",
+        "legendre_vandermonde",
+    ],
+)
+def test_shared_grid_arrays_are_read_only(name):
+    grid = make_grid(16)
+    assert grid is make_grid(16)
+    with pytest.raises(ValueError):
+        getattr(grid, name)[0] = 0.0
