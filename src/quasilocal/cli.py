@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,11 +145,16 @@ def _tau_on(spec: str, metric: AxisymMetric, field: str = "--tau") -> np.ndarray
 
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
     try:
-        table = np.loadtxt(path)
+        with warnings.catch_warnings():
+            # a table without values is rejected below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path)
     except OSError as exc:
         raise CliValidationError(field, f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
+    if table.size == 0:
+        raise CliValidationError(field, f"{path} holds no values")
     if not np.isfinite(table).all():
         j = int(np.argmin(np.isfinite(table).ravel()))
         raise CliValidationError(field, f"{path}: value {table.ravel()[j]} is not finite")
@@ -290,8 +296,7 @@ def _write_columns(path, first, second, labels) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_energy(args) -> int:
-    grid = _for_flag("--grid-n", make_grid, args.grid_n)
+def cmd_energy(args, grid: Grid) -> int:
     d, echo = require_data(args, grid)
     tau = _tau_on(args.tau, d.metric)
     at_tau = evaluate(d.metric, tau)
@@ -309,8 +314,7 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def cmd_residual(args) -> int:
-    grid = _for_flag("--grid-n", make_grid, args.grid_n)
+def cmd_residual(args, grid: Grid) -> int:
     d, echo = require_data(args, grid)
     tau = _tau_on(args.tau, d.metric)
     field = residual(d, tau)
@@ -346,8 +350,7 @@ def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
     return init
 
 
-def cmd_minimize(args) -> int:
-    grid = _for_flag("--grid-n", make_grid, args.grid_n)
+def cmd_minimize(args, grid: Grid) -> int:
     d, echo = require_data(args, grid)
     init = _initial_coefficients(args, d.metric)
     report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
@@ -376,8 +379,7 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    grid = _for_flag("--grid-n", make_grid, args.grid_n)
+def cmd_verify(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
     if d is None and args.suite not in ("identities", "lemma41"):
         raise CliValidationError(
@@ -397,8 +399,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_gen_data(args) -> int:
-    grid = _for_flag("--grid-n", make_grid, args.grid_n)
+def cmd_gen_data(args, grid: Grid) -> int:
     d, echo = require_data(args, grid)
     if not args.out:
         raise CliValidationError("--out", "gen-data needs an output path")
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
     except (CliValidationError, FieldShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,10 @@ lifts the picture to Minkowski space R^{3,1}: the graph
 over the revolution surface of sigma + dtau x dtau is an isometric
 embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 
+An Evaluation is that lift: one time function tau, or a (k, n) stack of
+them, on one metric, whose derivatives, projected surface, reference
+integral and extrinsic data are each computed at most once, when first
+read.  embed_lifted builds one and checks that its projection embeds.
 Every function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
@@ -40,12 +44,16 @@ import numpy as np
 
 from .geometry import (
     AxisymMetric,
+    InvalidParameterError,
     OneForm,
     SymTensorField,
     _at,
     _check_field,
+    _hessian,
+    _norm_sq,
+    _pairing,
     divergence_from_x_component,
-    laplacian,
+    integrate_surface,
     sin_factored_theta_derivative,
 )
 
@@ -149,20 +157,6 @@ class RevolutionSurface:
 
 
 @dataclass(frozen=True)
-class LorentzSurface:
-    """Spacelike graph in R^{3,1} over a revolution surface.
-
-    base_metric is the induced metric sigma of the graph itself; the
-    projected surface embeds sigma + dtau x dtau.  tau_theta is dtau/dtheta.
-    """
-
-    base_metric: AxisymMetric
-    tau: np.ndarray
-    tau_theta: np.ndarray
-    projected: RevolutionSurface
-
-
-@dataclass(frozen=True)
 class ExtrinsicData:
     """Extrinsic invariants of a lifted surface.
 
@@ -180,6 +174,80 @@ class ExtrinsicData:
     alpha_H: OneForm
     breve_h: np.ndarray
     breve_alpha: OneForm
+
+
+class Evaluation:
+    """The lift of (metric, tau) to Minkowski space, each derived field computed once.
+
+    tau is one field of node values or a (k, n) stack of fields; the
+    metric is shared by every row.  The derivatives of tau, the projected
+    revolution surface, which embeds sigma + dtau x dtau, its total mean
+    curvature and the lift's extrinsic data are computed when first read
+    and then kept.  Quantities that depend on physical data are formulas
+    of the energy module and are not kept.
+    """
+
+    def __init__(self, metric: AxisymMetric, tau: np.ndarray):
+        self.metric = metric
+        self.tau = _check_field(metric.grid, tau, "tau")
+
+    @cached_property
+    def tau_theta(self) -> np.ndarray:
+        return self.metric.grid.dtheta(self.tau)
+
+    @cached_property
+    def tau_x(self) -> np.ndarray:
+        return self.metric.grid.dx(self.tau)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """|grad tau|^2."""
+        return _norm_sq(self.metric, self.tau_theta)
+
+    @cached_property
+    def s1(self) -> np.ndarray:
+        """sqrt(1 + |grad tau|^2)."""
+        return np.sqrt(1.0 + self.grad_sq)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        """Laplacian of tau."""
+        return divergence_from_x_component(self.metric, -self.tau_x)
+
+    @cached_property
+    def hess(self) -> SymTensorField:
+        """Covariant Hessian of tau."""
+        return _hessian(self.metric, self.tau_x)
+
+    @cached_property
+    def projected(self) -> RevolutionSurface:
+        """The revolution surface of sigma + dtau x dtau, profile sqrt(P^2 + tau_theta^2)."""
+        m = self.metric
+        return embed_r3(m.with_P(np.sqrt(m.P**2 + self.tau_theta**2)))
+
+    @cached_property
+    def reference(self) -> float | np.ndarray:
+        """Total mean curvature of the projected surface."""
+        proj = self.projected
+        return integrate_surface(proj.metric, mean_curvature(proj))
+
+    @cached_property
+    def extrinsic(self) -> ExtrinsicData:
+        return extrinsic_data(self)
+
+    def pairing(self, alpha: OneForm) -> np.ndarray:
+        """alpha(grad tau)."""
+        a = _check_field(self.metric.grid, alpha.theta, "alpha.theta")
+        return _pairing(self.metric, a, self.tau_theta)
+
+
+def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:
+    """The Evaluation of tau on m; tau itself when it already is one."""
+    if not isinstance(tau, Evaluation):
+        return Evaluation(m, tau)
+    if tau.metric is not m:
+        raise InvalidParameterError("the evaluation belongs to a different metric")
+    return tau
 
 
 def embed_r3(m: AxisymMetric) -> RevolutionSurface:
@@ -239,23 +307,23 @@ def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
     return (surf.hhat.theta_theta / P**2) * (surf.w / (surf.metric.Q * P))
 
 
-def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> LorentzSurface:
-    """Lift (m, tau) to a spacelike graph in Minkowski space."""
-    g = m.grid
-    tau = _check_field(g, tau, "tau")
-    tau_theta = g.dtheta(tau)
-    p_hat = np.sqrt(m.P**2 + tau_theta**2)
-    projected = embed_r3(m.with_P(p_hat))
-    return LorentzSurface(base_metric=m, tau=tau, tau_theta=tau_theta, projected=projected)
+def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> Evaluation:
+    """Lift (m, tau) to a spacelike graph in Minkowski space.
+
+    Raises NonEmbeddableError at once when the projection does not embed.
+    """
+    lift = Evaluation(m, tau)
+    lift.projected
+    return lift
 
 
-def minkowski_isometry_residual(surf: LorentzSurface) -> np.ndarray:
+def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
     """Pointwise defect -tau'^2 + u'^2 + v_tilde'^2 - P^2."""
-    vt_theta = surf.base_metric.grid.dtheta(surf.projected.v)
-    return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.base_metric.P**2
+    vt_theta = surf.metric.grid.dtheta(surf.projected.v)
+    return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.metric.P**2
 
 
-def _lift_laplacians(surf: LorentzSurface):
+def _lift_laplacians(surf: Evaluation):
     """Laplacians of the R^{3,1} coordinates of the lift, w.r.t. sigma.
 
     Returns (Lu, Delta v_tilde, Delta tau) where Lu is the common factor
@@ -264,17 +332,16 @@ def _lift_laplacians(surf: LorentzSurface):
     diverging pieces cancel analytically and the remainder vanishes at
     the poles like sin(theta).
     """
-    m = surf.base_metric
+    m = surf.metric
     g = m.grid
     proj = surf.projected
     b = m.Q * proj.u_prime / m.P
     lu = (sin_factored_theta_derivative(g, b) - m.P) / (m.P * m.Q * g.sin_theta)
     lap_vt = divergence_from_x_component(m, proj.w)
-    lap_tau = laplacian(m, surf.tau)
-    return lu, lap_vt, lap_tau
+    return lu, lap_vt, surf.lap
 
 
-def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
+def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
     """Extrinsic invariants of the lift, on the phi = 0 slice.
 
     In coordinates (t, y1, y2, z) with signature (-+++) the surface
@@ -297,7 +364,7 @@ def extrinsic_data(surf: LorentzSurface) -> ExtrinsicData:
     field is attached to the error) and GaugeOrientationError if
     breve_h >= 0 somewhere, which would put H outside the frame wedge.
     """
-    m = surf.base_metric
+    m = surf.metric
     g = m.grid
     proj = surf.projected
     p_hat = proj.metric.P

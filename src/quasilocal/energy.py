@@ -22,20 +22,21 @@ arbitrary normal gauge via the generalized mean curvature
 h = -sqrt(1+|grad f|^2) <H, e3> - alpha_{e3}(grad f); the energy proper
 is recovered in the canonical gauge of f.
 
-Every formula here reads its inputs from an Evaluation: one time
-function, or a (k, n) stack of them, on one metric, whose derivatives,
-lift, reference integral and extrinsic data are each computed at most
-once.  For a stack every operator is one matrix product over the rows,
-and each result gains a leading axis of length k.  The module functions
-accept either a node-value array or an Evaluation of the same metric, so
-a caller that needs the guard, the energy and the residual at one tau
-builds the lift once by passing one Evaluation to all three.
+Every formula here reads its inputs from an Evaluation (defined in the
+embedding module and importable from here): the lift of one time
+function, or of a (k, n) stack of them, on one metric, whose
+derivatives, projected surface, reference integral and extrinsic data
+are each computed at most once.  For a stack every operator is one
+matrix product over the rows, and each result gains a leading axis of
+length k.  Each formula is one function that accepts either a node-value
+array or an Evaluation of the same metric, so a caller that needs the
+guard, the energy and the residual at one tau builds the lift once by
+passing one Evaluation to all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,15 +45,10 @@ from .geometry import (
     AxisymMetric,
     InvalidParameterError,
     OneForm,
-    _check_field,
-    _hat_gauss_curvature,
-    _hessian,
-    _norm_sq,
-    _pairing,
     divergence_from_x_component,
     integrate_surface,
 )
-from .embedding import ExtrinsicData, LorentzSurface, embed_lifted, extrinsic_data, mean_curvature
+from .embedding import Evaluation, evaluate
 
 if TYPE_CHECKING:
     from .physdata import PhysicalData
@@ -80,169 +76,6 @@ class GaugeData:
     inner_h: np.ndarray
     alpha: OneForm
 
-    @classmethod
-    def breve(cls, data: ExtrinsicData) -> GaugeData:
-        """Gauge of the translated outward normal, from the lift's data."""
-        return cls(inner_h=data.breve_h, alpha=data.breve_alpha)
-
-
-class Evaluation:
-    """A time function tau on a metric, each derived field computed once.
-
-    tau is one field of node values or a (k, n) stack of fields; the
-    metric is shared by every row.  The derivatives of tau, the lift of
-    (metric, tau), the total mean curvature of its projection and its
-    extrinsic data are computed when first read and then kept.
-    Quantities that depend on the physical data take the data as an
-    argument and are not kept.
-    """
-
-    def __init__(self, metric: AxisymMetric, tau: np.ndarray):
-        self.metric = metric
-        self.tau = _check_field(metric.grid, tau, "tau")
-
-    @cached_property
-    def tau_theta(self) -> np.ndarray:
-        return self.metric.grid.dtheta(self.tau)
-
-    @cached_property
-    def tau_x(self) -> np.ndarray:
-        return self.metric.grid.dx(self.tau)
-
-    @cached_property
-    def grad_sq(self) -> np.ndarray:
-        """|grad tau|^2."""
-        return _norm_sq(self.metric, self.tau_theta)
-
-    @cached_property
-    def s1(self) -> np.ndarray:
-        """sqrt(1 + |grad tau|^2)."""
-        return np.sqrt(1.0 + self.grad_sq)
-
-    @cached_property
-    def lap(self) -> np.ndarray:
-        """Laplacian of tau."""
-        return divergence_from_x_component(self.metric, -self.tau_x)
-
-    @cached_property
-    def hess(self):
-        """Covariant Hessian of tau."""
-        return _hessian(self.metric, self.tau_x)
-
-    @cached_property
-    def lift(self) -> LorentzSurface:
-        return embed_lifted(self.metric, self.tau)
-
-    @cached_property
-    def reference(self) -> float | np.ndarray:
-        """Total mean curvature of the projected surface of the lift."""
-        proj = self.lift.projected
-        return integrate_surface(proj.metric, mean_curvature(proj))
-
-    @cached_property
-    def extrinsic(self) -> ExtrinsicData:
-        return extrinsic_data(self.lift)
-
-    def pairing(self, alpha: OneForm) -> np.ndarray:
-        """alpha(grad tau)."""
-        a = _check_field(self.metric.grid, alpha.theta, "alpha.theta")
-        return _pairing(self.metric, a, self.tau_theta)
-
-    def boost_angle(self, d: PhysicalData):
-        """cosh of the boost angle and the angle itself.
-
-        sinh(theta) = -Dtau / (|H| sqrt(1+|grad tau|^2)); cosh is computed
-        from sinh directly rather than through the angle.
-        """
-        sh = -self.lap / (d.norm_H * self.s1)
-        return np.sqrt(1.0 + sh * sh), np.arcsinh(sh)
-
-    def qle(self, d: PhysicalData) -> EnergyBreakdown:
-        s1, lap = self.s1, self.lap
-        integrand = (
-            np.sqrt(s1 * s1 * d.norm_H**2 + lap * lap)
-            - lap * np.arcsinh(lap / (d.norm_H * s1))
-            - self.pairing(d.alpha_H)
-        )
-        return EnergyBreakdown(
-            reference_term=self.reference,
-            physical_term=integrate_surface(self.metric, integrand),
-        )
-
-    def qle_angle_form(self, d: PhysicalData) -> EnergyBreakdown:
-        ch, angle = self.boost_angle(d)
-        angle_form = OneForm(theta=self.metric.grid.dtheta(angle))
-        integrand = (
-            self.s1 * ch * d.norm_H
-            - self.pairing(angle_form)
-            - self.pairing(d.alpha_H)
-        )
-        return EnergyBreakdown(
-            reference_term=self.reference,
-            physical_term=integrate_surface(self.metric, integrand),
-        )
-
-    def residual(self, d: PhysicalData) -> np.ndarray:
-        """See residual.
-
-        The azimuthal contractions are formed with the sin(theta) factors
-        cancelled analytically: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) and
-        hhat_pp Hess_pp / (Q sin)^4 = -w u' tau_x / (P_hat P^2 Q^2) with
-        w = v_tilde'/sin, so every field stays smooth through the poles.
-        """
-        m = self.metric
-        grid = m.grid
-        data = self.extrinsic
-        proj = self.lift.projected
-        p_hat = proj.metric.P
-
-        s1 = self.s1
-        tau_x = self.tau_x
-        hess_tt = self.hess.theta_theta
-        u_prime = proj.u_prime
-
-        hess_pp_scaled = -u_prime * tau_x / (m.P**2 * m.Q)
-        cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
-        trace_term = (
-            data.Hhat * (hess_tt / p_hat**2 + hess_pp_scaled)
-            - data.hhat.theta_theta * hess_tt / p_hat**4
-            - cross_pp_scaled
-        )
-
-        ch, angle = self.boost_angle(d)
-        # one-form components with the sin(theta) factor divided out, as
-        # divergence_from_x_component expects: grad(theta)/sin = -dx(angle)
-        flux = (
-            -tau_x * ch * d.norm_H / s1
-            + grid.dx(angle)
-            - d.alpha_H.theta / grid.sin_theta
-        )
-        return -trace_term / s1 + divergence_from_x_component(m, flux)
-
-    def convexity_guard(self) -> float | np.ndarray:
-        """See optimize.convexity_guard."""
-        k_hat = _hat_gauss_curvature(self.metric, self.hess.theta_theta, self.tau_x, self.grad_sq)
-        scaled = k_hat * (1.0 + self.grad_sq)
-        worst = np.minimum(
-            np.minimum(k_hat.min(axis=-1), self.metric.K.min()), scaled.min(axis=-1)
-        )
-        return float(worst) if worst.ndim == 0 else worst
-
-    def generalized_mean_curvature(self, g: GaugeData) -> np.ndarray:
-        return -self.s1 * g.inner_h - self.pairing(g.alpha)
-
-    def tilde_energy(self, g: GaugeData) -> float | np.ndarray:
-        return self.reference - integrate_surface(self.metric, self.generalized_mean_curvature(g))
-
-
-def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:
-    """The Evaluation of tau on m; tau itself when it already is one."""
-    if not isinstance(tau, Evaluation):
-        return Evaluation(m, tau)
-    if tau.metric is not m:
-        raise InvalidParameterError("the evaluation belongs to a different metric")
-    return tau
-
 
 def reference_mean_curvature_integral(
     m: AxisymMetric, tau: np.ndarray | Evaluation
@@ -251,13 +84,33 @@ def reference_mean_curvature_integral(
     return evaluate(m, tau).reference
 
 
+def _boost_angle(ev: Evaluation, d: PhysicalData):
+    """cosh of the boost angle and the angle itself.
+
+    sinh(theta) = -Dtau / (|H| sqrt(1+|grad tau|^2)); cosh is computed
+    from sinh directly rather than through the angle.
+    """
+    sh = -ev.lap / (d.norm_H * ev.s1)
+    return np.sqrt(1.0 + sh * sh), np.arcsinh(sh)
+
+
 def qle(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreakdown:
     """Quasi-local energy of the data at the time function tau.
 
     No 1/(8pi) normalization is applied; reports may rescale for display
     but every stored/compared value is the bare surface integral.
     """
-    return evaluate(d.metric, tau).qle(d)
+    ev = evaluate(d.metric, tau)
+    s1, lap = ev.s1, ev.lap
+    integrand = (
+        np.sqrt(s1 * s1 * d.norm_H**2 + lap * lap)
+        - lap * np.arcsinh(lap / (d.norm_H * s1))
+        - ev.pairing(d.alpha_H)
+    )
+    return EnergyBreakdown(
+        reference_term=ev.reference,
+        physical_term=integrate_surface(d.metric, integrand),
+    )
 
 
 def qle_angle_form(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreakdown:
@@ -267,19 +120,28 @@ def qle_angle_form(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreak
     standing cross-check that the discrete quadrature and differentiation
     are mutually consistent.
     """
-    return evaluate(d.metric, tau).qle_angle_form(d)
+    ev = evaluate(d.metric, tau)
+    ch, angle = _boost_angle(ev, d)
+    angle_form = OneForm(theta=d.metric.grid.dtheta(angle))
+    integrand = ev.s1 * ch * d.norm_H - ev.pairing(angle_form) - ev.pairing(d.alpha_H)
+    return EnergyBreakdown(
+        reference_term=ev.reference,
+        physical_term=integrate_surface(d.metric, integrand),
+    )
 
 
 def generalized_mean_curvature(
     g: GaugeData, m: AxisymMetric, f: np.ndarray | Evaluation
 ) -> np.ndarray:
     """h = -sqrt(1+|grad f|^2) <H, e3> - alpha_{e3}(grad f)."""
-    return evaluate(m, f).generalized_mean_curvature(g)
+    ev = evaluate(m, f)
+    return -ev.s1 * g.inner_h - ev.pairing(g.alpha)
 
 
-def breve_gauge(surf: LorentzSurface) -> GaugeData:
+def breve_gauge(lift: Evaluation) -> GaugeData:
     """Gauge of the translated outward normal of the projected surface."""
-    return GaugeData.breve(extrinsic_data(surf))
+    data = lift.extrinsic
+    return GaugeData(inner_h=data.breve_h, alpha=data.breve_alpha)
 
 
 def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
@@ -290,7 +152,7 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
     angle differential.  In this gauge the gauge energy of tau equals
     the quasi-local energy.
     """
-    ch, angle = evaluate(d.metric, tau).boost_angle(d)
+    ch, angle = _boost_angle(evaluate(d.metric, tau), d)
     return GaugeData(
         inner_h=-ch * d.norm_H,
         alpha=OneForm(theta=d.alpha_H.theta + d.metric.grid.dtheta(angle)),
@@ -298,15 +160,17 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
 
 
 def tilde_energy(
-    surface: LorentzSurface, g: GaugeData, f: np.ndarray | Evaluation
+    lift: Evaluation, g: GaugeData, f: np.ndarray | Evaluation
 ) -> float | np.ndarray:
     """Gauge energy: reference term of f minus the integral of h(g, f).
 
-    The surface supplies the base metric; the gauge carries all frame
+    The lift supplies the base metric; the gauge carries all frame
     dependence, so any frame on any lift of the same metric can be
     compared against the same family of time functions f.
     """
-    return evaluate(surface.base_metric, f).tilde_energy(g)
+    m = lift.metric
+    ev = evaluate(m, f)
+    return ev.reference - integrate_surface(m, generalized_mean_curvature(g, m, ev))
 
 
 def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
@@ -319,8 +183,41 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
                - grad(theta) - alpha_H ]
     with shat the projected-surface metric and Hess the covariant Hessian
     of the base metric.  Critical time functions make this vanish.
+
+    The azimuthal contractions are formed with the sin(theta) factors
+    cancelled analytically: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) and
+    hhat_pp Hess_pp / (Q sin)^4 = -w u' tau_x / (P_hat P^2 Q^2) with
+    w = v_tilde'/sin, so every field stays smooth through the poles.
     """
-    return evaluate(d.metric, tau).residual(d)
+    m = d.metric
+    grid = m.grid
+    ev = evaluate(m, tau)
+    data = ev.extrinsic
+    proj = ev.projected
+    p_hat = proj.metric.P
+
+    s1 = ev.s1
+    tau_x = ev.tau_x
+    hess_tt = ev.hess.theta_theta
+    u_prime = proj.u_prime
+
+    hess_pp_scaled = -u_prime * tau_x / (m.P**2 * m.Q)
+    cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
+    trace_term = (
+        data.Hhat * (hess_tt / p_hat**2 + hess_pp_scaled)
+        - data.hhat.theta_theta * hess_tt / p_hat**4
+        - cross_pp_scaled
+    )
+
+    ch, angle = _boost_angle(ev, d)
+    # one-form components with the sin(theta) factor divided out, as
+    # divergence_from_x_component expects: grad(theta)/sin = -dx(angle)
+    flux = (
+        -tau_x * ch * d.norm_H / s1
+        + grid.dx(angle)
+        - d.alpha_H.theta / grid.sin_theta
+    )
+    return -trace_term / s1 + divergence_from_x_component(m, flux)
 
 
 def comparison_f(x, x0: float, h_big: float, h_small: float):

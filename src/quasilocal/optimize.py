@@ -11,9 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AxisymMetric, FieldShapeError, integrate_surface
-from .embedding import GaugeOrientationError, NonEmbeddableError, NonSpacelikeMeanCurvatureError
-from .energy import Evaluation, evaluate, qle, residual
+from .geometry import AxisymMetric, FieldShapeError, _hat_gauss_curvature, integrate_surface
+from .embedding import (
+    Evaluation,
+    GaugeOrientationError,
+    NonEmbeddableError,
+    NonSpacelikeMeanCurvatureError,
+    evaluate,
+)
+from .energy import qle, residual
 from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
@@ -81,7 +87,11 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
     a measurement, not an error.  A (k, n) stack of time functions gets
     one margin per row; the guard never builds a lift.
     """
-    return evaluate(m, tau).convexity_guard()
+    ev = evaluate(m, tau)
+    k_hat = _hat_gauss_curvature(m, ev.hess.theta_theta, ev.tau_x, ev.grad_sq)
+    scaled = k_hat * (1.0 + ev.grad_sq)
+    worst = np.minimum(np.minimum(k_hat.min(axis=-1), m.K.min()), scaled.min(axis=-1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:

@@ -34,7 +34,7 @@ from .geometry import (
     make_grid,
     round_sphere,
 )
-from .energy import Evaluation, evaluate
+from .embedding import Evaluation, evaluate
 
 COLUMNS = ("theta", "P", "Q", "normH", "alpha_theta")
 
@@ -140,6 +140,8 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     except ValueError:
         raise DataFormatError(f"malformed grid declaration {lines[0]!r}") from None
 
+    if len(lines) < 2:
+        raise DataFormatError(f"missing header line naming the columns {' '.join(COLUMNS)}")
     header = tuple(_split_row(lines[1]))
     if header != COLUMNS:
         raise DataFormatError(

@@ -44,9 +44,9 @@ from .geometry import (
     integrate_surface,
     sin_factored_theta_derivative,
 )
-from .embedding import embed_r3, mean_curvature
+from .embedding import embed_r3, evaluate, mean_curvature
 from .physdata import PhysicalData, minkowski_surface_data
-from .energy import GaugeData, evaluate, qle, residual, tilde_energy
+from .energy import breve_gauge, generalized_mean_curvature, qle, residual, tilde_energy
 from .optimize import convexity_guard
 
 # a strict hypothesis must clear this floor; discretization noise in the
@@ -224,7 +224,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     g = m.grid
     ev = evaluate(m, tau)
     data = ev.extrinsic
-    proj = ev.lift.projected
+    proj = ev.projected
     p_hat = proj.metric.P
     tau_theta = ev.tau_theta
     s1 = ev.s1
@@ -237,7 +237,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     defect = (w_v * ev.lap + taux * divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
-    h_gen = ev.generalized_mean_curvature(GaugeData.breve(data))
+    h_gen = generalized_mean_curvature(breve_gauge(ev), m, ev)
     prop_dev = np.max(np.abs(h_gen / s1 - data.Hhat))
 
     alpha_pair = ev.pairing(data.breve_alpha)
@@ -295,7 +295,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
 
     ev = evaluate(m, tau)
     data = ev.extrinsic
-    p_hat = ev.lift.projected.metric.P
+    p_hat = ev.projected.metric.P
     s1 = ev.s1
     tau_up = ev.tau_theta / m.P**2
     alpha_pair = ev.pairing(data.breve_alpha)
@@ -310,7 +310,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
     step = 1e-4
     count = len(variations)
     perturbed = np.concatenate([ev.tau + step * variations, ev.tau - step * variations])
-    energies = tilde_energy(ev.lift, GaugeData.breve(data), perturbed)
+    energies = tilde_energy(ev, breve_gauge(ev), perturbed)
     derivatives = (energies[:count] - energies[count:]) / (2.0 * step)
     checks = [CheckOutcome("flux", -flux_dev, 1e-8)]
     checks += [

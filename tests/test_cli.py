@@ -1,5 +1,7 @@
 """Command line behavior: parsing, exit codes, report determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,19 @@ class TestNonFiniteInput:
         argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
         self.expect_rejected(argv, "--tau", capsys)
 
+    @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
+    def test_tau_file_without_values_is_one_error_line(self, text, tmp_path, capsys):
+        path = tmp_path / "tau.txt"
+        path.write_text(text)
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tau: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestEachFlagIsRead:
     """A subcommand accepts only the flags it reads."""
@@ -332,15 +347,17 @@ class TestGridSizeLimit:
 class TestFlagBoundary:
     """Each rejected input or path exits 1 with the name of its flag.
 
-    Commands run in a directory holding a valid table (t.dat), a
-    directory (adir) and a file that is not text (bin.dat); nodir does
-    not exist, so nothing can be written under it.
+    Commands run in a directory holding a valid table (t.dat), a table
+    with its grid declaration alone (one.dat), a directory (adir) and a
+    file that is not text (bin.dat); nodir does not exist, so nothing can
+    be written under it.
     """
 
     CASES = [
         (["energy", "--data", "nope.dat"], "--data"),
         (["energy", "--data", "adir"], "--data"),
         (["energy", "--data", "bin.dat"], "--data"),
+        (["energy", "--data", "one.dat"], "--data"),
         (["energy", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
         (["energy", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out"),
         (["residual", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
@@ -375,6 +392,7 @@ class TestFlagBoundary:
     def test_rejected_input_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         store_physical_data(schwarzschild_sphere(make_grid(32), 1.0, 4.0), "t.dat")
+        (tmp_path / "one.dat").write_text("# n=32\n")
         (tmp_path / "adir").mkdir()
         (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
         assert main(argv) == 1

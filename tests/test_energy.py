@@ -1,12 +1,15 @@
 """Energy functional, gauge energy, residual, and the comparison scalar."""
 
+import sys
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from conftest import legendre_mode, regular_random_metric, random_time_profile
+from quasilocal import geometry
 from quasilocal.geometry import (
+    Grid,
     InvalidParameterError,
     OneForm,
     integrate_surface,
@@ -126,8 +129,39 @@ class TestMeanCurvatureOnce:
         reference = at_tau.reference
         hhat = at_tau.extrinsic.Hhat
         assert len(calls) == 1
-        assert calls[0] is at_tau.lift.projected
+        assert calls[0] is at_tau.projected
         assert reference == integrate_surface(calls[0].metric, hhat)
+
+
+class TestDerivativesOnce:
+    def test_qle_and_residual_share_tau_theta_and_the_laplacian(self, monkeypatch):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        ev = evaluate(d.metric, generic_tau(grid))
+
+        dtheta = Grid.dtheta
+        of_tau = []
+
+        def counting_dtheta(self, f):
+            if f is ev.tau:
+                of_tau.append(None)
+            return dtheta(self, f)
+
+        laplacian = geometry.laplacian
+        laplacians = []
+
+        def counting_laplacian(m, f):
+            laplacians.append(None)
+            return laplacian(m, f)
+
+        monkeypatch.setattr(Grid, "dtheta", counting_dtheta)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "quasilocal" and getattr(module, "laplacian", None) is laplacian:
+                monkeypatch.setattr(module, "laplacian", counting_laplacian)
+        qle(d, ev)
+        residual(d, ev)
+        assert len(of_tau) == 1
+        assert laplacians == []
 
 
 class TestFormEquivalence:
@@ -153,7 +187,7 @@ class TestGeneralizedMeanCurvature:
         for radius in (1.0, 2.5):
             grid = make_grid(32)
             lift = embed_lifted(round_sphere(grid, radius), np.zeros(32))
-            h = generalized_mean_curvature(breve_gauge(lift), lift.base_metric, np.zeros(32))
+            h = generalized_mean_curvature(breve_gauge(lift), lift.metric, np.zeros(32))
             assert np.max(np.abs(h - 2.0 / radius)) <= 1e-11
 
     def test_constant_argument_matches_zero(self):

@@ -214,6 +214,12 @@ class TestTableRoundTrip:
         with pytest.raises(DataFormatError, match="declaration"):
             load_physical_data(path)
 
+    def test_missing_header_rejected(self, tmp_path):
+        path = tmp_path / "table.dat"
+        path.write_text("# n=32\n")
+        with pytest.raises(DataFormatError, match="missing header"):
+            load_physical_data(path)
+
     def test_node_mismatch_rejected(self, tmp_path):
         rows = self._valid_rows()
         parts = rows[4].split()

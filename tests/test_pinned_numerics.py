@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-import quasilocal.energy as energy_module
+import quasilocal.embedding as embedding_module
 from quasilocal.geometry import AxisymMetric, make_grid, round_sphere
 from quasilocal.optimize import TauCoefficients, minimize_energy
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
@@ -224,13 +224,13 @@ def test_stalled_run_stops_at_the_rounding_floor(monkeypatch):
     build, start = INPUTS["stalled-lift"]
     d = build()
     lifted = []
-    original = energy_module.embed_lifted
+    original = embedding_module.embed_r3
 
-    def counting_embed_lifted(m, tau):
+    def counting_embed_r3(m):
         lifted.append(None)
-        return original(m, tau)
+        return original(m)
 
-    monkeypatch.setattr(energy_module, "embed_lifted", counting_embed_lifted)
+    monkeypatch.setattr(embedding_module, "embed_r3", counting_embed_r3)
     report = minimize_energy(d, TauCoefficients(start), max_iterations=MAX_ITERATIONS)
     assert report.stop == "rounding-floor"
     assert report.iterations < MAX_ITERATIONS

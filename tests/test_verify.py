@@ -185,13 +185,13 @@ class TestTheorem3SharesEachSample:
         # s = 1 rows also serve the monotonicity energies
         grid = make_grid(32)
         rows = []
-        original = quasilocal.energy.embed_lifted
+        original = quasilocal.embedding.embed_r3
 
-        def counting(m, tau):
-            rows.append(np.atleast_2d(tau).shape[0])
-            return original(m, tau)
+        def counting(m):
+            rows.append(np.atleast_2d(m.P).shape[0])
+            return original(m)
 
-        monkeypatch.setattr(quasilocal.energy, "embed_lifted", counting)
+        monkeypatch.setattr(quasilocal.embedding, "embed_r3", counting)
         report = check_theorem3(schwarzschild_sphere(grid, 1.0, 4.0))
         assert report.passed
         assert rows == [1, report.samples * len(chebyshev_s_grid())]
