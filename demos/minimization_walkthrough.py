@@ -45,6 +45,9 @@ def main():
     print(f"E* - E(0) = {report.energy_star - flat:+.3e}, "
           f"residual norm {report.residual_norm:.2e}, "
           f"gradient calibration {report.calibration_rel_error:.2e}")
+    # the least eigenvalue of the coefficient Hessian: the discrete second
+    # variation, positive at a strict local minimum
+    print(f"stop = {report.stop}, hessian_min_eigenvalue = {report.hessian_min_eigenvalue:.7f}")
 
     steep = TauCoefficients((0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     try:

@@ -363,6 +363,7 @@ def cmd_minimize(args, grid: Grid) -> int:
         f"residual_norm = {_fmt(report.residual_norm)}",
         f"guard_active = {'true' if report.guard_active else 'false'}",
         f"calibration_rel_error = {_fmt(report.calibration_rel_error)}",
+        f"hessian_min_eigenvalue = {_fmt(report.hessian_min_eigenvalue)}",
     ]
     body.extend(
         f"coefficient.P{i} = {_fmt(c)}" for i, c in enumerate(report.tau_star.coeffs, start=1)
@@ -456,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _add_command(commands, "minimize", "minimize the energy", cmd_minimize)
     sub.add_argument("--tau", default="zero", help="initial time function (see grammar below)")
-    sub.add_argument("--tol", type=float, default=1e-7, help="gradient norm target (default 1e-7)")
+    sub.add_argument("--tol", type=float, default=1e-7,
+                     help="gradient norm below which the run stops (default 1e-7); it also stops "
+                          "when the Newton decrement falls below the energy's rounding floor")
     sub.add_argument("--max-iterations", type=int, default=500)
     sub.add_argument("--modes", type=int, default=8, help="Legendre modes optimized (default 8)")
     sub.add_argument("--columns", default=None, help="write 'iteration energy' rows to this path")

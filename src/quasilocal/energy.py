@@ -183,6 +183,19 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
                - grad(theta) - alpha_H ]
     with shat the projected-surface metric and Hess the covariant Hessian
     of the base metric.  Critical time functions make this vanish.
+    """
+    ev = evaluate(d.metric, tau)
+    trace_part, flux = _stationarity_terms(d, ev)
+    return trace_part + divergence_from_x_component(d.metric, flux)
+
+
+def _stationarity_terms(d: PhysicalData, ev: Evaluation):
+    """The residual's trace term and the flux omega whose divergence completes it.
+
+    residual = trace term + div W, with W the one-form whose dtheta
+    component is sin(theta) omega, as divergence_from_x_component expects.
+    The coefficient gradient pairs the trace term with the modes and omega
+    with the mode derivatives, so each formula is defined here once.
 
     The azimuthal contractions are formed with the sin(theta) factors
     cancelled analytically: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) and
@@ -191,7 +204,6 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
     """
     m = d.metric
     grid = m.grid
-    ev = evaluate(m, tau)
     data = ev.extrinsic
     proj = ev.projected
     p_hat = proj.metric.P
@@ -210,14 +222,13 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
     )
 
     ch, angle = _boost_angle(ev, d)
-    # one-form components with the sin(theta) factor divided out, as
-    # divergence_from_x_component expects: grad(theta)/sin = -dx(angle)
+    # grad(theta)/sin = -dx(angle)
     flux = (
         -tau_x * ch * d.norm_H / s1
         + grid.dx(angle)
         - d.alpha_H.theta / grid.sin_theta
     )
-    return -trace_term / s1 + divergence_from_x_component(m, flux)
+    return -trace_term / s1, flux
 
 
 def comparison_f(x, x0: float, h_big: float, h_small: float):

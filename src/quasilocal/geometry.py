@@ -88,6 +88,8 @@ class Grid:
     to 2 and quadrature is exact for polynomials in x of degree
     2 n_nodes - 1.  diff_matrix maps node values to d/dtheta of the
     interpolant; it is exact on polynomials in x of degree n_nodes - 1.
+    Column l of legendre_vandermonde holds P_l at the nodes, and column l
+    of legendre_vandermonde_dx holds P_l' (diff_matrix_x applied to it).
 
     make_grid shares one Grid per size, so its arrays are read-only and
     grids compare and hash by identity.
@@ -101,6 +103,7 @@ class Grid:
     diff_matrix: np.ndarray
     diff_matrix_x: np.ndarray
     legendre_vandermonde: np.ndarray = field(repr=False)
+    legendre_vandermonde_dx: np.ndarray = field(repr=False)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
@@ -167,7 +170,7 @@ def make_grid(n: int) -> Grid:
 
     Each size is built and checked once, and every later call returns
     the same read-only Grid.  The last 8 sizes used are kept; a grid holds
-    three n x n matrices, about 24 n^2 bytes, so at most about 120 MB at
+    four n x n matrices, about 32 n^2 bytes, so at most about 160 MB at
     n = 789.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -218,6 +221,7 @@ def _build_grid(n: int) -> Grid:
         diff_matrix=_read_only(dmat_theta),
         diff_matrix_x=_read_only(dmat_x),
         legendre_vandermonde=_read_only(vander),
+        legendre_vandermonde_dx=_read_only(dmat_x @ vander),
     )
 
 

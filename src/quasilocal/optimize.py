@@ -2,9 +2,12 @@
 
 The search space is the span of Legendre modes P_l(cos theta) for
 l = 1..L; the constant mode is excluded because the energy is invariant
-under time translation.  Gradients are assembled by pairing the
-stationarity residual with the mode fields, and every accepted iterate
-is kept inside the region where the lifted metric stays convex.
+under time translation.  The gradient pairs the stationarity residual
+with the mode fields in weak form, its divergence part summed by parts
+against the mode derivatives, so it is the exact derivative of the
+discrete energy.  The minimizer takes Newton steps on central differences
+of that gradient, evaluated as one stack, and keeps every accepted
+iterate inside the region where the lifted metric stays convex.
 """
 
 from dataclasses import dataclass
@@ -19,18 +22,27 @@ from .embedding import (
     NonSpacelikeMeanCurvatureError,
     evaluate,
 )
-from .energy import qle, residual
+from .energy import _stationarity_terms, qle, residual
 from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
 
 # Armijo sufficient-decrease factor; the step below which the line search
-# gives up; the central-difference step that calibrates the first gradient;
-# how many rounding floors of the energy a converged run may still predict
+# gives up; the central-difference step of the Hessian and of the
+# calibration; how many rounding floors of the energy a converged run may
+# still predict; the least eigenvalue of a Newton model, as a fraction of
+# the largest.  A raise to 1e-3 bent Schwarzschild runs (up to 43
+# iterations, 10.8 accuracy digits on the benchmark's minimize-sweep);
+# 1e-5 cost up to 0.1 digit; dropping the soft eigenvalues instead (a
+# pseudo-inverse) left lift runs at E = 2e-11 to 4e-11.
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-14
 FD_STEP = 1e-5
 FLOOR_MULTIPLE = 8.0
+EIGEN_FLOOR = 1e-4
+
+# failures of a lift that reject a field rather than signal a bug
+_LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
 class GuardViolationError(ValueError):
@@ -70,7 +82,8 @@ class MinimizeReport:
     guard_active: bool
     energy_trace: tuple
     calibration_rel_error: float
-    stop: str  # "gradient", "rounding-floor" or "iterations"
+    hessian_min_eigenvalue: float
+    stop: str  # "gradient", "decrement", "rounding-floor" or "iterations"
 
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
@@ -95,8 +108,14 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
-    """Coefficient-space gradient g_l = integral(residual * P_l) dv.
+    """Coefficient-space gradient of qle, the residual paired with P_l in weak form.
 
+    g_l = integral(trace term * P_l) dv
+        + 2 pi sum_j w_j (1 - x_j^2) (Q/P)_j omega_j P_l'(x_j),
+    the divergence part of the residual summed by parts against the mode
+    (omega is the residual's flux).  This is the exact derivative of the
+    discrete energy, so it needs no differentiation of the flux, and its
+    rounding does not grow with the grid the way the residual's does.
     The positive sign is the calibrated one: central finite differences
     of qle along each mode reproduce these pairings.
     """
@@ -108,20 +127,58 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
 
 
 def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.ndarray:
-    """energy_gradient over count modes at the field tau: the synthesis, transposed."""
+    """energy_gradient over count modes at the field tau: one row per row of a stack."""
     m = d.metric
-    modes = m.grid.legendre_vandermonde[:, 1 : count + 1]
-    return 2.0 * np.pi * (modes.T @ (m.grid.weights * m.P * m.Q * residual(d, tau)))
+    grid = m.grid
+    trace_part, flux = _stationarity_terms(d, evaluate(m, tau))
+    modes = grid.legendre_vandermonde[:, 1 : count + 1]
+    slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
+    return (2.0 * np.pi) * (
+        (grid.weights * m.P * m.Q * trace_part) @ modes
+        + (grid.weights * (1.0 - grid.x * grid.x) * (m.Q / m.P) * flux) @ slopes
+    )
 
 
-def _fd_gradient(d: PhysicalData, tau: np.ndarray, count: int) -> np.ndarray:
-    """Central differences of qle along the first count modes at the field tau.
+def _perturbed(m: AxisymMetric, tau: np.ndarray, count: int) -> Evaluation:
+    """One stacked evaluation of the 2 count fields tau + FD_STEP P_l, then tau - FD_STEP P_l."""
+    bumps = FD_STEP * m.grid.legendre_vandermonde[:, 1 : count + 1].T
+    return evaluate(m, np.concatenate([tau + bumps, tau - bumps]))
 
-    The 2 count perturbed fields tau +- FD_STEP P_l are one stacked evaluation.
-    """
-    bumps = FD_STEP * d.metric.grid.legendre_vandermonde[:, 1 : count + 1].T
-    totals = qle(d, np.concatenate([tau + bumps, tau - bumps])).total
+
+def _fd_gradient(d: PhysicalData, stack: Evaluation, count: int) -> np.ndarray:
+    """Central differences of qle along the first count modes, from a _perturbed stack."""
+    totals = qle(d, stack).total
     return (totals[:count] - totals[count:]) / (2.0 * FD_STEP)
+
+
+def _hessian(d: PhysicalData, stack: Evaluation, count: int) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of H, from a _perturbed stack.
+
+    H is the symmetrized central difference of _gradient over the stack.
+    """
+    grads = _gradient(d, stack, count)
+    h = (grads[:count] - grads[count:]) / (2.0 * FD_STEP)
+    return np.linalg.eigh(0.5 * (h + h.T))
+
+
+def _newton_direction(values: np.ndarray, vectors: np.ndarray, grad: np.ndarray):
+    """-H_mod^-1 g, every eigenvalue of H below EIGEN_FLOOR times the largest raised to it.
+
+    None when H has no positive eigenvalue.
+    """
+    if not values[-1] > 0.0:
+        return None
+    raised = np.maximum(values, EIGEN_FLOOR * values[-1])
+    return -(vectors @ ((vectors.T @ grad) / raised))
+
+
+def _rounding_floor(ev: Evaluation, energy: float) -> float:
+    """16 eps max(1, |reference_term|, |physical_term|) at an evaluated iterate.
+
+    The energy is the difference of its two terms, so its rounding scales
+    with them, not with the energy, which vanishes on lift data.
+    """
+    return 16.0 * np.finfo(float).eps * max(1.0, abs(ev.reference), abs(ev.reference - energy))
 
 
 def minimize_energy(
@@ -132,28 +189,39 @@ def minimize_energy(
 ) -> MinimizeReport:
     """Descend qle over the coefficient space from init.
 
-    Gradient descent with Armijo backtracking, accelerated by a BFGS
-    model of the coefficient Hessian (the mode stiffness grows steeply
-    with l, so raw gradient steps crawl).  Model updates are skipped
-    unless the secant pair has positive curvature, which keeps every
-    search direction a descent direction.  Steps leaving the convexity
-    region or the embeddable family are rejected and shortened, so every
-    accepted iterate is admissible.  The first gradient is calibrated
-    against central finite differences and the relative error recorded.
+    Newton steps with Armijo backtracking.  The Hessian H is the
+    symmetrized central difference (step FD_STEP) of the gradient along
+    the modes; its 2L perturbed fields are one stacked evaluation.  Every
+    eigenvalue of H below EIGEN_FLOOR times the largest is raised to that
+    value, which keeps each step a descent direction and bounds it along
+    soft directions: on data that is itself a surface in Minkowski space
+    the minimum is a boost curve, not a point, and H is singular along it.
+    Where the stack does not lift, or H has no positive eigenvalue, the
+    iteration takes a steepest-descent step instead.  Steps leaving the
+    convexity region or the embeddable family are rejected and shortened,
+    so every accepted iterate is admissible.  At the start the same stack
+    calibrates the gradient against central finite differences of qle and
+    the relative error is recorded; a start whose perturbed fields do not
+    lift raises.  hessian_min_eigenvalue is the least eigenvalue of the
+    last H before the raise: the discrete second variation.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
-    gradient norm drops below tol, "iterations" after max_iterations
-    steps, "rounding-floor" when the predicted decrease -g.d is below
-    FLOOR_MULTIPLE times the energy's rounding floor 16 eps max(1, |E|)
-    and backtracking finds no step (the trial field equals the current
-    one, or the step passes STEP_FLOOR) or one whose energy ties the
-    current energy; the run ends at the current iterate.  No step above
-    that floor raises LineSearchError.  Each trial field is evaluated
-    once, for the guard, the energy and, if accepted, the gradient.
+    gradient norm drops below tol (checked before H is built, so a
+    converged iterate costs no stack); "decrement" when the Newton
+    decrement g.H_mod^-1 g / 2 is below the energy's rounding floor
+    16 eps max(1, |reference_term|, |physical_term|); "iterations" after
+    max_iterations steps; "rounding-floor" when the predicted decrease
+    -g.d is below FLOOR_MULTIPLE rounding floors and backtracking finds no
+    step (the trial field equals the current one, or the step passes
+    STEP_FLOOR) or one whose energy ties the current energy.  The run
+    ends at the current iterate.  No step above that floor raises
+    LineSearchError.  Each trial field is evaluated once, for the guard,
+    the energy and, if accepted, the gradient.
     """
     m = d.metric
     grid = m.grid
     coeffs = np.array(init.coeffs, dtype=float)
+    count = coeffs.size
 
     current = evaluate(m, tau_from_coefficients(grid, init))
     margin = convexity_guard(m, current)
@@ -161,30 +229,36 @@ def minimize_energy(
         raise GuardViolationError(margin)
 
     energy = qle(d, current).total
-    grad = _gradient(d, current, coeffs.size)
+    floor = _rounding_floor(current, energy)
+    grad = _gradient(d, current, count)
 
-    fd = _fd_gradient(d, current.tau, coeffs.size)
+    stack = _perturbed(m, current.tau, count)
+    fd = _fd_gradient(d, stack, count)
     scale = max(float(np.linalg.norm(fd)), tol)
     calibration = float(np.linalg.norm(fd - grad)) / scale if scale > tol else 0.0
+    model = _hessian(d, stack, count)
+    least = float(model[0][0])
 
     trace = [energy]
     guard_active = False
     iterations = 0
-    inverse_model = np.eye(coeffs.size)
-    first_pair = True
 
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
-        direction = -(inverse_model @ grad)
+        if iterations > 0:
+            try:
+                model = _hessian(d, _perturbed(m, current.tau, count), count)
+                least = float(model[0][0])
+            except _LIFT_ERRORS:
+                model = None
+        newton = None if model is None else _newton_direction(*model, grad)
+        direction = -grad if newton is None else newton
         slope = float(grad @ direction)
-        if slope >= 0.0:
-            direction = -grad
-            slope = -float(grad @ grad)
+        if newton is not None and -0.5 * slope < floor:
+            stop = "decrement"
+            break
 
         accepted = False
         step = 1.0
-        # strict decrease below the energy's rounding floor cannot be
-        # certified; accept any non-increasing step there (still monotone)
-        noise = 16.0 * np.finfo(float).eps * max(1.0, abs(energy))
         while step >= STEP_FLOOR:
             trial = coeffs + step * direction
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
@@ -195,12 +269,14 @@ def minimize_energy(
             if trial_energy is None:
                 guard_active = True
             else:
+                # strict decrease below the rounding floor cannot be
+                # certified; accept any non-increasing step there
                 predicted = -ARMIJO * step * slope
-                if trial_energy <= energy - (predicted if predicted >= noise else 0.0):
+                if trial_energy <= energy - (predicted if predicted >= floor else 0.0):
                     accepted = True
                     break
             step *= 0.5
-        if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * noise:
+        if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * floor:
             stop = "rounding-floor"
             break
         if not accepted:
@@ -209,21 +285,10 @@ def minimize_energy(
             )
 
         current = evaluation
-        new_grad = _gradient(d, current, coeffs.size)
-        s = trial - coeffs
-        y = new_grad - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            if first_pair:
-                inverse_model *= sy / float(y @ y)
-                first_pair = False
-            rho = 1.0 / sy
-            left = np.eye(coeffs.size) - rho * np.outer(s, y)
-            inverse_model = left @ inverse_model @ left.T + rho * np.outer(s, s)
-
         coeffs = trial
         energy = trial_energy
-        grad = new_grad
+        floor = _rounding_floor(current, energy)
+        grad = _gradient(d, current, count)
         trace.append(energy)
         iterations += 1
     else:
@@ -237,6 +302,7 @@ def minimize_energy(
         guard_active=guard_active,
         energy_trace=tuple(trace),
         calibration_rel_error=calibration,
+        hessian_min_eigenvalue=least,
         stop=stop,
     )
 
@@ -247,5 +313,5 @@ def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
         return None
     try:
         return qle(d, evaluation).total
-    except (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError):
+    except _LIFT_ERRORS:
         return np.inf

@@ -1,17 +1,14 @@
 """Minimizer results pinned to the last digit.
 
-The constants were captured when Legendre synthesis became a product
-with the grid's Vandermonde matrix and the energy gradient its
-transpose, and when a line-search step that only ties the energy at its
-rounding floor began to end the run.  That change moved the last
-digits; no other change may move a single bit of them, since a change
-that moves these digits changes which minimizations fail.  The three runs are a
-Schwarzschild sphere, a converging Minkowski lift and a Minkowski lift
-that stalls: its energy reaches the rounding floor before its gradient
-reaches the tolerance, and it stops there.  All three now stop at the
-rounding floor.  calibration_rel_error alone was captured again when the
-finite-difference calibration became one stacked evaluation of its
-perturbed fields; nothing else moved.
+The constants were captured when the minimizer took Newton steps on a
+Hessian built from the weak-form gradient (central differences of the
+gradient over one stacked evaluation), the gradient's divergence part
+being summed by parts against the mode derivatives.  No other change may
+move a single bit of them, since a change that moves these digits
+changes which minimizations fail.  The three runs are a Schwarzschild
+sphere, a converging Minkowski lift and a Minkowski lift that used to
+stall: its energy reaches the rounding floor before its gradient reaches
+the tolerance, and the Newton decrement ends it there.
 """
 
 from dataclasses import dataclass
@@ -71,137 +68,74 @@ INPUTS = {
 @dataclass(frozen=True)
 class Pinned:
     iterations: int
+    stop: str
     calibration_rel_error: float
+    hessian_min_eigenvalue: float
     tau_star: tuple
-    trace_runs: tuple  # (energy, how many consecutive trace entries)
-
-    @property
-    def energy_trace(self) -> tuple:
-        return tuple(e for e, count in self.trace_runs for _ in range(count))
+    energy_trace: tuple
 
 
 PINNED = {
-    'schwarzschild': Pinned(
-        iterations=27,
-        calibration_rel_error=2.232435404958857e-08,
+    'converging-lift': Pinned(
+        iterations=2,
+        stop="gradient",
+        calibration_rel_error=1.4569174570323639e-08,
+        hessian_min_eigenvalue=2.0263392150252913e-05,
         tau_star=(
-            -1.765425632542586e-08,
-            -9.099871746088978e-09,
-            2.22357023385271e-10,
-            1.5020593468069131e-09,
-            -2.9322739293059196e-09,
-            6.137222898858912e-10,
-            -6.330168291129453e-10,
-            3.1524314391159874e-10,
+            -0.06432216199113616,
+            -0.05497059899983649,
+            -0.007076352838583549,
+            -0.00010407694485316515,
+            9.53927017359715e-07,
+            3.946488750245851e-07,
+            3.175244289608655e-08,
+            3.827134419278802e-09,
         ),
-        trace_runs=(
-            (16.18986246119374, 1),
-            (16.189602596511918, 1),
-            (16.189540781404617, 1),
-            (16.18949394217526, 1),
-            (16.189475859491296, 1),
-            (16.189457100351035, 1),
-            (16.189439151652493, 1),
-            (16.18941783437839, 1),
-            (16.189397446826177, 1),
-            (16.189383823695806, 1),
-            (16.189378742085154, 1),
-            (16.189377373409314, 1),
-            (16.189376619253437, 1),
-            (16.18937560720414, 1),
-            (16.18937457698226, 1),
-            (16.1893738568877, 1),
-            (16.189373389311868, 1),
-            (16.189372749403447, 1),
-            (16.189371288393716, 1),
-            (16.189367901816865, 1),
-            (16.189360942209277, 1),
-            (16.18935059454023, 1),
-            (16.189342187981453, 1),
-            (16.189339449059048, 1),
-            (16.189339159779365, 1),
-            (16.189339150950303, 1),
-            (16.189339150877345, 1),
-            (16.189339150877146, 1),
+        energy_trace=(
+            0.002562619128735122,
+            9.058091166025406e-09,
+            4.618527782440651e-14,
         ),
     ),
-    'converging-lift': Pinned(
-        iterations=24,
-        calibration_rel_error=8.266059059231858e-08,
+    'schwarzschild': Pinned(
+        iterations=1,
+        stop="decrement",
+        calibration_rel_error=2.2326128576741903e-08,
+        hessian_min_eigenvalue=0.27805873003640474,
         tau_star=(
-            -0.06425217194948331,
-            -0.05496769264689153,
-            -0.00707628032234083,
-            -0.00010425970772947337,
-            9.557798583759312e-07,
-            3.953777810000526e-07,
-            3.175587042818165e-08,
-            3.77790586311202e-09,
+            1.3864158257409498e-06,
+            1.4816954510207814e-07,
+            -5.243264981804989e-09,
+            -4.248126669837912e-08,
+            -1.606752232934279e-08,
+            1.5369228044100416e-08,
+            1.83458477326804e-08,
+            4.9027605286802766e-09,
         ),
-        trace_runs=(
-            (0.002562619128735122, 1),
-            (0.0017052451377210787, 1),
-            (0.0012553091335654187, 1),
-            (0.0007396399457455516, 1),
-            (0.0005453848570660114, 1),
-            (0.0003738676620947956, 1),
-            (0.00027180030553708434, 1),
-            (0.00019859790629794816, 1),
-            (0.00015475520266505782, 1),
-            (0.00012328436021036282, 1),
-            (0.00010060470659212228, 1),
-            (8.292894612083046e-05, 1),
-            (6.934966257432507e-05, 1),
-            (5.79963364515379e-05, 1),
-            (4.6021694458886486e-05, 1),
-            (3.0528258047723966e-05, 1),
-            (1.3577046054535913e-05, 1),
-            (3.0004155853191605e-06, 1),
-            (2.608991742647504e-07, 1),
-            (9.103747089511671e-09, 1),
-            (2.5147883775389346e-10, 1),
-            (1.0302869668521453e-11, 1),
-            (2.2737367544323206e-13, 1),
-            (4.263256414560601e-14, 1),
-            (3.552713678800501e-14, 1),
+        energy_trace=(
+            16.18986246119374,
+            16.189339150877544,
         ),
     ),
     'stalled-lift': Pinned(
-        iterations=21,
-        calibration_rel_error=1.8978070728169104e-08,
+        iterations=2,
+        stop="decrement",
+        calibration_rel_error=1.4825336303957363e-08,
+        hessian_min_eigenvalue=4.477208733321945e-09,
         tau_star=(
-            0.21461898319504671,
-            -0.07257957495815816,
-            -0.01247129565497604,
-            -8.208205279762323e-05,
-            -5.393457023995175e-06,
-            -2.7499423257999485e-07,
-            4.4594729738212745e-08,
-            2.141918395885735e-08,
+            0.21143806472914797,
+            -0.07243797739661692,
+            -0.012466675205970352,
+            -9.099296168402808e-05,
+            -5.980149390497147e-06,
+            -3.0418361829086186e-07,
+            4.8956741869154026e-08,
+            2.3996578622503337e-08,
         ),
-        trace_runs=(
-            (0.0024077010119292197, 1),
-            (0.001826799001719337, 1),
-            (0.0011934145997472, 1),
-            (0.0009725782888274637, 1),
-            (0.0006826434434792361, 1),
-            (0.0005531731948025254, 1),
-            (0.00041978891259830675, 1),
-            (0.0003204796798677023, 1),
-            (0.0002362250959961898, 1),
-            (0.00017372005936522328, 1),
-            (0.00012374788630253875, 1),
-            (8.731018522922795e-05, 1),
-            (5.750519142111443e-05, 1),
-            (2.988225175926118e-05, 1),
-            (9.169838342870662e-06, 1),
-            (1.246768707829915e-06, 1),
-            (6.381967665447519e-08, 1),
-            (1.4519834223847283e-09, 1),
-            (3.12070369545836e-11, 1),
-            (7.993605777301127e-13, 1),
-            (6.750155989720952e-14, 1),
-            (5.684341886080802e-14, 1),
+        energy_trace=(
+            0.0024077010119292197,
+            1.3583916214088276e-07,
+            6.750155989720952e-14,
         ),
     ),
 }
@@ -213,14 +147,19 @@ def test_minimize_energy_is_bit_identical(name):
     report = minimize_energy(build(), TauCoefficients(start), max_iterations=MAX_ITERATIONS)
     pinned = PINNED[name]
     assert report.iterations == pinned.iterations
+    assert report.stop == pinned.stop
     assert report.calibration_rel_error == pinned.calibration_rel_error
+    assert report.hessian_min_eigenvalue == pinned.hessian_min_eigenvalue
     assert report.tau_star.coeffs == pinned.tau_star
     assert report.energy_trace == pinned.energy_trace
     assert report.energy_star == pinned.energy_trace[-1]
 
 
-def test_stalled_run_stops_at_the_rounding_floor(monkeypatch):
-    # accepting zero moves until the cap lifts 253 fields
+def test_stalled_lift_stops_on_the_decrement(monkeypatch):
+    # the quasi-Newton minimizer accepted zero moves at this run's floor,
+    # up to 253 lifted fields until the cap; Newton steps lift the start,
+    # its stack and, per iteration, one accepted trial and the stack at
+    # the new iterate, whose decrement ends the run
     build, start = INPUTS["stalled-lift"]
     d = build()
     lifted = []
@@ -232,9 +171,8 @@ def test_stalled_run_stops_at_the_rounding_floor(monkeypatch):
 
     monkeypatch.setattr(embedding_module, "embed_r3", counting_embed_r3)
     report = minimize_energy(d, TauCoefficients(start), max_iterations=MAX_ITERATIONS)
-    assert report.stop == "rounding-floor"
-    assert report.iterations < MAX_ITERATIONS
-    assert len(lifted) < 253
+    assert report.stop == "decrement"
+    assert len(lifted) == 2 + 2 * report.iterations
 
 
 @pytest.mark.parametrize("name", ["u_prime", "u_second", "P_theta", "K"])
@@ -254,6 +192,7 @@ def test_cached_metric_fields_are_read_only(name):
         "diff_matrix",
         "diff_matrix_x",
         "legendre_vandermonde",
+        "legendre_vandermonde_dx",
     ],
 )
 def test_shared_grid_arrays_are_read_only(name):
