@@ -51,7 +51,7 @@ from .physdata import (
     schwarzschild_sphere,
     store_physical_data,
 )
-from .energy import evaluate, qle, qle_angle_form, residual
+from .energy import qle, qle_angle_form, residual
 from .optimize import (
     GuardViolationError,
     LineSearchError,
@@ -299,7 +299,7 @@ def _write_columns(path, first, second, labels) -> None:
 def cmd_energy(args, grid: Grid) -> int:
     d, echo = require_data(args, grid)
     tau = _tau_on(args.tau, d.metric)
-    at_tau = evaluate(d.metric, tau)
+    at_tau = d.evaluate(tau)
     breakdown = qle(d, at_tau)
     cross = qle_angle_form(d, at_tau)
     body = [

@@ -31,7 +31,10 @@ matrix product over the rows, and each result gains a leading axis of
 length k.  Each formula is one function that accepts either a node-value
 array or an Evaluation of the same metric, so a caller that needs the
 guard, the energy and the residual at one tau builds the lift once by
-passing one Evaluation to all three.
+passing one Evaluation to all three.  The formulas that take physical
+data evaluate tau through PhysicalData.evaluate, so data of a surface in
+Minkowski space, which carries the lift it came from, reuses that lift
+when evaluated at its own time function, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def qle(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreakdown:
     No 1/(8pi) normalization is applied; reports may rescale for display
     but every stored/compared value is the bare surface integral.
     """
-    ev = evaluate(d.metric, tau)
+    ev = d.evaluate(tau)
     s1, lap = ev.s1, ev.lap
     integrand = (
         np.sqrt(s1 * s1 * d.norm_H**2 + lap * lap)
@@ -120,7 +123,7 @@ def qle_angle_form(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreak
     standing cross-check that the discrete quadrature and differentiation
     are mutually consistent.
     """
-    ev = evaluate(d.metric, tau)
+    ev = d.evaluate(tau)
     ch, angle = _boost_angle(ev, d)
     angle_form = OneForm(theta=d.metric.grid.dtheta(angle))
     integrand = ev.s1 * ch * d.norm_H - ev.pairing(angle_form) - ev.pairing(d.alpha_H)
@@ -152,7 +155,7 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
     angle differential.  In this gauge the gauge energy of tau equals
     the quasi-local energy.
     """
-    ch, angle = _boost_angle(evaluate(d.metric, tau), d)
+    ch, angle = _boost_angle(d.evaluate(tau), d)
     return GaugeData(
         inner_h=-ch * d.norm_H,
         alpha=OneForm(theta=d.alpha_H.theta + d.metric.grid.dtheta(angle)),
@@ -184,7 +187,7 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
     with shat the projected-surface metric and Hess the covariant Hessian
     of the base metric.  Critical time functions make this vanish.
     """
-    ev = evaluate(d.metric, tau)
+    ev = d.evaluate(tau)
     trace_part, flux = _stationarity_terms(d, ev)
     return trace_part + divergence_from_x_component(d.metric, flux)
 

@@ -75,6 +75,13 @@ class TauCoefficients:
 
 @dataclass(frozen=True)
 class MinimizeReport:
+    """The outcome of minimize_energy; its docstring defines each field.
+
+    calibration_rel_error is the agreement of the gradient with central
+    differences of qle at the start, not the gradient's own error: it is
+    bounded below by the finite-difference error, about 3e-9 at FD_STEP.
+    """
+
     tau_star: TauCoefficients
     energy_star: float
     residual_norm: float
@@ -130,7 +137,7 @@ def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.n
     """energy_gradient over count modes at the field tau: one row per row of a stack."""
     m = d.metric
     grid = m.grid
-    trace_part, flux = _stationarity_terms(d, evaluate(m, tau))
+    trace_part, flux = _stationarity_terms(d, d.evaluate(tau))
     modes = grid.legendre_vandermonde[:, 1 : count + 1]
     slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
     return (2.0 * np.pi) * (
@@ -201,9 +208,12 @@ def minimize_energy(
     convexity region or the embeddable family are rejected and shortened,
     so every accepted iterate is admissible.  At the start the same stack
     calibrates the gradient against central finite differences of qle and
-    the relative error is recorded; a start whose perturbed fields do not
-    lift raises.  hessian_min_eigenvalue is the least eigenvalue of the
-    last H before the raise: the discrete second variation.
+    the relative distance is recorded as calibration_rel_error; a start
+    whose perturbed fields do not lift raises.  That distance measures
+    agreement with the finite differences, not the gradient's error, and
+    cannot fall much below their own error, about 3e-9 at FD_STEP.
+    hessian_min_eigenvalue is the least eigenvalue of the last H before
+    the raise: the discrete second variation.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol (checked before H is built, so a

@@ -6,6 +6,13 @@ with it.  Everything downstream (energy evaluation, minimization,
 certification) consumes this triple and nothing else, so data can come
 from closed-form families, from a lifted surface, or from a text table.
 
+Data of a surface in Minkowski space (minkowski_surface_data) carries the
+lift it was computed from.  PhysicalData.evaluate, through which the
+formulas that take data evaluate a time function on its metric, returns
+that lift for the data's own time function, given bit for bit, so the
+energy, the residual and the gradient at tau0 reuse it instead of
+lifting (m, tau0) again.
+
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
 
@@ -21,7 +28,7 @@ interpolated.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .geometry import (
     InvalidParameterError,
     OneForm,
     _check_single_field,
+    _read_only,
     make_grid,
     round_sphere,
 )
@@ -49,14 +57,23 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalData:
-    """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag."""
+    """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag.
+
+    lift, when set, is an Evaluation of one time function on this metric:
+    minkowski_surface_data keeps the lift the data came from.  It takes no
+    part in equality or repr, and evaluate serves it for that time
+    function.
+    """
 
     metric: AxisymMetric
     norm_H: np.ndarray
     alpha_H: OneForm
     provenance: str
+    lift: Evaluation | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.lift is not None and self.lift.metric is not self.metric:
+            raise InvalidParameterError("the lift belongs to a different metric")
         norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
         alpha = _check_single_field(self.metric.grid, self.alpha_H.theta, "alpha_theta")
         for name, values in (("normH", norm_h), ("alpha_theta", alpha)):
@@ -69,6 +86,24 @@ class PhysicalData:
                 f"normH must be positive; normH = {norm_h[j]} at node {j}"
             )
         object.__setattr__(self, "norm_H", norm_h)
+
+    def evaluate(self, tau: np.ndarray | Evaluation) -> Evaluation:
+        """The Evaluation of tau on the metric: the kept lift for its own time function.
+
+        The lift is served only for an array of its dtype and shape whose
+        bytes equal its tau, so -0.0 for 0.0 or another NaN payload
+        builds a new Evaluation, as does every other field or stack.
+        """
+        lift = self.lift
+        if (
+            lift is not None
+            and isinstance(tau, np.ndarray)
+            and tau.dtype == lift.tau.dtype
+            and tau.shape == lift.tau.shape
+            and tau.tobytes() == lift.tau.tobytes()
+        ):
+            return lift
+        return evaluate(self.metric, tau)
 
 
 def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData:
@@ -93,10 +128,17 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
 
 
 def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> PhysicalData:
-    """Data of the lift of (m, tau0) viewed as a surface in flat spacetime."""
-    data = evaluate(m, tau0).extrinsic
+    """Data of the lift of (m, tau0) viewed as a surface in flat spacetime.
+
+    The data keeps that lift.  An array tau0 is lifted from a read-only
+    copy, so changing the caller's array later cannot leave it stale.
+    """
+    if not isinstance(tau0, Evaluation):
+        tau0 = _read_only(np.array(tau0, dtype=float))
+    lift = evaluate(m, tau0)
+    data = lift.extrinsic
     return PhysicalData(
-        metric=m, norm_H=data.norm_H, alpha_H=data.alpha_H, provenance="minkowski"
+        metric=m, norm_H=data.norm_H, alpha_H=data.alpha_H, provenance="minkowski", lift=lift
     )
 
 

@@ -31,6 +31,7 @@ degenerates there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .geometry import (
     Grid,
     _check_single_field,
     _differentiation_matrix,
+    _read_only,
     divergence_from_x_component,
     hessian,
     integrate_surface,
@@ -154,14 +156,20 @@ def chebyshev_s_grid() -> np.ndarray:
     return (1.0 - np.cos(np.pi * k / 32)) / 2.0
 
 
-def _spectral_s_derivative(s_grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Derivative of the polynomial interpolant through (s_grid, values).
+@lru_cache(maxsize=1)
+def _s_differentiation_matrix() -> np.ndarray:
+    """The barycentric differentiation matrix on chebyshev_s_grid(), built once, read-only."""
+    return _read_only(_differentiation_matrix(chebyshev_s_grid()))
+
+
+def _spectral_s_derivative(values: np.ndarray) -> np.ndarray:
+    """Derivative of the polynomial interpolant through (chebyshev_s_grid(), values).
 
     values runs over s along its last axis.  The grid's barycentric
     differentiation matrix, the one make_grid builds, applied on these
     nodes; well conditioned on Lobatto-type grids.
     """
-    return values @ _differentiation_matrix(s_grid).T
+    return values @ _s_differentiation_matrix().T
 
 
 def _is_constant(taus: np.ndarray) -> np.ndarray:
@@ -466,13 +474,13 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
 
     on_rest = qle(rest, family_ev)
     family = on_rest.total.reshape(-1, n_s)
-    slope = _spectral_s_derivative(s_grid, family)
+    slope = _spectral_s_derivative(family)
     ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 
     # rest shares the metric m, so these are the reference integrals of m;
     # their s-derivative has a closed form in the lifted mean curvature norm
     reference = on_rest.reference_term.reshape(-1, n_s)
-    reference_slope = _spectral_s_derivative(s_grid, reference)
+    reference_slope = _spectral_s_derivative(reference)
     s1 = family_ev.s1
     integrand = np.sqrt(family_ev.extrinsic.mean_sq + (family_ev.lap / s1) ** 2) / s1
     physical = integrate_surface(m, integrand).reshape(-1, n_s)

@@ -1,16 +1,21 @@
-"""Physical data families and the table round trip."""
+"""Physical data families, the lift Minkowski data keeps, and the table round trip."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import regular_random_metric, random_time_profile
+import quasilocal.embedding as embedding_module
+from conftest import MODE_WEIGHTS, regular_random_metric, random_time_profile
 from quasilocal.geometry import (
     InvalidParameterError,
     OneForm,
     make_grid,
     round_sphere,
 )
-from quasilocal.embedding import embed_r3, mean_curvature
+from quasilocal.embedding import embed_r3, evaluate, mean_curvature
+from quasilocal.energy import canonical_gauge, qle, qle_angle_form, residual
+from quasilocal.optimize import TauCoefficients, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import (
     DataFormatError,
     HorizonError,
@@ -94,6 +99,117 @@ class TestMinkowskiSurfaceData:
         lap_tau = divergence_from_x_component(m, -tau_x)
         gap = (w_v * lap_tau + tau_x * lap_v) ** 2 / (w_v**2 + tau_x**2)
         assert np.max(np.abs(d.norm_H**2 - (4.0 - gap))) <= 1e-8
+
+
+LADDER_SIZES = (16, 32, 64, 128)
+
+
+def lift_data(n, seed=5):
+    """Minkowski data of a random surface at the time function of random modes 1..3."""
+    grid = make_grid(n)
+    rng = np.random.default_rng(seed)
+    m = regular_random_metric(grid, rng)
+    coeffs = TauCoefficients(0.1 * rng.uniform(-1.0, 1.0, 3) / MODE_WEIGHTS)
+    tau0 = tau_from_coefficients(grid, coeffs)
+    return minkowski_surface_data(m, tau0), tau0, coeffs
+
+
+@pytest.fixture
+def lifted(monkeypatch):
+    """The list that grows by one entry per embed_r3 call, i.e. per lift."""
+    calls = []
+    original = embedding_module.embed_r3
+
+    def counting_embed_r3(m):
+        calls.append(None)
+        return original(m)
+
+    monkeypatch.setattr(embedding_module, "embed_r3", counting_embed_r3)
+    return calls
+
+
+class TestSharedLift:
+    def test_data_at_its_own_time_function_lifts_once(self, lifted):
+        d, tau0, coeffs = lift_data(32)
+        qle(d, tau0)
+        residual(d, tau0)
+        energy_gradient(d, coeffs)
+        assert len(lifted) == 1
+        plain = dataclasses.replace(d, lift=None)
+        qle(plain, tau0)
+        residual(plain, tau0)
+        energy_gradient(plain, coeffs)
+        assert len(lifted) == 4
+
+    @pytest.mark.parametrize("n", LADDER_SIZES)
+    def test_results_are_bit_identical_to_a_fresh_lift(self, n):
+        d, tau0, coeffs = lift_data(n)
+        plain = dataclasses.replace(d, lift=None)
+        assert plain.evaluate(tau0) is not d.lift
+        for form in (qle, qle_angle_form):
+            shared, fresh = form(d, tau0), form(plain, tau0)
+            assert shared.reference_term == fresh.reference_term
+            assert shared.physical_term == fresh.physical_term
+        assert residual(d, tau0).tobytes() == residual(plain, tau0).tobytes()
+        assert energy_gradient(d, coeffs).tobytes() == energy_gradient(plain, coeffs).tobytes()
+        shared, fresh = canonical_gauge(d, tau0), canonical_gauge(plain, tau0)
+        assert shared.inner_h.tobytes() == fresh.inner_h.tobytes()
+        assert shared.alpha.theta.tobytes() == fresh.alpha.theta.tobytes()
+
+    def test_lift_is_served_for_equal_bits_only(self):
+        d, tau0, _ = lift_data(32)
+        assert d.evaluate(tau0) is d.lift
+        assert d.evaluate(tau0.copy()) is d.lift
+        assert d.evaluate(d.lift) is d.lift
+        other = evaluate(d.metric, tau0)
+        assert d.evaluate(other) is other
+
+    def test_caller_changing_tau0_in_place_is_not_served(self):
+        grid = make_grid(32)
+        m = regular_random_metric(grid, np.random.default_rng(6))
+        tau0 = random_time_profile(grid, np.random.default_rng(7))
+        kept = tau0.copy()
+        d = minkowski_surface_data(m, tau0)
+        tau0 += 0.01
+        assert d.lift.tau.tobytes() == kept.tobytes()
+        assert d.evaluate(tau0) is not d.lift
+        plain = dataclasses.replace(d, lift=None)
+        assert qle(d, tau0) == qle(plain, tau0)
+        with pytest.raises(ValueError):
+            d.lift.tau[0] = 0.0
+
+    def test_negative_zero_is_not_served(self):
+        grid = make_grid(32)
+        m = regular_random_metric(grid, np.random.default_rng(6))
+        tau0 = np.zeros(32)
+        d = minkowski_surface_data(m, tau0)
+        flipped = tau0.copy()
+        flipped[5] = -0.0
+        assert np.array_equal(flipped, tau0)
+        assert d.evaluate(flipped) is not d.lift
+
+    @pytest.mark.parametrize("shape", ["stack", "row", "shifted"])
+    def test_other_fields_and_stacks_are_not_served(self, shape):
+        d, tau0, _ = lift_data(32)
+        tau = {
+            "stack": np.stack([tau0, tau0]),
+            "row": tau0[None, :],
+            "shifted": tau0 + 1e-3,
+        }[shape]
+        ev = d.evaluate(tau)
+        assert ev is not d.lift
+        assert ev.tau.shape == tau.shape
+
+    def test_lift_of_another_metric_rejected(self):
+        d, tau0, _ = lift_data(32)
+        other = evaluate(round_sphere(d.metric.grid), tau0)
+        with pytest.raises(InvalidParameterError, match="different metric"):
+            dataclasses.replace(d, lift=other)
+
+    def test_lift_stays_out_of_repr(self):
+        d, _, _ = lift_data(16)
+        assert "lift" not in repr(d)
+        assert dataclasses.replace(d, lift=None).lift is None
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ from conftest import legendre_mode
 from quasilocal.geometry import (
     AxisymMetric,
     OneForm,
+    _differentiation_matrix,
     make_grid,
     round_sphere,
 )
@@ -17,6 +18,7 @@ from quasilocal.physdata import PhysicalData, schwarzschild_sphere
 from quasilocal.verify import (
     CheckOutcome,
     TheoremReport,
+    _s_differentiation_matrix,
     chebyshev_s_grid,
     check_identities,
     check_lemma41,
@@ -408,6 +410,15 @@ class TestCheckTheorem3:
         assert s[0] == 0.0
         assert abs(s[-1] - 1.0) < 1e-15
         assert np.all(np.diff(s) > 0)
+
+    def test_s_grid_differentiation_matrix_built_once(self):
+        # the cached matrix is the one _differentiation_matrix builds, to
+        # the bit, so the theorem3 pins do not move
+        first = _s_differentiation_matrix()
+        assert _s_differentiation_matrix() is first
+        assert first.tobytes() == _differentiation_matrix(chebyshev_s_grid()).tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
 
     def test_report_serialization_round_trip_stability(self):
         grid = make_grid(16)
