@@ -21,7 +21,6 @@ from .embedding import (
     embed_lifted,
     embed_r3,
     extrinsic_data,
-    gauss_curvature_from_shape,
     mean_curvature,
 )
 from .physdata import (
@@ -31,7 +30,7 @@ from .physdata import (
     schwarzschild_sphere,
     store_physical_data,
 )
-from .energy import EnergyBreakdown, comparison_f, qle, residual
+from .energy import EnergyBreakdown, qle, residual
 from .optimize import (
     GuardViolationError,
     MinimizeReport,
@@ -62,7 +61,6 @@ __all__ = [
     "embed_lifted",
     "embed_r3",
     "extrinsic_data",
-    "gauss_curvature_from_shape",
     "mean_curvature",
     "PhysicalData",
     "load_physical_data",
@@ -70,7 +68,6 @@ __all__ = [
     "schwarzschild_sphere",
     "store_physical_data",
     "EnergyBreakdown",
-    "comparison_f",
     "qle",
     "residual",
     "GuardViolationError",

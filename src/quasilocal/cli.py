@@ -38,14 +38,9 @@ from .geometry import (
     Grid,
     AxisymMetric,
 )
-from .embedding import (
-    GaugeOrientationError,
-    NonEmbeddableError,
-    NonSpacelikeMeanCurvatureError,
-)
+from .embedding import LIFT_ERRORS
 from .physdata import (
     DataFormatError,
-    PhysicalData,
     load_physical_data,
     minkowski_surface_data,
     schwarzschild_sphere,
@@ -486,14 +481,7 @@ def main(argv=None) -> int:
     except (CliValidationError, FieldShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NonEmbeddableError,
-        NonSpacelikeMeanCurvatureError,
-        GaugeOrientationError,
-        GuardViolationError,
-        LineSearchError,
-        InvalidParameterError,
-    ) as exc:
+    except (*LIFT_ERRORS, GuardViolationError, LineSearchError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

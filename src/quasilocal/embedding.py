@@ -114,7 +114,11 @@ class GaugeOrientationError(ValueError):
     """The outward frame decomposition of H needs <H, e3_breve> < 0."""
 
 
-@dataclass(frozen=True)
+# failures of a lift that reject a field rather than signal a bug
+LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
+
+
+@dataclass(frozen=True, eq=False)
 class RevolutionSurface:
     """Embedded surface of revolution (u sin phi, u cos phi, v).
 
@@ -156,7 +160,7 @@ class RevolutionSurface:
         return self.hhat.theta_theta / P**2 + self.w / (self.metric.Q * P)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtrinsicData:
     """Extrinsic invariants of a lifted surface.
 
@@ -267,18 +271,6 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     return RevolutionSurface(metric=m, u=u, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 
-def isometry_residual(surf: RevolutionSurface) -> np.ndarray:
-    """Pointwise defect u'^2 + v'^2 - P^2 with v re-differentiated.
-
-    v is reconstructed by quadrature, so differentiating its node values
-    is a genuine consistency check of the discretization, not a
-    tautology.
-    """
-    g = surf.metric.grid
-    v_theta = g.dtheta(surf.v)
-    return surf.u_prime**2 + v_theta**2 - surf.metric.P**2
-
-
 def second_fundamental_form(surf: RevolutionSurface) -> SymTensorField:
     """Second fundamental form w.r.t. the outward normal.
 
@@ -301,12 +293,6 @@ def mean_curvature(surf: RevolutionSurface) -> np.ndarray:
     return surf.mean_curvature
 
 
-def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
-    """Gauss curvature as the determinant of the shape operator."""
-    P = surf.metric.P
-    return (surf.hhat.theta_theta / P**2) * (surf.w / (surf.metric.Q * P))
-
-
 def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> Evaluation:
     """Lift (m, tau) to a spacelike graph in Minkowski space.
 
@@ -315,12 +301,6 @@ def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> Evaluation:
     lift = Evaluation(m, tau)
     lift.projected
     return lift
-
-
-def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
-    """Pointwise defect -tau'^2 + u'^2 + v_tilde'^2 - P^2."""
-    vt_theta = surf.metric.grid.dtheta(surf.projected.v)
-    return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.metric.P**2
 
 
 def _lift_laplacians(surf: Evaluation):

@@ -261,7 +261,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisymMetric:
     """Axially symmetric metric P^2 dtheta^2 + Q^2 sin^2(theta) dphi^2.
 
@@ -362,14 +362,14 @@ def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     return AxisymMetric(grid, np.full(grid.n_nodes, r), np.full(grid.n_nodes, r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneForm:
     """Axisymmetric one-form; only the dtheta component survives."""
 
     theta: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTensorField:
     """Axisymmetric symmetric 2-tensor; the mixed component vanishes."""
 
@@ -420,24 +420,13 @@ def laplacian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     return divergence_from_x_component(m, -m.grid.dx(f))
 
 
-def gradient_norm_sq(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
-    """|grad f|^2 = (df/dtheta)^2 / P^2 for axisymmetric f."""
-    f = _check_field(m.grid, f, "f")
-    return _norm_sq(m, m.grid.dtheta(f))
-
-
 def _norm_sq(m: AxisymMetric, f_theta: np.ndarray) -> np.ndarray:
+    """|grad f|^2 = (df/dtheta)^2 / P^2 for axisymmetric f."""
     return (f_theta / m.P) ** 2
 
 
-def contract_with_gradient(m: AxisymMetric, alpha: OneForm, f: np.ndarray) -> np.ndarray:
-    """Pairing alpha(grad f) = alpha_theta * f_theta / P^2."""
-    f = _check_field(m.grid, f, "f")
-    a = _check_field(m.grid, alpha.theta, "alpha.theta")
-    return _pairing(m, a, m.grid.dtheta(f))
-
-
 def _pairing(m: AxisymMetric, a: np.ndarray, f_theta: np.ndarray) -> np.ndarray:
+    """Pairing alpha(grad f) = alpha_theta * f_theta / P^2."""
     return a * f_theta / m.P**2
 
 
@@ -510,7 +499,7 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
     tau = _check_field(m.grid, tau, "tau")
     taux = m.grid.dx(tau)
     return _hat_gauss_curvature(
-        m, _hessian(m, taux).theta_theta, taux, gradient_norm_sq(m, tau)
+        m, _hessian(m, taux).theta_theta, taux, _norm_sq(m, m.grid.dtheta(tau))
     )
 
 

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AxisymMetric, FieldShapeError, _hat_gauss_curvature, integrate_surface
-from .embedding import (
-    Evaluation,
-    GaugeOrientationError,
-    NonEmbeddableError,
-    NonSpacelikeMeanCurvatureError,
-    evaluate,
-)
+from .embedding import LIFT_ERRORS, Evaluation, evaluate
 from .energy import _stationarity_terms, qle, residual
 from .physdata import PhysicalData
 
@@ -40,9 +34,6 @@ STEP_FLOOR = 1e-14
 FD_STEP = 1e-5
 FLOOR_MULTIPLE = 8.0
 EIGEN_FLOOR = 1e-4
-
-# failures of a lift that reject a field rather than signal a bug
-_LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
 class GuardViolationError(ValueError):
@@ -258,7 +249,7 @@ def minimize_energy(
             try:
                 model = _hessian(d, _perturbed(m, current.tau, count), count)
                 least = float(model[0][0])
-            except _LIFT_ERRORS:
+            except LIFT_ERRORS:
                 model = None
         newton = None if model is None else _newton_direction(*model, grad)
         direction = -grad if newton is None else newton
@@ -323,5 +314,5 @@ def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
         return None
     try:
         return qle(d, evaluation).total
-    except _LIFT_ERRORS:
+    except LIFT_ERRORS:
         return np.inf

@@ -55,21 +55,21 @@ class DataFormatError(ValueError):
     """A data table violates the expected layout or value ranges."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalData:
     """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag.
 
     lift, when set, is an Evaluation of one time function on this metric:
     minkowski_surface_data keeps the lift the data came from.  It takes no
-    part in equality or repr, and evaluate serves it for that time
-    function.
+    part in repr, and evaluate serves it for that time function.  Data
+    compare and hash by identity.
     """
 
     metric: AxisymMetric
     norm_H: np.ndarray
     alpha_H: OneForm
     provenance: str
-    lift: Evaluation | None = field(default=None, repr=False, compare=False)
+    lift: Evaluation | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lift is not None and self.lift.metric is not self.metric:

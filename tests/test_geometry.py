@@ -12,10 +12,8 @@ from quasilocal.geometry import (
     FieldShapeError,
     InvalidParameterError,
     OneForm,
-    contract_with_gradient,
     divergence_from_x_component,
     gauss_curvature,
-    gradient_norm_sq,
     hat_gauss_curvature,
     hessian,
     integrate_surface,
@@ -27,6 +25,7 @@ from quasilocal.geometry import (
 
 
 from conftest import legendre_mode, regular_random_metric
+from quasilocal.embedding import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,7 @@ class TestGradientAndPairing:
         m = round_sphere(grid, 2.0)
         f = 0.3 * grid.x
         want = (0.3 * grid.sin_theta / 2.0) ** 2
-        assert np.max(np.abs(gradient_norm_sq(m, f) - want)) <= 1e-12
+        assert np.max(np.abs(evaluate(m, f).grad_sq - want)) <= 1e-12
 
     def test_pairing_against_explicit_formula(self):
         grid = make_grid(16)
@@ -335,7 +334,7 @@ class TestGradientAndPairing:
         f = 0.4 * grid.x
         alpha = OneForm(theta=0.2 * grid.sin_theta)
         want = 0.2 * grid.sin_theta * (-0.4 * grid.sin_theta)
-        got = contract_with_gradient(m, alpha, f)
+        got = evaluate(m, f).pairing(alpha)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 

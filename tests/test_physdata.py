@@ -7,6 +7,7 @@ import pytest
 
 import quasilocal.embedding as embedding_module
 from conftest import MODE_WEIGHTS, regular_random_metric, random_time_profile
+from reference import canonical_gauge
 from quasilocal.geometry import (
     InvalidParameterError,
     OneForm,
@@ -14,7 +15,7 @@ from quasilocal.geometry import (
     round_sphere,
 )
 from quasilocal.embedding import embed_r3, evaluate, mean_curvature
-from quasilocal.energy import canonical_gauge, qle, qle_angle_form, residual
+from quasilocal.energy import breve_gauge, qle, qle_angle_form, residual
 from quasilocal.optimize import TauCoefficients, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import (
     DataFormatError,
@@ -349,3 +350,24 @@ class TestTableRoundTrip:
         path.write_bytes(b"# n=2\ntheta P Q normH alpha_theta\n\xff\xfe 1 1 2 0\n\x81 1 1 2 0\n")
         with pytest.raises(DataFormatError):
             load_physical_data(path)
+
+
+# one of each dataclass with array fields, built afresh by each call
+ARRAY_DATACLASSES = {
+    "PhysicalData": lambda g: schwarzschild_sphere(g, 1.0, 4.0),
+    "AxisymMetric": round_sphere,
+    "OneForm": lambda g: OneForm(theta=np.zeros(g.n_nodes)),
+    "SymTensorField": lambda g: embed_r3(round_sphere(g)).hhat,
+    "RevolutionSurface": lambda g: embed_r3(round_sphere(g)),
+    "ExtrinsicData": lambda g: evaluate(round_sphere(g), 0.3 * g.x).extrinsic,
+    "GaugeData": lambda g: breve_gauge(evaluate(round_sphere(g), 0.3 * g.x)),
+}
+
+
+@pytest.mark.parametrize("kind", ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_by_identity(kind):
+    # value equality would compare arrays elementwise and raise
+    x, y = (ARRAY_DATACLASSES[kind](make_grid(16)) for _ in range(2))
+    assert type(x).__name__ == kind
+    assert x == x and (x == y) is False
+    assert hash(x) == hash(x)
