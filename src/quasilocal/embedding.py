@@ -22,11 +22,19 @@ Every function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
 
-extrinsic_data collects everything downstream energy formulas need from
-such a lift: the second fundamental form and mean curvature of the
-spatial projection, the squared mean curvature vector of the lifted
-surface, and the connection one-forms of two normal frames.  All
-computations happen on the phi = 0 slice; axisymmetry supplies the rest.
+Two kinds of data come from a lift.  The projection (Evaluation.projected)
+carries the theta-theta component hhat_tt of its second fundamental form
+and its mean curvature; qle, qle_angle_form, residual, the energy
+gradient and the convexity guard read only these and the derivatives of
+tau.  extrinsic_data is the lift's own normal-bundle data: the squared
+mean curvature vector of the lifted surface and the connection one-forms
+of two normal frames.  Only the formulas that treat the lift as a
+surface in its own right read it (minkowski_surface_data, the breve
+gauge, the identity and lemma41 suites and theorem3's closed form of
+the reference derivative), so only they raise
+NonSpacelikeMeanCurvatureError or GaugeOrientationError.  All
+computations happen on the phi = 0 slice; axisymmetry supplies the rest,
+and a one-form is the array of its dtheta component.
 
 Sign conventions.  The spatial unit normal points outward and the second
 fundamental form is taken positive on round spheres (H_hat = 2/r).  The
@@ -45,13 +53,10 @@ import numpy as np
 from .geometry import (
     AxisymMetric,
     InvalidParameterError,
-    OneForm,
-    SymTensorField,
     _at,
     _check_field,
     _hessian,
     _norm_sq,
-    _pairing,
     divergence_from_x_component,
     integrate_surface,
     sin_factored_theta_derivative,
@@ -128,12 +133,11 @@ class RevolutionSurface:
     would mangle.  v_prime is the nonnegative root, which orients the
     unit normal outward.  The height v, anchored to 0 at the north pole,
     is computed when read: the curvature formulas need only u' and v'.
-    w = v'/sin(theta), the second fundamental form hhat and the mean
-    curvature are each computed once, when first read.
+    w = v'/sin(theta), hhat_tt and the mean curvature are each computed
+    once, when first read.
     """
 
     metric: AxisymMetric
-    u: np.ndarray
     u_prime: np.ndarray
     v_prime: np.ndarray
 
@@ -149,35 +153,39 @@ class RevolutionSurface:
         return self.v_prime / self.metric.grid.sin_theta
 
     @cached_property
-    def hhat(self) -> SymTensorField:
-        return second_fundamental_form(self)
+    def hhat_tt(self) -> np.ndarray:
+        """theta-theta component of the second fundamental form, outward.
+
+        Positive on convex surfaces: r on the round sphere of radius r,
+        where h_ab = sigma_ab / r.
+        """
+        m = self.metric
+        v2 = sin_factored_theta_derivative(m.grid, self.w)
+        return (self.u_prime * v2 - m.u_second * self.v_prime) / m.P
 
     @cached_property
     def mean_curvature(self) -> np.ndarray:
-        """See mean_curvature."""
+        """Scalar mean curvature (sum of principal curvatures), outward."""
         P = self.metric.P
         # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
-        return self.hhat.theta_theta / P**2 + self.w / (self.metric.Q * P)
+        return self.hhat_tt / P**2 + self.w / (self.metric.Q * P)
 
 
 @dataclass(frozen=True, eq=False)
 class ExtrinsicData:
-    """Extrinsic invariants of a lifted surface.
+    """Normal-bundle data of a lifted surface.
 
-    hhat, Hhat: second fundamental form and mean curvature of the
-    spatial projection.  mean_sq = <H, H> and norm_H its square root.
-    alpha_H is the connection one-form of the frame aligned with H;
-    breve_h = <H, e3_breve> and breve_alpha the connection one-form of
-    the outward-translated frame.
+    mean_sq = <H, H> and norm_H its square root.  alpha_H is the
+    connection one-form of the frame aligned with H; breve_h =
+    <H, e3_breve> and breve_alpha the connection one-form of the
+    outward-translated frame.  One-forms are their dtheta components.
     """
 
-    hhat: SymTensorField
-    Hhat: np.ndarray
     mean_sq: np.ndarray
     norm_H: np.ndarray
-    alpha_H: OneForm
+    alpha_H: np.ndarray
     breve_h: np.ndarray
-    breve_alpha: OneForm
+    breve_alpha: np.ndarray
 
 
 class Evaluation:
@@ -219,8 +227,8 @@ class Evaluation:
         return divergence_from_x_component(self.metric, -self.tau_x)
 
     @cached_property
-    def hess(self) -> SymTensorField:
-        """Covariant Hessian of tau."""
+    def hess_tt(self) -> np.ndarray:
+        """theta-theta component of the covariant Hessian of tau."""
         return _hessian(self.metric, self.tau_x)
 
     @cached_property
@@ -233,16 +241,16 @@ class Evaluation:
     def reference(self) -> float | np.ndarray:
         """Total mean curvature of the projected surface."""
         proj = self.projected
-        return integrate_surface(proj.metric, mean_curvature(proj))
+        return integrate_surface(proj.metric, proj.mean_curvature)
 
     @cached_property
     def extrinsic(self) -> ExtrinsicData:
         return extrinsic_data(self)
 
-    def pairing(self, alpha: OneForm) -> np.ndarray:
-        """alpha(grad tau)."""
-        a = _check_field(self.metric.grid, alpha.theta, "alpha.theta")
-        return _pairing(self.metric, a, self.tau_theta)
+    def pairing(self, alpha: np.ndarray) -> np.ndarray:
+        """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form."""
+        a = _check_field(self.metric.grid, alpha, "alpha")
+        return a * self.tau_theta / self.metric.P**2
 
 
 def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:
@@ -261,34 +269,20 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     node and margin.
     """
     g = m.grid
-    u = m.Q * g.sin_theta
     u_prime = m.u_prime
     margin = m.P**2 - u_prime**2
     bad = _first_nonpositive(margin)
     if bad is not None:
         row = bad[0] if len(bad) == 2 else None
         raise NonEmbeddableError(bad[-1], float(g.nodes[bad[-1]]), float(margin[bad]), row)
-    return RevolutionSurface(metric=m, u=u, u_prime=u_prime, v_prime=np.sqrt(margin))
-
-
-def second_fundamental_form(surf: RevolutionSurface) -> SymTensorField:
-    """Second fundamental form w.r.t. the outward normal.
-
-    Positive on convex surfaces: the round sphere of radius r gives
-    h_ab = sigma_ab / r.
-    """
-    P = surf.metric.P
-    u2 = surf.metric.u_second
-    v2 = sin_factored_theta_derivative(surf.metric.grid, surf.w)
-    tt = (surf.u_prime * v2 - u2 * surf.v_prime) / P
-    pp = surf.u * surf.v_prime / P
-    return SymTensorField(theta_theta=tt, phi_phi=pp)
+    return RevolutionSurface(metric=m, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 
 def mean_curvature(surf: RevolutionSurface) -> np.ndarray:
     """Scalar mean curvature (sum of principal curvatures), outward.
 
-    Computed once per surface and kept on it.
+    Package code reads surf.mean_curvature, computed once per surface;
+    this function stays only because the benchmark's tracer lists it.
     """
     return surf.mean_curvature
 
@@ -322,7 +316,7 @@ def _lift_laplacians(surf: Evaluation):
 
 
 def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
-    """Extrinsic invariants of the lift, on the phi = 0 slice.
+    """Normal-bundle data of the lift, on the phi = 0 slice.
 
     In coordinates (t, y1, y2, z) with signature (-+++) the surface
     passes through (tau, 0, u, v_tilde) at phi = 0 and the mean
@@ -349,8 +343,6 @@ def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
     proj = surf.projected
     p_hat = proj.metric.P
 
-    hhat = proj.hhat
-
     lu, lap_vt, lap_tau = _lift_laplacians(surf)
     mean_sq = lu**2 + lap_vt**2 - lap_tau**2
     bad = _first_nonpositive(mean_sq)
@@ -367,7 +359,7 @@ def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
             f"<H, e3_breve> = {breve_h[bad]} >= 0 at {_at(bad)}; "
             "the lifted surface is not convex enough to frame H"
         )
-    breve_alpha = hhat.theta_theta * tau_theta / (m.P * p_hat)
+    breve_alpha = proj.hhat_tt * tau_theta / (m.P * p_hat)
 
     h4 = -lap_tau * p_hat / m.P + tau_theta * (lu * proj.u_prime + lap_vt * proj.v_prime) / (
         m.P * p_hat
@@ -376,11 +368,9 @@ def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
     alpha_h = breve_alpha - g.dtheta(beta)
 
     return ExtrinsicData(
-        hhat=hhat,
-        Hhat=mean_curvature(proj),
         mean_sq=mean_sq,
         norm_H=norm_h,
-        alpha_H=OneForm(theta=alpha_h),
+        alpha_H=alpha_h,
         breve_h=breve_h,
-        breve_alpha=OneForm(theta=breve_alpha),
+        breve_alpha=breve_alpha,
     )

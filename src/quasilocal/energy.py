@@ -37,6 +37,15 @@ passing one Evaluation to all three.  The formulas that take physical
 data evaluate tau through PhysicalData.evaluate, so data of a surface in
 Minkowski space, which carries the lift it came from, reuses that lift
 when evaluated at its own time function, with bit-identical results.
+
+qle, qle_angle_form, residual and the gradient terms read only the
+physical data, the derivatives of tau and the projection (its hhat_tt
+and mean curvature), never the lift's normal-bundle data
+(Evaluation.extrinsic), so a time function whose lift has a mean
+curvature vector that is not spacelike still has an energy, a residual
+and a gradient.  breve_gauge, and through it the gauge energy of a
+lift, reads that normal-bundle data.  One-forms are the arrays of their
+dtheta components.
 """
 
 from __future__ import annotations
@@ -46,12 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (
-    AxisymMetric,
-    OneForm,
-    divergence_from_x_component,
-    integrate_surface,
-)
+from .geometry import AxisymMetric, divergence_from_x_component, integrate_surface
 from .embedding import Evaluation, evaluate
 
 if TYPE_CHECKING:
@@ -75,10 +79,10 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class GaugeData:
-    """A normal gauge on a surface: <H, e3> and the connection form of e3."""
+    """A normal gauge on a surface: <H, e3> and the connection form of e3 (dtheta)."""
 
     inner_h: np.ndarray
-    alpha: OneForm
+    alpha: np.ndarray
 
 
 def reference_mean_curvature_integral(
@@ -126,8 +130,8 @@ def qle_angle_form(d: PhysicalData, tau: np.ndarray | Evaluation) -> EnergyBreak
     """
     ev = d.evaluate(tau)
     ch, angle = _boost_angle(ev, d)
-    angle_form = OneForm(theta=d.metric.grid.dtheta(angle))
-    integrand = ev.s1 * ch * d.norm_H - ev.pairing(angle_form) - ev.pairing(d.alpha_H)
+    angle_pair = ev.pairing(d.metric.grid.dtheta(angle))
+    integrand = ev.s1 * ch * d.norm_H - angle_pair - ev.pairing(d.alpha_H)
     return EnergyBreakdown(
         reference_term=ev.reference,
         physical_term=integrate_surface(d.metric, integrand),
@@ -190,23 +194,24 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     cancelled analytically: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) and
     hhat_pp Hess_pp / (Q sin)^4 = -w u' tau_x / (P_hat P^2 Q^2) with
     w = v_tilde'/sin, so every field stays smooth through the poles.
+    Only the projection's hhat_tt and mean curvature are read, never the
+    lift's normal-bundle data.
     """
     m = d.metric
     grid = m.grid
-    data = ev.extrinsic
     proj = ev.projected
     p_hat = proj.metric.P
 
     s1 = ev.s1
     tau_x = ev.tau_x
-    hess_tt = ev.hess.theta_theta
+    hess_tt = ev.hess_tt
     u_prime = proj.u_prime
 
     hess_pp_scaled = -u_prime * tau_x / (m.P**2 * m.Q)
     cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
     trace_term = (
-        data.Hhat * (hess_tt / p_hat**2 + hess_pp_scaled)
-        - data.hhat.theta_theta * hess_tt / p_hat**4
+        proj.mean_curvature * (hess_tt / p_hat**2 + hess_pp_scaled)
+        - proj.hhat_tt * hess_tt / p_hat**4
         - cross_pp_scaled
     )
 
@@ -215,6 +220,6 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     flux = (
         -tau_x * ch * d.norm_H / s1
         + grid.dx(angle)
-        - d.alpha_H.theta / grid.sin_theta
+        - d.alpha_H / grid.sin_theta
     )
     return -trace_term / s1, flux

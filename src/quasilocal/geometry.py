@@ -16,9 +16,11 @@ apparent pole singularities analytically:
 
 Scalar fields are plain float arrays of node values, or (k, n) stacks of
 k fields; every operator acts on the last axis, so a stack costs one
-matrix product per operator.  One-forms and symmetric 2-tensors carry
-only the components an axisymmetric field can have; the mixed and dphi
-pieces vanish identically.
+matrix product per operator.  An axisymmetric one-form has only a
+dtheta component and is that array; of a symmetric 2-tensor only the
+theta-theta component is formed (hessian), since every formula that
+needs the phi-phi component uses it with its sin(theta) factors
+cancelled analytically.
 """
 
 from __future__ import annotations
@@ -362,25 +364,6 @@ def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     return AxisymMetric(grid, np.full(grid.n_nodes, r), np.full(grid.n_nodes, r))
 
 
-@dataclass(frozen=True, eq=False)
-class OneForm:
-    """Axisymmetric one-form; only the dtheta component survives."""
-
-    theta: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SymTensorField:
-    """Axisymmetric symmetric 2-tensor; the mixed component vanishes."""
-
-    theta_theta: np.ndarray
-    phi_phi: np.ndarray
-
-    def trace(self, m: AxisymMetric) -> np.ndarray:
-        u = m.Q * m.grid.sin_theta
-        return self.theta_theta / m.P**2 + self.phi_phi / u**2
-
-
 # ---------------------------------------------------------------------------
 # integral and differential operators
 # ---------------------------------------------------------------------------
@@ -425,37 +408,27 @@ def _norm_sq(m: AxisymMetric, f_theta: np.ndarray) -> np.ndarray:
     return (f_theta / m.P) ** 2
 
 
-def _pairing(m: AxisymMetric, a: np.ndarray, f_theta: np.ndarray) -> np.ndarray:
-    """Pairing alpha(grad f) = alpha_theta * f_theta / P^2."""
-    return a * f_theta / m.P**2
+def hessian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
+    """theta-theta component of the covariant Hessian of a smooth axisymmetric field.
 
-
-def hessian(m: AxisymMetric, f: np.ndarray) -> SymTensorField:
-    """Covariant Hessian of a smooth axisymmetric field.
-
-    With u = Q sin(theta) the nonzero components are
-
-        Hess_tt = f'' - (P'/P) f'
-        Hess_pp = u u' f' / P^2
-
-    where primes are theta derivatives.  f'' is assembled from x-space
-    derivatives (f'' = -x f_x + (1 - x^2) f_xx) because f' itself carries
-    a sin(theta) factor and cannot be differentiated spectrally in x.
+    Hess_tt = f'' - (P'/P) f', primes theta derivatives.  f'' is
+    assembled from x-space derivatives (f'' = -x f_x + (1 - x^2) f_xx)
+    because f' itself carries a sin(theta) factor and cannot be
+    differentiated spectrally in x.  The other nonzero component,
+    Hess_pp = u u' f' / P^2 with u = Q sin(theta), enters every formula
+    as Hess_pp / u^2 = -u' f_x / (P^2 Q), with the sin(theta) cancelled.
     """
     f = _check_field(m.grid, f, "f")
     return _hessian(m, m.grid.dx(f))
 
 
-def _hessian(m: AxisymMetric, fx: np.ndarray) -> SymTensorField:
-    """hessian of the field whose x-derivative is fx."""
+def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
+    """Hess_tt of the field whose x-derivative is fx."""
     g = m.grid
     fxx = g.dx(fx)
     f1 = -g.sin_theta * fx
     f2 = -g.x * fx + (1.0 - g.x * g.x) * fxx
-    u = m.Q * g.sin_theta
-    tt = f2 - (m.P_theta / m.P) * f1
-    pp = u * m.u_prime * f1 / m.P**2
-    return SymTensorField(theta_theta=tt, phi_phi=pp)
+    return f2 - (m.P_theta / m.P) * f1
 
 
 def sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
@@ -477,7 +450,9 @@ def gauss_curvature(m: AxisymMetric) -> np.ndarray:
         K = -(1 / (P u)) d/dtheta (u'/P) = d/dx(u'/P) / (P Q)
 
     after the sin(theta) factors cancel.  Valid for any admissible
-    metric, embeddable or not.  Computed once per metric (m.K).
+    metric, embeddable or not.  Package code reads m.K, computed once per
+    metric; this function stays only because the benchmark's tracer
+    lists it.
     """
     return m.K
 
@@ -498,9 +473,7 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
     """
     tau = _check_field(m.grid, tau, "tau")
     taux = m.grid.dx(tau)
-    return _hat_gauss_curvature(
-        m, _hessian(m, taux).theta_theta, taux, _norm_sq(m, m.grid.dtheta(tau))
-    )
+    return _hat_gauss_curvature(m, _hessian(m, taux), taux, _norm_sq(m, m.grid.dtheta(tau)))
 
 
 def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:

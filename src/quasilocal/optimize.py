@@ -99,7 +99,7 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
     one margin per row; the guard never builds a lift.
     """
     ev = evaluate(m, tau)
-    k_hat = _hat_gauss_curvature(m, ev.hess.theta_theta, ev.tau_x, ev.grad_sq)
+    k_hat = _hat_gauss_curvature(m, ev.hess_tt, ev.tau_x, ev.grad_sq)
     scaled = k_hat * (1.0 + ev.grad_sq)
     worst = np.minimum(np.minimum(k_hat.min(axis=-1), m.K.min()), scaled.min(axis=-1))
     return float(worst) if worst.ndim == 0 else worst

@@ -36,7 +36,6 @@ from .geometry import (
     AxisymMetric,
     Grid,
     InvalidParameterError,
-    OneForm,
     _check_single_field,
     _read_only,
     make_grid,
@@ -59,6 +58,8 @@ class DataFormatError(ValueError):
 class PhysicalData:
     """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag.
 
+    alpha_H is the dtheta component of the connection one-form.
+
     lift, when set, is an Evaluation of one time function on this metric:
     minkowski_surface_data keeps the lift the data came from.  It takes no
     part in repr, and evaluate serves it for that time function.  Data
@@ -67,7 +68,7 @@ class PhysicalData:
 
     metric: AxisymMetric
     norm_H: np.ndarray
-    alpha_H: OneForm
+    alpha_H: np.ndarray
     provenance: str
     lift: Evaluation | None = field(default=None, repr=False)
 
@@ -75,7 +76,7 @@ class PhysicalData:
         if self.lift is not None and self.lift.metric is not self.metric:
             raise InvalidParameterError("the lift belongs to a different metric")
         norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
-        alpha = _check_single_field(self.metric.grid, self.alpha_H.theta, "alpha_theta")
+        alpha = _check_single_field(self.metric.grid, self.alpha_H, "alpha_theta")
         for name, values in (("normH", norm_h), ("alpha_theta", alpha)):
             j = int(np.argmin(np.isfinite(values)))
             if not np.isfinite(values[j]):
@@ -86,6 +87,7 @@ class PhysicalData:
                 f"normH must be positive; normH = {norm_h[j]} at node {j}"
             )
         object.__setattr__(self, "norm_H", norm_h)
+        object.__setattr__(self, "alpha_H", alpha)
 
     def evaluate(self, tau: np.ndarray | Evaluation) -> Evaluation:
         """The Evaluation of tau on the metric: the kept lift for its own time function.
@@ -122,7 +124,7 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
     return PhysicalData(
         metric=round_sphere(grid, radius),
         norm_H=norm_h,
-        alpha_H=OneForm(theta=np.zeros(grid.n_nodes)),
+        alpha_H=np.zeros(grid.n_nodes),
         provenance="schwarzschild",
     )
 
@@ -146,7 +148,7 @@ def store_physical_data(d: PhysicalData, path: str | os.PathLike) -> None:
     """Write a PhysicalData table; see the module docstring for layout."""
     g = d.metric.grid
     rows = np.column_stack(
-        [g.nodes, d.metric.P, d.metric.Q, d.norm_H, d.alpha_H.theta]
+        [g.nodes, d.metric.P, d.metric.Q, d.norm_H, d.alpha_H]
     )
     lines = [f"# n={g.n_nodes}", " ".join(COLUMNS)]
     for row in rows:
@@ -228,6 +230,6 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     return PhysicalData(
         metric=AxisymMetric(grid, table[:, 1], table[:, 2]),
         norm_H=table[:, 3],
-        alpha_H=OneForm(theta=table[:, 4]),
+        alpha_H=table[:, 4],
         provenance="file",
     )

@@ -46,7 +46,7 @@ from .geometry import (
     integrate_surface,
     sin_factored_theta_derivative,
 )
-from .embedding import embed_r3, evaluate, mean_curvature
+from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, minkowski_surface_data
 from .energy import breve_gauge, generalized_mean_curvature, qle, residual, tilde_energy
 from .optimize import convexity_guard
@@ -102,10 +102,6 @@ class TheoremReport:
     @property
     def worst_margin(self) -> float:
         return self.worst.margin
-
-    @property
-    def tolerances(self) -> tuple:
-        return tuple((c.label, c.allowance) for c in self.checks)
 
     @property
     def passed(self) -> bool:
@@ -239,17 +235,17 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
 
     # rest embedding quantities for the mean curvature identity
     base = embed_r3(m)
-    h0 = mean_curvature(base)
+    h0 = base.mean_curvature
     w_v = base.w
     taux = ev.tau_x
     defect = (w_v * ev.lap + taux * divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
     h_gen = generalized_mean_curvature(breve_gauge(ev), m, ev)
-    prop_dev = np.max(np.abs(h_gen / s1 - data.Hhat))
+    prop_dev = np.max(np.abs(h_gen / s1 - proj.mean_curvature))
 
     alpha_pair = ev.pairing(data.breve_alpha)
-    proj_dev = np.max(np.abs(data.Hhat + data.breve_h + alpha_pair / s1))
+    proj_dev = np.max(np.abs(proj.mean_curvature + data.breve_h + alpha_pair / s1))
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
     # e3 carries a sin factor, so its derivative is assembled analytically
@@ -258,13 +254,12 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     frame_alpha = (
         d_vert * tau_theta * proj.u_prime + d_horiz * tau_theta * proj.v_prime
     ) / (m.P * p_hat)
-    gauge_dev = np.max(np.abs(data.breve_alpha.theta - frame_alpha))
+    gauge_dev = np.max(np.abs(data.breve_alpha - frame_alpha))
 
     tau_up = tau_theta / m.P**2
     inverse_dev = np.max(np.abs((1.0 / m.P**2 - tau_up**2 / s1**2) * p_hat**2 - 1.0))
 
-    hess_hat = hessian(proj.metric, ev.tau)
-    graph_dev = np.max(np.abs(hess_hat.theta_theta - ev.hess.theta_theta / s1**2))
+    graph_dev = np.max(np.abs(hessian(proj.metric, ev.tau) - ev.hess_tt / s1**2))
 
     checks = tuple(
         CheckOutcome(label, -float(dev), tolerance)
@@ -303,14 +298,15 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
 
     ev = evaluate(m, tau)
     data = ev.extrinsic
-    p_hat = ev.projected.metric.P
+    proj = ev.projected
+    p_hat = proj.metric.P
     s1 = ev.s1
     tau_up = ev.tau_theta / m.P**2
     alpha_pair = ev.pairing(data.breve_alpha)
     flux = (
-        -data.hhat.theta_theta * tau_up / (p_hat**2 * s1)
+        -proj.hhat_tt * tau_up / (p_hat**2 * s1)
         - tau_up * alpha_pair / s1**2
-        + data.breve_alpha.theta / m.P**2
+        + data.breve_alpha / m.P**2
     )
     flux_dev = float(np.max(np.abs(flux)))
 
@@ -453,7 +449,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
-    alpha_dev = float(np.max(np.abs(d.alpha_H.theta)))
+    alpha_dev = float(np.max(np.abs(d.alpha_H)))
     # rest shares the metric m with d, so one evaluation of a time function
     # serves the energies of both
     at_rest = evaluate(m, np.zeros(g.n_nodes))

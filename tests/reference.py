@@ -10,7 +10,7 @@ import numpy as np
 
 from quasilocal.embedding import Evaluation, RevolutionSurface
 from quasilocal.energy import GaugeData, _boost_angle
-from quasilocal.geometry import OneForm
+from quasilocal.geometry import AxisymMetric
 from quasilocal.physdata import PhysicalData
 
 
@@ -35,7 +35,28 @@ def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
 def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
     """Gauss curvature as the determinant of the shape operator."""
     P = surf.metric.P
-    return (surf.hhat.theta_theta / P**2) * (surf.w / (surf.metric.Q * P))
+    return (surf.hhat_tt / P**2) * (surf.w / (surf.metric.Q * P))
+
+
+def hessian_phi_phi(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
+    """Hess_pp = u u' f' / P^2 of f, u = Q sin(theta), primes theta derivatives.
+
+    Formed with the pole factors in place, as the package never does.
+    """
+    u = m.Q * m.grid.sin_theta
+    return u * m.u_prime * m.grid.dtheta(f) / m.P**2
+
+
+def hhat_phi_phi(surf: RevolutionSurface) -> np.ndarray:
+    """hhat_pp = u v' / P, the phi-phi second fundamental form, outward."""
+    m = surf.metric
+    return m.Q * m.grid.sin_theta * surf.v_prime / m.P
+
+
+def trace(m: AxisymMetric, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
+    """sigma^{ab} T_ab = T_tt / P^2 + T_pp / (Q sin(theta))^2 of a symmetric 2-tensor."""
+    u = m.Q * m.grid.sin_theta
+    return tt / m.P**2 + pp / u**2
 
 
 def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
@@ -49,7 +70,7 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
     ch, angle = _boost_angle(d.evaluate(tau), d)
     return GaugeData(
         inner_h=-ch * d.norm_H,
-        alpha=OneForm(theta=d.alpha_H.theta + d.metric.grid.dtheta(angle)),
+        alpha=d.alpha_H + d.metric.grid.dtheta(angle),
     )
 
 

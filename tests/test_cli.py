@@ -108,6 +108,15 @@ class TestResidualCommand:
         assert np.max(np.abs(table[:, 0] - make_grid(24).nodes)) < 1e-15
 
 
+class TestTimelikeLiftMeanCurvature:
+    @pytest.mark.parametrize("command", ["residual", "minimize"])
+    def test_command_reads_only_the_projection(self, command, capsys):
+        # the guard holds at 0.7 P2 on the unit sphere, but <H, H> of the
+        # lift itself is negative at the equator
+        assert main([command, "--schwarzschild", "m=0,r=1", "--tau", "0.7*P2"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+
 class TestMinimizeCommand:
     def test_descends_to_the_round_point(self, capsys):
         argv = ["minimize", "--schwarzschild", "m=1,r=4", "--tau", "0.05*P2",

@@ -24,9 +24,14 @@ from quasilocal.embedding import (
     evaluate,
     extrinsic_data,
     mean_curvature,
-    second_fundamental_form,
 )
-from reference import gauss_curvature_from_shape, isometry_residual, minkowski_isometry_residual
+from reference import (
+    gauss_curvature_from_shape,
+    hhat_phi_phi,
+    isometry_residual,
+    minkowski_isometry_residual,
+    trace,
+)
 
 
 def boosted_sphere(grid, eps):
@@ -54,7 +59,6 @@ class TestEmbedR3:
         grid = make_grid(32)
         for r in (1.0, 4.0):
             surf = embed_r3(round_sphere(grid, r))
-            assert np.max(np.abs(surf.u - r * grid.sin_theta)) <= 1e-12
             assert np.max(np.abs(surf.v - r * (1.0 - grid.x))) <= 1e-12
             assert np.max(np.abs(surf.u_prime - r * grid.x)) <= 1e-12
             assert np.max(np.abs(surf.v_prime - r * grid.sin_theta)) <= 1e-12
@@ -86,9 +90,9 @@ class TestShapeOperator:
     def test_round_sphere_second_fundamental_form(self):
         grid = make_grid(24)
         for r in (1.0, 4.0):
-            h = second_fundamental_form(embed_r3(round_sphere(grid, r)))
-            assert np.max(np.abs(h.theta_theta - r)) <= 1e-12
-            assert np.max(np.abs(h.phi_phi - r * grid.sin_theta**2)) <= 1e-12
+            surf = embed_r3(round_sphere(grid, r))
+            assert np.max(np.abs(surf.hhat_tt - r)) <= 1e-12
+            assert np.max(np.abs(hhat_phi_phi(surf) - r * grid.sin_theta**2)) <= 1e-12
 
     def test_round_sphere_mean_curvature(self):
         grid = make_grid(32)
@@ -101,8 +105,11 @@ class TestShapeOperator:
         for seed in range(5):
             m = regular_random_metric(grid, np.random.default_rng(seed))
             surf = embed_r3(m)
-            h = second_fundamental_form(surf)
-            assert np.max(np.abs(h.trace(m) - mean_curvature(surf))) <= 1e-10
+            hhat_trace = trace(m, surf.hhat_tt, hhat_phi_phi(surf))
+            assert np.max(np.abs(hhat_trace - mean_curvature(surf))) <= 1e-10
+            # the package's form of hhat_pp / u^2, the sin(theta) cancelled
+            u = m.Q * grid.sin_theta
+            assert np.max(np.abs(hhat_phi_phi(surf) / u**2 - surf.w / (m.Q * m.P))) <= 1e-10
 
     def test_ellipsoid_gauss_curvature_dual_path(self):
         # profile u = sin, v = a(1 - cos), a = 1.2: P^2 = cos^2 + a^2 sin^2
@@ -189,31 +196,35 @@ class TestEmbedLifted:
 class TestExtrinsicData:
     def test_round_sphere_at_rest(self):
         grid = make_grid(32)
-        data = extrinsic_data(embed_lifted(round_sphere(grid), np.zeros(32)))
-        assert np.max(np.abs(data.Hhat - 2.0)) <= 1e-12
+        lift = embed_lifted(round_sphere(grid), np.zeros(32))
+        data = extrinsic_data(lift)
+        assert np.max(np.abs(lift.projected.mean_curvature - 2.0)) <= 1e-12
         # the factored Laplacian divides out sin(theta), which amplifies
         # rounding at the outermost nodes
         assert np.max(np.abs(data.norm_H - 2.0)) <= 5e-12
         assert np.max(np.abs(data.breve_h + 2.0)) <= 5e-12
-        assert np.max(np.abs(data.alpha_H.theta)) <= 1e-12
-        assert np.max(np.abs(data.breve_alpha.theta)) <= 1e-12
+        assert np.max(np.abs(data.alpha_H)) <= 1e-12
+        assert np.max(np.abs(data.breve_alpha)) <= 1e-12
 
     def test_round_sphere_radius_scaling(self):
         grid = make_grid(32)
-        data = extrinsic_data(embed_lifted(round_sphere(grid, 4.0), np.zeros(32)))
-        assert np.max(np.abs(data.Hhat - 0.5)) <= 1e-12
+        lift = embed_lifted(round_sphere(grid, 4.0), np.zeros(32))
+        data = extrinsic_data(lift)
+        assert np.max(np.abs(lift.projected.mean_curvature - 0.5)) <= 1e-12
         assert np.max(np.abs(data.norm_H - 0.5)) <= 1e-12
 
     def test_boosted_sphere_closed_forms(self):
         grid = make_grid(32)
         m, tau, c, p_hat = boosted_sphere(grid, 0.3)
-        data = extrinsic_data(embed_lifted(m, tau))
-        assert np.max(np.abs(data.Hhat - c * (1.0 + p_hat**2) / p_hat**3)) <= 1e-10
+        lift = embed_lifted(m, tau)
+        data = extrinsic_data(lift)
+        proj = lift.projected
+        assert np.max(np.abs(proj.mean_curvature - c * (1.0 + p_hat**2) / p_hat**3)) <= 1e-10
         assert np.max(np.abs(data.breve_h + 2.0 * c / p_hat)) <= 1e-10
         expect_alpha = -c * 0.3 * grid.sin_theta / p_hat**2
-        assert np.max(np.abs(data.breve_alpha.theta - expect_alpha)) <= 1e-10
+        assert np.max(np.abs(data.breve_alpha - expect_alpha)) <= 1e-10
         assert np.max(np.abs(data.mean_sq - 4.0)) <= 1e-10
-        assert np.max(np.abs(data.hhat.theta_theta - c / p_hat)) <= 1e-10
+        assert np.max(np.abs(proj.hhat_tt - c / p_hat)) <= 1e-10
 
     def test_boosted_sphere_connection_form_vanishes(self):
         # the lift is a Lorentz transform of the round sphere, so the
@@ -222,7 +233,7 @@ class TestExtrinsicData:
         for eps in (0.1, 0.3, 0.7):
             m, tau, _, _ = boosted_sphere(grid, eps)
             data = extrinsic_data(embed_lifted(m, tau))
-            assert np.max(np.abs(data.alpha_H.theta)) <= 1e-10
+            assert np.max(np.abs(data.alpha_H)) <= 1e-10
 
     def test_norm_is_root_of_mean_sq(self):
         grid = make_grid(32)
@@ -261,14 +272,15 @@ class TestFrameIdentities:
         data = extrinsic_data(lift)
         s = np.sqrt(1.0 + lift.grad_sq)
         a_grad = lift.pairing(data.breve_alpha)
-        projection = data.Hhat + data.breve_h + a_grad / s
-        curvature = -s * data.breve_h - a_grad - data.Hhat * s
+        hhat = lift.projected.mean_curvature
+        projection = hhat + data.breve_h + a_grad / s
+        curvature = -s * data.breve_h - a_grad - hhat * s
         tau_up = grid.dtheta(tau) / m.P**2
         p_hat2 = m.P**2 + grid.dtheta(tau) ** 2
         flux = (
-            -(data.hhat.theta_theta / p_hat2) * tau_up / s
+            -(lift.projected.hhat_tt / p_hat2) * tau_up / s
             - tau_up * a_grad / s**2
-            + data.breve_alpha.theta / m.P**2
+            + data.breve_alpha / m.P**2
         )
         return projection, curvature, flux
 

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import legendre_mode, regular_random_metric, random_time_profile
-from reference import canonical_gauge, comparison_f, comparison_f_prime
+from reference import (
+    canonical_gauge,
+    comparison_f,
+    comparison_f_prime,
+    hessian_phi_phi,
+    hhat_phi_phi,
+    trace,
+)
 from quasilocal import geometry
 from quasilocal.geometry import (
     Grid,
     InvalidParameterError,
-    OneForm,
     integrate_surface,
     make_grid,
     round_sphere,
@@ -25,6 +31,7 @@ from quasilocal.physdata import (
     schwarzschild_sphere,
 )
 from quasilocal.energy import (
+    _stationarity_terms,
     breve_gauge,
     evaluate,
     generalized_mean_curvature,
@@ -82,7 +89,7 @@ class TestQle:
         d = PhysicalData(
             metric=m,
             norm_H=np.full(32, 2.0),
-            alpha_H=OneForm(theta=np.zeros(32)),
+            alpha_H=np.zeros(32),
             provenance="synthetic",
         )
         with pytest.raises(NonEmbeddableError):
@@ -109,7 +116,7 @@ class TestEvaluation:
 
 
 class TestMeanCurvatureOnce:
-    def test_reference_and_extrinsic_share_one_computation(self, monkeypatch):
+    def test_reference_and_residual_share_one_computation(self, monkeypatch):
         formula = RevolutionSurface.mean_curvature.func
         calls = []
 
@@ -121,9 +128,11 @@ class TestMeanCurvatureOnce:
         counted.__set_name__(RevolutionSurface, "mean_curvature")
         monkeypatch.setattr(RevolutionSurface, "mean_curvature", counted)
         grid = make_grid(32)
-        at_tau = evaluate(schwarzschild_sphere(grid, 1.0, 4.0).metric, generic_tau(grid))
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        at_tau = evaluate(d.metric, generic_tau(grid))
         reference = at_tau.reference
-        hhat = at_tau.extrinsic.Hhat
+        residual(d, at_tau)
+        hhat = at_tau.projected.mean_curvature
         assert len(calls) == 1
         assert calls[0] is at_tau.projected
         assert reference == integrate_surface(calls[0].metric, hhat)
@@ -276,6 +285,27 @@ class TestResidual:
         for tau0 in (0.3 * grid.x, 0.3 * grid.x + 0.1 * legendre_mode(grid, 2)):
             d = minkowski_surface_data(m, tau0)
             assert np.max(np.abs(residual(d, tau0))) <= 1e-9
+
+    def test_trace_term_matches_the_full_tensors(self):
+        # -(Hhat shat^ab - shat^ac shat^bd hhat_cd) Hess_ab / sqrt(1 + |grad tau|^2)
+        # with the phi-phi components formed with their sin(theta) factors
+        # in place, against the package's cancelled forms
+        grid = make_grid(32)
+        for seed in range(5):
+            rng = np.random.default_rng(320 + seed)
+            m = regular_random_metric(grid, rng)
+            d = PhysicalData(m, np.full(32, 1.5), np.zeros(32), "synthetic")
+            ev = evaluate(m, random_time_profile(grid, rng))
+            proj = ev.projected
+            hess_pp = hessian_phi_phi(m, ev.tau)
+            u = m.Q * grid.sin_theta
+            contracted = (
+                proj.hhat_tt * ev.hess_tt / proj.metric.P**4 + hhat_phi_phi(proj) * hess_pp / u**4
+            )
+            mean_part = proj.mean_curvature * trace(proj.metric, ev.hess_tt, hess_pp)
+            want = -(mean_part - contracted) / ev.s1
+            trace_part, _ = _stationarity_terms(d, ev)
+            assert np.max(np.abs(trace_part - want)) <= 1e-9
 
     def test_integral_vanishes(self):
         # divergence structure: the residual integrates to zero at every

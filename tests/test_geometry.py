@@ -11,7 +11,6 @@ from quasilocal.geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
-    OneForm,
     divergence_from_x_component,
     gauss_curvature,
     hat_gauss_curvature,
@@ -25,6 +24,7 @@ from quasilocal.geometry import (
 
 
 from conftest import legendre_mode, regular_random_metric
+from reference import hessian_phi_phi, trace
 from quasilocal.embedding import evaluate
 
 
@@ -332,7 +332,7 @@ class TestGradientAndPairing:
         grid = make_grid(16)
         m = round_sphere(grid)
         f = 0.4 * grid.x
-        alpha = OneForm(theta=0.2 * grid.sin_theta)
+        alpha = 0.2 * grid.sin_theta
         want = 0.2 * grid.sin_theta * (-0.4 * grid.sin_theta)
         got = evaluate(m, f).pairing(alpha)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -342,9 +342,8 @@ class TestHessian:
     def test_unit_sphere_cos_theta(self):
         grid = make_grid(16)
         m = round_sphere(grid)
-        h = hessian(m, grid.x)
-        assert np.max(np.abs(h.theta_theta + grid.x)) <= 1e-10
-        assert np.max(np.abs(h.phi_phi + grid.sin_theta**2 * grid.x)) <= 1e-10
+        assert np.max(np.abs(hessian(m, grid.x) + grid.x)) <= 1e-10
+        assert np.max(np.abs(hessian_phi_phi(m, grid.x) + grid.sin_theta**2 * grid.x)) <= 1e-10
 
     def test_trace_is_laplacian(self):
         grid = make_grid(32)
@@ -352,8 +351,12 @@ class TestHessian:
         for _ in range(5):
             m = regular_random_metric(grid, rng)
             f = npleg.legval(grid.x, np.concatenate([[0.0], rng.uniform(-0.3, 0.3, 6)]))
-            h = hessian(m, f)
-            assert np.max(np.abs(h.trace(m) - laplacian(m, f))) <= 1e-9
+            hess_pp = hessian_phi_phi(m, f)
+            assert np.max(np.abs(trace(m, hessian(m, f), hess_pp) - laplacian(m, f))) <= 1e-9
+            # the package's form of Hess_pp / u^2, the sin(theta) cancelled
+            u = m.Q * grid.sin_theta
+            cancelled = -m.u_prime * grid.dx(f) / (m.P**2 * m.Q)
+            assert np.max(np.abs(hess_pp / u**2 - cancelled)) <= 1e-9
 
 
 class TestSinFactoredDerivative:
@@ -419,3 +422,16 @@ class TestHatGaussCurvature:
         direct = gauss_curvature(AxisymMetric(grid, phat, m.Q))
         got = hat_gauss_curvature(m, tau)
         assert np.max(np.abs(got - direct)) <= 1e-7
+
+    def test_matches_the_phi_phi_hessian(self):
+        # det(Hess tau) from both components, sin(theta) factors in place,
+        # against the package's cancelled form of Hess_pp / (Q sin)^2
+        grid = make_grid(32)
+        rng = np.random.default_rng(41)
+        m = regular_random_metric(grid, rng, scale=0.1)
+        tau = npleg.legval(grid.x, [0.0, 0.25, 0.1, -0.05])
+        gsq = (grid.dtheta(tau) / m.P) ** 2
+        u = m.Q * grid.sin_theta
+        det = hessian(m, tau) * hessian_phi_phi(m, tau) / (m.P**2 * u**2)
+        want = (gauss_curvature(m) + det / (1.0 + gsq)) / (1.0 + gsq)
+        assert np.max(np.abs(hat_gauss_curvature(m, tau) - want)) <= 1e-9

@@ -13,7 +13,8 @@ from quasilocal.geometry import (
     make_grid,
     round_sphere,
 )
-from quasilocal.embedding import NonEmbeddableError
+import quasilocal.embedding as embedding_module
+from quasilocal.embedding import NonEmbeddableError, NonSpacelikeMeanCurvatureError
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
 from quasilocal.energy import _stationarity_terms, evaluate, qle, residual
 from quasilocal.optimize import (
@@ -418,3 +419,37 @@ class TestSecondVariation:
         assert values[0] < 1e-8 and values[1] > 1.0
         boost = grid.legendre_coeffs(evaluate(m, tau0).projected.v)[1:9]
         assert abs(vectors[:, 0] @ boost) / np.linalg.norm(boost) > 0.9999
+
+
+class TestProjectionOnly:
+    """The residual, the gradient and the minimizer read only the projection.
+
+    On these spheres the guard holds at tau = c P2, but the lift's own mean
+    curvature vector is timelike near the equator.  The energy and its
+    derivatives use |H| of the data and the projected surface, not the
+    lift's normal bundle, so they stay defined there.
+    """
+
+    @pytest.mark.parametrize("mass, radius, c2", [(0.0, 1.0, 0.7), (1.0, 4.0, 2.8)])
+    def test_timelike_lift_mean_curvature_is_not_read(self, mass, radius, c2, monkeypatch):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, mass, radius)
+        init = TauCoefficients((0.0, c2) + (0.0,) * (DEFAULT_MODE_COUNT - 2))
+        tau = tau_from_coefficients(grid, init)
+        assert convexity_guard(d.metric, tau) > 0.0
+        with pytest.raises(NonSpacelikeMeanCurvatureError):
+            evaluate(d.metric, tau).extrinsic
+        assert np.isfinite(residual(d, tau)).all()
+        assert np.isfinite(energy_gradient(d, init)).all()
+
+        original = embedding_module.extrinsic_data
+        calls = []
+
+        def counting(lift):
+            calls.append(lift)
+            return original(lift)
+
+        monkeypatch.setattr(embedding_module, "extrinsic_data", counting)
+        report = minimize_energy(d, init)
+        assert calls == []
+        assert abs(report.energy_star - schwarzschild_energy(mass, radius)) <= 1e-9

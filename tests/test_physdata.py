@@ -10,7 +10,6 @@ from conftest import MODE_WEIGHTS, regular_random_metric, random_time_profile
 from reference import canonical_gauge
 from quasilocal.geometry import (
     InvalidParameterError,
-    OneForm,
     make_grid,
     round_sphere,
 )
@@ -34,7 +33,7 @@ class TestSchwarzschildSphere:
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         assert np.max(np.abs(d.norm_H - 0.35355339059327373)) <= 1e-16
-        assert np.max(np.abs(d.alpha_H.theta)) == 0.0
+        assert np.max(np.abs(d.alpha_H)) == 0.0
         assert d.provenance == "schwarzschild"
 
     def test_zero_mass_matches_flat_sphere(self):
@@ -69,7 +68,7 @@ class TestMinkowskiSurfaceData:
         grid = make_grid(32)
         d = minkowski_surface_data(round_sphere(grid), np.zeros(32))
         assert np.max(np.abs(d.norm_H - 2.0)) <= 5e-12
-        assert np.max(np.abs(d.alpha_H.theta)) <= 1e-12
+        assert np.max(np.abs(d.alpha_H)) <= 1e-12
         assert d.provenance == "minkowski"
 
     def test_time_translation_invariance(self):
@@ -80,7 +79,7 @@ class TestMinkowskiSurfaceData:
         assert np.max(np.abs(at_rest.norm_H - shifted.norm_H)) <= 1e-12
         # differentiating the constant offset leaves O(n^2 eps) noise that
         # the frame rapidity inherits
-        assert np.max(np.abs(at_rest.alpha_H.theta - shifted.alpha_H.theta)) <= 1e-10
+        assert np.max(np.abs(at_rest.alpha_H - shifted.alpha_H)) <= 1e-10
 
     def test_tilted_sphere_norm(self):
         # boosts of the round sphere keep <H, H> = 4; the decomposition
@@ -155,7 +154,7 @@ class TestSharedLift:
         assert energy_gradient(d, coeffs).tobytes() == energy_gradient(plain, coeffs).tobytes()
         shared, fresh = canonical_gauge(d, tau0), canonical_gauge(plain, tau0)
         assert shared.inner_h.tobytes() == fresh.inner_h.tobytes()
-        assert shared.alpha.theta.tobytes() == fresh.alpha.theta.tobytes()
+        assert shared.alpha.tobytes() == fresh.alpha.tobytes()
 
     def test_lift_is_served_for_equal_bits_only(self):
         d, tau0, _ = lift_data(32)
@@ -219,21 +218,21 @@ class TestValidation:
         bad = np.ones(8)
         bad[3] = 0.0
         with pytest.raises(InvalidParameterError, match="node 3"):
-            PhysicalData(round_sphere(grid), bad, OneForm(np.zeros(8)), "file")
+            PhysicalData(round_sphere(grid), bad, np.zeros(8), "file")
 
     def test_nonfinite_norm_rejected(self):
         grid = make_grid(8)
         bad = np.ones(8)
         bad[2] = np.nan
         with pytest.raises(InvalidParameterError, match="normH must be finite, got nan at node 2"):
-            PhysicalData(round_sphere(grid), bad, OneForm(np.zeros(8)), "file")
+            PhysicalData(round_sphere(grid), bad, np.zeros(8), "file")
 
     def test_nonfinite_alpha_rejected(self):
         grid = make_grid(8)
         alpha = np.zeros(8)
         alpha[6] = -np.inf
         with pytest.raises(InvalidParameterError, match="alpha_theta must be finite, got -inf at node 6"):
-            PhysicalData(round_sphere(grid), np.ones(8), OneForm(alpha), "file")
+            PhysicalData(round_sphere(grid), np.ones(8), alpha, "file")
 
 
 class TestTableRoundTrip:
@@ -246,7 +245,7 @@ class TestTableRoundTrip:
         assert np.array_equal(back.metric.P, d.metric.P)
         assert np.array_equal(back.metric.Q, d.metric.Q)
         assert np.array_equal(back.norm_H, d.norm_H)
-        assert np.array_equal(back.alpha_H.theta, d.alpha_H.theta)
+        assert np.array_equal(back.alpha_H, d.alpha_H)
         assert back.provenance == "file"
 
     def test_loaded_table_shares_the_grid(self, tmp_path):
@@ -265,7 +264,7 @@ class TestTableRoundTrip:
         store_physical_data(d, path)
         back = load_physical_data(path)
         assert np.array_equal(back.norm_H, d.norm_H)
-        assert np.array_equal(back.alpha_H.theta, d.alpha_H.theta)
+        assert np.array_equal(back.alpha_H, d.alpha_H)
 
     def test_commas_accepted(self, tmp_path):
         grid = make_grid(8)
@@ -356,8 +355,6 @@ class TestTableRoundTrip:
 ARRAY_DATACLASSES = {
     "PhysicalData": lambda g: schwarzschild_sphere(g, 1.0, 4.0),
     "AxisymMetric": round_sphere,
-    "OneForm": lambda g: OneForm(theta=np.zeros(g.n_nodes)),
-    "SymTensorField": lambda g: embed_r3(round_sphere(g)).hhat,
     "RevolutionSurface": lambda g: embed_r3(round_sphere(g)),
     "ExtrinsicData": lambda g: evaluate(round_sphere(g), 0.3 * g.x).extrinsic,
     "GaugeData": lambda g: breve_gauge(evaluate(round_sphere(g), 0.3 * g.x)),

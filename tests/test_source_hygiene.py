@@ -47,21 +47,36 @@ def test_every_import_is_used(path):
 
 
 def test_library_code_is_run_outside_tests():
-    """Every public function and class is used by the package, a demo or the benchmark.
+    """Every public function, class, method and property is used by the package, a demo or the benchmark.
 
-    A use inside its own definition or a re-export by __init__ does not
-    count; a name the benchmark's tracer lists in PUBLIC does.
+    Names are matched, not bindings: a method counts as used when its name
+    is read anywhere else.  A use inside its own definition or a re-export
+    by __init__ does not count; a function or Class.method the benchmark's
+    tracer lists in PUBLIC does.
     """
     trees = {path: parse(path) for path in PACKAGE if path.name != "__init__.py"}
-    outside = set()
+    outside, traced = set(), set()
     for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = parse(path)
-        outside |= references(tree) | {part for _, name in literal(tree, "PUBLIC") for part in name.split(".")}
+        outside |= references(tree)
+        traced |= {name for _, name in literal(tree, "PUBLIC")}
+    outside |= {name.split(".")[0] for name in traced}
     unused = []
     for path, tree in trees.items():
         elsewhere = outside.union(*(references(t) for p, t in trees.items() if p != path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in elsewhere | references(*(n for n in tree.body if n is not node)):
-                    unused.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            rest = [n for n in tree.body if n is not node]
+            if node.name not in elsewhere | references(*rest):
+                unused.append(f"{path.stem}.{node.name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                name = f"{node.name}.{method.name}"
+                if name in traced:
+                    continue
+                siblings = [m for m in node.body if m is not method]
+                if method.name not in elsewhere | references(*rest, *siblings):
+                    unused.append(f"{path.stem}.{name}")
     assert unused == []
