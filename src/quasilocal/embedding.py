@@ -24,17 +24,14 @@ of a stack and the worst node in it.
 
 Two kinds of data come from a lift.  The projection (Evaluation.projected)
 carries the theta-theta component hhat_tt of its second fundamental form
-and its mean curvature; qle, qle_angle_form, residual, the energy
-gradient and the convexity guard read only these and the derivatives of
-tau.  extrinsic_data is the lift's own normal-bundle data: the squared
-mean curvature vector of the lifted surface and the connection one-forms
-of two normal frames.  Only the formulas that treat the lift as a
-surface in its own right read it (minkowski_surface_data, the breve
-gauge, the identity and lemma41 suites and theorem3's closed form of
-the reference derivative), so only they raise
-NonSpacelikeMeanCurvatureError or GaugeOrientationError.  All
-computations happen on the phi = 0 slice; axisymmetry supplies the rest,
-and a one-form is the array of its dtheta component.
+and its mean curvature.  extrinsic_data is the lift's own normal-bundle
+data in the breve frame: <H, H> and the components and connection
+one-form of the translated outward frame, defined for every lift whose
+projection embeds.  Nothing here checks that H is spacelike or framed by
+the outward wedge: only physdata.minkowski_surface_data, where a lift
+becomes physical data, does.  All computations happen on the phi = 0
+slice; axisymmetry supplies the rest, and a one-form is the array of its
+dtheta component.
 
 Sign conventions.  The spatial unit normal points outward and the second
 fundamental form is taken positive on round spheres (H_hat = 2/r).  The
@@ -100,18 +97,15 @@ class NonEmbeddableError(ValueError):
 class NonSpacelikeMeanCurvatureError(ValueError):
     """<H, H> fails to be positive somewhere on the lifted surface.
 
-    The offending squared-norm field (the failing row's, for a stack) is
-    attached as mean_sq; row is None for one lift.
+    The offending squared-norm field is attached as mean_sq.
     """
 
-    def __init__(self, mean_sq: np.ndarray, node_index: int, row: int | None = None):
+    def __init__(self, mean_sq: np.ndarray, node_index: int):
         self.mean_sq = mean_sq
         self.node_index = node_index
-        self.row = row
-        where = _at((node_index,) if row is None else (row, node_index))
         super().__init__(
             "mean curvature vector is not spacelike: <H, H> = "
-            f"{mean_sq[node_index]} at {where}"
+            f"{mean_sq[node_index]} at node {node_index}"
         )
 
 
@@ -119,7 +113,8 @@ class GaugeOrientationError(ValueError):
     """The outward frame decomposition of H needs <H, e3_breve> < 0."""
 
 
-# failures of a lift that reject a field rather than signal a bug
+# failures of a lift, or of a lift as physical data, that reject a field
+# rather than signal a bug
 LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
@@ -173,18 +168,16 @@ class RevolutionSurface:
 
 @dataclass(frozen=True, eq=False)
 class ExtrinsicData:
-    """Normal-bundle data of a lifted surface.
+    """Normal-bundle data of a lifted surface in the breve frame, unchecked.
 
-    mean_sq = <H, H> and norm_H its square root.  alpha_H is the
-    connection one-form of the frame aligned with H; breve_h =
-    <H, e3_breve> and breve_alpha the connection one-form of the
-    outward-translated frame.  One-forms are their dtheta components.
+    mean_sq = <H, H>, breve_h = <H, e3_breve>, breve_h4 = <H, e4_breve>
+    and breve_alpha the connection one-form of the outward-translated
+    frame (its dtheta component).
     """
 
     mean_sq: np.ndarray
-    norm_H: np.ndarray
-    alpha_H: np.ndarray
     breve_h: np.ndarray
+    breve_h4: np.ndarray
     breve_alpha: np.ndarray
 
 
@@ -329,48 +322,21 @@ def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
 
         e4_breve = (P_hat / P, 0, tau' u' / (P P_hat), tau' v_tilde' / (P P_hat)).
 
-    alpha_H is obtained by boosting: with sinh(beta) = <H, e4_breve>/|H|
-    the frame aligned with H is the beta-boost of the breve frame, and
-    connection one-forms shift by the differential of the boost angle,
-    alpha_H = breve_alpha - d beta.
-
-    Raises NonSpacelikeMeanCurvatureError if <H, H> <= 0 anywhere (the
-    field is attached to the error) and GaugeOrientationError if
-    breve_h >= 0 somewhere, which would put H outside the frame wedge.
+    Defined for every lift whose projection embeds; H may be timelike
+    and breve_h of either sign.
     """
     m = surf.metric
-    g = m.grid
     proj = surf.projected
     p_hat = proj.metric.P
+    tau_theta = surf.tau_theta
 
     lu, lap_vt, lap_tau = _lift_laplacians(surf)
-    mean_sq = lu**2 + lap_vt**2 - lap_tau**2
-    bad = _first_nonpositive(mean_sq)
-    if bad is not None:
-        row = bad[0] if len(bad) == 2 else None
-        raise NonSpacelikeMeanCurvatureError(mean_sq[bad[:-1]], bad[-1], row)
-    norm_h = np.sqrt(mean_sq)
-
-    tau_theta = surf.tau_theta
-    breve_h = (lu * proj.v_prime - lap_vt * proj.u_prime) / p_hat
-    bad = _first_nonpositive(-breve_h)
-    if bad is not None:
-        raise GaugeOrientationError(
-            f"<H, e3_breve> = {breve_h[bad]} >= 0 at {_at(bad)}; "
-            "the lifted surface is not convex enough to frame H"
-        )
-    breve_alpha = proj.hhat_tt * tau_theta / (m.P * p_hat)
-
-    h4 = -lap_tau * p_hat / m.P + tau_theta * (lu * proj.u_prime + lap_vt * proj.v_prime) / (
-        m.P * p_hat
-    )
-    beta = np.arcsinh(h4 / norm_h)
-    alpha_h = breve_alpha - g.dtheta(beta)
-
     return ExtrinsicData(
-        mean_sq=mean_sq,
-        norm_H=norm_h,
-        alpha_H=alpha_h,
-        breve_h=breve_h,
-        breve_alpha=breve_alpha,
+        mean_sq=lu**2 + lap_vt**2 - lap_tau**2,
+        breve_h=(lu * proj.v_prime - lap_vt * proj.u_prime) / p_hat,
+        breve_h4=(
+            -lap_tau * p_hat / m.P
+            + tau_theta * (lu * proj.u_prime + lap_vt * proj.v_prime) / (m.P * p_hat)
+        ),
+        breve_alpha=proj.hhat_tt * tau_theta / (m.P * p_hat),
     )

@@ -38,13 +38,12 @@ data evaluate tau through PhysicalData.evaluate, so data of a surface in
 Minkowski space, which carries the lift it came from, reuses that lift
 when evaluated at its own time function, with bit-identical results.
 
-qle, qle_angle_form, residual and the gradient terms read only the
-physical data, the derivatives of tau and the projection (its hhat_tt
-and mean curvature), never the lift's normal-bundle data
-(Evaluation.extrinsic), so a time function whose lift has a mean
-curvature vector that is not spacelike still has an energy, a residual
-and a gradient.  breve_gauge, and through it the gauge energy of a
-lift, reads that normal-bundle data.  One-forms are the arrays of their
+qle, qle_angle_form, residual and the gradient terms read the physical
+data, the derivatives of tau and the projection (its hhat_tt and mean
+curvature); breve_gauge, and through it the gauge energy of a lift,
+reads the lift's breve-frame data (Evaluation.extrinsic).  None of them
+checks that a lift could be physical data: only
+physdata.minkowski_surface_data does.  One-forms are the arrays of their
 dtheta components.
 """
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AxisymMetric, FieldShapeError, _hat_gauss_curvature, integrate_surface
-from .embedding import LIFT_ERRORS, Evaluation, evaluate
+from .embedding import Evaluation, NonEmbeddableError, evaluate
 from .energy import _stationarity_terms, qle, residual
 from .physdata import PhysicalData
 
@@ -249,7 +249,7 @@ def minimize_energy(
             try:
                 model = _hessian(d, _perturbed(m, current.tau, count), count)
                 least = float(model[0][0])
-            except LIFT_ERRORS:
+            except NonEmbeddableError:
                 model = None
         newton = None if model is None else _newton_direction(*model, grad)
         direction = -grad if newton is None else newton
@@ -309,10 +309,10 @@ def minimize_energy(
 
 
 def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
-    """qle at a line-search trial: None outside the guard, inf where the lift fails."""
+    """qle at a line-search trial: None outside the guard, inf if the projection fails."""
     if convexity_guard(d.metric, evaluation) <= 0.0:
         return None
     try:
         return qle(d, evaluation).total
-    except LIFT_ERRORS:
+    except NonEmbeddableError:
         return np.inf

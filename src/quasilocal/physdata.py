@@ -6,8 +6,9 @@ with it.  Everything downstream (energy evaluation, minimization,
 certification) consumes this triple and nothing else, so data can come
 from closed-form families, from a lifted surface, or from a text table.
 
-Data of a surface in Minkowski space (minkowski_surface_data) carries the
-lift it was computed from.  PhysicalData.evaluate, through which the
+Data of a surface in Minkowski space (minkowski_surface_data), where a
+lift becomes physical data and the only code that checks it can, carries
+the lift it was computed from.  PhysicalData.evaluate, through which the
 formulas that take data evaluate a time function on its metric, returns
 that lift for the data's own time function, given bit for bit, so the
 energy, the residual and the gradient at tau0 reuse it instead of
@@ -41,7 +42,7 @@ from .geometry import (
     make_grid,
     round_sphere,
 )
-from .embedding import Evaluation, evaluate
+from .embedding import Evaluation, GaugeOrientationError, NonSpacelikeMeanCurvatureError, evaluate
 
 COLUMNS = ("theta", "P", "Q", "normH", "alpha_theta")
 
@@ -132,15 +133,36 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
 def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> PhysicalData:
     """Data of the lift of (m, tau0) viewed as a surface in flat spacetime.
 
-    The data keeps that lift.  An array tau0 is lifted from a read-only
+    This is where a lift becomes physical data, and the only place that
+    checks it can be: raises NonSpacelikeMeanCurvatureError if <H, H> <= 0
+    somewhere (the field is attached to the error) and
+    GaugeOrientationError if <H, e3_breve> >= 0 somewhere, which would put
+    H outside the frame wedge.  alpha_H is obtained by boosting: with
+    sinh(beta) = <H, e4_breve>/|H| the frame aligned with H is the
+    beta-boost of the breve frame, and connection one-forms shift by the
+    differential of the boost angle, alpha_H = breve_alpha - d beta.
+
+    The data keeps the lift.  An array tau0 is lifted from a read-only
     copy, so changing the caller's array later cannot leave it stale.
     """
     if not isinstance(tau0, Evaluation):
         tau0 = _read_only(np.array(tau0, dtype=float))
     lift = evaluate(m, tau0)
+    _check_single_field(m.grid, lift.tau, "tau0")
     data = lift.extrinsic
+    j = int(np.argmin(data.mean_sq))
+    if data.mean_sq[j] <= 0.0:
+        raise NonSpacelikeMeanCurvatureError(data.mean_sq, j)
+    j = int(np.argmax(data.breve_h))
+    if data.breve_h[j] >= 0.0:
+        raise GaugeOrientationError(
+            f"<H, e3_breve> = {data.breve_h[j]} >= 0 at node {j}; "
+            "the lifted surface is not convex enough to frame H"
+        )
+    norm_h = np.sqrt(data.mean_sq)
+    alpha_h = data.breve_alpha - m.grid.dtheta(np.arcsinh(data.breve_h4 / norm_h))
     return PhysicalData(
-        metric=m, norm_H=data.norm_H, alpha_H=data.alpha_H, provenance="minkowski", lift=lift
+        metric=m, norm_H=norm_h, alpha_H=alpha_h, provenance="minkowski", lift=lift
     )
 
 

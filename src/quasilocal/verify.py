@@ -205,7 +205,7 @@ def _worst_index(values: np.ndarray, rows: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) -> TheoremReport:
+def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """Certify the algebraic identities tying a lift to its projection.
 
     Six identities, each evaluated through two independent code paths and
@@ -262,7 +262,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray, tolerance: float = 1e-8) 
     graph_dev = np.max(np.abs(hessian(proj.metric, ev.tau) - ev.hess_tt / s1**2))
 
     checks = tuple(
-        CheckOutcome(label, -float(dev), tolerance)
+        CheckOutcome(label, -float(dev), 1e-8)
         for label, dev in (
             ("mean-curvature-norm", lemma_dev),
             ("generalized-mean", prop_dev),

@@ -116,6 +116,17 @@ class TestTimelikeLiftMeanCurvature:
         assert main([command, "--schwarzschild", "m=0,r=1", "--tau", "0.7*P2"]) == 0
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["identities", "lemma41"])
+    def test_identity_suites_hold_on_the_lift(self, suite, capsys):
+        argv = ["verify", "--suite", suite, "--tau", "0.7*P2", "--grid-n", "64"]
+        assert main(argv) == 0
+        assert report_value(capsys.readouterr().out, "pass") == "true"
+
+    def test_lift_is_not_physical_data(self, capsys):
+        argv = ["energy", "--minkowski", "tau0=0.7*P2", "--tau", "zero"]
+        assert main(argv) == 2
+        assert "mean curvature vector is not spacelike" in capsys.readouterr().err
+
 
 class TestMinimizeCommand:
     def test_descends_to_the_round_point(self, capsys):

@@ -25,6 +25,7 @@ from quasilocal.embedding import (
     extrinsic_data,
     mean_curvature,
 )
+from quasilocal.physdata import minkowski_surface_data
 from reference import (
     gauss_curvature_from_shape,
     hhat_phi_phi,
@@ -198,20 +199,21 @@ class TestExtrinsicData:
         grid = make_grid(32)
         lift = embed_lifted(round_sphere(grid), np.zeros(32))
         data = extrinsic_data(lift)
+        phys = minkowski_surface_data(lift.metric, lift)
         assert np.max(np.abs(lift.projected.mean_curvature - 2.0)) <= 1e-12
         # the factored Laplacian divides out sin(theta), which amplifies
         # rounding at the outermost nodes
-        assert np.max(np.abs(data.norm_H - 2.0)) <= 5e-12
+        assert np.max(np.abs(phys.norm_H - 2.0)) <= 5e-12
         assert np.max(np.abs(data.breve_h + 2.0)) <= 5e-12
-        assert np.max(np.abs(data.alpha_H)) <= 1e-12
+        assert np.max(np.abs(phys.alpha_H)) <= 1e-12
         assert np.max(np.abs(data.breve_alpha)) <= 1e-12
 
     def test_round_sphere_radius_scaling(self):
         grid = make_grid(32)
         lift = embed_lifted(round_sphere(grid, 4.0), np.zeros(32))
-        data = extrinsic_data(lift)
+        phys = minkowski_surface_data(lift.metric, lift)
         assert np.max(np.abs(lift.projected.mean_curvature - 0.5)) <= 1e-12
-        assert np.max(np.abs(data.norm_H - 0.5)) <= 1e-12
+        assert np.max(np.abs(phys.norm_H - 0.5)) <= 1e-12
 
     def test_boosted_sphere_closed_forms(self):
         grid = make_grid(32)
@@ -232,21 +234,21 @@ class TestExtrinsicData:
         grid = make_grid(32)
         for eps in (0.1, 0.3, 0.7):
             m, tau, _, _ = boosted_sphere(grid, eps)
-            data = extrinsic_data(embed_lifted(m, tau))
-            assert np.max(np.abs(data.alpha_H)) <= 1e-10
+            phys = minkowski_surface_data(m, tau)
+            assert np.max(np.abs(phys.alpha_H)) <= 1e-10
 
     def test_norm_is_root_of_mean_sq(self):
         grid = make_grid(32)
         rng = np.random.default_rng(11)
         m = regular_random_metric(grid, rng)
-        data = extrinsic_data(embed_lifted(m, random_time_profile(grid, rng)))
-        assert np.max(np.abs(data.norm_H**2 - data.mean_sq)) <= 1e-12
+        phys = minkowski_surface_data(m, random_time_profile(grid, rng))
+        assert np.max(np.abs(phys.norm_H**2 - phys.lift.extrinsic.mean_sq)) <= 1e-12
 
     def test_non_spacelike_mean_curvature_rejected(self):
         grid = make_grid(32)
         tau = legendre_mode(grid, 2)
         with pytest.raises(NonSpacelikeMeanCurvatureError) as exc:
-            extrinsic_data(embed_lifted(round_sphere(grid), tau))
+            minkowski_surface_data(round_sphere(grid), tau)
         assert exc.value.mean_sq.shape == (32,)
         assert exc.value.mean_sq[exc.value.node_index] <= 0.0
 
@@ -255,7 +257,7 @@ class TestExtrinsicData:
         Q = 1.0 - 0.3 * legendre_mode(grid, 2)
         m = AxisymMetric(grid, np.ones(32), Q)
         with pytest.raises(GaugeOrientationError):
-            extrinsic_data(embed_lifted(m, np.zeros(32)))
+            minkowski_surface_data(m, np.zeros(32))
 
 
 class TestFrameIdentities:

@@ -425,7 +425,8 @@ class TestProjectionOnly:
     """The residual, the gradient and the minimizer read only the projection.
 
     On these spheres the guard holds at tau = c P2, but the lift's own mean
-    curvature vector is timelike near the equator.  The energy and its
+    curvature vector is timelike near the equator, so the lift cannot be
+    physical data and minkowski_surface_data rejects it.  The energy and its
     derivatives use |H| of the data and the projected surface, not the
     lift's normal bundle, so they stay defined there.
     """
@@ -438,7 +439,8 @@ class TestProjectionOnly:
         tau = tau_from_coefficients(grid, init)
         assert convexity_guard(d.metric, tau) > 0.0
         with pytest.raises(NonSpacelikeMeanCurvatureError):
-            evaluate(d.metric, tau).extrinsic
+            minkowski_surface_data(d.metric, tau)
+        assert evaluate(d.metric, tau).extrinsic.mean_sq.min() <= 0.0
         assert np.isfinite(residual(d, tau)).all()
         assert np.isfinite(energy_gradient(d, init)).all()
 

@@ -80,3 +80,22 @@ def test_library_code_is_run_outside_tests():
                 if method.name not in elsewhere | references(*rest, *siblings):
                     unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_every_traced_name_is_defined():
+    """Every (module, name) the benchmark's tracer wraps is defined in the package.
+
+    Class.method names count.  A change that deletes or renames a traced
+    function then fails here, not only when the tracer cannot find it.
+    """
+    defined = set()
+    for path in PACKAGE:
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef):
+                    defined.add((path.stem, f"{node.name}.{method.name}"))
+    tracer = parse(ROOT / "perfbench" / "tracer.py")
+    traced = set(literal(tracer, "PUBLIC")) | set(literal(tracer, "INTERNAL"))
+    assert traced and sorted(traced - defined) == []

@@ -70,6 +70,13 @@ def test_wrongly_shaped_stack_names_tau(shape):
         evaluate(m, np.zeros(shape))
 
 
+def test_minkowski_data_rejects_a_stack_naming_tau0():
+    m = round_sphere(make_grid(16))
+    for stack in (np.zeros((2, 16)), evaluate(m, np.zeros((2, 16)))):
+        with pytest.raises(FieldShapeError, match=r"^tau0 has shape"):
+            minkowski_surface_data(m, stack)
+
+
 def test_non_embeddable_row_is_named():
     # P^2 - u'^2 = 0.25 - cos^2(theta) turns negative towards the poles
     m = round_sphere(GRID)
