@@ -43,7 +43,6 @@ unit sphere at tau = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +51,12 @@ from .geometry import (
     InvalidParameterError,
     _at,
     _check_field,
+    _divergence_from_x_component,
     _hessian,
     _norm_sq,
-    divergence_from_x_component,
+    _sin_factored_theta_derivative,
     integrate_surface,
-    sin_factored_theta_derivative,
+    lazy,
 )
 
 
@@ -142,12 +142,12 @@ class RevolutionSurface:
         # with spectral accuracy
         return self.metric.grid.integral_from_north(self.w)
 
-    @cached_property
+    @lazy
     def w(self) -> np.ndarray:
         """v'/sin(theta), smooth in x for pole-regular profiles."""
         return self.v_prime / self.metric.grid.sin_theta
 
-    @cached_property
+    @lazy
     def hhat_tt(self) -> np.ndarray:
         """theta-theta component of the second fundamental form, outward.
 
@@ -155,10 +155,10 @@ class RevolutionSurface:
         where h_ab = sigma_ab / r.
         """
         m = self.metric
-        v2 = sin_factored_theta_derivative(m.grid, self.w)
+        v2 = _sin_factored_theta_derivative(m.grid, self.w)
         return (self.u_prime * v2 - m.u_second * self.v_prime) / m.P
 
-    @cached_property
+    @lazy
     def mean_curvature(self) -> np.ndarray:
         """Scalar mean curvature (sum of principal curvatures), outward."""
         P = self.metric.P
@@ -196,47 +196,47 @@ class Evaluation:
         self.metric = metric
         self.tau = _check_field(metric.grid, tau, "tau")
 
-    @cached_property
+    @lazy
     def tau_theta(self) -> np.ndarray:
         return self.metric.grid.dtheta(self.tau)
 
-    @cached_property
+    @lazy
     def tau_x(self) -> np.ndarray:
         return self.metric.grid.dx(self.tau)
 
-    @cached_property
+    @lazy
     def grad_sq(self) -> np.ndarray:
         """|grad tau|^2."""
         return _norm_sq(self.metric, self.tau_theta)
 
-    @cached_property
+    @lazy
     def s1(self) -> np.ndarray:
         """sqrt(1 + |grad tau|^2)."""
         return np.sqrt(1.0 + self.grad_sq)
 
-    @cached_property
+    @lazy
     def lap(self) -> np.ndarray:
         """Laplacian of tau."""
-        return divergence_from_x_component(self.metric, -self.tau_x)
+        return _divergence_from_x_component(self.metric, -self.tau_x)
 
-    @cached_property
+    @lazy
     def hess_tt(self) -> np.ndarray:
         """theta-theta component of the covariant Hessian of tau."""
         return _hessian(self.metric, self.tau_x)
 
-    @cached_property
+    @lazy
     def projected(self) -> RevolutionSurface:
         """The revolution surface of sigma + dtau x dtau, profile sqrt(P^2 + tau_theta^2)."""
         m = self.metric
         return embed_r3(m.with_P(np.sqrt(m.P**2 + self.tau_theta**2)))
 
-    @cached_property
+    @lazy
     def reference(self) -> float | np.ndarray:
         """Total mean curvature of the projected surface."""
         proj = self.projected
         return integrate_surface(proj.metric, proj.mean_curvature)
 
-    @cached_property
+    @lazy
     def extrinsic(self) -> ExtrinsicData:
         return extrinsic_data(self)
 
@@ -303,8 +303,8 @@ def _lift_laplacians(surf: Evaluation):
     g = m.grid
     proj = surf.projected
     b = m.Q * proj.u_prime / m.P
-    lu = (sin_factored_theta_derivative(g, b) - m.P) / (m.P * m.Q * g.sin_theta)
-    lap_vt = divergence_from_x_component(m, proj.w)
+    lu = (_sin_factored_theta_derivative(g, b) - m.P) / (m.P * m.Q * g.sin_theta)
+    lap_vt = _divergence_from_x_component(m, proj.w)
     return lu, lap_vt, surf.lap
 
 

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import AxisymMetric, divergence_from_x_component, integrate_surface
+from .geometry import AxisymMetric, _divergence_from_x_component, integrate_surface
 from .embedding import Evaluation, evaluate
 
 if TYPE_CHECKING:
@@ -178,7 +178,7 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
     """
     ev = d.evaluate(tau)
     trace_part, flux = _stationarity_terms(d, ev)
-    return trace_part + divergence_from_x_component(d.metric, flux)
+    return trace_part + _divergence_from_x_component(d.metric, flux)
 
 
 def _stationarity_terms(d: PhysicalData, ev: Evaluation):

@@ -21,12 +21,23 @@ dtheta component and is that array; of a symmetric 2-tensor only the
 theta-theta component is formed (hessian), since every formula that
 needs the phi-phi component uses it with its sin(theta) factors
 cancelled analytically.
+
+The Grid owns, as read-only arrays built once per size, the nodes,
+weights, differentiation and Legendre Vandermonde matrices and the
+factors 1 - x^2, -sin(theta) and -x of the x-space operators.  Public
+operators check the shape of their inputs; the package calls the private
+kernels behind them (_divergence_from_x_component, _hessian,
+_sin_factored_theta_derivative) with arrays that were already checked,
+and both give the same bits.  Fields computed when first read use the
+lazy descriptor below instead of functools.cached_property, which up to
+Python 3.11 takes a lock on every first read; at n = 32 an evaluation
+costs more in such fixed per-call work than in arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -92,6 +103,8 @@ class Grid:
     interpolant; it is exact on polynomials in x of degree n_nodes - 1.
     Column l of legendre_vandermonde holds P_l at the nodes, and column l
     of legendre_vandermonde_dx holds P_l' (diff_matrix_x applied to it).
+    one_minus_x_sq, minus_sin_theta and minus_x hold 1 - x^2, -sin(theta)
+    and -x, factors of the x-space operators built once per grid.
 
     make_grid shares one Grid per size, so its arrays are read-only and
     grids compare and hash by identity.
@@ -106,6 +119,9 @@ class Grid:
     diff_matrix_x: np.ndarray
     legendre_vandermonde: np.ndarray = field(repr=False)
     legendre_vandermonde_dx: np.ndarray = field(repr=False)
+    one_minus_x_sq: np.ndarray = field(repr=False)
+    minus_sin_theta: np.ndarray = field(repr=False)
+    minus_x: np.ndarray = field(repr=False)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
@@ -195,14 +211,15 @@ def _build_grid(n: int) -> Grid:
     x = x_asc[::-1].copy()
     w = w_asc[::-1].copy()
     theta = np.arccos(x)
-    sin_theta = np.sqrt(1.0 - x * x)
+    one_minus_x_sq = 1.0 - x * x
+    sin_theta = np.sqrt(one_minus_x_sq)
     dmat_x = _differentiation_matrix(x)
     dmat_theta = -sin_theta[:, None] * dmat_x
     vander = npleg.legvander(x, n - 1)
     # D is exact on P_k, k = n - 1, where (1 - x^2) P_k' = k (P_{k-1} - x P_k)
     k = n - 1
     exact = k * (vander[:, k - 1] - x * vander[:, k])
-    checks = [(f"P_{k}'", (1.0 - x * x) * (dmat_x @ vander[:, k]), exact)]
+    checks = [(f"P_{k}'", one_minus_x_sq * (dmat_x @ vander[:, k]), exact)]
     if n >= SMOOTH_CHECK_FROM_N:
         smooth = np.exp(x) * np.sin(3.0 * x)
         derivative = np.exp(x) * (np.sin(3.0 * x) + 3.0 * np.cos(3.0 * x))
@@ -224,6 +241,9 @@ def _build_grid(n: int) -> Grid:
         diff_matrix_x=_read_only(dmat_x),
         legendre_vandermonde=_read_only(vander),
         legendre_vandermonde_dx=_read_only(dmat_x @ vander),
+        one_minus_x_sq=_read_only(one_minus_x_sq),
+        minus_sin_theta=_read_only(-sin_theta),
+        minus_x=_read_only(-x),
     )
 
 
@@ -263,6 +283,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class lazy:
+    """A field computed by func when first read, then kept in the instance __dict__.
+
+    Later reads find the value there without calling the descriptor, as
+    with functools.cached_property, which up to Python 3.11 takes a lock
+    on every first read; an Evaluation makes about eleven.  Without the
+    lock, two threads reading a field first at once would both compute
+    it; the package starts no threads.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class AxisymMetric:
     """Axially symmetric metric P^2 dtheta^2 + Q^2 sin^2(theta) dphi^2.
@@ -287,46 +331,57 @@ class AxisymMetric:
     def __post_init__(self):
         P = _check_field(self.grid, self.P, "P")
         Q = _check_single_field(self.grid, self.Q, "Q")
-        for name, values in (("P", P), ("Q", Q)):
-            finite = np.isfinite(values)
-            if not finite.all():
-                i = _first(~finite)
-                raise InvalidParameterError(
-                    f"{name} must be finite, got {values[i]} at {_at(i)} "
-                    f"(theta = {self.grid.nodes[i[-1]]})"
-                )
+        _check_finite(self.grid, "P", P)
+        _check_finite(self.grid, "Q", Q)
         _check_lengths(self.grid, "P", P)
         _check_lengths(self.grid, "Q", Q)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
     def with_P(self, P: np.ndarray) -> "AxisymMetric":
-        """The metric with profile P and this Q, sharing the Q-only fields."""
-        other = AxisymMetric(self.grid, P, self.Q)
-        other.__dict__["u_prime"] = self.u_prime
-        other.__dict__["u_second"] = self.u_second
+        """The metric with profile P and this Q, sharing the Q-only fields.
+
+        P is checked as the constructor checks it; Q, already checked
+        with this metric, is not checked again.
+        """
+        P = _check_field(self.grid, P, "P")
+        _check_finite(self.grid, "P", P)
+        _check_lengths(self.grid, "P", P)
+        other = object.__new__(AxisymMetric)
+        other.__dict__.update(
+            grid=self.grid, P=P, Q=self.Q, u_prime=self.u_prime, u_second=self.u_second
+        )
         return other
 
-    @cached_property
+    @lazy
     def u_prime(self) -> np.ndarray:
         """d/dtheta of u = Q sin(theta), smooth in x."""
-        return _read_only(sin_factored_theta_derivative(self.grid, self.Q))
+        return _read_only(_sin_factored_theta_derivative(self.grid, self.Q))
 
-    @cached_property
+    @lazy
     def u_second(self) -> np.ndarray:
         """d^2u/dtheta^2, assembled from the x-derivative of u'."""
         g = self.grid
-        return _read_only(-g.sin_theta * g.dx(self.u_prime))
+        return _read_only(g.minus_sin_theta * g.dx(self.u_prime))
 
-    @cached_property
+    @lazy
     def P_theta(self) -> np.ndarray:
         """dP/dtheta."""
         return _read_only(self.grid.dtheta(self.P))
 
-    @cached_property
+    @lazy
     def K(self) -> np.ndarray:
         """Gauss curvature; see gauss_curvature."""
         return _read_only(self.grid.dx(self.u_prime / self.P) / (self.P * self.Q))
+
+
+def _check_finite(grid: Grid, name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = _first(~finite)
+        raise InvalidParameterError(
+            f"{name} must be finite, got {values[i]} at {_at(i)} (theta = {grid.nodes[i[-1]]})"
+        )
 
 
 def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
@@ -390,9 +445,13 @@ def divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarra
     The sin(theta) factors cancel analytically, so no pole division ever
     happens.
     """
-    omega = _check_field(m.grid, omega, "omega")
+    return _divergence_from_x_component(m, _check_field(m.grid, omega, "omega"))
+
+
+def _divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarray:
+    """divergence_from_x_component of a checked omega."""
     g = m.grid
-    inner = (1.0 - g.x * g.x) * (m.Q / m.P) * omega
+    inner = g.one_minus_x_sq * (m.Q / m.P) * omega
     return -g.dx(inner) / (m.P * m.Q)
 
 
@@ -400,7 +459,7 @@ def laplacian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator of the metric applied to a smooth field."""
     f = _check_field(m.grid, f, "f")
     # df/dtheta = sin(theta) * (-df/dx)
-    return divergence_from_x_component(m, -m.grid.dx(f))
+    return _divergence_from_x_component(m, -m.grid.dx(f))
 
 
 def _norm_sq(m: AxisymMetric, f_theta: np.ndarray) -> np.ndarray:
@@ -426,8 +485,8 @@ def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
     """Hess_tt of the field whose x-derivative is fx."""
     g = m.grid
     fxx = g.dx(fx)
-    f1 = -g.sin_theta * fx
-    f2 = -g.x * fx + (1.0 - g.x * g.x) * fxx
+    f1 = g.minus_sin_theta * fx
+    f2 = g.minus_x * fx + g.one_minus_x_sq * fxx
     return f2 - (m.P_theta / m.P) * f1
 
 
@@ -438,8 +497,12 @@ def sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
     cos(theta) q - (1 - x^2) dq/dx, itself smooth in x.  Needed because
     sin(theta) * q is not a polynomial-friendly function of x.
     """
-    q = _check_field(grid, q, "q")
-    return grid.x * q - (1.0 - grid.x * grid.x) * grid.dx(q)
+    return _sin_factored_theta_derivative(grid, _check_field(grid, q, "q"))
+
+
+def _sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
+    """sin_factored_theta_derivative of a checked q."""
+    return grid.x * q - grid.one_minus_x_sq * grid.dx(q)
 
 
 def gauss_curvature(m: AxisymMetric) -> np.ndarray:

@@ -133,7 +133,7 @@ def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.n
     slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
     return (2.0 * np.pi) * (
         (grid.weights * m.P * m.Q * trace_part) @ modes
-        + (grid.weights * (1.0 - grid.x * grid.x) * (m.Q / m.P) * flux) @ slopes
+        + (grid.weights * grid.one_minus_x_sq * (m.Q / m.P) * flux) @ slopes
     )
 
 

@@ -144,11 +144,14 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> Ph
 
     The data keeps the lift.  An array tau0 is lifted from a read-only
     copy, so changing the caller's array later cannot leave it stale.
+    tau0, an array or the tau of an Evaluation, must have shape (n,).
     """
-    if not isinstance(tau0, Evaluation):
-        tau0 = _read_only(np.array(tau0, dtype=float))
-    lift = evaluate(m, tau0)
-    _check_single_field(m.grid, lift.tau, "tau0")
+    if isinstance(tau0, Evaluation):
+        lift = evaluate(m, tau0)
+        _check_single_field(m.grid, lift.tau, "tau0")
+    else:
+        tau0 = _check_single_field(m.grid, np.array(tau0, dtype=float), "tau0")
+        lift = Evaluation(m, _read_only(tau0))
     data = lift.extrinsic
     j = int(np.argmin(data.mean_sq))
     if data.mean_sq[j] <= 0.0:

@@ -11,12 +11,16 @@ from quasilocal.geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
+    _divergence_from_x_component,
+    _hessian,
+    _sin_factored_theta_derivative,
     divergence_from_x_component,
     gauss_curvature,
     hat_gauss_curvature,
     hessian,
     integrate_surface,
     laplacian,
+    lazy,
     make_grid,
     round_sphere,
     sin_factored_theta_derivative,
@@ -245,10 +249,94 @@ class TestAxisymMetric:
         assert lifted.u_second is m.u_second
         assert np.all(lifted.P == 3.0)
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-39, 2e38])
+    def test_with_P_rejects_a_bad_lifted_profile_as_the_constructor_does(self, rows, bad):
+        # with_P checks only the new P; its errors are the constructor's, word for word
+        grid = make_grid(8)
+        m = round_sphere(grid, 2.0)
+        P = np.ones(grid.n_nodes if rows is None else (rows, grid.n_nodes))
+        P[(5,) if rows is None else (1, 5)] = bad
+        with pytest.raises(InvalidParameterError) as constructed:
+            AxisymMetric(grid, P, m.Q)
+        with pytest.raises(InvalidParameterError) as lifted:
+            m.with_P(P)
+        assert str(lifted.value) == str(constructed.value)
+        named = ("at node 5", "P[5]") if rows is None else ("at row 1, node 5", "P[1, 5]")
+        assert any(name in str(lifted.value) for name in named)
+
     def test_round_sphere_profiles(self):
         grid = make_grid(8)
         m = round_sphere(grid, 2.5)
         assert np.all(m.P == 2.5) and np.all(m.Q == 2.5)
+
+
+class TestLazyField:
+    def test_computes_once_and_keeps_the_value_on_the_instance(self):
+        calls = []
+
+        class Holder:
+            @lazy
+            def value(self):
+                """The held value."""
+                calls.append(self)
+                return [1.0]
+
+        holder = Holder()
+        assert holder.value is holder.value
+        assert calls == [holder]
+        assert vars(holder) == {"value": [1.0]}
+        assert Holder.value.func.__name__ == "value"
+        assert Holder.value.__doc__ == "The held value."
+
+    def test_metric_fields_are_computed_once(self):
+        m = round_sphere(make_grid(16), 2.0)
+        assert isinstance(AxisymMetric.K, lazy)
+        first = m.K
+        assert m.K is first
+        assert np.array_equal(AxisymMetric.K.func(m), first)
+
+
+class TestUncheckedKernels:
+    """Package code calls private kernels on checked arrays; they give the public operators' bits.
+
+    The inline expressions are the operators as written before the grid
+    held 1 - x^2, -sin(theta) and -x, so the grid's arrays move no bit.
+    """
+
+    @pytest.fixture(params=[None, 3], ids=["field", "stack"])
+    def case(self, request):
+        grid = make_grid(32)
+        rng = np.random.default_rng(11)
+        m = regular_random_metric(grid, rng)
+        shape = grid.n_nodes if request.param is None else (request.param, grid.n_nodes)
+        f = np.sin(1.0 + grid.x) + rng.uniform(-0.1, 0.1, shape) * grid.x**2
+        return grid, m, f
+
+    def test_divergence(self, case):
+        g, m, omega = case
+        kernel = _divergence_from_x_component(m, omega)
+        inline = -g.dx((1.0 - g.x * g.x) * (m.Q / m.P) * omega) / (m.P * m.Q)
+        assert np.array_equal(kernel, divergence_from_x_component(m, omega))
+        assert np.array_equal(kernel, inline)
+
+    def test_laplacian(self, case):
+        g, m, f = case
+        assert np.array_equal(laplacian(m, f), _divergence_from_x_component(m, -g.dx(f)))
+
+    def test_hessian(self, case):
+        g, m, f = case
+        fx = g.dx(f)
+        kernel = _hessian(m, fx)
+        inline = (-g.x * fx + (1.0 - g.x * g.x) * g.dx(fx)) - (m.P_theta / m.P) * (-g.sin_theta * fx)
+        assert np.array_equal(kernel, hessian(m, f))
+        assert np.array_equal(kernel, inline)
+
+    def test_sin_factored_theta_derivative(self, case):
+        g, _, q = case
+        kernel = _sin_factored_theta_derivative(g, q)
+        assert np.array_equal(kernel, sin_factored_theta_derivative(g, q))
+        assert np.array_equal(kernel, g.x * q - (1.0 - g.x * g.x) * g.dx(q))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,9 @@ def test_cached_metric_fields_are_read_only(name):
         "diff_matrix_x",
         "legendre_vandermonde",
         "legendre_vandermonde_dx",
+        "one_minus_x_sq",
+        "minus_sin_theta",
+        "minus_x",
     ],
 )
 def test_shared_grid_arrays_are_read_only(name):

@@ -77,6 +77,14 @@ def test_minkowski_data_rejects_a_stack_naming_tau0():
             minkowski_surface_data(m, stack)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 16), (15,), (2, 16)])
+def test_minkowski_data_names_tau0_and_expects_one_field(shape):
+    m = round_sphere(make_grid(16))
+    message = rf"^tau0 has shape \({', '.join(map(str, shape))},?\), expected \(16,\) for this grid$"
+    with pytest.raises(FieldShapeError, match=message):
+        minkowski_surface_data(m, np.zeros(shape))
+
+
 def test_non_embeddable_row_is_named():
     # P^2 - u'^2 = 0.25 - cos^2(theta) turns negative towards the poles
     m = round_sphere(GRID)
