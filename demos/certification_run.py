@@ -11,7 +11,8 @@ Four suites back the package's comparison statements:
   theorem1     the comparison lower bound at a critical time function,
                sampled over a coefficient box, with its equality case
   theorem3     positivity along the scaling family s -> s*tau, including
-               the derivative identity certified spectrally in s
+               the derivative identity, with F'(s) the energy's weak first
+               variation along tau
 
 Each report states margins (signed slack against the allowance); a
 negative allowance encodes a strict hypothesis that must hold with room

@@ -240,6 +240,15 @@ class Evaluation:
     def extrinsic(self) -> ExtrinsicData:
         return extrinsic_data(self)
 
+    def rows(self, keep: np.ndarray) -> Evaluation:
+        """The Evaluation of the rows keep of a stack, with the array fields already read here."""
+        if keep.all():
+            return self
+        fields = {k: v[keep] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        sub = Evaluation(self.metric, fields.pop("tau"))
+        sub.__dict__.update(fields)
+        return sub
+
     def pairing(self, alpha: np.ndarray) -> np.ndarray:
         """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form."""
         a = _check_field(self.metric.grid, alpha, "alpha")

@@ -14,8 +14,8 @@ integrand, with the boost angle and its gradient explicit, as an
 independent cross-check.  The two agree to discretization rounding.
 
 Stationary time functions satisfy a second-order equation whose left-hand
-side `residual` assembles pointwise.  Its sign convention relative to the
-first variation of the energy is fixed in the optimize module.
+side `residual` assembles pointwise; _first_variation pairs its terms with
+directions in weak form, the exact first variation of the discrete energy.
 
 The gauge energy tilde_energy generalizes the physical term to an
 arbitrary normal gauge via the generalized mean curvature
@@ -186,8 +186,8 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
 
     residual = trace term + div W, with W the one-form whose dtheta
     component is sin(theta) omega, as divergence_from_x_component expects.
-    The coefficient gradient pairs the trace term with the modes and omega
-    with the mode derivatives, so each formula is defined here once.
+    _first_variation pairs the trace term with directions and omega with
+    their derivatives, so each formula is defined here once.
 
     The azimuthal contractions are formed with the sin(theta) factors
     cancelled analytically: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) and
@@ -222,3 +222,19 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
         - d.alpha_H / grid.sin_theta
     )
     return -trace_term / s1, flux
+
+
+def _first_variation(d: PhysicalData, ev: Evaluation, directions: np.ndarray, slopes: np.ndarray):
+    """Weak first variations of the energy and of its reference term, (..., j) each.
+
+    directions holds j directions in its columns, (n, j), and slopes their
+    x-derivatives.  The trace term, weighted by 2 pi w P Q and paired with
+    the directions, is the reference term's variation; the flux, weighted
+    by 2 pi w (1 - x^2) Q / P, pairs with the slopes, summed by parts.
+    """
+    m = d.metric
+    grid = m.grid
+    trace_part, flux = _stationarity_terms(d, ev)
+    reference = (grid.weights * m.P * m.Q * trace_part) @ directions
+    total = reference + (grid.weights * grid.one_minus_x_sq * (m.Q / m.P) * flux) @ slopes
+    return (2.0 * np.pi) * total, (2.0 * np.pi) * reference

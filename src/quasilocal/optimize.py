@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import AxisymMetric, FieldShapeError, _hat_gauss_curvature, integrate_surface
 from .embedding import Evaluation, NonEmbeddableError, evaluate
-from .energy import _stationarity_terms, qle, residual
+from .energy import _first_variation, qle, residual
 from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
@@ -106,16 +106,14 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
-    """Coefficient-space gradient of qle, the residual paired with P_l in weak form.
+    """Coefficient-space gradient of qle: its first variation along each mode P_l.
 
-    g_l = integral(trace term * P_l) dv
-        + 2 pi sum_j w_j (1 - x_j^2) (Q/P)_j omega_j P_l'(x_j),
-    the divergence part of the residual summed by parts against the mode
-    (omega is the residual's flux).  This is the exact derivative of the
-    discrete energy, so it needs no differentiation of the flux, and its
-    rounding does not grow with the grid the way the residual's does.
-    The positive sign is the calibrated one: central finite differences
-    of qle along each mode reproduce these pairings.
+    energy._first_variation pairs the residual's trace term with the modes
+    and its flux with their derivatives.  This is the exact derivative of
+    the discrete energy, so it needs no differentiation of the flux, and
+    its rounding does not grow with the grid the way the residual's does.
+    The positive sign is the calibrated one: central finite differences of
+    qle along each mode reproduce these pairings.
     """
     grid = d.metric.grid
     count = len(tau.coeffs)
@@ -126,15 +124,10 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
 
 def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.ndarray:
     """energy_gradient over count modes at the field tau: one row per row of a stack."""
-    m = d.metric
-    grid = m.grid
-    trace_part, flux = _stationarity_terms(d, d.evaluate(tau))
+    grid = d.metric.grid
     modes = grid.legendre_vandermonde[:, 1 : count + 1]
     slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
-    return (2.0 * np.pi) * (
-        (grid.weights * m.P * m.Q * trace_part) @ modes
-        + (grid.weights * grid.one_minus_x_sq * (m.Q / m.P) * flux) @ slopes
-    )
+    return _first_variation(d, d.evaluate(tau), modes, slopes)[0]
 
 
 def _perturbed(m: AxisymMetric, tau: np.ndarray, count: int) -> Evaluation:

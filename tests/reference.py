@@ -10,8 +10,9 @@ import numpy as np
 
 from quasilocal.embedding import Evaluation, RevolutionSurface
 from quasilocal.energy import GaugeData, _boost_angle
-from quasilocal.geometry import AxisymMetric
+from quasilocal.geometry import AxisymMetric, _differentiation_matrix
 from quasilocal.physdata import PhysicalData
+from quasilocal.verify import chebyshev_s_grid
 
 
 def isometry_residual(surf: RevolutionSurface) -> np.ndarray:
@@ -101,3 +102,13 @@ def comparison_f_prime(x, x0: float, h_big: float, h_small: float):
         + np.arcsinh(x0 / h_big)
         - np.arcsinh(x0 / h_small)
     )
+
+
+def spectral_s_derivative(values: np.ndarray) -> np.ndarray:
+    """Derivative of the polynomial interpolant through (chebyshev_s_grid(), values).
+
+    values runs over s along its last axis.  The barycentric
+    differentiation matrix that make_grid builds, applied on the s-nodes;
+    well conditioned on Lobatto-type grids.
+    """
+    return values @ _differentiation_matrix(chebyshev_s_grid()).T

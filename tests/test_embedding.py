@@ -188,6 +188,22 @@ class TestEmbedLifted:
         with pytest.raises(FieldShapeError):
             embed_lifted(round_sphere(grid), np.zeros(17))
 
+    def test_rows_keep_the_fields_already_read(self):
+        grid = make_grid(16)
+        m = round_sphere(grid)
+        taus = np.stack([c * legendre_mode(grid, 2) for c in (0.1, 0.2, 0.3)])
+        stack = evaluate(m, taus)
+        stack.hess_tt, stack.grad_sq  # read, as the convexity guard reads them
+        keep = np.array([True, False, True])
+        rows = stack.rows(keep)
+        assert np.array_equal(rows.tau, taus[keep])
+        assert np.array_equal(vars(rows)["hess_tt"], stack.hess_tt[keep])
+        assert np.array_equal(vars(rows)["grad_sq"], stack.grad_sq[keep])
+        assert "lap" not in vars(rows) and "projected" not in vars(rows)
+        fresh = evaluate(m, taus[keep])
+        np.testing.assert_allclose(rows.reference, fresh.reference, rtol=1e-14)
+        assert stack.rows(np.ones(3, dtype=bool)) is stack
+
 
 # ---------------------------------------------------------------------------
 # extrinsic data

@@ -16,7 +16,7 @@ from quasilocal.geometry import (
 import quasilocal.embedding as embedding_module
 from quasilocal.embedding import NonEmbeddableError, NonSpacelikeMeanCurvatureError
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
-from quasilocal.energy import _stationarity_terms, evaluate, qle, residual
+from quasilocal.energy import _first_variation, _stationarity_terms, evaluate, qle, residual
 from quasilocal.optimize import (
     DEFAULT_MODE_COUNT,
     GuardViolationError,
@@ -192,6 +192,21 @@ class TestEnergyGradient:
             )
             got = energy_gradient(d, tc)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
+    def test_is_the_first_variation_along_the_modes(self, source):
+        # the gradient and theorem3's F'(s) share energy._first_variation
+        if source == "schwarzschild":
+            d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+        else:
+            d = lift_data([0.04, 0.01, -0.005], [0.03, -0.01, 0.002], [0.2, 0.0, 0.1])
+        grid = d.metric.grid
+        tc = weighted_coefficients(np.random.default_rng(2100))
+        field = tau_from_coefficients(grid, tc)
+        modes = grid.legendre_vandermonde[:, 1:9]
+        slopes = grid.legendre_vandermonde_dx[:, 1:9]
+        want, _ = _first_variation(d, evaluate(d.metric, field), modes, slopes)
+        assert np.array_equal(energy_gradient(d, tc), want)
 
     @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.3, 2.0)])
     @pytest.mark.parametrize("n", [24, 32, 48])

@@ -7,18 +7,15 @@ import pytest
 
 import quasilocal
 from conftest import legendre_mode
-from quasilocal.geometry import (
-    AxisymMetric,
-    _differentiation_matrix,
-    make_grid,
-    round_sphere,
-)
+from reference import spectral_s_derivative
+from quasilocal.geometry import AxisymMetric, make_grid, round_sphere
 from quasilocal.embedding import evaluate
-from quasilocal.physdata import PhysicalData, schwarzschild_sphere
+from quasilocal.energy import _first_variation, qle
+from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
     CheckOutcome,
     TheoremReport,
-    _s_differentiation_matrix,
+    _default_profiles,
     chebyshev_s_grid,
     check_identities,
     check_lemma41,
@@ -249,6 +246,18 @@ class TestWorstSample:
         assert detail(report, "skipped-samples") == 1.0
         assert detail(report, "worst-gap-sample") == 1.0
 
+    def test_theorem3_skipped_sample_leaves_the_admitted_family(self):
+        # the admitted rows keep the derivatives the guard computed
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        good = 0.1 * legendre_mode(grid, 2)
+        report = check_theorem3(d, tau_samples=[3.0 * legendre_mode(grid, 4), good])
+        alone = check_theorem3(d, tau_samples=[good])
+        assert detail(report, "skipped-samples") == 1.0
+        assert detail(report, "worst-ode-sample") == 1.0
+        for label in ("zero-derivative", "ode", "positivity", "reference-derivative"):
+            assert outcome(report, label).margin == pytest.approx(outcome(alone, label).margin, abs=1e-12)
+
     def test_no_admitted_sample_gives_minus_one(self):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
@@ -430,14 +439,35 @@ class TestCheckTheorem3:
         assert abs(s[-1] - 1.0) < 1e-15
         assert np.all(np.diff(s) > 0)
 
-    def test_s_grid_differentiation_matrix_built_once(self):
-        # the cached matrix is the one _differentiation_matrix builds, to
-        # the bit, so the theorem3 pins do not move
-        first = _s_differentiation_matrix()
-        assert _s_differentiation_matrix() is first
-        assert first.tobytes() == _differentiation_matrix(chebyshev_s_grid()).tobytes()
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.0
+    def test_no_sample_fails_positivity(self):
+        # as theorem1's gap does: an empty sample set certifies nothing
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        report = check_theorem3(d, tau_samples=[])
+        assert report.samples == 0
+        assert not report.passed
+        assert report.worst.label == "positivity"
+        assert outcome(report, "positivity").margin == -math.inf
+        assert not check_theorem1(d, np.zeros(32), tau_samples=[]).passed
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_first_variation_matches_the_spectral_s_derivative(self, n):
+        # F(s) = E(rest, s tau) and its reference term G(s) on the default
+        # profiles, as check_theorem3 pairs them: each member with its own
+        # profile.  The Chebyshev route agreed to 4e-12 to 8e-11 (|F'| up
+        # to 0.14, |G'| up to 0.19) and read up to 4e-11 at s = 0
+        grid = make_grid(n)
+        m = schwarzschild_sphere(grid, 1.0, 4.0).metric
+        rest = minkowski_surface_data(m, evaluate(m, np.zeros(n)))
+        s = chebyshev_s_grid()
+        for tau in _default_profiles(grid):
+            family = evaluate(m, s[:, None] * tau)
+            slope, reference_slope = (
+                v[:, 0] for v in _first_variation(rest, family, tau[:, None], grid.dx(tau)[:, None])
+            )
+            assert slope[0] == 0.0
+            assert np.max(np.abs(slope - spectral_s_derivative(qle(rest, family).total))) <= 2e-10
+            assert np.max(np.abs(reference_slope - spectral_s_derivative(family.reference))) <= 2e-10
 
     def test_report_serialization_round_trip_stability(self):
         grid = make_grid(16)
