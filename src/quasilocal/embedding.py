@@ -126,21 +126,14 @@ class RevolutionSurface:
     computed analytically rather than by re-differentiating node values:
     both carry sin(theta) factors that spectral differentiation in x
     would mangle.  v_prime is the nonnegative root, which orients the
-    unit normal outward.  The height v, anchored to 0 at the north pole,
-    is computed when read: the curvature formulas need only u' and v'.
-    w = v'/sin(theta), hhat_tt and the mean curvature are each computed
-    once, when first read.
+    unit normal outward.  The curvature formulas need only u' and v', never
+    the height v itself.  w = v'/sin(theta), hhat_tt and the mean curvature
+    are each computed once, when first read.
     """
 
     metric: AxisymMetric
     u_prime: np.ndarray
     v_prime: np.ndarray
-
-    @property
-    def v(self) -> np.ndarray:
-        # w is smooth in x, so integrating it in x recovers the height
-        # with spectral accuracy
-        return self.metric.grid.integral_from_north(self.w)
 
     @lazy
     def w(self) -> np.ndarray:

@@ -185,7 +185,7 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     """The residual's trace term and the flux omega whose divergence completes it.
 
     residual = trace term + div W, with W the one-form whose dtheta
-    component is sin(theta) omega, as divergence_from_x_component expects.
+    component is sin(theta) omega, as _divergence_from_x_component expects.
     _first_variation pairs the trace term with directions and omega with
     their derivatives, so each formula is defined here once.
 

@@ -24,14 +24,15 @@ cancelled analytically.
 
 The Grid owns, as read-only arrays built once per size, the nodes,
 weights, differentiation and Legendre Vandermonde matrices and the
-factors 1 - x^2, -sin(theta) and -x of the x-space operators.  Public
-operators check the shape of their inputs; the package calls the private
-kernels behind them (_divergence_from_x_component, _hessian,
-_sin_factored_theta_derivative) with arrays that were already checked,
-and both give the same bits.  Fields computed when first read use the
-lazy descriptor below instead of functools.cached_property, which up to
-Python 3.11 takes a lock on every first read; at n = 32 an evaluation
-costs more in such fixed per-call work than in arithmetic.
+factors 1 - x^2, -sin(theta) and -x of the x-space operators.  The
+public operators laplacian and hessian check the shape of their inputs
+and give the bits of the private kernels behind them; the package calls
+the kernels (_divergence_from_x_component, _hessian,
+_sin_factored_theta_derivative) with arrays that were already checked.
+Fields computed when first read use the lazy descriptor below instead
+of functools.cached_property, which up to Python 3.11 takes a lock on
+every first read; at n = 32 an evaluation costs more in such fixed
+per-call work than in arithmetic.
 """
 
 from __future__ import annotations
@@ -434,7 +435,7 @@ def integrate_surface(m: AxisymMetric, f: np.ndarray) -> float | np.ndarray:
     return 2.0 * np.pi * m.grid.quad_dx(f * m.P * m.Q)
 
 
-def divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarray:
+def _divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarray:
     """Divergence of the one-form with dtheta component sin(theta) * omega.
 
     Regular axisymmetric one-forms always factor this way with omega
@@ -443,13 +444,8 @@ def divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarra
         div W = -d/dx[ (1 - x^2) (Q/P) omega ] / (P Q)
 
     The sin(theta) factors cancel analytically, so no pole division ever
-    happens.
+    happens.  omega is not checked.
     """
-    return _divergence_from_x_component(m, _check_field(m.grid, omega, "omega"))
-
-
-def _divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarray:
-    """divergence_from_x_component of a checked omega."""
     g = m.grid
     inner = g.one_minus_x_sq * (m.Q / m.P) * omega
     return -g.dx(inner) / (m.P * m.Q)
@@ -490,18 +486,14 @@ def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
     return f2 - (m.P_theta / m.P) * f1
 
 
-def sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
+def _sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
     """d/dtheta of sin(theta) * q for q smooth in x.
 
     Product rule applied analytically: the result is
     cos(theta) q - (1 - x^2) dq/dx, itself smooth in x.  Needed because
-    sin(theta) * q is not a polynomial-friendly function of x.
+    sin(theta) * q is not a polynomial-friendly function of x.  q is not
+    checked.
     """
-    return _sin_factored_theta_derivative(grid, _check_field(grid, q, "q"))
-
-
-def _sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
-    """sin_factored_theta_derivative of a checked q."""
     return grid.x * q - grid.one_minus_x_sq * grid.dx(q)
 
 

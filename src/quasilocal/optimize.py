@@ -197,7 +197,8 @@ def minimize_energy(
     agreement with the finite differences, not the gradient's error, and
     cannot fall much below their own error, about 3e-9 at FD_STEP.
     hessian_min_eigenvalue is the least eigenvalue of the last H before
-    the raise: the discrete second variation.
+    the raise: the discrete second variation.  An init with no modes
+    raises FieldShapeError.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol (checked before H is built, so a
@@ -216,6 +217,8 @@ def minimize_energy(
     grid = m.grid
     coeffs = np.array(init.coeffs, dtype=float)
     count = coeffs.size
+    if count == 0:
+        raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
 
     current = evaluate(m, tau_from_coefficients(grid, init))
     margin = convexity_guard(m, current)

@@ -38,10 +38,10 @@ from .geometry import (
     AxisymMetric,
     Grid,
     _check_single_field,
-    divergence_from_x_component,
-    hessian,
+    _divergence_from_x_component,
+    _hessian,
+    _sin_factored_theta_derivative,
     integrate_surface,
-    sin_factored_theta_derivative,
 )
 from .embedding import _lift_laplacians, embed_r3, evaluate
 from .physdata import PhysicalData, minkowski_surface_data
@@ -189,8 +189,10 @@ def _worst_index(values: np.ndarray, rows: np.ndarray) -> float:
 def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """Certify the algebraic identities tying a lift to its projection.
 
-    Six identities, each evaluated through two independent code paths and
-    reported as a max-norm deviation:
+    Six identities, each reported as a max-norm deviation.  Five compare
+    two independent code paths; generalized-mean is the projection
+    identity multiplied through by sqrt(1 + |grad tau|^2), so its margin
+    repeats projection's up to rounding:
 
       mean-curvature-norm   <H,H> against the rest mean curvature minus
                             the squared Laplacian defect (the axisymmetric
@@ -219,7 +221,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     h0 = base.mean_curvature
     w_v = base.w
     taux = ev.tau_x
-    defect = (w_v * ev.lap + taux * divergence_from_x_component(m, w_v)) ** 2
+    defect = (w_v * ev.lap + taux * _divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
     h_gen = generalized_mean_curvature(breve_gauge(ev), m, ev)
@@ -230,7 +232,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
     # e3 carries a sin factor, so its derivative is assembled analytically
-    d_vert = sin_factored_theta_derivative(g, proj.w / p_hat)
+    d_vert = _sin_factored_theta_derivative(g, proj.w / p_hat)
     d_horiz = g.dtheta(-proj.u_prime / p_hat)
     frame_alpha = (
         d_vert * tau_theta * proj.u_prime + d_horiz * tau_theta * proj.v_prime
@@ -240,7 +242,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     tau_up = tau_theta / m.P**2
     inverse_dev = np.max(np.abs((1.0 / m.P**2 - tau_up**2 / s1**2) * p_hat**2 - 1.0))
 
-    graph_dev = np.max(np.abs(hessian(proj.metric, ev.tau) - ev.hess_tt / s1**2))
+    graph_dev = np.max(np.abs(_hessian(proj.metric, ev.tau_x) - ev.hess_tt / s1**2))
 
     checks = tuple(
         CheckOutcome(label, -float(dev), 1e-8)
@@ -256,7 +258,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     return TheoremReport(name="identities", samples=1, checks=checks)
 
 
-def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremReport:
+def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """Certify that tau is a critical point of its own gauge-fixed energy.
 
     Two faces of the same statement.  The pointwise flux identity
@@ -268,14 +270,11 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
     alpha the translated-gauge one-form) makes the first variation of
     f -> E_tilde(lift of tau, translated gauge, f) a total divergence at
     f = tau; the derivative checks confirm that variation vanishes by
-    central differences along each supplied direction.  Surfaces that
-    fail to embed for a perturbed time function raise; the identity is
-    only certified on valid configurations.
+    central differences along the Legendre modes P1, P2 and P3.  Surfaces
+    that fail to embed for a perturbed time function raise; the identity
+    is only certified on valid configurations.
     """
-    g = m.grid
-    if variations is None:
-        variations = tuple(legendre_mode(g, degree) for degree in (1, 2, 3))
-    variations = _sample_stack(g, variations)
+    variations = m.grid.legendre_vandermonde[:, 1:4].T
 
     ev = evaluate(m, tau)
     data = ev.extrinsic
@@ -303,7 +302,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray, variations=None) -> TheoremR
         for i, dv in enumerate(derivatives, start=1)
     ]
 
-    return TheoremReport(name="lemma41", samples=len(variations), checks=tuple(checks))
+    return TheoremReport(name="lemma41", samples=count, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     """
     m = d.metric
     g = m.grid
-    tau0 = np.asarray(tau0, dtype=float)
+    tau0 = _check_single_field(g, tau0, "tau0")
     if tau_samples is None:
         tau_samples = tuple(tau0 + f for f in coefficient_box(g))
     samples = _sample_stack(g, tau_samples)
@@ -359,10 +358,13 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     )
     closed_dev = abs(closed_form - energy_tau0)
 
-    # one guard over the samples, then one evaluation of the admitted ones
-    # and of the equality case tau0 + 3
-    admitted = np.flatnonzero(convexity_guard(m, samples) > 0.0)
-    trial = evaluate(m, np.concatenate([samples[admitted], [tau0 + 3.0]]))
+    # the samples and the equality case tau0 + 3 as one evaluation, whose
+    # admitted rows keep what the guard computed
+    members = evaluate(m, np.concatenate([samples, [tau0 + 3.0]]))
+    keep = convexity_guard(m, members) > 0.0
+    keep[-1] = True  # the equality case is always evaluated
+    admitted = np.flatnonzero(keep[:-1])
+    trial = members.rows(keep)
     trial_gaps = qle(d, trial).total - energy_tau0 - qle(reference, trial).total
     gaps, equality_gap = trial_gaps[:-1], float(trial_gaps[-1])
 
@@ -467,7 +469,8 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     closed = (reference - physical)[:, interior] / s_grid[interior]
     closed_dev = _deviation_margin(reference_slope[:, interior] - closed)
 
-    increase = qle(d, family_ev).total.reshape(-1, n_s)[:, -1] - energy_rest
+    at_one = np.arange(admitted.size * n_s) % n_s == n_s - 1
+    increase = qle(d, family_ev.rows(at_one)).total - energy_rest
     varying = ~_is_constant(samples[admitted])
 
     # degenerate member of every family: the zero profile, exactly flat

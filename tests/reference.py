@@ -15,6 +15,15 @@ from quasilocal.physdata import PhysicalData
 from quasilocal.verify import chebyshev_s_grid
 
 
+def height(surf: RevolutionSurface) -> np.ndarray:
+    """The height v of the surface, anchored to 0 at the north pole.
+
+    w = v'/sin(theta) is smooth in x, so integrating it in x recovers the
+    height with spectral accuracy.
+    """
+    return surf.metric.grid.integral_from_north(surf.w)
+
+
 def isometry_residual(surf: RevolutionSurface) -> np.ndarray:
     """Pointwise defect u'^2 + v'^2 - P^2 with v re-differentiated.
 
@@ -23,13 +32,13 @@ def isometry_residual(surf: RevolutionSurface) -> np.ndarray:
     tautology.
     """
     g = surf.metric.grid
-    v_theta = g.dtheta(surf.v)
+    v_theta = g.dtheta(height(surf))
     return surf.u_prime**2 + v_theta**2 - surf.metric.P**2
 
 
 def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
     """Pointwise defect -tau'^2 + u'^2 + v_tilde'^2 - P^2."""
-    vt_theta = surf.metric.grid.dtheta(surf.projected.v)
+    vt_theta = surf.metric.grid.dtheta(height(surf.projected))
     return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.metric.P**2
 
 

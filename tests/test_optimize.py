@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from conftest import legendre_mode, random_time_profile, regular_metric
+from reference import height
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
     FieldShapeError,
@@ -331,6 +332,12 @@ class TestMinimizeEnergy:
             minimize_energy(d, bad)
         assert info.value.margin < 0.0
 
+    def test_init_without_modes_rejected(self):
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        with pytest.raises(FieldShapeError, match="0 modes"):
+            minimize_energy(d, TauCoefficients(()))
+
     @pytest.mark.parametrize("name", sorted(AT_THE_FLOOR))
     def test_run_at_the_rounding_floor_stops_converged(self, name):
         build, start, exact, stop = AT_THE_FLOOR[name]
@@ -432,7 +439,7 @@ class TestSecondVariation:
         stack = optimize_module._perturbed(m, tau0, 8)
         values, vectors = optimize_module._hessian(d, stack, 8)
         assert values[0] < 1e-8 and values[1] > 1.0
-        boost = grid.legendre_coeffs(evaluate(m, tau0).projected.v)[1:9]
+        boost = grid.legendre_coeffs(height(evaluate(m, tau0).projected))[1:9]
         assert abs(vectors[:, 0] @ boost) / np.linalg.norm(boost) > 0.9999
 
 

@@ -21,13 +21,14 @@ def literal(tree: ast.Module, name: str):
     return ()
 
 
-def references(*nodes) -> set:
-    """Bare names and attribute names read anywhere under the nodes."""
+def references(*nodes, bare: bool = True) -> set:
+    """Attribute names read anywhere under the nodes, and bare names unless bare is False."""
+    kinds = (ast.Name, ast.Attribute) if bare else ast.Attribute
     return {
         n.id if isinstance(n, ast.Name) else n.attr
         for top in nodes
         for n in ast.walk(top)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, kinds)
     }
 
 
@@ -49,21 +50,26 @@ def test_every_import_is_used(path):
 def test_library_code_is_run_outside_tests():
     """Every public function, class, method and property is used by the package, a demo or the benchmark.
 
-    Names are matched, not bindings: a method counts as used when its name
-    is read anywhere else.  A use inside its own definition or a re-export
-    by __init__ does not count; a function or Class.method the benchmark's
-    tracer lists in PUBLIC does.
+    Names are matched, not bindings: a function or class counts as used
+    when its name is read anywhere else, a method or property when an
+    attribute of its name is read anywhere else (obj.name), so a local
+    variable of the same name does not count.  A use inside its own
+    definition or a re-export by __init__ does not count; a function or
+    Class.method the benchmark's tracer lists in PUBLIC does.
     """
     trees = {path: parse(path) for path in PACKAGE if path.name != "__init__.py"}
-    outside, traced = set(), set()
+    outside, outside_attributes, traced = set(), set(), set()
     for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = parse(path)
         outside |= references(tree)
+        outside_attributes |= references(tree, bare=False)
         traced |= {name for _, name in literal(tree, "PUBLIC")}
     outside |= {name.split(".")[0] for name in traced}
     unused = []
     for path, tree in trees.items():
-        elsewhere = outside.union(*(references(t) for p, t in trees.items() if p != path))
+        others = [t for p, t in trees.items() if p != path]
+        elsewhere = outside.union(*(references(t) for t in others))
+        attributes_elsewhere = outside_attributes.union(*(references(t, bare=False) for t in others))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
@@ -77,7 +83,7 @@ def test_library_code_is_run_outside_tests():
                 if name in traced:
                     continue
                 siblings = [m for m in node.body if m is not method]
-                if method.name not in elsewhere | references(*rest, *siblings):
+                if method.name not in attributes_elsewhere | references(*rest, *siblings, bare=False):
                     unused.append(f"{path.stem}.{name}")
     assert unused == []
 

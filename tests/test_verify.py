@@ -8,8 +8,8 @@ import pytest
 import quasilocal
 from conftest import legendre_mode
 from reference import spectral_s_derivative
-from quasilocal.geometry import AxisymMetric, make_grid, round_sphere
-from quasilocal.embedding import evaluate
+from quasilocal.geometry import AxisymMetric, FieldShapeError, make_grid, round_sphere
+from quasilocal.embedding import Evaluation, evaluate
 from quasilocal.energy import _first_variation, qle
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
@@ -134,14 +134,6 @@ class TestCheckLemma41:
         report = check_lemma41(round_sphere(grid), tau)
         assert -outcome(report, "flux").margin <= 1e-8
 
-    def test_custom_variation_list(self):
-        grid = make_grid(32)
-        report = check_lemma41(
-            round_sphere(grid), 0.2 * grid.x, variations=[legendre_mode(grid, 1)]
-        )
-        assert report.samples == 1
-        assert len(report.checks) == 2
-
 
 class TestLiftsThatAreNotPhysicalData:
     """The identities hold on every lift whose projection embeds.
@@ -213,6 +205,43 @@ class TestTheorem3SharesEachSample:
         report = check_theorem3(schwarzschild_sphere(grid, 1.0, 4.0))
         assert report.passed
         assert rows == [1, report.samples * len(chebyshev_s_grid())]
+
+
+class TestEachTimeFunctionIsEvaluatedOnce:
+    def test_theorem1_derives_each_time_function_once(self, monkeypatch):
+        # tau0, then the 36 box samples and the equality case tau0 + 3 as
+        # one stack that serves the guard and the energies
+        grid = make_grid(32)
+        rows = {"tau_theta": 0, "tau_x": 0}
+
+        def counting(name, derive):
+            def derive_counted(ev):
+                rows[name] += len(np.atleast_2d(ev.tau))
+                return derive(ev)
+
+            return derive_counted
+
+        for name in rows:
+            field = Evaluation.__dict__[name]
+            monkeypatch.setattr(field, "func", counting(name, field.func))
+        assert check_theorem1(schwarzschild_sphere(grid, 1.0, 4.0), np.zeros(32)).passed
+        assert rows == {"tau_theta": 38, "tau_x": 38}
+
+    def test_theorem3_evaluates_the_physical_energy_at_s_1_only(self, monkeypatch):
+        # the rest profile, then the s = 1 row of each of the 3 families
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        rows = []
+        original = quasilocal.verify.qle
+
+        def counting(data, tau):
+            if data is d:
+                rows.append(len(np.atleast_2d(evaluate(data.metric, tau).tau)))
+            return original(data, tau)
+
+        monkeypatch.setattr(quasilocal.verify, "qle", counting)
+        assert check_theorem3(d).passed
+        assert sum(rows) == 4
 
 
 class TestWorstSample:
@@ -372,6 +401,12 @@ class TestCheckTheorem1:
         assert report.samples == 1
         assert detail(report, "skipped-samples") == 1.0
         assert report.passed
+
+    def test_tau0_of_another_grid_is_named(self):
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        with pytest.raises(FieldShapeError, match="tau0"):
+            check_theorem1(d, np.zeros(15))
 
     def test_box_family_shape(self):
         grid = make_grid(8)
