@@ -245,7 +245,7 @@ class Evaluation:
     def pairing(self, alpha: np.ndarray) -> np.ndarray:
         """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form."""
         a = _check_field(self.metric.grid, alpha, "alpha")
-        return a * self.tau_theta / self.metric.P**2
+        return a * self.tau_theta / self.metric.P_sq
 
 
 def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:

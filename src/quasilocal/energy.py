@@ -206,8 +206,8 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     hess_tt = ev.hess_tt
     u_prime = proj.u_prime
 
-    hess_pp_scaled = -u_prime * tau_x / (m.P**2 * m.Q)
-    cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P**2 * m.Q**2)
+    hess_pp_scaled = -u_prime * tau_x / m.P_sq_Q
+    cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P_sq * m.Q_sq)
     trace_term = (
         proj.mean_curvature * (hess_tt / p_hat**2 + hess_pp_scaled)
         - proj.hhat_tt * hess_tt / p_hat**4
@@ -224,17 +224,17 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     return -trace_term / s1, flux
 
 
-def _first_variation(d: PhysicalData, ev: Evaluation, directions: np.ndarray, slopes: np.ndarray):
+def _first_variation(m: AxisymMetric, terms: tuple, directions: np.ndarray, slopes: np.ndarray):
     """Weak first variations of the energy and of its reference term, (..., j) each.
 
-    directions holds j directions in its columns, (n, j), and slopes their
-    x-derivatives.  The trace term, weighted by 2 pi w P Q and paired with
-    the directions, is the reference term's variation; the flux, weighted
-    by 2 pi w (1 - x^2) Q / P, pairs with the slopes, summed by parts.
+    terms is the (trace term, flux) pair of _stationarity_terms on the
+    metric m.  directions holds j directions in its columns, (n, j), and
+    slopes their x-derivatives.  The trace term, weighted by 2 pi w P Q
+    and paired with the directions, is the reference term's variation;
+    the flux, weighted by 2 pi w (1 - x^2) Q / P, pairs with the slopes,
+    summed by parts.
     """
-    m = d.metric
-    grid = m.grid
-    trace_part, flux = _stationarity_terms(d, ev)
-    reference = (grid.weights * m.P * m.Q * trace_part) @ directions
-    total = reference + (grid.weights * grid.one_minus_x_sq * (m.Q / m.P) * flux) @ slopes
+    trace_part, flux = terms
+    reference = (m.weighted_PQ * trace_part) @ directions
+    total = reference + (m.weighted_flux_factor * flux) @ slopes
     return (2.0 * np.pi) * total, (2.0 * np.pi) * reference

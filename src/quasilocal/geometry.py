@@ -24,7 +24,10 @@ cancelled analytically.
 
 The Grid owns, as read-only arrays built once per size, the nodes,
 weights, differentiation and Legendre Vandermonde matrices and the
-factors 1 - x^2, -sin(theta) and -x of the x-space operators.  The
+factors 1 - x^2, -sin(theta) and -x of the x-space operators.  An
+AxisymMetric likewise keeps, once per metric, the products of its
+profiles that the operators use on every call (P^2, P Q, P^4 Q,
+(1 - x^2) Q/P, the weights of the energy's weak pairing and others).  The
 public operators laplacian and hessian check the shape of their inputs
 and give the bits of the private kernels behind them; the package calls
 the kernels (_divergence_from_x_component, _hessian,
@@ -320,9 +323,13 @@ class AxisymMetric:
     a stack of time functions.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
-    the u'' term of the second fundamental form, dP/dtheta and the Gauss
-    curvature K) are computed when first read and kept as read-only
-    arrays.  with_P builds a metric with the same Q that shares u' and u''.
+    the u'' term of the second fundamental form, dP/dtheta, the Gauss
+    curvature K and the profile products the operators divide or weight
+    by) are computed when first read and kept as read-only arrays.  Each
+    product is formed as the inline expression it replaces was, so a
+    kernel gives the same bits either way.  with_P builds a metric with
+    the same Q that shares u' and u''; it forms its own P-dependent
+    fields.
     """
 
     grid: Grid
@@ -373,7 +380,52 @@ class AxisymMetric:
     @lazy
     def K(self) -> np.ndarray:
         """Gauss curvature; see gauss_curvature."""
-        return _read_only(self.grid.dx(self.u_prime / self.P) / (self.P * self.Q))
+        return _read_only(self.grid.dx(self.u_prime / self.P) / self.PQ)
+
+    @lazy
+    def P_sq(self) -> np.ndarray:
+        """P^2."""
+        return _read_only(self.P**2)
+
+    @lazy
+    def Q_sq(self) -> np.ndarray:
+        """Q^2."""
+        return _read_only(self.Q**2)
+
+    @lazy
+    def PQ(self) -> np.ndarray:
+        """P Q, the area element over sin(theta)."""
+        return _read_only(self.P * self.Q)
+
+    @lazy
+    def P_sq_Q(self) -> np.ndarray:
+        """P^2 Q."""
+        return _read_only(self.P_sq * self.Q)
+
+    @lazy
+    def P4_Q(self) -> np.ndarray:
+        """P^4 Q."""
+        return _read_only(self.P**4 * self.Q)
+
+    @lazy
+    def P_theta_over_P(self) -> np.ndarray:
+        """(dP/dtheta) / P."""
+        return _read_only(self.P_theta / self.P)
+
+    @lazy
+    def flux_factor(self) -> np.ndarray:
+        """(1 - x^2) Q / P, the factor of omega in _divergence_from_x_component."""
+        return _read_only(self.grid.one_minus_x_sq * (self.Q / self.P))
+
+    @lazy
+    def weighted_PQ(self) -> np.ndarray:
+        """w P Q with w the quadrature weights: the area weights of a weak pairing."""
+        return _read_only(self.grid.weights * self.P * self.Q)
+
+    @lazy
+    def weighted_flux_factor(self) -> np.ndarray:
+        """w (1 - x^2) Q / P with w the quadrature weights: the flux weights of a weak pairing."""
+        return _read_only(self.grid.weights * self.grid.one_minus_x_sq * (self.Q / self.P))
 
 
 def _check_finite(grid: Grid, name: str, values: np.ndarray) -> None:
@@ -396,12 +448,13 @@ def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
 
 
 def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
-    """Reject a time function whose values or lifted profile leave the length range.
+    """Reject a time function that is not finite, or whose values or lift leave the length range.
 
     The lift of (m, tau) has profile sqrt(P^2 + tau_theta^2); with |tau| at
     most LENGTH_MAX that profile is computed without overflow.
     """
     tau = _check_field(m.grid, tau, "tau")
+    _check_finite(m.grid, "tau", tau)
     big = np.abs(tau) > LENGTH_MAX
     if big.any():
         i = _first(big)
@@ -446,9 +499,7 @@ def _divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarr
     The sin(theta) factors cancel analytically, so no pole division ever
     happens.  omega is not checked.
     """
-    g = m.grid
-    inner = g.one_minus_x_sq * (m.Q / m.P) * omega
-    return -g.dx(inner) / (m.P * m.Q)
+    return -m.grid.dx(m.flux_factor * omega) / m.PQ
 
 
 def laplacian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
@@ -483,7 +534,7 @@ def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
     fxx = g.dx(fx)
     f1 = g.minus_sin_theta * fx
     f2 = g.minus_x * fx + g.one_minus_x_sq * fxx
-    return f2 - (m.P_theta / m.P) * f1
+    return f2 - m.P_theta_over_P * f1
 
 
 def _sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:
@@ -534,5 +585,5 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
 def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:
     """hat_gauss_curvature from Hess_tt, d(tau)/dx and |grad tau|^2."""
     # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
-    det = hess_tt * (-m.u_prime * taux) / (m.P**4 * m.Q)
+    det = hess_tt * (-m.u_prime * taux) / m.P4_Q
     return (m.K + det / (1.0 + gsq)) / (1.0 + gsq)

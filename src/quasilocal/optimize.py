@@ -7,16 +7,27 @@ with the mode fields in weak form, its divergence part summed by parts
 against the mode derivatives, so it is the exact derivative of the
 discrete energy.  The minimizer takes Newton steps on central differences
 of that gradient, evaluated as one stack, and keeps every accepted
-iterate inside the region where the lifted metric stays convex.
+iterate inside the region where the lifted metric stays convex.  Its
+start is row 0 of the stack of its first Hessian, so the start's guard,
+energy and gradient cost no evaluation of their own, and the residual it
+reports is formed from the terms that gave its last gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AxisymMetric, FieldShapeError, _hat_gauss_curvature, integrate_surface
+from .geometry import (
+    AxisymMetric,
+    FieldShapeError,
+    InvalidParameterError,
+    _divergence_from_x_component,
+    _hat_gauss_curvature,
+    check_lift_lengths,
+    integrate_surface,
+)
 from .embedding import Evaluation, NonEmbeddableError, evaluate
-from .energy import _first_variation, qle, residual
+from .energy import _first_variation, _stationarity_terms, qle
 from .physdata import PhysicalData
 
 DEFAULT_MODE_COUNT = 8
@@ -119,35 +130,40 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     count = len(tau.coeffs)
     if count >= grid.n_nodes:
         raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
-    return _gradient(d, tau_from_coefficients(grid, tau), count)
+    return _gradient(d, tau_from_coefficients(grid, tau), count)[0]
 
 
-def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> np.ndarray:
-    """energy_gradient over count modes at the field tau: one row per row of a stack."""
+def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> tuple:
+    """energy_gradient over count modes at the field tau, and the stationarity terms it pairs.
+
+    One gradient row per row of a stack; the terms are the (trace term,
+    flux) pair of energy._stationarity_terms.
+    """
     grid = d.metric.grid
     modes = grid.legendre_vandermonde[:, 1 : count + 1]
     slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
-    return _first_variation(d, d.evaluate(tau), modes, slopes)[0]
+    terms = _stationarity_terms(d, d.evaluate(tau))
+    return _first_variation(d.metric, terms, modes, slopes)[0], terms
 
 
-def _perturbed(m: AxisymMetric, tau: np.ndarray, count: int) -> Evaluation:
-    """One stacked evaluation of the 2 count fields tau + FD_STEP P_l, then tau - FD_STEP P_l."""
+def _perturbed(m: AxisymMetric, tau: np.ndarray, count: int) -> np.ndarray:
+    """The 2 count fields tau + FD_STEP P_l, then tau - FD_STEP P_l, as one stack."""
     bumps = FD_STEP * m.grid.legendre_vandermonde[:, 1 : count + 1].T
-    return evaluate(m, np.concatenate([tau + bumps, tau - bumps]))
+    return np.concatenate([tau + bumps, tau - bumps])
 
 
-def _fd_gradient(d: PhysicalData, stack: Evaluation, count: int) -> np.ndarray:
-    """Central differences of qle along the first count modes, from a _perturbed stack."""
-    totals = qle(d, stack).total
+def _fd_gradient(totals: np.ndarray) -> np.ndarray:
+    """Central differences of qle along the modes, from its totals on a _perturbed stack."""
+    count = totals.size // 2
     return (totals[:count] - totals[count:]) / (2.0 * FD_STEP)
 
 
-def _hessian(d: PhysicalData, stack: Evaluation, count: int) -> tuple:
-    """Eigenvalues (ascending) and eigenvectors of H, from a _perturbed stack.
+def _hessian(grads: np.ndarray) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of H, from the gradients on a _perturbed stack.
 
-    H is the symmetrized central difference of _gradient over the stack.
+    H is the symmetrized central difference of those 2 count gradient rows.
     """
-    grads = _gradient(d, stack, count)
+    count = grads.shape[-1]
     h = (grads[:count] - grads[count:]) / (2.0 * FD_STEP)
     return np.linalg.eigh(0.5 * (h + h.T))
 
@@ -163,13 +179,13 @@ def _newton_direction(values: np.ndarray, vectors: np.ndarray, grad: np.ndarray)
     return -(vectors @ ((vectors.T @ grad) / raised))
 
 
-def _rounding_floor(ev: Evaluation, energy: float) -> float:
-    """16 eps max(1, |reference_term|, |physical_term|) at an evaluated iterate.
+def _rounding_floor(reference: float, energy: float) -> float:
+    """16 eps max(1, |reference_term|, |physical_term|) at an iterate of that energy.
 
     The energy is the difference of its two terms, so its rounding scales
     with them, not with the energy, which vanishes on lift data.
     """
-    return 16.0 * np.finfo(float).eps * max(1.0, abs(ev.reference), abs(ev.reference - energy))
+    return 16.0 * np.finfo(float).eps * max(1.0, abs(reference), abs(reference - energy))
 
 
 def minimize_energy(
@@ -182,7 +198,10 @@ def minimize_energy(
 
     Newton steps with Armijo backtracking.  The Hessian H is the
     symmetrized central difference (step FD_STEP) of the gradient along
-    the modes; its 2L perturbed fields are one stacked evaluation.  Every
+    the modes; its 2L perturbed fields are one stacked evaluation.  At
+    the start that stack has 2L + 1 rows, the start field first: row 0
+    gives the guard margin, the energy, the rounding floor and the
+    gradient, and rows 1..2L the calibration and the first H.  Every
     eigenvalue of H below EIGEN_FLOOR times the largest is raised to that
     value, which keeps each step a descent direction and bounds it along
     soft directions: on data that is itself a surface in Minkowski space
@@ -190,20 +209,30 @@ def minimize_energy(
     Where the stack does not lift, or H has no positive eigenvalue, the
     iteration takes a steepest-descent step instead.  Steps leaving the
     convexity region or the embeddable family are rejected and shortened,
-    so every accepted iterate is admissible.  At the start the same stack
-    calibrates the gradient against central finite differences of qle and
-    the relative distance is recorded as calibration_rel_error; a start
-    whose perturbed fields do not lift raises.  That distance measures
-    agreement with the finite differences, not the gradient's error, and
-    cannot fall much below their own error, about 3e-9 at FD_STEP.
+    so every accepted iterate is admissible; a trial whose guard margin
+    is not positive, NaN included, counts as leaving the region.  At the
+    start the same stack calibrates the gradient against central finite
+    differences of qle and the relative distance is recorded as
+    calibration_rel_error.  That distance measures agreement with the
+    finite differences, not the gradient's error, and cannot fall much
+    below their own error, about 3e-9 at FD_STEP.
     hessian_min_eigenvalue is the least eigenvalue of the last H before
-    the raise: the discrete second variation.  An init with no modes
-    raises FieldShapeError.
+    the raise: the discrete second variation.  residual_norm is the L2
+    norm of energy.residual at the final iterate, formed from the
+    stationarity terms that gave the last gradient.
+
+    A tol that is not positive and finite, or a max_iterations that is
+    not an integer >= 0, raises InvalidParameterError, as does a start
+    field that geometry.check_lift_lengths rejects; an init with no
+    modes raises FieldShapeError.  Then a start outside the guard raises
+    GuardViolationError before anything is lifted, and a start or a
+    perturbed field that does not lift raises NonEmbeddableError naming
+    its row of the (2L + 1)-row stack.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol (checked before H is built, so a
-    converged iterate costs no stack); "decrement" when the Newton
-    decrement g.H_mod^-1 g / 2 is below the energy's rounding floor
+    converged iterate after the start costs no stack); "decrement" when
+    the Newton decrement g.H_mod^-1 g / 2 is below the energy's rounding floor
     16 eps max(1, |reference_term|, |physical_term|); "iterations" after
     max_iterations steps; "rounding-floor" when the predicted decrease
     -g.d is below FLOOR_MULTIPLE rounding floors and backtracking finds no
@@ -213,27 +242,43 @@ def minimize_energy(
     LineSearchError.  Each trial field is evaluated once, for the guard,
     the energy and, if accepted, the gradient.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
+    if (
+        isinstance(max_iterations, bool)
+        or not isinstance(max_iterations, (int, np.integer))
+        or max_iterations < 0
+    ):
+        raise InvalidParameterError(
+            f"max_iterations must be an integer at least 0, got {max_iterations!r}"
+        )
     m = d.metric
     grid = m.grid
     coeffs = np.array(init.coeffs, dtype=float)
     count = coeffs.size
     if count == 0:
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
+    tau = tau_from_coefficients(grid, init)
+    check_lift_lengths(m, tau)
 
-    current = evaluate(m, tau_from_coefficients(grid, init))
-    margin = convexity_guard(m, current)
-    if margin <= 0.0:
+    # the start and its 2L perturbations as one stack: row 0 for the guard,
+    # the energy and the gradient, rows 1..2L for the calibration and H
+    stack = evaluate(m, np.concatenate([tau[None], _perturbed(m, tau, count)]))
+    margin = float(convexity_guard(m, stack)[0])
+    if not margin > 0.0:
         raise GuardViolationError(margin)
 
-    energy = qle(d, current).total
-    floor = _rounding_floor(current, energy)
-    grad = _gradient(d, current, count)
+    totals = qle(d, stack).total
+    energy = float(totals[0])
+    floor = _rounding_floor(float(stack.reference[0]), energy)
+    grads, (trace_part, flux) = _gradient(d, stack, count)
+    grad = grads[0]
+    terms = trace_part[0], flux[0]
 
-    stack = _perturbed(m, current.tau, count)
-    fd = _fd_gradient(d, stack, count)
+    fd = _fd_gradient(totals[1:])
     scale = max(float(np.linalg.norm(fd)), tol)
     calibration = float(np.linalg.norm(fd - grad)) / scale if scale > tol else 0.0
-    model = _hessian(d, stack, count)
+    model = _hessian(grads[1:])
     least = float(model[0][0])
 
     trace = [energy]
@@ -243,7 +288,7 @@ def minimize_energy(
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
         if iterations > 0:
             try:
-                model = _hessian(d, _perturbed(m, current.tau, count), count)
+                model = _hessian(_gradient(d, _perturbed(m, tau, count), count)[0])
                 least = float(model[0][0])
             except NonEmbeddableError:
                 model = None
@@ -259,7 +304,7 @@ def minimize_energy(
         while step >= STEP_FLOOR:
             trial = coeffs + step * direction
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
-            if np.array_equal(field, current.tau):
+            if np.array_equal(field, tau):
                 break
             evaluation = evaluate(m, field)
             trial_energy = _trial_energy(d, evaluation)
@@ -281,16 +326,17 @@ def minimize_energy(
                 f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
             )
 
-        current = evaluation
+        tau = field
         coeffs = trial
         energy = trial_energy
-        floor = _rounding_floor(current, energy)
-        grad = _gradient(d, current, count)
+        floor = _rounding_floor(evaluation.reference, energy)
+        grad, terms = _gradient(d, evaluation, count)
         trace.append(energy)
         iterations += 1
     else:
         stop = "gradient" if np.linalg.norm(grad) < tol else "iterations"
-    res = residual(d, current)
+    # the residual of the terms the last gradient paired, as residual forms it
+    res = terms[0] + _divergence_from_x_component(m, terms[1])
     return MinimizeReport(
         tau_star=TauCoefficients(tuple(coeffs)),
         energy_star=energy,
@@ -306,7 +352,7 @@ def minimize_energy(
 
 def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
     """qle at a line-search trial: None outside the guard, inf if the projection fails."""
-    if convexity_guard(d.metric, evaluation) <= 0.0:
+    if not convexity_guard(d.metric, evaluation) > 0.0:
         return None
     try:
         return qle(d, evaluation).total

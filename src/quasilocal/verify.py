@@ -45,7 +45,15 @@ from .geometry import (
 )
 from .embedding import _lift_laplacians, embed_r3, evaluate
 from .physdata import PhysicalData, minkowski_surface_data
-from .energy import _first_variation, breve_gauge, generalized_mean_curvature, qle, residual, tilde_energy
+from .energy import (
+    _first_variation,
+    _stationarity_terms,
+    breve_gauge,
+    generalized_mean_curvature,
+    qle,
+    residual,
+    tilde_energy,
+)
 from .optimize import convexity_guard
 
 # a strict hypothesis must clear this floor; discretization noise in the
@@ -455,7 +463,8 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     family = on_rest.total.reshape(-1, n_s)
     # each member pairs with its own profile: a diagonal of all the pairings
     profiles, own = samples[admitted], np.arange(admitted.size)
-    variations = _first_variation(rest, family_ev, profiles.T, g.dx(profiles).T)
+    terms = _stationarity_terms(rest, family_ev)
+    variations = _first_variation(m, terms, profiles.T, g.dx(profiles).T)
     slope, reference_slope = (v.reshape(own.size, n_s, own.size)[own, :, own] for v in variations)
     ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 

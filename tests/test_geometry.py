@@ -14,6 +14,7 @@ from quasilocal.geometry import (
     _divergence_from_x_component,
     _hessian,
     _sin_factored_theta_derivative,
+    check_lift_lengths,
     gauss_curvature,
     hat_gauss_curvature,
     hessian,
@@ -267,6 +268,53 @@ class TestAxisymMetric:
         grid = make_grid(8)
         m = round_sphere(grid, 2.5)
         assert np.all(m.P == 2.5) and np.all(m.Q == 2.5)
+
+
+# each product an AxisymMetric keeps, as the operators formed it inline
+INLINE_PRODUCTS = {
+    "P_sq": lambda m: m.P**2,
+    "Q_sq": lambda m: m.Q**2,
+    "PQ": lambda m: m.P * m.Q,
+    "P_sq_Q": lambda m: m.P**2 * m.Q,
+    "P4_Q": lambda m: m.P**4 * m.Q,
+    "P_theta_over_P": lambda m: m.grid.dtheta(m.P) / m.P,
+    "flux_factor": lambda m: m.grid.one_minus_x_sq * (m.Q / m.P),
+    "weighted_PQ": lambda m: m.grid.weights * m.P * m.Q,
+    "weighted_flux_factor": lambda m: m.grid.weights * m.grid.one_minus_x_sq * (m.Q / m.P),
+}
+
+
+class TestMetricProducts:
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("name", sorted(INLINE_PRODUCTS))
+    def test_is_the_inline_expression_to_the_bit_and_read_only(self, name, rows):
+        m = regular_random_metric(make_grid(16), np.random.default_rng(31))
+        if rows is not None:
+            m = m.with_P(m.P * np.linspace(0.9, 1.3, rows)[:, None])
+        value = getattr(m, name)
+        want = INLINE_PRODUCTS[name](m)
+        assert value.shape == want.shape
+        assert value.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] = 0.0
+
+    def test_with_P_forms_its_own_products(self):
+        m = regular_random_metric(make_grid(16), np.random.default_rng(32))
+        base = {name: getattr(m, name) for name in INLINE_PRODUCTS}
+        lifted = m.with_P(1.5 * m.P)
+        for name, inline in INLINE_PRODUCTS.items():
+            assert getattr(lifted, name).tobytes() == inline(lifted).tobytes()
+            if name != "Q_sq":
+                assert not np.array_equal(getattr(lifted, name), base[name])
+
+
+class TestLiftLengths:
+    def test_rejects_a_nan_time_function_naming_tau(self):
+        grid = make_grid(8)
+        tau = np.zeros(grid.n_nodes)
+        tau[3] = np.nan
+        with pytest.raises(InvalidParameterError, match="tau must be finite, got nan at node 3"):
+            check_lift_lengths(round_sphere(grid), tau)
 
 
 class TestLazyField:

@@ -9,6 +9,7 @@ from reference import height
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
     FieldShapeError,
+    InvalidParameterError,
     hat_gauss_curvature,
     integrate_surface,
     make_grid,
@@ -206,7 +207,8 @@ class TestEnergyGradient:
         field = tau_from_coefficients(grid, tc)
         modes = grid.legendre_vandermonde[:, 1:9]
         slopes = grid.legendre_vandermonde_dx[:, 1:9]
-        want, _ = _first_variation(d, evaluate(d.metric, field), modes, slopes)
+        terms = _stationarity_terms(d, evaluate(d.metric, field))
+        want, _ = _first_variation(d.metric, terms, modes, slopes)
         assert np.array_equal(energy_gradient(d, tc), want)
 
     @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.3, 2.0)])
@@ -323,14 +325,76 @@ class TestMinimizeEnergy:
             minimize_energy(d, init)
         assert len(calls) == setup_calls + 1
 
-    def test_guard_violation_at_init_raises(self):
+    def test_guard_violation_at_init_raises_before_any_lift(self, monkeypatch):
         grid = make_grid(32)
         m = round_sphere(grid)
         d = minkowski_surface_data(m, np.zeros(32))
         bad = TauCoefficients((0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0))
+        lifted = []
+        original = embedding_module.embed_r3
+
+        def counting_embed_r3(metric):
+            lifted.append(metric)
+            return original(metric)
+
+        monkeypatch.setattr(embedding_module, "embed_r3", counting_embed_r3)
         with pytest.raises(GuardViolationError) as info:
             minimize_energy(d, bad)
         assert info.value.margin < 0.0
+        assert lifted == []
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol", np.nan),
+            ("tol", np.inf),
+            ("tol", 0.0),
+            ("tol", -1e-7),
+            ("max_iterations", -1),
+            ("max_iterations", 1.5),
+            ("max_iterations", True),
+        ],
+    )
+    def test_bad_parameter_rejected_naming_it(self, name, value):
+        # the parent returned stop "iterations" after 0 iterations for
+        # tol = nan, "gradient" at an unconverged start for tol = inf, and
+        # ran 2 iterations for max_iterations = 1.5
+        d = schwarzschild_sphere(make_grid(16), 0.5, 4.0)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
+            minimize_energy(d, TauCoefficients((0.05, 0.02)), **{name: value})
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [((np.nan,) * 8, "^tau must be finite, got nan"), ((1e200,), r"^\|tau\| must be at most")],
+    )
+    def test_bad_start_is_blamed_on_tau(self, coeffs, message):
+        # the lifted profile's check used to name the metric's P
+        d = schwarzschild_sphere(make_grid(16), 0.5, 4.0)
+        with pytest.raises(InvalidParameterError, match=message):
+            minimize_energy(d, TauCoefficients(coeffs))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_trial_is_outside_the_guard(self):
+        # its guard margin is NaN; qle used to raise on its infinite lifted profile
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 0.5, 4.0)
+        evaluation = evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
+        assert np.isnan(convexity_guard(d.metric, evaluation))
+        assert optimize_module._trial_energy(d, evaluation) is None
+
+    @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
+    def test_residual_norm_is_that_of_the_final_iterate(self, source):
+        if source == "schwarzschild":
+            d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+            init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
+        else:
+            d = lift_data([0.04, 0.01, -0.005], [0.03, -0.01, 0.002], [0.2, 0.0, 0.1])
+            init = TauCoefficients((0.201, -0.002, 0.1) + (0.0,) * 5)
+        report = minimize_energy(d, init)
+        assert report.iterations >= 1
+        res = residual(d, tau_from_coefficients(d.metric.grid, report.tau_star))
+        assert report.residual_norm == float(np.sqrt(integrate_surface(d.metric, res * res)))
 
     def test_init_without_modes_rejected(self):
         grid = make_grid(16)
@@ -353,7 +417,10 @@ class TestMinimizeEnergy:
         # ends the run where it is instead of raising
         d = schwarzschild_sphere(make_grid(16), 1.0, 4.0)
         init = TauCoefficients((0.05, 0.02))
-        start_energy = qle(d, tau_from_coefficients(d.metric.grid, init)).total
+        # the start is row 0 of one stack with its 2L perturbations
+        tau = tau_from_coefficients(d.metric.grid, init)
+        stack = np.concatenate([tau[None], optimize_module._perturbed(d.metric, tau, 2)])
+        start_energy = qle(d, stack).total[0]
         trial = None if outcome == "no-step" else start_energy
         monkeypatch.setattr(optimize_module, "FLOOR_MULTIPLE", 1e300)
         monkeypatch.setattr(optimize_module, "_trial_energy", lambda data, evaluation: trial)
@@ -380,17 +447,17 @@ class TestMinimizeEnergy:
             minimize_energy(d, TauCoefficients((0.3, 1e-6)))
 
     def test_hessian_that_does_not_lift_falls_back_to_steepest_descent(self, monkeypatch):
-        # only the start's stack lifts; every later iteration steps along -g
+        # only the stack of the start lifts; every later iteration steps along -g
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         init = TauCoefficients((0.0, 0.08, -0.03, 0.0, 0.02, 0.0, 0.0, 0.0))
         original = optimize_module._hessian
         models = []
 
-        def lifting_once(data, stack, count):
+        def lifting_once(grads):
             if models:
                 raise NonEmbeddableError(0, float(grid.nodes[0]), -1.0)
-            models.append(original(data, stack, count))
+            models.append(original(grads))
             return models[-1]
 
         directions = []
@@ -436,8 +503,8 @@ class TestSecondVariation:
         d = minkowski_surface_data(m, tau0)
         report = minimize_energy(d, TauCoefficients(c0))
         assert report.hessian_min_eigenvalue < 1e-8
-        stack = optimize_module._perturbed(m, tau0, 8)
-        values, vectors = optimize_module._hessian(d, stack, 8)
+        grads, _ = optimize_module._gradient(d, optimize_module._perturbed(m, tau0, 8), 8)
+        values, vectors = optimize_module._hessian(grads)
         assert values[0] < 1e-8 and values[1] > 1.0
         boost = grid.legendre_coeffs(height(evaluate(m, tau0).projected))[1:9]
         assert abs(vectors[:, 0] @ boost) / np.linalg.norm(boost) > 0.9999
