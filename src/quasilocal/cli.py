@@ -56,6 +56,7 @@ from .optimize import (
     tau_from_coefficients,
 )
 from .verify import (
+    _fmt,
     check_identities,
     check_lemma41,
     check_theorem1,
@@ -205,24 +206,14 @@ def build_metric(spec: str | None, grid: Grid) -> AxisymMetric:
 
 
 def build_data(args, grid: Grid):
-    """PhysicalData and its echo string from the mutually exclusive sources."""
-    chosen = [
-        name
-        for name, value in (
-            ("--schwarzschild", args.schwarzschild),
-            ("--minkowski", args.minkowski),
-            ("--data", args.data),
-        )
-        if value is not None
-    ]
-    if len(chosen) > 1:
-        raise CliValidationError("/".join(chosen), "give exactly one data source")
-    if args.metric is not None and chosen and chosen != ["--minkowski"]:
+    """PhysicalData and its echo string from the one source argparse admits; None without one."""
+    unread = [flag for flag, value in (("--schwarzschild", args.schwarzschild),
+                                       ("--data", args.data)) if value is not None]
+    if args.metric is not None and unread:
         raise CliValidationError(
-            "--metric", f"is read only with --minkowski or without a data source, not with {chosen[0]}"
+            "--metric",
+            f"is read only with --minkowski or without a data source, not with {unread[0]}",
         )
-    if not chosen:
-        return None, f"metric {args.metric or 'unit-sphere'}"
     if args.schwarzschild is not None:
         params = _parse_assignments(args.schwarzschild, "--schwarzschild", ("m", "r"))
         mass = _float_of(params["m"], "--schwarzschild")
@@ -236,6 +227,8 @@ def build_data(args, grid: Grid):
         metric = build_metric(args.metric, grid)
         d = minkowski_surface_data(metric, _tau_on(spec[len("tau0="):], metric, "--minkowski"))
         return d, f"minkowski {spec}"
+    if args.data is None:
+        return None, f"metric {args.metric or 'unit-sphere'}"
     d = _for_flag("--data", load_physical_data, args.data)
     if d.metric.grid.n_nodes != grid.n_nodes:
         raise CliValidationError(
@@ -244,22 +237,9 @@ def build_data(args, grid: Grid):
     return d, f"data {args.data}"
 
 
-def require_data(args, grid: Grid):
-    d, echo = build_data(args, grid)
-    if d is None:
-        raise CliValidationError(
-            "--schwarzschild/--minkowski/--data", f"command {args.command!r} needs a data source"
-        )
-    return d, echo
-
-
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 def _emit(command: str, args, echo: str, body: list) -> None:
@@ -292,7 +272,7 @@ def _write_columns(path, first, second, labels) -> None:
 
 
 def cmd_energy(args, grid: Grid) -> int:
-    d, echo = require_data(args, grid)
+    d, echo = build_data(args, grid)
     tau = _tau_on(args.tau, d.metric)
     at_tau = d.evaluate(tau)
     breakdown = qle(d, at_tau)
@@ -310,7 +290,7 @@ def cmd_energy(args, grid: Grid) -> int:
 
 
 def cmd_residual(args, grid: Grid) -> int:
-    d, echo = require_data(args, grid)
+    d, echo = build_data(args, grid)
     tau = _tau_on(args.tau, d.metric)
     field = residual(d, tau)
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
@@ -346,7 +326,7 @@ def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
 
 
 def cmd_minimize(args, grid: Grid) -> int:
-    d, echo = require_data(args, grid)
+    d, echo = build_data(args, grid)
     init = _initial_coefficients(args, d.metric)
     report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
     body = [
@@ -396,7 +376,7 @@ def cmd_verify(args, grid: Grid) -> int:
 
 
 def cmd_gen_data(args, grid: Grid) -> int:
-    d, echo = require_data(args, grid)
+    d, echo = build_data(args, grid)
     if not args.out:
         raise CliValidationError("--out", "gen-data needs an output path")
     _for_flag("--out", store_physical_data, d, args.out)
@@ -416,20 +396,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(commands, name: str, help_text: str, run):
-    """A subcommand with the grid, output and data-source flags."""
+def _add_command(commands, name: str, help_text: str, run, tau_help=None, needs_data=True):
+    """A subcommand with grid, output and data-source flags, and --tau if it has a tau_help."""
     sub = commands.add_parser(name, help=help_text, epilog=TAU_GRAMMAR,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
     sub.set_defaults(run=run)
     sub.add_argument("--grid-n", type=int, default=32, help="collocation nodes (default 32)")
     sub.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_argument("--schwarzschild", default=None, metavar="m=M,r=R",
-                     help="round sphere of radius R in the mass-M time-symmetric slice")
-    sub.add_argument("--minkowski", default=None, metavar="tau0=SPEC",
-                     help="lift of the metric by the given time function, as flat-space data")
-    sub.add_argument("--data", default=None, metavar="PATH", help="physical-data table")
+    sources = sub.add_mutually_exclusive_group(required=needs_data)
+    sources.add_argument("--schwarzschild", default=None, metavar="m=M,r=R",
+                         help="round sphere of radius R in the mass-M time-symmetric slice")
+    sources.add_argument("--minkowski", default=None, metavar="tau0=SPEC",
+                         help="lift of the metric by the given time function, as flat-space data")
+    sources.add_argument("--data", default=None, metavar="PATH", help="physical-data table")
     sub.add_argument("--metric", default=None,
                      help="metric for --minkowski and the identity suites (unit-sphere | sphere:r=R)")
+    if tau_help is not None:
+        sub.add_argument("--tau", default="zero", help=f"{tau_help} (see grammar below)")
     return sub
 
 
@@ -443,15 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quasilocal {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = _add_command(commands, "energy", "energy breakdown", cmd_energy)
-    sub.add_argument("--tau", default="zero", help="time function (see grammar below)")
+    _add_command(commands, "energy", "energy breakdown", cmd_energy, "time function")
 
-    sub = _add_command(commands, "residual", "criticality residual", cmd_residual)
-    sub.add_argument("--tau", default="zero", help="time function (see grammar below)")
+    sub = _add_command(commands, "residual", "criticality residual", cmd_residual, "time function")
     sub.add_argument("--columns", default=None, help="write 'theta residual' rows to this path")
 
-    sub = _add_command(commands, "minimize", "minimize the energy", cmd_minimize)
-    sub.add_argument("--tau", default="zero", help="initial time function (see grammar below)")
+    sub = _add_command(commands, "minimize", "minimize the energy", cmd_minimize,
+                       "initial time function")
     sub.add_argument("--tol", type=float, default=1e-7,
                      help="gradient norm below which the run stops (default 1e-7); it also stops "
                           "when the Newton decrement falls below the energy's rounding floor")
@@ -459,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--modes", type=int, default=8, help="Legendre modes optimized (default 8)")
     sub.add_argument("--columns", default=None, help="write 'iteration energy' rows to this path")
 
-    sub = _add_command(commands, "verify", "run a certification suite", cmd_verify)
-    sub.add_argument("--tau", default="zero",
-                     help="time function; theorem1's base point, zero for theorem3 (see grammar below)")
+    sub = _add_command(commands, "verify", "run a certification suite", cmd_verify,
+                       "time function; theorem1's base point, zero for theorem3", needs_data=False)
     sub.add_argument("--suite", required=True,
                      choices=("identities", "theorem1", "theorem3", "lemma41"))
 

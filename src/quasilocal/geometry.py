@@ -467,8 +467,8 @@ def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
 
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     """The round metric of the given radius: P = Q = radius."""
-    if radius <= 0.0:
-        raise InvalidParameterError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < np.inf:
+        raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
     r = float(radius)
     return AxisymMetric(grid, np.full(grid.n_nodes, r), np.full(grid.n_nodes, r))
 

@@ -30,8 +30,6 @@ from .embedding import Evaluation, NonEmbeddableError, evaluate
 from .energy import _first_variation, _stationarity_terms, qle
 from .physdata import PhysicalData
 
-DEFAULT_MODE_COUNT = 8
-
 # Armijo sufficient-decrease factor; the step below which the line search
 # gives up; the central-difference step of the Hessian and of the
 # calibration; how many rounding floors of the energy a converged run may
@@ -69,10 +67,6 @@ class TauCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @classmethod
-    def zeros(cls, count: int = DEFAULT_MODE_COUNT) -> "TauCoefficients":
-        return cls(coeffs=(0.0,) * count)
 
 
 @dataclass(frozen=True)
@@ -146,25 +140,28 @@ def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> tupl
     return _first_variation(d.metric, terms, modes, slopes)[0], terms
 
 
-def _perturbed(m: AxisymMetric, tau: np.ndarray, count: int) -> np.ndarray:
-    """The 2 count fields tau + FD_STEP P_l, then tau - FD_STEP P_l, as one stack."""
-    bumps = FD_STEP * m.grid.legendre_vandermonde[:, 1 : count + 1].T
+def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:
+    """tau + b for each row b of bumps, then tau - b, as one stack.
+
+    The package's one central difference: the minimizer's calibration and
+    Hessian and verify.check_lemma41 evaluate on this stack and take
+    _fd_gradient of the values.
+    """
     return np.concatenate([tau + bumps, tau - bumps])
 
 
-def _fd_gradient(totals: np.ndarray) -> np.ndarray:
-    """Central differences of qle along the modes, from its totals on a _perturbed stack."""
-    count = totals.size // 2
-    return (totals[:count] - totals[count:]) / (2.0 * FD_STEP)
+def _fd_gradient(values: np.ndarray, step: float) -> np.ndarray:
+    """(f(tau + b) - f(tau - b)) / (2 step) per bump b of size step, from f on a _perturbed stack."""
+    count = len(values) // 2
+    return (values[:count] - values[count:]) / (2.0 * step)
 
 
 def _hessian(grads: np.ndarray) -> tuple:
     """Eigenvalues (ascending) and eigenvectors of H, from the gradients on a _perturbed stack.
 
-    H is the symmetrized central difference of those 2 count gradient rows.
+    H is the symmetrized _fd_gradient, step FD_STEP, of those gradient rows.
     """
-    count = grads.shape[-1]
-    h = (grads[:count] - grads[count:]) / (2.0 * FD_STEP)
+    h = _fd_gradient(grads, FD_STEP)
     return np.linalg.eigh(0.5 * (h + h.T))
 
 
@@ -208,9 +205,10 @@ def minimize_energy(
     the minimum is a boost curve, not a point, and H is singular along it.
     Where the stack does not lift, or H has no positive eigenvalue, the
     iteration takes a steepest-descent step instead.  Steps leaving the
-    convexity region or the embeddable family are rejected and shortened,
-    so every accepted iterate is admissible; a trial whose guard margin
-    is not positive, NaN included, counts as leaving the region.  At the
+    convexity region, the length range or the embeddable family are
+    rejected and shortened, so every accepted iterate is admissible; a
+    trial whose guard margin is not positive, NaN included, counts as
+    leaving the region.  At the
     start the same stack calibrates the gradient against central finite
     differences of qle and the relative distance is recorded as
     calibration_rel_error.  That distance measures agreement with the
@@ -260,10 +258,11 @@ def minimize_energy(
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
     tau = tau_from_coefficients(grid, init)
     check_lift_lengths(m, tau)
+    bumps = FD_STEP * grid.legendre_vandermonde[:, 1 : count + 1].T
 
     # the start and its 2L perturbations as one stack: row 0 for the guard,
     # the energy and the gradient, rows 1..2L for the calibration and H
-    stack = evaluate(m, np.concatenate([tau[None], _perturbed(m, tau, count)]))
+    stack = evaluate(m, np.concatenate([tau[None], _perturbed(tau, bumps)]))
     margin = float(convexity_guard(m, stack)[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)
@@ -275,7 +274,7 @@ def minimize_energy(
     grad = grads[0]
     terms = trace_part[0], flux[0]
 
-    fd = _fd_gradient(totals[1:])
+    fd = _fd_gradient(totals[1:], FD_STEP)
     scale = max(float(np.linalg.norm(fd)), tol)
     calibration = float(np.linalg.norm(fd - grad)) / scale if scale > tol else 0.0
     model = _hessian(grads[1:])
@@ -288,7 +287,7 @@ def minimize_energy(
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
         if iterations > 0:
             try:
-                model = _hessian(_gradient(d, _perturbed(m, tau, count), count)[0])
+                model = _hessian(_gradient(d, _perturbed(tau, bumps), count)[0])
                 least = float(model[0][0])
             except NonEmbeddableError:
                 model = None
@@ -351,10 +350,16 @@ def minimize_energy(
 
 
 def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
-    """qle at a line-search trial: None outside the guard, inf if the projection fails."""
+    """qle at a line-search trial: None outside the guard, inf if its lift fails.
+
+    The lift fails when its projection does not embed, or when the profile
+    sqrt(P^2 + tau_theta^2) leaves the length range: the projection checks
+    that profile as geometry.check_lift_lengths checks the start's.
+    """
     if not convexity_guard(d.metric, evaluation) > 0.0:
         return None
     try:
-        return qle(d, evaluation).total
-    except NonEmbeddableError:
+        evaluation.projected  # read by qle next, so the check costs nothing
+    except (InvalidParameterError, NonEmbeddableError):
         return np.inf
+    return qle(d, evaluation).total

@@ -37,6 +37,7 @@ from .geometry import (
     AxisymMetric,
     Grid,
     InvalidParameterError,
+    _check_finite,
     _check_single_field,
     _read_only,
     make_grid,
@@ -57,7 +58,7 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PhysicalData:
-    """Surface data (metric, |H| > 0, alpha_H), all finite, with a provenance tag.
+    """Surface data (metric, |H| > 0, alpha_H), all finite.
 
     alpha_H is the dtheta component of the connection one-form.
 
@@ -70,7 +71,6 @@ class PhysicalData:
     metric: AxisymMetric
     norm_H: np.ndarray
     alpha_H: np.ndarray
-    provenance: str
     lift: Evaluation | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -78,10 +78,8 @@ class PhysicalData:
             raise InvalidParameterError("the lift belongs to a different metric")
         norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
         alpha = _check_single_field(self.metric.grid, self.alpha_H, "alpha_theta")
-        for name, values in (("normH", norm_h), ("alpha_theta", alpha)):
-            j = int(np.argmin(np.isfinite(values)))
-            if not np.isfinite(values[j]):
-                raise InvalidParameterError(f"{name} must be finite, got {values[j]} at node {j}")
+        _check_finite(self.metric.grid, "normH", norm_h)
+        _check_finite(self.metric.grid, "alpha_theta", alpha)
         j = int(np.argmin(norm_h))
         if norm_h[j] <= 0.0:
             raise InvalidParameterError(
@@ -113,21 +111,19 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
     """Round coordinate sphere in the time-symmetric slice of mass m.
 
     |H| = (2/r) sqrt(1 - 2m/r) and alpha_H = 0, so the zero time
-    function solves the criticality equation for this data.
+    function solves the criticality equation for this data.  A mass or
+    radius that is not finite is rejected, naming it, before anything is
+    built.
     """
-    if mass < 0.0:
-        raise InvalidParameterError(f"mass must be nonnegative, got {mass}")
+    if not 0.0 <= mass < np.inf:
+        raise InvalidParameterError(f"mass must be nonnegative and finite, got {mass}")
     if radius <= 2.0 * mass:
         raise HorizonError(
             f"radius {radius} does not lie outside the horizon radius {2.0 * mass}"
         )
+    metric = round_sphere(grid, radius)
     norm_h = np.full(grid.n_nodes, (2.0 / radius) * np.sqrt(1.0 - 2.0 * mass / radius))
-    return PhysicalData(
-        metric=round_sphere(grid, radius),
-        norm_H=norm_h,
-        alpha_H=np.zeros(grid.n_nodes),
-        provenance="schwarzschild",
-    )
+    return PhysicalData(metric=metric, norm_H=norm_h, alpha_H=np.zeros(grid.n_nodes))
 
 
 def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> PhysicalData:
@@ -164,9 +160,7 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> Ph
         )
     norm_h = np.sqrt(data.mean_sq)
     alpha_h = data.breve_alpha - m.grid.dtheta(np.arcsinh(data.breve_h4 / norm_h))
-    return PhysicalData(
-        metric=m, norm_H=norm_h, alpha_H=alpha_h, provenance="minkowski", lift=lift
-    )
+    return PhysicalData(metric=m, norm_H=norm_h, alpha_H=alpha_h, lift=lift)
 
 
 def store_physical_data(d: PhysicalData, path: str | os.PathLike) -> None:
@@ -256,5 +250,4 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
         metric=AxisymMetric(grid, table[:, 1], table[:, 2]),
         norm_H=table[:, 3],
         alpha_H=table[:, 4],
-        provenance="file",
     )

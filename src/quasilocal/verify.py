@@ -54,7 +54,7 @@ from .energy import (
     residual,
     tilde_energy,
 )
-from .optimize import convexity_guard
+from .optimize import _fd_gradient, _perturbed, convexity_guard
 
 # a strict hypothesis must clear this floor; discretization noise in the
 # margins sits around 1e-12, physical margins around 1e-1
@@ -113,6 +113,11 @@ class TheoremReport:
         return all(c.ok for c in self.checks)
 
 
+def _fmt(value: float) -> str:
+    """A number in every report: 17 significant digits, enough to round-trip a float."""
+    return f"{float(value):.17g}"
+
+
 def format_report(report: TheoremReport) -> str:
     """Serialize a report as deterministic key-value lines."""
     lines = [
@@ -120,22 +125,17 @@ def format_report(report: TheoremReport) -> str:
         f"samples = {report.samples}",
         f"pass = {'true' if report.passed else 'false'}",
         f"worst_check = {report.worst.label}",
-        f"worst_margin = {report.worst_margin:.17g}",
-        f"allowance = {report.worst.allowance:.17g}",
+        f"worst_margin = {_fmt(report.worst_margin)}",
+        f"allowance = {_fmt(report.worst.allowance)}",
     ]
     for c in report.checks:
-        lines.append(f"margin.{c.label} = {c.margin:.17g}")
-        lines.append(f"allowance.{c.label} = {c.allowance:.17g}")
+        lines.append(f"margin.{c.label} = {_fmt(c.margin)}")
+        lines.append(f"allowance.{c.label} = {_fmt(c.allowance)}")
     for label, value in report.equality_cases:
-        lines.append(f"equality.{label} = {value:.17g}")
+        lines.append(f"equality.{label} = {_fmt(value)}")
     for label, value in report.details:
-        lines.append(f"detail.{label} = {value:.17g}")
+        lines.append(f"detail.{label} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def legendre_mode(grid: Grid, degree: int, coeff: float = 1.0) -> np.ndarray:
-    """Node values of coeff * P_degree(cos theta)."""
-    return coeff * grid.legendre_vandermonde[:, degree]
 
 
 def coefficient_box(grid: Grid) -> tuple:
@@ -146,8 +146,7 @@ def coefficient_box(grid: Grid) -> tuple:
     for the comparison inequality.
     """
     signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
-    p1 = legendre_mode(grid, 1)
-    p2 = legendre_mode(grid, 2)
+    p1, p2 = grid.legendre_vandermonde[:, 1:3].T
     return tuple(c * p1 + d * p2 for c in signed for d in signed)
 
 
@@ -278,9 +277,10 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     alpha the translated-gauge one-form) makes the first variation of
     f -> E_tilde(lift of tau, translated gauge, f) a total divergence at
     f = tau; the derivative checks confirm that variation vanishes by
-    central differences along the Legendre modes P1, P2 and P3.  Surfaces
-    that fail to embed for a perturbed time function raise; the identity
-    is only certified on valid configurations.
+    the package's one central difference (optimize._perturbed and
+    optimize._fd_gradient, step 1e-4) along the Legendre modes P1, P2 and
+    P3.  Surfaces that fail to embed for a perturbed time function raise;
+    the identity is only certified on valid configurations.
     """
     variations = m.grid.legendre_vandermonde[:, 1:4].T
 
@@ -300,17 +300,15 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
 
     # the perturbed time functions tau +- step * delta form one stack
     step = 1e-4
-    count = len(variations)
-    perturbed = np.concatenate([ev.tau + step * variations, ev.tau - step * variations])
-    energies = tilde_energy(ev, breve_gauge(ev), perturbed)
-    derivatives = (energies[:count] - energies[count:]) / (2.0 * step)
+    perturbed = _perturbed(ev.tau, step * variations)
+    derivatives = _fd_gradient(tilde_energy(ev, breve_gauge(ev), perturbed), step)
     checks = [CheckOutcome("flux", -flux_dev, 1e-8)]
     checks += [
         CheckOutcome(f"variation-{i}", -abs(float(dv)), 1e-6)
         for i, dv in enumerate(derivatives, start=1)
     ]
 
-    return TheoremReport(name="lemma41", samples=count, checks=tuple(checks))
+    return TheoremReport(name="lemma41", samples=len(variations), checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +398,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
 
 
 def _default_profiles(grid: Grid) -> tuple:
-    p1 = legendre_mode(grid, 1)
-    p2 = legendre_mode(grid, 2)
-    p3 = legendre_mode(grid, 3)
+    p1, p2, p3 = grid.legendre_vandermonde[:, 1:4].T
     return (0.3 * p1, 0.2 * p1 + 0.1 * p2, 0.1 * p2 + 0.05 * p3)
 
 

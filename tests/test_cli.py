@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import legendre_mode
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
 from quasilocal.physdata import load_physical_data, schwarzschild_sphere, store_physical_data
-from quasilocal.verify import check_theorem1, format_report, legendre_mode
+from quasilocal.verify import check_theorem1, format_report
 
 SPHERE_ENERGY = 32.0 * np.pi * (1.0 - np.sqrt(0.5))
 
@@ -210,7 +211,6 @@ class TestGenDataCommand:
         loaded = load_physical_data(out)
         direct = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
         assert np.max(np.abs(loaded.norm_H - direct.norm_H)) < 1e-15
-        assert loaded.provenance == "file"
 
     def test_missing_out_rejected(self, capsys):
         assert main(["gen-data", "--schwarzschild", "m=1,r=4"]) == 1
@@ -238,14 +238,27 @@ class TestGenDataCommand:
 
 
 class TestExitPaths:
-    def test_missing_source_names_the_fields(self, capsys):
-        assert main(["energy", "--tau", "zero"]) == 1
-        assert "--schwarzschild/--minkowski/--data" in capsys.readouterr().err
-
-    def test_conflicting_sources_rejected(self, capsys):
-        argv = ["energy", "--schwarzschild", "m=1,r=4", "--minkowski", "tau0=zero"]
+    @pytest.mark.parametrize("argv", [["energy", "--tau", "zero"], ["residual"], ["minimize"],
+                                      ["gen-data", "--out", "never.dat"]], ids=lambda a: a[0])
+    def test_missing_source_names_the_fields(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
-        assert "exactly one" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--schwarzschild", "--minkowski", "--data"))
+        assert not (tmp_path / "never.dat").exists()
+
+    @pytest.mark.parametrize("command", ["energy", "verify"])
+    def test_conflicting_sources_rejected(self, command, capsys):
+        argv = [command, "--schwarzschild", "m=1,r=4", "--minkowski", "tau0=zero"]
+        argv += ["--suite", "theorem1"] if command == "verify" else []
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--schwarzschild" in captured.err and "--minkowski" in captured.err
+        assert captured.out == ""
+
+    def test_identity_suite_needs_no_source(self, capsys):
+        assert main(["verify", "--suite", "identities"]) == 0
+        assert report_value(capsys.readouterr().out, "source") == "metric unit-sphere"
 
     def test_horizon_radius_rejected(self, capsys):
         assert main(["energy", "--schwarzschild", "m=1,r=1"]) == 1

@@ -90,7 +90,6 @@ class TestQle:
             metric=m,
             norm_H=np.full(32, 2.0),
             alpha_H=np.zeros(32),
-            provenance="synthetic",
         )
         with pytest.raises(NonEmbeddableError):
             qle(d, np.zeros(32))
@@ -294,7 +293,7 @@ class TestResidual:
         for seed in range(5):
             rng = np.random.default_rng(320 + seed)
             m = regular_random_metric(grid, rng)
-            d = PhysicalData(m, np.full(32, 1.5), np.zeros(32), "synthetic")
+            d = PhysicalData(m, np.full(32, 1.5), np.zeros(32))
             ev = evaluate(m, random_time_profile(grid, rng))
             proj = ev.projected
             hess_pp = hessian_phi_phi(m, ev.tau)

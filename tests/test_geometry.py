@@ -269,6 +269,11 @@ class TestAxisymMetric:
         m = round_sphere(grid, 2.5)
         assert np.all(m.P == 2.5) and np.all(m.Q == 2.5)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    def test_round_sphere_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(InvalidParameterError, match="^radius must be positive and finite"):
+            round_sphere(make_grid(8), radius)
+
 
 # each product an AxisymMetric keeps, as the operators formed it inline
 INLINE_PRODUCTS = {

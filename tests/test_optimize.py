@@ -20,7 +20,7 @@ from quasilocal.embedding import NonEmbeddableError, NonSpacelikeMeanCurvatureEr
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
 from quasilocal.energy import _first_variation, _stationarity_terms, evaluate, qle, residual
 from quasilocal.optimize import (
-    DEFAULT_MODE_COUNT,
+    FD_STEP,
     GuardViolationError,
     LineSearchError,
     TauCoefficients,
@@ -31,6 +31,7 @@ from quasilocal.optimize import (
 )
 
 MODE_WEIGHTS_8 = np.array([float(l * l) for l in range(1, 9)])
+ZERO_8 = TauCoefficients((0.0,) * 8)
 
 
 def lift_data(bq, rho, c0):
@@ -96,9 +97,6 @@ def weighted_coefficients(rng, scale=0.3):
 
 
 class TestTauCoefficients:
-    def test_zeros_default_length(self):
-        assert TauCoefficients.zeros().coeffs == (0.0,) * DEFAULT_MODE_COUNT
-
     def test_field_synthesis(self):
         grid = make_grid(24)
         tc = TauCoefficients((0.2, 0.05))
@@ -145,7 +143,7 @@ class TestEnergyGradient:
     def test_critical_point_gives_zero_vector(self):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
-        g = energy_gradient(d, TauCoefficients.zeros())
+        g = energy_gradient(d, ZERO_8)
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_matches_finite_differences(self):
@@ -247,7 +245,7 @@ class TestEnergyGradient:
         grid = make_grid(8)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         with pytest.raises(FieldShapeError, match="8 modes"):
-            energy_gradient(d, TauCoefficients.zeros(8))
+            energy_gradient(d, ZERO_8)
 
     def test_constant_mode_pairing_vanishes(self):
         # the excluded l = 0 direction is flat: the residual integrates
@@ -289,7 +287,7 @@ class TestMinimizeEnergy:
     def test_critical_init_takes_zero_iterations(self):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
-        report = minimize_energy(d, TauCoefficients.zeros())
+        report = minimize_energy(d, ZERO_8)
         assert report.iterations == 0
         assert report.guard_active is False
         assert len(report.energy_trace) == 1
@@ -419,7 +417,8 @@ class TestMinimizeEnergy:
         init = TauCoefficients((0.05, 0.02))
         # the start is row 0 of one stack with its 2L perturbations
         tau = tau_from_coefficients(d.metric.grid, init)
-        stack = np.concatenate([tau[None], optimize_module._perturbed(d.metric, tau, 2)])
+        bumps = FD_STEP * d.metric.grid.legendre_vandermonde[:, 1:3].T
+        stack = np.concatenate([tau[None], optimize_module._perturbed(tau, bumps)])
         start_energy = qle(d, stack).total[0]
         trial = None if outcome == "no-step" else start_energy
         monkeypatch.setattr(optimize_module, "FLOOR_MULTIPLE", 1e300)
@@ -432,7 +431,7 @@ class TestMinimizeEnergy:
 
     def test_stop_names_the_gradient_or_the_cap(self):
         d = schwarzschild_sphere(make_grid(16), 1.0, 4.0)
-        assert minimize_energy(d, TauCoefficients.zeros()).stop == "gradient"
+        assert minimize_energy(d, ZERO_8).stop == "gradient"
         capped = minimize_energy(d, TauCoefficients((0.05, 0.02)), max_iterations=0)
         assert capped.stop == "iterations"
 
@@ -445,6 +444,22 @@ class TestMinimizeEnergy:
         monkeypatch.setattr(optimize_module, "_trial_energy", lambda data, evaluation: None)
         with pytest.raises(LineSearchError, match="no acceptable step above 1.0e-14 at iteration 0"):
             minimize_energy(d, TauCoefficients((0.3, 1e-6)))
+
+    def test_trial_whose_lift_leaves_the_length_range_is_shortened(self, monkeypatch):
+        # scaled by 1e60, every trial passes the guard but lifts to a profile
+        # sqrt(P^2 + tau_theta^2) far above 1e38; such a trial counts as one
+        # that does not embed, so the line search runs out of steps instead
+        # of blaming the metric's P
+        d = schwarzschild_sphere(make_grid(16), 0.5, 4.0)
+        newton = optimize_module._newton_direction
+
+        def huge(values, vectors, grad):
+            direction = newton(values, vectors, grad)
+            return None if direction is None else 1e60 * direction
+
+        monkeypatch.setattr(optimize_module, "_newton_direction", huge)
+        with pytest.raises(LineSearchError, match="no acceptable step"):
+            minimize_energy(d, TauCoefficients((0.0, 0.05)))
 
     def test_hessian_that_does_not_lift_falls_back_to_steepest_descent(self, monkeypatch):
         # only the stack of the start lifts; every later iteration steps along -g
@@ -485,7 +500,7 @@ class TestSecondVariation:
     )
     def test_schwarzschild_rest_is_a_strict_minimum(self, mass, radius, least):
         d = schwarzschild_sphere(make_grid(32), mass, radius)
-        report = minimize_energy(d, TauCoefficients.zeros())
+        report = minimize_energy(d, ZERO_8)
         assert report.iterations == 0
         tolerance = 5e-8 if radius == 4.0 else 5e-5
         assert abs(report.hessian_min_eigenvalue - least) <= tolerance
@@ -503,7 +518,8 @@ class TestSecondVariation:
         d = minkowski_surface_data(m, tau0)
         report = minimize_energy(d, TauCoefficients(c0))
         assert report.hessian_min_eigenvalue < 1e-8
-        grads, _ = optimize_module._gradient(d, optimize_module._perturbed(m, tau0, 8), 8)
+        bumps = FD_STEP * grid.legendre_vandermonde[:, 1:9].T
+        grads, _ = optimize_module._gradient(d, optimize_module._perturbed(tau0, bumps), 8)
         values, vectors = optimize_module._hessian(grads)
         assert values[0] < 1e-8 and values[1] > 1.0
         boost = grid.legendre_coeffs(height(evaluate(m, tau0).projected))[1:9]
@@ -524,7 +540,7 @@ class TestProjectionOnly:
     def test_timelike_lift_mean_curvature_is_not_read(self, mass, radius, c2, monkeypatch):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, mass, radius)
-        init = TauCoefficients((0.0, c2) + (0.0,) * (DEFAULT_MODE_COUNT - 2))
+        init = TauCoefficients((0.0, c2) + (0.0,) * 6)
         tau = tau_from_coefficients(grid, init)
         assert convexity_guard(d.metric, tau) > 0.0
         with pytest.raises(NonSpacelikeMeanCurvatureError):

@@ -36,7 +36,6 @@ class TestSchwarzschildSphere:
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         assert np.max(np.abs(d.norm_H - 0.35355339059327373)) <= 1e-16
         assert np.max(np.abs(d.alpha_H)) == 0.0
-        assert d.provenance == "schwarzschild"
 
     def test_zero_mass_matches_flat_sphere(self):
         grid = make_grid(16)
@@ -53,6 +52,16 @@ class TestSchwarzschildSphere:
             schwarzschild_sphere(grid, 1.0, 1.5)
         with pytest.raises(InvalidParameterError):
             schwarzschild_sphere(grid, -0.5, 4.0)
+
+    @pytest.mark.parametrize(
+        "mass, radius, name",
+        [(np.nan, 4.0, "mass"), (np.inf, 4.0, "mass"),
+         (1.0, np.nan, "radius"), (1.0, np.inf, "radius")],
+    )
+    def test_nonfinite_mass_or_radius_named(self, mass, radius, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be") as caught:
+            schwarzschild_sphere(make_grid(8), mass, radius)
+        assert type(caught.value) is InvalidParameterError
 
     def test_euclidean_mean_curvature_dominates(self):
         # the embedded radius-r sphere has H0 = 2/r, strictly above |H|
@@ -71,7 +80,6 @@ class TestMinkowskiSurfaceData:
         d = minkowski_surface_data(round_sphere(grid), np.zeros(32))
         assert np.max(np.abs(d.norm_H - 2.0)) <= 5e-12
         assert np.max(np.abs(d.alpha_H)) <= 1e-12
-        assert d.provenance == "minkowski"
 
     def test_time_translation_invariance(self):
         grid = make_grid(32)
@@ -218,21 +226,21 @@ class TestValidation:
         bad = np.ones(8)
         bad[3] = 0.0
         with pytest.raises(InvalidParameterError, match="node 3"):
-            PhysicalData(round_sphere(grid), bad, np.zeros(8), "file")
+            PhysicalData(round_sphere(grid), bad, np.zeros(8))
 
     def test_nonfinite_norm_rejected(self):
         grid = make_grid(8)
         bad = np.ones(8)
         bad[2] = np.nan
         with pytest.raises(InvalidParameterError, match="normH must be finite, got nan at node 2"):
-            PhysicalData(round_sphere(grid), bad, np.zeros(8), "file")
+            PhysicalData(round_sphere(grid), bad, np.zeros(8))
 
     def test_nonfinite_alpha_rejected(self):
         grid = make_grid(8)
         alpha = np.zeros(8)
         alpha[6] = -np.inf
         with pytest.raises(InvalidParameterError, match="alpha_theta must be finite, got -inf at node 6"):
-            PhysicalData(round_sphere(grid), np.ones(8), alpha, "file")
+            PhysicalData(round_sphere(grid), np.ones(8), alpha)
 
 
 class TestTableRoundTrip:
@@ -246,7 +254,6 @@ class TestTableRoundTrip:
         assert np.array_equal(back.metric.Q, d.metric.Q)
         assert np.array_equal(back.norm_H, d.norm_H)
         assert np.array_equal(back.alpha_H, d.alpha_H)
-        assert back.provenance == "file"
 
     def test_loaded_table_shares_the_grid(self, tmp_path):
         # a --data run reuses the grid its --grid-n built instead of a second copy

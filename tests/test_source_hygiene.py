@@ -7,6 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "quasilocal").glob("*.py"))
+# demo and benchmark code: what runs the package outside its tests
+OUTSIDE = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def parse(path: Path) -> ast.Module:
@@ -21,14 +23,29 @@ def literal(tree: ast.Module, name: str):
     return ()
 
 
-def references(*nodes, bare: bool = True) -> set:
-    """Attribute names read anywhere under the nodes, and bare names unless bare is False."""
+def outside_modules(tree: ast.Module) -> set:
+    """Names the module binds by importing from outside the package: np, npleg, json, ..."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0)
+        for alias in node.names
+        if not (getattr(node, "module", None) or alias.name).startswith("quasilocal")
+    }
+
+
+def references(*nodes, bare: bool = True, outside: set = frozenset()) -> set:
+    """Attribute names read anywhere under the nodes, and bare names unless bare is False.
+
+    An attribute read on a name in outside (np.zeros, with np imported
+    from numpy) is not a read of a package attribute, and does not count.
+    """
     kinds = (ast.Name, ast.Attribute) if bare else ast.Attribute
     return {
         n.id if isinstance(n, ast.Name) else n.attr
         for top in nodes
         for n in ast.walk(top)
-        if isinstance(n, kinds)
+        if isinstance(n, kinds) and getattr(getattr(n, "value", None), "id", None) not in outside
     }
 
 
@@ -53,23 +70,26 @@ def test_library_code_is_run_outside_tests():
     Names are matched, not bindings: a function or class counts as used
     when its name is read anywhere else, a method or property when an
     attribute of its name is read anywhere else (obj.name), so a local
-    variable of the same name does not count.  A use inside its own
+    variable of the same name does not count, nor does an attribute of a
+    module from outside the package (np.zeros).  A use inside its own
     definition or a re-export by __init__ does not count; a function or
     Class.method the benchmark's tracer lists in PUBLIC does.
     """
     trees = {path: parse(path) for path in PACKAGE if path.name != "__init__.py"}
     outside, outside_attributes, traced = set(), set(), set()
-    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = parse(path)
+    for tree in map(parse, OUTSIDE):
         outside |= references(tree)
-        outside_attributes |= references(tree, bare=False)
+        outside_attributes |= references(tree, bare=False, outside=outside_modules(tree))
         traced |= {name for _, name in literal(tree, "PUBLIC")}
     outside |= {name.split(".")[0] for name in traced}
     unused = []
     for path, tree in trees.items():
         others = [t for p, t in trees.items() if p != path]
         elsewhere = outside.union(*(references(t) for t in others))
-        attributes_elsewhere = outside_attributes.union(*(references(t, bare=False) for t in others))
+        attributes_elsewhere = outside_attributes.union(
+            *(references(t, bare=False, outside=outside_modules(t)) for t in others)
+        )
+        own_modules = outside_modules(tree)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
@@ -83,9 +103,38 @@ def test_library_code_is_run_outside_tests():
                 if name in traced:
                     continue
                 siblings = [m for m in node.body if m is not method]
-                if method.name not in attributes_elsewhere | references(*rest, *siblings, bare=False):
+                own = references(*rest, *siblings, bare=False, outside=own_modules)
+                if method.name not in attributes_elsewhere | own:
                     unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    """Package, demo or benchmark code reads every dataclass field of a package class as obj.field.
+
+    A field that nothing reads is a constructor argument that does nothing.
+    """
+    read = set()
+    trees = [parse(path) for path in PACKAGE + OUTSIDE]
+    for tree in trees:
+        read |= references(tree, bare=False, outside=outside_modules(tree))
+    unread = [
+        f"{node.name}.{item.target.id}"
+        for tree in trees[: len(PACKAGE)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert unread == []
 
 
 def test_every_traced_name_is_defined():

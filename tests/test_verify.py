@@ -452,7 +452,6 @@ class TestCheckTheorem3:
             metric=round_sphere(grid),
             norm_H=np.full(32, 1.5),
             alpha_H=0.01 * grid.sin_theta,
-            provenance="synthetic",
         )
         report = check_theorem3(d, tau_samples=[0.1 * grid.x])
         assert not report.passed
