@@ -191,7 +191,7 @@ class Evaluation:
 
     @lazy
     def tau_theta(self) -> np.ndarray:
-        return self.metric.grid.dtheta(self.tau)
+        return self.metric.grid.minus_sin_theta * self.tau_x
 
     @lazy
     def tau_x(self) -> np.ndarray:

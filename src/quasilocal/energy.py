@@ -199,7 +199,7 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     m = d.metric
     grid = m.grid
     proj = ev.projected
-    p_hat = proj.metric.P
+    p_hat, p_hat_sq = proj.metric.P, proj.metric.P_sq
 
     s1 = ev.s1
     tau_x = ev.tau_x
@@ -209,8 +209,8 @@ def _stationarity_terms(d: PhysicalData, ev: Evaluation):
     hess_pp_scaled = -u_prime * tau_x / m.P_sq_Q
     cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P_sq * m.Q_sq)
     trace_term = (
-        proj.mean_curvature * (hess_tt / p_hat**2 + hess_pp_scaled)
-        - proj.hhat_tt * hess_tt / p_hat**4
+        proj.mean_curvature * (hess_tt / p_hat_sq + hess_pp_scaled)
+        - proj.hhat_tt * hess_tt / p_hat_sq**2
         - cross_pp_scaled
     )
 

@@ -23,9 +23,9 @@ needs the phi-phi component uses it with its sin(theta) factors
 cancelled analytically.
 
 The Grid owns, as read-only arrays built once per size, the nodes,
-weights, differentiation and Legendre Vandermonde matrices and the
-factors 1 - x^2, -sin(theta) and -x of the x-space operators.  An
-AxisymMetric likewise keeps, once per metric, the products of its
+weights, d/dx and Legendre Vandermonde matrices and the factors 1 - x^2
+and -sin(theta) of the x-space operators; d/dtheta is -sin(theta) d/dx.
+An AxisymMetric likewise keeps, once per metric, the products of its
 profiles that the operators use on every call (P^2, P Q, P^4 Q,
 (1 - x^2) Q/P, the weights of the energy's weak pairing and others).  The
 public operators laplacian and hessian check the shape of their inputs
@@ -103,12 +103,12 @@ class Grid:
     nodes are the colatitudes theta_j, strictly increasing and interior
     to (0, pi).  weights integrate against sin(theta) dtheta, so they sum
     to 2 and quadrature is exact for polynomials in x of degree
-    2 n_nodes - 1.  diff_matrix maps node values to d/dtheta of the
+    2 n_nodes - 1.  diff_matrix_x maps node values to d/dx of the
     interpolant; it is exact on polynomials in x of degree n_nodes - 1.
     Column l of legendre_vandermonde holds P_l at the nodes, and column l
     of legendre_vandermonde_dx holds P_l' (diff_matrix_x applied to it).
-    one_minus_x_sq, minus_sin_theta and minus_x hold 1 - x^2, -sin(theta)
-    and -x, factors of the x-space operators built once per grid.
+    one_minus_x_sq and minus_sin_theta hold 1 - x^2 and -sin(theta),
+    factors of the x-space operators built once per grid.
 
     make_grid shares one Grid per size, so its arrays are read-only and
     grids compare and hash by identity.
@@ -119,25 +119,23 @@ class Grid:
     x: np.ndarray
     sin_theta: np.ndarray
     weights: np.ndarray
-    diff_matrix: np.ndarray
     diff_matrix_x: np.ndarray
     legendre_vandermonde: np.ndarray = field(repr=False)
     legendre_vandermonde_dx: np.ndarray = field(repr=False)
     one_minus_x_sq: np.ndarray = field(repr=False)
     minus_sin_theta: np.ndarray = field(repr=False)
-    minus_x: np.ndarray = field(repr=False)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
         return np.asarray(f, dtype=float) @ self.diff_matrix_x.T
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
-        """d/dtheta of the interpolant of f.
+        """d/dtheta of the interpolant of f, -sin(theta) times its d/dx.
 
         The result carries a sin(theta) factor, so it is generally *not*
         smooth in x; never feed it back into dx or dtheta.
         """
-        return np.asarray(f, dtype=float) @ self.diff_matrix.T
+        return self.minus_sin_theta * self.dx(f)
 
     def quad_dx(self, f: np.ndarray) -> float | np.ndarray:
         """integral of f over x in (-1, 1), i.e. of f sin(theta) dtheta.
@@ -192,7 +190,7 @@ def make_grid(n: int) -> Grid:
 
     Each size is built and checked once, and every later call returns
     the same read-only Grid.  The last 8 sizes used are kept; a grid holds
-    four n x n matrices, about 32 n^2 bytes, so at most about 160 MB at
+    three n x n matrices, about 24 n^2 bytes, so at most about 120 MB at
     n = 789.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -218,7 +216,6 @@ def _build_grid(n: int) -> Grid:
     one_minus_x_sq = 1.0 - x * x
     sin_theta = np.sqrt(one_minus_x_sq)
     dmat_x = _differentiation_matrix(x)
-    dmat_theta = -sin_theta[:, None] * dmat_x
     vander = npleg.legvander(x, n - 1)
     # D is exact on P_k, k = n - 1, where (1 - x^2) P_k' = k (P_{k-1} - x P_k)
     k = n - 1
@@ -241,13 +238,11 @@ def _build_grid(n: int) -> Grid:
         x=_read_only(x),
         sin_theta=_read_only(sin_theta),
         weights=_read_only(w),
-        diff_matrix=_read_only(dmat_theta),
         diff_matrix_x=_read_only(dmat_x),
         legendre_vandermonde=_read_only(vander),
         legendre_vandermonde_dx=_read_only(dmat_x @ vander),
         one_minus_x_sq=_read_only(one_minus_x_sq),
         minus_sin_theta=_read_only(-sin_theta),
-        minus_x=_read_only(-x),
     )
 
 
@@ -323,8 +318,8 @@ class AxisymMetric:
     a stack of time functions.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
-    the u'' term of the second fundamental form, dP/dtheta, the Gauss
-    curvature K and the profile products the operators divide or weight
+    the u'' term of the second fundamental form, the Gauss curvature K,
+    (dP/dtheta)/P and the profile products the operators divide or weight
     by) are computed when first read and kept as read-only arrays.  Each
     product is formed as the inline expression it replaces was, so a
     kernel gives the same bits either way.  with_P builds a metric with
@@ -369,13 +364,7 @@ class AxisymMetric:
     @lazy
     def u_second(self) -> np.ndarray:
         """d^2u/dtheta^2, assembled from the x-derivative of u'."""
-        g = self.grid
-        return _read_only(g.minus_sin_theta * g.dx(self.u_prime))
-
-    @lazy
-    def P_theta(self) -> np.ndarray:
-        """dP/dtheta."""
-        return _read_only(self.grid.dtheta(self.P))
+        return _read_only(self.grid.dtheta(self.u_prime))
 
     @lazy
     def K(self) -> np.ndarray:
@@ -410,7 +399,7 @@ class AxisymMetric:
     @lazy
     def P_theta_over_P(self) -> np.ndarray:
         """(dP/dtheta) / P."""
-        return _read_only(self.P_theta / self.P)
+        return _read_only(self.grid.dtheta(self.P) / self.P)
 
     @lazy
     def flux_factor(self) -> np.ndarray:
@@ -533,7 +522,7 @@ def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
     g = m.grid
     fxx = g.dx(fx)
     f1 = g.minus_sin_theta * fx
-    f2 = g.minus_x * fx + g.one_minus_x_sq * fxx
+    f2 = g.one_minus_x_sq * fxx - g.x * fx
     return f2 - m.P_theta_over_P * f1
 
 
@@ -579,7 +568,7 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
     """
     tau = _check_field(m.grid, tau, "tau")
     taux = m.grid.dx(tau)
-    return _hat_gauss_curvature(m, _hessian(m, taux), taux, _norm_sq(m, m.grid.dtheta(tau)))
+    return _hat_gauss_curvature(m, _hessian(m, taux), taux, _norm_sq(m, m.grid.minus_sin_theta * taux))
 
 
 def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:

@@ -146,8 +146,7 @@ def coefficient_box(grid: Grid) -> tuple:
     for the comparison inequality.
     """
     signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
-    p1, p2 = grid.legendre_vandermonde[:, 1:3].T
-    return tuple(c * p1 + d * p2 for c in signed for d in signed)
+    return tuple(grid.legendre_synthesis([0.0, c, d]) for c in signed for d in signed)
 
 
 def chebyshev_s_grid() -> np.ndarray:
@@ -398,8 +397,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
 
 
 def _default_profiles(grid: Grid) -> tuple:
-    p1, p2, p3 = grid.legendre_vandermonde[:, 1:4].T
-    return (0.3 * p1, 0.2 * p1 + 0.1 * p2, 0.1 * p2 + 0.05 * p3)
+    return tuple(grid.legendre_synthesis(c) for c in ([0, 0.3], [0, 0.2, 0.1], [0, 0, 0.1, 0.05]))
 
 
 def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:

@@ -188,11 +188,6 @@ class TestVerifyCommand:
         assert report_value(text, "pass") == "false"
         assert "margin.mean-curvature-gap" in text
 
-    def test_theorem1_needs_a_data_source(self, capsys):
-        argv = ["verify", "--suite", "theorem1", "--metric", "unit-sphere"]
-        assert main(argv) == 1
-        assert "--schwarzschild/--minkowski/--data" in capsys.readouterr().err
-
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
         for path in paths:
@@ -239,7 +234,11 @@ class TestGenDataCommand:
 
 class TestExitPaths:
     @pytest.mark.parametrize("argv", [["energy", "--tau", "zero"], ["residual"], ["minimize"],
-                                      ["gen-data", "--out", "never.dat"]], ids=lambda a: a[0])
+                                      ["gen-data", "--out", "never.dat"],
+                                      ["verify", "--suite", "theorem1"],
+                                      ["verify", "--suite", "theorem3"]],
+                             ids=["energy", "residual", "minimize", "gen-data", "verify-theorem1",
+                                  "verify-theorem3"])
     def test_missing_source_names_the_fields(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

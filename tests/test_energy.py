@@ -138,18 +138,19 @@ class TestMeanCurvatureOnce:
 
 
 class TestDerivativesOnce:
-    def test_qle_and_residual_share_tau_theta_and_the_laplacian(self, monkeypatch):
+    def test_qle_and_residual_share_tau_x_and_the_laplacian(self, monkeypatch):
+        # tau_theta, the Laplacian and the Hessian all come from the one tau_x
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         ev = evaluate(d.metric, generic_tau(grid))
 
-        dtheta = Grid.dtheta
+        dx = Grid.dx
         of_tau = []
 
-        def counting_dtheta(self, f):
+        def counting_dx(self, f):
             if f is ev.tau:
                 of_tau.append(None)
-            return dtheta(self, f)
+            return dx(self, f)
 
         laplacian = geometry.laplacian
         laplacians = []
@@ -158,7 +159,7 @@ class TestDerivativesOnce:
             laplacians.append(None)
             return laplacian(m, f)
 
-        monkeypatch.setattr(Grid, "dtheta", counting_dtheta)
+        monkeypatch.setattr(Grid, "dx", counting_dx)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "quasilocal" and getattr(module, "laplacian", None) is laplacian:
                 monkeypatch.setattr(module, "laplacian", counting_laplacian)

@@ -84,6 +84,17 @@ class TestMakeGrid:
         got = grid.dtheta(np.cos(grid.nodes))
         assert np.max(np.abs(got + np.sin(grid.nodes))) <= 1e-10
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_dtheta_is_minus_sin_theta_times_dx_to_the_bit(self, rows):
+        grid = make_grid(24)
+        m = regular_random_metric(grid, np.random.default_rng(41))
+        shape = (grid.n_nodes,) if rows is None else (rows, grid.n_nodes)
+        f = np.random.default_rng(42).uniform(-1.0, 1.0, shape)
+        want = grid.minus_sin_theta * grid.dx(f)
+        assert grid.dtheta(f).tobytes() == want.tobytes()
+        ev = evaluate(m, f)
+        assert ev.tau_theta.tobytes() == (grid.minus_sin_theta * ev.tau_x).tobytes()
+
     def test_diff_matrix_annihilates_constants(self):
         grid = make_grid(24)
         got = grid.dtheta(np.full(grid.n_nodes, 7.25))
@@ -177,7 +188,8 @@ class TestGridSizeLimit:
         error = grid.dx(npleg.legval(grid.x, top)) - exact
         assert np.sqrt((grid.weights @ error**2) / (grid.weights @ exact**2)) <= 1e-9
         assert np.isfinite(grid.diff_matrix_x).all()
-        assert np.isfinite(grid.diff_matrix).all()
+        theta_error = grid.dtheta(np.cos(grid.nodes)) + grid.sin_theta
+        assert np.sqrt((grid.weights @ theta_error**2) / (grid.weights @ grid.sin_theta**2)) <= 1e-9
 
     @pytest.mark.parametrize("n", [800, 820, 861])
     def test_inaccurate_grid_is_rejected(self, n):
@@ -378,7 +390,7 @@ class TestUncheckedKernels:
         g, m, f = case
         fx = g.dx(f)
         kernel = _hessian(m, fx)
-        inline = (-g.x * fx + (1.0 - g.x * g.x) * g.dx(fx)) - (m.P_theta / m.P) * (-g.sin_theta * fx)
+        inline = (-g.x * fx + (1.0 - g.x * g.x) * g.dx(fx)) - (g.dtheta(m.P) / m.P) * (-g.sin_theta * fx)
         assert np.array_equal(kernel, hessian(m, f))
         assert np.array_equal(kernel, inline)
 

@@ -20,7 +20,13 @@ only the zero-derivative, ode and reference-derivative margins moved,
 each closer to 0.  The theorem3 flat hash was captured again when the
 monotonicity energies were evaluated on the s = 1 rows alone: only its
 monotonicity margin and strict-increase-min detail moved, at rounding
-level.  A change that moves any printed margin, allowance or
+level.  The identities, lemma41, theorem1 Schwarzschild and both
+theorem3 hashes, and the identities worst margin, were captured again
+when every theta-derivative became -sin(theta) times the x-derivative
+(one differentiation matrix instead of two), the default theorem3
+profiles came from Legendre synthesis and the residual formed P_hat^2
+once; margins moved at rounding level, and no pass flag or worst check
+moved.  A change that moves any printed margin, allowance or
 detail fails here; the worst margin is compared first so that a failure
 says how far it moved.
 """
@@ -43,22 +49,22 @@ from quasilocal.verify import (
 
 PINNED = {
     "theorem1-schwarzschild": (
-        "8a88def5a4c0dfcf138b001f1751321035e1ceb4585a9cc444955fffb679b47f", -8.526512829121202e-14, True
+        "582c7dfbed6a4dc3434fb3bda3dcb9e8c03f2eaebe7814f544b11b65df2c71a6", -8.526512829121202e-14, True
     ),
     "theorem3-schwarzschild": (
-        "cec65d552f8fe43e24e0a57925d5874b936bb2c7a220bb5a50cbb4e8d692afc9", -0.0, True
+        "42121293bbc645e66b9905eb97f651534f33845027b38850ce6b50386281298c", -0.0, True
     ),
     "theorem1-flat": (
         "ced48cc9f04f13622be234e3e5de124f77f0a188d4dc62309835659890e77a7d", -7.822631431508853e-13, False
     ),
     "theorem3-flat": (
-        "f7031d09481d2e5987884dd3c3f3bce5290debdcdbd4ad636131abdf029b3147", -7.822631431508853e-13, False
+        "6831e086cf5b0c249af3c6889cbeb4aec728a06141f0baba34770bd0edac9d0a", -7.822631431508853e-13, False
     ),
     "identities": (
-        "5870cf2a58d8ec6e8da5013829da8d766d2521dbb3ccfb7cbd3ea496071a0e4d", -2.6860913493464977e-10, True
+        "66190328ec4d2119c356f4f760285356206b629779a6e0ccc996299bddceec4a", -2.688667066763628e-10, True
     ),
     "lemma41": (
-        "fa175eb48f07e3833dac1d360d605526eeee26d472a6dffd231c9d16277d2383", -5.551115123125783e-17, True
+        "8146697c8b9afb36c64a9082810e750e2be1288bff4aadb18557961c5cd1150e", -5.551115123125783e-17, True
     ),
 }
 
