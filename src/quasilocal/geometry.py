@@ -334,10 +334,11 @@ class AxisymMetric:
     def __post_init__(self):
         P = _check_field(self.grid, self.P, "P")
         Q = _check_single_field(self.grid, self.Q, "Q")
-        _check_finite(self.grid, "P", P)
-        _check_finite(self.grid, "Q", Q)
-        _check_lengths(self.grid, "P", P)
-        _check_lengths(self.grid, "Q", Q)
+        if not (_within_lengths(P) and _within_lengths(Q)):
+            _check_finite(self.grid, "P", P)
+            _check_finite(self.grid, "Q", Q)
+            _check_lengths(self.grid, "P", P)
+            _check_lengths(self.grid, "Q", Q)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
@@ -348,8 +349,9 @@ class AxisymMetric:
         with this metric, is not checked again.
         """
         P = _check_field(self.grid, P, "P")
-        _check_finite(self.grid, "P", P)
-        _check_lengths(self.grid, "P", P)
+        if not _within_lengths(P):
+            _check_finite(self.grid, "P", P)
+            _check_lengths(self.grid, "P", P)
         other = object.__new__(AxisymMetric)
         other.__dict__.update(
             grid=self.grid, P=P, Q=self.Q, u_prime=self.u_prime, u_second=self.u_second
@@ -417,6 +419,16 @@ class AxisymMetric:
         return _read_only(self.grid.weights * self.grid.one_minus_x_sq * (self.Q / self.P))
 
 
+def _within_lengths(values: np.ndarray) -> bool:
+    """Is every value finite and in [1/LENGTH_MAX, LENGTH_MAX]?  One bound test.
+
+    A NaN fails both comparisons, so a field that passes needs neither
+    _check_finite nor _check_lengths, which run only to name the first
+    offending node; an empty stack passes.
+    """
+    return 1.0 / LENGTH_MAX <= values.min(initial=1.0) and values.max(initial=1.0) <= LENGTH_MAX
+
+
 def _check_finite(grid: Grid, name: str, values: np.ndarray) -> None:
     finite = np.isfinite(values)
     if not finite.all():
@@ -440,18 +452,21 @@ def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
     """Reject a time function that is not finite, or whose values or lift leave the length range.
 
     The lift of (m, tau) has profile sqrt(P^2 + tau_theta^2); with |tau| at
-    most LENGTH_MAX that profile is computed without overflow.
+    most LENGTH_MAX that profile is computed without overflow.  Each test
+    is one bound test on min and max, NaN failing it; the element-wise
+    checks that name the offending node run only when it fails.
     """
     tau = _check_field(m.grid, tau, "tau")
-    _check_finite(m.grid, "tau", tau)
-    big = np.abs(tau) > LENGTH_MAX
-    if big.any():
-        i = _first(big)
+    if not (-LENGTH_MAX <= tau.min(initial=0.0) and tau.max(initial=0.0) <= LENGTH_MAX):
+        _check_finite(m.grid, "tau", tau)
+        i = _first(np.abs(tau) > LENGTH_MAX)
         raise InvalidParameterError(
             f"|tau| must be at most {LENGTH_MAX:g}; tau[{', '.join(map(str, i))}] = {tau[i]} "
             f"at theta = {m.grid.nodes[i[-1]]}"
         )
-    _check_lengths(m.grid, "sqrt(P^2 + tau_theta^2)", np.sqrt(m.P**2 + m.grid.dtheta(tau) ** 2))
+    lifted = np.sqrt(m.P**2 + m.grid.dtheta(tau) ** 2)
+    if not _within_lengths(lifted):
+        _check_lengths(m.grid, "sqrt(P^2 + tau_theta^2)", lifted)
 
 
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:

@@ -76,6 +76,10 @@ class MinimizeReport:
     calibration_rel_error is the agreement of the gradient with central
     differences of qle at the start, not the gradient's own error: it is
     bounded below by the finite-difference error, about 3e-9 at FD_STEP.
+    hessian_min_eigenvalue comes from the same central differences, and
+    on flat directions near 1e-9 it carries about one significant digit:
+    on a stalled Minkowski-lift run it moved from 4.15e-9 to 4.61e-9 when
+    only the last bits of the energy's derivatives changed.
     """
 
     tau_star: TauCoefficients
@@ -104,10 +108,15 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
     one margin per row; the guard never builds a lift.
     """
     ev = evaluate(m, tau)
-    k_hat = _hat_gauss_curvature(m, ev.hess_tt, ev.tau_x, ev.grad_sq)
-    scaled = k_hat * (1.0 + ev.grad_sq)
-    worst = np.minimum(np.minimum(k_hat.min(axis=-1), m.K.min()), scaled.min(axis=-1))
+    worst = _guard_margin(m, ev.hess_tt, ev.tau_x, ev.grad_sq)
     return float(worst) if worst.ndim == 0 else worst
+
+
+def _guard_margin(m: AxisymMetric, hess_tt, tau_x, grad_sq) -> np.ndarray:
+    """convexity_guard from Hess_tt, d(tau)/dx and |grad tau|^2: one margin per row of a stack."""
+    k_hat = _hat_gauss_curvature(m, hess_tt, tau_x, grad_sq)
+    scaled = k_hat * (1.0 + grad_sq)
+    return np.minimum(np.minimum(k_hat.min(axis=-1), m.K.min()), scaled.min(axis=-1))
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
@@ -263,7 +272,7 @@ def minimize_energy(
     # the start and its 2L perturbations as one stack: row 0 for the guard,
     # the energy and the gradient, rows 1..2L for the calibration and H
     stack = evaluate(m, np.concatenate([tau[None], _perturbed(tau, bumps)]))
-    margin = float(convexity_guard(m, stack)[0])
+    margin = float(_guard_margin(m, stack.hess_tt[0], stack.tau_x[0], stack.grad_sq[0]))
     if not margin > 0.0:
         raise GuardViolationError(margin)
 

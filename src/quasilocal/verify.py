@@ -20,17 +20,20 @@ the surface, since the rounding of an energy grows with its terms, of
 size 8 pi L; allowances of hypotheses are not.
 
 Sampling is deterministic: the default sample families are fixed
-Legendre-coefficient boxes and profiles, and each family is evaluated as
-one stack of time functions.  Derivatives in the family parameter s are
-the energy's weak first variation along the profile, exact at every node
-of the s-grid, never differences of sampled energies; the s = 0 endpoint
-is covered by dedicated value and derivative checks because the
-comparison inequality F' >= F/s degenerates there.
+Legendre-coefficient boxes and profiles.  They depend on the grid alone,
+so each is a read-only stack built once per grid and shared by every
+call, and each family is evaluated as one stack of time functions.
+Derivatives in the family parameter s are the energy's weak first
+variation along the profile, exact at every node of the s-grid, never
+differences of sampled energies; the s = 0 endpoint is covered by
+dedicated value and derivative checks because the comparison inequality
+F' >= F/s degenerates there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .geometry import (
     _check_single_field,
     _divergence_from_x_component,
     _hessian,
+    _read_only,
     _sin_factored_theta_derivative,
     integrate_surface,
 )
@@ -138,15 +142,20 @@ def format_report(report: TheoremReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def coefficient_box(grid: Grid) -> tuple:
+@lru_cache(maxsize=8)
+def coefficient_box(grid: Grid) -> np.ndarray:
     """The +-amplitude box over the first two Legendre modes.
 
     Returns all (c, d) combinations of c*P1 + d*P2 with c and d running
-    over 0.05, 0.2, 0.5 and their negatives: the default sample family
-    for the comparison inequality.
+    over 0.05, 0.2, 0.5 and their negatives, as a read-only (36, n)
+    stack: the default sample family for the comparison inequality.  It
+    depends on the grid alone, so it is a grid constant, synthesized row
+    by row and checked once per grid (the last 8 grids are kept) and
+    shared by every caller.
     """
     signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
-    return tuple(grid.legendre_synthesis([0.0, c, d]) for c in signed for d in signed)
+    rows = [grid.legendre_synthesis([0.0, c, d]) for c in signed for d in signed]
+    return _read_only(_sample_stack(grid, rows))
 
 
 def chebyshev_s_grid() -> np.ndarray:
@@ -343,8 +352,9 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     g = m.grid
     tau0 = _check_single_field(g, tau0, "tau0")
     if tau_samples is None:
-        tau_samples = tuple(tau0 + f for f in coefficient_box(g))
-    samples = _sample_stack(g, tau_samples)
+        samples = tau0 + coefficient_box(g)
+    else:
+        samples = _sample_stack(g, tau_samples)
     length = _length_scale(m)
 
     # reference shares the metric m with d, so one evaluation of a time
@@ -396,8 +406,16 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     )
 
 
-def _default_profiles(grid: Grid) -> tuple:
-    return tuple(grid.legendre_synthesis(c) for c in ([0, 0.3], [0, 0.2, 0.1], [0, 0, 0.1, 0.05]))
+@lru_cache(maxsize=8)
+def _default_profiles(grid: Grid) -> np.ndarray:
+    """theorem3's default profiles 0.3 P1, 0.2 P1 + 0.1 P2 and 0.1 P2 + 0.05 P3.
+
+    A read-only (3, n) stack, a grid constant like coefficient_box:
+    synthesized row by row and checked once per grid (the last 8 grids
+    are kept) and shared by every caller.
+    """
+    rows = [grid.legendre_synthesis(c) for c in ([0, 0.3], [0, 0.2, 0.1], [0, 0, 0.1, 0.05])]
+    return _read_only(_sample_stack(grid, rows))
 
 
 def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
@@ -429,8 +447,9 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     m = d.metric
     g = m.grid
     if tau_samples is None:
-        tau_samples = _default_profiles(g)
-    samples = _sample_stack(g, tau_samples)
+        samples = _default_profiles(g)
+    else:
+        samples = _sample_stack(g, tau_samples)
     length = _length_scale(m)
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0

@@ -341,6 +341,28 @@ class TestMinimizeEnergy:
         assert info.value.margin < 0.0
         assert lifted == []
 
+    def test_start_guard_reads_row_0_of_the_start_stack(self, monkeypatch):
+        # the margin of the whole (2L + 1)-row stack's guard at row 0, to the bit
+        grid = make_grid(32)
+        m = round_sphere(grid)
+        d = minkowski_surface_data(m, np.zeros(32))
+        bad = TauCoefficients((0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0))
+        tau = tau_from_coefficients(grid, bad)
+        bumps = FD_STEP * grid.legendre_vandermonde[:, 1:9].T
+        want = convexity_guard(m, np.concatenate([tau[None], tau + bumps, tau - bumps]))[0]
+        shapes = []
+        original = optimize_module._hat_gauss_curvature
+
+        def recording(metric, hess_tt, taux, gsq):
+            shapes.append(hess_tt.shape)
+            return original(metric, hess_tt, taux, gsq)
+
+        monkeypatch.setattr(optimize_module, "_hat_gauss_curvature", recording)
+        with pytest.raises(GuardViolationError) as info:
+            minimize_energy(d, bad)
+        assert info.value.margin == want
+        assert shapes == [(32,)]
+
     @pytest.mark.parametrize(
         "name, value",
         [

@@ -8,7 +8,7 @@ import pytest
 import quasilocal
 from conftest import legendre_mode
 from reference import spectral_s_derivative
-from quasilocal.geometry import AxisymMetric, FieldShapeError, make_grid, round_sphere
+from quasilocal.geometry import AxisymMetric, FieldShapeError, Grid, make_grid, round_sphere
 from quasilocal.embedding import Evaluation, evaluate
 from quasilocal.energy import _first_variation, _stationarity_terms, qle
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
@@ -242,6 +242,62 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         monkeypatch.setattr(quasilocal.verify, "qle", counting)
         assert check_theorem3(d).passed
         assert sum(rows) == 4
+
+
+class TestDefaultFamiliesAreGridConstants:
+    """The default sample families are built once per grid, read-only, and sample as given rows do."""
+
+    @staticmethod
+    def data(grid):
+        return {
+            "schwarzschild": (schwarzschild_sphere(grid, 1.0, 4.0), np.zeros(grid.n_nodes)),
+            "lift": (minkowski_surface_data(round_sphere(grid), 0.2 * grid.x), 0.2 * grid.x),
+        }
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_default_reports_equal_the_explicit_rows(self, n):
+        grid = make_grid(n)
+        for d, tau0 in self.data(grid).values():
+            given = tuple(tau0 + f for f in coefficient_box(grid))
+            assert format_report(check_theorem1(d, tau0)) == format_report(
+                check_theorem1(d, tau0, tau_samples=given)
+            )
+            profiles = tuple(_default_profiles(grid))
+            assert format_report(check_theorem3(d)) == format_report(check_theorem3(d, tau_samples=profiles))
+
+    def test_families_are_the_row_by_row_synthesis_to_the_bit(self):
+        grid = make_grid(32)
+        signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
+        rows = [grid.legendre_synthesis([0.0, c, d]) for c in signed for d in signed]
+        assert coefficient_box(grid).tobytes() == np.stack(rows).tobytes()
+        rows = [grid.legendre_synthesis(c) for c in ([0, 0.3], [0, 0.2, 0.1], [0, 0, 0.1, 0.05])]
+        assert _default_profiles(grid).tobytes() == np.stack(rows).tobytes()
+
+    @pytest.mark.parametrize("family", [coefficient_box, _default_profiles])
+    def test_family_is_shared_and_read_only(self, family):
+        grid = make_grid(16)
+        stack = family(grid)
+        assert family(grid) is stack
+        assert family(make_grid(32)).shape == (len(stack), 32)
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
+
+    def test_second_suite_run_synthesizes_nothing(self, monkeypatch):
+        grid = make_grid(32)
+        d, tau0 = self.data(grid)["schwarzschild"]
+        check_theorem1(d, tau0)
+        check_theorem3(d)
+        calls = []
+        original = Grid.legendre_synthesis
+
+        def counting(self, coeffs):
+            calls.append(None)
+            return original(self, coeffs)
+
+        monkeypatch.setattr(Grid, "legendre_synthesis", counting)
+        assert check_theorem1(d, tau0).passed
+        assert check_theorem3(d).passed
+        assert calls == []
 
 
 class TestWorstSample:
