@@ -176,9 +176,12 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
     with shat the projected-surface metric and Hess the covariant Hessian
     of the base metric.  Critical time functions make this vanish.
     """
-    ev = d.evaluate(tau)
-    trace_part, flux = _stationarity_terms(d, ev)
-    return trace_part + _divergence_from_x_component(d.metric, flux)
+    return _residual_from_terms(d.metric, *_stationarity_terms(d, d.evaluate(tau)))
+
+
+def _residual_from_terms(m: AxisymMetric, trace_part: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """The residual from the trace term and flux of _stationarity_terms on the metric m."""
+    return trace_part + _divergence_from_x_component(m, flux)
 
 
 def _stationarity_terms(d: PhysicalData, ev: Evaluation):

@@ -21,13 +21,12 @@ from .geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
-    _divergence_from_x_component,
     _hat_gauss_curvature,
     check_lift_lengths,
     integrate_surface,
 )
 from .embedding import Evaluation, NonEmbeddableError, evaluate
-from .energy import _first_variation, _stationarity_terms, qle
+from .energy import _first_variation, _residual_from_terms, _stationarity_terms, qle
 from .physdata import PhysicalData
 
 # Armijo sufficient-decrease factor; the step below which the line search
@@ -73,13 +72,8 @@ class TauCoefficients:
 class MinimizeReport:
     """The outcome of minimize_energy; its docstring defines each field.
 
-    calibration_rel_error is the agreement of the gradient with central
-    differences of qle at the start, not the gradient's own error: it is
-    bounded below by the finite-difference error, about 3e-9 at FD_STEP.
-    hessian_min_eigenvalue comes from the same central differences, and
-    on flat directions near 1e-9 it carries about one significant digit:
-    on a stalled Minkowski-lift run it moved from 4.15e-9 to 4.61e-9 when
-    only the last bits of the energy's derivatives changed.
+    hessian_min_eigenvalue comes from central differences of the gradient,
+    so on flat directions near 1e-9 it carries about one significant digit.
     """
 
     tau_star: TauCoefficients
@@ -94,6 +88,10 @@ class MinimizeReport:
 
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
+    """Node values of sum_l c_l P_l; FieldShapeError for more modes than the grid resolves."""
+    count = len(tau.coeffs)
+    if count >= grid.n_nodes:
+        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
     return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
 
 
@@ -129,11 +127,7 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     The positive sign is the calibrated one: central finite differences of
     qle along each mode reproduce these pairings.
     """
-    grid = d.metric.grid
-    count = len(tau.coeffs)
-    if count >= grid.n_nodes:
-        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
-    return _gradient(d, tau_from_coefficients(grid, tau), count)[0]
+    return _gradient(d, tau_from_coefficients(d.metric.grid, tau), len(tau.coeffs))[0]
 
 
 def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> tuple:
@@ -231,7 +225,8 @@ def minimize_energy(
     A tol that is not positive and finite, or a max_iterations that is
     not an integer >= 0, raises InvalidParameterError, as does a start
     field that geometry.check_lift_lengths rejects; an init with no
-    modes raises FieldShapeError.  Then a start outside the guard raises
+    modes, or with more than the grid resolves, raises FieldShapeError as
+    energy_gradient does.  Then a start outside the guard raises
     GuardViolationError before anything is lifted, and a start or a
     perturbed field that does not lift raises NonEmbeddableError naming
     its row of the (2L + 1)-row stack.
@@ -343,8 +338,7 @@ def minimize_energy(
         iterations += 1
     else:
         stop = "gradient" if np.linalg.norm(grad) < tol else "iterations"
-    # the residual of the terms the last gradient paired, as residual forms it
-    res = terms[0] + _divergence_from_x_component(m, terms[1])
+    res = _residual_from_terms(m, *terms)  # of the terms the last gradient paired
     return MinimizeReport(
         tau_star=TauCoefficients(tuple(coeffs)),
         energy_star=energy,

@@ -8,11 +8,11 @@ from closed-form families, from a lifted surface, or from a text table.
 
 Data of a surface in Minkowski space (minkowski_surface_data), where a
 lift becomes physical data and the only code that checks it can, carries
-the lift it was computed from.  PhysicalData.evaluate, through which the
-formulas that take data evaluate a time function on its metric, returns
-that lift for the data's own time function, given bit for bit, so the
-energy, the residual and the gradient at tau0 reuse it instead of
-lifting (m, tau0) again.
+the lift it was computed from; nothing else sets PhysicalData.lift.
+PhysicalData.evaluate, through which the formulas that take data
+evaluate a time function on its metric, returns that lift for the data's
+own time function, given bit for bit, so the energy, the residual and
+the gradient at tau0 reuse it instead of lifting (m, tau0) again.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -62,20 +62,19 @@ class PhysicalData:
 
     alpha_H is the dtheta component of the connection one-form.
 
-    lift, when set, is an Evaluation of one time function on this metric:
-    minkowski_surface_data keeps the lift the data came from.  It takes no
-    part in repr, and evaluate serves it for that time function.  Data
+    lift is not a constructor argument: it is None, except on data built
+    by minkowski_surface_data, which sets it to the lift of its own copy
+    of tau0.  It takes no part in repr, and evaluate serves it for that
+    time function; dataclasses.replace gives data without it.  Data
     compare and hash by identity.
     """
 
     metric: AxisymMetric
     norm_H: np.ndarray
     alpha_H: np.ndarray
-    lift: Evaluation | None = field(default=None, repr=False)
+    lift: Evaluation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lift is not None and self.lift.metric is not self.metric:
-            raise InvalidParameterError("the lift belongs to a different metric")
         norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
         alpha = _check_single_field(self.metric.grid, self.alpha_H, "alpha_theta")
         _check_finite(self.metric.grid, "normH", norm_h)
@@ -126,7 +125,7 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
     return PhysicalData(metric=metric, norm_H=norm_h, alpha_H=np.zeros(grid.n_nodes))
 
 
-def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> PhysicalData:
+def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     """Data of the lift of (m, tau0) viewed as a surface in flat spacetime.
 
     This is where a lift becomes physical data, and the only place that
@@ -138,16 +137,12 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> Ph
     beta-boost of the breve frame, and connection one-forms shift by the
     differential of the boost angle, alpha_H = breve_alpha - d beta.
 
-    The data keeps the lift.  An array tau0 is lifted from a read-only
-    copy, so changing the caller's array later cannot leave it stale.
-    tau0, an array or the tau of an Evaluation, must have shape (n,).
+    tau0 is an array of node values of shape (n,).  It is lifted from a
+    read-only copy, which the data keeps as its lift, so changing the
+    caller's array later cannot leave the lift stale.
     """
-    if isinstance(tau0, Evaluation):
-        lift = evaluate(m, tau0)
-        _check_single_field(m.grid, lift.tau, "tau0")
-    else:
-        tau0 = _check_single_field(m.grid, np.array(tau0, dtype=float), "tau0")
-        lift = Evaluation(m, _read_only(tau0))
+    tau0 = _check_single_field(m.grid, np.array(tau0, dtype=float), "tau0")
+    lift = Evaluation(m, _read_only(tau0))
     data = lift.extrinsic
     j = int(np.argmin(data.mean_sq))
     if data.mean_sq[j] <= 0.0:
@@ -160,7 +155,9 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray | Evaluation) -> Ph
         )
     norm_h = np.sqrt(data.mean_sq)
     alpha_h = data.breve_alpha - m.grid.dtheta(np.arcsinh(data.breve_h4 / norm_h))
-    return PhysicalData(metric=m, norm_H=norm_h, alpha_H=alpha_h, lift=lift)
+    d = PhysicalData(metric=m, norm_H=norm_h, alpha_H=alpha_h)
+    object.__setattr__(d, "lift", lift)
+    return d
 
 
 def store_physical_data(d: PhysicalData, path: str | os.PathLike) -> None:
@@ -184,8 +181,8 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     """Read a PhysicalData table written by store_physical_data.
 
     The grid is regenerated from the declared size; the theta column must
-    reproduce its nodes.  Raises DataFormatError naming the offending row
-    and column on any violation.
+    reproduce its nodes.  Raises DataFormatError on any violation, naming
+    the offending row and column or the grid declaration.
     """
     with open(path) as fh:
         try:
@@ -231,7 +228,10 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
             if not np.isfinite(table[i, j]):
                 raise DataFormatError(f"row {i}, column {COLUMNS[j]}: not finite: {part!r}")
 
-    grid = make_grid(n)
+    try:
+        grid = make_grid(n)
+    except InvalidParameterError as exc:
+        raise DataFormatError(f"grid declaration {lines[0]!r}: {exc}") from None
     theta = table[:, 0]
     j = int(np.argmax(np.abs(theta - grid.nodes)))
     if abs(theta[j] - grid.nodes[j]) > 1e-12:

@@ -45,6 +45,7 @@ from .geometry import (
     _hessian,
     _read_only,
     _sin_factored_theta_derivative,
+    check_lift_lengths,
     integrate_surface,
 )
 from .embedding import _lift_laplacians, embed_r3, evaluate
@@ -224,6 +225,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
                             Hess / (1 + |grad tau|^2)
     """
     g = m.grid
+    check_lift_lengths(m, tau)
     ev = evaluate(m, tau)
     data = ev.extrinsic
     proj = ev.projected
@@ -292,6 +294,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """
     variations = m.grid.legendre_vandermonde[:, 1:4].T
 
+    check_lift_lengths(m, tau)
     ev = evaluate(m, tau)
     data = ev.extrinsic
     proj = ev.projected
@@ -351,16 +354,16 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     m = d.metric
     g = m.grid
     tau0 = _check_single_field(g, tau0, "tau0")
+    check_lift_lengths(m, tau0)
     if tau_samples is None:
         samples = tau0 + coefficient_box(g)
     else:
         samples = _sample_stack(g, tau_samples)
     length = _length_scale(m)
 
-    # reference shares the metric m with d, so one evaluation of a time
-    # function serves the energies of both
-    at_tau0 = evaluate(m, tau0)
-    reference = minkowski_surface_data(m, at_tau0)
+    # reference's lift, on the metric of d, serves the energies of both at tau0
+    reference = minkowski_surface_data(m, tau0)
+    at_tau0 = reference.lift
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
     res = residual(d, at_tau0)
     res_norm = float(np.sqrt(integrate_surface(m, res * res)))
@@ -455,10 +458,9 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
     alpha_dev = float(np.max(np.abs(d.alpha_H)))
-    # rest shares the metric m with d, so one evaluation of a time function
-    # serves the energies of both
-    at_rest = evaluate(m, np.zeros(g.n_nodes))
-    rest = minkowski_surface_data(m, at_rest)
+    # rest's lift, on the metric of d, serves the energies of both at tau = 0
+    rest = minkowski_surface_data(m, np.zeros(g.n_nodes))
+    at_rest = rest.lift
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
     energy_rest = qle(d, at_rest).total

@@ -231,6 +231,14 @@ class TestGenDataCommand:
         assert main(["energy", "--data", str(out), "--tau", "zero"]) == 1
         assert "row 5, column normH" in capsys.readouterr().err
 
+    def test_unbuildable_declared_size_names_data(self, tmp_path, capsys):
+        out = tmp_path / "two.dat"
+        out.write_text("# n=2\ntheta P Q normH alpha_theta\n0.5 1 1 2 0\n1.0 1 1 2 0\n")
+        assert main(["energy", "--data", str(out), "--tau", "zero"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --data: grid declaration '# n=2': ")
+        assert "at least 4" in err
+
 
 class TestExitPaths:
     @pytest.mark.parametrize("argv", [["energy", "--tau", "zero"], ["residual"], ["minimize"],

@@ -217,7 +217,7 @@ class TestExtrinsicData:
         grid = make_grid(32)
         lift = embed_lifted(round_sphere(grid), np.zeros(32))
         data = extrinsic_data(lift)
-        phys = minkowski_surface_data(lift.metric, lift)
+        phys = minkowski_surface_data(lift.metric, lift.tau)
         assert np.max(np.abs(lift.projected.mean_curvature - 2.0)) <= 1e-12
         # the factored Laplacian divides out sin(theta), which amplifies
         # rounding at the outermost nodes
@@ -229,7 +229,7 @@ class TestExtrinsicData:
     def test_round_sphere_radius_scaling(self):
         grid = make_grid(32)
         lift = embed_lifted(round_sphere(grid, 4.0), np.zeros(32))
-        phys = minkowski_surface_data(lift.metric, lift)
+        phys = minkowski_surface_data(lift.metric, lift.tau)
         assert np.max(np.abs(lift.projected.mean_curvature - 0.5)) <= 1e-12
         assert np.max(np.abs(phys.norm_H - 0.5)) <= 1e-12
 

@@ -416,6 +416,14 @@ class TestMinimizeEnergy:
         res = residual(d, tau_from_coefficients(d.metric.grid, report.tau_star))
         assert report.residual_norm == float(np.sqrt(integrate_surface(d.metric, res * res)))
 
+    def test_more_modes_than_the_grid_resolves_named_as_the_gradient_does(self):
+        d = schwarzschild_sphere(make_grid(8), 1.0, 4.0)
+        message = r"^8 modes requested, the grid resolves 7$"
+        with pytest.raises(FieldShapeError, match=message):
+            minimize_energy(d, ZERO_8)
+        with pytest.raises(FieldShapeError, match=message):
+            energy_gradient(d, ZERO_8)
+
     def test_init_without_modes_rejected(self):
         grid = make_grid(16)
         d = schwarzschild_sphere(grid, 1.0, 4.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quasilocal.embedding as embedding_module
-from conftest import MODE_WEIGHTS, regular_random_metric, random_time_profile
+from conftest import MODE_WEIGHTS, legendre_mode, regular_random_metric, random_time_profile
 from reference import canonical_gauge
 from quasilocal.geometry import (
     InvalidParameterError,
@@ -143,7 +143,7 @@ class TestSharedLift:
         residual(d, tau0)
         energy_gradient(d, coeffs)
         assert len(lifted) == 1
-        plain = dataclasses.replace(d, lift=None)
+        plain = dataclasses.replace(d)
         qle(plain, tau0)
         residual(plain, tau0)
         energy_gradient(plain, coeffs)
@@ -152,7 +152,7 @@ class TestSharedLift:
     @pytest.mark.parametrize("n", LADDER_SIZES)
     def test_results_are_bit_identical_to_a_fresh_lift(self, n):
         d, tau0, coeffs = lift_data(n)
-        plain = dataclasses.replace(d, lift=None)
+        plain = dataclasses.replace(d)
         assert plain.evaluate(tau0) is not d.lift
         for form in (qle, qle_angle_form):
             shared, fresh = form(d, tau0), form(plain, tau0)
@@ -181,7 +181,7 @@ class TestSharedLift:
         tau0 += 0.01
         assert d.lift.tau.tobytes() == kept.tobytes()
         assert d.evaluate(tau0) is not d.lift
-        plain = dataclasses.replace(d, lift=None)
+        plain = dataclasses.replace(d)
         assert qle(d, tau0) == qle(plain, tau0)
         with pytest.raises(ValueError):
             d.lift.tau[0] = 0.0
@@ -208,16 +208,33 @@ class TestSharedLift:
         assert ev is not d.lift
         assert ev.tau.shape == tau.shape
 
-    def test_lift_of_another_metric_rejected(self):
-        d, tau0, _ = lift_data(32)
-        other = evaluate(round_sphere(d.metric.grid), tau0)
-        with pytest.raises(InvalidParameterError, match="different metric"):
-            dataclasses.replace(d, lift=other)
+    def test_lift_is_not_a_constructor_argument(self):
+        d, _, _ = lift_data(16)
+        init = [f.name for f in dataclasses.fields(PhysicalData) if f.init]
+        assert init == ["metric", "norm_H", "alpha_H"]
+        with pytest.raises(TypeError):
+            PhysicalData(d.metric, d.norm_H, d.alpha_H, lift=d.lift)
+        with pytest.raises(ValueError):
+            dataclasses.replace(d, lift=d.lift)
+
+    def test_an_evaluation_is_not_kept(self):
+        # data takes node values only and lifts its own copy of them, so
+        # changing the caller's array in place leaves the kept lift as it was
+        grid = make_grid(16)
+        m = round_sphere(grid)
+        tau = legendre_mode(grid, 2, 0.1)
+        with pytest.raises(TypeError):
+            minkowski_surface_data(m, evaluate(m, tau))
+        d = minkowski_surface_data(m, evaluate(m, tau).tau)
+        assert not np.shares_memory(d.lift.tau, tau)
+        tau[:] = legendre_mode(grid, 2, 0.2)
+        assert qle(d, tau).total == qle(dataclasses.replace(d), tau).total
+        assert abs(qle(d, tau).total - 0.1425) < 1e-3
 
     def test_lift_stays_out_of_repr(self):
         d, _, _ = lift_data(16)
         assert "lift" not in repr(d)
-        assert dataclasses.replace(d, lift=None).lift is None
+        assert dataclasses.replace(d).lift is None
 
 
 class TestValidation:
@@ -350,6 +367,12 @@ class TestTableRoundTrip:
         rows[4] = " ".join(parts)
         with pytest.raises(DataFormatError, match="row 4, column theta"):
             load_physical_data(self._write_rows(tmp_path, rows))
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_unbuildable_declared_size_names_the_declaration(self, tmp_path, n):
+        rows = ["0.5 1 1 2 0"] * n
+        with pytest.raises(DataFormatError, match=rf"^grid declaration '# n={n}': .*at least 4"):
+            load_physical_data(self._write_rows(tmp_path, rows, n=n))
 
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "table.dat"

@@ -72,9 +72,8 @@ def test_wrongly_shaped_stack_names_tau(shape):
 
 def test_minkowski_data_rejects_a_stack_naming_tau0():
     m = round_sphere(make_grid(16))
-    for stack in (np.zeros((2, 16)), evaluate(m, np.zeros((2, 16)))):
-        with pytest.raises(FieldShapeError, match=r"^tau0 has shape"):
-            minkowski_surface_data(m, stack)
+    with pytest.raises(FieldShapeError, match=r"^tau0 has shape"):
+        minkowski_surface_data(m, np.zeros((2, 16)))
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 16), (15,), (2, 16)])

@@ -8,7 +8,14 @@ import pytest
 import quasilocal
 from conftest import legendre_mode
 from reference import spectral_s_derivative
-from quasilocal.geometry import AxisymMetric, FieldShapeError, Grid, make_grid, round_sphere
+from quasilocal.geometry import (
+    AxisymMetric,
+    FieldShapeError,
+    Grid,
+    InvalidParameterError,
+    make_grid,
+    round_sphere,
+)
 from quasilocal.embedding import Evaluation, evaluate
 from quasilocal.energy import _first_variation, _stationarity_terms, qle
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
@@ -110,6 +117,23 @@ class TestCheckIdentities:
             "inverse-metric",
             "graph-hessian",
         ]
+
+
+class TestSuitesAdmitTheirTimeFunction:
+    """identities and lemma41 check tau as geometry.check_lift_lengths does, before lifting it."""
+
+    @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tau_is_rejected(self, suite, value):
+        tau = np.zeros(16)
+        tau[3] = value
+        with pytest.raises(InvalidParameterError, match="^tau must be finite, got .* at node 3"):
+            suite(round_sphere(make_grid(16)), tau)
+
+    @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
+    def test_tau_beyond_the_length_range_is_rejected(self, suite):
+        with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most"):
+            suite(round_sphere(make_grid(16)), np.full(16, 1e300))
 
 
 class TestCheckLemma41:
@@ -464,6 +488,12 @@ class TestCheckTheorem1:
         with pytest.raises(FieldShapeError, match="tau0"):
             check_theorem1(d, np.zeros(15))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_tau0_is_rejected_as_the_cli_does(self, value):
+        d = schwarzschild_sphere(make_grid(16), 1.0, 4.0)
+        with pytest.raises(InvalidParameterError, match="^tau must be finite"):
+            check_theorem1(d, np.full(16, value))
+
     def test_box_family_shape(self):
         grid = make_grid(8)
         box = coefficient_box(grid)
@@ -548,7 +578,7 @@ class TestCheckTheorem3:
         # to 0.14, |G'| up to 0.19) and read up to 4e-11 at s = 0
         grid = make_grid(n)
         m = schwarzschild_sphere(grid, 1.0, 4.0).metric
-        rest = minkowski_surface_data(m, evaluate(m, np.zeros(n)))
+        rest = minkowski_surface_data(m, np.zeros(n))
         s = chebyshev_s_grid()
         for tau in _default_profiles(grid):
             family = evaluate(m, s[:, None] * tau)
