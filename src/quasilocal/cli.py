@@ -31,14 +31,13 @@ from . import __version__
 from .geometry import (
     FieldShapeError,
     InvalidParameterError,
-    check_lift_lengths,
     integrate_surface,
     make_grid,
     round_sphere,
     Grid,
     AxisymMetric,
 )
-from .embedding import LIFT_ERRORS
+from .embedding import LIFT_ERRORS, Evaluation
 from .physdata import (
     DataFormatError,
     load_physical_data,
@@ -68,7 +67,9 @@ TAU_GRAMMAR = """\
 time function grammar (--tau and tau0= in --minkowski):
   zero               the zero profile
   c*Pl[+c*Pl...]     signed sum of Legendre-coefficient terms, e.g.
-                     0.3*P1+0.1*P2 or 0.5*P1-2e-2*P3; bare constants allowed
+                     0.3*P1+0.1*P2 or 0.5*P1-2e-2*P3; bare constants allowed;
+                     a spec starting with '-' is joined to its flag by '=',
+                     as in --tau=-0.3*P1
   file:PATH          whitespace table of node values: either one value per
                      node or 'theta value' rows matching the grid exactly\
 """
@@ -132,11 +133,11 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     return grid.legendre_synthesis(np.trim_zeros(coeffs, "b"))
 
 
-def _tau_on(spec: str, metric: AxisymMetric, field: str = "--tau") -> np.ndarray:
-    """parse_tau on the metric's grid, rejecting a time function whose lift leaves the length range."""
-    tau = parse_tau(spec, metric.grid, field)
-    _for_flag(field, check_lift_lengths, metric, tau)
-    return tau
+def _tau_on(spec: str, metric: AxisymMetric) -> Evaluation:
+    """The lift of a --tau spec on the metric; what it does not admit is blamed on --tau."""
+    lift = _for_flag("--tau", Evaluation, metric, parse_tau(spec, metric.grid))
+    _for_flag("--tau", getattr, lift, "p_hat")
+    return lift
 
 
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
@@ -151,12 +152,10 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
     if table.size == 0:
         raise CliValidationError(field, f"{path} holds no values")
-    if not np.isfinite(table).all():
-        j = int(np.argmin(np.isfinite(table).ravel()))
-        raise CliValidationError(field, f"{path}: value {table.ravel()[j]} is not finite")
+    # the values are admitted with the lift; a NaN theta fails the comparison
     if table.ndim == 2 and table.shape[1] == 2:
         theta, values = table[:, 0], table[:, 1]
-        if theta.shape != grid.nodes.shape or np.max(np.abs(theta - grid.nodes)) > 1e-12:
+        if theta.shape != grid.nodes.shape or not np.max(np.abs(theta - grid.nodes)) <= 1e-12:
             raise CliValidationError(
                 field, f"{path}: theta column does not match the n={grid.n_nodes} grid"
             )
@@ -225,7 +224,8 @@ def build_data(args, grid: Grid):
         if not spec.startswith("tau0="):
             raise CliValidationError("--minkowski", f"expected tau0=SPEC, got {spec!r}")
         metric = build_metric(args.metric, grid)
-        d = minkowski_surface_data(metric, _tau_on(spec[len("tau0="):], metric, "--minkowski"))
+        tau0 = parse_tau(spec[len("tau0="):], grid, "--minkowski")
+        d = _for_flag("--minkowski", minkowski_surface_data, metric, tau0)
         return d, f"minkowski {spec}"
     if args.data is None:
         return None, f"metric {args.metric or 'unit-sphere'}"
@@ -273,8 +273,7 @@ def _write_columns(path, first, second, labels) -> None:
 
 def cmd_energy(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
-    tau = _tau_on(args.tau, d.metric)
-    at_tau = d.evaluate(tau)
+    at_tau = _tau_on(args.tau, d.metric)
     breakdown = qle(d, at_tau)
     cross = qle_angle_form(d, at_tau)
     body = [
@@ -291,8 +290,7 @@ def cmd_energy(args, grid: Grid) -> int:
 
 def cmd_residual(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
-    tau = _tau_on(args.tau, d.metric)
-    field = residual(d, tau)
+    field = residual(d, _tau_on(args.tau, d.metric))
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
     body = [
         f"residual_l2 = {_fmt(norm)}",
@@ -311,7 +309,7 @@ def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
         raise CliValidationError("--tol", f"must be positive and finite, got {args.tol}")
     if args.max_iterations < 0:
         raise CliValidationError("--max-iterations", f"must be at least 0, got {args.max_iterations}")
-    field = _tau_on(args.tau, metric)
+    field = _tau_on(args.tau, metric).tau
     coeffs = grid.legendre_coeffs(field)
     if args.modes < 1 or args.modes >= grid.n_nodes:
         raise CliValidationError("--modes", f"must be in [1, {grid.n_nodes - 1}], got {args.modes}")
@@ -358,12 +356,12 @@ def cmd_minimize(args, grid: Grid) -> int:
 def cmd_verify(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
     metric = d.metric if d is not None else build_metric(args.metric, grid)
-    tau = _tau_on(args.tau, metric)
+    lift = _tau_on(args.tau, metric)
     if args.suite in ("identities", "lemma41"):
-        report = (check_identities if args.suite == "identities" else check_lemma41)(metric, tau)
+        report = (check_identities if args.suite == "identities" else check_lemma41)(metric, lift)
     elif args.suite == "theorem1":
-        report = check_theorem1(d, tau)
-    elif np.any(tau != 0.0):
+        report = check_theorem1(d, lift.tau)
+    elif np.any(lift.tau != 0.0):
         raise CliValidationError("--tau", f"suite theorem3 certifies tau = zero, got {args.tau!r}")
     else:
         report = check_theorem3(d)

@@ -17,7 +17,8 @@ embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 An Evaluation is that lift: one time function tau, or a (k, n) stack of
 them, on one metric, whose derivatives, projected surface, reference
 integral and extrinsic data are each computed at most once, when first
-read.  embed_lifted builds one and checks that its projection embeds.
+read, and the one place that admits a time function and its lifted
+profile.  embed_lifted builds one and checks that its projection embeds.
 Every function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
@@ -47,14 +48,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    LENGTH_MAX,
     AxisymMetric,
     InvalidParameterError,
     _at,
     _check_field,
+    _check_finite,
+    _check_lengths,
     _divergence_from_x_component,
+    _first,
     _hessian,
     _norm_sq,
     _sin_factored_theta_derivative,
+    _within_lengths,
     integrate_surface,
     lazy,
 )
@@ -178,7 +184,10 @@ class Evaluation:
     """The lift of (metric, tau) to Minkowski space, each derived field computed once.
 
     tau is one field of node values or a (k, n) stack of fields; the
-    metric is shared by every row.  The derivatives of tau, the projected
+    metric is shared by every row.  The constructor admits tau, finite
+    with |tau| <= LENGTH_MAX: one bound test on min and max, NaN failing
+    it, then element-wise checks naming the first bad row and node.  The
+    derivatives of tau, the lifted profile p_hat, the projected
     revolution surface, which embeds sigma + dtau x dtau, its total mean
     curvature and the lift's extrinsic data are computed when first read
     and then kept.  Quantities that depend on physical data are formulas
@@ -186,8 +195,16 @@ class Evaluation:
     """
 
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
+        tau = _check_field(metric.grid, tau, "tau")
+        if not (-LENGTH_MAX <= tau.min(initial=0.0) and tau.max(initial=0.0) <= LENGTH_MAX):
+            _check_finite(metric.grid, "tau", tau)
+            i = _first(np.abs(tau) > LENGTH_MAX)
+            raise InvalidParameterError(
+                f"|tau| must be at most {LENGTH_MAX:g}; tau[{', '.join(map(str, i))}] = {tau[i]} "
+                f"at theta = {metric.grid.nodes[i[-1]]}"
+            )
         self.metric = metric
-        self.tau = _check_field(metric.grid, tau, "tau")
+        self.tau = tau
 
     @lazy
     def tau_theta(self) -> np.ndarray:
@@ -218,10 +235,17 @@ class Evaluation:
         return _hessian(self.metric, self.tau_x)
 
     @lazy
+    def p_hat(self) -> np.ndarray:
+        """sqrt(P^2 + tau_theta^2), the projection's profile, checked against the length range."""
+        p_hat = np.sqrt(self.metric.P_sq + self.tau_theta**2)
+        if not _within_lengths(p_hat):
+            _check_lengths(self.metric.grid, "sqrt(P^2 + tau_theta^2)", p_hat)
+        return p_hat
+
+    @lazy
     def projected(self) -> RevolutionSurface:
-        """The revolution surface of sigma + dtau x dtau, profile sqrt(P^2 + tau_theta^2)."""
-        m = self.metric
-        return embed_r3(m.with_P(np.sqrt(m.P**2 + self.tau_theta**2)))
+        """The revolution surface of sigma + dtau x dtau, profile p_hat."""
+        return embed_r3(self.metric.with_P(self.p_hat))
 
     @lazy
     def reference(self) -> float | np.ndarray:
@@ -234,12 +258,12 @@ class Evaluation:
         return extrinsic_data(self)
 
     def rows(self, keep: np.ndarray) -> Evaluation:
-        """The Evaluation of the rows keep of a stack, with the array fields already read here."""
+        """The Evaluation of rows keep of a stack, with the array fields read here; no new admission."""
         if keep.all():
             return self
-        fields = {k: v[keep] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        sub = Evaluation(self.metric, fields.pop("tau"))
-        sub.__dict__.update(fields)
+        sub = object.__new__(Evaluation)
+        sub.metric = self.metric
+        sub.__dict__.update((k, v[keep]) for k, v in vars(self).items() if isinstance(v, np.ndarray))
         return sub
 
     def pairing(self, alpha: np.ndarray) -> np.ndarray:

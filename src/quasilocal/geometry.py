@@ -448,27 +448,6 @@ def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
         )
 
 
-def check_lift_lengths(m: AxisymMetric, tau: np.ndarray) -> None:
-    """Reject a time function that is not finite, or whose values or lift leave the length range.
-
-    The lift of (m, tau) has profile sqrt(P^2 + tau_theta^2); with |tau| at
-    most LENGTH_MAX that profile is computed without overflow.  Each test
-    is one bound test on min and max, NaN failing it; the element-wise
-    checks that name the offending node run only when it fails.
-    """
-    tau = _check_field(m.grid, tau, "tau")
-    if not (-LENGTH_MAX <= tau.min(initial=0.0) and tau.max(initial=0.0) <= LENGTH_MAX):
-        _check_finite(m.grid, "tau", tau)
-        i = _first(np.abs(tau) > LENGTH_MAX)
-        raise InvalidParameterError(
-            f"|tau| must be at most {LENGTH_MAX:g}; tau[{', '.join(map(str, i))}] = {tau[i]} "
-            f"at theta = {m.grid.nodes[i[-1]]}"
-        )
-    lifted = np.sqrt(m.P**2 + m.grid.dtheta(tau) ** 2)
-    if not _within_lengths(lifted):
-        _check_lengths(m.grid, "sqrt(P^2 + tau_theta^2)", lifted)
-
-
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     """The round metric of the given radius: P = Q = radius."""
     if not 0.0 < radius < np.inf:

@@ -22,7 +22,6 @@ from .geometry import (
     FieldShapeError,
     InvalidParameterError,
     _hat_gauss_curvature,
-    check_lift_lengths,
     integrate_surface,
 )
 from .embedding import Evaluation, NonEmbeddableError, evaluate
@@ -210,8 +209,8 @@ def minimize_energy(
     iteration takes a steepest-descent step instead.  Steps leaving the
     convexity region, the length range or the embeddable family are
     rejected and shortened, so every accepted iterate is admissible; a
-    trial whose guard margin is not positive, NaN included, counts as
-    leaving the region.  At the
+    trial whose guard margin is not positive counts as leaving the region,
+    and one the Evaluation does not admit as one that does not lift.  At the
     start the same stack calibrates the gradient against central finite
     differences of qle and the relative distance is recorded as
     calibration_rel_error.  That distance measures agreement with the
@@ -223,13 +222,13 @@ def minimize_energy(
     stationarity terms that gave the last gradient.
 
     A tol that is not positive and finite, or a max_iterations that is
-    not an integer >= 0, raises InvalidParameterError, as does a start
-    field that geometry.check_lift_lengths rejects; an init with no
+    not an integer >= 0, raises InvalidParameterError; an init with no
     modes, or with more than the grid resolves, raises FieldShapeError as
-    energy_gradient does.  Then a start outside the guard raises
-    GuardViolationError before anything is lifted, and a start or a
-    perturbed field that does not lift raises NonEmbeddableError naming
-    its row of the (2L + 1)-row stack.
+    energy_gradient does.  A start the Evaluation of the (2L + 1)-row
+    stack does not admit raises InvalidParameterError naming row 0; then a
+    start outside the guard raises GuardViolationError before anything is
+    lifted, and a start or a perturbed field whose lift fails raises
+    naming its row of the stack.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol (checked before H is built, so a
@@ -261,7 +260,6 @@ def minimize_energy(
     if count == 0:
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
     tau = tau_from_coefficients(grid, init)
-    check_lift_lengths(m, tau)
     bumps = FD_STEP * grid.legendre_vandermonde[:, 1 : count + 1].T
 
     # the start and its 2L perturbations as one stack: row 0 for the guard,
@@ -309,8 +307,11 @@ def minimize_energy(
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
             if np.array_equal(field, tau):
                 break
-            evaluation = evaluate(m, field)
-            trial_energy = _trial_energy(d, evaluation)
+            try:
+                evaluation = Evaluation(m, field)
+                trial_energy = _trial_energy(d, evaluation)
+            except (InvalidParameterError, NonEmbeddableError):  # the trial does not lift
+                trial_energy = np.inf
             if trial_energy is None:
                 guard_active = True
             else:
@@ -353,16 +354,12 @@ def minimize_energy(
 
 
 def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
-    """qle at a line-search trial: None outside the guard, inf if its lift fails.
+    """qle at a line-search trial, None outside the guard.
 
-    The lift fails when its projection does not embed, or when the profile
-    sqrt(P^2 + tau_theta^2) leaves the length range: the projection checks
-    that profile as geometry.check_lift_lengths checks the start's.
+    A lift that fails raises: a profile p_hat outside the length range or
+    a projection that does not embed, as a field the Evaluation refuses
+    does; the line search counts each such trial as energy inf.
     """
     if not convexity_guard(d.metric, evaluation) > 0.0:
         return None
-    try:
-        evaluation.projected  # read by qle next, so the check costs nothing
-    except (InvalidParameterError, NonEmbeddableError):
-        return np.inf
     return qle(d, evaluation).total

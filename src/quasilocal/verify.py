@@ -45,7 +45,6 @@ from .geometry import (
     _hessian,
     _read_only,
     _sin_factored_theta_derivative,
-    check_lift_lengths,
     integrate_surface,
 )
 from .embedding import _lift_laplacians, embed_r3, evaluate
@@ -225,7 +224,6 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
                             Hess / (1 + |grad tau|^2)
     """
     g = m.grid
-    check_lift_lengths(m, tau)
     ev = evaluate(m, tau)
     data = ev.extrinsic
     proj = ev.projected
@@ -294,7 +292,6 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """
     variations = m.grid.legendre_vandermonde[:, 1:4].T
 
-    check_lift_lengths(m, tau)
     ev = evaluate(m, tau)
     data = ev.extrinsic
     proj = ev.projected
@@ -349,21 +346,21 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
 
     Samples failing the convexity guard are skipped and counted in the
     details, never silently dropped; the detail worst-gap-sample is the
-    index into tau_samples that set gap, -1 if none was admitted.
+    index into tau_samples that set gap, -1 if none was admitted.  An
+    inadmissible tau0 or sample raises, naming tau and the sample's row.
     """
     m = d.metric
     g = m.grid
-    tau0 = _check_single_field(g, tau0, "tau0")
-    check_lift_lengths(m, tau0)
+    # reference's lift, on the metric of d, serves the energies of both at tau0
+    reference = minkowski_surface_data(m, tau0)
+    at_tau0 = reference.lift
+    tau0 = at_tau0.tau
     if tau_samples is None:
         samples = tau0 + coefficient_box(g)
     else:
         samples = _sample_stack(g, tau_samples)
     length = _length_scale(m)
 
-    # reference's lift, on the metric of d, serves the energies of both at tau0
-    reference = minkowski_surface_data(m, tau0)
-    at_tau0 = reference.lift
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
     res = residual(d, at_tau0)
     res_norm = float(np.sqrt(integrate_surface(m, res * res)))
@@ -445,7 +442,8 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     Samples whose scaled segment violates the guard are skipped (the
     energies are undefined there) and fail the guard check; the counts
     land in the details, with worst-ode-sample the index into tau_samples
-    that set ode, -1 if none was admitted.
+    that set ode, -1 if none was admitted.  An inadmissible sample
+    raises, naming tau and its row.
     """
     m = d.metric
     g = m.grid
@@ -453,6 +451,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
         samples = _default_profiles(g)
     else:
         samples = _sample_stack(g, tau_samples)
+    sampled = evaluate(m, samples)  # admits the samples, naming a bad one's row
     length = _length_scale(m)
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
@@ -479,7 +478,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     # each member pairs with its own profile: a diagonal of all the pairings
     profiles, own = samples[admitted], np.arange(admitted.size)
     terms = _stationarity_terms(rest, family_ev)
-    variations = _first_variation(m, terms, profiles.T, g.dx(profiles).T)
+    variations = _first_variation(m, terms, profiles.T, sampled.tau_x[admitted].T)
     slope, reference_slope = (v.reshape(own.size, n_s, own.size)[own, :, own] for v in variations)
     ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 

@@ -1,9 +1,12 @@
 """Command line behavior: parsing, exit codes, report determinism."""
 
+import contextlib
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import legendre_mode
 from quasilocal.cli import CliValidationError, main, parse_tau
@@ -64,6 +67,45 @@ class TestTauGrammar:
         np.savetxt(path, np.zeros(12))
         with pytest.raises(CliValidationError, match="16 node values"):
             parse_tau(f"file:{path}", grid)
+
+    def test_a_spec_starting_with_minus_is_joined_to_its_flag(self, capsys):
+        # after a space argparse reads -0.3*P1 as an option, not as the value of --tau
+        argv = ["energy", "--schwarzschild", "m=1,r=4"]
+        assert main(argv + ["--tau", "-0.3*P1"]) == 1
+        assert "--tau: expected one argument" in capsys.readouterr().err
+        assert main(argv + ["--tau=-0.3*P1"]) == 0
+        assert report_value(capsys.readouterr().out, "tau") == "-0.3*P1"
+
+
+def _term(first: bool):
+    """A c*Pl term with c from 1e-320 to 9.99e320 and l from 0 to 40; signed unless first."""
+    sign = st.sampled_from(["", "+", "-"] if first else ["+", "-"])
+    mantissa = st.sampled_from(["1", "2.5", "9.99"])
+    return st.builds(
+        lambda s, c, e, l: f"{s}{c}e{e}*P{l}", sign, mantissa, st.integers(-320, 320), st.integers(0, 40)
+    )
+
+
+TAU_SPECS = st.one_of(
+    st.just("zero"),
+    st.builds(lambda head, tail: head + "".join(tail), _term(True), st.lists(_term(False), max_size=3)),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(spec=TAU_SPECS)
+def test_every_tau_spec_gives_a_finite_report_or_a_named_error(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["energy", "--schwarzschild", "m=1,r=4", "--tau=" + spec])
+    if status == 0:
+        body = out.getvalue().split(f"tau = {spec}\n", 1)[1]
+        values = [float(line.split(" = ", 1)[1]) for line in body.splitlines()]
+        assert len(values) == 6 and np.all(np.isfinite(values)), out.getvalue()
+    elif status == 1:
+        assert err.getvalue().startswith("error: --tau: "), err.getvalue()
+    else:
+        assert status == 2 and err.getvalue().startswith("error: "), err.getvalue()
 
 
 class TestEnergyCommand:
@@ -331,6 +373,15 @@ class TestNonFiniteInput:
         np.savetxt(path, values)
         argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
         self.expect_rejected(argv, "--tau", capsys)
+
+    def test_nan_theta_in_a_tau_file(self, tmp_path, capsys):
+        path = tmp_path / "tau.txt"
+        theta = make_grid(32).nodes.copy()
+        theta[5] = np.nan
+        np.savetxt(path, np.column_stack([theta, np.zeros(32)]))
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: --tau: {path}: theta column does not match")
 
     @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
     def test_tau_file_without_values_is_one_error_line(self, text, tmp_path, capsys):

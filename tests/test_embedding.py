@@ -1,5 +1,7 @@
 """Revolution-surface embeddings, Minkowski lifts, and extrinsic data."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from conftest import legendre_mode, regular_random_metric, random_time_profile
 from quasilocal.geometry import (
     AxisymMetric,
     FieldShapeError,
+    InvalidParameterError,
     _divergence_from_x_component,
     gauss_curvature,
     integrate_surface,
@@ -17,6 +20,7 @@ from quasilocal.geometry import (
     round_sphere,
 )
 from quasilocal.embedding import (
+    Evaluation,
     GaugeOrientationError,
     NonEmbeddableError,
     NonSpacelikeMeanCurvatureError,
@@ -26,7 +30,9 @@ from quasilocal.embedding import (
     extrinsic_data,
     mean_curvature,
 )
-from quasilocal.physdata import minkowski_surface_data
+from quasilocal.energy import qle, qle_angle_form, residual
+from quasilocal.optimize import convexity_guard
+from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
 from reference import (
     gauss_curvature_from_shape,
     height,
@@ -205,6 +211,93 @@ class TestEmbedLifted:
         fresh = evaluate(m, taus[keep])
         np.testing.assert_allclose(rows.reference, fresh.reference, rtol=1e-14)
         assert stack.rows(np.ones(3, dtype=bool)) is stack
+
+    def test_rows_are_not_admitted_again(self, monkeypatch):
+        grid = make_grid(16)
+        stack = evaluate(round_sphere(grid), np.stack([0.1 * grid.x, 0.2 * grid.x]))
+
+        def refuse(self, metric, tau):
+            raise AssertionError("rows admitted again")
+
+        monkeypatch.setattr(Evaluation, "__init__", refuse)
+        rows = stack.rows(np.array([False, True]))
+        assert rows.metric is stack.metric
+        assert np.array_equal(rows.tau, stack.tau[1:])
+
+
+# ---------------------------------------------------------------------------
+# admission of a time function
+# ---------------------------------------------------------------------------
+
+
+def admit(m, tau):
+    """Everything an Evaluation checks of tau: the constructor, then the lifted profile."""
+    return Evaluation(m, tau).p_hat
+
+
+class TestLiftLengths:
+    def test_rejects_a_nan_time_function_naming_tau(self):
+        grid = make_grid(8)
+        tau = np.zeros(grid.n_nodes)
+        tau[3] = np.nan
+        with pytest.raises(InvalidParameterError, match="tau must be finite, got nan at node 3"):
+            Evaluation(round_sphere(grid), tau)
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "big", "lift"])
+    def test_names_the_first_offence_in_the_order_finite_magnitude_lift(self, bad, rows):
+        # the bound test in front of the element-wise checks changes no message
+        grid = make_grid(8)
+        node, index = ("node {}", "{}") if rows is None else ("row 1, node {}", "1, {}")
+        row = np.zeros(grid.n_nodes)
+        if bad == "lift":
+            # |1e38 P2| <= 1e38, but |tau_theta| = 3e38 |x| sin(theta) reaches 1.44e38 at node 1
+            row = 1e38 * legendre_mode(grid, 2)
+            name = "sqrt(P^2 + tau_theta^2)"
+            prefix = f"{name} must lie in [1e-38, 1e+38]; {name}[{index.format(1)}] = 1.444561454752"
+            suffix = f" at theta = {grid.nodes[1]}"
+        elif bad == "big":
+            row[5] = -2e38
+            prefix = f"|tau| must be at most 1e+38; tau[{index.format(5)}] = -2e+38"
+            suffix = f" at theta = {grid.nodes[5]}"
+        else:
+            row[5] = {"nan": np.nan, "inf": np.inf}[bad]
+            prefix = f"tau must be finite, got {bad} at {node.format(5)}"
+            suffix = f" (theta = {grid.nodes[5]})"
+        tau = row if rows is None else np.array([np.zeros(grid.n_nodes), row])
+        m = round_sphere(grid)
+        if bad == "lift":
+            Evaluation(m, tau)  # the constructor admits tau; its lifted profile fails
+        with pytest.raises(InvalidParameterError) as raised:
+            admit(m, tau)
+        # the lift's last digits depend on the product that formed tau_theta
+        digits = r"\d*e\+38" if bad == "lift" else ""
+        assert re.fullmatch(re.escape(prefix) + digits + re.escape(suffix), str(raised.value))
+
+    def test_an_empty_stack_passes(self):
+        # the theorem suites evaluate (0, n) stacks when no sample is admitted
+        grid = make_grid(8)
+        m = round_sphere(grid)
+        assert admit(m, np.empty((0, grid.n_nodes))).shape == (0, grid.n_nodes)
+        assert m.with_P(np.empty((0, grid.n_nodes))).P.shape == (0, grid.n_nodes)
+
+    def test_the_guard_never_forms_the_lifted_profile(self):
+        grid = make_grid(16)
+        ev = evaluate(round_sphere(grid), 0.1 * grid.x)
+        convexity_guard(ev.metric, ev)
+        assert "p_hat" not in vars(ev) and "projected" not in vars(ev)
+        assert ev.projected.metric.P is ev.p_hat
+
+    @pytest.mark.parametrize("formula", [qle, qle_angle_form, residual, convexity_guard])
+    def test_every_formula_names_tau_and_its_node(self, formula):
+        # qle used to blame the lifted profile's P at node 0; the guard returned nan
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        tau = np.zeros(grid.n_nodes)
+        tau[3] = np.nan
+        arg = d.metric if formula is convexity_guard else d
+        with pytest.raises(InvalidParameterError, match="^tau must be finite, got nan at node 3 "):
+            formula(arg, tau)
 
 
 # ---------------------------------------------------------------------------

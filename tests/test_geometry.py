@@ -1,6 +1,5 @@
 """Grid construction and the intrinsic differential operators."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,6 @@ from quasilocal.geometry import (
     _divergence_from_x_component,
     _hessian,
     _sin_factored_theta_derivative,
-    check_lift_lengths,
     gauss_curvature,
     hat_gauss_curvature,
     hessian,
@@ -324,50 +322,6 @@ class TestMetricProducts:
             assert getattr(lifted, name).tobytes() == inline(lifted).tobytes()
             if name != "Q_sq":
                 assert not np.array_equal(getattr(lifted, name), base[name])
-
-
-class TestLiftLengths:
-    def test_rejects_a_nan_time_function_naming_tau(self):
-        grid = make_grid(8)
-        tau = np.zeros(grid.n_nodes)
-        tau[3] = np.nan
-        with pytest.raises(InvalidParameterError, match="tau must be finite, got nan at node 3"):
-            check_lift_lengths(round_sphere(grid), tau)
-
-    @pytest.mark.parametrize("rows", [None, 2])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "big", "lift"])
-    def test_names_the_first_offence_in_the_order_finite_magnitude_lift(self, bad, rows):
-        # the bound test in front of the element-wise checks changes no message
-        grid = make_grid(8)
-        node, index = ("node {}", "{}") if rows is None else ("row 1, node {}", "1, {}")
-        row = np.zeros(grid.n_nodes)
-        if bad == "lift":
-            # |1e38 P2| <= 1e38, but |tau_theta| = 3e38 |x| sin(theta) reaches 1.44e38 at node 1
-            row = 1e38 * legendre_mode(grid, 2)
-            name = "sqrt(P^2 + tau_theta^2)"
-            prefix = f"{name} must lie in [1e-38, 1e+38]; {name}[{index.format(1)}] = 1.444561454752"
-            suffix = f" at theta = {grid.nodes[1]}"
-        elif bad == "big":
-            row[5] = -2e38
-            prefix = f"|tau| must be at most 1e+38; tau[{index.format(5)}] = -2e+38"
-            suffix = f" at theta = {grid.nodes[5]}"
-        else:
-            row[5] = {"nan": np.nan, "inf": np.inf}[bad]
-            prefix = f"tau must be finite, got {bad} at {node.format(5)}"
-            suffix = f" (theta = {grid.nodes[5]})"
-        tau = row if rows is None else np.array([np.zeros(grid.n_nodes), row])
-        with pytest.raises(InvalidParameterError) as raised:
-            check_lift_lengths(round_sphere(grid), tau)
-        # the lift's last digits depend on the product that formed tau_theta
-        digits = r"\d*e\+38" if bad == "lift" else ""
-        assert re.fullmatch(re.escape(prefix) + digits + re.escape(suffix), str(raised.value))
-
-    def test_an_empty_stack_passes(self):
-        # the theorem suites evaluate (0, n) stacks when no sample is admitted
-        grid = make_grid(8)
-        m = round_sphere(grid)
-        check_lift_lengths(m, np.empty((0, grid.n_nodes)))
-        assert m.with_P(np.empty((0, grid.n_nodes))).P.shape == (0, grid.n_nodes)
 
 
 class TestLazyField:

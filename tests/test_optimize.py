@@ -1,5 +1,7 @@
 """Coefficient-space descent, the convexity guard, and mode gradients."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -393,15 +395,46 @@ class TestMinimizeEnergy:
         with pytest.raises(InvalidParameterError, match=message):
             minimize_energy(d, TauCoefficients(coeffs))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_overflowing_trial_is_outside_the_guard(self):
-        # its guard margin is NaN; qle used to raise on its infinite lifted profile
+    def test_start_leaving_the_guard_and_the_length_range_is_a_guard_violation(self):
+        # the guard reads the start stack before its lift: 9e37 P3 fails both, while
+        # 9e37 P2 passes the guard and its lifted profile reaches 1.17e38 at node 2
+        d = schwarzschild_sphere(make_grid(16), 0.5, 4.0)
+        with pytest.raises(GuardViolationError):
+            minimize_energy(d, TauCoefficients((0.0, 0.0, 9e37)))
+        profile = re.escape("sqrt(P^2 + tau_theta^2)")
+        with pytest.raises(InvalidParameterError, match=f"^{profile} must lie in .*{profile}\\[0, 2\\] = "):
+            minimize_energy(d, TauCoefficients((0.0, 9e37)))
+
+    def test_overflowing_trial_is_rejected_before_any_arithmetic(self, monkeypatch):
+        # a trial field beyond the length range has no Evaluation, so no guard
+        # runs on it: it counts as a trial whose lift fails, not as a guard
+        # rejection, and the line search shortens the step
         grid = make_grid(16)
         d = schwarzschild_sphere(grid, 0.5, 4.0)
-        evaluation = evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
-        assert np.isnan(convexity_guard(d.metric, evaluation))
-        assert optimize_module._trial_energy(d, evaluation) is None
+        with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most 1e\+38; tau\[0\]"):
+            evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
+        synthesize = optimize_module.tau_from_coefficients
+        fields, seen = [], []
+
+        def overflowing_first_trial(grid, tau):
+            fields.append(synthesize(grid, tau))
+            # call 1 is the start, call 2 the first trial
+            return 1e160 * fields[-1] if len(fields) == 2 else fields[-1]
+
+        trial_energy = optimize_module._trial_energy
+
+        def recording(data, evaluation):
+            seen.append(evaluation.tau)
+            return trial_energy(data, evaluation)
+
+        monkeypatch.setattr(optimize_module, "tau_from_coefficients", overflowing_first_trial)
+        monkeypatch.setattr(optimize_module, "_trial_energy", recording)
+        report = minimize_energy(d, TauCoefficients((0.0, 0.05)))
+        assert report.iterations >= 1
+        assert not report.guard_active
+        # the overflowing trial reached no guard; the halved step was the first one evaluated
+        assert np.array_equal(seen[0], fields[2])
+        assert all(np.max(np.abs(tau)) <= 1.0 for tau in seen)
 
     @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
     def test_residual_norm_is_that_of_the_final_iterate(self, source):

@@ -120,7 +120,7 @@ class TestCheckIdentities:
 
 
 class TestSuitesAdmitTheirTimeFunction:
-    """identities and lemma41 check tau as geometry.check_lift_lengths does, before lifting it."""
+    """Every suite admits its time functions through their Evaluation, before anything is lifted."""
 
     @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -134,6 +134,29 @@ class TestSuitesAdmitTheirTimeFunction:
     def test_tau_beyond_the_length_range_is_rejected(self, suite):
         with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most"):
             suite(round_sphere(make_grid(16)), np.full(16, 1e300))
+
+
+    @pytest.mark.parametrize("suite", ["theorem1", "theorem3"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "^tau must be finite, got nan at row 1, node 3 "),
+            (np.inf, "^tau must be finite, got inf at row 1, node 3 "),
+            (1e300, r"^\|tau\| must be at most 1e\+38; tau\[1, 3\] = 1e\+300 "),
+        ],
+    )
+    def test_explicit_sample_is_rejected_naming_its_row(self, suite, value, message):
+        # a NaN sample used to be skipped by the guard, inf and 1e300 to overflow
+        grid = make_grid(16)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        bad = np.zeros(grid.n_nodes)
+        bad[3] = value
+        samples = [0.1 * grid.x, bad]
+        with pytest.raises(InvalidParameterError, match=message):
+            if suite == "theorem1":
+                check_theorem1(d, np.zeros(grid.n_nodes), tau_samples=samples)
+            else:
+                check_theorem3(d, tau_samples=samples)
 
 
 class TestCheckLemma41:
