@@ -185,13 +185,11 @@ def _parse_assignments(spec: str, field: str, keys: tuple) -> dict:
 
 
 def _float_of(raw: str, field: str) -> float:
+    """raw parsed as a float; the constructor it is passed to admits the value."""
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise CliValidationError(field, f"not a number: {raw!r}") from None
-    if not np.isfinite(value):
-        raise CliValidationError(field, f"not finite: {raw!r}")
-    return value
 
 
 def build_metric(spec: str | None, grid: Grid) -> AxisymMetric:

@@ -244,8 +244,8 @@ class Evaluation:
 
     @lazy
     def projected(self) -> RevolutionSurface:
-        """The revolution surface of sigma + dtau x dtau, profile p_hat."""
-        return embed_r3(self.metric.with_P(self.p_hat))
+        """The revolution surface of sigma + dtau x dtau, profile p_hat, not tested again."""
+        return embed_r3(self.metric._with_P(self.p_hat))
 
     @lazy
     def reference(self) -> float | np.ndarray:

@@ -314,17 +314,16 @@ class AxisymMetric:
     [1/LENGTH_MAX, LENGTH_MAX].  Smoothness of the round metric at the
     poles corresponds to profiles smooth in x with P = Q at x = +-1; all
     constructors in this package produce such profiles.  P may be a
-    (k, n) stack of profiles sharing Q: with_P builds one for the lifts of
-    a stack of time functions.
+    (k, n) stack of profiles sharing Q.  The constructor is the only
+    admission of a metric.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
     the u'' term of the second fundamental form, the Gauss curvature K,
     (dP/dtheta)/P and the profile products the operators divide or weight
     by) are computed when first read and kept as read-only arrays.  Each
     product is formed as the inline expression it replaces was, so a
-    kernel gives the same bits either way.  with_P builds a metric with
-    the same Q that shares u' and u''; it forms its own P-dependent
-    fields.
+    kernel gives the same bits either way.  The lifted metric of an
+    Evaluation shares Q, u' and u'' and forms its own P-dependent fields.
     """
 
     grid: Grid
@@ -342,16 +341,11 @@ class AxisymMetric:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
-    def with_P(self, P: np.ndarray) -> "AxisymMetric":
+    def _with_P(self, P: np.ndarray) -> "AxisymMetric":
         """The metric with profile P and this Q, sharing the Q-only fields.
 
-        P is checked as the constructor checks it; Q, already checked
-        with this metric, is not checked again.
+        P is Evaluation.p_hat, admitted where it is formed; nothing is tested again.
         """
-        P = _check_field(self.grid, P, "P")
-        if not _within_lengths(P):
-            _check_finite(self.grid, "P", P)
-            _check_lengths(self.grid, "P", P)
         other = object.__new__(AxisymMetric)
         other.__dict__.update(
             grid=self.grid, P=P, Q=self.Q, u_prime=self.u_prime, u_second=self.u_second

@@ -22,8 +22,9 @@ declaring the grid size and one header line naming the columns:
     <one row per node, 17 significant digits>
 
 Node positions are regenerated from the declared grid size on load and
-checked against the theta column; values must be finite and are never
-interpolated.
+checked against the theta column; values are never interpolated.
+AxisymMetric and PhysicalData admit the values, as they do data from
+any other source.
 """
 
 from __future__ import annotations
@@ -180,9 +181,10 @@ def _split_row(line: str) -> list[str]:
 def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     """Read a PhysicalData table written by store_physical_data.
 
-    The grid is regenerated from the declared size; the theta column must
-    reproduce its nodes.  Raises DataFormatError on any violation, naming
-    the offending row and column or the grid declaration.
+    Only the layout is checked here, the theta column against the nodes
+    of the grid regenerated from the declared size; AxisymMetric and
+    PhysicalData admit the values.  Raises DataFormatError on any
+    violation, naming the column and the row or node, or the declaration.
     """
     with open(path) as fh:
         try:
@@ -225,29 +227,23 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
                 raise DataFormatError(
                     f"row {i}, column {COLUMNS[j]}: not a number: {part!r}"
                 ) from None
-            if not np.isfinite(table[i, j]):
-                raise DataFormatError(f"row {i}, column {COLUMNS[j]}: not finite: {part!r}")
 
     try:
         grid = make_grid(n)
     except InvalidParameterError as exc:
         raise DataFormatError(f"grid declaration {lines[0]!r}: {exc}") from None
     theta = table[:, 0]
-    j = int(np.argmax(np.abs(theta - grid.nodes)))
-    if abs(theta[j] - grid.nodes[j]) > 1e-12:
+    j = int(np.argmax(np.abs(theta - grid.nodes)))  # a NaN is the first maximum
+    if not abs(theta[j] - grid.nodes[j]) <= 1e-12:
         raise DataFormatError(
             f"row {j}, column theta: node {theta[j]} does not match the "
             f"n={n} grid node {grid.nodes[j]}"
         )
-    for name, col in (("P", 1), ("Q", 2), ("normH", 3)):
-        i = int(np.argmin(table[:, col]))
-        if table[i, col] <= 0.0:
-            raise DataFormatError(
-                f"row {i}, column {name}: must be positive, got {table[i, col]}"
-            )
-
-    return PhysicalData(
-        metric=AxisymMetric(grid, table[:, 1], table[:, 2]),
-        norm_H=table[:, 3],
-        alpha_H=table[:, 4],
-    )
+    try:
+        return PhysicalData(
+            metric=AxisymMetric(grid, table[:, 1], table[:, 2]),
+            norm_H=table[:, 3],
+            alpha_H=table[:, 4],
+        )
+    except InvalidParameterError as exc:
+        raise DataFormatError(str(exc)) from None

@@ -171,8 +171,8 @@ def _is_constant(taus: np.ndarray) -> np.ndarray:
 
 
 def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
-    """The sampled time functions as one (k, n) stack; k may be 0."""
-    samples = [_check_single_field(grid, t, "tau") for t in tau_samples]
+    """The sampled time functions as one (k, n) stack; k may be 0.  A wrong shape names its row."""
+    samples = [_check_single_field(grid, t, f"tau at row {i}") for i, t in enumerate(tau_samples)]
     return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
 
 

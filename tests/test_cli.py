@@ -271,7 +271,21 @@ class TestGenDataCommand:
         lines[7] = " ".join(parts)
         out.write_text("\n".join(lines) + "\n")
         assert main(["energy", "--data", str(out), "--tau", "zero"]) == 1
-        assert "row 5, column normH" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: --data: normH must be finite, got nan at node 5 "
+        )
+
+    def test_profile_beyond_the_length_range_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sphere.dat"
+        main(["gen-data", "--schwarzschild", "m=1,r=4", "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        parts = lines[5].split()
+        parts[1] = "1e39"
+        lines[5] = " ".join(parts)
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["energy", "--data", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --data: P must lie in [1e-38, 1e+38]; P[3] ")
 
     def test_unbuildable_declared_size_names_data(self, tmp_path, capsys):
         out = tmp_path / "two.dat"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre as npleg
 
+import quasilocal.embedding as embedding_module
+import quasilocal.geometry as geometry_module
 from conftest import legendre_mode, regular_random_metric, random_time_profile
 from quasilocal.geometry import (
     AxisymMetric,
@@ -279,7 +281,26 @@ class TestLiftLengths:
         grid = make_grid(8)
         m = round_sphere(grid)
         assert admit(m, np.empty((0, grid.n_nodes))).shape == (0, grid.n_nodes)
-        assert m.with_P(np.empty((0, grid.n_nodes))).P.shape == (0, grid.n_nodes)
+        assert Evaluation(m, np.empty((0, grid.n_nodes))).projected.metric.P.shape == (
+            0, grid.n_nodes
+        )
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_the_lifted_profile_is_bound_tested_once(self, rows, monkeypatch):
+        # the lifted metric used to test p_hat again under the name P
+        grid = make_grid(16)
+        tau = 0.1 * grid.x if rows is None else np.outer(np.arange(1, rows + 1), 0.1 * grid.x)
+        ev = Evaluation(round_sphere(grid), tau)
+        bound_test, calls = geometry_module._within_lengths, []
+
+        def counted(values):
+            calls.append(values)
+            return bound_test(values)
+
+        for module in (geometry_module, embedding_module):
+            monkeypatch.setattr(module, "_within_lengths", counted)
+        assert ev.projected.metric.P is ev.p_hat
+        assert len(calls) == 1 and calls[0] is ev.p_hat
 
     def test_the_guard_never_forms_the_lifted_profile(self):
         grid = make_grid(16)

@@ -1,6 +1,7 @@
 """Physical data families, the lift Minkowski data keeps, and the table round trip."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ class TestTableRoundTrip:
     def test_zero_norm_row_named(self, tmp_path):
         rows = self._valid_rows()
         rows[5] = rows[5].rsplit(" ", 2)[0] + " 0 0"
-        with pytest.raises(DataFormatError, match="row 5, column normH"):
+        with pytest.raises(DataFormatError, match=r"^normH must be positive; normH = 0.0 at node 5$"):
             load_physical_data(self._write_rows(tmp_path, rows))
 
     @pytest.mark.parametrize(
@@ -333,7 +334,22 @@ class TestTableRoundTrip:
         parts[column] = value
         rows[3] = " ".join(parts)
         name = ("theta", "P", "Q", "normH", "alpha_theta")[column]
-        with pytest.raises(DataFormatError, match=f"row 3, column {name}: not finite"):
+        with pytest.raises(DataFormatError, match=f"^{name} must be finite, got {value} at node 3 "):
+            load_physical_data(self._write_rows(tmp_path, rows))
+
+    @pytest.mark.parametrize(
+        "column, value, shown",
+        [(1, "1e39", "1e+39"), (1, "1e-39", "1e-39"), (2, "1e39", "1e+39"), (2, "0", "0.0")],
+    )
+    def test_profile_outside_the_length_range_named(self, tmp_path, column, value, shown):
+        # the loader used to let these through to AxisymMetric's InvalidParameterError
+        rows = self._valid_rows()
+        parts = rows[3].split()
+        parts[column] = value
+        rows[3] = " ".join(parts)
+        name = ("theta", "P", "Q")[column]
+        message = f"{name} must lie in [1e-38, 1e+38]; {name}[3] = {shown} at theta = "
+        with pytest.raises(DataFormatError, match="^" + re.escape(message)):
             load_physical_data(self._write_rows(tmp_path, rows))
 
     def test_non_numeric_field_named(self, tmp_path):
@@ -360,10 +376,11 @@ class TestTableRoundTrip:
         with pytest.raises(DataFormatError, match="missing header"):
             load_physical_data(path)
 
-    def test_node_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("theta", ["0.123", "nan", "inf"])
+    def test_node_mismatch_rejected(self, tmp_path, theta):
         rows = self._valid_rows()
         parts = rows[4].split()
-        parts[0] = "0.123"
+        parts[0] = theta
         rows[4] = " ".join(parts)
         with pytest.raises(DataFormatError, match="row 4, column theta"):
             load_physical_data(self._write_rows(tmp_path, rows))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_time_profile, regular_random_metric
 from quasilocal.embedding import NonEmbeddableError, embed_r3
 from quasilocal.energy import evaluate, qle, residual
-from quasilocal.geometry import FieldShapeError, make_grid, round_sphere
+from quasilocal.geometry import AxisymMetric, FieldShapeError, make_grid, round_sphere
 from quasilocal.optimize import convexity_guard
 from quasilocal.physdata import minkowski_surface_data
 
@@ -90,7 +90,7 @@ def test_non_embeddable_row_is_named():
     profiles = np.ones((3, GRID.n_nodes))
     profiles[1] = 0.5
     with pytest.raises(NonEmbeddableError, match=r"at row 1, node \d+ ") as exc:
-        embed_r3(m.with_P(profiles))
+        embed_r3(AxisymMetric(GRID, profiles, m.Q))
     assert exc.value.row == 1
     assert exc.value.margin == pytest.approx(0.25 - GRID.x[exc.value.node_index] ** 2)
 
@@ -100,5 +100,5 @@ def test_first_failing_row_is_named():
     profiles = np.full((4, GRID.n_nodes), 0.5)
     profiles[0] = 1.0
     with pytest.raises(NonEmbeddableError) as exc:
-        embed_r3(m.with_P(profiles))
+        embed_r3(AxisymMetric(GRID, profiles, m.Q))
     assert exc.value.row == 1

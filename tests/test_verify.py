@@ -143,16 +143,19 @@ class TestSuitesAdmitTheirTimeFunction:
             (np.nan, "^tau must be finite, got nan at row 1, node 3 "),
             (np.inf, "^tau must be finite, got inf at row 1, node 3 "),
             (1e300, r"^\|tau\| must be at most 1e\+38; tau\[1, 3\] = 1e\+300 "),
+            (None, r"^tau at row 1 has shape \(17,\), expected \(16,\) for this grid$"),
         ],
     )
     def test_explicit_sample_is_rejected_naming_its_row(self, suite, value, message):
-        # a NaN sample used to be skipped by the guard, inf and 1e300 to overflow
+        # a NaN sample used to be skipped by the guard, inf and 1e300 to overflow;
+        # a wrong shape (value None) was named without its row
         grid = make_grid(16)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
-        bad = np.zeros(grid.n_nodes)
-        bad[3] = value
+        bad = np.zeros(grid.n_nodes if value is not None else grid.n_nodes + 1)
+        if value is not None:
+            bad[3] = value
         samples = [0.1 * grid.x, bad]
-        with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises((InvalidParameterError, FieldShapeError), match=message):
             if suite == "theorem1":
                 check_theorem1(d, np.zeros(grid.n_nodes), tau_samples=samples)
             else:
