@@ -15,11 +15,17 @@ plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
 0 on success, 1 on a validation error or an unreadable or unwritable
 path, naming the offending flag, 2 when a computation or certification
 suite fails.
+
+Each subcommand imports the energy, optimize and verify modules it uses
+when it runs, so a process loads only its own command's code.  main(argv)
+is the in-process entry and returns the status; run() is the process
+entry of `python -m quasilocal.cli` and the console script.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 import warnings
@@ -40,27 +46,11 @@ from .geometry import (
 from .embedding import LIFT_ERRORS, Evaluation
 from .physdata import (
     DataFormatError,
+    _fmt,
     load_physical_data,
     minkowski_surface_data,
     schwarzschild_sphere,
     store_physical_data,
-)
-from .energy import qle, qle_angle_form, residual
-from .optimize import (
-    GuardViolationError,
-    LineSearchError,
-    TauCoefficients,
-    convexity_guard,
-    minimize_energy,
-    tau_from_coefficients,
-)
-from .verify import (
-    _fmt,
-    check_identities,
-    check_lemma41,
-    check_theorem1,
-    check_theorem3,
-    format_report,
 )
 
 TAU_GRAMMAR = """\
@@ -270,6 +260,9 @@ def _write_columns(path, first, second, labels) -> None:
 
 
 def cmd_energy(args, grid: Grid) -> int:
+    from .energy import qle, qle_angle_form
+    from .optimize import convexity_guard
+
     d, echo = build_data(args, grid)
     at_tau = _tau_on(args.tau, d.metric)
     breakdown = qle(d, at_tau)
@@ -287,6 +280,8 @@ def cmd_energy(args, grid: Grid) -> int:
 
 
 def cmd_residual(args, grid: Grid) -> int:
+    from .energy import residual
+
     d, echo = build_data(args, grid)
     field = residual(d, _tau_on(args.tau, d.metric))
     norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
@@ -300,8 +295,10 @@ def cmd_residual(args, grid: Grid) -> int:
     return 0
 
 
-def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
-    """The start of minimize, after checking --tol, --max-iterations and --modes."""
+def _initial_coefficients(args, metric: AxisymMetric):
+    """The TauCoefficients start of minimize, after checking --tol, --max-iterations and --modes."""
+    from .optimize import TauCoefficients, tau_from_coefficients
+
     grid = metric.grid
     if not (args.tol > 0.0 and np.isfinite(args.tol)):
         raise CliValidationError("--tol", f"must be positive and finite, got {args.tol}")
@@ -322,9 +319,14 @@ def _initial_coefficients(args, metric: AxisymMetric) -> TauCoefficients:
 
 
 def cmd_minimize(args, grid: Grid) -> int:
+    from .optimize import GuardViolationError, LineSearchError, minimize_energy
+
     d, echo = build_data(args, grid)
     init = _initial_coefficients(args, d.metric)
-    report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
+    try:
+        report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
+    except (GuardViolationError, LineSearchError) as exc:
+        return _failed(exc, 2)
     body = [
         f"tolerance = {_fmt(args.tol)}",
         f"initial_energy = {_fmt(report.energy_trace[0])}",
@@ -352,6 +354,14 @@ def cmd_minimize(args, grid: Grid) -> int:
 
 
 def cmd_verify(args, grid: Grid) -> int:
+    from .verify import (
+        check_identities,
+        check_lemma41,
+        check_theorem1,
+        check_theorem3,
+        format_report,
+    )
+
     d, echo = build_data(args, grid)
     metric = d.metric if d is not None else build_metric(args.metric, grid)
     lift = _tau_on(args.tau, metric)
@@ -458,12 +468,30 @@ def main(argv=None) -> int:
     try:
         return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
     except (CliValidationError, FieldShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (*LIFT_ERRORS, GuardViolationError, LineSearchError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(exc, 1)
+    except (*LIFT_ERRORS, InvalidParameterError) as exc:
+        return _failed(exc, 2)
+
+
+def _failed(exc: Exception, status: int) -> int:
+    """Print the error and return its exit status: 1 for rejected input, 2 for a failed computation."""
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
+def run() -> None:
+    """Process entry: exit with main's status, the heap frozen first.
+
+    Interpreter shutdown runs full garbage collections, and after main
+    they walk the whole numpy and package heap, which is still in use,
+    to free little.  gc.freeze moves the live objects out of their
+    reach; shutdown otherwise runs as usual, atexit handlers and the
+    flushing of buffered streams included.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -53,10 +53,9 @@ from .geometry import (
     InvalidParameterError,
     _at,
     _check_field,
-    _check_finite,
     _check_lengths,
+    _check_magnitude,
     _divergence_from_x_component,
-    _first,
     _hessian,
     _norm_sq,
     _sin_factored_theta_derivative,
@@ -197,12 +196,7 @@ class Evaluation:
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
         tau = _check_field(metric.grid, tau, "tau")
         if not (-LENGTH_MAX <= tau.min(initial=0.0) and tau.max(initial=0.0) <= LENGTH_MAX):
-            _check_finite(metric.grid, "tau", tau)
-            i = _first(np.abs(tau) > LENGTH_MAX)
-            raise InvalidParameterError(
-                f"|tau| must be at most {LENGTH_MAX:g}; tau[{', '.join(map(str, i))}] = {tau[i]} "
-                f"at theta = {metric.grid.nodes[i[-1]]}"
-            )
+            _check_magnitude(metric.grid, "tau", tau)
         self.metric = metric
         self.tau = tau
 

@@ -442,6 +442,18 @@ def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
         )
 
 
+def _check_magnitude(grid: Grid, name: str, values: np.ndarray) -> None:
+    """Raise naming the first node of values that is not finite or exceeds LENGTH_MAX in size."""
+    _check_finite(grid, name, values)
+    outside = np.abs(values) > LENGTH_MAX
+    if outside.any():
+        i = _first(outside)
+        raise InvalidParameterError(
+            f"|{name}| must be at most {LENGTH_MAX:g}; "
+            f"{name}[{', '.join(map(str, i))}] = {values[i]} at theta = {grid.nodes[i[-1]]}"
+        )
+
+
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     """The round metric of the given radius: P = Q = radius."""
     if not 0.0 < radius < np.inf:

@@ -35,18 +35,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    LENGTH_MAX,
     AxisymMetric,
     Grid,
     InvalidParameterError,
     _check_finite,
+    _check_lengths,
+    _check_magnitude,
     _check_single_field,
     _read_only,
+    _within_lengths,
     make_grid,
     round_sphere,
 )
 from .embedding import Evaluation, GaugeOrientationError, NonSpacelikeMeanCurvatureError, evaluate
 
 COLUMNS = ("theta", "P", "Q", "normH", "alpha_theta")
+
+
+def _fmt(value: float) -> str:
+    """A number in every table and report: 17 significant digits, enough to round-trip a float."""
+    return f"{float(value):.17g}"
 
 
 class HorizonError(InvalidParameterError):
@@ -59,9 +68,13 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PhysicalData:
-    """Surface data (metric, |H| > 0, alpha_H), all finite.
+    """Surface data (metric, |H|, alpha_H).
 
-    alpha_H is the dtheta component of the connection one-form.
+    alpha_H is the dtheta component of the connection one-form.  |H| is
+    a curvature and must lie in [1/LENGTH_MAX, LENGTH_MAX], and alpha_H
+    must be at most LENGTH_MAX in size, so that the energy's squares and
+    products of them stay finite; the constructor admits both with one
+    bound test each and names the first offending node otherwise.
 
     lift is not a constructor argument: it is None, except on data built
     by minkowski_surface_data, which sets it to the lift of its own copy
@@ -76,15 +89,21 @@ class PhysicalData:
     lift: Evaluation | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        norm_h = _check_single_field(self.metric.grid, self.norm_H, "normH")
-        alpha = _check_single_field(self.metric.grid, self.alpha_H, "alpha_theta")
-        _check_finite(self.metric.grid, "normH", norm_h)
-        _check_finite(self.metric.grid, "alpha_theta", alpha)
-        j = int(np.argmin(norm_h))
-        if norm_h[j] <= 0.0:
-            raise InvalidParameterError(
-                f"normH must be positive; normH = {norm_h[j]} at node {j}"
-            )
+        grid = self.metric.grid
+        norm_h = _check_single_field(grid, self.norm_H, "normH")
+        alpha = _check_single_field(grid, self.alpha_H, "alpha_theta")
+        if not (
+            _within_lengths(norm_h) and -LENGTH_MAX <= alpha.min() and alpha.max() <= LENGTH_MAX
+        ):
+            _check_finite(grid, "normH", norm_h)
+            _check_finite(grid, "alpha_theta", alpha)
+            j = int(np.argmin(norm_h))
+            if norm_h[j] <= 0.0:
+                raise InvalidParameterError(
+                    f"normH must be positive; normH = {norm_h[j]} at node {j}"
+                )
+            _check_lengths(grid, "normH", norm_h)
+            _check_magnitude(grid, "alpha_theta", alpha)
         object.__setattr__(self, "norm_H", norm_h)
         object.__setattr__(self, "alpha_H", alpha)
 
@@ -169,7 +188,7 @@ def store_physical_data(d: PhysicalData, path: str | os.PathLike) -> None:
     )
     lines = [f"# n={g.n_nodes}", " ".join(COLUMNS)]
     for row in rows:
-        lines.append(" ".join(f"{val:.17g}" for val in row))
+        lines.append(" ".join(map(_fmt, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

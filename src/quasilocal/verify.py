@@ -48,7 +48,7 @@ from .geometry import (
     integrate_surface,
 )
 from .embedding import _lift_laplacians, embed_r3, evaluate
-from .physdata import PhysicalData, minkowski_surface_data
+from .physdata import PhysicalData, _fmt, minkowski_surface_data
 from .energy import (
     _first_variation,
     _stationarity_terms,
@@ -115,11 +115,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-
-def _fmt(value: float) -> str:
-    """A number in every report: 17 significant digits, enough to round-trip a float."""
-    return f"{float(value):.17g}"
 
 
 def format_report(report: TheoremReport) -> str:

@@ -287,6 +287,26 @@ class TestGenDataCommand:
         assert main(["energy", "--data", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: --data: P must lie in [1e-38, 1e+38]; P[3] ")
 
+    @pytest.mark.parametrize(
+        "column, message",
+        [(3, "normH must lie in [1e-38, 1e+38]; normH[3] = 1e+300 "),
+         (4, "|alpha_theta| must be at most 1e+38; alpha_theta[3] = 1e+300 ")],
+    )
+    def test_data_beyond_the_length_range_exits_one(self, column, message, tmp_path, capsys):
+        # admitted, normH = 1e300 would print physical_term = inf and total = -inf and exit 0
+        out = tmp_path / "sphere.dat"
+        main(["gen-data", "--schwarzschild", "m=1,r=4", "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        parts = lines[5].split()
+        parts[column] = "1e300"
+        lines[5] = " ".join(parts)
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["energy", "--data", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --data: {message}")
+
     def test_unbuildable_declared_size_names_data(self, tmp_path, capsys):
         out = tmp_path / "two.dat"
         out.write_text("# n=2\ntheta P Q normH alpha_theta\n0.5 1 1 2 0\n1.0 1 1 2 0\n")

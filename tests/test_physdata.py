@@ -260,6 +260,32 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="alpha_theta must be finite, got -inf at node 6"):
             PhysicalData(round_sphere(grid), np.ones(8), alpha)
 
+    @pytest.mark.parametrize("value, shown", [(1e300, "1e+300"), (1e39, "1e+39"), (1e-39, "1e-39")])
+    def test_norm_outside_the_length_range_named(self, value, shown):
+        # admitted, |H| = 1e300 would overflow qle's physical term to inf
+        grid = make_grid(8)
+        bad = np.ones(8)
+        bad[3] = value
+        message = f"normH must lie in [1e-38, 1e+38]; normH[3] = {shown} at theta = {grid.nodes[3]}"
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message) + "$"):
+            PhysicalData(round_sphere(grid), bad, np.zeros(8))
+
+    @pytest.mark.parametrize("value, shown", [(1e300, "1e+300"), (-1e39, "-1e+39")])
+    def test_alpha_beyond_the_length_bound_named(self, value, shown):
+        grid = make_grid(8)
+        alpha = np.zeros(8)
+        alpha[6] = value
+        message = f"|alpha_theta| must be at most 1e+38; alpha_theta[6] = {shown} at theta = {grid.nodes[6]}"
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message) + "$"):
+            PhysicalData(round_sphere(grid), np.ones(8), alpha)
+
+    def test_values_at_the_bounds_are_admitted(self):
+        grid = make_grid(8)
+        norm = np.array([1e-38, 1e38] * 4)
+        alpha = np.array([-1e38, 1e38] * 4)
+        d = PhysicalData(round_sphere(grid), norm, alpha)
+        assert np.all(d.norm_H == norm) and np.all(d.alpha_H == alpha)
+
 
 class TestTableRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
@@ -349,6 +375,21 @@ class TestTableRoundTrip:
         rows[3] = " ".join(parts)
         name = ("theta", "P", "Q")[column]
         message = f"{name} must lie in [1e-38, 1e+38]; {name}[3] = {shown} at theta = "
+        with pytest.raises(DataFormatError, match="^" + re.escape(message)):
+            load_physical_data(self._write_rows(tmp_path, rows))
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            (3, "normH must lie in [1e-38, 1e+38]; normH[3] = 1e+300 at theta = "),
+            (4, "|alpha_theta| must be at most 1e+38; alpha_theta[3] = 1e+300 at theta = "),
+        ],
+    )
+    def test_data_outside_the_length_range_named(self, tmp_path, column, message):
+        rows = self._valid_rows()
+        parts = rows[3].split()
+        parts[column] = "1e300"
+        rows[3] = " ".join(parts)
         with pytest.raises(DataFormatError, match="^" + re.escape(message)):
             load_physical_data(self._write_rows(tmp_path, rows))
 
