@@ -1,12 +1,10 @@
 """Command line front end.
 
-Subcommands:
-
-    energy     energy breakdown for a data source and a time function
-    residual   criticality residual field for a data source and time function
-    minimize   minimize the energy over Legendre coefficients
-    verify     run one certification suite
-    gen-data   write a physical-data table to a file
+Subcommands: energy, residual, minimize, verify and gen-data.  Each row
+of physdata.DATA_FAMILIES is a data-source flag --NAME k=K,..., beside
+--minkowski tau0=SPEC and --data PATH, and each row of METRIC_FAMILIES a
+spec --metric NAME:k=K,...; flags, parsing and echo come from the rows,
+so a new data family is one builder and one row.
 
 Every report is flat 'key = value' text prefixed with the artifact
 version, command, grid size, data source and time function, so a fixed
@@ -45,11 +43,12 @@ from .geometry import (
 )
 from .embedding import LIFT_ERRORS, Evaluation
 from .physdata import (
+    DATA_FAMILIES,
+    METRIC_FAMILIES,
     DataFormatError,
     _fmt,
     load_physical_data,
     minkowski_surface_data,
-    schwarzschild_sphere,
     store_physical_data,
 )
 
@@ -69,7 +68,6 @@ class CliValidationError(ValueError):
     """Bad user input; the message starts with the offending field."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
         super().__init__(f"{field}: {message}")
 
 
@@ -158,55 +156,69 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
     )
 
 
-def _parse_assignments(spec: str, field: str, keys: tuple) -> dict:
-    out = {}
+def _parse_assignments(spec: str, field: str, keys: tuple) -> list:
+    """The values of a 'k=v,...' spec as floats in the order of keys, each key given once."""
+    given = {}
     for piece in spec.split(","):
-        if "=" not in piece:
-            raise CliValidationError(field, f"expected key=value, got {piece!r}")
-        key, _, value = piece.partition("=")
+        key, eq, value = piece.partition("=")
         key = key.strip()
+        if not eq:
+            raise CliValidationError(field, f"expected key=value, got {piece!r}")
         if key not in keys:
             raise CliValidationError(field, f"unknown key {key!r}, expected {'/'.join(keys)}")
-        out[key] = value.strip()
-    missing = [k for k in keys if k not in out]
+        if key in given:
+            raise CliValidationError(field, f"key {key!r} is given twice")
+        try:
+            given[key] = float(value)
+        except ValueError:
+            raise CliValidationError(field, f"not a number: {value.strip()!r}") from None
+    missing = [k for k in keys if k not in given]
     if missing:
         raise CliValidationError(field, f"missing {'/'.join(missing)}")
-    return out
+    return [given[k] for k in keys]
 
 
-def _float_of(raw: str, field: str) -> float:
-    """raw parsed as a float; the constructor it is passed to admits the value."""
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliValidationError(field, f"not a number: {raw!r}") from None
+def _usage(keys: tuple) -> str:
+    return ",".join(f"{k}={k.upper()}" for k in keys)
+
+
+def _metric_specs() -> str:
+    specs = (f"{name}:{_usage(keys)}" for name, (_, keys) in METRIC_FAMILIES.items())
+    return " | ".join(["unit-sphere", *specs])
 
 
 def build_metric(spec: str | None, grid: Grid) -> AxisymMetric:
     """The metric of a --metric spec; no spec is the unit sphere."""
     if spec in (None, "unit-sphere"):
         return round_sphere(grid)
-    if spec.startswith("sphere:"):
-        params = _parse_assignments(spec[len("sphere:"):], "--metric", ("r",))
-        return _for_flag("--metric", round_sphere, grid, _float_of(params["r"], "--metric"))
-    raise CliValidationError("--metric", f"unknown metric {spec!r} (unit-sphere | sphere:r=R)")
+    name, colon, params = spec.partition(":")
+    if colon and name in METRIC_FAMILIES:
+        build, keys = METRIC_FAMILIES[name]
+        return _for_flag("--metric", build, grid, *_parse_assignments(params, "--metric", keys))
+    raise CliValidationError("--metric", f"unknown metric {spec!r} ({_metric_specs()})")
+
+
+# the suites that read a metric alone, so verify runs them without a data source
+METRIC_SUITES = ("identities", "lemma41")
 
 
 def build_data(args, grid: Grid):
-    """PhysicalData and its echo string from the one source argparse admits; None without one."""
-    unread = [flag for flag, value in (("--schwarzschild", args.schwarzschild),
-                                       ("--data", args.data)) if value is not None]
+    """PhysicalData and its echo string from the one source given, or None for a metric suite.
+
+    A command without the source it needs is refused here, and only here.
+    """
+    family = next((name for name in DATA_FAMILIES if getattr(args, name) is not None), None)
+    unread = [flag for flag, value in ((f"--{family}", family), ("--data", args.data))
+              if value is not None]
     if args.metric is not None and unread:
         raise CliValidationError(
             "--metric",
             f"is read only with --minkowski or without a data source, not with {unread[0]}",
         )
-    if args.schwarzschild is not None:
-        params = _parse_assignments(args.schwarzschild, "--schwarzschild", ("m", "r"))
-        mass = _float_of(params["m"], "--schwarzschild")
-        radius = _float_of(params["r"], "--schwarzschild")
-        d = _for_flag("--schwarzschild", schwarzschild_sphere, grid, mass, radius)
-        return d, f"schwarzschild {args.schwarzschild}"
+    if family is not None:
+        build, keys = DATA_FAMILIES[family]
+        flag, spec = f"--{family}", getattr(args, family)
+        return _for_flag(flag, build, grid, *_parse_assignments(spec, flag, keys)), f"{family} {spec}"
     if args.minkowski is not None:
         spec = args.minkowski.strip()
         if not spec.startswith("tau0="):
@@ -215,14 +227,17 @@ def build_data(args, grid: Grid):
         tau0 = parse_tau(spec[len("tau0="):], grid, "--minkowski")
         d = _for_flag("--minkowski", minkowski_surface_data, metric, tau0)
         return d, f"minkowski {spec}"
-    if args.data is None:
+    if args.data is not None:
+        d = _for_flag("--data", load_physical_data, args.data)
+        if d.metric.grid.n_nodes != grid.n_nodes:
+            raise CliValidationError(
+                "--data", f"file grid n={d.metric.grid.n_nodes} does not match --grid-n {grid.n_nodes}"
+            )
+        return d, f"data {args.data}"
+    if getattr(args, "suite", None) in METRIC_SUITES:
         return None, f"metric {args.metric or 'unit-sphere'}"
-    d = _for_flag("--data", load_physical_data, args.data)
-    if d.metric.grid.n_nodes != grid.n_nodes:
-        raise CliValidationError(
-            "--data", f"file grid n={d.metric.grid.n_nodes} does not match --grid-n {grid.n_nodes}"
-        )
-    return d, f"data {args.data}"
+    flags = [f"--{name}" for name in DATA_FAMILIES] + ["--minkowski", "--data"]
+    raise CliValidationError("/".join(flags), f"{args.command} needs a data source")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +380,7 @@ def cmd_verify(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
     metric = d.metric if d is not None else build_metric(args.metric, grid)
     lift = _tau_on(args.tau, metric)
-    if args.suite in ("identities", "lemma41"):
+    if args.suite in METRIC_SUITES:
         report = (check_identities if args.suite == "identities" else check_lemma41)(metric, lift)
     elif args.suite == "theorem1":
         report = check_theorem1(d, lift.tau)
@@ -398,21 +413,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(commands, name: str, help_text: str, run, tau_help=None, needs_data=True):
+def _add_command(commands, name: str, help_text: str, run, tau_help=None):
     """A subcommand with grid, output and data-source flags, and --tau if it has a tau_help."""
     sub = commands.add_parser(name, help=help_text, epilog=TAU_GRAMMAR,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
     sub.set_defaults(run=run)
     sub.add_argument("--grid-n", type=int, default=32, help="collocation nodes (default 32)")
     sub.add_argument("--out", default=None, help="write the report to this path")
-    sources = sub.add_mutually_exclusive_group(required=needs_data)
-    sources.add_argument("--schwarzschild", default=None, metavar="m=M,r=R",
-                         help="round sphere of radius R in the mass-M time-symmetric slice")
+    sources = sub.add_mutually_exclusive_group()
+    for family, (build, keys) in DATA_FAMILIES.items():
+        sources.add_argument(f"--{family}", dest=family, default=None, metavar=_usage(keys),
+                             help=(build.__doc__ or "").strip().split("\n")[0])
     sources.add_argument("--minkowski", default=None, metavar="tau0=SPEC",
                          help="lift of the metric by the given time function, as flat-space data")
     sources.add_argument("--data", default=None, metavar="PATH", help="physical-data table")
     sub.add_argument("--metric", default=None,
-                     help="metric for --minkowski and the identity suites (unit-sphere | sphere:r=R)")
+                     help=f"metric for --minkowski and the identity suites ({_metric_specs()})")
     if tau_help is not None:
         sub.add_argument("--tau", default="zero", help=f"{tau_help} (see grammar below)")
     return sub
@@ -443,12 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--columns", default=None, help="write 'iteration energy' rows to this path")
 
     sub = _add_command(commands, "verify", "run a certification suite", cmd_verify,
-                       "time function; theorem1's base point, zero for theorem3", needs_data=False)
+                       "time function; theorem1's base point, zero for theorem3")
     sub.add_argument("--suite", required=True,
                      choices=("identities", "theorem1", "theorem3", "lemma41"))
-    # the source group is optional because the identity suites need none;
-    # main rejects a theorem suite without one through this parser's error
-    sub.set_defaults(parser=sub)
 
     _add_command(commands, "gen-data", "write a physical-data table", cmd_gen_data)
 
@@ -456,13 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify" and args.suite in ("theorem1", "theorem3") and (
-            args.schwarzschild is args.minkowski is args.data is None
-        ):
-            args.parser.error("one of the arguments --schwarzschild --minkowski --data is required")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

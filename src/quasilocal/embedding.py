@@ -57,7 +57,6 @@ from .geometry import (
     _check_magnitude,
     _divergence_from_x_component,
     _hessian,
-    _norm_sq,
     _sin_factored_theta_derivative,
     _within_lengths,
     integrate_surface,
@@ -211,7 +210,7 @@ class Evaluation:
     @lazy
     def grad_sq(self) -> np.ndarray:
         """|grad tau|^2."""
-        return _norm_sq(self.metric, self.tau_theta)
+        return (self.tau_theta / self.metric.P) ** 2
 
     @lazy
     def s1(self) -> np.ndarray:

@@ -28,10 +28,11 @@ and -sin(theta) of the x-space operators; d/dtheta is -sin(theta) d/dx.
 An AxisymMetric likewise keeps, once per metric, the products of its
 profiles that the operators use on every call (P^2, P Q, P^4 Q,
 (1 - x^2) Q/P, the weights of the energy's weak pairing and others).  The
-public operators laplacian and hessian check the shape of their inputs
-and give the bits of the private kernels behind them; the package calls
-the kernels (_divergence_from_x_component, _hessian,
-_sin_factored_theta_derivative) with arrays that were already checked.
+public operators laplacian, hessian and hat_gauss_curvature admit their
+field as embedding.Evaluation admits a time function and return the bits
+of its lap, hess_tt and K_hat; the package calls the kernels
+(_divergence_from_x_component, _hessian, _sin_factored_theta_derivative)
+with arrays that were already admitted.
 Fields computed when first read use the lazy descriptor below instead
 of functools.cached_property, which up to Python 3.11 takes a lock on
 every first read; at n = 32 an evaluation costs more in such fixed
@@ -492,15 +493,10 @@ def _divergence_from_x_component(m: AxisymMetric, omega: np.ndarray) -> np.ndarr
 
 
 def laplacian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator of the metric applied to a smooth field."""
-    f = _check_field(m.grid, f, "f")
-    # df/dtheta = sin(theta) * (-df/dx)
-    return _divergence_from_x_component(m, -m.grid.dx(f))
+    """Laplace-Beltrami operator of the metric applied to a smooth field; see hessian."""
+    from .embedding import Evaluation
 
-
-def _norm_sq(m: AxisymMetric, f_theta: np.ndarray) -> np.ndarray:
-    """|grad f|^2 = (df/dtheta)^2 / P^2 for axisymmetric f."""
-    return (f_theta / m.P) ** 2
+    return Evaluation(m, f).lap
 
 
 def hessian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
@@ -512,9 +508,14 @@ def hessian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     differentiated spectrally in x.  The other nonzero component,
     Hess_pp = u u' f' / P^2 with u = Q sin(theta), enters every formula
     as Hess_pp / u^2 = -u' f_x / (P^2 Q), with the sin(theta) cancelled.
+
+    f, a field or (k, n) stack, is admitted as Evaluation admits a time
+    function: an error names its first node that is not finite or
+    exceeds LENGTH_MAX in size.
     """
-    f = _check_field(m.grid, f, "f")
-    return _hessian(m, m.grid.dx(f))
+    from .embedding import Evaluation
+
+    return Evaluation(m, f).hess_tt
 
 
 def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
@@ -564,11 +565,13 @@ def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
         det = Hess_tt Hess_pp / (P^2 Q^2 sin^2 theta).
 
     Positivity of K_hat is the convexity condition under which the
-    augmented metric embeds as a convex surface of revolution.
+    augmented metric embeds as a convex surface of revolution.  tau is
+    admitted as in hessian.
     """
-    tau = _check_field(m.grid, tau, "tau")
-    taux = m.grid.dx(tau)
-    return _hat_gauss_curvature(m, _hessian(m, taux), taux, _norm_sq(m, m.grid.minus_sin_theta * taux))
+    from .embedding import Evaluation
+
+    lift = Evaluation(m, tau)
+    return _hat_gauss_curvature(m, lift.hess_tt, lift.tau_x, lift.grad_sq)
 
 
 def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:

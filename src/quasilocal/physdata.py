@@ -25,6 +25,11 @@ Node positions are regenerated from the declared grid size on load and
 checked against the theta column; values are never interpolated.
 AxisymMetric and PhysicalData admit the values, as they do data from
 any other source.
+
+DATA_FAMILIES and METRIC_FAMILIES are the table of what the command line
+builds from parameters, one row each: a name, a builder taking the grid
+and then floats, and the names of those parameters in order.  A new
+family is one builder and one row.
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ class PhysicalData:
 
 
 def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData:
-    """Round coordinate sphere in the time-symmetric slice of mass m.
+    """Round coordinate sphere of radius r in the time-symmetric slice of mass m.
 
     |H| = (2/r) sqrt(1 - 2m/r) and alpha_H = 0, so the zero time
     function solves the criticality equation for this data.  A mass or
@@ -143,6 +148,11 @@ def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData
     metric = round_sphere(grid, radius)
     norm_h = np.full(grid.n_nodes, (2.0 / radius) * np.sqrt(1.0 - 2.0 * mass / radius))
     return PhysicalData(metric=metric, norm_H=norm_h, alpha_H=np.zeros(grid.n_nodes))
+
+
+# name -> (builder, parameter names); see the module docstring
+DATA_FAMILIES = {"schwarzschild": (schwarzschild_sphere, ("m", "r"))}
+METRIC_FAMILIES = {"sphere": (round_sphere, ("r",))}
 
 
 def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:

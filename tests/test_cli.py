@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import legendre_mode
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
+from quasilocal import physdata
 from quasilocal.physdata import load_physical_data, schwarzschild_sphere, store_physical_data
 from quasilocal.verify import check_theorem1, format_report
 
@@ -92,20 +93,119 @@ TAU_SPECS = st.one_of(
 )
 
 
+def run_energy(argv, tau="zero"):
+    """Exit status, stdout and stderr of an energy run; a report's six values must be finite."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["energy", *argv, "--tau=" + tau])
+    if status == 0:
+        body = out.getvalue().split(f"tau = {tau}\n", 1)[1]
+        values = [float(line.split(" = ", 1)[1]) for line in body.splitlines()]
+        assert len(values) == 6 and np.all(np.isfinite(values)), out.getvalue()
+    return status, out.getvalue(), err.getvalue()
+
+
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(spec=TAU_SPECS)
 def test_every_tau_spec_gives_a_finite_report_or_a_named_error(spec):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(["energy", "--schwarzschild", "m=1,r=4", "--tau=" + spec])
-    if status == 0:
-        body = out.getvalue().split(f"tau = {spec}\n", 1)[1]
-        values = [float(line.split(" = ", 1)[1]) for line in body.splitlines()]
-        assert len(values) == 6 and np.all(np.isfinite(values)), out.getvalue()
-    elif status == 1:
-        assert err.getvalue().startswith("error: --tau: "), err.getvalue()
+    status, _, err = run_energy(["--schwarzschild", "m=1,r=4"], spec)
+    if status == 1:
+        assert err.startswith("error: --tau: "), err
+    elif status:
+        assert status == 2 and err.startswith("error: "), err
+
+
+NUMBERS = st.builds(
+    lambda s, c, e: f"{s}{c}e{e}",
+    st.sampled_from(["", "-", " "]),
+    st.sampled_from(["1", "2.5", "9.99"]),
+    st.one_of(st.integers(-40, 40), st.integers(-320, 320)),
+)
+VALUES = st.one_of(NUMBERS, st.sampled_from(["0", "4", "nan", "inf", "-inf", "x", "", "1e", "=2"]))
+
+
+def _assignment_specs(keys: tuple):
+    """'k=v,...' specs for a row with these keys.
+
+    Either each key once in any order with any value, or one to three
+    pieces that repeat, omit or mix in unknown and empty keys, or lack
+    the '='.
+    """
+    piece = st.builds(
+        "{}{}{}".format,
+        st.sampled_from([*keys, *keys, " r ", "q", "M", ""]),
+        st.sampled_from(["=", "=", "=", ""]),
+        VALUES,
+    )
+    each_once = st.permutations(keys).flatmap(
+        lambda order: st.tuples(*(VALUES.map(f"{k}=".__add__) for k in order))
+    )
+    return st.one_of(each_once, st.lists(piece, min_size=1, max_size=3)).map(",".join)
+
+
+ASSIGNMENT_SPECS = {
+    "--schwarzschild": _assignment_specs(("m", "r")),
+    "--metric": _assignment_specs(("r",)),
+}
+
+
+@pytest.mark.parametrize("flag", ASSIGNMENT_SPECS)
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(data=st.data())
+def test_every_assignment_spec_gives_a_finite_report_or_a_named_error(flag, data):
+    spec = data.draw(ASSIGNMENT_SPECS[flag])
+    if flag == "--schwarzschild":
+        status, _, err = run_energy(["--schwarzschild=" + spec])
     else:
-        assert status == 2 and err.getvalue().startswith("error: "), err.getvalue()
+        status, _, err = run_energy(["--minkowski", "tau0=zero", "--metric=sphere:" + spec])
+    assert status in (0, 1, 2), status
+    if status:
+        assert err.startswith(f"error: {flag}: "), err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["energy", "--schwarzschild", "m=1,r=4,r=5"], "--schwarzschild"),
+    (["verify", "--suite", "identities", "--metric", "sphere:r=2,r=3"], "--metric"),
+], ids=["family", "metric"])
+def test_a_repeated_key_is_rejected(argv, flag, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag}: key 'r' is given twice\n"
+    assert captured.out == ""
+
+
+class TestOneRowIsEnough:
+    """A data family added as one row of physdata.DATA_FAMILIES is a full data source."""
+
+    @pytest.fixture(autouse=True)
+    def toy_row(self, monkeypatch):
+        row = (lambda grid, r: schwarzschild_sphere(grid, 0.0, r), ("r",))
+        monkeypatch.setitem(physdata.DATA_FAMILIES, "toy", row)
+
+    def test_energy_echoes_the_row(self, capsys):
+        assert main(["energy", "--toy", "r=2"]) == 0
+        assert report_value(capsys.readouterr().out, "source") == "toy r=2"
+
+    def test_gen_data_writes_a_table_that_data_reads(self, tmp_path, capsys):
+        path = str(tmp_path / "t.dat")
+        assert main(["gen-data", "--toy", "r=2", "--out", path]) == 0
+        assert main(["energy", "--toy", "r=2"]) == 0
+        direct = report_value(capsys.readouterr().out, "total")
+        assert main(["energy", "--data", path]) == 0
+        assert report_value(capsys.readouterr().out, "total") == direct
+
+    def test_a_rejected_parameter_names_the_flag(self, capsys):
+        assert main(["energy", "--toy", "r=0"]) == 1
+        assert capsys.readouterr().err.startswith("error: --toy: ")
+
+    def test_conflicts_with_the_other_sources(self, capsys):
+        assert main(["energy", "--toy", "r=2", "--schwarzschild", "m=1,r=4"]) == 1
+        err = capsys.readouterr().err
+        assert "--toy" in err and "--schwarzschild" in err
+
+    def test_the_missing_source_error_names_it(self, capsys):
+        assert main(["energy"]) == 1
+        assert "--toy" in capsys.readouterr().err
 
 
 class TestEnergyCommand:

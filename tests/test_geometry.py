@@ -373,6 +373,18 @@ class TestUncheckedKernels:
         kernel = _sin_factored_theta_derivative(g, q)
         assert np.array_equal(kernel, g.x * q - (1.0 - g.x * g.x) * g.dx(q))
 
+    @pytest.mark.parametrize("operator", [laplacian, hessian, hat_gauss_curvature])
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "tau must be finite, got nan at node 3 "),
+        (1e300, r"\|tau\| must be at most 1e\+38; tau\[3\] = 1e\+300 "),
+    ], ids=["nan", "huge"])
+    def test_public_operators_admit_their_field(self, operator, bad, message):
+        grid = make_grid(16)
+        f = 0.1 * grid.x
+        f[3] = bad
+        with pytest.raises(InvalidParameterError, match=message):
+            operator(round_sphere(grid), f)
+
 
 # ---------------------------------------------------------------------------
 # integration
