@@ -61,41 +61,7 @@ _EXPORTS = {
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AxisymMetric",
-    "Grid",
-    "InvalidParameterError",
-    "integrate_surface",
-    "make_grid",
-    "round_sphere",
-    "NonEmbeddableError",
-    "embed_lifted",
-    "embed_r3",
-    "extrinsic_data",
-    "mean_curvature",
-    "PhysicalData",
-    "load_physical_data",
-    "minkowski_surface_data",
-    "schwarzschild_sphere",
-    "store_physical_data",
-    "EnergyBreakdown",
-    "qle",
-    "residual",
-    "GuardViolationError",
-    "MinimizeReport",
-    "TauCoefficients",
-    "convexity_guard",
-    "energy_gradient",
-    "minimize_energy",
-    "tau_from_coefficients",
-    "TheoremReport",
-    "check_identities",
-    "check_lemma41",
-    "check_theorem1",
-    "check_theorem3",
-    "format_report",
-]
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name):

@@ -48,17 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    LENGTH_MAX,
     AxisymMetric,
     InvalidParameterError,
+    _admit,
     _at,
     _check_field,
-    _check_lengths,
-    _check_magnitude,
     _divergence_from_x_component,
     _hessian,
     _sin_factored_theta_derivative,
-    _within_lengths,
     integrate_surface,
     lazy,
 )
@@ -183,21 +180,18 @@ class Evaluation:
 
     tau is one field of node values or a (k, n) stack of fields; the
     metric is shared by every row.  The constructor admits tau, finite
-    with |tau| <= LENGTH_MAX: one bound test on min and max, NaN failing
-    it, then element-wise checks naming the first bad row and node.  The
-    derivatives of tau, the lifted profile p_hat, the projected
-    revolution surface, which embeds sigma + dtau x dtau, its total mean
-    curvature and the lift's extrinsic data are computed when first read
-    and then kept.  Quantities that depend on physical data are formulas
-    of the energy module and are not kept.
+    with |tau| <= LENGTH_MAX, by geometry._admit, whose error names the
+    first bad row and node.  The derivatives of tau, the lifted profile
+    p_hat, the projected revolution surface, which embeds
+    sigma + dtau x dtau, its total mean curvature and the lift's extrinsic
+    data are computed when first read and then kept.  Quantities that
+    depend on physical data are formulas of the energy module and are not
+    kept.
     """
 
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
-        tau = _check_field(metric.grid, tau, "tau")
-        if not (-LENGTH_MAX <= tau.min(initial=0.0) and tau.max(initial=0.0) <= LENGTH_MAX):
-            _check_magnitude(metric.grid, "tau", tau)
+        self.tau = _admit(metric.grid, "tau", tau, lengths=False, stack=True)
         self.metric = metric
-        self.tau = tau
 
     @lazy
     def tau_theta(self) -> np.ndarray:
@@ -231,9 +225,7 @@ class Evaluation:
     def p_hat(self) -> np.ndarray:
         """sqrt(P^2 + tau_theta^2), the projection's profile, checked against the length range."""
         p_hat = np.sqrt(self.metric.P_sq + self.tau_theta**2)
-        if not _within_lengths(p_hat):
-            _check_lengths(self.metric.grid, "sqrt(P^2 + tau_theta^2)", p_hat)
-        return p_hat
+        return _admit(self.metric.grid, "sqrt(P^2 + tau_theta^2)", p_hat, lengths=True, stack=True)
 
     @lazy
     def projected(self) -> RevolutionSurface:
@@ -261,7 +253,7 @@ class Evaluation:
 
     def pairing(self, alpha: np.ndarray) -> np.ndarray:
         """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form."""
-        a = _check_field(self.metric.grid, alpha, "alpha")
+        a = _check_field(self.metric.grid, "alpha", alpha, stack=True)
         return a * self.tau_theta / self.metric.P_sq
 
 

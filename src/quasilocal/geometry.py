@@ -27,12 +27,17 @@ weights, d/dx and Legendre Vandermonde matrices and the factors 1 - x^2
 and -sin(theta) of the x-space operators; d/dtheta is -sin(theta) d/dx.
 An AxisymMetric likewise keeps, once per metric, the products of its
 profiles that the operators use on every call (P^2, P Q, P^4 Q,
-(1 - x^2) Q/P, the weights of the energy's weak pairing and others).  The
-public operators laplacian, hessian and hat_gauss_curvature admit their
-field as embedding.Evaluation admits a time function and return the bits
-of its lap, hess_tt and K_hat; the package calls the kernels
-(_divergence_from_x_component, _hessian, _sin_factored_theta_derivative)
-with arrays that were already admitted.
+(1 - x^2) Q/P, the weights of the energy's weak pairing and others).
+
+Every field that reaches the numerics (P, Q, |H|, alpha_H, a time
+function and its lifted profile) is admitted by _admit, the one rule:
+the right shape, finite, and within the length range or LENGTH_MAX in
+size, tested by one min and one max, naming the first bad node
+otherwise.  The public operators laplacian, hessian and
+hat_gauss_curvature admit their field as embedding.Evaluation admits a
+time function and return the bits of its lap, hess_tt and K_hat; the
+package calls the kernels (_divergence_from_x_component, _hessian,
+_sin_factored_theta_derivative) with arrays that were already admitted.
 Fields computed when first read use the lazy descriptor below instead
 of functools.cached_property, which up to Python 3.11 takes a lock on
 every first read; at n = 32 an evaluation costs more in such fixed
@@ -247,25 +252,42 @@ def _build_grid(n: int) -> Grid:
     )
 
 
-def _check_field(grid: Grid, f: np.ndarray, name: str) -> np.ndarray:
-    """f as a float array of node values, or a (k, n) stack of them."""
+def _check_field(grid: Grid, name: str, f: np.ndarray, stack: bool = False) -> np.ndarray:
+    """f as a float array of node values, or with stack also a (k, n) stack of them."""
     f = np.asarray(f, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[-1] != grid.n_nodes:
-        raise FieldShapeError(
-            f"{name} has shape {f.shape}, expected ({grid.n_nodes},) or (k, {grid.n_nodes}) "
-            "for this grid"
-        )
+    if f.shape[-1:] != (grid.n_nodes,) or f.ndim > 1 + stack:
+        expected = f"({grid.n_nodes},) or (k, {grid.n_nodes})" if stack else f"({grid.n_nodes},)"
+        raise FieldShapeError(f"{name} has shape {f.shape}, expected {expected} for this grid")
     return f
 
 
-def _check_single_field(grid: Grid, f: np.ndarray, name: str) -> np.ndarray:
-    """f as a float array of node values; stacks are rejected."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n_nodes,):
-        raise FieldShapeError(
-            f"{name} has shape {f.shape}, expected ({grid.n_nodes},) for this grid"
+def _admit(grid: Grid, name: str, values: np.ndarray, lengths: bool, stack: bool = False) -> np.ndarray:
+    """values as _check_field returns them, finite and in range: the one admission rule.
+
+    The range is [1/LENGTH_MAX, LENGTH_MAX] for lengths, [-LENGTH_MAX,
+    LENGTH_MAX] otherwise.  One bound test on min and max, which a NaN
+    fails; only a field that fails it is searched, for its first node that
+    is not finite and then its first node out of range, which the error
+    names.  An empty stack passes.
+    """
+    values = _check_field(grid, name, values, stack)
+    low = 1.0 / LENGTH_MAX if lengths else -LENGTH_MAX
+    if low <= values.min(initial=1.0) and values.max(initial=1.0) <= LENGTH_MAX:
+        return values
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = _first(~finite)
+        raise InvalidParameterError(
+            f"{name} must be finite, got {values[i]} at {_at(i)} (theta = {grid.nodes[i[-1]]})"
         )
-    return f
+    i = _first((values < low) | (values > LENGTH_MAX))
+    if lengths:
+        rule = f"{name} must lie in [{low:g}, {LENGTH_MAX:g}]"
+    else:
+        rule = f"|{name}| must be at most {LENGTH_MAX:g}"
+    raise InvalidParameterError(
+        f"{rule}; {name}[{', '.join(map(str, i))}] = {values[i]} at theta = {grid.nodes[i[-1]]}"
+    )
 
 
 def _first(bad: np.ndarray) -> tuple:
@@ -332,15 +354,8 @@ class AxisymMetric:
     Q: np.ndarray
 
     def __post_init__(self):
-        P = _check_field(self.grid, self.P, "P")
-        Q = _check_single_field(self.grid, self.Q, "Q")
-        if not (_within_lengths(P) and _within_lengths(Q)):
-            _check_finite(self.grid, "P", P)
-            _check_finite(self.grid, "Q", Q)
-            _check_lengths(self.grid, "P", P)
-            _check_lengths(self.grid, "Q", Q)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "P", _admit(self.grid, "P", self.P, lengths=True, stack=True))
+        object.__setattr__(self, "Q", _admit(self.grid, "Q", self.Q, lengths=True))
 
     def _with_P(self, P: np.ndarray) -> "AxisymMetric":
         """The metric with profile P and this Q, sharing the Q-only fields.
@@ -414,47 +429,6 @@ class AxisymMetric:
         return _read_only(self.grid.weights * self.grid.one_minus_x_sq * (self.Q / self.P))
 
 
-def _within_lengths(values: np.ndarray) -> bool:
-    """Is every value finite and in [1/LENGTH_MAX, LENGTH_MAX]?  One bound test.
-
-    A NaN fails both comparisons, so a field that passes needs neither
-    _check_finite nor _check_lengths, which run only to name the first
-    offending node; an empty stack passes.
-    """
-    return 1.0 / LENGTH_MAX <= values.min(initial=1.0) and values.max(initial=1.0) <= LENGTH_MAX
-
-
-def _check_finite(grid: Grid, name: str, values: np.ndarray) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = _first(~finite)
-        raise InvalidParameterError(
-            f"{name} must be finite, got {values[i]} at {_at(i)} (theta = {grid.nodes[i[-1]]})"
-        )
-
-
-def _check_lengths(grid: Grid, name: str, values: np.ndarray) -> None:
-    outside = (values < 1.0 / LENGTH_MAX) | (values > LENGTH_MAX)
-    if outside.any():
-        i = _first(outside)
-        raise InvalidParameterError(
-            f"{name} must lie in [{1.0 / LENGTH_MAX:g}, {LENGTH_MAX:g}]; "
-            f"{name}[{', '.join(map(str, i))}] = {values[i]} at theta = {grid.nodes[i[-1]]}"
-        )
-
-
-def _check_magnitude(grid: Grid, name: str, values: np.ndarray) -> None:
-    """Raise naming the first node of values that is not finite or exceeds LENGTH_MAX in size."""
-    _check_finite(grid, name, values)
-    outside = np.abs(values) > LENGTH_MAX
-    if outside.any():
-        i = _first(outside)
-        raise InvalidParameterError(
-            f"|{name}| must be at most {LENGTH_MAX:g}; "
-            f"{name}[{', '.join(map(str, i))}] = {values[i]} at theta = {grid.nodes[i[-1]]}"
-        )
-
-
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:
     """The round metric of the given radius: P = Q = radius."""
     if not 0.0 < radius < np.inf:
@@ -474,7 +448,7 @@ def integrate_surface(m: AxisymMetric, f: np.ndarray) -> float | np.ndarray:
     A float for one field, one integral per row for a stack of integrands
     or of metrics.
     """
-    f = _check_field(m.grid, f, "integrand")
+    f = _check_field(m.grid, "integrand", f, stack=True)
     return 2.0 * np.pi * m.grid.quad_dx(f * m.P * m.Q)
 
 

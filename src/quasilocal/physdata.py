@@ -40,16 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    LENGTH_MAX,
     AxisymMetric,
     Grid,
     InvalidParameterError,
-    _check_finite,
-    _check_lengths,
-    _check_magnitude,
-    _check_single_field,
+    _admit,
+    _check_field,
     _read_only,
-    _within_lengths,
     make_grid,
     round_sphere,
 )
@@ -78,8 +74,10 @@ class PhysicalData:
     alpha_H is the dtheta component of the connection one-form.  |H| is
     a curvature and must lie in [1/LENGTH_MAX, LENGTH_MAX], and alpha_H
     must be at most LENGTH_MAX in size, so that the energy's squares and
-    products of them stay finite; the constructor admits both with one
-    bound test each and names the first offending node otherwise.
+    products of them stay finite; the constructor admits both by
+    geometry._admit, which names the first bad node, and names a finite
+    |H| <= 0 as not positive.  The metric's P must be one profile, not a
+    stack.
 
     lift is not a constructor argument: it is None, except on data built
     by minkowski_surface_data, which sets it to the lift of its own copy
@@ -95,22 +93,19 @@ class PhysicalData:
 
     def __post_init__(self):
         grid = self.metric.grid
-        norm_h = _check_single_field(grid, self.norm_H, "normH")
-        alpha = _check_single_field(grid, self.alpha_H, "alpha_theta")
-        if not (
-            _within_lengths(norm_h) and -LENGTH_MAX <= alpha.min() and alpha.max() <= LENGTH_MAX
-        ):
-            _check_finite(grid, "normH", norm_h)
-            _check_finite(grid, "alpha_theta", alpha)
+        _check_field(grid, "P", self.metric.P)  # the data of one surface, not a stack
+        try:
+            norm_h = _admit(grid, "normH", self.norm_H, lengths=True)
+        except InvalidParameterError:
+            norm_h = np.asarray(self.norm_H, dtype=float)
             j = int(np.argmin(norm_h))
-            if norm_h[j] <= 0.0:
+            if np.isfinite(norm_h).all() and norm_h[j] <= 0.0:
                 raise InvalidParameterError(
                     f"normH must be positive; normH = {norm_h[j]} at node {j}"
-                )
-            _check_lengths(grid, "normH", norm_h)
-            _check_magnitude(grid, "alpha_theta", alpha)
+                ) from None
+            raise
         object.__setattr__(self, "norm_H", norm_h)
-        object.__setattr__(self, "alpha_H", alpha)
+        object.__setattr__(self, "alpha_H", _admit(grid, "alpha_theta", self.alpha_H, lengths=False))
 
     def evaluate(self, tau: np.ndarray | Evaluation) -> Evaluation:
         """The Evaluation of tau on the metric: the kept lift for its own time function.
@@ -171,7 +166,7 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     read-only copy, which the data keeps as its lift, so changing the
     caller's array later cannot leave the lift stale.
     """
-    tau0 = _check_single_field(m.grid, np.array(tau0, dtype=float), "tau0")
+    tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
     lift = Evaluation(m, _read_only(tau0))
     data = lift.extrinsic
     j = int(np.argmin(data.mean_sq))

@@ -40,7 +40,7 @@ import numpy as np
 from .geometry import (
     AxisymMetric,
     Grid,
-    _check_single_field,
+    _check_field,
     _divergence_from_x_component,
     _hessian,
     _read_only,
@@ -167,7 +167,7 @@ def _is_constant(taus: np.ndarray) -> np.ndarray:
 
 def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
     """The sampled time functions as one (k, n) stack; k may be 0.  A wrong shape names its row."""
-    samples = [_check_single_field(grid, t, f"tau at row {i}") for i, t in enumerate(tau_samples)]
+    samples = [_check_field(grid, f"tau at row {i}", t) for i, t in enumerate(tau_samples)]
     return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
 
 
@@ -432,7 +432,8 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
                            physical data
       reference-derivative G'(s), the same variation of the reference integral
                            G(s), against its closed form in the lifted mean
-                           curvature norm
+                           curvature norm; -inf if the closed form's
+                           radicand is negative somewhere
 
     Samples whose scaled segment violates the guard are skipped (the
     energies are undefined there) and fail the guard check; the counts
@@ -482,10 +483,14 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     reference = on_rest.reference_term.reshape(-1, n_s)
     s1 = family_ev.s1
     lu, lap_vt, lap_tau = _lift_laplacians(family_ev)
-    integrand = np.sqrt(lu**2 + lap_vt**2 - lap_tau**2 + (lap_tau / s1) ** 2) / s1
+    radicand = lu**2 + lap_vt**2 - lap_tau**2 + (lap_tau / s1) ** 2
+    # rounding drives it negative on small spheres (r <= 1e-8), where there is nothing to measure
+    integrand = np.sqrt(np.maximum(radicand, 0.0)) / s1
     physical = integrate_surface(m, integrand).reshape(-1, n_s)
     closed = (reference - physical)[:, interior] / s_grid[interior]
     closed_dev = _deviation_margin(reference_slope[:, interior] - closed)
+    if (radicand < 0.0).any():
+        closed_dev = -np.inf
 
     at_one = np.arange(admitted.size * n_s) % n_s == n_s - 1
     increase = qle(d, family_ev.rows(at_one)).total - energy_rest

@@ -285,22 +285,27 @@ class TestLiftLengths:
             0, grid.n_nodes
         )
 
+    @pytest.mark.parametrize("field", ["tau", "p_hat"])
     @pytest.mark.parametrize("rows", [None, 3])
-    def test_the_lifted_profile_is_bound_tested_once(self, rows, monkeypatch):
+    def test_tau_and_the_lifted_profile_are_bound_tested_once(self, field, rows, monkeypatch):
         # the lifted metric used to test p_hat again under the name P
         grid = make_grid(16)
+        m = round_sphere(grid)
         tau = 0.1 * grid.x if rows is None else np.outer(np.arange(1, rows + 1), 0.1 * grid.x)
-        ev = Evaluation(round_sphere(grid), tau)
-        bound_test, calls = geometry_module._within_lengths, []
+        ev = Evaluation(m, tau)
+        admit, calls = geometry_module._admit, []
 
-        def counted(values):
+        def counted(grid, name, values, *args, **kwargs):
             calls.append(values)
-            return bound_test(values)
+            return admit(grid, name, values, *args, **kwargs)
 
         for module in (geometry_module, embedding_module):
-            monkeypatch.setattr(module, "_within_lengths", counted)
-        assert ev.projected.metric.P is ev.p_hat
-        assert len(calls) == 1 and calls[0] is ev.p_hat
+            monkeypatch.setattr(module, "_admit", counted)
+        if field == "tau":
+            ev = Evaluation(m, tau)
+        else:
+            assert ev.projected.metric.P is ev.p_hat
+        assert len(calls) == 1 and calls[0] is getattr(ev, field)
 
     def test_the_guard_never_forms_the_lifted_profile(self):
         grid = make_grid(16)

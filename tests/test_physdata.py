@@ -10,6 +10,8 @@ import quasilocal.embedding as embedding_module
 from conftest import MODE_WEIGHTS, legendre_mode, regular_random_metric, random_time_profile
 from reference import canonical_gauge
 from quasilocal.geometry import (
+    AxisymMetric,
+    FieldShapeError,
     InvalidParameterError,
     _divergence_from_x_component,
     laplacian,
@@ -278,6 +280,14 @@ class TestValidation:
         message = f"|alpha_theta| must be at most 1e+38; alpha_theta[6] = {shown} at theta = {grid.nodes[6]}"
         with pytest.raises(InvalidParameterError, match="^" + re.escape(message) + "$"):
             PhysicalData(round_sphere(grid), np.ones(8), alpha)
+
+    def test_a_stack_of_profiles_is_rejected_naming_P(self):
+        # normH and alpha_H are single fields; a stacked P used to fail later, naming no field
+        grid = make_grid(16)
+        m = AxisymMetric(grid, np.ones((2, 16)), np.ones(16))
+        message = r"^P has shape \(2, 16\), expected \(16,\) for this grid$"
+        with pytest.raises(FieldShapeError, match=message):
+            PhysicalData(m, np.ones(16), np.zeros(16))
 
     def test_values_at_the_bounds_are_admitted(self):
         grid = make_grid(8)

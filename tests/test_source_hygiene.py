@@ -16,10 +16,13 @@ def parse(path: Path) -> ast.Module:
 
 
 def literal(tree: ast.Module, name: str):
-    """The value of the module-level constant name, empty when it has none."""
+    """The value of the module-level constant name, empty when it has none or it is computed."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
-            return ast.literal_eval(node.value)
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return ()
     return ()
 
 

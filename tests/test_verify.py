@@ -578,6 +578,12 @@ class TestCheckTheorem3:
         cases = dict(report.equality_cases)
         assert abs(cases["constant-profile"]) <= 1e-10
 
+    def test_a_small_sphere_fails_the_reference_derivative_without_nan(self):
+        # from r = 1e-8 down the closed form's radicand rounds negative: sqrt warned, margin nan
+        report = check_theorem3(schwarzschild_sphere(make_grid(32), 0.0, 1e-8))
+        assert not report.passed
+        assert outcome(report, "reference-derivative").margin == -math.inf
+
     def test_s_grid_endpoints(self):
         s = chebyshev_s_grid()
         assert s.shape == (33,)
