@@ -15,10 +15,11 @@ over the revolution surface of sigma + dtau x dtau is an isometric
 embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 
 An Evaluation is that lift: one time function tau, or a (k, n) stack of
-them, on one metric, whose derivatives, projected surface, reference
-integral and extrinsic data are each computed at most once, when first
-read, and the one place that admits a time function and its lifted
-profile.  embed_lifted builds one and checks that its projection embeds.
+them, on one metric, whose derivatives, lifted Gauss curvature and
+convexity margin, projected surface, reference integral and extrinsic
+data are each computed at most once, when first read, and the one place
+that admits a time function and its lifted profile.  embed_lifted builds
+one and checks that its projection embeds.
 Every function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
@@ -181,8 +182,9 @@ class Evaluation:
     tau is one field of node values or a (k, n) stack of fields; the
     metric is shared by every row.  The constructor admits tau, finite
     with |tau| <= LENGTH_MAX, by geometry._admit, whose error names the
-    first bad row and node.  The derivatives of tau, the lifted profile
-    p_hat, the projected revolution surface, which embeds
+    first bad row and node.  The derivatives of tau, the Gauss curvature
+    k_hat of sigma + dtau x dtau and the convexity margin guard, the
+    lifted profile p_hat, the projected revolution surface, which embeds
     sigma + dtau x dtau, its total mean curvature and the lift's extrinsic
     data are computed when first read and then kept.  Quantities that
     depend on physical data are formulas of the energy module and are not
@@ -220,6 +222,28 @@ class Evaluation:
     def hess_tt(self) -> np.ndarray:
         """theta-theta component of the covariant Hessian of tau."""
         return _hessian(self.metric, self.tau_x)
+
+    @lazy
+    def k_hat(self) -> np.ndarray:
+        """Gauss curvature of sigma + dtau x dtau, in closed form in the base metric:
+
+            K_hat = [ K + det(Hess tau) / (1 + |grad tau|^2) ] / (1 + |grad tau|^2),
+            det = Hess_tt Hess_pp / (P^2 Q^2 sin^2 theta), of the sigma-raised Hessian.
+
+        K_hat > 0 is the condition under which the lifted metric embeds as
+        a convex surface of revolution.
+        """
+        m = self.metric
+        # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
+        det = self.hess_tt * (-m.u_prime * self.tau_x) / m.P4_Q
+        return (m.K + det / (1.0 + self.grad_sq)) / (1.0 + self.grad_sq)
+
+    @lazy
+    def guard(self) -> float | np.ndarray:
+        """The convexity margin, one per row: the least of K_hat, K and K_hat (1 + |grad tau|^2)."""
+        k_hat = self.k_hat
+        scaled = k_hat * (1.0 + self.grad_sq)
+        return np.minimum(np.minimum(k_hat.min(axis=-1), self.metric.K.min()), scaled.min(axis=-1))
 
     @lazy
     def p_hat(self) -> np.ndarray:

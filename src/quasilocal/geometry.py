@@ -35,13 +35,10 @@ the right shape, finite, and within the length range or LENGTH_MAX in
 size, tested by one min and one max, naming the first bad node
 otherwise.  The public operators laplacian, hessian and
 hat_gauss_curvature admit their field as embedding.Evaluation admits a
-time function and return the bits of its lap, hess_tt and K_hat; the
+time function and return the bits of its lap, hess_tt and k_hat; the
 package calls the kernels (_divergence_from_x_component, _hessian,
 _sin_factored_theta_derivative) with arrays that were already admitted.
-Fields computed when first read use the lazy descriptor below instead
-of functools.cached_property, which up to Python 3.11 takes a lock on
-every first read; at n = 32 an evaluation costs more in such fixed
-per-call work than in arithmetic.
+Fields computed when first read use the lazy descriptor below.
 """
 
 from __future__ import annotations
@@ -310,7 +307,8 @@ class lazy:
 
     Later reads find the value there without calling the descriptor, as
     with functools.cached_property, which up to Python 3.11 takes a lock
-    on every first read; an Evaluation makes about eleven.  Without the
+    on every first read; an Evaluation makes about eleven, and at n = 32
+    costs more in such fixed per-call work than in arithmetic.  Without the
     lock, two threads reading a field first at once would both compute
     it; the package starts no threads.
     """
@@ -528,28 +526,7 @@ def gauss_curvature(m: AxisymMetric) -> np.ndarray:
 
 
 def hat_gauss_curvature(m: AxisymMetric, tau: np.ndarray) -> np.ndarray:
-    """Gauss curvature of the time-augmented metric sigma + dtau x dtau.
-
-    Closed form in terms of the base metric:
-
-        K_hat = [ K + det(Hess tau) / (1 + |grad tau|^2) ] / (1 + |grad tau|^2)
-
-    with the determinant of the sigma-raised Hessian,
-
-        det = Hess_tt Hess_pp / (P^2 Q^2 sin^2 theta).
-
-    Positivity of K_hat is the convexity condition under which the
-    augmented metric embeds as a convex surface of revolution.  tau is
-    admitted as in hessian.
-    """
+    """Gauss curvature of sigma + dtau x dtau, Evaluation.k_hat; tau is admitted as in hessian."""
     from .embedding import Evaluation
 
-    lift = Evaluation(m, tau)
-    return _hat_gauss_curvature(m, lift.hess_tt, lift.tau_x, lift.grad_sq)
-
-
-def _hat_gauss_curvature(m, hess_tt, taux, gsq) -> np.ndarray:
-    """hat_gauss_curvature from Hess_tt, d(tau)/dx and |grad tau|^2."""
-    # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
-    det = hess_tt * (-m.u_prime * taux) / m.P4_Q
-    return (m.K + det / (1.0 + gsq)) / (1.0 + gsq)
+    return Evaluation(m, tau).k_hat

@@ -7,10 +7,11 @@ with the mode fields in weak form, its divergence part summed by parts
 against the mode derivatives, so it is the exact derivative of the
 discrete energy.  The minimizer takes Newton steps on central differences
 of that gradient, evaluated as one stack, and keeps every accepted
-iterate inside the region where the lifted metric stays convex.  Its
-start is row 0 of the stack of its first Hessian, so the start's guard,
-energy and gradient cost no evaluation of their own, and the residual it
-reports is formed from the terms that gave its last gradient.
+iterate inside the region where the lifted metric stays convex, the
+Evaluation's guard field.  Its start is row 0 of the stack of its first
+Hessian, so the start's guard, energy and gradient cost no evaluation of
+their own, and the residual it reports is formed from the terms that
+gave its last gradient.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
-    _hat_gauss_curvature,
     integrate_surface,
 )
 from .embedding import Evaluation, NonEmbeddableError, evaluate
@@ -95,25 +95,15 @@ def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
 
 
 def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np.ndarray:
-    """Worst convexity margin of the lifted metric.
+    """Worst convexity margin of the lifted metric, Evaluation.guard; a float for one field.
 
-    Returns the least of: the Gauss curvature of sigma + dtau x dtau,
-    the base Gauss curvature K, and K + det(Hess tau)/(1+|grad tau|^2).
     Positive margin means the lift embeds as a convex surface and stays
     convex along the segment s*tau, s in [0, 1].  A negative value is
     a measurement, not an error.  A (k, n) stack of time functions gets
     one margin per row; the guard never builds a lift.
     """
-    ev = evaluate(m, tau)
-    worst = _guard_margin(m, ev.hess_tt, ev.tau_x, ev.grad_sq)
+    worst = evaluate(m, tau).guard
     return float(worst) if worst.ndim == 0 else worst
-
-
-def _guard_margin(m: AxisymMetric, hess_tt, tau_x, grad_sq) -> np.ndarray:
-    """convexity_guard from Hess_tt, d(tau)/dx and |grad tau|^2: one margin per row of a stack."""
-    k_hat = _hat_gauss_curvature(m, hess_tt, tau_x, grad_sq)
-    scaled = k_hat * (1.0 + grad_sq)
-    return np.minimum(np.minimum(k_hat.min(axis=-1), m.K.min()), scaled.min(axis=-1))
 
 
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
@@ -265,7 +255,7 @@ def minimize_energy(
     # the start and its 2L perturbations as one stack: row 0 for the guard,
     # the energy and the gradient, rows 1..2L for the calibration and H
     stack = evaluate(m, np.concatenate([tau[None], _perturbed(tau, bumps)]))
-    margin = float(_guard_margin(m, stack.hess_tt[0], stack.tau_x[0], stack.grad_sq[0]))
+    margin = float(stack.guard[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)
 

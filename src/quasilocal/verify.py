@@ -171,9 +171,14 @@ def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
     return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
 
 
+def _radius(m: AxisymMetric) -> float:
+    """sqrt(area / 4 pi), the radius of the round sphere of the same area."""
+    return float(np.sqrt(integrate_surface(m, np.ones(m.grid.n_nodes)) / (4.0 * np.pi)))
+
+
 def _length_scale(m: AxisymMetric) -> float:
-    """L = max(1, sqrt(area / 4 pi)), the factor on allowances that are lengths."""
-    return max(1.0, float(np.sqrt(integrate_surface(m, np.ones(m.grid.n_nodes)) / (4.0 * np.pi))))
+    """L = max(1, _radius(m)), the factor on allowances that are lengths."""
+    return max(1.0, _radius(m))
 
 
 def _least(values: np.ndarray) -> float:
@@ -281,7 +286,8 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     f -> E_tilde(lift of tau, translated gauge, f) a total divergence at
     f = tau; the derivative checks confirm that variation vanishes by
     the package's one central difference (optimize._perturbed and
-    optimize._fd_gradient, step 1e-4) along the Legendre modes P1, P2 and
+    optimize._fd_gradient, step 1e-4 _radius(m), which leaves the margins
+    bit-identical under 2^k scaling) along the Legendre modes P1, P2 and
     P3.  Surfaces that fail to embed for a perturbed time function raise;
     the identity is only certified on valid configurations.
     """
@@ -302,7 +308,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     flux_dev = float(np.max(np.abs(flux)))
 
     # the perturbed time functions tau +- step * delta form one stack
-    step = 1e-4
+    step = 1e-4 * _radius(m)
     perturbed = _perturbed(ev.tau, step * variations)
     derivatives = _fd_gradient(tilde_energy(ev, breve_gauge(ev), perturbed), step)
     checks = [CheckOutcome("flux", -flux_dev, 1e-8)]

@@ -321,6 +321,15 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert report_value(capsys.readouterr().out, "pass") == "true"
 
+    @pytest.mark.parametrize("args", [["--metric", "sphere:r=1e5"],
+                                      ["--metric", "sphere:r=0.01", "--tau", "0.001*P1"]])
+    def test_lemma41_passes_far_from_unit_radius(self, args, capsys):
+        # a difference step of a bare 1e-4 failed variation-2 at r = 1e5
+        # and variation-3 at r = 0.01
+        assert main(["verify", "--suite", "lemma41", *args]) == 0
+        out, err = capsys.readouterr()
+        assert report_value(out, "pass") == "true" and err == ""
+
     def test_theorem3_hypothesis_failure_is_a_suite_failure(self, tmp_path, capsys):
         out = tmp_path / "flat.txt"
         argv = ["verify", "--suite", "theorem3", "--schwarzschild", "m=0,r=1",

@@ -1,12 +1,13 @@
 """Coefficient-space descent, the convexity guard, and mode gradients."""
 
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from conftest import legendre_mode, random_time_profile, regular_metric
+from conftest import legendre_mode, random_time_profile, regular_metric, regular_random_metric
 from reference import height
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
@@ -18,7 +19,7 @@ from quasilocal.geometry import (
     round_sphere,
 )
 import quasilocal.embedding as embedding_module
-from quasilocal.embedding import NonEmbeddableError, NonSpacelikeMeanCurvatureError
+from quasilocal.embedding import Evaluation, NonEmbeddableError, NonSpacelikeMeanCurvatureError
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
 from quasilocal.energy import _first_variation, _stationarity_terms, evaluate, qle, residual
 from quasilocal.optimize import (
@@ -31,6 +32,22 @@ from quasilocal.optimize import (
     minimize_energy,
     tau_from_coefficients,
 )
+
+
+def count_guards(monkeypatch) -> list:
+    """Record each Evaluation whose guard is formed, the formula itself unchanged."""
+    formula = Evaluation.guard.func
+    calls = []
+
+    def counting(ev):
+        calls.append(ev)
+        return formula(ev)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Evaluation, "guard")
+    monkeypatch.setattr(Evaluation, "guard", counted)
+    return calls
+
 
 MODE_WEIGHTS_8 = np.array([float(l * l) for l in range(1, 9)])
 ZERO_8 = TauCoefficients((0.0,) * 8)
@@ -130,6 +147,31 @@ class TestConvexityGuard:
         m = round_sphere(grid)
         assert convexity_guard(m, 0.3 * legendre_mode(grid, 3)) > 0.0
         assert convexity_guard(m, 0.7 * legendre_mode(grid, 3)) < 0.0
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["field", "stack"])
+    def test_public_functions_give_the_evaluation_fields(self, rows):
+        grid = make_grid(32)
+        rng = np.random.default_rng(43)
+        m = regular_random_metric(grid, rng)
+        shape = grid.n_nodes if rows is None else (rows, grid.n_nodes)
+        tau = 0.2 * grid.x + rng.uniform(-0.05, 0.05, shape) * grid.x**3
+        ev = evaluate(m, tau)
+        assert np.array_equal(hat_gauss_curvature(m, tau), ev.k_hat)
+        assert np.array_equal(convexity_guard(m, tau), ev.guard)
+        if rows is None:
+            assert type(convexity_guard(m, tau)) is float
+
+    def test_second_call_forms_nothing_new(self, monkeypatch):
+        grid = make_grid(32)
+        m = round_sphere(grid)
+        ev = evaluate(m, 0.3 * grid.x)
+        calls = count_guards(monkeypatch)
+        first = convexity_guard(m, ev)
+        fields = dict(vars(ev))
+        assert convexity_guard(m, ev) == first
+        assert calls == [ev]
+        assert vars(ev).keys() == fields.keys()
+        assert all(vars(ev)[k] is v for k, v in fields.items())
 
     def test_second_mode_never_trips_on_round_metrics(self):
         # for tau = c P2 on the radius-r sphere the margin numerator is
@@ -344,7 +386,8 @@ class TestMinimizeEnergy:
         assert lifted == []
 
     def test_start_guard_reads_row_0_of_the_start_stack(self, monkeypatch):
-        # the margin of the whole (2L + 1)-row stack's guard at row 0, to the bit
+        # the margin of the whole (2L + 1)-row stack's guard at row 0, to the
+        # bit, and that stack's guard formed once
         grid = make_grid(32)
         m = round_sphere(grid)
         d = minkowski_surface_data(m, np.zeros(32))
@@ -352,18 +395,11 @@ class TestMinimizeEnergy:
         tau = tau_from_coefficients(grid, bad)
         bumps = FD_STEP * grid.legendre_vandermonde[:, 1:9].T
         want = convexity_guard(m, np.concatenate([tau[None], tau + bumps, tau - bumps]))[0]
-        shapes = []
-        original = optimize_module._hat_gauss_curvature
-
-        def recording(metric, hess_tt, taux, gsq):
-            shapes.append(hess_tt.shape)
-            return original(metric, hess_tt, taux, gsq)
-
-        monkeypatch.setattr(optimize_module, "_hat_gauss_curvature", recording)
+        calls = count_guards(monkeypatch)
         with pytest.raises(GuardViolationError) as info:
             minimize_energy(d, bad)
         assert info.value.margin == want
-        assert shapes == [(32,)]
+        assert [ev.tau.shape for ev in calls] == [(17, 32)]
 
     @pytest.mark.parametrize(
         "name, value",

@@ -64,7 +64,7 @@ PINNED = {
         "66190328ec4d2119c356f4f760285356206b629779a6e0ccc996299bddceec4a", -2.688667066763628e-10, True
     ),
     "lemma41": (
-        "8146697c8b9afb36c64a9082810e750e2be1288bff4aadb18557961c5cd1150e", -5.551115123125783e-17, True
+        "09eed55ab72e00d32ef49cc6b015c3df102504ef6c3b3bd2c68cb12572d1b454", -5.551115123125783e-17, True
     ),
 }
 
