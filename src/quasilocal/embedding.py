@@ -16,21 +16,21 @@ embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 
 An Evaluation is that lift: one time function tau, or a (k, n) stack of
 them, on one metric, whose derivatives, lifted Gauss curvature and
-convexity margin, projected surface, reference integral and extrinsic
-data are each computed at most once, when first read, and the one place
-that admits a time function and its lifted profile.  embed_lifted builds
-one and checks that its projection embeds.
-Every function here takes one time function or a (k, n) stack of them,
+convexity margin, projected surface, reference integral and
+normal-bundle data are each computed at most once, when first read, and
+the one place that admits a time function and its lifted profile.
+embed_lifted builds one and checks that its projection embeds.  Every
+function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
 
 Two kinds of data come from a lift.  The projection (Evaluation.projected)
 carries the theta-theta component hhat_tt of its second fundamental form
-and its mean curvature.  extrinsic_data is the lift's own normal-bundle
-data in the breve frame: <H, H> and the components and connection
-one-form of the translated outward frame, defined for every lift whose
-projection embeds.  Nothing here checks that H is spacelike or framed by
-the outward wedge: only physdata.minkowski_surface_data, where a lift
+and its mean curvature.  The lift's own normal-bundle data, <H, H> and
+the components and connection one-form of the translated outward frame,
+are fields of the Evaluation, defined for every lift whose projection
+embeds.  Nothing here checks that H is spacelike or framed by the
+outward wedge: only physdata.minkowski_surface_data, where a lift
 becomes physical data, does.  All computations happen on the phi = 0
 slice; axisymmetry supplies the rest, and a one-form is the array of its
 dtheta component.
@@ -161,21 +161,6 @@ class RevolutionSurface:
         return self.hhat_tt / P**2 + self.w / (self.metric.Q * P)
 
 
-@dataclass(frozen=True, eq=False)
-class ExtrinsicData:
-    """Normal-bundle data of a lifted surface in the breve frame, unchecked.
-
-    mean_sq = <H, H>, breve_h = <H, e3_breve>, breve_h4 = <H, e4_breve>
-    and breve_alpha the connection one-form of the outward-translated
-    frame (its dtheta component).
-    """
-
-    mean_sq: np.ndarray
-    breve_h: np.ndarray
-    breve_h4: np.ndarray
-    breve_alpha: np.ndarray
-
-
 class Evaluation:
     """The lift of (metric, tau) to Minkowski space, each derived field computed once.
 
@@ -185,10 +170,24 @@ class Evaluation:
     first bad row and node.  The derivatives of tau, the Gauss curvature
     k_hat of sigma + dtau x dtau and the convexity margin guard, the
     lifted profile p_hat, the projected revolution surface, which embeds
-    sigma + dtau x dtau, its total mean curvature and the lift's extrinsic
-    data are computed when first read and then kept.  Quantities that
-    depend on physical data are formulas of the energy module and are not
-    kept.
+    sigma + dtau x dtau, its total mean curvature and the lift's
+    normal-bundle data are computed when first read and then kept; every
+    array field of a stack has one row per time function, which rows
+    relies on.  Quantities that depend on physical data are formulas of
+    the energy module and are not kept.
+
+    The normal-bundle fields are taken on the phi = 0 slice, where in
+    coordinates (t, y1, y2, z) with signature (-+++) the surface passes
+    through (tau, 0, u, v_tilde) and H = (Delta tau, 0, Lu, Delta v_tilde),
+    Lu = AxisymMetric.lu.  They use the translated outward normal
+
+        e3_breve = (0, 0, v_tilde', -u') / P_hat
+
+    and the future timelike unit normal orthogonal to it,
+
+        e4_breve = (P_hat / P, 0, tau' u' / (P P_hat), tau' v_tilde' / (P P_hat)),
+
+    and are defined, unchecked, for every lift whose projection embeds.
     """
 
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
@@ -263,8 +262,34 @@ class Evaluation:
         return integrate_surface(proj.metric, proj.mean_curvature)
 
     @lazy
-    def extrinsic(self) -> ExtrinsicData:
-        return extrinsic_data(self)
+    def lap_vt(self) -> np.ndarray:
+        """Laplacian of v_tilde, the height of the projection."""
+        return _divergence_from_x_component(self.metric, self.projected.w)
+
+    @lazy
+    def mean_sq(self) -> np.ndarray:
+        """<H, H> = Lu^2 + (Delta v_tilde)^2 - (Delta tau)^2, of either sign."""
+        return self.metric.lu**2 + self.lap_vt**2 - self.lap**2
+
+    @lazy
+    def breve_h(self) -> np.ndarray:
+        """<H, e3_breve>, of either sign."""
+        proj = self.projected
+        return (self.metric.lu * proj.v_prime - self.lap_vt * proj.u_prime) / proj.metric.P
+
+    @lazy
+    def breve_h4(self) -> np.ndarray:
+        """<H, e4_breve>."""
+        m, proj = self.metric, self.projected
+        p_hat = proj.metric.P
+        h_tangent = m.lu * proj.u_prime + self.lap_vt * proj.v_prime
+        return -self.lap * p_hat / m.P + self.tau_theta * h_tangent / (m.P * p_hat)
+
+    @lazy
+    def breve_alpha(self) -> np.ndarray:
+        """The connection one-form <d e3_breve, e4_breve> of the breve frame."""
+        proj = self.projected
+        return proj.hhat_tt * self.tau_theta / (self.metric.P * proj.metric.P)
 
     def rows(self, keep: np.ndarray) -> Evaluation:
         """The Evaluation of rows keep of a stack, with the array fields read here; no new admission."""
@@ -325,53 +350,11 @@ def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> Evaluation:
     return lift
 
 
-def _lift_laplacians(surf: Evaluation):
-    """Laplacians of the R^{3,1} coordinates of the lift, w.r.t. sigma.
+def extrinsic_data(lift: Evaluation) -> Evaluation:
+    """The lift, with its normal-bundle fields mean_sq, breve_h, breve_h4 and breve_alpha formed.
 
-    Returns (Lu, Delta v_tilde, Delta tau) where Lu is the common factor
-    of the two horizontal components: Delta(u sin phi) = sin(phi) Lu.
-    Lu = Delta u - u / (Q sin)^2 is assembled in factored form; the two
-    diverging pieces cancel analytically and the remainder vanishes at
-    the poles like sin(theta).
+    Package code reads those fields, each formed once per lift; this
+    function stays only because the benchmark's tracer lists it.
     """
-    m = surf.metric
-    g = m.grid
-    proj = surf.projected
-    b = m.Q * proj.u_prime / m.P
-    lu = (_sin_factored_theta_derivative(g, b) - m.P) / (m.P * m.Q * g.sin_theta)
-    lap_vt = _divergence_from_x_component(m, proj.w)
-    return lu, lap_vt, surf.lap
-
-
-def extrinsic_data(surf: Evaluation) -> ExtrinsicData:
-    """Normal-bundle data of the lift, on the phi = 0 slice.
-
-    In coordinates (t, y1, y2, z) with signature (-+++) the surface
-    passes through (tau, 0, u, v_tilde) at phi = 0 and the mean
-    curvature vector is H = (Delta tau, 0, Lu, Delta v_tilde).  The
-    normal bundle is framed by the translated outward normal
-
-        e3_breve = (0, 0, v_tilde', -u') / P_hat
-
-    and the future timelike unit normal orthogonal to it,
-
-        e4_breve = (P_hat / P, 0, tau' u' / (P P_hat), tau' v_tilde' / (P P_hat)).
-
-    Defined for every lift whose projection embeds; H may be timelike
-    and breve_h of either sign.
-    """
-    m = surf.metric
-    proj = surf.projected
-    p_hat = proj.metric.P
-    tau_theta = surf.tau_theta
-
-    lu, lap_vt, lap_tau = _lift_laplacians(surf)
-    return ExtrinsicData(
-        mean_sq=lu**2 + lap_vt**2 - lap_tau**2,
-        breve_h=(lu * proj.v_prime - lap_vt * proj.u_prime) / p_hat,
-        breve_h4=(
-            -lap_tau * p_hat / m.P
-            + tau_theta * (lu * proj.u_prime + lap_vt * proj.v_prime) / (m.P * p_hat)
-        ),
-        breve_alpha=proj.hhat_tt * tau_theta / (m.P * p_hat),
-    )
+    lift.mean_sq, lift.breve_h, lift.breve_h4, lift.breve_alpha
+    return lift

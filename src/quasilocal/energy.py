@@ -27,8 +27,8 @@ tests/test_energy.py, with the canonical gauge built by tests/reference.py.
 Every formula here reads its inputs from an Evaluation (defined in the
 embedding module and importable from here): the lift of one time
 function, or of a (k, n) stack of them, on one metric, whose
-derivatives, projected surface, reference integral and extrinsic data
-are each computed at most once.  For a stack every operator is one
+derivatives, projected surface, reference integral and normal-bundle
+data are each computed at most once.  For a stack every operator is one
 matrix product over the rows, and each result gains a leading axis of
 length k.  Each formula is one function that accepts either a node-value
 array or an Evaluation of the same metric, so a caller that needs the
@@ -41,9 +41,9 @@ when evaluated at its own time function, with bit-identical results.
 qle, qle_angle_form, residual and the gradient terms read the physical
 data, the derivatives of tau and the projection (its hhat_tt and mean
 curvature); breve_gauge, and through it the gauge energy of a lift,
-reads the lift's breve-frame data (Evaluation.extrinsic).  None of them
-checks that a lift could be physical data: only
-physdata.minkowski_surface_data does.  One-forms are the arrays of their
+reads the lift's breve-frame fields (Evaluation.breve_h and
+Evaluation.breve_alpha).  None of them checks that a lift could be
+physical data: only physdata.minkowski_surface_data does.  One-forms are the arrays of their
 dtheta components.
 """
 
@@ -147,8 +147,7 @@ def generalized_mean_curvature(
 
 def breve_gauge(lift: Evaluation) -> GaugeData:
     """Gauge of the translated outward normal of the projected surface."""
-    data = lift.extrinsic
-    return GaugeData(inner_h=data.breve_h, alpha=data.breve_alpha)
+    return GaugeData(inner_h=lift.breve_h, alpha=lift.breve_alpha)
 
 
 def tilde_energy(

@@ -340,10 +340,10 @@ class AxisymMetric:
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
     the u'' term of the second fundamental form, the Gauss curvature K,
-    (dP/dtheta)/P and the profile products the operators divide or weight
-    by) are computed when first read and kept as read-only arrays.  Each
-    product is formed as the inline expression it replaces was, so a
-    kernel gives the same bits either way.  The lifted metric of an
+    Lu, (dP/dtheta)/P and the profile products the operators divide or
+    weight by) are computed when first read and kept as read-only
+    arrays.  Each product is formed as the inline expression it replaces
+    was, so a kernel gives the same bits either way.  The lifted metric of an
     Evaluation shares Q, u' and u'' and forms its own P-dependent fields.
     """
 
@@ -375,6 +375,18 @@ class AxisymMetric:
     def u_second(self) -> np.ndarray:
         """d^2u/dtheta^2, assembled from the x-derivative of u'."""
         return _read_only(self.grid.dtheta(self.u_prime))
+
+    @lazy
+    def lu(self) -> np.ndarray:
+        """Lu = Delta u - u / (Q sin)^2, u = Q sin(theta), so that Delta(u sin phi) = sin(phi) Lu.
+
+        In this factored form the two diverging pieces cancel analytically,
+        and the remainder vanishes at the poles like sin(theta).
+        """
+        g = self.grid
+        b = self.Q * self.u_prime / self.P
+        lu = (_sin_factored_theta_derivative(g, b) - self.P) / (self.P * self.Q * g.sin_theta)
+        return _read_only(lu)
 
     @lazy
     def K(self) -> np.ndarray:

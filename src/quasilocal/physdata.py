@@ -154,10 +154,12 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     """Data of the lift of (m, tau0) viewed as a surface in flat spacetime.
 
     This is where a lift becomes physical data, and the only place that
-    checks it can be: raises NonSpacelikeMeanCurvatureError if <H, H> <= 0
-    somewhere (the field is attached to the error) and
-    GaugeOrientationError if <H, e3_breve> >= 0 somewhere, which would put
-    H outside the frame wedge.  alpha_H is obtained by boosting: with
+    checks it can be.  It reads the lift's normal-bundle fields mean_sq,
+    breve_h, breve_h4 and breve_alpha, and raises
+    NonSpacelikeMeanCurvatureError if <H, H> <= 0 somewhere (the field
+    is attached to the error) and GaugeOrientationError if
+    <H, e3_breve> >= 0 somewhere, which would put H outside the frame
+    wedge.  alpha_H is obtained by boosting: with
     sinh(beta) = <H, e4_breve>/|H| the frame aligned with H is the
     beta-boost of the breve frame, and connection one-forms shift by the
     differential of the boost angle, alpha_H = breve_alpha - d beta.
@@ -168,18 +170,17 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     """
     tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
     lift = Evaluation(m, _read_only(tau0))
-    data = lift.extrinsic
-    j = int(np.argmin(data.mean_sq))
-    if data.mean_sq[j] <= 0.0:
-        raise NonSpacelikeMeanCurvatureError(data.mean_sq, j)
-    j = int(np.argmax(data.breve_h))
-    if data.breve_h[j] >= 0.0:
+    j = int(np.argmin(lift.mean_sq))
+    if lift.mean_sq[j] <= 0.0:
+        raise NonSpacelikeMeanCurvatureError(lift.mean_sq, j)
+    j = int(np.argmax(lift.breve_h))
+    if lift.breve_h[j] >= 0.0:
         raise GaugeOrientationError(
-            f"<H, e3_breve> = {data.breve_h[j]} >= 0 at node {j}; "
+            f"<H, e3_breve> = {lift.breve_h[j]} >= 0 at node {j}; "
             "the lifted surface is not convex enough to frame H"
         )
-    norm_h = np.sqrt(data.mean_sq)
-    alpha_h = data.breve_alpha - m.grid.dtheta(np.arcsinh(data.breve_h4 / norm_h))
+    norm_h = np.sqrt(lift.mean_sq)
+    alpha_h = lift.breve_alpha - m.grid.dtheta(np.arcsinh(lift.breve_h4 / norm_h))
     d = PhysicalData(metric=m, norm_H=norm_h, alpha_H=alpha_h)
     object.__setattr__(d, "lift", lift)
     return d

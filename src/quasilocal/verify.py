@@ -17,7 +17,9 @@ still produces a document.
 Allowances of margins that are lengths (energies and their derivatives
 in s) are multiplied by the length scale L = max(1, sqrt(area / 4 pi)) of
 the surface, since the rounding of an energy grows with its terms, of
-size 8 pi L; allowances of hypotheses are not.
+size 8 pi L; allowances of hypotheses are not.  The identities and
+lemma41's flux bound quantities of length dimension p; their allowances
+are 1e-8 r^p, r = sqrt(area / 4 pi), so scaling cannot flip them.
 
 Sampling is deterministic: the default sample families are fixed
 Legendre-coefficient boxes and profiles.  They depend on the grid alone,
@@ -47,7 +49,7 @@ from .geometry import (
     _sin_factored_theta_derivative,
     integrate_surface,
 )
-from .embedding import _lift_laplacians, embed_r3, evaluate
+from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, _fmt, minkowski_surface_data
 from .energy import (
     _first_variation,
@@ -225,7 +227,6 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """
     g = m.grid
     ev = evaluate(m, tau)
-    data = ev.extrinsic
     proj = ev.projected
     p_hat = proj.metric.P
     tau_theta = ev.tau_theta
@@ -237,13 +238,13 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     w_v = base.w
     taux = ev.tau_x
     defect = (w_v * ev.lap + taux * _divergence_from_x_component(m, w_v)) ** 2
-    lemma_dev = np.max(np.abs(data.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
+    lemma_dev = np.max(np.abs(ev.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
     h_gen = generalized_mean_curvature(breve_gauge(ev), m, ev)
     prop_dev = np.max(np.abs(h_gen / s1 - proj.mean_curvature))
 
-    alpha_pair = ev.pairing(data.breve_alpha)
-    proj_dev = np.max(np.abs(proj.mean_curvature + data.breve_h + alpha_pair / s1))
+    alpha_pair = ev.pairing(ev.breve_alpha)
+    proj_dev = np.max(np.abs(proj.mean_curvature + ev.breve_h + alpha_pair / s1))
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
     # e3 carries a sin factor, so its derivative is assembled analytically
@@ -252,22 +253,24 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     frame_alpha = (
         d_vert * tau_theta * proj.u_prime + d_horiz * tau_theta * proj.v_prime
     ) / (m.P * p_hat)
-    gauge_dev = np.max(np.abs(data.breve_alpha - frame_alpha))
+    gauge_dev = np.max(np.abs(ev.breve_alpha - frame_alpha))
 
     tau_up = tau_theta / m.P**2
     inverse_dev = np.max(np.abs((1.0 / m.P**2 - tau_up**2 / s1**2) * p_hat**2 - 1.0))
 
     graph_dev = np.max(np.abs(_hessian(proj.metric, ev.tau_x) - ev.hess_tt / s1**2))
 
+    # each allowance is 1e-8 r^p, p the length dimension of its quantity
+    r = _radius(m)
     checks = tuple(
-        CheckOutcome(label, -float(dev), 1e-8)
-        for label, dev in (
-            ("mean-curvature-norm", lemma_dev),
-            ("generalized-mean", prop_dev),
-            ("projection", proj_dev),
-            ("gauge-one-form", gauge_dev),
-            ("inverse-metric", inverse_dev),
-            ("graph-hessian", graph_dev),
+        CheckOutcome(label, -float(dev), allowance)
+        for label, dev, allowance in (
+            ("mean-curvature-norm", lemma_dev, 1e-8 / (r * r)),
+            ("generalized-mean", prop_dev, 1e-8 / r),
+            ("projection", proj_dev, 1e-8 / r),
+            ("gauge-one-form", gauge_dev, 1e-8),
+            ("inverse-metric", inverse_dev, 1e-8),
+            ("graph-hessian", graph_dev, 1e-8 * r),
         )
     )
     return TheoremReport(name="identities", samples=1, checks=checks)
@@ -294,24 +297,24 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     variations = m.grid.legendre_vandermonde[:, 1:4].T
 
     ev = evaluate(m, tau)
-    data = ev.extrinsic
     proj = ev.projected
     p_hat = proj.metric.P
     s1 = ev.s1
     tau_up = ev.tau_theta / m.P**2
-    alpha_pair = ev.pairing(data.breve_alpha)
+    alpha_pair = ev.pairing(ev.breve_alpha)
     flux = (
         -proj.hhat_tt * tau_up / (p_hat**2 * s1)
         - tau_up * alpha_pair / s1**2
-        + data.breve_alpha / m.P**2
+        + ev.breve_alpha / m.P**2
     )
     flux_dev = float(np.max(np.abs(flux)))
 
     # the perturbed time functions tau +- step * delta form one stack
-    step = 1e-4 * _radius(m)
+    r = _radius(m)
+    step = 1e-4 * r
     perturbed = _perturbed(ev.tau, step * variations)
     derivatives = _fd_gradient(tilde_energy(ev, breve_gauge(ev), perturbed), step)
-    checks = [CheckOutcome("flux", -flux_dev, 1e-8)]
+    checks = [CheckOutcome("flux", -flux_dev, 1e-8 / (r * r))]
     checks += [
         CheckOutcome(f"variation-{i}", -abs(float(dv)), 1e-6)
         for i, dv in enumerate(derivatives, start=1)
@@ -485,11 +488,10 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 
     # rest shares the metric m, so these are the reference integrals of m;
-    # their s-derivative has a closed form in <H, H>, from the lift's Laplacians
+    # their s-derivative has a closed form in <H, H> of the lift
     reference = on_rest.reference_term.reshape(-1, n_s)
     s1 = family_ev.s1
-    lu, lap_vt, lap_tau = _lift_laplacians(family_ev)
-    radicand = lu**2 + lap_vt**2 - lap_tau**2 + (lap_tau / s1) ** 2
+    radicand = family_ev.mean_sq + (family_ev.lap / s1) ** 2
     # rounding drives it negative on small spheres (r <= 1e-8), where there is nothing to measure
     integrand = np.sqrt(np.maximum(radicand, 0.0)) / s1
     physical = integrate_surface(m, integrand).reshape(-1, n_s)

@@ -7,6 +7,9 @@ derivatives of Q, so flat-spectrum draws push the embeddability margin
 toward zero at the poles and park the square root's branch point next
 to the collocation interval.  Weighted draws keep every sampled field
 resolved to rounding on the n = 32 working grid.
+
+count_formed records which instances form a lazy field, for the tests
+that each lift's fields are formed once and only where they are read.
 """
 
 import numpy as np
@@ -35,6 +38,27 @@ def regular_metric(grid, bq, rho):
     Q = 1.0 + npleg.legval(grid.x, np.concatenate([[0.0], bq]))
     P = Q * (1.0 + (1.0 - grid.x**2) * npleg.legval(grid.x, np.concatenate([[0.0], rho])))
     return AxisymMetric(grid, P, Q)
+
+
+# the normal-bundle fields of an Evaluation
+NORMAL_BUNDLE = ("lap_vt", "mean_sq", "breve_h", "breve_h4", "breve_alpha")
+
+
+def count_formed(monkeypatch, owner, names):
+    """name -> the instances whose lazy field owner.name is formed, the formulas unchanged."""
+    formed = {name: [] for name in names}
+
+    def counting(name, formula):
+        def form(instance):
+            formed[name].append(instance)
+            return formula(instance)
+
+        return form
+
+    for name in names:
+        field = owner.__dict__[name]
+        monkeypatch.setattr(field, "func", counting(name, field.func))
+    return formed
 
 
 def random_time_profile(grid, rng, scale=0.3):

@@ -379,7 +379,7 @@ class TestExtrinsicData:
         rng = np.random.default_rng(11)
         m = regular_random_metric(grid, rng)
         phys = minkowski_surface_data(m, random_time_profile(grid, rng))
-        assert np.max(np.abs(phys.norm_H**2 - phys.lift.extrinsic.mean_sq)) <= 1e-12
+        assert np.max(np.abs(phys.norm_H**2 - phys.lift.mean_sq)) <= 1e-12
 
     def test_non_spacelike_mean_curvature_rejected(self):
         grid = make_grid(32)

@@ -1,13 +1,19 @@
 """Coefficient-space descent, the convexity guard, and mode gradients."""
 
 import re
-from functools import cached_property
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from conftest import legendre_mode, random_time_profile, regular_metric, regular_random_metric
+from conftest import (
+    NORMAL_BUNDLE,
+    count_formed,
+    legendre_mode,
+    random_time_profile,
+    regular_metric,
+    regular_random_metric,
+)
 from reference import height
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
@@ -36,17 +42,7 @@ from quasilocal.optimize import (
 
 def count_guards(monkeypatch) -> list:
     """Record each Evaluation whose guard is formed, the formula itself unchanged."""
-    formula = Evaluation.guard.func
-    calls = []
-
-    def counting(ev):
-        calls.append(ev)
-        return formula(ev)
-
-    counted = cached_property(counting)
-    counted.__set_name__(Evaluation, "guard")
-    monkeypatch.setattr(Evaluation, "guard", counted)
-    return calls
+    return count_formed(monkeypatch, Evaluation, ("guard",))["guard"]
 
 
 MODE_WEIGHTS_8 = np.array([float(l * l) for l in range(1, 9)])
@@ -644,18 +640,11 @@ class TestProjectionOnly:
         assert convexity_guard(d.metric, tau) > 0.0
         with pytest.raises(NonSpacelikeMeanCurvatureError):
             minkowski_surface_data(d.metric, tau)
-        assert evaluate(d.metric, tau).extrinsic.mean_sq.min() <= 0.0
+        assert evaluate(d.metric, tau).mean_sq.min() <= 0.0
         assert np.isfinite(residual(d, tau)).all()
         assert np.isfinite(energy_gradient(d, init)).all()
 
-        original = embedding_module.extrinsic_data
-        calls = []
-
-        def counting(lift):
-            calls.append(lift)
-            return original(lift)
-
-        monkeypatch.setattr(embedding_module, "extrinsic_data", counting)
+        formed = count_formed(monkeypatch, Evaluation, NORMAL_BUNDLE)
         report = minimize_energy(d, init)
-        assert calls == []
+        assert formed == {name: [] for name in NORMAL_BUNDLE}
         assert abs(report.energy_star - schwarzschild_energy(mass, radius)) <= 1e-9

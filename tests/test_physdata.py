@@ -454,7 +454,6 @@ ARRAY_DATACLASSES = {
     "PhysicalData": lambda g: schwarzschild_sphere(g, 1.0, 4.0),
     "AxisymMetric": round_sphere,
     "RevolutionSurface": lambda g: embed_r3(round_sphere(g)),
-    "ExtrinsicData": lambda g: evaluate(round_sphere(g), 0.3 * g.x).extrinsic,
     "GaugeData": lambda g: breve_gauge(evaluate(round_sphere(g), 0.3 * g.x)),
 }
 

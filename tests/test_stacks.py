@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_time_profile, regular_random_metric
-from quasilocal.embedding import NonEmbeddableError, embed_r3
+from quasilocal.embedding import Evaluation, NonEmbeddableError, embed_r3
 from quasilocal.energy import evaluate, qle, residual
-from quasilocal.geometry import AxisymMetric, FieldShapeError, make_grid, round_sphere
+from quasilocal.geometry import AxisymMetric, FieldShapeError, lazy, make_grid, round_sphere
 from quasilocal.optimize import convexity_guard
 from quasilocal.physdata import minkowski_surface_data
 
@@ -38,7 +38,7 @@ def test_each_row_matches_its_single_evaluation(seed, k):
     energies = qle(d, stack)
     residuals = residual(d, stack)
     guards = convexity_guard(m, stack)
-    mean_sq = stack.extrinsic.mean_sq
+    mean_sq = stack.mean_sq
     assert energies.total.shape == guards.shape == (k,)
     assert residuals.shape == mean_sq.shape == (k, GRID.n_nodes)
 
@@ -50,9 +50,29 @@ def test_each_row_matches_its_single_evaluation(seed, k):
         assert abs(energies.physical_term[i] - e.physical_term) <= 64 * EPS * terms
         res = residual(d, one)
         assert np.max(np.abs(residuals[i] - res)) <= 64 * EPS * D_NORM**2 * np.max(np.abs(res))
-        field = one.extrinsic.mean_sq
+        field = one.mean_sq
         assert np.max(np.abs(mean_sq[i] - field)) <= 64 * EPS * D_NORM * np.max(np.abs(field))
         assert abs(guards[i] - convexity_guard(m, one)) <= 64 * EPS * D_NORM * np.max(np.abs(m.K))
+
+
+def test_every_array_field_of_a_stack_has_one_row_per_time_function():
+    # rows masks every array an Evaluation keeps, so a field of the metric
+    # alone, of shape (n,), would break it on a stack, or select nodes
+    # when k = n: such fields belong to the metric
+    rng = np.random.default_rng(3)
+    m = regular_random_metric(GRID, rng)
+    k = 3
+    stack = evaluate(m, np.array([random_time_profile(GRID, rng) for _ in range(k)]))
+    names = [name for name, field in vars(Evaluation).items() if isinstance(field, lazy)]
+    for name in names:
+        getattr(stack, name)
+    arrays = {name: v for name, v in vars(stack).items() if isinstance(v, np.ndarray)}
+    assert set(names) - {"projected"} <= set(arrays)
+    assert {name: v.shape[0] for name, v in arrays.items()} == dict.fromkeys(arrays, k)
+    keep = np.array([True, False, True])
+    sub = stack.rows(keep)
+    for name, v in arrays.items():
+        assert np.array_equal(getattr(sub, name), v[keep])
 
 
 def test_single_field_keeps_scalar_results():

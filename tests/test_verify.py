@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quasilocal
-from conftest import legendre_mode
+from conftest import NORMAL_BUNDLE, count_formed, legendre_mode
 from reference import spectral_s_derivative
 from quasilocal.geometry import (
     AxisymMetric,
@@ -196,7 +196,7 @@ class TestLiftsThatAreNotPhysicalData:
     def test_identities_and_lemma41_pass(self):
         grid = make_grid(64)
         m, tau = round_sphere(grid), legendre_mode(grid, 2, 0.7)
-        assert evaluate(m, tau).extrinsic.mean_sq.min() <= 0.0
+        assert evaluate(m, tau).mean_sq.min() <= 0.0
         identities = check_identities(m, tau)
         lemma41 = check_lemma41(m, tau)
         assert identities.passed and -identities.worst_margin < 1e-8
@@ -206,37 +206,51 @@ class TestLiftsThatAreNotPhysicalData:
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         tau = legendre_mode(grid, 2, 2.8)
-        assert evaluate(d.metric, tau).extrinsic.mean_sq.min() <= 0.0
+        assert evaluate(d.metric, tau).mean_sq.min() <= 0.0
         report = check_theorem3(d, tau_samples=[tau])
         assert report.passed
         assert report.samples == 1
 
 
 class TestLiftsAreShared:
-    """Each lift the identity suites hold has its extrinsic data computed once."""
+    """Each lift forms each normal-bundle field it reads once, and no other."""
 
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
-        original = getattr(quasilocal.embedding, name)
-
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
-
-        modules = (quasilocal.embedding, quasilocal.energy, quasilocal.physdata, quasilocal.verify)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-        return calls
-
-    @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
-    def test_one_extrinsic_data_call(self, suite, monkeypatch):
+    @pytest.mark.parametrize(
+        "suite, read",
+        [
+            (check_identities, ("lap_vt", "mean_sq", "breve_h", "breve_alpha")),
+            (check_lemma41, ("lap_vt", "breve_h", "breve_alpha")),
+        ],
+        ids=["identities", "lemma41"],
+    )
+    def test_each_normal_bundle_field_read_is_formed_once(self, suite, read, monkeypatch):
         grid = make_grid(32)
         m = oblate_metric(grid)
-        extrinsic = self.count_calls(monkeypatch, "extrinsic_data")
+        formed = count_formed(monkeypatch, Evaluation, NORMAL_BUNDLE)
         assert suite(m, 0.2 * legendre_mode(grid, 1)).passed
-        assert len(extrinsic) == 1
+        assert {name: len(evs) for name, evs in formed.items()} == {
+            name: int(name in read) for name in NORMAL_BUNDLE
+        }
+
+    def test_theorem3_forms_lu_once_and_the_breve_frame_on_the_rest_lift_only(self, monkeypatch):
+        # Lu belongs to the metric, shared by the rest lift and the family
+        # stack; the stack's closed form reads <H, H> alone, and only
+        # minkowski_surface_data frames the rest lift
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        lu = count_formed(monkeypatch, AxisymMetric, ("lu",))["lu"]
+        formed = count_formed(monkeypatch, Evaluation, NORMAL_BUNDLE)
+        report = check_theorem3(d)
+        assert report.passed
+        assert lu == [d.metric]
+        rest, family = (grid.n_nodes,), (report.samples * len(chebyshev_s_grid()), grid.n_nodes)
+        assert {name: [ev.tau.shape for ev in evs] for name, evs in formed.items()} == {
+            "lap_vt": [rest, family],
+            "mean_sq": [rest, family],
+            "breve_h": [rest],
+            "breve_h4": [rest],
+            "breve_alpha": [rest],
+        }
 
 
 class TestTheorem3SharesEachSample:
@@ -262,19 +276,9 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         # tau0, then the 36 box samples and the equality case tau0 + 3 as
         # one stack that serves the guard and the energies
         grid = make_grid(32)
-        rows = {"tau_theta": 0, "tau_x": 0}
-
-        def counting(name, derive):
-            def derive_counted(ev):
-                rows[name] += len(np.atleast_2d(ev.tau))
-                return derive(ev)
-
-            return derive_counted
-
-        for name in rows:
-            field = Evaluation.__dict__[name]
-            monkeypatch.setattr(field, "func", counting(name, field.func))
+        formed = count_formed(monkeypatch, Evaluation, ("tau_theta", "tau_x"))
         assert check_theorem1(schwarzschild_sphere(grid, 1.0, 4.0), np.zeros(32)).passed
+        rows = {name: sum(len(np.atleast_2d(ev.tau)) for ev in evs) for name, evs in formed.items()}
         assert rows == {"tau_theta": 38, "tau_x": 38}
 
     def test_theorem3_evaluates_the_physical_energy_at_s_1_only(self, monkeypatch):
