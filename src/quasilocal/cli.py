@@ -14,8 +14,8 @@ plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
 path, naming the offending flag, 2 when a computation or certification
 suite fails.
 
-Each subcommand imports the energy, optimize and verify modules it uses
-when it runs, so a process loads only its own command's code.  main(argv)
+Subcommands import optimize and verify, and data energy when evaluated,
+as they run, so a process loads only its own command's code.  main(argv)
 is the in-process entry and returns the status; run() is the process
 entry of `python -m quasilocal.cli` and the console script.
 """
@@ -275,20 +275,16 @@ def _write_columns(path, first, second, labels) -> None:
 
 
 def cmd_energy(args, grid: Grid) -> int:
-    from .energy import qle, qle_angle_form
-    from .optimize import convexity_guard
-
     d, echo = build_data(args, grid)
-    at_tau = _tau_on(args.tau, d.metric)
-    breakdown = qle(d, at_tau)
-    cross = qle_angle_form(d, at_tau)
+    at_tau = d.evaluate(_tau_on(args.tau, d.metric))
+    breakdown, cross = at_tau.energy, at_tau.angle_form
     body = [
         f"reference_term = {_fmt(breakdown.reference_term)}",
         f"physical_term = {_fmt(breakdown.physical_term)}",
         f"total = {_fmt(breakdown.total)}",
         f"cross_check_total = {_fmt(cross.total)}",
         f"cross_check_deviation = {_fmt(abs(cross.total - breakdown.total))}",
-        f"guard_margin = {_fmt(convexity_guard(d.metric, at_tau))}",
+        f"guard_margin = {_fmt(at_tau.ev.guard)}",
     ]
     _emit("energy", args, echo, body)
     return 0

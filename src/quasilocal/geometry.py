@@ -60,15 +60,14 @@ class FieldShapeError(ValueError):
 
 # The product form of the barycentric weights in _differentiation_matrix
 # underflows past MAX_GRID_N: with numpy 2.4 the matrix is finite for
-# n = 861 and NaN from n = 862 on.  It turns inaccurate before that, so
-# make_grid also measures the matrix on P_{n-1} and on e^x sin 3x and
-# rejects a relative L2 error above DIFF_CHECK_TOL.  With numpy 2.4 the
-# top-mode error is 1.8e-11 at n = 790 and 1.1e-9 at 794, but the smooth
-# function's is 1.7e-10 at n = 789 and 5.1e-9 at 790, so n = 789 is the
-# largest grid.  e^x sin 3x is resolved to rounding from SMOOTH_CHECK_FROM_N
-# nodes on (its interpolant's derivative misses by 1.9e-9 at n = 16 and
-# 2.6e-14 at n = 20); smaller grids are checked on P_{n-1} only.
-MAX_GRID_N = 861
+# n = 1098 and NaN from n = 1099 on.  make_grid also measures it on P_{n-1}
+# and on e^x sin 3x and rejects a relative L2 error above DIFF_CHECK_TOL;
+# with numpy 2.4 every n from 4 to 1098 passes, missing by 1.5e-14 and
+# 8.8e-12 at most.  e^x sin 3x is resolved to rounding from
+# SMOOTH_CHECK_FROM_N nodes on (its interpolant's derivative misses by
+# 1.9e-9 at n = 16 and 2.6e-14 at n = 20); smaller grids are checked on
+# P_{n-1} only.
+MAX_GRID_N = 1098
 DIFF_CHECK_TOL = 1e-9
 SMOOTH_CHECK_FROM_N = 20
 
@@ -89,9 +88,10 @@ def _differentiation_matrix(x: np.ndarray) -> np.ndarray:
     n = x.size
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    # log-free product of row differences; finite up to MAX_GRID_N, not
-    # accurate that far (make_grid checks the result)
-    b = 1.0 / diff.prod(axis=1)
+    # log-free product of row differences, each scaled by 2, the inverse of
+    # the capacity of [-1, 1] (Berrut & Trefethen, SIAM Rev. 46, 2004): exact
+    # powers of two, cancelled below, that keep it finite up to MAX_GRID_N
+    b = 1.0 / (2.0 * diff).prod(axis=1)
     b = b / np.abs(b).max()
     d = (b[None, :] / b[:, None]) / diff
     np.fill_diagonal(d, 0.0)
@@ -193,8 +193,8 @@ def make_grid(n: int) -> Grid:
 
     Each size is built and checked once, and every later call returns
     the same read-only Grid.  The last 8 sizes used are kept; a grid holds
-    three n x n matrices, about 24 n^2 bytes, so at most about 120 MB at
-    n = 789.
+    three n x n matrices, about 24 n^2 bytes, so at most about 230 MB at
+    n = 1098.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"grid size must be an integer, got {n!r}")
@@ -307,8 +307,8 @@ class lazy:
 
     Later reads find the value there without calling the descriptor, as
     with functools.cached_property, which up to Python 3.11 takes a lock
-    on every first read; an Evaluation makes about eleven, and at n = 32
-    costs more in such fixed per-call work than in arithmetic.  Without the
+    on every first read; an Evaluation bound to data makes up to eighteen, and
+    at n = 32 costs more in such fixed per-call work than in arithmetic.  Without the
     lock, two threads reading a field first at once would both compute
     it; the package starts no threads.
     """

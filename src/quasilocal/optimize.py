@@ -2,15 +2,16 @@
 
 The search space is the span of Legendre modes P_l(cos theta) for
 l = 1..L; the constant mode is excluded because the energy is invariant
-under time translation.  The gradient pairs the stationarity residual
-with the mode fields in weak form, its divergence part summed by parts
-against the mode derivatives, so it is the exact derivative of the
-discrete energy.  The minimizer takes Newton steps on central differences
-of that gradient, evaluated as one stack, and keeps every accepted
-iterate inside the region where the lifted metric stays convex, the
-Evaluation's guard field.  Its start is row 0 of the stack of its first
-Hessian, so the start's guard, energy and gradient cost no evaluation of
-their own, and the residual it reports is formed from the terms that
+under time translation.  The gradient is DataEvaluation.first_variation
+along the modes, the weak-form pairing of the stationarity terms with
+the modes and their derivatives, so it is the exact derivative of the
+discrete energy.  The minimizer takes Newton steps on central
+differences of that gradient, evaluated as one stack, and keeps every
+accepted iterate inside the region where the lifted metric stays convex,
+the Evaluation's guard field.  It reads the guard, the energy and the
+gradient at each field or stack from one DataEvaluation.  Its start is
+row 0 of the stack of its first Hessian, so the start costs no evaluation
+of its own, and the residual it reports is formed from the terms that
 gave its last gradient.
 """
 
@@ -25,7 +26,7 @@ from .geometry import (
     integrate_surface,
 )
 from .embedding import Evaluation, NonEmbeddableError, evaluate
-from .energy import _first_variation, _residual_from_terms, _stationarity_terms, qle
+from .energy import _residual_from_terms
 from .physdata import PhysicalData
 
 # Armijo sufficient-decrease factor; the step below which the line search
@@ -109,27 +110,20 @@ def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np
 def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     """Coefficient-space gradient of qle: its first variation along each mode P_l.
 
-    energy._first_variation pairs the residual's trace term with the modes
-    and its flux with their derivatives.  This is the exact derivative of
-    the discrete energy, so it needs no differentiation of the flux, and
-    its rounding does not grow with the grid the way the residual's does.
-    The positive sign is the calibrated one: central finite differences of
-    qle along each mode reproduce these pairings.
+    DataEvaluation.first_variation pairs the residual's trace term with
+    the modes and its flux with their derivatives.  This is the exact
+    derivative of the discrete energy, so it needs no differentiation of
+    the flux, and its rounding does not grow with the grid the way the
+    residual's does.  The positive sign is the calibrated one: central
+    finite differences of qle along each mode reproduce these pairings.
     """
-    return _gradient(d, tau_from_coefficients(d.metric.grid, tau), len(tau.coeffs))[0]
+    field = tau_from_coefficients(d.metric.grid, tau)
+    return d.evaluate(field).first_variation(*_modes(d.metric.grid, len(tau.coeffs)))[0]
 
 
-def _gradient(d: PhysicalData, tau: np.ndarray | Evaluation, count: int) -> tuple:
-    """energy_gradient over count modes at the field tau, and the stationarity terms it pairs.
-
-    One gradient row per row of a stack; the terms are the (trace term,
-    flux) pair of energy._stationarity_terms.
-    """
-    grid = d.metric.grid
-    modes = grid.legendre_vandermonde[:, 1 : count + 1]
-    slopes = grid.legendre_vandermonde_dx[:, 1 : count + 1]
-    terms = _stationarity_terms(d, d.evaluate(tau))
-    return _first_variation(d.metric, terms, modes, slopes)[0], terms
+def _modes(grid, count: int) -> tuple:
+    """P_1..P_count at the nodes, (n, count), and their x-derivatives: the gradient's directions."""
+    return grid.legendre_vandermonde[:, 1 : count + 1], grid.legendre_vandermonde_dx[:, 1 : count + 1]
 
 
 def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:
@@ -250,20 +244,22 @@ def minimize_energy(
     if count == 0:
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
     tau = tau_from_coefficients(grid, init)
-    bumps = FD_STEP * grid.legendre_vandermonde[:, 1 : count + 1].T
+    modes = _modes(grid, count)
+    bumps = FD_STEP * modes[0].T
 
     # the start and its 2L perturbations as one stack: row 0 for the guard,
     # the energy and the gradient, rows 1..2L for the calibration and H
-    stack = evaluate(m, np.concatenate([tau[None], _perturbed(tau, bumps)]))
-    margin = float(stack.guard[0])
+    stack = d.evaluate(np.concatenate([tau[None], _perturbed(tau, bumps)]))
+    margin = float(stack.ev.guard[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)
 
-    totals = qle(d, stack).total
+    totals = stack.energy.total
     energy = float(totals[0])
-    floor = _rounding_floor(float(stack.reference[0]), energy)
-    grads, (trace_part, flux) = _gradient(d, stack, count)
+    floor = _rounding_floor(float(stack.ev.reference[0]), energy)
+    grads = stack.first_variation(*modes)[0]
     grad = grads[0]
+    trace_part, flux = stack.stationarity
     terms = trace_part[0], flux[0]
 
     fd = _fd_gradient(totals[1:], FD_STEP)
@@ -279,7 +275,7 @@ def minimize_energy(
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
         if iterations > 0:
             try:
-                model = _hessian(_gradient(d, _perturbed(tau, bumps), count)[0])
+                model = _hessian(d.evaluate(_perturbed(tau, bumps)).first_variation(*modes)[0])
                 least = float(model[0][0])
             except NonEmbeddableError:
                 model = None
@@ -298,9 +294,10 @@ def minimize_energy(
             if np.array_equal(field, tau):
                 break
             try:
-                evaluation = Evaluation(m, field)
-                trial_energy = _trial_energy(d, evaluation)
-            except (InvalidParameterError, NonEmbeddableError):  # the trial does not lift
+                at_trial = d.evaluate(field)
+                trial_energy = at_trial.energy.total if at_trial.ev.guard > 0.0 else None
+            except (InvalidParameterError, NonEmbeddableError):
+                # refused by the Evaluation, p_hat out of range, or a projection that does not embed
                 trial_energy = np.inf
             if trial_energy is None:
                 guard_active = True
@@ -323,8 +320,9 @@ def minimize_energy(
         tau = field
         coeffs = trial
         energy = trial_energy
-        floor = _rounding_floor(evaluation.reference, energy)
-        grad, terms = _gradient(d, evaluation, count)
+        floor = _rounding_floor(at_trial.ev.reference, energy)
+        grad = at_trial.first_variation(*modes)[0]
+        terms = at_trial.stationarity
         trace.append(energy)
         iterations += 1
     else:
@@ -341,15 +339,3 @@ def minimize_energy(
         hessian_min_eigenvalue=least,
         stop=stop,
     )
-
-
-def _trial_energy(d: PhysicalData, evaluation: Evaluation) -> float | None:
-    """qle at a line-search trial, None outside the guard.
-
-    A lift that fails raises: a profile p_hat outside the length range or
-    a projection that does not embed, as a field the Evaluation refuses
-    does; the line search counts each such trial as energy inf.
-    """
-    if not convexity_guard(d.metric, evaluation) > 0.0:
-        return None
-    return qle(d, evaluation).total

@@ -6,13 +6,13 @@ with it.  Everything downstream (energy evaluation, minimization,
 certification) consumes this triple and nothing else, so data can come
 from closed-form families, from a lifted surface, or from a text table.
 
-Data of a surface in Minkowski space (minkowski_surface_data), where a
-lift becomes physical data and the only code that checks it can, carries
-the lift it was computed from; nothing else sets PhysicalData.lift.
-PhysicalData.evaluate, through which the formulas that take data
-evaluate a time function on its metric, returns that lift for the data's
-own time function, given bit for bit, so the energy, the residual and
-the gradient at tau0 reuse it instead of lifting (m, tau0) again.
+PhysicalData.evaluate binds the Evaluation of a time function to the
+data (an energy.DataEvaluation).  Data of a surface in Minkowski space
+(minkowski_surface_data), where a lift becomes physical data and the
+only code that checks it can, carry the lift they were computed from;
+nothing else sets PhysicalData.lift.  evaluate serves that lift, bound
+once, for the data's own time function, given bit for bit, so the
+energy, the residual and the gradient at tau0 share the lift and its fields.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,10 +48,14 @@ from .geometry import (
     _admit,
     _check_field,
     _read_only,
+    lazy,
     make_grid,
     round_sphere,
 )
 from .embedding import Evaluation, GaugeOrientationError, NonSpacelikeMeanCurvatureError, evaluate
+
+if TYPE_CHECKING:
+    from .energy import DataEvaluation
 
 COLUMNS = ("theta", "P", "Q", "normH", "alpha_theta")
 
@@ -81,9 +87,9 @@ class PhysicalData:
 
     lift is not a constructor argument: it is None, except on data built
     by minkowski_surface_data, which sets it to the lift of its own copy
-    of tau0.  It takes no part in repr, and evaluate serves it for that
-    time function; dataclasses.replace gives data without it.  Data
-    compare and hash by identity.
+    of tau0.  It takes no part in repr, and evaluate serves it, bound to
+    the data, for that time function; dataclasses.replace gives data
+    without it.  Data compare and hash by identity.
     """
 
     metric: AxisymMetric
@@ -107,12 +113,17 @@ class PhysicalData:
         object.__setattr__(self, "norm_H", norm_h)
         object.__setattr__(self, "alpha_H", _admit(grid, "alpha_theta", self.alpha_H, lengths=False))
 
-    def evaluate(self, tau: np.ndarray | Evaluation) -> Evaluation:
-        """The Evaluation of tau on the metric: the kept lift for its own time function.
+    @lazy
+    def bound_lift(self) -> DataEvaluation:
+        """The DataEvaluation of lift, formed when the data are first evaluated at its tau."""
+        return _data_evaluation()(self, self.lift)
+
+    def evaluate(self, tau: np.ndarray | Evaluation) -> DataEvaluation:
+        """The DataEvaluation of tau on the metric; bound_lift for the data's own time function.
 
         The lift is served only for an array of its dtype and shape whose
-        bytes equal its tau, so -0.0 for 0.0 or another NaN payload
-        builds a new Evaluation, as does every other field or stack.
+        bytes equal its tau, so -0.0 for 0.0 or another NaN payload gets
+        a new DataEvaluation, as does every other field, stack or Evaluation.
         """
         lift = self.lift
         if (
@@ -122,8 +133,15 @@ class PhysicalData:
             and tau.shape == lift.tau.shape
             and tau.tobytes() == lift.tau.tobytes()
         ):
-            return lift
-        return evaluate(self.metric, tau)
+            return self.bound_lift
+        return _data_evaluation()(self, evaluate(self.metric, tau))
+
+
+@cache
+def _data_evaluation() -> type[DataEvaluation]:
+    """energy.DataEvaluation, imported when data are first evaluated, not when this module is."""
+    from .energy import DataEvaluation
+    return DataEvaluation
 
 
 def schwarzschild_sphere(grid: Grid, mass: float, radius: float) -> PhysicalData:

@@ -51,15 +51,7 @@ from .geometry import (
 )
 from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, _fmt, minkowski_surface_data
-from .energy import (
-    _first_variation,
-    _stationarity_terms,
-    breve_gauge,
-    generalized_mean_curvature,
-    qle,
-    residual,
-    tilde_energy,
-)
+from .energy import breve_gauge, generalized_mean_curvature, qle, tilde_energy
 from .optimize import _fd_gradient, _perturbed, convexity_guard
 
 # a strict hypothesis must clear this floor; discretization noise in the
@@ -357,8 +349,8 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     g = m.grid
     # reference's lift, on the metric of d, serves the energies of both at tau0
     reference = minkowski_surface_data(m, tau0)
-    at_tau0 = reference.lift
-    tau0 = at_tau0.tau
+    at_tau0 = d.evaluate(reference.lift)
+    tau0 = at_tau0.ev.tau
     if tau_samples is None:
         samples = tau0 + coefficient_box(g)
     else:
@@ -366,12 +358,12 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     length = _length_scale(m)
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
-    res = residual(d, at_tau0)
+    res = at_tau0.residual
     res_norm = float(np.sqrt(integrate_surface(m, res * res)))
 
-    energy_tau0 = qle(d, at_tau0).total
-    s1 = at_tau0.s1
-    x0 = at_tau0.lap / s1
+    energy_tau0 = at_tau0.energy.total
+    s1 = at_tau0.ev.s1
+    x0 = at_tau0.ev.lap / s1
     closed_form = integrate_surface(
         m, (np.sqrt(reference.norm_H**2 + x0**2) - np.sqrt(d.norm_H**2 + x0**2)) / s1
     )
@@ -464,10 +456,9 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     alpha_dev = float(np.max(np.abs(d.alpha_H)))
     # rest's lift, on the metric of d, serves the energies of both at tau = 0
     rest = minkowski_surface_data(m, np.zeros(g.n_nodes))
-    at_rest = rest.lift
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
-    energy_rest = qle(d, at_rest).total
+    energy_rest = qle(d, rest.lift).total
 
     # the families s * tau over the s-grid as one evaluation, whose admitted
     # rows keep what the guard computed (1.0 * tau is tau to the bit, so the
@@ -478,18 +469,17 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     admitted = np.flatnonzero(sample_guard > 0.0)
     family_ev = members.rows(np.repeat(sample_guard > 0.0, n_s))
 
-    on_rest = qle(rest, family_ev)
-    family = on_rest.total.reshape(-1, n_s)
+    on_rest = rest.evaluate(family_ev)
+    family = on_rest.energy.total.reshape(-1, n_s)
     # each member pairs with its own profile: a diagonal of all the pairings
     profiles, own = samples[admitted], np.arange(admitted.size)
-    terms = _stationarity_terms(rest, family_ev)
-    variations = _first_variation(m, terms, profiles.T, sampled.tau_x[admitted].T)
+    variations = on_rest.first_variation(profiles.T, sampled.tau_x[admitted].T)
     slope, reference_slope = (v.reshape(own.size, n_s, own.size)[own, :, own] for v in variations)
     ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
 
     # rest shares the metric m, so these are the reference integrals of m;
     # their s-derivative has a closed form in <H, H> of the lift
-    reference = on_rest.reference_term.reshape(-1, n_s)
+    reference = on_rest.energy.reference_term.reshape(-1, n_s)
     s1 = family_ev.s1
     radicand = family_ev.mean_sq + (family_ev.lap / s1) ** 2
     # rounding drives it negative on small spheres (r <= 1e-8), where there is nothing to measure
@@ -505,7 +495,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     varying = ~_is_constant(samples[admitted])
 
     # degenerate member of every family: the zero profile, exactly flat
-    constant_value = abs(qle(rest, at_rest).total)
+    constant_value = abs(qle(rest, rest.lift).total)
 
     checks = (
         CheckOutcome("alpha-rest", -alpha_dev, 1e-10),

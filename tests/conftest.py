@@ -9,7 +9,8 @@ to the collocation interval.  Weighted draws keep every sampled field
 resolved to rounding on the n = 32 working grid.
 
 count_formed records which instances form a lazy field, for the tests
-that each lift's fields are formed once and only where they are read.
+that the fields of each lift, and of each lift bound to data, are formed
+once and only where they are read.
 """
 
 import numpy as np
@@ -42,6 +43,8 @@ def regular_metric(grid, bq, rho):
 
 # the normal-bundle fields of an Evaluation
 NORMAL_BUNDLE = ("lap_vt", "mean_sq", "breve_h", "breve_h4", "breve_alpha")
+# the fields of a DataEvaluation
+BOUND_FIELDS = ("sinh", "angle", "cosh", "energy", "angle_form", "stationarity", "residual")
 
 
 def count_formed(monkeypatch, owner, names):

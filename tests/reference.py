@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from quasilocal.embedding import Evaluation, RevolutionSurface
-from quasilocal.energy import GaugeData, _boost_angle
+from quasilocal.energy import GaugeData
 from quasilocal.geometry import AxisymMetric, _differentiation_matrix
 from quasilocal.physdata import PhysicalData
 from quasilocal.verify import chebyshev_s_grid
@@ -77,11 +77,29 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
     angle differential.  In this gauge the gauge energy of tau equals
     the quasi-local energy.
     """
-    ch, angle = _boost_angle(d.evaluate(tau), d)
+    bound = d.evaluate(tau)
     return GaugeData(
-        inner_h=-ch * d.norm_H,
-        alpha=d.alpha_H + d.metric.grid.dtheta(angle),
+        inner_h=-bound.cosh * d.norm_H,
+        alpha=d.alpha_H + d.metric.grid.dtheta(bound.angle),
     )
+
+
+def unscaled_differentiation_matrix(x: np.ndarray) -> np.ndarray:
+    """geometry._differentiation_matrix with the product taken of the bare node differences.
+
+    The package scales each difference by 2 before the product.  Without
+    that, the product on n Gauss-Legendre nodes reaches the subnormal
+    range from n = 775 on, which costs the matrix its accuracy, and
+    underflows to zero past n = 861.
+    """
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    b = 1.0 / diff.prod(axis=1)
+    b = b / np.abs(b).max()
+    d = (b[None, :] / b[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
 
 
 def comparison_f(x, x0: float, h_big: float, h_small: float):

@@ -574,8 +574,12 @@ class TestEachFlagIsRead:
 
 class TestGridSizeLimit:
     def test_grid_past_the_size_limit_names_grid_n(self, capsys):
-        assert main(["energy", "--schwarzschild", "m=1,r=4", "--grid-n", "862"]) == 1
+        assert main(["energy", "--schwarzschild", "m=1,r=4", "--grid-n", "1099"]) == 1
         assert capsys.readouterr().err.startswith("error: --grid-n: ")
+
+    def test_largest_grid_is_accepted(self, capsys):
+        assert main(["energy", "--schwarzschild", "m=1,r=4", "--grid-n", "1098"]) == 0
+        assert "\ngrid_n = 1098\n" in capsys.readouterr().out
 
 
 class TestFlagBoundary:
@@ -611,8 +615,8 @@ class TestFlagBoundary:
         (["energy", "--data", "t.dat", "--metric", "unit-sphere"], "--metric"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-3"], "--max-iterations"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--max-iterations", "-1"], "--max-iterations"),
-        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "820"], "--grid-n"),
-        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "790"], "--grid-n"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "1099"], "--grid-n"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "zero", "--grid-n", "100000"], "--grid-n"),
         # finite, but overflowing in the lift
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e200*P1"], "--tau"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "1e300"], "--tau"),

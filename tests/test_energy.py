@@ -31,7 +31,6 @@ from quasilocal.physdata import (
     schwarzschild_sphere,
 )
 from quasilocal.energy import (
-    _stationarity_terms,
     breve_gauge,
     evaluate,
     generalized_mean_curvature,
@@ -304,7 +303,7 @@ class TestResidual:
             )
             mean_part = proj.mean_curvature * trace(proj.metric, ev.hess_tt, hess_pp)
             want = -(mean_part - contracted) / ev.s1
-            trace_part, _ = _stationarity_terms(d, ev)
+            trace_part, _ = d.evaluate(ev).stationarity
             assert np.max(np.abs(trace_part - want)) <= 1e-9
 
     def test_integral_vanishes(self):

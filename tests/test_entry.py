@@ -114,12 +114,13 @@ class TestImportFootprint:
         "argv, numerics",
         [
             (["gen-data", *SPHERE, "--out", "{tmp}/sphere.dat"], set()),
+            (["gen-data", "--minkowski", "tau0=0.1*P1", "--out", "{tmp}/lift.dat"], set()),
             (["residual", *SPHERE], {"quasilocal.energy"}),
-            (["energy", *SPHERE], {"quasilocal.energy", "quasilocal.optimize"}),
+            (["energy", *SPHERE], {"quasilocal.energy"}),
             (["minimize", *SPHERE], {"quasilocal.energy", "quasilocal.optimize"}),
             (["verify", "--suite", "theorem3", *SPHERE], NUMERICS),
         ],
-        ids=["gen-data", "residual", "energy", "minimize", "verify"],
+        ids=["gen-data", "gen-data-minkowski", "residual", "energy", "minimize", "verify"],
     )
     def test_a_command_loads_only_what_it_uses(self, argv, numerics, tmp_path):
         argv = [arg.format(tmp=tmp_path) for arg in argv]

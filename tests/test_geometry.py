@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre as npleg
 
+import quasilocal.geometry as geometry
 from quasilocal.geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
+    _differentiation_matrix,
     _divergence_from_x_component,
     _hessian,
     _sin_factored_theta_derivative,
@@ -26,7 +28,7 @@ from quasilocal.geometry import (
 
 
 from conftest import legendre_mode, regular_random_metric
-from reference import hessian_phi_phi, trace
+from reference import hessian_phi_phi, trace, unscaled_differentiation_matrix
 from quasilocal.embedding import evaluate
 
 
@@ -41,11 +43,12 @@ class TestLegendreSynthesis:
     The two differ by rounding that grows with the degree near the poles,
     and most of it is legval's own: at n = 793, x = 0.99998, legval misses
     a 40-digit recurrence by 3.0e-12 and the product by 7.4e-13 (uniform
-    random coefficients, sum |c| = 396).  The largest grid is now n = 789.  The bound is n eps sum |c|; these
-    draws reach at most 0.28 of it.
+    random coefficients, sum |c| = 396).  The largest grid is n = 1098.
+    The bound is n eps sum |c|; these draws reach at most 0.39 of it, at
+    n = 1098.
     """
 
-    @pytest.mark.parametrize("n", [4, 32, 128, 789])
+    @pytest.mark.parametrize("n", [4, 32, 128, 1098])
     def test_matches_legval(self, n):
         grid = make_grid(n)
         rng = np.random.default_rng(n)
@@ -59,7 +62,7 @@ class TestLegendreSynthesis:
         with pytest.raises(FieldShapeError, match="17 Legendre coefficients"):
             grid.legendre_synthesis(np.ones(17))
 
-    @pytest.mark.parametrize("n", [4, 32, 128, 789])
+    @pytest.mark.parametrize("n", [4, 32, 128, 1098])
     def test_integral_from_north_matches_legint(self, n):
         grid = make_grid(n)
         f = npleg.legval(grid.x, np.random.default_rng(n).uniform(-1.0, 1.0, n))
@@ -150,8 +153,11 @@ class TestSharedGrid:
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             make_grid(bad)
 
-    @pytest.mark.parametrize("n", [790, 862])
-    def test_rejected_size_raises_on_every_call(self, n):
+    @pytest.mark.parametrize("n", [791, 1099])
+    def test_rejected_size_raises_on_every_call(self, n, monkeypatch):
+        # 791 fails the accuracy check with the bare product's matrix, which
+        # no other test builds at that size; 1099 is past the size limit
+        monkeypatch.setattr(geometry, "_differentiation_matrix", unscaled_differentiation_matrix)
         for _ in range(2):
             with pytest.raises(InvalidParameterError, match=f"{n}"):
                 make_grid(n)
@@ -172,14 +178,22 @@ class TestSharedGrid:
 
 class TestGridSizeLimit:
     """make_grid rejects a differentiation matrix that misses P_{n-1}' or the
-    derivative of e^x sin 3x by more than 1e-9.
+    derivative of e^x sin 3x by more than 1e-9, and any n above 1098.
 
-    The product-form weights underflow to NaN past n = 861; they lose
-    accuracy before that: on e^x sin 3x from n = 790, on P_{n-1} from 794.
+    The barycentric weights are products of node differences scaled by 2,
+    which underflow to NaN past n = 1098; every grid up to there passes both
+    checks.  The product of the bare differences, kept in tests/reference.py,
+    gives the same matrix to the bit up to n = 774 and loses accuracy from
+    n = 790 (e^x sin 3x) and 794 (P_{n-1}) on; the checks reject it there.
     """
 
+    @pytest.mark.parametrize("n", range(4, 129))
+    def test_matrix_is_the_unscaled_construction_to_the_bit(self, n):
+        x = make_grid(n).x
+        assert _differentiation_matrix(x).tobytes() == unscaled_differentiation_matrix(x).tobytes()
+
     def test_accepted_grid_differentiates_its_top_mode(self):
-        n = 789
+        n = 1098
         grid = make_grid(n)
         top = np.zeros(n)
         top[-1] = 1.0
@@ -190,19 +204,26 @@ class TestGridSizeLimit:
         theta_error = grid.dtheta(np.cos(grid.nodes)) + grid.sin_theta
         assert np.sqrt((grid.weights @ theta_error**2) / (grid.weights @ grid.sin_theta**2)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [790, 800, 820, 861])
+    def test_sizes_the_bare_product_spoilt_are_accepted(self, n):
+        assert make_grid(n).n_nodes == n
+
     @pytest.mark.parametrize("n", [800, 820, 861])
-    def test_inaccurate_grid_is_rejected(self, n):
+    def test_inaccurate_grid_is_rejected(self, n, monkeypatch):
+        # built past make_grid's cache, with the bare product's matrix
+        monkeypatch.setattr(geometry, "_differentiation_matrix", unscaled_differentiation_matrix)
         with pytest.raises(InvalidParameterError, match=f"grid size {n} is too large"):
-            make_grid(n)
+            geometry._build_grid.__wrapped__(n)
 
     @pytest.mark.parametrize("n", [790, 793])
-    def test_grid_inaccurate_on_a_smooth_function_is_rejected(self, n):
+    def test_grid_inaccurate_on_a_smooth_function_is_rejected(self, n, monkeypatch):
         # these pass the top-mode check
+        monkeypatch.setattr(geometry, "_differentiation_matrix", unscaled_differentiation_matrix)
         with pytest.raises(InvalidParameterError, match=f"grid size {n} is too large: .* e\\^x sin 3x"):
-            make_grid(n)
+            geometry._build_grid.__wrapped__(n)
 
     def test_accepted_grid_differentiates_a_smooth_function(self):
-        grid = make_grid(789)
+        grid = make_grid(1098)
         x = grid.x
         exact = np.exp(x) * (np.sin(3.0 * x) + 3.0 * np.cos(3.0 * x))
         error = grid.dx(np.exp(x) * np.sin(3.0 * x)) - exact
@@ -214,8 +235,8 @@ class TestGridSizeLimit:
         assert make_grid(n).n_nodes == n
 
     def test_next_size_is_rejected(self):
-        with pytest.raises(InvalidParameterError, match="at most 861"):
-            make_grid(862)
+        with pytest.raises(InvalidParameterError, match="at most 1098"):
+            make_grid(1099)
 
 
 class TestAxisymMetric:

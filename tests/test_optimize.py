@@ -27,7 +27,7 @@ from quasilocal.geometry import (
 import quasilocal.embedding as embedding_module
 from quasilocal.embedding import Evaluation, NonEmbeddableError, NonSpacelikeMeanCurvatureError
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
-from quasilocal.energy import _first_variation, _stationarity_terms, evaluate, qle, residual
+from quasilocal.energy import DataEvaluation, EnergyBreakdown, evaluate, qle, residual
 from quasilocal.optimize import (
     FD_STEP,
     GuardViolationError,
@@ -43,6 +43,21 @@ from quasilocal.optimize import (
 def count_guards(monkeypatch) -> list:
     """Record each Evaluation whose guard is formed, the formula itself unchanged."""
     return count_formed(monkeypatch, Evaluation, ("guard",))["guard"]
+
+
+def at_trials(monkeypatch, owner, name, trial):
+    """Form the lazy field owner.name by trial(instance) on one-field evaluations: line-search trials.
+
+    The minimizer's start and Hessians are stacks and keep the formula.
+    """
+    field = owner.__dict__[name]
+    formula = field.func
+
+    def form(instance):
+        tau = instance.tau if owner is Evaluation else instance.ev.tau
+        return formula(instance) if tau.ndim == 2 else trial(instance)
+
+    monkeypatch.setattr(field, "func", form)
 
 
 MODE_WEIGHTS_8 = np.array([float(l * l) for l in range(1, 9)])
@@ -219,7 +234,7 @@ class TestEnergyGradient:
         for seed in range(5):
             tc = weighted_coefficients(np.random.default_rng(2000 + seed))
             field = npleg.legval(grid.x, np.concatenate([[0.0], tc.coeffs]))
-            trace_part, flux = _stationarity_terms(d, evaluate(m, field))
+            trace_part, flux = d.evaluate(field).stationarity
             flux_weight = (1.0 - grid.x**2) * (m.Q / m.P) * flux
             want = np.array(
                 [
@@ -235,7 +250,7 @@ class TestEnergyGradient:
 
     @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
     def test_is_the_first_variation_along_the_modes(self, source):
-        # the gradient and theorem3's F'(s) share energy._first_variation
+        # the gradient and theorem3's F'(s) share DataEvaluation.first_variation
         if source == "schwarzschild":
             d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
         else:
@@ -245,8 +260,7 @@ class TestEnergyGradient:
         field = tau_from_coefficients(grid, tc)
         modes = grid.legendre_vandermonde[:, 1:9]
         slopes = grid.legendre_vandermonde_dx[:, 1:9]
-        terms = _stationarity_terms(d, evaluate(d.metric, field))
-        want, _ = _first_variation(d.metric, terms, modes, slopes)
+        want, _ = d.evaluate(field).first_variation(modes, slopes)
         assert np.array_equal(energy_gradient(d, tc), want)
 
     @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.3, 2.0)])
@@ -341,27 +355,14 @@ class TestMinimizeEnergy:
         init = TauCoefficients((0.05, 0.02))
         calls = []
 
-        def counting_qle(data, tau):
+        def failing(bound):
             calls.append(None)
-            return qle(data, tau)
+            raise FieldShapeError("trial field")
 
-        # a run capped before its first step makes every call that precedes
-        # the first trial (the start energy and the calibration stack)
-        monkeypatch.setattr(optimize_module, "qle", counting_qle)
-        minimize_energy(d, init, max_iterations=0)
-        setup_calls = len(calls)
-        calls.clear()
-
-        def qle_failing_in_trials(data, tau):
-            calls.append(None)
-            if len(calls) > setup_calls:
-                raise FieldShapeError("trial field")
-            return qle(data, tau)
-
-        monkeypatch.setattr(optimize_module, "qle", qle_failing_in_trials)
+        at_trials(monkeypatch, DataEvaluation, "energy", failing)
         with pytest.raises(FieldShapeError, match="trial field"):
             minimize_energy(d, init)
-        assert len(calls) == setup_calls + 1
+        assert len(calls) == 1
 
     def test_guard_violation_at_init_raises_before_any_lift(self, monkeypatch):
         grid = make_grid(32)
@@ -437,6 +438,24 @@ class TestMinimizeEnergy:
         with pytest.raises(InvalidParameterError, match=f"^{profile} must lie in .*{profile}\\[0, 2\\] = "):
             minimize_energy(d, TauCoefficients((0.0, 9e37)))
 
+    @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
+    def test_boost_angle_is_formed_once_per_evaluated_stack_or_trial(self, source, monkeypatch):
+        # every lift whose energy or gradient is read forms s1, and is bound
+        # to the data once: the start stack, each Hessian stack and each
+        # trial past the guard form the angle once, by one DataEvaluation
+        if source == "schwarzschild":
+            d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+            init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
+        else:
+            d = lift_data([0.04, 0.01, -0.005], [0.03, -0.01, 0.002], [0.2, 0.0, 0.1])
+            init = TauCoefficients((0.201, -0.002, 0.1) + (0.0,) * 5)
+        angles = count_formed(monkeypatch, DataEvaluation, ("angle",))["angle"]
+        lifts = count_formed(monkeypatch, Evaluation, ("s1",))["s1"]
+        report = minimize_energy(d, init)
+        assert report.iterations >= 2
+        assert [bound.ev for bound in angles] == lifts
+        assert {bound.ev.tau.ndim for bound in angles} == {1, 2}  # trials and stacks
+
     def test_overflowing_trial_is_rejected_before_any_arithmetic(self, monkeypatch):
         # a trial field beyond the length range has no Evaluation, so no guard
         # runs on it: it counts as a trial whose lift fails, not as a guard
@@ -446,22 +465,17 @@ class TestMinimizeEnergy:
         with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most 1e\+38; tau\[0\]"):
             evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
         synthesize = optimize_module.tau_from_coefficients
-        fields, seen = [], []
+        fields = []
 
         def overflowing_first_trial(grid, tau):
             fields.append(synthesize(grid, tau))
             # call 1 is the start, call 2 the first trial
             return 1e160 * fields[-1] if len(fields) == 2 else fields[-1]
 
-        trial_energy = optimize_module._trial_energy
-
-        def recording(data, evaluation):
-            seen.append(evaluation.tau)
-            return trial_energy(data, evaluation)
-
+        guarded = count_guards(monkeypatch)
         monkeypatch.setattr(optimize_module, "tau_from_coefficients", overflowing_first_trial)
-        monkeypatch.setattr(optimize_module, "_trial_energy", recording)
         report = minimize_energy(d, TauCoefficients((0.0, 0.05)))
+        seen = [ev.tau for ev in guarded if ev.tau.ndim == 1]  # the trials; the stacks are 2-D
         assert report.iterations >= 1
         assert not report.guard_active
         # the overflowing trial reached no guard; the halved step was the first one evaluated
@@ -515,9 +529,11 @@ class TestMinimizeEnergy:
         bumps = FD_STEP * d.metric.grid.legendre_vandermonde[:, 1:3].T
         stack = np.concatenate([tau[None], optimize_module._perturbed(tau, bumps)])
         start_energy = qle(d, stack).total[0]
-        trial = None if outcome == "no-step" else start_energy
         monkeypatch.setattr(optimize_module, "FLOOR_MULTIPLE", 1e300)
-        monkeypatch.setattr(optimize_module, "_trial_energy", lambda data, evaluation: trial)
+        if outcome == "no-step":
+            at_trials(monkeypatch, Evaluation, "guard", lambda ev: -1.0)
+        else:
+            at_trials(monkeypatch, DataEvaluation, "energy", lambda b: EnergyBreakdown(start_energy, 0.0))
         report = minimize_energy(d, init)
         assert report.stop == "rounding-floor"
         assert report.iterations == 0
@@ -536,7 +552,7 @@ class TestMinimizeEnergy:
         # field rounds to the current one, which is no move to accept
         grid = make_grid(32)
         d = minkowski_surface_data(round_sphere(grid), 0.3 * grid.x)
-        monkeypatch.setattr(optimize_module, "_trial_energy", lambda data, evaluation: None)
+        at_trials(monkeypatch, Evaluation, "guard", lambda ev: -1.0)
         with pytest.raises(LineSearchError, match="no acceptable step above 1.0e-14 at iteration 0"):
             minimize_energy(d, TauCoefficients((0.3, 1e-6)))
 
@@ -614,7 +630,9 @@ class TestSecondVariation:
         report = minimize_energy(d, TauCoefficients(c0))
         assert report.hessian_min_eigenvalue < 1e-8
         bumps = FD_STEP * grid.legendre_vandermonde[:, 1:9].T
-        grads, _ = optimize_module._gradient(d, optimize_module._perturbed(tau0, bumps), 8)
+        grads, _ = d.evaluate(optimize_module._perturbed(tau0, bumps)).first_variation(
+            grid.legendre_vandermonde[:, 1:9], grid.legendre_vandermonde_dx[:, 1:9]
+        )
         values, vectors = optimize_module._hessian(grads)
         assert values[0] < 1e-8 and values[1] > 1.0
         boost = grid.legendre_coeffs(height(evaluate(m, tau0).projected))[1:9]

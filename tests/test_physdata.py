@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import quasilocal.embedding as embedding_module
-from conftest import MODE_WEIGHTS, legendre_mode, regular_random_metric, random_time_profile
+from conftest import (
+    BOUND_FIELDS,
+    MODE_WEIGHTS,
+    count_formed,
+    legendre_mode,
+    random_time_profile,
+    regular_random_metric,
+)
 from reference import canonical_gauge
 from quasilocal.geometry import (
     AxisymMetric,
@@ -19,7 +26,7 @@ from quasilocal.geometry import (
     round_sphere,
 )
 from quasilocal.embedding import embed_r3, evaluate, mean_curvature
-from quasilocal.energy import breve_gauge, qle, qle_angle_form, residual
+from quasilocal.energy import DataEvaluation, breve_gauge, qle, qle_angle_form, residual
 from quasilocal.optimize import TauCoefficients, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import (
     DataFormatError,
@@ -152,11 +159,21 @@ class TestSharedLift:
         energy_gradient(plain, coeffs)
         assert len(lifted) == 4
 
+    def test_energy_residual_and_gradient_at_tau0_form_each_field_once(self, monkeypatch):
+        # the kept DataEvaluation serves all three: the boost angle and the
+        # stationarity terms once, cosh only for the terms, no angle form
+        d, tau0, coeffs = lift_data(32)
+        formed = count_formed(monkeypatch, DataEvaluation, BOUND_FIELDS)
+        qle(d, tau0)
+        residual(d, tau0)
+        energy_gradient(d, coeffs)
+        assert formed == {name: [] if name == "angle_form" else [d.bound_lift] for name in BOUND_FIELDS}
+
     @pytest.mark.parametrize("n", LADDER_SIZES)
     def test_results_are_bit_identical_to_a_fresh_lift(self, n):
         d, tau0, coeffs = lift_data(n)
         plain = dataclasses.replace(d)
-        assert plain.evaluate(tau0) is not d.lift
+        assert plain.evaluate(tau0).ev is not d.lift
         for form in (qle, qle_angle_form):
             shared, fresh = form(d, tau0), form(plain, tau0)
             assert shared.reference_term == fresh.reference_term
@@ -169,11 +186,14 @@ class TestSharedLift:
 
     def test_lift_is_served_for_equal_bits_only(self):
         d, tau0, _ = lift_data(32)
-        assert d.evaluate(tau0) is d.lift
-        assert d.evaluate(tau0.copy()) is d.lift
-        assert d.evaluate(d.lift) is d.lift
+        assert d.evaluate(tau0) is d.bound_lift
+        assert d.evaluate(tau0.copy()) is d.bound_lift
+        assert d.bound_lift.ev is d.lift
+        # an Evaluation, even the kept lift, is bound anew
+        assert d.evaluate(d.lift) is not d.bound_lift
+        assert d.evaluate(d.lift).ev is d.lift
         other = evaluate(d.metric, tau0)
-        assert d.evaluate(other) is other
+        assert d.evaluate(other).ev is other
 
     def test_caller_changing_tau0_in_place_is_not_served(self):
         grid = make_grid(32)
@@ -183,13 +203,13 @@ class TestSharedLift:
         d = minkowski_surface_data(m, tau0)
         tau0 += 0.01
         assert d.lift.tau.tobytes() == kept.tobytes()
-        assert d.evaluate(tau0) is not d.lift
+        assert d.evaluate(tau0).ev is not d.lift
         plain = dataclasses.replace(d)
         assert qle(d, tau0) == qle(plain, tau0)
         with pytest.raises(ValueError):
             d.lift.tau[0] = 0.0
 
-    def test_negative_zero_is_not_served(self):
+    def test_negative_zero_is_not_served(self, monkeypatch):
         grid = make_grid(32)
         m = regular_random_metric(grid, np.random.default_rng(6))
         tau0 = np.zeros(32)
@@ -197,7 +217,14 @@ class TestSharedLift:
         flipped = tau0.copy()
         flipped[5] = -0.0
         assert np.array_equal(flipped, tau0)
-        assert d.evaluate(flipped) is not d.lift
+        assert d.evaluate(flipped).ev is not d.lift
+        # each -0.0 field gets a fresh lift of its own, which forms its own angle
+        formed = count_formed(monkeypatch, DataEvaluation, ("angle",))
+        qle(d, flipped)
+        qle(d, flipped)
+        fresh = formed["angle"]
+        assert len(fresh) == 2
+        assert all(b.ev is not d.lift and b.ev.tau.tobytes() == flipped.tobytes() for b in fresh)
 
     @pytest.mark.parametrize("shape", ["stack", "row", "shifted"])
     def test_other_fields_and_stacks_are_not_served(self, shape):
@@ -207,9 +234,9 @@ class TestSharedLift:
             "row": tau0[None, :],
             "shifted": tau0 + 1e-3,
         }[shape]
-        ev = d.evaluate(tau)
-        assert ev is not d.lift
-        assert ev.tau.shape == tau.shape
+        bound = d.evaluate(tau)
+        assert bound.ev is not d.lift
+        assert bound.ev.tau.shape == tau.shape
 
     def test_lift_is_not_a_constructor_argument(self):
         d, _, _ = lift_data(16)

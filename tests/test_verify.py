@@ -17,7 +17,6 @@ from quasilocal.geometry import (
     round_sphere,
 )
 from quasilocal.embedding import Evaluation, evaluate
-from quasilocal.energy import _first_variation, _stationarity_terms, qle
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
     CheckOutcome,
@@ -617,14 +616,13 @@ class TestCheckTheorem3:
         rest = minkowski_surface_data(m, np.zeros(n))
         s = chebyshev_s_grid()
         for tau in _default_profiles(grid):
-            family = evaluate(m, s[:, None] * tau)
-            terms = _stationarity_terms(rest, family)
+            family = rest.evaluate(s[:, None] * tau)
             slope, reference_slope = (
-                v[:, 0] for v in _first_variation(m, terms, tau[:, None], grid.dx(tau)[:, None])
+                v[:, 0] for v in family.first_variation(tau[:, None], grid.dx(tau)[:, None])
             )
             assert slope[0] == 0.0
-            assert np.max(np.abs(slope - spectral_s_derivative(qle(rest, family).total))) <= 2e-10
-            assert np.max(np.abs(reference_slope - spectral_s_derivative(family.reference))) <= 2e-10
+            assert np.max(np.abs(slope - spectral_s_derivative(family.energy.total))) <= 2e-10
+            assert np.max(np.abs(reference_slope - spectral_s_derivative(family.ev.reference))) <= 2e-10
 
     def test_report_serialization_round_trip_stability(self):
         grid = make_grid(16)
