@@ -14,12 +14,21 @@ positive floor instead of merely staying above it; violated hypotheses
 fail the report rather than raising, so a run over inadmissible data
 still produces a document.
 
-Allowances of margins that are lengths (energies and their derivatives
-in s) are multiplied by the length scale L = max(1, sqrt(area / 4 pi)) of
-the surface, since the rounding of an energy grows with its terms, of
-size 8 pi L; allowances of hypotheses are not.  The identities and
-lemma41's flux bound quantities of length dimension p; their allowances
-are 1e-8 r^p, r = sqrt(area / 4 pi), so scaling cannot flip them.
+Every allowance is c r^p: c a constant of its check, r = sqrt(area / 4 pi)
+the radius of the round sphere of the same area, and p the length
+dimension of the quantity the margin bounds.  The energy is homogeneous
+of degree one under (sigma, tau) -> (lambda^2 sigma, lambda tau), so each
+margin scales as its allowance and no verdict depends on size alone:
+
+  p = 1    energies and their s-derivatives (closed-form, gap, equality,
+           zero-value, zero-derivative, ode, positivity, monotonicity,
+           reference-derivative) and graph-hessian
+  p = 0    alpha-rest, gauge-one-form, inverse-metric, variation-k
+  p = -1   criticality, mean-curvature-gap, physical-mean-curvature,
+           projection
+  p = -2   theorem3's guard (a Gauss curvature), mean-curvature-norm, flux
+
+The strict hypotheses' floor is STRICT_FLOOR r^p.
 
 Sampling is deterministic: the default sample families are fixed
 Legendre-coefficient boxes and profiles.  They depend on the grid alone,
@@ -51,11 +60,12 @@ from .geometry import (
 )
 from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, _fmt, minkowski_surface_data
-from .energy import breve_gauge, generalized_mean_curvature, qle, tilde_energy
+from .energy import breve_gauge, qle, tilde_energy
 from .optimize import _fd_gradient, _perturbed, convexity_guard
 
-# a strict hypothesis must clear this floor; discretization noise in the
-# margins sits around 1e-12, physical margins around 1e-1
+# a strict hypothesis must clear this floor times r^p; on the unit sphere
+# discretization noise in the margins sits around 1e-12, physical
+# margins around 1e-1
 STRICT_FLOOR = 1e-9
 
 
@@ -87,15 +97,13 @@ class TheoremReport:
     checks carries every margin; pass requires all of them to clear
     their allowances, and worst_margin reports the margin of the check
     with the least slack, so passed == (worst_margin >= -tolerance) with
-    tolerance the allowance of that same check.  equality_cases record
-    degenerate inputs for which the certified inequality saturates, and
-    details carry reported quantities that do not gate the outcome.
+    tolerance the allowance of that same check.  details carry reported
+    quantities that do not gate the outcome.
     """
 
     name: str
     samples: int
     checks: tuple
-    equality_cases: tuple = ()
     details: tuple = ()
 
     @property
@@ -124,8 +132,6 @@ def format_report(report: TheoremReport) -> str:
     for c in report.checks:
         lines.append(f"margin.{c.label} = {_fmt(c.margin)}")
         lines.append(f"allowance.{c.label} = {_fmt(c.allowance)}")
-    for label, value in report.equality_cases:
-        lines.append(f"equality.{label} = {_fmt(value)}")
     for label, value in report.details:
         lines.append(f"detail.{label} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
@@ -170,11 +176,6 @@ def _radius(m: AxisymMetric) -> float:
     return float(np.sqrt(integrate_surface(m, np.ones(m.grid.n_nodes)) / (4.0 * np.pi)))
 
 
-def _length_scale(m: AxisymMetric) -> float:
-    """L = max(1, _radius(m)), the factor on allowances that are lengths."""
-    return max(1.0, _radius(m))
-
-
 def _least(values: np.ndarray) -> float:
     """The least value; inf when there is none."""
     return float(np.min(values, initial=np.inf))
@@ -198,17 +199,13 @@ def _worst_index(values: np.ndarray, rows: np.ndarray) -> float:
 def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     """Certify the algebraic identities tying a lift to its projection.
 
-    Six identities, each reported as a max-norm deviation.  Five compare
-    two independent code paths; generalized-mean is the projection
-    identity multiplied through by sqrt(1 + |grad tau|^2), so its margin
-    repeats projection's up to rounding:
+    Five identities, each reported as a max-norm deviation between two
+    independent code paths:
 
       mean-curvature-norm   <H,H> against the rest mean curvature minus
                             the squared Laplacian defect (the axisymmetric
                             closed form, shape-operator route vs coordinate
                             Laplacians)
-      generalized-mean      h in the translated gauge against
-                            Hhat * sqrt(1 + |grad tau|^2)
       projection            Hhat + <H, e3_breve> + alpha(grad tau)/sqrt(...) = 0
       gauge-one-form        breve alpha against the frame derivative
                             <d e3_breve / dtheta, e4_breve>
@@ -232,9 +229,6 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     defect = (w_v * ev.lap + taux * _divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(ev.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
 
-    h_gen = generalized_mean_curvature(breve_gauge(ev), m, ev)
-    prop_dev = np.max(np.abs(h_gen / s1 - proj.mean_curvature))
-
     alpha_pair = ev.pairing(ev.breve_alpha)
     proj_dev = np.max(np.abs(proj.mean_curvature + ev.breve_h + alpha_pair / s1))
 
@@ -252,13 +246,11 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
 
     graph_dev = np.max(np.abs(_hessian(proj.metric, ev.tau_x) - ev.hess_tt / s1**2))
 
-    # each allowance is 1e-8 r^p, p the length dimension of its quantity
     r = _radius(m)
     checks = tuple(
         CheckOutcome(label, -float(dev), allowance)
         for label, dev, allowance in (
             ("mean-curvature-norm", lemma_dev, 1e-8 / (r * r)),
-            ("generalized-mean", prop_dev, 1e-8 / r),
             ("projection", proj_dev, 1e-8 / r),
             ("gauge-one-form", gauge_dev, 1e-8),
             ("inverse-metric", inverse_dev, 1e-8),
@@ -338,7 +330,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
                            form in |H_tau0|, |H| and the reduced Laplacian
       gap                  worst sampled inequality gap; -inf if no sample
                            passed the convexity guard
-      equality             gap at tau = tau0 + 3, which must vanish
+      equality             gap at tau = tau0 + 3r, which must vanish
 
     Samples failing the convexity guard are skipped and counted in the
     details, never silently dropped; the detail worst-gap-sample is the
@@ -355,7 +347,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
         samples = tau0 + coefficient_box(g)
     else:
         samples = _sample_stack(g, tau_samples)
-    length = _length_scale(m)
+    r = _radius(m)
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
     res = at_tau0.residual
@@ -369,9 +361,9 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     )
     closed_dev = abs(closed_form - energy_tau0)
 
-    # the samples and the equality case tau0 + 3 as one evaluation, whose
+    # the samples and the equality case tau0 + 3r as one evaluation, whose
     # admitted rows keep what the guard computed
-    members = evaluate(m, np.concatenate([samples, [tau0 + 3.0]]))
+    members = evaluate(m, np.concatenate([samples, [tau0 + 3.0 * r]]))
     keep = convexity_guard(m, members) > 0.0
     keep[-1] = True  # the equality case is always evaluated
     admitted = np.flatnonzero(keep[:-1])
@@ -380,11 +372,11 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     gaps, equality_gap = trial_gaps[:-1], float(trial_gaps[-1])
 
     checks = (
-        CheckOutcome("criticality", -res_norm, 1e-6),
-        CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
-        CheckOutcome("closed-form", -float(closed_dev), 1e-7 * length),
-        CheckOutcome("gap", float(np.min(gaps)) if gaps.size else -np.inf, 1e-8 * length),
-        CheckOutcome("equality", -abs(equality_gap), 1e-9 * length),
+        CheckOutcome("criticality", -res_norm, 1e-6 / r),
+        CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR / r),
+        CheckOutcome("closed-form", -float(closed_dev), 1e-7 * r),
+        CheckOutcome("gap", float(np.min(gaps)) if gaps.size else -np.inf, 1e-8 * r),
+        CheckOutcome("equality", -abs(equality_gap), 1e-9 * r),
     )
     details = (
         ("skipped-samples", float(len(samples) - gaps.size)),
@@ -393,13 +385,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
         ("physical-mean-curvature-max", float(np.max(d.norm_H))),
         ("worst-gap-sample", _worst_index(gaps, admitted)),
     )
-    return TheoremReport(
-        name="theorem1",
-        samples=int(gaps.size),
-        checks=checks,
-        equality_cases=(("shift+3", equality_gap),),
-        details=details,
-    )
+    return TheoremReport(name="theorem1", samples=int(gaps.size), checks=checks, details=details)
 
 
 @lru_cache(maxsize=8)
@@ -449,7 +435,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     else:
         samples = _sample_stack(g, tau_samples)
     sampled = evaluate(m, samples)  # admits the samples, naming a bad one's row
-    length = _length_scale(m)
+    r = _radius(m)
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
@@ -494,20 +480,17 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     increase = qle(d, family_ev.rows(at_one)).total - energy_rest
     varying = ~_is_constant(samples[admitted])
 
-    # degenerate member of every family: the zero profile, exactly flat
-    constant_value = abs(qle(rest, rest.lift).total)
-
     checks = (
         CheckOutcome("alpha-rest", -alpha_dev, 1e-10),
-        CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR),
-        CheckOutcome("physical-mean-curvature", positive_margin, -STRICT_FLOOR),
-        CheckOutcome("guard", _least(sample_guard), -STRICT_FLOOR),
-        CheckOutcome("zero-value", _deviation_margin(family[:, 0]), 1e-10 * length),
-        CheckOutcome("zero-derivative", _deviation_margin(slope[:, 0]), 1e-7 * length),
-        CheckOutcome("ode", _least(ode), 1e-7 * length),
-        CheckOutcome("positivity", _least(family[:, -1]) if admitted.size else -np.inf, 1e-8 * length),
-        CheckOutcome("monotonicity", _least(increase), 1e-8 * length),
-        CheckOutcome("reference-derivative", closed_dev, 1e-6 * length),
+        CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR / r),
+        CheckOutcome("physical-mean-curvature", positive_margin, -STRICT_FLOOR / r),
+        CheckOutcome("guard", _least(sample_guard), -STRICT_FLOOR / (r * r)),
+        CheckOutcome("zero-value", _deviation_margin(family[:, 0]), 1e-10 * r),
+        CheckOutcome("zero-derivative", _deviation_margin(slope[:, 0]), 1e-7 * r),
+        CheckOutcome("ode", _least(ode), 1e-7 * r),
+        CheckOutcome("positivity", _least(family[:, -1]) if admitted.size else -np.inf, 1e-8 * r),
+        CheckOutcome("monotonicity", _least(increase), 1e-8 * r),
+        CheckOutcome("reference-derivative", closed_dev, 1e-6 * r),
     )
     details = (
         ("skipped-samples", float(len(samples) - admitted.size)),
@@ -515,10 +498,4 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
         ("rest-energy", float(energy_rest)),
         ("worst-ode-sample", _worst_index(ode, admitted)),
     )
-    return TheoremReport(
-        name="theorem3",
-        samples=int(admitted.size),
-        checks=checks,
-        equality_cases=(("constant-profile", float(constant_value)),),
-        details=details,
-    )
+    return TheoremReport(name="theorem3", samples=int(admitted.size), checks=checks, details=details)

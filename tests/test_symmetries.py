@@ -13,13 +13,22 @@ differentiation matrix is antisymmetric under the reflection only to
 rounding, so these relations hold to rounding, not to the bit.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from quasilocal.geometry import AxisymMetric, make_grid
 from quasilocal.optimize import TauCoefficients, convexity_guard, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
-from quasilocal.verify import check_identities, check_lemma41
+from quasilocal.verify import (
+    _default_profiles,
+    check_identities,
+    check_lemma41,
+    check_theorem1,
+    check_theorem3,
+    coefficient_box,
+)
 from test_pinned_reports import pole_regular_pair
 
 SCALES = range(-30, 41)
@@ -32,10 +41,9 @@ def scaled_pair(k):
     return AxisymMetric(m.grid, lam * m.P, lam * m.Q), lam * tau
 
 
-# the length dimension of the quantity each identities and lemma41 check bounds
+# the length dimension of the quantity each check bounds
 DIMENSION = {
     "mean-curvature-norm": -2,
-    "generalized-mean": -1,
     "projection": -1,
     "gauge-one-form": 0,
     "inverse-metric": 0,
@@ -44,6 +52,20 @@ DIMENSION = {
     "variation-1": 0,
     "variation-2": 0,
     "variation-3": 0,
+    "criticality": -1,
+    "mean-curvature-gap": -1,
+    "closed-form": 1,
+    "gap": 1,
+    "equality": 1,
+    "alpha-rest": 0,
+    "physical-mean-curvature": -1,
+    "guard": -2,
+    "zero-value": 1,
+    "zero-derivative": 1,
+    "ode": 1,
+    "positivity": 1,
+    "monotonicity": 1,
+    "reference-derivative": 1,
 }
 
 
@@ -65,6 +87,15 @@ def test_convexity_guard_scales_as_a_curvature(k):
     assert convexity_guard(*scaled_pair(k)) * 2.0 ** (2 * k) == want
 
 
+def assert_scaled(got, want, k):
+    """Every margin and allowance of got is 2^(kp) times want's, so no flag moves."""
+    assert [c.label for c in got.checks] == [c.label for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        factor = 2.0 ** (k * DIMENSION[w.label])
+        assert (g.margin, g.allowance) == (w.margin * factor, w.allowance * factor), w.label
+        assert g.ok == w.ok, w.label
+
+
 @pytest.mark.parametrize("suite", [check_identities, check_lemma41])
 @pytest.mark.parametrize("k", SCALES)
 def test_metric_suites_are_scale_free(suite, k):
@@ -73,10 +104,43 @@ def test_metric_suites_are_scale_free(suite, k):
     want = suite(*pole_regular_pair())
     got = suite(*scaled_pair(k))
     assert got.passed and want.passed
-    assert [c.label for c in got.checks] == [c.label for c in want.checks]
-    for g, w in zip(got.checks, want.checks):
-        factor = 2.0 ** (k * DIMENSION[w.label])
-        assert (g.margin, g.allowance) == (w.margin * factor, w.allowance * factor), w.label
+    assert_scaled(got, want, k)
+
+
+def non_round_data(k):
+    """0.9 |H| of the scaled pole-regular lift, with its tau as tau0."""
+    m, tau = scaled_pair(k)
+    lift = minkowski_surface_data(m, tau)
+    return PhysicalData(m, 0.9 * lift.norm_H, lift.alpha_H), tau
+
+
+THEOREM_DATA = {
+    "schwarzschild": lambda k: (schwarzschild_sphere(make_grid(32), 2.0**k, 4.0 * 2.0**k), np.zeros(32)),
+    "flat": lambda k: (schwarzschild_sphere(make_grid(32), 0.0, 2.0**k), np.zeros(32)),
+    "non-round": non_round_data,
+}
+
+
+@lru_cache(maxsize=None)
+def theorem_report(suite, source, k):
+    """The suite on the source's data scaled by 2^k, with its default samples scaled too."""
+    d, tau0 = THEOREM_DATA[source](k)
+    grid, lam = d.metric.grid, 2.0**k
+    if suite == "theorem1":
+        return check_theorem1(d, tau0, tau_samples=tau0 + lam * coefficient_box(grid))
+    return check_theorem3(d, tau_samples=lam * _default_profiles(grid))
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "theorem3"])
+@pytest.mark.parametrize("source", sorted(THEOREM_DATA))
+@pytest.mark.parametrize("k", SCALES)
+def test_theorem_suites_are_scale_free(suite, source, k):
+    # the energy is homogeneous of degree one, and each allowance is c r^p
+    # of the quantity it bounds, so the verdict is the same at every scale
+    want = theorem_report(suite, source, 0)
+    got = theorem_report(suite, source, k)
+    assert_scaled(got, want, k)
+    assert got.passed == want.passed
 
 
 def reflected(d: PhysicalData) -> PhysicalData:
