@@ -53,7 +53,6 @@ from .geometry import (
     InvalidParameterError,
     _admit,
     _at,
-    _check_field,
     _divergence_from_x_component,
     _hessian,
     _sin_factored_theta_derivative,
@@ -301,9 +300,12 @@ class Evaluation:
         return sub
 
     def pairing(self, alpha: np.ndarray) -> np.ndarray:
-        """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form."""
-        a = _check_field(self.metric.grid, "alpha", alpha, stack=True)
-        return a * self.tau_theta / self.metric.P_sq
+        """alpha(grad tau) = alpha tau_theta / P^2, alpha the dtheta component of the one-form.
+
+        alpha is not checked: the package pairs only one-forms it admitted
+        or formed, and energy.generalized_mean_curvature checks a gauge's.
+        """
+        return alpha * self.tau_theta / self.metric.P_sq
 
 
 def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import AxisymMetric, _divergence_from_x_component, integrate_surface, lazy
+from .geometry import AxisymMetric, _check_field, _divergence_from_x_component, integrate_surface, lazy
 from .embedding import Evaluation, evaluate
 
 if TYPE_CHECKING:
@@ -227,9 +227,9 @@ def residual(d: PhysicalData, tau: np.ndarray | Evaluation) -> np.ndarray:
 def generalized_mean_curvature(
     g: GaugeData, m: AxisymMetric, f: np.ndarray | Evaluation
 ) -> np.ndarray:
-    """h = -sqrt(1+|grad f|^2) <H, e3> - alpha_{e3}(grad f)."""
+    """h = -sqrt(1+|grad f|^2) <H, e3> - alpha_{e3}(grad f); a wrongly shaped g.alpha is named."""
     ev = evaluate(m, f)
-    return -ev.s1 * g.inner_h - ev.pairing(g.alpha)
+    return -ev.s1 * g.inner_h - ev.pairing(_check_field(m.grid, "alpha", g.alpha, stack=True))
 
 
 def breve_gauge(lift: Evaluation) -> GaugeData:

@@ -13,6 +13,10 @@ only code that checks it can, carry the lift they were computed from;
 nothing else sets PhysicalData.lift.  evaluate serves that lift, bound
 once, for the data's own time function, given bit for bit, so the
 energy, the residual and the gradient at tau0 share the lift and its fields.
+The data of the lift at tau = 0 are a field of the metric,
+AxisymMetric.rest, and any data bind that lift once
+(PhysicalData.at_rest); the comparison suites read both at tau = 0, so
+they lift and bind the zero field once however often they run.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -118,6 +122,12 @@ class PhysicalData:
         """The DataEvaluation of lift, formed when the data are first evaluated at its tau."""
         return _data_evaluation()(self, self.lift)
 
+    @lazy
+    def at_rest(self) -> DataEvaluation:
+        """The DataEvaluation of the lift at tau = 0, metric.rest.lift; on metric.rest, bound_lift."""
+        rest = self.metric.rest
+        return self.bound_lift if rest is self else _data_evaluation()(self, rest.lift)
+
     def evaluate(self, tau: np.ndarray | Evaluation) -> DataEvaluation:
         """The DataEvaluation of tau on the metric; bound_lift for the data's own time function.
 
@@ -183,8 +193,11 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     differential of the boost angle, alpha_H = breve_alpha - d beta.
 
     tau0 is an array of node values of shape (n,).  It is lifted from a
-    read-only copy, which the data keeps as its lift, so changing the
-    caller's array later cannot leave the lift stale.
+    read-only copy, which the data keep as their lift, so changing the
+    caller's array later cannot leave the lift stale; every call lifts
+    anew, a zero tau0 included (AxisymMetric.rest keeps one such lift per
+    metric for the comparison suites).  The data's norm_H and alpha_H are
+    read-only too, since the lift bound to them keeps them.
     """
     tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
     lift = Evaluation(m, _read_only(tau0))
@@ -199,7 +212,7 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
         )
     norm_h = np.sqrt(lift.mean_sq)
     alpha_h = lift.breve_alpha - m.grid.dtheta(np.arcsinh(lift.breve_h4 / norm_h))
-    d = PhysicalData(metric=m, norm_H=norm_h, alpha_H=alpha_h)
+    d = PhysicalData(metric=m, norm_H=_read_only(norm_h), alpha_H=_read_only(alpha_h))
     object.__setattr__(d, "lift", lift)
     return d
 

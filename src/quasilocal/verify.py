@@ -15,8 +15,9 @@ fail the report rather than raising, so a run over inadmissible data
 still produces a document.
 
 Every allowance is c r^p: c a constant of its check, r = sqrt(area / 4 pi)
-the radius of the round sphere of the same area, and p the length
-dimension of the quantity the margin bounds.  The energy is homogeneous
+the radius of the round sphere of the same area (AxisymMetric.area_radius,
+formed once per metric), and p the length dimension of the quantity the
+margin bounds.  The energy is homogeneous
 of degree one under (sigma, tau) -> (lambda^2 sigma, lambda tau), so each
 margin scales as its allowance and no verdict depends on size alone:
 
@@ -33,7 +34,11 @@ The strict hypotheses' floor is STRICT_FLOOR r^p.
 Sampling is deterministic: the default sample families are fixed
 Legendre-coefficient boxes and profiles.  They depend on the grid alone,
 so each is a read-only stack built once per grid and shared by every
-call, and each family is evaluated as one stack of time functions.
+call, and each family is evaluated as one stack of time functions, anew
+on every call.  The lift at tau = 0 depends on the metric alone: theorem1
+at a tau0 of +0.0 bytes and theorem3 read it as AxisymMetric.rest and
+the data's energy and residual there as PhysicalData.at_rest, each
+formed once.
 Derivatives in the family parameter s are the energy's weak first
 variation along the profile, exact at every node of the s-grid, never
 differences of sampled energies; the s = 0 endpoint is covered by
@@ -171,11 +176,6 @@ def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
     return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
 
 
-def _radius(m: AxisymMetric) -> float:
-    """sqrt(area / 4 pi), the radius of the round sphere of the same area."""
-    return float(np.sqrt(integrate_surface(m, np.ones(m.grid.n_nodes)) / (4.0 * np.pi)))
-
-
 def _least(values: np.ndarray) -> float:
     """The least value; inf when there is none."""
     return float(np.min(values, initial=np.inf))
@@ -246,7 +246,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
 
     graph_dev = np.max(np.abs(_hessian(proj.metric, ev.tau_x) - ev.hess_tt / s1**2))
 
-    r = _radius(m)
+    r = m.area_radius
     checks = tuple(
         CheckOutcome(label, -float(dev), allowance)
         for label, dev, allowance in (
@@ -273,9 +273,9 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     f -> E_tilde(lift of tau, translated gauge, f) a total divergence at
     f = tau; the derivative checks confirm that variation vanishes by
     the package's one central difference (optimize._perturbed and
-    optimize._fd_gradient, step 1e-4 _radius(m), which leaves the margins
-    bit-identical under 2^k scaling) along the Legendre modes P1, P2 and
-    P3.  Surfaces that fail to embed for a perturbed time function raise;
+    optimize._fd_gradient, step 1e-4 m.area_radius, which leaves the
+    margins bit-identical under 2^k scaling) along the Legendre modes P1,
+    P2 and P3.  Surfaces that fail to embed for a perturbed time function raise;
     the identity is only certified on valid configurations.
     """
     variations = m.grid.legendre_vandermonde[:, 1:4].T
@@ -294,7 +294,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     flux_dev = float(np.max(np.abs(flux)))
 
     # the perturbed time functions tau +- step * delta form one stack
-    r = _radius(m)
+    r = m.area_radius
     step = 1e-4 * r
     perturbed = _perturbed(ev.tau, step * variations)
     derivatives = _fd_gradient(tilde_energy(ev, breve_gauge(ev), perturbed), step)
@@ -339,15 +339,20 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     """
     m = d.metric
     g = m.grid
-    # reference's lift, on the metric of d, serves the energies of both at tau0
-    reference = minkowski_surface_data(m, tau0)
-    at_tau0 = d.evaluate(reference.lift)
+    # reference's lift, on the metric of d, serves the energies of both at
+    # tau0; a tau0 of +0.0 bytes is the metric's rest lift, which d binds once
+    tau0 = _check_field(g, "tau0", np.array(tau0, dtype=float))
+    if tau0.tobytes() == bytes(tau0.nbytes):
+        reference, at_tau0 = m.rest, d.at_rest
+    else:
+        reference = minkowski_surface_data(m, tau0)
+        at_tau0 = d.evaluate(reference.lift)
     tau0 = at_tau0.ev.tau
     if tau_samples is None:
         samples = tau0 + coefficient_box(g)
     else:
         samples = _sample_stack(g, tau_samples)
-    r = _radius(m)
+    r = m.area_radius
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
     res = at_tau0.residual
@@ -435,16 +440,16 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     else:
         samples = _sample_stack(g, tau_samples)
     sampled = evaluate(m, samples)  # admits the samples, naming a bad one's row
-    r = _radius(m)
+    r = m.area_radius
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
     alpha_dev = float(np.max(np.abs(d.alpha_H)))
     # rest's lift, on the metric of d, serves the energies of both at tau = 0
-    rest = minkowski_surface_data(m, np.zeros(g.n_nodes))
+    rest = m.rest
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
-    energy_rest = qle(d, rest.lift).total
+    energy_rest = d.at_rest.energy.total
 
     # the families s * tau over the s-grid as one evaluation, whose admitted
     # rows keep what the guard computed (1.0 * tau is tau to the bit, so the

@@ -17,6 +17,7 @@ from reference import (
 )
 from quasilocal import geometry
 from quasilocal.geometry import (
+    FieldShapeError,
     Grid,
     InvalidParameterError,
     integrate_surface,
@@ -31,6 +32,7 @@ from quasilocal.physdata import (
     schwarzschild_sphere,
 )
 from quasilocal.energy import (
+    GaugeData,
     breve_gauge,
     evaluate,
     generalized_mean_curvature,
@@ -227,6 +229,20 @@ class TestGeneralizedMeanCurvature:
             s1 = np.sqrt(1.0 + lift.grad_sq)
             gap = h - mean_curvature(lift.projected) * s1
             assert np.max(np.abs(gap)) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(31,), (33,), (2, 31)])
+    @pytest.mark.parametrize("through", ["generalized_mean_curvature", "tilde_energy"])
+    def test_wrongly_shaped_gauge_alpha_is_named(self, through, shape):
+        # Evaluation.pairing takes the one-forms the package admitted as
+        # they are; a gauge's alpha comes from outside and is checked here
+        grid = make_grid(32)
+        lift = embed_lifted(round_sphere(grid), 0.1 * grid.x)
+        gauge = GaugeData(inner_h=lift.breve_h, alpha=np.zeros(shape))
+        with pytest.raises(FieldShapeError, match="^alpha has shape"):
+            if through == "tilde_energy":
+                tilde_energy(lift, gauge, lift.tau)
+            else:
+                generalized_mean_curvature(gauge, lift.metric, lift.tau)
 
 
 class TestTildeEnergy:

@@ -1,10 +1,11 @@
 """Command-line output pinned to the byte.
 
-The commands are the README's command-line block and the five command
+The commands are the README's command-line block, the five command
 shapes of the benchmark's cli-reports workload (a table from gen-data,
-then energy, residual, minimize and the two theorem suites on it).  They
-run in order in an empty directory, so later commands read the tables
-earlier ones wrote.  Each entry is the exit status, the sha256 of stdout
+then energy, residual, minimize and the two theorem suites on it) and
+the two theorem suites on the lift at tau = 0 as data.  They run in order in
+an empty directory, so later commands read the tables earlier ones
+wrote.  Each entry is the exit status, the sha256 of stdout
 and the sha256 of every file the command wrote, captured before the
 command line's input checks moved into one helper.  The two minimize
 hashes were captured again when the report gained its `stop =` line,
@@ -45,7 +46,10 @@ when identities lost its generalized-mean line, the reports their
 equality.* lines, every theorem1 and theorem3 allowance became c r^p and
 theorem1's equality case moved from tau0 + 3 to tau0 + 3r; of the
 margins only that equality moved (at rounding level, on the
-noncritical tau0 = 0.01 P1), and no exit status moved.
+noncritical tau0 = 0.01 P1), and no exit status moved.  The two
+--minkowski tau0=zero reports, where the data are the unit sphere's lift
+at tau = 0 and fail their strict mean-curvature-gap with margin 0 (exit
+2), were captured before the rest lift became a field of the metric.
 """
 
 import hashlib
@@ -113,6 +117,14 @@ PINNED = {
         0, "2718fc06f97a1480fc95603aff8b4d4a4e596a2b55802170707d0c6426c05b2e",
         {},
     ),
+    "verify --suite theorem1 --minkowski tau0=zero": (
+        2, "925869902f89430cc8e1c82fecaaba49a04efe292dcb2bd6b13f9bb7f6d0523c",
+        {},
+    ),
+    "verify --suite theorem3 --minkowski tau0=zero": (
+        2, "e5851496eabbeb08ab48eacf64b0a6569cd331138d1a70b01e5e862370cf5d94",
+        {},
+    ),
 }
 
 COMMANDS = [
@@ -133,6 +145,10 @@ COMMANDS = [
     "minimize --data table.dat --tau=0.012*P1-0.03*P2+0.004*P3 --max-iterations 100",
     "verify --suite theorem1 --data table.dat",
     "verify --suite theorem3 --data table.dat",
+    # the lift at tau = 0 as data, whose zero field both suites also read
+    # as the metric's rest lift
+    "verify --suite theorem1 --minkowski tau0=zero",
+    "verify --suite theorem3 --minkowski tau0=zero",
 ]
 
 

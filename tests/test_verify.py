@@ -211,7 +211,11 @@ class TestLiftsThatAreNotPhysicalData:
 
 
 class TestLiftsAreShared:
-    """Each lift forms each normal-bundle field it reads once, and no other."""
+    """Each lift forms each normal-bundle field it reads once, and no other.
+
+    The lift at tau = 0 is a field of the metric (AxisymMetric.rest) and
+    is bound once per data (PhysicalData.at_rest), however many suites run.
+    """
 
     @pytest.mark.parametrize(
         "suite, read",
@@ -232,8 +236,9 @@ class TestLiftsAreShared:
 
     def test_theorem3_forms_lu_once_and_the_breve_frame_on_the_rest_lift_only(self, monkeypatch):
         # Lu belongs to the metric, shared by the rest lift and the family
-        # stack; the stack's closed form reads <H, H> alone, and only
-        # minkowski_surface_data frames the rest lift
+        # stack; the stack's closed form reads <H, H> alone, and only the
+        # metric's rest data, formed as minkowski_surface_data forms them,
+        # frame the rest lift
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         lu = count_formed(monkeypatch, AxisymMetric, ("lu",))["lu"]
@@ -249,6 +254,82 @@ class TestLiftsAreShared:
             "breve_h4": [rest],
             "breve_alpha": [rest],
         }
+
+    def test_suites_lift_the_zero_field_once_per_metric_and_bind_it_once_per_data(self, monkeypatch):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        m = d.metric
+        zero_lifts, bindings = [], []
+        evaluation_init = Evaluation.__init__
+        binding_init = quasilocal.energy.DataEvaluation.__init__
+
+        def lift(ev, metric, tau):
+            evaluation_init(ev, metric, tau)
+            if not np.any(ev.tau):
+                zero_lifts.append(ev)
+
+        def bind(de, data, ev):
+            binding_init(de, data, ev)
+            bindings.append((data, ev))
+
+        monkeypatch.setattr(Evaluation, "__init__", lift)
+        monkeypatch.setattr(quasilocal.energy.DataEvaluation, "__init__", bind)
+        radius = count_formed(monkeypatch, AxisymMetric, ("area_radius",))["area_radius"]
+
+        def theorem1(data):
+            return check_theorem1(data, np.zeros(32))
+
+        runs = [theorem1, check_theorem3, theorem1]
+        reports = [run(d) for run in runs]
+        assert zero_lifts == [m.rest.lift]
+        assert [data for data, ev in bindings if ev is m.rest.lift] == [d]
+        assert d.at_rest.ev is m.rest.lift
+        assert radius == [m]
+        # the rest lift, then per call theorem1's two sample stacks (on d
+        # and on the rest data) and theorem3's family and s = 1 rows
+        assert len(bindings) == 1 + 2 + 2 + 2
+        for run, report in zip(runs, reports):
+            fresh = schwarzschild_sphere(grid, 1.0, 4.0)
+            assert format_report(report) == format_report(run(fresh))
+
+    def test_rest_data_bind_their_own_lift_for_both_suites(self):
+        grid = make_grid(32)
+        d = oblate_metric(grid).rest
+        check_theorem1(d, np.zeros(32))
+        check_theorem3(d)
+        assert d.at_rest is d.bound_lift
+        assert d.evaluate(np.zeros(32)) is d.bound_lift
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_minkowski_surface_data_lifts_anew_as_the_rest_data_do(self, zero):
+        # the rest data are kept for the suites alone: every other caller
+        # owns its data, lift and bound arrays, with the same bits
+        grid = make_grid(32)
+        m = oblate_metric(grid)
+        data = minkowski_surface_data(m, np.full(32, zero))
+        assert data is not m.rest and data.lift is not m.rest.lift
+        assert np.signbit(data.lift.tau).all() == np.signbit(zero)
+        for name in ("norm_H", "alpha_H"):
+            assert getattr(data, name).tobytes() == getattr(m.rest, name).tobytes()
+        field = quasilocal.energy.residual
+        assert field(data, np.zeros(32)).tobytes() == field(m.rest, np.zeros(32)).tobytes()
+
+    def test_writes_into_a_callers_zero_lift_leave_the_suites_alone(self):
+        grid = make_grid(32)
+        m = oblate_metric(grid)
+        expected = [format_report(check_theorem1(m.rest, np.zeros(32))), format_report(check_theorem3(m.rest))]
+        data = minkowski_surface_data(m, np.zeros(32))
+        quasilocal.energy.residual(data, np.zeros(32))[:] = 1.0
+        data.lift.mean_sq[:] = -1.0
+        assert [format_report(check_theorem1(m.rest, np.zeros(32))), format_report(check_theorem3(m.rest))] == expected
+
+    def test_rest_data_are_read_only(self):
+        m = oblate_metric(make_grid(32))
+        for name in ("norm_H", "alpha_H"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m.rest, name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.rest.lift.tau[0] = 1.0
 
 
 class TestTheorem3SharesEachSample:
@@ -280,19 +361,12 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         assert rows == {"tau_theta": 38, "tau_x": 38}
 
     def test_theorem3_evaluates_the_physical_energy_at_s_1_only(self, monkeypatch):
-        # the rest profile, then the s = 1 row of each of the 3 families
+        # the rest profile (d.at_rest), then the s = 1 row of each of the 3 families
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
-        rows = []
-        original = quasilocal.verify.qle
-
-        def counting(data, tau):
-            if data is d:
-                rows.append(len(np.atleast_2d(evaluate(data.metric, tau).tau)))
-            return original(data, tau)
-
-        monkeypatch.setattr(quasilocal.verify, "qle", counting)
+        formed = count_formed(monkeypatch, quasilocal.energy.DataEvaluation, ("energy",))["energy"]
         assert check_theorem3(d).passed
+        rows = [len(np.atleast_2d(bound.ev.tau)) for bound in formed if bound.norm_H is d.norm_H]
         assert sum(rows) == 4
 
 
