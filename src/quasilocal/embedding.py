@@ -155,9 +155,9 @@ class RevolutionSurface:
     @lazy
     def mean_curvature(self) -> np.ndarray:
         """Scalar mean curvature (sum of principal curvatures), outward."""
-        P = self.metric.P
+        m = self.metric
         # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
-        return self.hhat_tt / P**2 + self.w / (self.metric.Q * P)
+        return self.hhat_tt / m.P_sq + self.w / (m.Q * m.P)
 
 
 class Evaluation:
@@ -207,9 +207,14 @@ class Evaluation:
         return (self.tau_theta / self.metric.P) ** 2
 
     @lazy
+    def one_plus_grad_sq(self) -> np.ndarray:
+        """1 + |grad tau|^2, which s1, k_hat and guard read."""
+        return 1.0 + self.grad_sq
+
+    @lazy
     def s1(self) -> np.ndarray:
         """sqrt(1 + |grad tau|^2)."""
-        return np.sqrt(1.0 + self.grad_sq)
+        return np.sqrt(self.one_plus_grad_sq)
 
     @lazy
     def lap(self) -> np.ndarray:
@@ -219,7 +224,7 @@ class Evaluation:
     @lazy
     def hess_tt(self) -> np.ndarray:
         """theta-theta component of the covariant Hessian of tau."""
-        return _hessian(self.metric, self.tau_x)
+        return _hessian(self.metric, self.tau_x, self.tau_theta)
 
     @lazy
     def k_hat(self) -> np.ndarray:
@@ -234,13 +239,13 @@ class Evaluation:
         m = self.metric
         # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
         det = self.hess_tt * (-m.u_prime * self.tau_x) / m.P4_Q
-        return (m.K + det / (1.0 + self.grad_sq)) / (1.0 + self.grad_sq)
+        return (m.K + det / self.one_plus_grad_sq) / self.one_plus_grad_sq
 
     @lazy
     def guard(self) -> float | np.ndarray:
         """The convexity margin, one per row: the least of K_hat, K and K_hat (1 + |grad tau|^2)."""
         k_hat = self.k_hat
-        scaled = k_hat * (1.0 + self.grad_sq)
+        scaled = k_hat * self.one_plus_grad_sq
         return np.minimum(np.minimum(k_hat.min(axis=-1), self.metric.K.min()), scaled.min(axis=-1))
 
     @lazy
@@ -325,7 +330,7 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     """
     g = m.grid
     u_prime = m.u_prime
-    margin = m.P**2 - u_prime**2
+    margin = m.P_sq - u_prime**2
     bad = _first_nonpositive(margin)
     if bad is not None:
         row = bad[0] if len(bad) == 2 else None

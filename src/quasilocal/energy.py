@@ -19,14 +19,18 @@ form, the exact first variation of the discrete energy.
 PhysicalData.evaluate binds the Evaluation of a time function, or of a
 (k, n) stack of them, to the data: a DataEvaluation, whose fields are
 the quantities that depend on the data, each formed when first read and
-kept (with a leading axis of length k for a stack).  A caller that reads
-several at one tau holds one DataEvaluation, and data of a surface in
-Minkowski space bind their own lift once, so the boost angle and the
-stationarity terms are formed once per lift.  qle, qle_angle_form and
-residual are one-line wrappers over its fields, which read the data, the
-derivatives of tau and the projection (hhat_tt and the mean curvature),
-never the lift's normal-bundle data; nothing here checks that a lift
-could be physical data: only physdata.minkowski_surface_data does.
+kept (with a leading axis of length k for a stack).  physical_term is
+the physical integral alone, one per row, and energy pairs it with the
+lift's reference term; where two data are compared at the same tau, as
+in theorem1's gap, the reference terms cancel and only physical_term is
+read.  A caller that reads several at one tau holds one DataEvaluation,
+and data of a surface in Minkowski space bind their own lift once, so
+the boost angle and the stationarity terms are formed once per lift.
+qle, qle_angle_form and residual are one-line wrappers over its fields,
+which read the data, the derivatives of tau and the projection (hhat_tt
+and the mean curvature), never the lift's normal-bundle data; nothing
+here checks that a lift could be physical data: only
+physdata.minkowski_surface_data does.
 
 The gauge energy tilde_energy generalizes the physical term to an
 arbitrary normal gauge via the generalized mean curvature
@@ -100,8 +104,8 @@ class DataEvaluation:
         return np.sqrt(1.0 + self.sinh * self.sinh)
 
     @lazy
-    def energy(self) -> EnergyBreakdown:
-        """The energy in its integrated-by-parts form: bare surface integrals, no 1/(8pi) factor."""
+    def physical_term(self) -> float | np.ndarray:
+        """The physical integral of the integrated-by-parts form, one per row; no projection read."""
         ev = self.ev
         s1, lap = ev.s1, ev.lap
         integrand = (
@@ -109,10 +113,12 @@ class DataEvaluation:
             + lap * self.angle
             - ev.pairing(self.alpha_H)
         )
-        return EnergyBreakdown(
-            reference_term=ev.reference,
-            physical_term=integrate_surface(self.metric, integrand),
-        )
+        return integrate_surface(self.metric, integrand)
+
+    @lazy
+    def energy(self) -> EnergyBreakdown:
+        """The energy in its integrated-by-parts form: bare surface integrals, no 1/(8pi) factor."""
+        return EnergyBreakdown(self.ev.reference, self.physical_term)
 
     @lazy
     def angle_form(self) -> EnergyBreakdown:

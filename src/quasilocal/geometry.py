@@ -313,7 +313,7 @@ class lazy:
 
     Later reads find the value there without calling the descriptor, as
     with functools.cached_property, which up to Python 3.11 takes a lock
-    on every first read; an Evaluation bound to data makes up to eighteen, and
+    on every first read; an Evaluation bound to data makes up to twenty, and
     at n = 32 costs more in such fixed per-call work than in arithmetic.  Without the
     lock, two threads reading a field first at once would both compute
     it; the package starts no threads.
@@ -530,13 +530,12 @@ def hessian(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     return Evaluation(m, f).hess_tt
 
 
-def _hessian(m: AxisymMetric, fx: np.ndarray) -> np.ndarray:
-    """Hess_tt of the field whose x-derivative is fx."""
+def _hessian(m: AxisymMetric, fx: np.ndarray, f_theta: np.ndarray) -> np.ndarray:
+    """Hess_tt of the field whose x-derivative is fx and theta-derivative f_theta = -sin(theta) fx."""
     g = m.grid
     fxx = g.dx(fx)
-    f1 = g.minus_sin_theta * fx
     f2 = g.one_minus_x_sq * fxx - g.x * fx
-    return f2 - m.P_theta_over_P * f1
+    return f2 - m.P_theta_over_P * f_theta
 
 
 def _sin_factored_theta_derivative(grid: Grid, q: np.ndarray) -> np.ndarray:

@@ -384,7 +384,7 @@ class TestUncheckedKernels:
     def test_hessian(self, case):
         g, m, f = case
         fx = g.dx(f)
-        kernel = _hessian(m, fx)
+        kernel = _hessian(m, fx, -g.sin_theta * fx)
         inline = (-g.x * fx + (1.0 - g.x * g.x) * g.dx(fx)) - (g.dtheta(m.P) / m.P) * (-g.sin_theta * fx)
         assert np.array_equal(kernel, hessian(m, f))
         assert np.array_equal(kernel, inline)

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasilocal
-from conftest import NORMAL_BUNDLE, count_formed, legendre_mode
+from conftest import (
+    NORMAL_BUNDLE,
+    count_formed,
+    legendre_mode,
+    random_time_profile,
+    regular_random_metric,
+)
 from reference import spectral_s_derivative
 from test_symmetries import DIMENSION
 from quasilocal.geometry import (
@@ -17,7 +24,9 @@ from quasilocal.geometry import (
     make_grid,
     round_sphere,
 )
-from quasilocal.embedding import Evaluation, evaluate
+from quasilocal.embedding import Evaluation, NonEmbeddableError, RevolutionSurface, evaluate
+from quasilocal.energy import qle
+from quasilocal.optimize import convexity_guard
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
     CheckOutcome,
@@ -352,7 +361,7 @@ class TestTheorem3SharesEachSample:
 
 class TestEachTimeFunctionIsEvaluatedOnce:
     def test_theorem1_derives_each_time_function_once(self, monkeypatch):
-        # tau0, then the 36 box samples and the equality case tau0 + 3 as
+        # tau0, then the 36 box samples and the equality case tau0 + 3r as
         # one stack that serves the guard and the energies
         grid = make_grid(32)
         formed = count_formed(monkeypatch, Evaluation, ("tau_theta", "tau_x"))
@@ -368,6 +377,89 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         assert check_theorem3(d).passed
         rows = [len(np.atleast_2d(bound.ev.tau)) for bound in formed if bound.norm_H is d.norm_H]
         assert sum(rows) == 4
+
+
+def energy_gaps(d, tau0):
+    """E(Sigma, tau) - E(Sigma, tau0) - E(Sigma_tau0, tau) from whole energies, row by row.
+
+    tau runs over theorem1's default samples, admitted by the guard as it
+    admits them, and then its equality case tau0 + 3r.  Returns the gaps
+    and the largest |term| that enters them.
+    """
+    m = d.metric
+    reference = minkowski_surface_data(m, tau0)
+    energy_tau0 = qle(d, reference.lift).total
+    samples = reference.lift.tau + coefficient_box(m.grid)
+    members = evaluate(m, np.concatenate([samples, [reference.lift.tau + 3.0 * m.area_radius]]))
+    keep = convexity_guard(m, members) > 0.0
+    keep[-1] = True
+    trial = members.rows(keep)
+    on_d, on_reference = qle(d, trial), qle(reference, trial)
+    terms = [on_d.reference_term, on_d.physical_term, on_reference.physical_term, energy_tau0]
+    return on_d.total - energy_tau0 - on_reference.total, max(np.max(np.abs(t)) for t in terms)
+
+
+class TestTheorem1GapIsADifferenceOfPhysicalTerms:
+    """The energies at tau share their reference term, which theorem1 never forms on its samples."""
+
+    @staticmethod
+    def reported(report):
+        return outcome(report, "gap").margin, detail(report, "largest-gap"), outcome(report, "equality").margin
+
+    @staticmethod
+    def expected(gaps):
+        return float(np.min(gaps[:-1])), float(np.max(gaps[:-1])), -abs(float(gaps[-1]))
+
+    @pytest.mark.parametrize("case", ["rest", "lift"])
+    def test_reference_term_is_formed_on_the_tau0_lift_only(self, case, monkeypatch):
+        grid = make_grid(32)
+        if case == "rest":
+            d, tau0 = schwarzschild_sphere(grid, 1.0, 4.0), np.zeros(32)
+        else:
+            tau0 = 0.2 * grid.x
+            d = minkowski_surface_data(oblate_metric(grid), tau0)
+        references = count_formed(monkeypatch, Evaluation, ("reference",))["reference"]
+        curvatures = count_formed(monkeypatch, RevolutionSurface, ("mean_curvature",))["mean_curvature"]
+        check_theorem1(d, tau0)
+        assert [ev.tau.tobytes() for ev in references] == [tau0.tobytes()]
+        if case == "rest":
+            assert references == [d.metric.rest.lift]
+        assert curvatures == [references[0].projected]
+
+    @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.0, 1.0)], ids=["schwarzschild", "flat"])
+    def test_gaps_are_the_energy_differences_to_the_bit_on_the_pinned_data(self, mass, radius):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, mass, radius)
+        gaps, _ = energy_gaps(d, np.zeros(32))
+        assert self.reported(check_theorem1(d, np.zeros(32))) == self.expected(gaps)
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_gaps_are_the_energy_differences_on_lift_data(self, seed):
+        grid = make_grid(32)
+        rng = np.random.default_rng(seed)
+        m = regular_random_metric(grid, rng)
+        d = minkowski_surface_data(m, random_time_profile(grid, rng))
+        tau0 = random_time_profile(grid, rng)
+        gaps, largest = energy_gaps(d, tau0)
+        tolerance = 16.0 * np.finfo(float).eps * largest
+        for got, want in zip(self.reported(check_theorem1(d, tau0)), self.expected(gaps)):
+            assert abs(got - want) <= tolerance
+
+    def test_samples_that_do_not_embed_still_raise(self, monkeypatch):
+        # the gap reads no projection, so the suite reads it to admit the samples
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        original = quasilocal.embedding.embed_r3
+
+        def refusing_stacks(m):
+            if m.P.ndim == 2:
+                raise NonEmbeddableError(3, float(grid.nodes[3]), -1.0, row=0)
+            return original(m)
+
+        monkeypatch.setattr(quasilocal.embedding, "embed_r3", refusing_stacks)
+        with pytest.raises(NonEmbeddableError, match="at row 0, node 3"):
+            check_theorem1(d, np.zeros(32))
 
 
 class TestDefaultFamiliesAreGridConstants:
