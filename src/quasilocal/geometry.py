@@ -27,9 +27,8 @@ weights, d/dx and Legendre Vandermonde matrices and the factors 1 - x^2
 and -sin(theta) of the x-space operators; d/dtheta is -sin(theta) d/dx.
 An AxisymMetric likewise keeps, once per metric, the products of its
 profiles that the operators use on every call (P^2, P Q, P^4 Q,
-(1 - x^2) Q/P, the weights of the energy's weak pairing and others), its
-area radius, and the data of its lift at tau = 0 (rest), which the
-comparison suites share.
+(1 - x^2) Q/P, the weights of the energy's weak pairing and others) and
+its area radius.
 
 Every field that reaches the numerics (P, Q, |H|, alpha_H, a time
 function and its lifted profile) is admitted by _admit, the one rule:
@@ -47,13 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-
-if TYPE_CHECKING:
-    from .physdata import PhysicalData
 
 
 class InvalidParameterError(ValueError):
@@ -348,13 +343,10 @@ class AxisymMetric:
     the u'' term of the second fundamental form, the Gauss curvature K,
     Lu, (dP/dtheta)/P and the profile products the operators divide or
     weight by) are computed when first read and kept as read-only
-    arrays; the area radius and the rest data are likewise formed when
-    first read and kept.  Each product is formed as the inline expression
-    it replaces was, so a kernel gives the same bits either way.  The
-    lifted metric of an Evaluation shares Q, u' and u'' and forms its own
-    P-dependent fields.  The rest data and their lift refer back to the
-    metric, so a metric whose rest data were formed is freed by the
-    cyclic garbage collector, not when its last reference goes.
+    arrays; the area radius is likewise formed when first read and kept.
+    Each product is formed as the inline expression it replaces was, so
+    a kernel gives the same bits either way.  The lifted metric of an
+    Evaluation shares Q, u' and u'' and forms its own P-dependent fields.
     """
 
     grid: Grid
@@ -390,19 +382,6 @@ class AxisymMetric:
     def area_radius(self) -> float:
         """sqrt(area / 4 pi), the radius of the round sphere of the same area."""
         return float(np.sqrt(integrate_surface(self, np.ones(self.grid.n_nodes)) / (4.0 * np.pi)))
-
-    @lazy
-    def rest(self) -> PhysicalData:
-        """The data of the lift at tau = 0, physdata.minkowski_surface_data(self, 0).
-
-        The comparison suites read them at tau = 0 and share them, so
-        their norm_H, alpha_H and lift.tau are read-only; the arrays their
-        lift forms later are kept as formed and must not be written.
-        minkowski_surface_data itself lifts anew on every call.
-        """
-        from .physdata import minkowski_surface_data
-
-        return minkowski_surface_data(self, np.zeros(self.grid.n_nodes))
 
     @lazy
     def lu(self) -> np.ndarray:

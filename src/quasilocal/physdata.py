@@ -13,10 +13,12 @@ only code that checks it can, carry the lift they were computed from;
 nothing else sets PhysicalData.lift.  evaluate serves that lift, bound
 once, for the data's own time function, given bit for bit, so the
 energy, the residual and the gradient at tau0 share the lift and its fields.
-The data of the lift at tau = 0 are a field of the metric,
-AxisymMetric.rest, and any data bind that lift once
-(PhysicalData.at_rest); the comparison suites read both at tau = 0, so
-they lift and bind the zero field once however often they run.
+The comparison suites compare the data Sigma with Sigma_tau0, the data
+of the lift at tau0, through PhysicalData.compared_at, which owns the
+one rule of what is kept: Sigma_0 and the data's binding to its lift
+are fields of the data (PhysicalData.rest and PhysicalData.at_rest), so
+the suites lift and bind the zero field once per data however often
+they run; every other tau0 is lifted anew.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -93,7 +95,9 @@ class PhysicalData:
     by minkowski_surface_data, which sets it to the lift of its own copy
     of tau0.  It takes no part in repr, and evaluate serves it, bound to
     the data, for that time function; dataclasses.replace gives data
-    without it.  Data compare and hash by identity.
+    without it.  rest and at_rest are formed when first read and kept;
+    neither refers back to the data, so data are freed when their last
+    reference goes.  Data compare and hash by identity.
     """
 
     metric: AxisymMetric
@@ -123,10 +127,27 @@ class PhysicalData:
         return _data_evaluation()(self, self.lift)
 
     @lazy
+    def rest(self) -> PhysicalData:
+        """Sigma_0, the data of the lift at tau = 0: minkowski_surface_data(metric, 0)."""
+        return minkowski_surface_data(self.metric, np.zeros(self.metric.grid.n_nodes))
+
+    @lazy
     def at_rest(self) -> DataEvaluation:
-        """The DataEvaluation of the lift at tau = 0, metric.rest.lift; on metric.rest, bound_lift."""
-        rest = self.metric.rest
-        return self.bound_lift if rest is self else _data_evaluation()(self, rest.lift)
+        """The DataEvaluation of rest.lift, these data at tau = 0."""
+        return _data_evaluation()(self, self.rest.lift)
+
+    def compared_at(self, tau0: np.ndarray) -> tuple[PhysicalData, DataEvaluation]:
+        """Sigma_tau0 and these data evaluated on its lift, the comparison at tau0.
+
+        tau0 must be one field of node values.  A tau0 whose bytes are all
+        those of +0.0 gives (rest, at_rest), kept; any other, -0.0
+        included, is lifted anew by minkowski_surface_data.
+        """
+        tau0 = _check_field(self.metric.grid, "tau0", np.array(tau0, dtype=float))
+        if tau0.tobytes() == bytes(tau0.nbytes):
+            return self.rest, self.at_rest
+        reference = minkowski_surface_data(self.metric, tau0)
+        return reference, self.evaluate(reference.lift)
 
     def evaluate(self, tau: np.ndarray | Evaluation) -> DataEvaluation:
         """The DataEvaluation of tau on the metric; bound_lift for the data's own time function.
@@ -195,8 +216,8 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     tau0 is an array of node values of shape (n,).  It is lifted from a
     read-only copy, which the data keep as their lift, so changing the
     caller's array later cannot leave the lift stale; every call lifts
-    anew, a zero tau0 included (AxisymMetric.rest keeps one such lift per
-    metric for the comparison suites).  The data's norm_H and alpha_H are
+    anew, a zero tau0 included (PhysicalData.rest keeps one such lift per
+    data for the comparison suites).  The data's norm_H and alpha_H are
     read-only too, since the lift bound to them keeps them.
     """
     tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))

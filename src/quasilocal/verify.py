@@ -35,10 +35,10 @@ Sampling is deterministic: the default sample families are fixed
 Legendre-coefficient boxes and profiles.  They depend on the grid alone,
 so each is a read-only stack built once per grid and shared by every
 call, and each family is evaluated as one stack of time functions, anew
-on every call.  The lift at tau = 0 depends on the metric alone: theorem1
-at a tau0 of +0.0 bytes and theorem3 read it as AxisymMetric.rest and
-the data's energy and residual there as PhysicalData.at_rest, each
-formed once.
+on every call.  theorem1 reads Sigma_tau0 and the data's energy and
+residual at tau0 from PhysicalData.compared_at, which keeps them for a
+tau0 of +0.0 bytes and lifts every other tau0 anew; theorem3 reads the
+kept pair, PhysicalData.rest and PhysicalData.at_rest.
 
 theorem1's gap G(tau) = E(Sigma, tau) - E(Sigma, tau0) - E(Sigma_tau0, tau)
 compares two energies at the same tau on the same metric.  The reference
@@ -74,7 +74,7 @@ from .geometry import (
     integrate_surface,
 )
 from .embedding import embed_r3, evaluate
-from .physdata import PhysicalData, _fmt, minkowski_surface_data
+from .physdata import PhysicalData, _fmt
 from .energy import breve_gauge, qle, tilde_energy
 from .optimize import _fd_gradient, _perturbed, convexity_guard
 
@@ -355,14 +355,8 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     """
     m = d.metric
     g = m.grid
-    # reference's lift, on the metric of d, serves the energies of both at
-    # tau0; a tau0 of +0.0 bytes is the metric's rest lift, which d binds once
-    tau0 = _check_field(g, "tau0", np.array(tau0, dtype=float))
-    if tau0.tobytes() == bytes(tau0.nbytes):
-        reference, at_tau0 = m.rest, d.at_rest
-    else:
-        reference = minkowski_surface_data(m, tau0)
-        at_tau0 = d.evaluate(reference.lift)
+    # reference's lift, on the metric of d, serves the energies of both at tau0
+    reference, at_tau0 = d.compared_at(tau0)
     tau0 = at_tau0.ev.tau
     if tau_samples is None:
         samples = tau0 + coefficient_box(g)
@@ -466,7 +460,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
 
     alpha_dev = float(np.max(np.abs(d.alpha_H)))
     # rest's lift, on the metric of d, serves the energies of both at tau = 0
-    rest = m.rest
+    rest = d.rest
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
     energy_rest = d.at_rest.energy.total

@@ -93,16 +93,22 @@ TAU_SPECS = st.one_of(
 )
 
 
-def run_energy(argv, tau="zero"):
-    """Exit status, stdout and stderr of an energy run; a report's six values must be finite."""
+def run_cli(argv):
+    """Exit status, stdout and stderr of one main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(["energy", *argv, "--tau=" + tau])
-    if status == 0:
-        body = out.getvalue().split(f"tau = {tau}\n", 1)[1]
-        values = [float(line.split(" = ", 1)[1]) for line in body.splitlines()]
-        assert len(values) == 6 and np.all(np.isfinite(values)), out.getvalue()
+        status = main(argv)
     return status, out.getvalue(), err.getvalue()
+
+
+def run_energy(argv, tau="zero"):
+    """Exit status, stdout and stderr of an energy run; a report's six values must be finite."""
+    status, out, err = run_cli(["energy", *argv, "--tau=" + tau])
+    if status == 0:
+        body = out.split(f"tau = {tau}\n", 1)[1]
+        values = [float(line.split(" = ", 1)[1]) for line in body.splitlines()]
+        assert len(values) == 6 and np.all(np.isfinite(values)), out
+    return status, out, err
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -161,6 +167,60 @@ def test_every_assignment_spec_gives_a_finite_report_or_a_named_error(flag, data
     assert status in (0, 1, 2), status
     if status:
         assert err.startswith(f"error: {flag}: "), err
+
+
+TABLE_CELLS = st.tuples(
+    st.integers(0, 31),
+    st.sampled_from(["P", "Q", "normH", "alpha_theta"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "-1e-300", "1e300", "-1e300",
+                     "1e38", "1e-38", "1e20", "1e-20", "3", "-3", "0.5"]),
+)
+DATA_COMMANDS = {
+    "energy": ["energy"],
+    "residual": ["residual"],
+    "theorem1": ["verify", "--suite", "theorem1"],
+    "theorem3": ["verify", "--suite", "theorem3"],
+    "minimize": ["minimize", "--max-iterations", "20"],
+}
+# what a computation that fails on admitted data names, one prefix per error
+FAILED_COMPUTATIONS = (
+    "error: metric is not embeddable as a surface of revolution: P^2 - (Q sin)'^2 = ",
+    "error: mean curvature vector is not spacelike: <H, H> = ",
+    "error: <H, e3_breve> = ",
+    "error: initial time function violates the convexity guard",
+    "error: no acceptable step above ",
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(cells=st.lists(TABLE_CELLS, min_size=1, max_size=3))
+def test_every_edited_data_table_gives_a_finite_report_or_a_named_error(cells, tmp_path_factory):
+    # a Schwarzschild table with one to three cells replaced, through every
+    # command that reads --data: a finite report, a rejected field (exit 1),
+    # or a failed computation or certification that says what failed (exit 2)
+    path = tmp_path_factory.mktemp("table") / "t.dat"
+    assert run_cli(["gen-data", "--schwarzschild", "m=1,r=4", "--out", str(path)])[0] == 0
+    lines = path.read_text().splitlines()
+    for row, column, value in cells:
+        parts = lines[2 + row].split()
+        parts[physdata.COLUMNS.index(column)] = value
+        lines[2 + row] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    for name, command in DATA_COMMANDS.items():
+        status, out, err = run_cli([*command, "--data", str(path)])
+        if status == 0:
+            for line in out.splitlines():
+                value = line.split(" = ", 1)[1]
+                with contextlib.suppress(ValueError):
+                    assert np.isfinite(float(value)), (name, line)
+        elif status == 1:
+            assert err.startswith("error: --data: "), (name, err)
+            assert err.split(": ", 2)[2].lstrip("|").startswith(("P", "Q", "normH", "alpha_theta")), (name, err)
+        elif err:
+            assert status == 2 and err.startswith(FAILED_COMPUTATIONS), (name, err)
+        else:
+            assert status == 2 and name.startswith("theorem"), (name, out)
+            assert report_value(out, "pass") == "false" and report_value(out, "worst_check"), out
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -49,7 +49,8 @@ margins only that equality moved (at rounding level, on the
 noncritical tau0 = 0.01 P1), and no exit status moved.  The two
 --minkowski tau0=zero reports, where the data are the unit sphere's lift
 at tau = 0 and fail their strict mean-curvature-gap with margin 0 (exit
-2), were captured before the rest lift became a field of the metric.
+2), were captured before the suites kept a comparison at tau = 0, on
+the metric first and now on the data, and stayed byte for byte.
 """
 
 import hashlib
@@ -145,8 +146,8 @@ COMMANDS = [
     "minimize --data table.dat --tau=0.012*P1-0.03*P2+0.004*P3 --max-iterations 100",
     "verify --suite theorem1 --data table.dat",
     "verify --suite theorem3 --data table.dat",
-    # the lift at tau = 0 as data, whose zero field both suites also read
-    # as the metric's rest lift
+    # the lift at tau = 0 as data, which both suites compare with their
+    # own lift at tau = 0 (PhysicalData.rest)
     "verify --suite theorem1 --minkowski tau0=zero",
     "verify --suite theorem3 --minkowski tau0=zero",
 ]

@@ -11,6 +11,12 @@ reversing their node values, except that the dtheta component of a
 one-form also changes sign, and P_l(-x) = (-1)^l P_l(x).  The
 differentiation matrix is antisymmetric under the reflection only to
 rounding, so these relations hold to rounding, not to the bit.
+
+Translating in time, tau -> tau + c, moves the lift by a Minkowski
+translation, so the energy, its gradient and the residual are unchanged.
+Only dtau enters them, and rounding tau + c is differentiated, so the
+error grows with |c|: each bound is a constant times
+eps max(1, |c| / r) of the largest term, r the area radius.
 """
 
 from functools import lru_cache
@@ -19,7 +25,7 @@ import numpy as np
 import pytest
 
 from quasilocal.geometry import AxisymMetric, make_grid
-from quasilocal.optimize import TauCoefficients, convexity_guard, energy_gradient, tau_from_coefficients
+from quasilocal.optimize import TauCoefficients, _modes, convexity_guard, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
     _default_profiles,
@@ -180,3 +186,36 @@ def test_reflection_through_the_equator(source, seed):
 
     res = at.residual
     assert np.max(np.abs(mirror.residual - res[::-1])) <= 1e-10 * max(1.0, np.max(np.abs(res)))
+
+
+# c = a + b r for each (a, b): 2^-10, 1, 3r and 2^10 r
+SHIFTS = {"2^-10": (2.0**-10, 0.0), "1": (1.0, 0.0), "3r": (0.0, 3.0), "2^10r": (0.0, 2.0**10)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+@pytest.mark.parametrize("source", sorted(REFLECTED_DATA))
+def test_time_translation(source, shift, seed):
+    # tau is drawn as in the reflection test.  Worst over the 20 draws, in
+    # units of eps max(1, |c| / r) of the largest term or entry (or of 1):
+    # energy 1.3 (Schwarzschild) and 3.8 (lift), gradient along P1..P8
+    # 2.4e4 and 1.8e3, residual 1.4e5 and 3.6e5, each at c = 1 or larger
+    d = REFLECTED_DATA[source]()
+    grid, r = d.metric.grid, d.metric.area_radius
+    a, b = SHIFTS[shift]
+    c = a + b * r
+    coeffs = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, 8) / MODES**2
+    tau = tau_from_coefficients(grid, TauCoefficients(tuple(coeffs)))
+    at, shifted = d.evaluate(tau), d.evaluate(tau + c)
+    unit = np.finfo(float).eps * max(1.0, abs(c) / r)
+
+    e = at.energy
+    scale = max(1.0, abs(e.reference_term), abs(e.physical_term))
+    assert abs(shifted.energy.total - e.total) <= 16 * unit * scale
+
+    grad = energy_gradient(d, TauCoefficients(tuple(coeffs)))
+    grad_shifted = shifted.first_variation(*_modes(grid, MODES.size))[0]
+    assert np.max(np.abs(grad_shifted - grad)) <= 1e5 * unit * max(1.0, np.max(np.abs(grad)))
+
+    res = at.residual
+    assert np.max(np.abs(shifted.residual - res)) <= 1e6 * unit * max(1.0, np.max(np.abs(res)))

@@ -1,6 +1,8 @@
 """Certification suites: reports, identities, and both comparison results."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -222,8 +224,9 @@ class TestLiftsThatAreNotPhysicalData:
 class TestLiftsAreShared:
     """Each lift forms each normal-bundle field it reads once, and no other.
 
-    The lift at tau = 0 is a field of the metric (AxisymMetric.rest) and
-    is bound once per data (PhysicalData.at_rest), however many suites run.
+    The comparison at tau = 0 is kept by the data: their lift at tau = 0
+    (PhysicalData.rest) is formed once and bound once (PhysicalData.at_rest),
+    however many suites run.
     """
 
     @pytest.mark.parametrize(
@@ -246,7 +249,7 @@ class TestLiftsAreShared:
     def test_theorem3_forms_lu_once_and_the_breve_frame_on_the_rest_lift_only(self, monkeypatch):
         # Lu belongs to the metric, shared by the rest lift and the family
         # stack; the stack's closed form reads <H, H> alone, and only the
-        # metric's rest data, formed as minkowski_surface_data forms them,
+        # data's rest data, formed as minkowski_surface_data forms them,
         # frame the rest lift
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
@@ -264,7 +267,7 @@ class TestLiftsAreShared:
             "breve_alpha": [rest],
         }
 
-    def test_suites_lift_the_zero_field_once_per_metric_and_bind_it_once_per_data(self, monkeypatch):
+    def test_suites_lift_the_zero_field_once_and_bind_it_once_per_data(self, monkeypatch):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         m = d.metric
@@ -290,24 +293,35 @@ class TestLiftsAreShared:
 
         runs = [theorem1, check_theorem3, theorem1]
         reports = [run(d) for run in runs]
-        assert zero_lifts == [m.rest.lift]
-        assert [data for data, ev in bindings if ev is m.rest.lift] == [d]
-        assert d.at_rest.ev is m.rest.lift
+        assert zero_lifts == [d.rest.lift]
+        assert [data for data, ev in bindings if ev is d.rest.lift] == [d]
+        assert d.at_rest.ev is d.rest.lift
+        reference, at_tau0 = d.compared_at(np.zeros(32))
+        assert reference is d.rest and at_tau0 is d.at_rest
         assert radius == [m]
         # the rest lift, then per call theorem1's two sample stacks (on d
         # and on the rest data) and theorem3's family and s = 1 rows
         assert len(bindings) == 1 + 2 + 2 + 2
+        # other data on the same metric keep their own comparison at tau = 0
+        other = PhysicalData(metric=m, norm_H=d.norm_H, alpha_H=d.alpha_H)
+        assert format_report(check_theorem3(other)) == format_report(reports[1])
+        assert zero_lifts == [d.rest.lift, other.rest.lift]
         for run, report in zip(runs, reports):
             fresh = schwarzschild_sphere(grid, 1.0, 4.0)
             assert format_report(report) == format_report(run(fresh))
 
-    def test_rest_data_bind_their_own_lift_for_both_suites(self):
-        grid = make_grid(32)
-        d = oblate_metric(grid).rest
-        check_theorem1(d, np.zeros(32))
-        check_theorem3(d)
-        assert d.at_rest is d.bound_lift
-        assert d.evaluate(np.zeros(32)) is d.bound_lift
+    def test_a_metric_is_freed_by_reference_counting_once_both_suites_ran_on_its_data(self):
+        # nothing the suites keep refers back to the data or the metric, so
+        # no cycle waits for the garbage collector
+        gc.disable()
+        try:
+            d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+            assert check_theorem1(d, np.zeros(32)).passed and check_theorem3(d).passed
+            metric = weakref.ref(d.metric)
+            del d
+            assert metric() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_minkowski_surface_data_lifts_anew_as_the_rest_data_do(self, zero):
@@ -315,30 +329,57 @@ class TestLiftsAreShared:
         # owns its data, lift and bound arrays, with the same bits
         grid = make_grid(32)
         m = oblate_metric(grid)
+        d = minkowski_surface_data(m, 0.2 * grid.x)
         data = minkowski_surface_data(m, np.full(32, zero))
-        assert data is not m.rest and data.lift is not m.rest.lift
+        assert data is not d.rest and data.lift is not d.rest.lift
         assert np.signbit(data.lift.tau).all() == np.signbit(zero)
         for name in ("norm_H", "alpha_H"):
-            assert getattr(data, name).tobytes() == getattr(m.rest, name).tobytes()
+            assert getattr(data, name).tobytes() == getattr(d.rest, name).tobytes()
         field = quasilocal.energy.residual
-        assert field(data, np.zeros(32)).tobytes() == field(m.rest, np.zeros(32)).tobytes()
+        assert field(data, np.zeros(32)).tobytes() == field(d.rest, np.zeros(32)).tobytes()
+
+    @pytest.mark.parametrize("signs", ["all", "one"])
+    def test_compared_at_lifts_a_negative_zero_anew(self, signs):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        tau0 = np.zeros(32)
+        if signs == "all":
+            tau0[:] = -0.0
+        else:
+            tau0[7] = -0.0
+        reference, at_tau0 = d.compared_at(tau0)
+        assert reference is not d.rest and reference.lift is not d.rest.lift
+        assert at_tau0 is not d.at_rest and at_tau0.ev is reference.lift
+        assert reference.lift.tau.tobytes() == tau0.tobytes()
+        assert at_tau0.energy.total == d.at_rest.energy.total
+        assert at_tau0.residual.tobytes() == d.at_rest.residual.tobytes()
+        assert d.compared_at(tau0)[0] is not reference
 
     def test_writes_into_a_callers_zero_lift_leave_the_suites_alone(self):
         grid = make_grid(32)
         m = oblate_metric(grid)
-        expected = [format_report(check_theorem1(m.rest, np.zeros(32))), format_report(check_theorem3(m.rest))]
+        d = minkowski_surface_data(m, np.zeros(32))
+
+        def reports():
+            return [format_report(check_theorem1(d, np.zeros(32))), format_report(check_theorem3(d))]
+
+        expected = reports()
         data = minkowski_surface_data(m, np.zeros(32))
         quasilocal.energy.residual(data, np.zeros(32))[:] = 1.0
         data.lift.mean_sq[:] = -1.0
-        assert [format_report(check_theorem1(m.rest, np.zeros(32))), format_report(check_theorem3(m.rest))] == expected
+        # the suites' data own their zero lift too, and compare with d.rest
+        quasilocal.energy.residual(d, np.zeros(32))[:] = 1.0
+        d.lift.mean_sq[:] = -1.0
+        assert reports() == expected
 
     def test_rest_data_are_read_only(self):
-        m = oblate_metric(make_grid(32))
+        grid = make_grid(32)
+        d = minkowski_surface_data(oblate_metric(grid), 0.2 * grid.x)
         for name in ("norm_H", "alpha_H"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(m.rest, name)[0] = 1.0
+                getattr(d.rest, name)[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            m.rest.lift.tau[0] = 1.0
+            d.rest.lift.tau[0] = 1.0
 
 
 class TestTheorem3SharesEachSample:
@@ -423,7 +464,7 @@ class TestTheorem1GapIsADifferenceOfPhysicalTerms:
         check_theorem1(d, tau0)
         assert [ev.tau.tobytes() for ev in references] == [tau0.tobytes()]
         if case == "rest":
-            assert references == [d.metric.rest.lift]
+            assert references == [d.rest.lift]
         assert curvatures == [references[0].projected]
 
     @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.0, 1.0)], ids=["schwarzschild", "flat"])
