@@ -8,11 +8,16 @@ the modes and their derivatives, so it is the exact derivative of the
 discrete energy.  The minimizer takes Newton steps on central
 differences of that gradient, evaluated as one stack, and keeps every
 accepted iterate inside the region where the lifted metric stays convex,
-the Evaluation's guard field.  It reads the guard, the energy and the
-gradient at each field or stack from one DataEvaluation.  Its start is
-row 0 of the stack of its first Hessian, so the start costs no evaluation
-of its own, and the residual it reports is formed from the terms that
-gave its last gradient.
+the Evaluation's guard field.  Near the minimum the Hessian is positive
+and varies slowly, so a model that needed no modification and predicts
+a small decrease is kept for the next iterate instead of being built
+again (a lagged Newton model, Kelley 1995, section 5.4); a kept model
+takes one full step, which must not raise the energy and must lower the
+gradient norm, and never decides a stop.  It reads the guard, the energy
+and the gradient at each field or stack from one DataEvaluation.  Its
+start is row 0 of the stack of its first Hessian, so the start costs no
+evaluation of its own, and the residual it reports is formed from the
+terms that gave its last gradient.
 """
 
 from dataclasses import dataclass
@@ -31,17 +36,27 @@ from .physdata import PhysicalData
 
 # Armijo sufficient-decrease factor; the step below which the line search
 # gives up; the central-difference step of the Hessian and of the
-# calibration; how many rounding floors of the energy a converged run may
-# still predict; the least eigenvalue of a Newton model, as a fraction of
-# the largest.  A raise to 1e-3 bent Schwarzschild runs (up to 43
-# iterations, 10.8 accuracy digits on the benchmark's minimize-sweep);
-# 1e-5 cost up to 0.1 digit; dropping the soft eigenvalues instead (a
-# pseudo-inverse) left lift runs at E = 2e-11 to 4e-11.
+# calibration, in units of the sphere's area radius; how many rounding
+# floors of the energy a converged run may still predict; the least
+# eigenvalue of a Newton model, as a fraction of the largest.  A raise to
+# 1e-3 bent Schwarzschild runs (up to 43 iterations, 10.8 accuracy digits
+# on the benchmark's minimize-sweep); 1e-5 cost up to 0.1 digit; dropping
+# the soft eigenvalues instead (a pseudo-inverse) left lift runs at
+# E = 2e-11 to 4e-11.
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-14
 FD_STEP = 1e-5
 FLOOR_MULTIPLE = 8.0
 EIGEN_FLOOR = 1e-4
+# The Newton decrement, as a fraction of the energy's term scale, below
+# which an unmodified model is kept for the next iterate.  Over 100
+# seeded Schwarzschild starts per scale (tests/test_optimize.py), 1e-6
+# and 1e-4 raised the largest iteration count at scale 0.3 from 3 (a
+# model built at every iterate) to 7 and 8, and 1e-4 raised it at scale
+# 1.0 from 5 to 11; 1e-8 gave 4 and 6.  On the benchmark's minimize-sweep
+# (scale 0.05) every value from 1e-10 to 1e-6 builds 1.34 to 1.35 models
+# per run.
+KEEP_DECREMENT = 1e-8
 
 
 class GuardViolationError(ValueError):
@@ -72,8 +87,10 @@ class TauCoefficients:
 class MinimizeReport:
     """The outcome of minimize_energy; its docstring defines each field.
 
-    hessian_min_eigenvalue comes from central differences of the gradient,
-    so on flat directions near 1e-9 it carries about one significant digit.
+    hessian_min_eigenvalue is the least eigenvalue of the last Hessian the
+    run built, the start's for a run that kept it throughout.  It comes from
+    central differences of the gradient, so on flat directions near 1e-9 it
+    carries about one significant digit.
     """
 
     tau_star: TauCoefficients
@@ -142,12 +159,12 @@ def _fd_gradient(values: np.ndarray, step: float) -> np.ndarray:
     return (values[:count] - values[count:]) / (2.0 * step)
 
 
-def _hessian(grads: np.ndarray) -> tuple:
+def _hessian(grads: np.ndarray, step: float) -> tuple:
     """Eigenvalues (ascending) and eigenvectors of H, from the gradients on a _perturbed stack.
 
-    H is the symmetrized _fd_gradient, step FD_STEP, of those gradient rows.
+    H is the symmetrized _fd_gradient, of that step, of those gradient rows.
     """
-    h = _fd_gradient(grads, FD_STEP)
+    h = _fd_gradient(grads, step)
     return np.linalg.eigh(0.5 * (h + h.T))
 
 
@@ -162,13 +179,49 @@ def _newton_direction(values: np.ndarray, vectors: np.ndarray, grad: np.ndarray)
     return -(vectors @ ((vectors.T @ grad) / raised))
 
 
-def _rounding_floor(reference: float, energy: float) -> float:
-    """16 eps max(1, |reference_term|, |physical_term|) at an iterate of that energy.
+def _kept_direction(model, grad: np.ndarray, scale: float):
+    """-H^-1 g on a model H worth keeping at this gradient, or None.
+
+    H is kept when no eigenvalue was raised, so the direction is a true
+    Newton step, and its decrement g.H^-1 g / 2 is below KEEP_DECREMENT
+    times the term scale.
+    """
+    if model is None:
+        return None
+    values, vectors = model
+    if not values[0] >= EIGEN_FLOOR * values[-1] > 0.0:
+        return None
+    direction = -(vectors @ ((vectors.T @ grad) / values))
+    return direction if -0.5 * float(grad @ direction) < KEEP_DECREMENT * scale else None
+
+
+def _term_scale(reference: float, energy: float) -> float:
+    """max(1, |reference_term|, |physical_term|) at an iterate of that energy.
 
     The energy is the difference of its two terms, so its rounding scales
     with them, not with the energy, which vanishes on lift data.
     """
-    return 16.0 * np.finfo(float).eps * max(1.0, abs(reference), abs(reference - energy))
+    return max(1.0, abs(reference), abs(reference - energy))
+
+
+def _rounding_floor(scale: float) -> float:
+    """16 eps times the term scale: the energy's rounding floor at an iterate."""
+    return 16.0 * np.finfo(float).eps * scale
+
+
+def _assess(d: PhysicalData, field: np.ndarray) -> tuple:
+    """A trial field's DataEvaluation and energy.
+
+    The energy is None when the guard margin is not positive, and inf (with
+    no DataEvaluation) when the Evaluation does not admit the field or its
+    projection does not embed.
+    """
+    try:
+        at_trial = d.evaluate(field)
+        return at_trial, at_trial.energy.total if at_trial.ev.guard > 0.0 else None
+    except (InvalidParameterError, NonEmbeddableError):
+        # refused by the Evaluation, p_hat out of range, or a projection that does not embed
+        return None, np.inf
 
 
 def minimize_energy(
@@ -180,8 +233,10 @@ def minimize_energy(
     """Descend qle over the coefficient space from init.
 
     Newton steps with Armijo backtracking.  The Hessian H is the
-    symmetrized central difference (step FD_STEP) of the gradient along
-    the modes; its 2L perturbed fields are one stacked evaluation.  At
+    symmetrized central difference (step FD_STEP times the area radius, so
+    that a sphere scaled by 2^k runs the same steps scaled by 2^k) of the
+    gradient along the modes; its 2L perturbed fields are one stacked
+    evaluation.  At
     the start that stack has 2L + 1 rows, the start field first: row 0
     gives the guard margin, the energy, the rounding floor and the
     gradient, and rows 1..2L the calibration and the first H.  Every
@@ -190,7 +245,19 @@ def minimize_energy(
     soft directions: on data that is itself a surface in Minkowski space
     the minimum is a boost curve, not a point, and H is singular along it.
     Where the stack does not lift, or H has no positive eigenvalue, the
-    iteration takes a steepest-descent step instead.  Steps leaving the
+    iteration takes a steepest-descent step instead.
+
+    After an accepted step H is kept for the next iteration when no
+    eigenvalue was raised, so -H^-1 g is a true Newton step, and its
+    decrement g.H^-1 g / 2 at the new iterate is below KEEP_DECREMENT times
+    the term scale max(1, |reference_term|, |physical_term|).  A kept H
+    takes one full step, accepted only if the trial is admitted, passes the
+    guard, does not raise the energy and lowers the gradient norm; otherwise
+    H is rebuilt at that iterate and the iteration runs as above.  So only a
+    freshly built H ends a run on the decrement, and a modified model (lift
+    data's boost orbit) is rebuilt at every iterate.
+
+    Steps leaving the
     convexity region, the length range or the embeddable family are
     rejected and shortened, so every accepted iterate is admissible; a
     trial whose guard margin is not positive counts as leaving the region,
@@ -199,9 +266,12 @@ def minimize_energy(
     differences of qle and the relative distance is recorded as
     calibration_rel_error.  That distance measures agreement with the
     finite differences, not the gradient's error, and cannot fall much
-    below their own error, about 3e-9 at FD_STEP.
-    hessian_min_eigenvalue is the least eigenvalue of the last H before
-    the raise: the discrete second variation.  residual_norm is the L2
+    below their own error, about 1e-8 at their step.  Differences whose
+    norm is below their resolution, the rounding floor over the step, are
+    rounding and calibrate nothing: calibration_rel_error is then 0.
+    hessian_min_eigenvalue is the least eigenvalue, before the raise, of
+    the last H the run built (the start's when it kept that one
+    throughout): the discrete second variation.  residual_norm is the L2
     norm of energy.residual at the final iterate, formed from the
     stationarity terms that gave the last gradient.
 
@@ -217,8 +287,9 @@ def minimize_energy(
     MinimizeReport.stop says why the run ended: "gradient" when the
     gradient norm drops below tol (checked before H is built, so a
     converged iterate after the start costs no stack); "decrement" when
-    the Newton decrement g.H_mod^-1 g / 2 is below the energy's rounding floor
-    16 eps max(1, |reference_term|, |physical_term|); "iterations" after
+    the Newton decrement g.H_mod^-1 g / 2 of an H built at the current
+    iterate is below the energy's rounding floor 16 eps times the term
+    scale; "iterations" after
     max_iterations steps; "rounding-floor" when the predicted decrease
     -g.d is below FLOOR_MULTIPLE rounding floors and backtracking finds no
     step (the trial field equals the current one, or the step passes
@@ -245,7 +316,8 @@ def minimize_energy(
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
     tau = tau_from_coefficients(grid, init)
     modes = _modes(grid, count)
-    bumps = FD_STEP * modes[0].T
+    fd_step = FD_STEP * m.area_radius
+    bumps = fd_step * modes[0].T
 
     # the start and its 2L perturbations as one stack: row 0 for the guard,
     # the energy and the gradient, rows 1..2L for the calibration and H
@@ -256,75 +328,91 @@ def minimize_energy(
 
     totals = stack.energy.total
     energy = float(totals[0])
-    floor = _rounding_floor(float(stack.ev.reference[0]), energy)
+    scale = _term_scale(float(stack.ev.reference[0]), energy)
     grads = stack.first_variation(*modes)[0]
     grad = grads[0]
     trace_part, flux = stack.stationarity
     terms = trace_part[0], flux[0]
 
-    fd = _fd_gradient(totals[1:], FD_STEP)
-    scale = max(float(np.linalg.norm(fd)), tol)
-    calibration = float(np.linalg.norm(fd - grad)) / scale if scale > tol else 0.0
-    model = _hessian(grads[1:])
+    # differences below the energy's rounding floor over the step are rounding
+    fd = _fd_gradient(totals[1:], fd_step)
+    fd_norm = float(np.linalg.norm(fd))
+    floor = _rounding_floor(scale)
+    calibration = float(np.linalg.norm(fd - grad)) / fd_norm if fd_norm > floor / fd_step else 0.0
+    model = _hessian(grads[1:], fd_step)
     least = float(model[0][0])
+    kept = None  # the Newton step of the model of an earlier iterate, if kept
 
     trace = [energy]
     guard_active = False
     iterations = 0
 
     while iterations < max_iterations and np.linalg.norm(grad) >= tol:
-        if iterations > 0:
-            try:
-                model = _hessian(d.evaluate(_perturbed(tau, bumps)).first_variation(*modes)[0])
-                least = float(model[0][0])
-            except NonEmbeddableError:
-                model = None
-        newton = None if model is None else _newton_direction(*model, grad)
-        direction = -grad if newton is None else newton
-        slope = float(grad @ direction)
-        if newton is not None and -0.5 * slope < floor:
-            stop = "decrement"
-            break
-
         accepted = False
-        step = 1.0
-        while step >= STEP_FLOOR:
-            trial = coeffs + step * direction
+        if kept is not None:
+            # one full step on the kept model, accepted only if it does not
+            # raise the energy and lowers the gradient norm; otherwise H is
+            # rebuilt at this iterate and the iteration runs as below
+            trial = coeffs + kept
             field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
-            if np.array_equal(field, tau):
-                break
-            try:
-                at_trial = d.evaluate(field)
-                trial_energy = at_trial.energy.total if at_trial.ev.guard > 0.0 else None
-            except (InvalidParameterError, NonEmbeddableError):
-                # refused by the Evaluation, p_hat out of range, or a projection that does not embed
-                trial_energy = np.inf
+            at_trial, trial_energy = _assess(d, field)
             if trial_energy is None:
                 guard_active = True
-            else:
-                # strict decrease below the rounding floor cannot be
-                # certified; accept any non-increasing step there
-                predicted = -ARMIJO * step * slope
-                if trial_energy <= energy - (predicted if predicted >= floor else 0.0):
-                    accepted = True
-                    break
-            step *= 0.5
-        if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * floor:
-            stop = "rounding-floor"
-            break
+            elif trial_energy <= energy:
+                trial_grad = at_trial.first_variation(*modes)[0]
+                accepted = np.linalg.norm(trial_grad) < np.linalg.norm(grad)
         if not accepted:
-            raise LineSearchError(
-                f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
-            )
+            if iterations > 0:
+                try:
+                    model = _hessian(
+                        d.evaluate(_perturbed(tau, bumps)).first_variation(*modes)[0], fd_step
+                    )
+                    least = float(model[0][0])
+                except NonEmbeddableError:
+                    model = None
+            newton = None if model is None else _newton_direction(*model, grad)
+            direction = -grad if newton is None else newton
+            slope = float(grad @ direction)
+            if newton is not None and -0.5 * slope < floor:
+                stop = "decrement"
+                break
+
+            step = 1.0
+            while step >= STEP_FLOOR:
+                trial = coeffs + step * direction
+                field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
+                if np.array_equal(field, tau):
+                    break
+                at_trial, trial_energy = _assess(d, field)
+                if trial_energy is None:
+                    guard_active = True
+                else:
+                    # strict decrease below the rounding floor cannot be
+                    # certified; accept any non-increasing step there
+                    predicted = -ARMIJO * step * slope
+                    if trial_energy <= energy - (predicted if predicted >= floor else 0.0):
+                        accepted = True
+                        break
+                step *= 0.5
+            if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * floor:
+                stop = "rounding-floor"
+                break
+            if not accepted:
+                raise LineSearchError(
+                    f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
+                )
+            trial_grad = at_trial.first_variation(*modes)[0]
 
         tau = field
         coeffs = trial
         energy = trial_energy
-        floor = _rounding_floor(at_trial.ev.reference, energy)
-        grad = at_trial.first_variation(*modes)[0]
+        scale = _term_scale(at_trial.ev.reference, energy)
+        floor = _rounding_floor(scale)
+        grad = trial_grad
         terms = at_trial.stationarity
         trace.append(energy)
         iterations += 1
+        kept = _kept_direction(model, grad, scale)
     else:
         stop = "gradient" if np.linalg.norm(grad) < tol else "iterations"
     res = _residual_from_terms(m, *terms)  # of the terms the last gradient paired

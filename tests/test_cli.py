@@ -192,6 +192,26 @@ FAILED_COMPUTATIONS = (
 )
 
 
+SUITES = ("identities", "lemma41", "theorem1", "theorem3")
+
+
+def expect_finite_report_or_named_error(name, status, out, err, flag):
+    """A finite report (exit 0), input rejected naming flag (exit 1), or a failed
+    computation or certification that says what failed (exit 2)."""
+    if status == 0:
+        for line in out.splitlines():
+            value = line.split(" = ", 1)[1]
+            with contextlib.suppress(ValueError):
+                assert np.isfinite(float(value)), (name, line)
+    elif status == 1:
+        assert err.startswith(f"error: {flag}: "), (name, err)
+    elif err:
+        assert status == 2 and err.startswith(FAILED_COMPUTATIONS), (name, err)
+    else:
+        assert status == 2 and name in SUITES, (name, out)
+        assert report_value(out, "pass") == "false" and report_value(out, "worst_check"), out
+
+
 @settings(deadline=None, derandomize=True, max_examples=400)
 @given(cells=st.lists(TABLE_CELLS, min_size=1, max_size=3))
 def test_every_edited_data_table_gives_a_finite_report_or_a_named_error(cells, tmp_path_factory):
@@ -208,19 +228,58 @@ def test_every_edited_data_table_gives_a_finite_report_or_a_named_error(cells, t
     path.write_text("\n".join(lines) + "\n")
     for name, command in DATA_COMMANDS.items():
         status, out, err = run_cli([*command, "--data", str(path)])
-        if status == 0:
-            for line in out.splitlines():
-                value = line.split(" = ", 1)[1]
-                with contextlib.suppress(ValueError):
-                    assert np.isfinite(float(value)), (name, line)
-        elif status == 1:
-            assert err.startswith("error: --data: "), (name, err)
+        expect_finite_report_or_named_error(name, status, out, err, "--data")
+        if status == 1:
             assert err.split(": ", 2)[2].lstrip("|").startswith(("P", "Q", "normH", "alpha_theta")), (name, err)
-        elif err:
-            assert status == 2 and err.startswith(FAILED_COMPUTATIONS), (name, err)
-        else:
-            assert status == 2 and name.startswith("theorem"), (name, out)
-            assert report_value(out, "pass") == "false" and report_value(out, "worst_check"), out
+        elif status == 2 and not err:
+            assert name.startswith("theorem"), (name, out)
+
+
+# a --tau file: the n = 32 node values of 0.01 P1 + 0.05 P2, one per row or
+# as 'theta value' rows, with up to three cells replaced (theta or value)
+# and perhaps a row dropped, a row repeated or a column added
+TAU_FILE_BASE = 0.01 * legendre_mode(make_grid(32), 1) + 0.05 * legendre_mode(make_grid(32), 2)
+TAU_FILE_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0", "1e-300", "1e300", "1e38", "1e20", "3", "-3", "0.5",
+     "0.06", "0.04", "-0.01", "x", "1e", ""]
+)
+TAU_FILES = st.tuples(
+    st.sampled_from(["values", "pairs"]),
+    st.lists(st.tuples(st.integers(0, 31), st.sampled_from([0, 1]), TAU_FILE_CELLS), max_size=3),
+    st.sampled_from(["", "", "", "drop", "repeat", "column"]),
+)
+# every command that reads --tau on data; minimize resolves every node
+# value with 31 modes, so an edited table is a start, not a rejected one
+TAU_COMMANDS = {
+    "energy": ["energy"],
+    "residual": ["residual"],
+    "minimize": ["minimize", "--modes", "31", "--max-iterations", "20"],
+    "identities": ["verify", "--suite", "identities"],
+    "lemma41": ["verify", "--suite", "lemma41"],
+    "theorem1": ["verify", "--suite", "theorem1"],
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(table=TAU_FILES)
+def test_every_edited_tau_file_gives_a_finite_report_or_a_named_error(table, tmp_path_factory):
+    layout, cells, shape = table
+    rows = [[repr(float(t)), repr(float(v))] for t, v in zip(make_grid(32).nodes, TAU_FILE_BASE)]
+    for row, column, value in cells:
+        rows[row][column if layout == "pairs" else 1] = value
+    if layout == "values":
+        rows = [row[1:] for row in rows]
+    if shape == "drop":
+        rows = rows[:-1]
+    elif shape == "repeat":
+        rows = rows + rows[-1:]
+    elif shape == "column":
+        rows = [row + ["0"] for row in rows]
+    path = tmp_path_factory.mktemp("tau") / "tau.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in rows))
+    for name, command in TAU_COMMANDS.items():
+        status, out, err = run_cli([*command, "--schwarzschild", "m=1,r=4", f"--tau=file:{path}"])
+        expect_finite_report_or_named_error(name, status, out, err, "--tau")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -343,6 +402,16 @@ class TestMinimizeCommand:
         assert report_value(text, "guard_active") == "false"
         assert int(report_value(text, "iterations")) >= 1
         assert report_value(text, "trace.0") == report_value(text, "initial_energy")
+
+    def test_calibration_does_not_depend_on_the_tolerance(self, capsys):
+        # at the critical start the finite differences of qle are rounding:
+        # their norm is below the energy's rounding floor over the step, so
+        # they calibrate nothing, whatever --tol is
+        values = []
+        for tol in ("1e-7", "1e-12"):
+            assert main(["minimize", "--schwarzschild", "m=1,r=4", "--tol", tol]) == 0
+            values.append(report_value(capsys.readouterr().out, "calibration_rel_error"))
+        assert values == ["0", "0"]
 
     def test_guard_violation_exits_with_margin(self, capsys):
         argv = ["minimize", "--schwarzschild", "m=1,r=4", "--tau", "3*P3",
