@@ -41,7 +41,12 @@ from .geometry import (
     Grid,
     AxisymMetric,
 )
-from .embedding import LIFT_ERRORS, Evaluation
+from .embedding import (
+    LIFT_ERRORS,
+    Evaluation,
+    GaugeOrientationError,
+    NonSpacelikeMeanCurvatureError,
+)
 from .physdata import (
     DATA_FAMILIES,
     METRIC_FAMILIES,
@@ -71,11 +76,15 @@ class CliValidationError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+# what minkowski_surface_data raises for a lift that cannot be physical data
+NOT_DATA = (NonSpacelikeMeanCurvatureError, GaugeOrientationError)
+
+
 def _for_flag(field: str, build, *args):
-    """build(*args), with rejected input and unreadable or unwritable paths blamed on field."""
+    """build(*args), with rejected input, lifts that cannot be data and unusable paths blamed on field."""
     try:
         return build(*args)
-    except (InvalidParameterError, DataFormatError, OSError) as exc:
+    except (InvalidParameterError, DataFormatError, OSError, *NOT_DATA) as exc:
         raise CliValidationError(field, str(exc)) from None
 
 
@@ -112,9 +121,10 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
                 field, f"coefficient {match.group(1)} is not finite or the sum overflows"
             )
         degree = 0 if match.group(2) is None else int(match.group(2))
-        if degree >= grid.n_nodes:
+        if degree > grid.highest_mode:
             raise CliValidationError(
-                field, f"mode P{degree} is not resolved on an n={grid.n_nodes} grid"
+                field, f"mode P{degree} is not resolved on an n={grid.n_nodes} grid "
+                f"(highest P{grid.highest_mode})"
             )
         coeffs[degree] += coeff
         pos = match.end()
@@ -317,8 +327,8 @@ def _initial_coefficients(args, metric: AxisymMetric):
         raise CliValidationError("--max-iterations", f"must be at least 0, got {args.max_iterations}")
     field = _tau_on(args.tau, metric).tau
     coeffs = grid.legendre_coeffs(field)
-    if args.modes < 1 or args.modes >= grid.n_nodes:
-        raise CliValidationError("--modes", f"must be in [1, {grid.n_nodes - 1}], got {args.modes}")
+    if not 1 <= args.modes <= grid.highest_mode:
+        raise CliValidationError("--modes", f"must be in [1, {grid.highest_mode}], got {args.modes}")
     init = TauCoefficients(tuple(coeffs[1 : args.modes + 1]))
     synthesized = tau_from_coefficients(grid, init) + coeffs[0]
     defect = float(np.max(np.abs(field - synthesized)))
@@ -379,7 +389,15 @@ def cmd_verify(args, grid: Grid) -> int:
     if args.suite in METRIC_SUITES:
         report = (check_identities if args.suite == "identities" else check_lemma41)(metric, lift)
     elif args.suite == "theorem1":
-        report = check_theorem1(d, lift.tau)
+        try:
+            report = check_theorem1(d, lift.tau)
+        except NOT_DATA as exc:
+            # only Sigma_tau0 is read as data; at a zero tau0 it is the data's own rest image
+            if not np.any(lift.tau):
+                raise
+            raise CliValidationError(
+                "--tau", f"the lift of tau0, Sigma_tau0, is not physical data: {exc}"
+            ) from None
     elif np.any(lift.tau != 0.0):
         raise CliValidationError("--tau", f"suite theorem3 certifies tau = zero, got {args.tau!r}")
     else:
@@ -451,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="gradient norm below which the run stops (default 1e-7); it also stops "
                           "when the Newton decrement falls below the energy's rounding floor")
     sub.add_argument("--max-iterations", type=int, default=500)
-    sub.add_argument("--modes", type=int, default=8, help="Legendre modes optimized (default 8)")
+    sub.add_argument("--modes", type=int, default=8,
+                     help="Legendre modes P1..PL optimized, L in [1, n - 2] (default 8)")
     sub.add_argument("--columns", default=None, help="write 'iteration energy' rows to this path")
 
     sub = _add_command(commands, "verify", "run a certification suite", cmd_verify,

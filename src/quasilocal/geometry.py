@@ -159,6 +159,16 @@ class Grid:
         l = np.arange(self.n_nodes)
         return (2 * l + 1) / 2.0 * ((self.weights * f) @ self.legendre_vandermonde)
 
+    @property
+    def highest_mode(self) -> int:
+        """n_nodes - 2, the highest Legendre degree a time function may carry.
+
+        The Laplacian's flux (1 - x^2) P_l' has degree l + 1, which
+        diff_matrix_x reproduces only up to degree n_nodes - 1, so the
+        discrete Laplacian of P_{n_nodes - 1} is wrong by O(1).
+        """
+        return self.n_nodes - 2
+
     def legendre_synthesis(self, coeffs) -> np.ndarray:
         """Node values of sum_l coeffs[l] * P_l(x), a legendre_vandermonde product.
 

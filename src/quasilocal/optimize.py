@@ -1,23 +1,24 @@
 """Minimization of the energy over axisymmetric time functions.
 
 The search space is the span of Legendre modes P_l(cos theta) for
-l = 1..L; the constant mode is excluded because the energy is invariant
-under time translation.  The gradient is DataEvaluation.first_variation
-along the modes, the weak-form pairing of the stationarity terms with
-the modes and their derivatives, so it is the exact derivative of the
-discrete energy.  The minimizer takes Newton steps on central
-differences of that gradient, evaluated as one stack, and keeps every
-accepted iterate inside the region where the lifted metric stays convex,
-the Evaluation's guard field.  Near the minimum the Hessian is positive
-and varies slowly, so a model that needed no modification and predicts
-a small decrease is kept for the next iterate instead of being built
-again (a lagged Newton model, Kelley 1995, section 5.4); a kept model
-takes one full step, which must not raise the energy and must lower the
-gradient norm, and never decides a stop.  It reads the guard, the energy
-and the gradient at each field or stack from one DataEvaluation.  Its
-start is row 0 of the stack of its first Hessian, so the start costs no
-evaluation of its own, and the residual it reports is formed from the
-terms that gave its last gradient.
+l = 1..L, L at most Grid.highest_mode (n - 2 on n nodes, the modes whose
+Laplacian the grid resolves); the constant mode is excluded because the
+energy is invariant under time translation.  The gradient is
+DataEvaluation.first_variation along the modes, the weak-form pairing of
+the stationarity terms with the modes and their derivatives, so it is
+the exact derivative of the discrete energy.  The minimizer takes Newton
+steps on central differences of that gradient, evaluated as one stack,
+and keeps every accepted iterate inside the region where the lifted
+metric stays convex, the Evaluation's guard field.  Near the minimum the
+Hessian is positive and varies slowly, so a model that needed no
+modification and predicts a small decrease is kept for the next iterate
+instead of being built again (a lagged Newton model, Kelley 1995,
+section 5.4); a kept model takes one full step, which must not raise the
+energy and must lower the gradient norm, and never decides a stop.  It
+reads the guard, the energy and the gradient at each field or stack from
+one DataEvaluation.  Its start is row 0 of the stack of its first
+Hessian, so the start costs no evaluation of its own, and the residual
+it reports is formed from the terms that gave its last gradient.
 """
 
 from dataclasses import dataclass
@@ -105,10 +106,10 @@ class MinimizeReport:
 
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
-    """Node values of sum_l c_l P_l; FieldShapeError for more modes than the grid resolves."""
+    """Node values of sum_l c_l P_l; FieldShapeError for modes above Grid.highest_mode."""
     count = len(tau.coeffs)
-    if count >= grid.n_nodes:
-        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.n_nodes - 1}")
+    if count > grid.highest_mode:
+        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.highest_mode}")
     return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
 
 
@@ -277,7 +278,7 @@ def minimize_energy(
 
     A tol that is not positive and finite, or a max_iterations that is
     not an integer >= 0, raises InvalidParameterError; an init with no
-    modes, or with more than the grid resolves, raises FieldShapeError as
+    modes, or with more than Grid.highest_mode, raises FieldShapeError as
     energy_gradient does.  A start the Evaluation of the (2L + 1)-row
     stack does not admit raises InvalidParameterError naming row 0; then a
     start outside the guard raises GuardViolationError before anything is

@@ -6,19 +6,19 @@ with it.  Everything downstream (energy evaluation, minimization,
 certification) consumes this triple and nothing else, so data can come
 from closed-form families, from a lifted surface, or from a text table.
 
-PhysicalData.evaluate binds the Evaluation of a time function to the
-data (an energy.DataEvaluation).  Data of a surface in Minkowski space
-(minkowski_surface_data), where a lift becomes physical data and the
-only code that checks it can, carry the lift they were computed from;
-nothing else sets PhysicalData.lift.  evaluate serves that lift, bound
-once, for the data's own time function, given bit for bit, so the
-energy, the residual and the gradient at tau0 share the lift and its fields.
-The comparison suites compare the data Sigma with Sigma_tau0, the data
-of the lift at tau0, through PhysicalData.compared_at, which owns the
-one rule of what is kept: Sigma_0 and the data's binding to its lift
-are fields of the data (PhysicalData.rest and PhysicalData.at_rest), so
-the suites lift and bind the zero field once per data however often
-they run; every other tau0 is lifted anew.
+Data keep what they have lifted and bound behind two doors, the only
+ways to it.  PhysicalData.evaluate binds the Evaluation of a time
+function to the data (an energy.DataEvaluation).  Data of a surface in
+Minkowski space (minkowski_surface_data), where a lift becomes physical
+data and the only code that checks it can, carry the lift they were
+computed from; nothing else sets PhysicalData.lift.  evaluate serves
+that lift, bound once, for the data's own time function, given bit for
+bit, so the energy, the residual and the gradient at tau0 share the lift
+and its fields.  PhysicalData.compared_at gives Sigma_tau0, the data of
+the lift at tau0, with the data bound to its lift: the comparison both
+suites make.  It owns the one rule of what is kept: Sigma_0 and that
+binding are formed once per data, however often the suites run, and
+every other tau0 is lifted anew.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -95,9 +95,10 @@ class PhysicalData:
     by minkowski_surface_data, which sets it to the lift of its own copy
     of tau0.  It takes no part in repr, and evaluate serves it, bound to
     the data, for that time function; dataclasses.replace gives data
-    without it.  rest and at_rest are formed when first read and kept;
-    neither refers back to the data, so data are freed when their last
-    reference goes.  Data compare and hash by identity.
+    without it.  evaluate and compared_at are the only ways to what the
+    data keep, the bound lift and the comparison at tau0 = 0, each formed
+    when first asked for; neither refers back to the data, so data are
+    freed when their last reference goes.  Data compare and hash by identity.
     """
 
     metric: AxisymMetric
@@ -122,39 +123,35 @@ class PhysicalData:
         object.__setattr__(self, "alpha_H", _admit(grid, "alpha_theta", self.alpha_H, lengths=False))
 
     @lazy
-    def bound_lift(self) -> DataEvaluation:
-        """The DataEvaluation of lift, formed when the data are first evaluated at its tau."""
+    def _own(self) -> DataEvaluation:
+        """lift bound to the data, formed when they are first evaluated at its tau."""
         return _data_evaluation()(self, self.lift)
 
     @lazy
-    def rest(self) -> PhysicalData:
-        """Sigma_0, the data of the lift at tau = 0: minkowski_surface_data(metric, 0)."""
-        return minkowski_surface_data(self.metric, np.zeros(self.metric.grid.n_nodes))
-
-    @lazy
-    def at_rest(self) -> DataEvaluation:
-        """The DataEvaluation of rest.lift, these data at tau = 0."""
-        return _data_evaluation()(self, self.rest.lift)
+    def _rest(self) -> tuple[PhysicalData, DataEvaluation]:
+        """Sigma_0, minkowski_surface_data(metric, 0), and the data bound to its lift."""
+        rest = minkowski_surface_data(self.metric, np.zeros(self.metric.grid.n_nodes))
+        return rest, _data_evaluation()(self, rest.lift)
 
     def compared_at(self, tau0: np.ndarray) -> tuple[PhysicalData, DataEvaluation]:
         """Sigma_tau0 and these data evaluated on its lift, the comparison at tau0.
 
-        tau0 must be one field of node values.  A tau0 whose bytes are all
-        those of +0.0 gives (rest, at_rest), kept; any other, -0.0
-        included, is lifted anew by minkowski_surface_data.
+        tau0 must be one field of node values.  One whose bytes are all
+        those of +0.0 gives Sigma_0 and its binding, formed once and kept;
+        any other, -0.0 included, is lifted anew by minkowski_surface_data.
         """
         tau0 = _check_field(self.metric.grid, "tau0", np.array(tau0, dtype=float))
         if tau0.tobytes() == bytes(tau0.nbytes):
-            return self.rest, self.at_rest
+            return self._rest
         reference = minkowski_surface_data(self.metric, tau0)
         return reference, self.evaluate(reference.lift)
 
     def evaluate(self, tau: np.ndarray | Evaluation) -> DataEvaluation:
-        """The DataEvaluation of tau on the metric; bound_lift for the data's own time function.
+        """The DataEvaluation of tau on the metric; the data's lift, bound once, at its own tau.
 
-        The lift is served only for an array of its dtype and shape whose
-        bytes equal its tau, so -0.0 for 0.0 or another NaN payload gets
-        a new DataEvaluation, as does every other field, stack or Evaluation.
+        That is served only for an array of its dtype and shape whose bytes
+        equal the lift's tau, so -0.0 for 0.0 or another NaN payload gets a
+        new DataEvaluation, as does every other field, stack or Evaluation.
         """
         lift = self.lift
         if (
@@ -164,7 +161,7 @@ class PhysicalData:
             and tau.shape == lift.tau.shape
             and tau.tobytes() == lift.tau.tobytes()
         ):
-            return self.bound_lift
+            return self._own
         return _data_evaluation()(self, evaluate(self.metric, tau))
 
 
@@ -216,9 +213,9 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     tau0 is an array of node values of shape (n,).  It is lifted from a
     read-only copy, which the data keep as their lift, so changing the
     caller's array later cannot leave the lift stale; every call lifts
-    anew, a zero tau0 included (PhysicalData.rest keeps one such lift per
-    data for the comparison suites).  The data's norm_H and alpha_H are
-    read-only too, since the lift bound to them keeps them.
+    anew, a zero tau0 included (PhysicalData.compared_at keeps one such
+    lift per data for the comparison suites).  The data's norm_H and
+    alpha_H are read-only too, since the lift bound to them keeps them.
     """
     tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
     lift = Evaluation(m, _read_only(tau0))

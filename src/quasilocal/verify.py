@@ -35,10 +35,11 @@ Sampling is deterministic: the default sample families are fixed
 Legendre-coefficient boxes and profiles.  They depend on the grid alone,
 so each is a read-only stack built once per grid and shared by every
 call, and each family is evaluated as one stack of time functions, anew
-on every call.  theorem1 reads Sigma_tau0 and the data's energy and
-residual at tau0 from PhysicalData.compared_at, which keeps them for a
-tau0 of +0.0 bytes and lifts every other tau0 anew; theorem3 reads the
-kept pair, PhysicalData.rest and PhysicalData.at_rest.
+on every call.  Both comparison suites take Sigma_tau0 and the data's
+energy and residual at tau0 from PhysicalData.compared_at, theorem1 at
+its tau0 and theorem3 at tau0 = 0; the data keep that pair for a tau0 of
++0.0 bytes and every other tau0 is lifted anew.  Each suite reads its
+samples' convexity margins from the guard of the one stack it evaluates.
 
 theorem1's gap G(tau) = E(Sigma, tau) - E(Sigma, tau0) - E(Sigma_tau0, tau)
 compares two energies at the same tau on the same metric.  The reference
@@ -76,7 +77,7 @@ from .geometry import (
 from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, _fmt
 from .energy import breve_gauge, qle, tilde_energy
-from .optimize import _fd_gradient, _perturbed, convexity_guard
+from .optimize import _fd_gradient, _perturbed
 
 # a strict hypothesis must clear this floor times r^p; on the unit sphere
 # discretization noise in the margins sits around 1e-12, physical
@@ -379,7 +380,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     # the samples and the equality case tau0 + 3r as one evaluation, whose
     # admitted rows keep what the guard computed
     members = evaluate(m, np.concatenate([samples, [tau0 + 3.0 * r]]))
-    keep = convexity_guard(m, members) > 0.0
+    keep = members.guard > 0.0
     keep[-1] = True  # the equality case is always evaluated
     admitted = np.flatnonzero(keep[:-1])
     trial = members.rows(keep)
@@ -460,17 +461,17 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
 
     alpha_dev = float(np.max(np.abs(d.alpha_H)))
     # rest's lift, on the metric of d, serves the energies of both at tau = 0
-    rest = d.rest
+    rest, at_rest = d.compared_at(np.zeros(g.n_nodes))
     hyp_margin = float(np.min(rest.norm_H - d.norm_H))
     positive_margin = float(np.min(d.norm_H))
-    energy_rest = d.at_rest.energy.total
+    energy_rest = at_rest.energy.total
 
     # the families s * tau over the s-grid as one evaluation, whose admitted
     # rows keep what the guard computed (1.0 * tau is tau to the bit, so the
     # s = 1 rows serve the monotonicity energies)
     n_s = s_grid.size
     members = evaluate(m, (s_grid[None, :, None] * samples[:, None, :]).reshape(-1, g.n_nodes))
-    sample_guard = convexity_guard(m, members).reshape(-1, n_s).min(axis=1)
+    sample_guard = members.guard.reshape(-1, n_s).min(axis=1)
     admitted = np.flatnonzero(sample_guard > 0.0)
     family_ev = members.rows(np.repeat(sample_guard > 0.0, n_s))
 

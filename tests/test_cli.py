@@ -52,6 +52,17 @@ class TestTauGrammar:
         with pytest.raises(CliValidationError, match="P12"):
             parse_tau("0.1*P12", grid)
 
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_modes_above_n_minus_2_are_not_resolved(self, n, capsys):
+        # the Laplacian of P_{n-1} is wrong by O(1) on n nodes
+        grid = make_grid(n)
+        expected = legendre_mode(grid, n - 2, 0.01)
+        assert np.max(np.abs(parse_tau(f"0.01*P{n - 2}", grid) - expected)) < 1e-15
+        argv = ["energy", "--schwarzschild", "m=1,r=4", "--grid-n", str(n), "--tau", f"0.01*P{n - 1}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --tau: mode P{n - 1} is not resolved on an n={n} grid (highest P{n - 2})\n"
+
     def test_file_specs_node_values_and_pairs(self, tmp_path):
         grid = make_grid(16)
         field = legendre_mode(grid, 1, 0.3)
@@ -248,12 +259,12 @@ TAU_FILES = st.tuples(
     st.lists(st.tuples(st.integers(0, 31), st.sampled_from([0, 1]), TAU_FILE_CELLS), max_size=3),
     st.sampled_from(["", "", "", "drop", "repeat", "column"]),
 )
-# every command that reads --tau on data; minimize resolves every node
-# value with 31 modes, so an edited table is a start, not a rejected one
+# every command that reads --tau on data; minimize runs on the 30 modes
+# the grid resolves, so a table that carries P31 is rejected naming --tau
 TAU_COMMANDS = {
     "energy": ["energy"],
     "residual": ["residual"],
-    "minimize": ["minimize", "--modes", "31", "--max-iterations", "20"],
+    "minimize": ["minimize", "--modes", "30", "--max-iterations", "20"],
     "identities": ["verify", "--suite", "identities"],
     "lemma41": ["verify", "--suite", "lemma41"],
     "theorem1": ["verify", "--suite", "theorem1"],
@@ -386,11 +397,30 @@ class TestTimelikeLiftMeanCurvature:
 
     def test_lift_is_not_physical_data(self, capsys):
         argv = ["energy", "--minkowski", "tau0=0.7*P2", "--tau", "zero"]
-        assert main(argv) == 2
-        assert "mean curvature vector is not spacelike" in capsys.readouterr().err
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --minkowski: mean curvature vector is not spacelike: ")
+
+    def test_theorem1_base_point_whose_lift_is_not_data_names_tau(self, capsys):
+        argv = ["verify", "--suite", "theorem1", "--schwarzschild", "m=0,r=1", "--tau", "0.7*P2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: --tau: the lift of tau0, Sigma_tau0, is not physical data: "
+            "mean curvature vector is not spacelike: "
+        )
+        assert captured.out == ""
 
 
 class TestMinimizeCommand:
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_every_resolved_mode_descends_to_the_gradient_stop(self, n, capsys):
+        argv = ["minimize", "--schwarzschild", "m=1,r=4", "--tau", "0.05*P2", "--grid-n", str(n)]
+        assert main(argv + ["--modes", str(n - 2)]) == 0
+        assert report_value(capsys.readouterr().out, "stop") == "gradient"
+        assert main(argv + ["--modes", str(n - 1)]) == 1
+        assert capsys.readouterr().err == f"error: --modes: must be in [1, {n - 2}], got {n - 1}\n"
+
     def test_descends_to_the_round_point(self, capsys):
         argv = ["minimize", "--schwarzschild", "m=1,r=4", "--tau", "0.05*P2",
                 "--grid-n", "24"]

@@ -450,6 +450,19 @@ class TestLaplacian:
                 want = -l * (l + 1) * f / r**2
                 assert np.max(np.abs(got - want)) <= 1e-8, (r, l)
 
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_every_time_function_mode_is_an_eigenfield(self, n):
+        # Delta P_l = -l(l+1) P_l up to Grid.highest_mode = n - 2; the flux
+        # (1 - x^2) P_{n-1}' has degree n, beyond the differentiation matrix
+        grid = make_grid(n)
+        m = round_sphere(grid)
+        assert grid.highest_mode == n - 2
+        for l in range(1, n):
+            f = legendre_mode(grid, l)
+            want = -l * (l + 1) * f
+            error = np.max(np.abs(laplacian(m, f) - want)) / np.max(np.abs(want))
+            assert error <= 1e-10 if l <= grid.highest_mode else error >= 1.0, (l, error)
+
     def test_integrates_to_zero(self):
         grid = make_grid(32)
         rng = np.random.default_rng(7)

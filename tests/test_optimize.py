@@ -33,6 +33,8 @@ from quasilocal.optimize import (
     GuardViolationError,
     LineSearchError,
     TauCoefficients,
+    _fd_gradient,
+    _perturbed,
     convexity_guard,
     energy_gradient,
     minimize_energy,
@@ -338,6 +340,23 @@ class TestEnergyGradient:
         d = minkowski_surface_data(m, tau_from_coefficients(grid, tc))
         assert np.max(np.abs(energy_gradient(d, tc))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_is_the_central_difference_of_qle_along_every_resolved_mode(self, n):
+        # at a rough start on all of P1..P_{n-2}, the modes the grid resolves
+        grid = make_grid(n)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        l = np.arange(1, grid.highest_mode + 1)
+        tau = TauCoefficients(tuple(0.02 * np.random.default_rng(n).uniform(-1.0, 1.0, l.size) / l**2))
+        step = FD_STEP * d.metric.area_radius
+        bumps = step * grid.legendre_vandermonde[:, l].T
+        fd = _fd_gradient(qle(d, _perturbed(tau_from_coefficients(grid, tau), bumps)).total, step)
+        assert np.max(np.abs(energy_gradient(d, tau) - fd)) <= 2e-6
+
+    def test_n_minus_1_modes_rejected(self):
+        d = schwarzschild_sphere(make_grid(16), 1.0, 4.0)
+        with pytest.raises(FieldShapeError, match=r"^15 modes requested, the grid resolves 14$"):
+            energy_gradient(d, TauCoefficients((0.0,) * 15))
+
     def test_more_modes_than_the_grid_resolves_rejected(self):
         grid = make_grid(8)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
@@ -540,7 +559,7 @@ class TestMinimizeEnergy:
 
     def test_more_modes_than_the_grid_resolves_named_as_the_gradient_does(self):
         d = schwarzschild_sphere(make_grid(8), 1.0, 4.0)
-        message = r"^8 modes requested, the grid resolves 7$"
+        message = r"^8 modes requested, the grid resolves 6$"
         with pytest.raises(FieldShapeError, match=message):
             minimize_energy(d, ZERO_8)
         with pytest.raises(FieldShapeError, match=message):

@@ -167,7 +167,9 @@ class TestSharedLift:
         qle(d, tau0)
         residual(d, tau0)
         energy_gradient(d, coeffs)
-        assert formed == {name: [] if name == "angle_form" else [d.bound_lift] for name in BOUND_FIELDS}
+        bound = d.evaluate(tau0)
+        assert bound.ev is d.lift
+        assert formed == {name: [] if name == "angle_form" else [bound] for name in BOUND_FIELDS}
 
     @pytest.mark.parametrize("n", LADDER_SIZES)
     def test_results_are_bit_identical_to_a_fresh_lift(self, n):
@@ -186,14 +188,24 @@ class TestSharedLift:
 
     def test_lift_is_served_for_equal_bits_only(self):
         d, tau0, _ = lift_data(32)
-        assert d.evaluate(tau0) is d.bound_lift
-        assert d.evaluate(tau0.copy()) is d.bound_lift
-        assert d.bound_lift.ev is d.lift
+        bound = d.evaluate(tau0)
+        assert bound.ev is d.lift
+        assert d.evaluate(tau0) is bound
+        assert d.evaluate(tau0.copy()) is bound
         # an Evaluation, even the kept lift, is bound anew
-        assert d.evaluate(d.lift) is not d.bound_lift
+        assert d.evaluate(d.lift) is not bound
         assert d.evaluate(d.lift).ev is d.lift
         other = evaluate(d.metric, tau0)
         assert d.evaluate(other).ev is other
+
+    def test_public_surface_is_the_data_and_their_two_doors(self):
+        # what the data keep, the bound lift and Sigma_0, is reached through
+        # evaluate and compared_at only
+        d, tau0, _ = lift_data(32)
+        d.evaluate(tau0)
+        d.compared_at(np.zeros(32))
+        public = {name for name in dir(d) if not name.startswith("_")}
+        assert public == {"metric", "norm_H", "alpha_H", "lift", "evaluate", "compared_at"}
 
     def test_caller_changing_tau0_in_place_is_not_served(self):
         grid = make_grid(32)

@@ -153,7 +153,7 @@ COMMANDS = [
     "verify --suite theorem1 --data table.dat",
     "verify --suite theorem3 --data table.dat",
     # the lift at tau = 0 as data, which both suites compare with their
-    # own lift at tau = 0 (PhysicalData.rest)
+    # own lift at tau = 0 (PhysicalData.compared_at)
     "verify --suite theorem1 --minkowski tau0=zero",
     "verify --suite theorem3 --minkowski tau0=zero",
 ]

@@ -224,9 +224,9 @@ class TestLiftsThatAreNotPhysicalData:
 class TestLiftsAreShared:
     """Each lift forms each normal-bundle field it reads once, and no other.
 
-    The comparison at tau = 0 is kept by the data: their lift at tau = 0
-    (PhysicalData.rest) is formed once and bound once (PhysicalData.at_rest),
-    however many suites run.
+    The comparison at tau = 0 is kept by the data: PhysicalData.compared_at
+    forms their lift at tau = 0 once and binds it once, however many
+    suites run.
     """
 
     @pytest.mark.parametrize(
@@ -293,11 +293,12 @@ class TestLiftsAreShared:
 
         runs = [theorem1, check_theorem3, theorem1]
         reports = [run(d) for run in runs]
-        assert zero_lifts == [d.rest.lift]
-        assert [data for data, ev in bindings if ev is d.rest.lift] == [d]
-        assert d.at_rest.ev is d.rest.lift
         reference, at_tau0 = d.compared_at(np.zeros(32))
-        assert reference is d.rest and at_tau0 is d.at_rest
+        assert zero_lifts == [reference.lift]
+        assert [data for data, ev in bindings if ev is reference.lift] == [d]
+        assert at_tau0.ev is reference.lift
+        again = d.compared_at(np.zeros(32))
+        assert again[0] is reference and again[1] is at_tau0
         assert radius == [m]
         # the rest lift, then per call theorem1's two sample stacks (on d
         # and on the rest data) and theorem3's family and s = 1 rows
@@ -305,10 +306,26 @@ class TestLiftsAreShared:
         # other data on the same metric keep their own comparison at tau = 0
         other = PhysicalData(metric=m, norm_H=d.norm_H, alpha_H=d.alpha_H)
         assert format_report(check_theorem3(other)) == format_report(reports[1])
-        assert zero_lifts == [d.rest.lift, other.rest.lift]
+        assert zero_lifts == [reference.lift, other.compared_at(np.zeros(32))[0].lift]
         for run, report in zip(runs, reports):
             fresh = schwarzschild_sphere(grid, 1.0, 4.0)
             assert format_report(report) == format_report(run(fresh))
+
+    def test_each_comparison_suite_reaches_sigma_0_through_compared_at_once(self, monkeypatch):
+        d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+        calls = []
+        compared_at = PhysicalData.compared_at
+
+        def counting(data, tau0):
+            calls.append((data, np.asarray(tau0).tobytes()))
+            return compared_at(data, tau0)
+
+        monkeypatch.setattr(PhysicalData, "compared_at", counting)
+        zero = np.zeros(32).tobytes()
+        assert check_theorem1(d, np.zeros(32)).passed
+        assert calls == [(d, zero)]
+        assert check_theorem3(d).passed
+        assert calls == [(d, zero), (d, zero)]
 
     def test_a_metric_is_freed_by_reference_counting_once_both_suites_ran_on_its_data(self):
         # nothing the suites keep refers back to the data or the metric, so
@@ -330,13 +347,15 @@ class TestLiftsAreShared:
         grid = make_grid(32)
         m = oblate_metric(grid)
         d = minkowski_surface_data(m, 0.2 * grid.x)
+        rest = d.compared_at(np.zeros(32))[0]
         data = minkowski_surface_data(m, np.full(32, zero))
-        assert data is not d.rest and data.lift is not d.rest.lift
+        assert data is not rest and data.lift is not rest.lift
         assert np.signbit(data.lift.tau).all() == np.signbit(zero)
         for name in ("norm_H", "alpha_H"):
-            assert getattr(data, name).tobytes() == getattr(d.rest, name).tobytes()
+            assert getattr(data, name).tobytes() == getattr(rest, name).tobytes()
         field = quasilocal.energy.residual
-        assert field(data, np.zeros(32)).tobytes() == field(d.rest, np.zeros(32)).tobytes()
+        assert field(data, np.zeros(32)).tobytes() == field(rest, np.zeros(32)).tobytes()
+        assert d.compared_at(np.zeros(32))[0] is rest
 
     @pytest.mark.parametrize("signs", ["all", "one"])
     def test_compared_at_lifts_a_negative_zero_anew(self, signs):
@@ -348,11 +367,12 @@ class TestLiftsAreShared:
         else:
             tau0[7] = -0.0
         reference, at_tau0 = d.compared_at(tau0)
-        assert reference is not d.rest and reference.lift is not d.rest.lift
-        assert at_tau0 is not d.at_rest and at_tau0.ev is reference.lift
+        rest, at_rest = d.compared_at(np.zeros(32))
+        assert reference is not rest and reference.lift is not rest.lift
+        assert at_tau0 is not at_rest and at_tau0.ev is reference.lift
         assert reference.lift.tau.tobytes() == tau0.tobytes()
-        assert at_tau0.energy.total == d.at_rest.energy.total
-        assert at_tau0.residual.tobytes() == d.at_rest.residual.tobytes()
+        assert at_tau0.energy.total == at_rest.energy.total
+        assert at_tau0.residual.tobytes() == at_rest.residual.tobytes()
         assert d.compared_at(tau0)[0] is not reference
 
     def test_writes_into_a_callers_zero_lift_leave_the_suites_alone(self):
@@ -367,7 +387,8 @@ class TestLiftsAreShared:
         data = minkowski_surface_data(m, np.zeros(32))
         quasilocal.energy.residual(data, np.zeros(32))[:] = 1.0
         data.lift.mean_sq[:] = -1.0
-        # the suites' data own their zero lift too, and compare with d.rest
+        # the suites' data own their zero lift too, and compare with the
+        # rest data that compared_at keeps
         quasilocal.energy.residual(d, np.zeros(32))[:] = 1.0
         d.lift.mean_sq[:] = -1.0
         assert reports() == expected
@@ -375,11 +396,12 @@ class TestLiftsAreShared:
     def test_rest_data_are_read_only(self):
         grid = make_grid(32)
         d = minkowski_surface_data(oblate_metric(grid), 0.2 * grid.x)
+        rest = d.compared_at(np.zeros(32))[0]
         for name in ("norm_H", "alpha_H"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(d.rest, name)[0] = 1.0
+                getattr(rest, name)[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            d.rest.lift.tau[0] = 1.0
+            rest.lift.tau[0] = 1.0
 
 
 class TestTheorem3SharesEachSample:
@@ -411,7 +433,7 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         assert rows == {"tau_theta": 38, "tau_x": 38}
 
     def test_theorem3_evaluates_the_physical_energy_at_s_1_only(self, monkeypatch):
-        # the rest profile (d.at_rest), then the s = 1 row of each of the 3 families
+        # the rest profile (bound by d.compared_at), then the s = 1 row of each of the 3 families
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         formed = count_formed(monkeypatch, quasilocal.energy.DataEvaluation, ("energy",))["energy"]
@@ -464,7 +486,7 @@ class TestTheorem1GapIsADifferenceOfPhysicalTerms:
         check_theorem1(d, tau0)
         assert [ev.tau.tobytes() for ev in references] == [tau0.tobytes()]
         if case == "rest":
-            assert references == [d.rest.lift]
+            assert references == [d.compared_at(tau0)[0].lift]
         assert curvatures == [references[0].projected]
 
     @pytest.mark.parametrize("mass, radius", [(1.0, 4.0), (0.0, 1.0)], ids=["schwarzschild", "flat"])
