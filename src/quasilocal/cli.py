@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    LENGTH_MAX,
     FieldShapeError,
     InvalidParameterError,
     integrate_surface,
@@ -150,20 +151,37 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
     if table.size == 0:
         raise CliValidationError(field, f"{path} holds no values")
-    # the values are admitted with the lift; a NaN theta fails the comparison
+    # a NaN theta fails the comparison
     if table.ndim == 2 and table.shape[1] == 2:
         theta, values = table[:, 0], table[:, 1]
         if theta.shape != grid.nodes.shape or not np.max(np.abs(theta - grid.nodes)) <= 1e-12:
             raise CliValidationError(
                 field, f"{path}: theta column does not match the n={grid.n_nodes} grid"
             )
-        return values
-    if table.ndim == 1 and table.shape == (grid.n_nodes,):
-        return table
-    raise CliValidationError(
-        field,
-        f"{path}: expected {grid.n_nodes} node values or 'theta value' rows, got shape {table.shape}",
-    )
+    elif table.ndim == 1 and table.shape == (grid.n_nodes,):
+        values = table
+    else:
+        raise CliValidationError(
+            field,
+            f"{path}: expected {grid.n_nodes} node values or 'theta value' rows, got shape {table.shape}",
+        )
+    # values that are not finite or exceed LENGTH_MAX are named by the admission with the lift
+    if np.all(np.abs(values) <= LENGTH_MAX):
+        highest = grid.highest_mode
+        defect = _defect(grid, values, grid.legendre_coeffs(values)[: highest + 1])
+        if defect is not None:
+            raise CliValidationError(
+                field,
+                f"{path}: mode P{highest + 1} is not resolved on an n={grid.n_nodes} grid "
+                f"(highest P{highest}), and the table carries it (defect {defect:.2e})",
+            )
+    return values
+
+
+def _defect(grid: Grid, field: np.ndarray, coeffs: np.ndarray) -> float | None:
+    """max|field - sum_l coeffs[l] P_l| when above 1e-10 max(1, max|field|): modes beyond coeffs."""
+    defect = float(np.max(np.abs(field - grid.legendre_synthesis(coeffs))))
+    return defect if defect > 1e-10 * max(1.0, float(np.max(np.abs(field)))) else None
 
 
 def _parse_assignments(spec: str, field: str, keys: tuple) -> list:
@@ -318,7 +336,7 @@ def cmd_residual(args, grid: Grid) -> int:
 
 def _initial_coefficients(args, metric: AxisymMetric):
     """The TauCoefficients start of minimize, after checking --tol, --max-iterations and --modes."""
-    from .optimize import TauCoefficients, tau_from_coefficients
+    from .optimize import TauCoefficients
 
     grid = metric.grid
     if not (args.tol > 0.0 and np.isfinite(args.tol)):
@@ -329,14 +347,12 @@ def _initial_coefficients(args, metric: AxisymMetric):
     coeffs = grid.legendre_coeffs(field)
     if not 1 <= args.modes <= grid.highest_mode:
         raise CliValidationError("--modes", f"must be in [1, {grid.highest_mode}], got {args.modes}")
-    init = TauCoefficients(tuple(coeffs[1 : args.modes + 1]))
-    synthesized = tau_from_coefficients(grid, init) + coeffs[0]
-    defect = float(np.max(np.abs(field - synthesized)))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(field)))):
+    defect = _defect(grid, field, coeffs[: args.modes + 1])
+    if defect is not None:
         raise CliValidationError(
             "--tau", f"initial profile uses modes above P{args.modes} (defect {defect:.2e})"
         )
-    return init
+    return TauCoefficients(tuple(coeffs[1 : args.modes + 1]))
 
 
 def cmd_minimize(args, grid: Grid) -> int:

@@ -55,8 +55,8 @@ from .geometry import (
     _at,
     _divergence_from_x_component,
     _hessian,
+    _integrate,
     _sin_factored_theta_derivative,
-    integrate_surface,
     lazy,
 )
 
@@ -218,13 +218,28 @@ class Evaluation:
 
     @lazy
     def lap(self) -> np.ndarray:
-        """Laplacian of tau."""
-        return _divergence_from_x_component(self.metric, -self.tau_x)
+        """Laplacian of tau, d/dx[(1 - x^2) (Q/P) tau_x] / (P Q).
+
+        _divergence_from_x_component(m, -tau_x) without its two sign
+        flips, which cancel: negation is exact and commutes with the
+        products.  The bits are the same, except that an exact zero is
+        +0.0 where the flips gave -0.0 (a tau_x that is exactly zero).
+        """
+        m = self.metric
+        return m.grid.dx(m.flux_factor * self.tau_x) / m.PQ
 
     @lazy
     def hess_tt(self) -> np.ndarray:
         """theta-theta component of the covariant Hessian of tau."""
         return _hessian(self.metric, self.tau_x, self.tau_theta)
+
+    @lazy
+    def minus_u_prime_tau_x(self) -> np.ndarray:
+        """-u' tau_x: Hess_pp / (Q sin)^2 = -u' tau_x / (P^2 Q) after cancelling sin(theta).
+
+        k_hat and the stationarity terms of energy.DataEvaluation read it.
+        """
+        return -self.metric.u_prime * self.tau_x
 
     @lazy
     def k_hat(self) -> np.ndarray:
@@ -237,8 +252,7 @@ class Evaluation:
         a convex surface of revolution.
         """
         m = self.metric
-        # Hess_pp / (Q^2 sin^2) = -u' tau_x / (P^2 Q) after cancelling sin(theta)
-        det = self.hess_tt * (-m.u_prime * self.tau_x) / m.P4_Q
+        det = self.hess_tt * self.minus_u_prime_tau_x / m.P4_Q
         return (m.K + det / self.one_plus_grad_sq) / self.one_plus_grad_sq
 
     @lazy
@@ -263,7 +277,7 @@ class Evaluation:
     def reference(self) -> float | np.ndarray:
         """Total mean curvature of the projected surface."""
         proj = self.projected
-        return integrate_surface(proj.metric, proj.mean_curvature)
+        return _integrate(proj.metric, proj.mean_curvature)
 
     @lazy
     def lap_vt(self) -> np.ndarray:
@@ -328,13 +342,13 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     Raises NonEmbeddableError where P^2 - u'^2 <= 0, reporting the worst
     node and margin.
     """
-    g = m.grid
     u_prime = m.u_prime
     margin = m.P_sq - u_prime**2
-    bad = _first_nonpositive(margin)
-    if bad is not None:
-        row = bad[0] if len(bad) == 2 else None
-        raise NonEmbeddableError(bad[-1], float(g.nodes[bad[-1]]), float(margin[bad]), row)
+    if not margin.min(initial=np.inf) > 0.0:  # an empty stack passes
+        bad = _first_nonpositive(margin)
+        if bad is not None:
+            row = bad[0] if len(bad) == 2 else None
+            raise NonEmbeddableError(bad[-1], float(m.grid.nodes[bad[-1]]), float(margin[bad]), row)
     return RevolutionSurface(metric=m, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 

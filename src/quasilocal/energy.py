@@ -51,7 +51,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import AxisymMetric, _check_field, _divergence_from_x_component, integrate_surface, lazy
+from .geometry import (
+    AxisymMetric,
+    _check_field,
+    _divergence_from_x_component,
+    _integrate,
+    lazy,
+)
 from .embedding import Evaluation, evaluate
 
 if TYPE_CHECKING:
@@ -113,7 +119,7 @@ class DataEvaluation:
             + lap * self.angle
             - ev.pairing(self.alpha_H)
         )
-        return integrate_surface(self.metric, integrand)
+        return _integrate(self.metric, integrand)
 
     @lazy
     def energy(self) -> EnergyBreakdown:
@@ -133,7 +139,7 @@ class DataEvaluation:
         integrand = ev.s1 * self.cosh * self.norm_H - angle_pair - ev.pairing(self.alpha_H)
         return EnergyBreakdown(
             reference_term=ev.reference,
-            physical_term=integrate_surface(self.metric, integrand),
+            physical_term=_integrate(self.metric, integrand),
         )
 
     @lazy
@@ -155,10 +161,9 @@ class DataEvaluation:
         s1 = ev.s1
         tau_x = ev.tau_x
         hess_tt = ev.hess_tt
-        u_prime = proj.u_prime
 
-        hess_pp_scaled = -u_prime * tau_x / m.P_sq_Q
-        cross_pp_scaled = -proj.w * u_prime * tau_x / (p_hat * m.P_sq * m.Q_sq)
+        hess_pp_scaled = ev.minus_u_prime_tau_x / m.P_sq_Q
+        cross_pp_scaled = -proj.w * proj.u_prime * tau_x / (p_hat * m.P_sq * m.Q_sq)
         trace_term = (
             proj.mean_curvature * (hess_tt / p_hat_sq + hess_pp_scaled)
             - proj.hhat_tt * hess_tt / p_hat_sq**2
@@ -254,4 +259,4 @@ def tilde_energy(
     """
     m = lift.metric
     ev = evaluate(m, f)
-    return ev.reference - integrate_surface(m, generalized_mean_curvature(g, m, ev))
+    return ev.reference - _integrate(m, generalized_mean_curvature(g, m, ev))

@@ -38,7 +38,9 @@ otherwise.  The public operators laplacian, hessian and
 hat_gauss_curvature admit their field as embedding.Evaluation admits a
 time function and return the bits of its lap, hess_tt and k_hat; the
 package calls the kernels (_divergence_from_x_component, _hessian,
-_sin_factored_theta_derivative) with arrays that were already admitted.
+_sin_factored_theta_derivative, and _integrate, integrate_surface
+without its shape check) with arrays that were already admitted or that
+it formed itself.
 Fields computed when first read use the lazy descriptor below.
 """
 
@@ -115,7 +117,8 @@ class Grid:
     factors of the x-space operators built once per grid.
 
     make_grid shares one Grid per size, so its arrays are read-only and
-    grids compare and hash by identity.
+    grids compare and hash by identity.  dx multiplies by the transpose of
+    diff_matrix_x, a view the grid keeps.
     """
 
     n_nodes: int
@@ -129,9 +132,12 @@ class Grid:
     one_minus_x_sq: np.ndarray = field(repr=False)
     minus_sin_theta: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_diff_matrix_x_t", self.diff_matrix_x.T)
+
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
-        return np.asarray(f, dtype=float) @ self.diff_matrix_x.T
+        return np.asarray(f, dtype=float) @ self._diff_matrix_x_t
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
         """d/dtheta of the interpolant of f, -sin(theta) times its d/dx.
@@ -475,7 +481,11 @@ def integrate_surface(m: AxisymMetric, f: np.ndarray) -> float | np.ndarray:
     A float for one field, one integral per row for a stack of integrands
     or of metrics.
     """
-    f = _check_field(m.grid, "integrand", f, stack=True)
+    return _integrate(m, _check_field(m.grid, "integrand", f, stack=True))
+
+
+def _integrate(m: AxisymMetric, f: np.ndarray) -> float | np.ndarray:
+    """integrate_surface of an integrand the package formed on m's grid; f is not checked."""
     return 2.0 * np.pi * m.grid.quad_dx(f * m.P * m.Q)
 
 

@@ -18,9 +18,13 @@ energy and must lower the gradient norm, and never decides a stop.  It
 reads the guard, the energy and the gradient at each field or stack from
 one DataEvaluation.  Its start is row 0 of the stack of its first
 Hessian, so the start costs no evaluation of its own, and the residual
-it reports is formed from the terms that gave its last gradient.
+it reports is formed from the terms that gave its last gradient.  The
+iteration runs on arrays of coefficients: one synthesis, with the mode
+count checked once, gives the node values of the start and of every
+trial, and the kept model is tested only when another iteration follows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +33,7 @@ from .geometry import (
     AxisymMetric,
     FieldShapeError,
     InvalidParameterError,
-    integrate_surface,
+    _integrate,
 )
 from .embedding import Evaluation, NonEmbeddableError, evaluate
 from .energy import _residual_from_terms
@@ -58,6 +62,8 @@ EIGEN_FLOOR = 1e-4
 # (scale 0.05) every value from 1e-10 to 1e-6 builds 1.34 to 1.35 models
 # per run.
 KEEP_DECREMENT = 1e-8
+# the float spacing at 1, in the energy's rounding floor
+EPS = float(np.finfo(float).eps)
 
 
 class GuardViolationError(ValueError):
@@ -107,10 +113,26 @@ class MinimizeReport:
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
     """Node values of sum_l c_l P_l; FieldShapeError for modes above Grid.highest_mode."""
-    count = len(tau.coeffs)
+    return _synthesis(_basis(grid, len(tau.coeffs)), np.asarray(tau.coeffs))
+
+
+def _basis(grid, count: int) -> np.ndarray:
+    """P_0..P_count at the nodes, (count + 1, n), which _synthesis multiplies by.
+
+    FieldShapeError for modes above Grid.highest_mode.
+    """
     if count > grid.highest_mode:
         raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.highest_mode}")
-    return grid.legendre_synthesis(np.concatenate([[0.0], tau.coeffs]))
+    return grid.legendre_vandermonde[:, : count + 1].T
+
+
+def _synthesis(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Node values of sum_l c_l P_l from the array c_1..c_L of a _basis of L modes.
+
+    The bits of Grid.legendre_synthesis of c_0 = 0, c_1..c_L.  _basis
+    checks the mode count, once per run of minimize_energy.
+    """
+    return np.concatenate(([0.0], coeffs)) @ basis
 
 
 def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np.ndarray:
@@ -149,7 +171,8 @@ def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:
 
     The package's one central difference: the minimizer's calibration and
     Hessian and verify.check_lemma41 evaluate on this stack and take
-    _fd_gradient of the values.
+    _fd_gradient of the values.  The minimizer's start stack puts the
+    start before these rows, in the same concatenate.
     """
     return np.concatenate([tau + bumps, tau - bumps])
 
@@ -196,6 +219,11 @@ def _kept_direction(model, grad: np.ndarray, scale: float):
     return direction if -0.5 * float(grad @ direction) < KEEP_DECREMENT * scale else None
 
 
+def _norm(v: np.ndarray) -> float:
+    """The L2 norm of a vector, sqrt(v @ v), as np.linalg.norm forms it for a 1-D float array."""
+    return math.sqrt(v @ v)
+
+
 def _term_scale(reference: float, energy: float) -> float:
     """max(1, |reference_term|, |physical_term|) at an iterate of that energy.
 
@@ -207,7 +235,7 @@ def _term_scale(reference: float, energy: float) -> float:
 
 def _rounding_floor(scale: float) -> float:
     """16 eps times the term scale: the energy's rounding floor at an iterate."""
-    return 16.0 * np.finfo(float).eps * scale
+    return 16.0 * EPS * scale
 
 
 def _assess(d: PhysicalData, field: np.ndarray) -> tuple:
@@ -251,10 +279,11 @@ def minimize_energy(
     After an accepted step H is kept for the next iteration when no
     eigenvalue was raised, so -H^-1 g is a true Newton step, and its
     decrement g.H^-1 g / 2 at the new iterate is below KEEP_DECREMENT times
-    the term scale max(1, |reference_term|, |physical_term|).  A kept H
-    takes one full step, accepted only if the trial is admitted, passes the
-    guard, does not raise the energy and lowers the gradient norm; otherwise
-    H is rebuilt at that iterate and the iteration runs as above.  So only a
+    the term scale max(1, |reference_term|, |physical_term|); that test is
+    made only when another iteration follows.  A kept H takes one full
+    step, accepted only if the trial is admitted, passes the guard, does
+    not raise the energy and lowers the gradient norm; otherwise H is
+    rebuilt at that iterate and the iteration runs as above.  So only a
     freshly built H ends a run on the decrement, and a modified model (lift
     data's boost orbit) is rebuilt at every iterate.
 
@@ -315,14 +344,16 @@ def minimize_energy(
     count = coeffs.size
     if count == 0:
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
-    tau = tau_from_coefficients(grid, init)
+    basis = _basis(grid, count)
+    tau = _synthesis(basis, coeffs)
     modes = _modes(grid, count)
     fd_step = FD_STEP * m.area_radius
     bumps = fd_step * modes[0].T
 
-    # the start and its 2L perturbations as one stack: row 0 for the guard,
-    # the energy and the gradient, rows 1..2L for the calibration and H
-    stack = d.evaluate(np.concatenate([tau[None], _perturbed(tau, bumps)]))
+    # the start and its 2L perturbations (_perturbed) as one stack: row 0
+    # for the guard, the energy and the gradient, rows 1..2L for the
+    # calibration and H
+    stack = d.evaluate(np.concatenate([tau[None], tau + bumps, tau - bumps]))
     margin = float(stack.ev.guard[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)
@@ -332,36 +363,39 @@ def minimize_energy(
     scale = _term_scale(float(stack.ev.reference[0]), energy)
     grads = stack.first_variation(*modes)[0]
     grad = grads[0]
+    grad_norm = _norm(grad)
     trace_part, flux = stack.stationarity
     terms = trace_part[0], flux[0]
 
     # differences below the energy's rounding floor over the step are rounding
     fd = _fd_gradient(totals[1:], fd_step)
-    fd_norm = float(np.linalg.norm(fd))
+    fd_norm = _norm(fd)
     floor = _rounding_floor(scale)
-    calibration = float(np.linalg.norm(fd - grad)) / fd_norm if fd_norm > floor / fd_step else 0.0
+    calibration = _norm(fd - grad) / fd_norm if fd_norm > floor / fd_step else 0.0
     model = _hessian(grads[1:], fd_step)
     least = float(model[0][0])
-    kept = None  # the Newton step of the model of an earlier iterate, if kept
 
     trace = [energy]
     guard_active = False
     iterations = 0
 
-    while iterations < max_iterations and np.linalg.norm(grad) >= tol:
+    while iterations < max_iterations and grad_norm >= tol:
         accepted = False
+        # the Newton step of the model of the last iterate, if kept
+        kept = _kept_direction(model, grad, scale) if iterations else None
         if kept is not None:
             # one full step on the kept model, accepted only if it does not
             # raise the energy and lowers the gradient norm; otherwise H is
             # rebuilt at this iterate and the iteration runs as below
             trial = coeffs + kept
-            field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
+            field = _synthesis(basis, trial)
             at_trial, trial_energy = _assess(d, field)
             if trial_energy is None:
                 guard_active = True
             elif trial_energy <= energy:
                 trial_grad = at_trial.first_variation(*modes)[0]
-                accepted = np.linalg.norm(trial_grad) < np.linalg.norm(grad)
+                trial_norm = _norm(trial_grad)
+                accepted = trial_norm < grad_norm
         if not accepted:
             if iterations > 0:
                 try:
@@ -381,8 +415,8 @@ def minimize_energy(
             step = 1.0
             while step >= STEP_FLOOR:
                 trial = coeffs + step * direction
-                field = tau_from_coefficients(grid, TauCoefficients(tuple(trial)))
-                if np.array_equal(field, tau):
+                field = _synthesis(basis, trial)
+                if (field == tau).all():
                     break
                 at_trial, trial_energy = _assess(d, field)
                 if trial_energy is None:
@@ -403,6 +437,7 @@ def minimize_energy(
                     f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
                 )
             trial_grad = at_trial.first_variation(*modes)[0]
+            trial_norm = _norm(trial_grad)
 
         tau = field
         coeffs = trial
@@ -410,17 +445,17 @@ def minimize_energy(
         scale = _term_scale(at_trial.ev.reference, energy)
         floor = _rounding_floor(scale)
         grad = trial_grad
+        grad_norm = trial_norm
         terms = at_trial.stationarity
         trace.append(energy)
         iterations += 1
-        kept = _kept_direction(model, grad, scale)
     else:
-        stop = "gradient" if np.linalg.norm(grad) < tol else "iterations"
+        stop = "gradient" if grad_norm < tol else "iterations"
     res = _residual_from_terms(m, *terms)  # of the terms the last gradient paired
     return MinimizeReport(
         tau_star=TauCoefficients(tuple(coeffs)),
         energy_star=energy,
-        residual_norm=float(np.sqrt(integrate_surface(m, res * res))),
+        residual_norm=math.sqrt(_integrate(m, res * res)),
         iterations=iterations,
         guard_active=guard_active,
         energy_trace=tuple(trace),

@@ -64,6 +64,11 @@ def count_formed(monkeypatch, owner, names):
     return formed
 
 
+def weighted_modes(rng, count, scale):
+    """Coefficients of P_1..P_count, scale u_l / l^2 with u_l uniform in [-1, 1]: MODE_WEIGHTS for count modes."""
+    return scale * rng.uniform(-1.0, 1.0, count) / np.arange(1, count + 1, dtype=float) ** 2
+
+
 def random_time_profile(grid, rng, scale=0.3):
     """Low-degree time function keeping unit-scale lifts spacelike."""
     c = scale * rng.uniform(-1.0, 1.0, 3) / MODE_WEIGHTS

@@ -293,6 +293,62 @@ def test_every_edited_tau_file_gives_a_finite_report_or_a_named_error(table, tmp
         expect_finite_report_or_named_error(name, status, out, err, "--tau")
 
 
+class TestTauFileResolution:
+    """A --tau file: table is read only if its interpolant stays within P_{n-2}.
+
+    The table whose node 8 is set to 0 carries P31 (c31 = -4.09e-3) on
+    n = 32, whose discrete Laplacian is wrong by O(1): energy used to
+    report total = 32.777 with cross_check_deviation = 3.09, exit 0.
+    """
+
+    @staticmethod
+    def write(tmp_path, values):
+        path = tmp_path / "tau.txt"
+        path.write_text("".join(f"{v:.17g}\n" for v in values))
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["energy"], ["residual"], ["verify", "--suite", "theorem1"],
+    ], ids=["energy", "residual", "theorem1"])
+    def test_a_table_that_carries_p31_is_rejected(self, command, tmp_path, capsys):
+        values = parse_tau("0.01*P1+0.05*P2", make_grid(32))
+        values[8] = 0.0
+        path = self.write(tmp_path, values)
+        assert main([*command, "--schwarzschild", "m=1,r=4", f"--tau=file:{path}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: --tau: {path}: mode P31 is not resolved on an n=32 grid (highest P30)"
+        )
+
+    def test_the_minkowski_flag_is_named(self, tmp_path, capsys):
+        values = parse_tau("0.01*P1+0.05*P2", make_grid(32))
+        values[8] = 0.0
+        path = self.write(tmp_path, values)
+        assert main(["energy", f"--minkowski=tau0=file:{path}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --minkowski: {path}: mode P31 is not resolved")
+
+    def test_a_17_digit_table_of_a_resolved_tau_reports(self, tmp_path, capsys):
+        spec = "0.01*P1+0.05*P2+0.002*P30"
+        path = self.write(tmp_path, parse_tau(spec, make_grid(32)))
+        assert main(["energy", "--schwarzschild", "m=1,r=4", f"--tau=file:{path}"]) == 0
+        from_file = capsys.readouterr().out.split("\n", 5)[5]
+        assert main(["energy", "--schwarzschild", "m=1,r=4", f"--tau={spec}"]) == 0
+        assert capsys.readouterr().out.split("\n", 5)[5] == from_file
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e300"])
+    def test_a_value_outside_the_admission_gets_its_message(self, cell, tmp_path, capsys):
+        values = [f"{v:.17g}" for v in parse_tau("0.01*P1", make_grid(32))]
+        values[5] = cell
+        path = tmp_path / "tau.txt"
+        path.write_text("\n".join(values) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["energy", "--schwarzschild", "m=1,r=4", f"--tau=file:{path}"]) == 1
+        rule = "|tau| must be at most 1e+38" if cell == "1e300" else "tau must be finite"
+        assert capsys.readouterr().err.startswith(f"error: --tau: {rule}")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["energy", "--schwarzschild", "m=1,r=4,r=5"], "--schwarzschild"),
     (["verify", "--suite", "identities", "--metric", "sphere:r=2,r=3"], "--metric"),

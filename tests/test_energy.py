@@ -38,6 +38,7 @@ from quasilocal.energy import (
     generalized_mean_curvature,
     qle,
     qle_angle_form,
+    reference_mean_curvature_integral,
     residual,
     tilde_energy,
 )
@@ -113,6 +114,40 @@ class TestEvaluation:
         other = evaluate(round_sphere(grid, 4.0), generic_tau(grid))
         with pytest.raises(InvalidParameterError, match="different metric"):
             qle(d, other)
+
+
+class TestReferenceMeanCurvatureIntegral:
+    """reference_mean_curvature_integral is the lift's reference term, Evaluation.reference."""
+
+    def test_one_field_gives_the_reference_bits(self):
+        grid = make_grid(32)
+        m = regular_random_metric(grid, np.random.default_rng(11))
+        tau = random_time_profile(grid, np.random.default_rng(12))
+        value = reference_mean_curvature_integral(m, tau)
+        assert type(value) is float
+        assert value == evaluate(m, tau).reference
+
+    def test_a_stack_gives_the_reference_bits_of_each_row(self):
+        grid = make_grid(32)
+        m = regular_random_metric(grid, np.random.default_rng(13))
+        rng = np.random.default_rng(14)
+        stack = np.array([random_time_profile(grid, rng) for _ in range(5)])
+        values = reference_mean_curvature_integral(m, stack)
+        assert values.shape == (5,)
+        assert np.array_equal(values, evaluate(m, stack).reference)
+
+    def test_an_evaluation_of_the_metric_is_read_not_rebuilt(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        at_tau = evaluate(d.metric, generic_tau(grid))
+        assert reference_mean_curvature_integral(d.metric, at_tau) == qle(d, at_tau).reference_term
+        assert "reference" in vars(at_tau)
+
+    def test_an_evaluation_of_another_metric_is_rejected(self):
+        grid = make_grid(32)
+        other = evaluate(round_sphere(grid, 4.0), generic_tau(grid))
+        with pytest.raises(InvalidParameterError, match="different metric"):
+            reference_mean_curvature_integral(round_sphere(grid, 4.0), other)
 
 
 class TestMeanCurvatureOnce:

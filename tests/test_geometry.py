@@ -381,6 +381,15 @@ class TestUncheckedKernels:
         g, m, f = case
         assert np.array_equal(laplacian(m, f), _divergence_from_x_component(m, -g.dx(f)))
 
+    def test_laplacian_has_the_kernel_bits_and_a_positive_zero(self, case):
+        # the Laplacian drops the kernel's two sign flips, which cancel
+        # except on an exact zero: the Laplacian of tau = 0 is +0.0
+        g, m, f = case
+        assert laplacian(m, f).tobytes() == _divergence_from_x_component(m, -g.dx(f)).tobytes()
+        zero = np.zeros(f.shape)
+        assert np.array_equal(laplacian(m, zero), _divergence_from_x_component(m, -g.dx(zero)))
+        assert not np.signbit(laplacian(m, zero)).any()
+
     def test_hessian(self, case):
         g, m, f = case
         fx = g.dx(f)

@@ -526,16 +526,16 @@ class TestMinimizeEnergy:
         d = schwarzschild_sphere(grid, 0.5, 4.0)
         with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most 1e\+38; tau\[0\]"):
             evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
-        synthesize = optimize_module.tau_from_coefficients
+        synthesize = optimize_module._synthesis
         fields = []
 
-        def overflowing_first_trial(grid, tau):
-            fields.append(synthesize(grid, tau))
+        def overflowing_first_trial(basis, coeffs):
+            fields.append(synthesize(basis, coeffs))
             # call 1 is the start, call 2 the first trial
             return 1e160 * fields[-1] if len(fields) == 2 else fields[-1]
 
         guarded = count_guards(monkeypatch)
-        monkeypatch.setattr(optimize_module, "tau_from_coefficients", overflowing_first_trial)
+        monkeypatch.setattr(optimize_module, "_synthesis", overflowing_first_trial)
         report = minimize_energy(d, TauCoefficients((0.0, 0.05)))
         seen = [ev.tau for ev in guarded if ev.tau.ndim == 1]  # the trials; the stacks are 2-D
         assert report.iterations >= 1

@@ -23,6 +23,7 @@ step on the model of its start and ends on the gradient with
 P1 = -8.0e-11.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 import quasilocal.embedding as embedding_module
+from conftest import regular_metric, weighted_modes
 from quasilocal.geometry import AxisymMetric, make_grid, round_sphere
 from quasilocal.optimize import TauCoefficients, minimize_energy
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
@@ -166,6 +168,61 @@ def test_minimize_energy_is_bit_identical(name):
     assert report.tau_star.coeffs == pinned.tau_star
     assert report.energy_trace == pinned.energy_trace
     assert report.energy_star == pinned.energy_trace[-1]
+
+
+def seeded_runs():
+    """24 (data, start): 16 Schwarzschild spheres, then 8 lifts.
+
+    Each start perturbs the exact minimizer by modes weighted by 1/l^2, at
+    scales 0.05, 0.3 and 1.0 in turn, so the runs take from 2 to 5 steps,
+    on kept and rebuilt models.
+    """
+    rng = np.random.default_rng(20241019)
+    grid = make_grid(32)
+    runs = []
+    scales = (0.05, 0.3, 1.0)
+    for i in range(16):
+        mass = rng.uniform(0.1, 1.0)
+        radius = rng.uniform(3.0 * mass + 0.5, 10.0)
+        start = weighted_modes(rng, 8, scales[i % 3])
+        runs.append((schwarzschild_sphere(grid, mass, radius), start))
+    for i in range(8):
+        bq, rho = weighted_modes(rng, 3, 0.05), weighted_modes(rng, 3, 0.05)
+        c0 = weighted_modes(rng, 3, 0.3)
+        d = minkowski_surface_data(regular_metric(grid, bq, rho), grid.legendre_synthesis([0.0, *c0]))
+        runs.append((d, np.concatenate([c0, np.zeros(5)]) + weighted_modes(rng, 8, scales[i % 3])))
+    return runs
+
+
+def report_digest(reports) -> str:
+    """sha256 of the reports' numbers (float.hex), iteration counts and stops, in order."""
+    h = hashlib.sha256()
+    for r in reports:
+        numbers = (
+            *r.tau_star.coeffs,
+            r.energy_star,
+            r.calibration_rel_error,
+            r.hessian_min_eigenvalue,
+            r.residual_norm,
+            *r.energy_trace,
+        )
+        h.update(f"{r.iterations} {r.stop} {len(r.energy_trace)} ".encode())
+        h.update(" ".join(float(v).hex() for v in numbers).encode() + b"\n")
+    return h.hexdigest()
+
+
+# captured before the minimizer iterated on coefficient arrays and the
+# evaluation chain formed its repeated factors once
+SEEDED_RUNS_DIGEST = "1dd02fb36ab25f58518ece28ed23d3a421199d8dcdf8b564bdd9b90277000762"
+
+
+def test_seeded_runs_are_bit_identical():
+    reports = [
+        minimize_energy(d, TauCoefficients(start), max_iterations=MAX_ITERATIONS)
+        for d, start in seeded_runs()
+    ]
+    assert {r.stop for r in reports} <= {"gradient", "decrement", "rounding-floor"}
+    assert report_digest(reports) == SEEDED_RUNS_DIGEST
 
 
 def test_stalled_lift_stops_on_the_decrement(monkeypatch):
