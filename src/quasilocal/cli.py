@@ -273,8 +273,18 @@ def build_data(args, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def _emit(command: str, args, echo: str, body: list) -> None:
-    """Print the report, or write it to --out, under its header."""
+def _emit(command: str, args, echo: str, body: list, columns=None) -> None:
+    """Print the report, or write it to --out, under its header.
+
+    columns, (heading, first, second), go to --columns if it is given,
+    before anything is printed, so that a path that cannot be written
+    leaves stdout empty; their 'wrote' line follows the report.
+    """
+    if columns and args.columns:
+        heading, first, second = columns
+        lines = [f"# {heading}"]
+        lines.extend(f"{_fmt(a)} {_fmt(b)}" for a, b in zip(first, second))
+        _for_flag("--columns", Path(args.columns).write_text, "\n".join(lines) + "\n")
     header = [
         f"artifact = quasilocal {__version__}",
         f"command = {command}",
@@ -288,13 +298,8 @@ def _emit(command: str, args, echo: str, body: list) -> None:
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-
-
-def _write_columns(path, first, second, labels) -> None:
-    lines = [f"# {labels[0]} {labels[1]}"]
-    lines.extend(f"{_fmt(a)} {_fmt(b)}" for a, b in zip(first, second))
-    _for_flag("--columns", Path(path).write_text, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    if columns and args.columns:
+        print(f"wrote {args.columns}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +333,7 @@ def cmd_residual(args, grid: Grid) -> int:
         f"residual_l2 = {_fmt(norm)}",
         f"residual_max = {_fmt(np.max(np.abs(field)))}",
     ]
-    _emit("residual", args, echo, body)
-    if args.columns:
-        _write_columns(args.columns, grid.nodes, field, ("theta", "residual"))
+    _emit("residual", args, echo, body, ("theta residual", grid.nodes, field))
     return 0
 
 
@@ -379,14 +382,8 @@ def cmd_minimize(args, grid: Grid) -> int:
         f"coefficient.P{i} = {_fmt(c)}" for i, c in enumerate(report.tau_star.coeffs, start=1)
     )
     body.extend(f"trace.{k} = {_fmt(e)}" for k, e in enumerate(report.energy_trace))
-    _emit("minimize", args, echo, body)
-    if args.columns:
-        _write_columns(
-            args.columns,
-            np.arange(len(report.energy_trace)),
-            np.asarray(report.energy_trace),
-            ("iteration", "energy"),
-        )
+    trace = report.energy_trace
+    _emit("minimize", args, echo, body, ("iteration energy", np.arange(len(trace)), trace))
     return 0
 
 

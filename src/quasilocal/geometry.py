@@ -116,9 +116,15 @@ class Grid:
     one_minus_x_sq and minus_sin_theta hold 1 - x^2 and -sin(theta),
     factors of the x-space operators built once per grid.
 
+    The grid is the one owner of the time-function basis P_1..P_L, L at
+    most highest_mode: time_function synthesizes a time function from its
+    coefficients and modes gives the basis columns and their derivatives,
+    and both raise FieldShapeError for a mode the grid does not resolve.
+
     make_grid shares one Grid per size, so its arrays are read-only and
     grids compare and hash by identity.  dx multiplies by the transpose of
-    diff_matrix_x, a view the grid keeps.
+    diff_matrix_x, and every synthesis by that of legendre_vandermonde,
+    views the grid keeps.
     """
 
     n_nodes: int
@@ -134,6 +140,7 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "_diff_matrix_x_t", self.diff_matrix_x.T)
+        object.__setattr__(self, "_vandermonde_t", self.legendre_vandermonde.T)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
@@ -185,7 +192,22 @@ class Grid:
         k = coeffs.shape[-1]
         if k > self.n_nodes:
             raise FieldShapeError(f"{k} Legendre coefficients, the grid resolves {self.n_nodes}")
-        return coeffs @ self.legendre_vandermonde[:, :k].T
+        return coeffs @ self._vandermonde_t[:k]
+
+    def time_function(self, coeffs) -> np.ndarray:
+        """Node values of sum_l c_l P_l from c_1..c_L: the bits of legendre_synthesis of 0, c_1..c_L."""
+        return np.concatenate(([0.0], coeffs)) @ self._vandermonde_t[: self._columns(len(coeffs))]
+
+    def modes(self, count: int) -> tuple:
+        """P_1..P_count at the nodes, (n, count), and their x-derivatives: the directions of tau."""
+        stop = self._columns(count)
+        return self.legendre_vandermonde[:, 1:stop], self.legendre_vandermonde_dx[:, 1:stop]
+
+    def _columns(self, count: int) -> int:
+        """count + 1, the number of columns P_0..P_count; FieldShapeError above highest_mode."""
+        if count > self.highest_mode:
+            raise FieldShapeError(f"{count} modes requested, the grid resolves {self.highest_mode}")
+        return count + 1
 
     def integral_from_north(self, f: np.ndarray) -> np.ndarray:
         """Node values of x -> integral of f dx' from x to 1.

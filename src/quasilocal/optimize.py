@@ -19,9 +19,10 @@ reads the guard, the energy and the gradient at each field or stack from
 one DataEvaluation.  Its start is row 0 of the stack of its first
 Hessian, so the start costs no evaluation of its own, and the residual
 it reports is formed from the terms that gave its last gradient.  The
-iteration runs on arrays of coefficients: one synthesis, with the mode
-count checked once, gives the node values of the start and of every
-trial, and the kept model is tested only when another iteration follows.
+iteration runs on arrays of coefficients: Grid.time_function gives the
+node values of the start and of every trial and Grid.modes the gradient's
+directions, the grid's one basis and mode bound, and the kept model is
+tested only when another iteration follows.
 """
 
 import math
@@ -112,27 +113,8 @@ class MinimizeReport:
 
 
 def tau_from_coefficients(grid, tau: TauCoefficients) -> np.ndarray:
-    """Node values of sum_l c_l P_l; FieldShapeError for modes above Grid.highest_mode."""
-    return _synthesis(_basis(grid, len(tau.coeffs)), np.asarray(tau.coeffs))
-
-
-def _basis(grid, count: int) -> np.ndarray:
-    """P_0..P_count at the nodes, (count + 1, n), which _synthesis multiplies by.
-
-    FieldShapeError for modes above Grid.highest_mode.
-    """
-    if count > grid.highest_mode:
-        raise FieldShapeError(f"{count} modes requested, the grid resolves {grid.highest_mode}")
-    return grid.legendre_vandermonde[:, : count + 1].T
-
-
-def _synthesis(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Node values of sum_l c_l P_l from the array c_1..c_L of a _basis of L modes.
-
-    The bits of Grid.legendre_synthesis of c_0 = 0, c_1..c_L.  _basis
-    checks the mode count, once per run of minimize_energy.
-    """
-    return np.concatenate(([0.0], coeffs)) @ basis
+    """Node values of sum_l c_l P_l, Grid.time_function; FieldShapeError above Grid.highest_mode."""
+    return grid.time_function(tau.coeffs)
 
 
 def convexity_guard(m: AxisymMetric, tau: np.ndarray | Evaluation) -> float | np.ndarray:
@@ -157,13 +139,9 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     residual's does.  The positive sign is the calibrated one: central
     finite differences of qle along each mode reproduce these pairings.
     """
-    field = tau_from_coefficients(d.metric.grid, tau)
-    return d.evaluate(field).first_variation(*_modes(d.metric.grid, len(tau.coeffs)))[0]
-
-
-def _modes(grid, count: int) -> tuple:
-    """P_1..P_count at the nodes, (n, count), and their x-derivatives: the gradient's directions."""
-    return grid.legendre_vandermonde[:, 1 : count + 1], grid.legendre_vandermonde_dx[:, 1 : count + 1]
+    grid = d.metric.grid
+    field = tau_from_coefficients(grid, tau)
+    return d.evaluate(field).first_variation(*grid.modes(len(tau.coeffs)))[0]
 
 
 def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:
@@ -344,9 +322,8 @@ def minimize_energy(
     count = coeffs.size
     if count == 0:
         raise FieldShapeError("0 modes requested, the minimizer needs at least 1")
-    basis = _basis(grid, count)
-    tau = _synthesis(basis, coeffs)
-    modes = _modes(grid, count)
+    tau = grid.time_function(coeffs)
+    modes = grid.modes(count)
     fd_step = FD_STEP * m.area_radius
     bumps = fd_step * modes[0].T
 
@@ -388,7 +365,7 @@ def minimize_energy(
             # raise the energy and lowers the gradient norm; otherwise H is
             # rebuilt at this iterate and the iteration runs as below
             trial = coeffs + kept
-            field = _synthesis(basis, trial)
+            field = grid.time_function(trial)
             at_trial, trial_energy = _assess(d, field)
             if trial_energy is None:
                 guard_active = True
@@ -415,7 +392,7 @@ def minimize_energy(
             step = 1.0
             while step >= STEP_FLOOR:
                 trial = coeffs + step * direction
-                field = _synthesis(basis, trial)
+                field = grid.time_function(trial)
                 if (field == tau).all():
                     break
                 at_trial, trial_energy = _assess(d, field)

@@ -285,11 +285,12 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     f = tau; the derivative checks confirm that variation vanishes by
     the package's one central difference (optimize._perturbed and
     optimize._fd_gradient, step 1e-4 m.area_radius, which leaves the
-    margins bit-identical under 2^k scaling) along the Legendre modes P1,
-    P2 and P3.  Surfaces that fail to embed for a perturbed time function raise;
+    margins bit-identical under 2^k scaling) along the first three modes
+    the grid resolves, Grid.modes: P1, P2 and P3, or P1 and P2 on a 4-node
+    grid.  Surfaces that fail to embed for a perturbed time function raise;
     the identity is only certified on valid configurations.
     """
-    variations = m.grid.legendre_vandermonde[:, 1:4].T
+    variations = m.grid.modes(min(3, m.grid.highest_mode))[0].T
 
     ev = evaluate(m, tau)
     proj = ev.projected

@@ -849,4 +849,6 @@ class TestFlagBoundary:
         (tmp_path / "adir").mkdir()
         (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {flag}: ")
+        assert out == ""

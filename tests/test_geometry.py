@@ -71,6 +71,31 @@ class TestLegendreSynthesis:
         assert error <= n * np.finfo(float).eps * np.max(np.abs(want))
 
 
+class TestTimeFunctionBasis:
+    """Grid.time_function and Grid.modes: P_1..P_L, L at most highest_mode, to the bit."""
+
+    @pytest.mark.parametrize("n", [4, 16, 32, 64])
+    def test_synthesis_and_modes_are_the_vandermonde_columns(self, n):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        for count in sorted({1, 2, n // 2, n - 2}):
+            c = rng.uniform(-1.0, 1.0, count)
+            assert grid.time_function(c).tobytes() == grid.legendre_synthesis([0.0, *c]).tobytes()
+            assert grid.time_function(tuple(c)).tobytes() == grid.time_function(c).tobytes()
+            values, slopes = grid.modes(count)
+            assert np.array_equal(values, grid.legendre_vandermonde[:, 1 : count + 1])
+            assert np.array_equal(slopes, grid.legendre_vandermonde_dx[:, 1 : count + 1])
+
+    @pytest.mark.parametrize("n", [4, 16, 32, 64])
+    def test_unresolved_mode_is_rejected(self, n):
+        grid = make_grid(n)
+        message = f"^{n - 1} modes requested, the grid resolves {n - 2}$"
+        with pytest.raises(FieldShapeError, match=message):
+            grid.time_function(np.ones(n - 1))
+        with pytest.raises(FieldShapeError, match=message):
+            grid.modes(n - 1)
+
+
 class TestMakeGrid:
     def test_weights_sum_to_two(self):
         grid = make_grid(16)

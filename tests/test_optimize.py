@@ -18,6 +18,7 @@ from reference import height
 import quasilocal.optimize as optimize_module
 from quasilocal.geometry import (
     FieldShapeError,
+    Grid,
     InvalidParameterError,
     hat_gauss_curvature,
     integrate_surface,
@@ -526,16 +527,16 @@ class TestMinimizeEnergy:
         d = schwarzschild_sphere(grid, 0.5, 4.0)
         with pytest.raises(InvalidParameterError, match=r"^\|tau\| must be at most 1e\+38; tau\[0\]"):
             evaluate(d.metric, tau_from_coefficients(grid, TauCoefficients((1e160,))))
-        synthesize = optimize_module._synthesis
+        synthesize = Grid.time_function
         fields = []
 
-        def overflowing_first_trial(basis, coeffs):
-            fields.append(synthesize(basis, coeffs))
+        def overflowing_first_trial(grid, coeffs):
+            fields.append(synthesize(grid, coeffs))
             # call 1 is the start, call 2 the first trial
             return 1e160 * fields[-1] if len(fields) == 2 else fields[-1]
 
         guarded = count_guards(monkeypatch)
-        monkeypatch.setattr(optimize_module, "_synthesis", overflowing_first_trial)
+        monkeypatch.setattr(Grid, "time_function", overflowing_first_trial)
         report = minimize_energy(d, TauCoefficients((0.0, 0.05)))
         seen = [ev.tau for ev in guarded if ev.tau.ndim == 1]  # the trials; the stacks are 2-D
         assert report.iterations >= 1

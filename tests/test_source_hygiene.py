@@ -112,6 +112,13 @@ def test_library_code_is_run_outside_tests():
     assert unused == []
 
 
+def test_only_the_grid_reads_the_legendre_basis():
+    """Other modules reach P_l through the Grid's synthesis and modes, never its Vandermonde matrices."""
+    basis = {"legendre_vandermonde", "legendre_vandermonde_dx"}
+    readers = [path.name for path in PACKAGE if basis & references(parse(path))]
+    assert readers == ["geometry.py"]
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"

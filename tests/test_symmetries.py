@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from quasilocal.geometry import AxisymMetric, make_grid
-from quasilocal.optimize import TauCoefficients, _modes, convexity_guard, energy_gradient, tau_from_coefficients
+from quasilocal.optimize import TauCoefficients, convexity_guard, energy_gradient, tau_from_coefficients
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
 from quasilocal.verify import (
     _default_profiles,
@@ -214,7 +214,7 @@ def test_time_translation(source, shift, seed):
     assert abs(shifted.energy.total - e.total) <= 16 * unit * scale
 
     grad = energy_gradient(d, TauCoefficients(tuple(coeffs)))
-    grad_shifted = shifted.first_variation(*_modes(grid, MODES.size))[0]
+    grad_shifted = shifted.first_variation(*grid.modes(MODES.size))[0]
     assert np.max(np.abs(grad_shifted - grad)) <= 1e5 * unit * max(1.0, np.max(np.abs(grad)))
 
     res = at.residual

@@ -193,6 +193,14 @@ class TestCheckLemma41:
         report = check_lemma41(round_sphere(grid), tau)
         assert -outcome(report, "flux").margin <= 1e-8
 
+    def test_varies_only_along_resolved_modes(self):
+        # on 4 nodes P3 = P_{n-1} is not resolved: the variations are along P1 and P2
+        grid = make_grid(4)
+        report = check_lemma41(round_sphere(grid), 0.1 * grid.x)
+        assert report.passed
+        assert report.samples == 2
+        assert [c.label for c in report.checks] == ["flux", "variation-1", "variation-2"]
+
 
 class TestLiftsThatAreNotPhysicalData:
     """The identities hold on every lift whose projection embeds.
