@@ -61,19 +61,15 @@ from .geometry import (
 )
 
 
-def _first_nonpositive(values: np.ndarray) -> tuple | None:
-    """Where a field or stack that must stay positive first fails, or None.
+def _first_nonpositive(values: np.ndarray) -> tuple:
+    """Where a field or stack whose least value is not > 0 first fails.
 
     (node,) of the least value of a field; (row, node) of the least value
-    in the first row of a stack whose least value is <= 0.
+    in the first row of a stack whose least value is not > 0, so a NaN fails.
     """
     if values.ndim == 1:
-        j = int(np.argmin(values))
-        return (j,) if values[j] <= 0.0 else None
-    failing = np.flatnonzero(values.min(axis=1) <= 0.0)
-    if failing.size == 0:
-        return None
-    i = int(failing[0])
+        return (int(np.argmin(values)),)
+    i = int(np.flatnonzero(~(values.min(axis=1) > 0.0))[0])
     return i, int(np.argmin(values[i]))
 
 
@@ -346,9 +342,8 @@ def embed_r3(m: AxisymMetric) -> RevolutionSurface:
     margin = m.P_sq - u_prime**2
     if not margin.min(initial=np.inf) > 0.0:  # an empty stack passes
         bad = _first_nonpositive(margin)
-        if bad is not None:
-            row = bad[0] if len(bad) == 2 else None
-            raise NonEmbeddableError(bad[-1], float(m.grid.nodes[bad[-1]]), float(margin[bad]), row)
+        row = bad[0] if len(bad) == 2 else None
+        raise NonEmbeddableError(bad[-1], float(m.grid.nodes[bad[-1]]), float(margin[bad]), row)
     return RevolutionSurface(metric=m, u_prime=u_prime, v_prime=np.sqrt(margin))
 
 

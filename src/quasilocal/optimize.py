@@ -193,7 +193,7 @@ def _kept_direction(model, grad: np.ndarray, scale: float):
     values, vectors = model
     if not values[0] >= EIGEN_FLOOR * values[-1] > 0.0:
         return None
-    direction = -(vectors @ ((vectors.T @ grad) / values))
+    direction = _newton_direction(values, vectors, grad)
     return direction if -0.5 * float(grad @ direction) < KEEP_DECREMENT * scale else None
 
 

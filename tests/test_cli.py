@@ -808,10 +808,13 @@ class TestGridSizeLimit:
 class TestFlagBoundary:
     """Each rejected input or path exits 1 with the name of its flag.
 
-    Commands run in a directory holding a valid table (t.dat), a table
-    with its grid declaration alone (one.dat), a directory (adir) and a
-    file that is not text (bin.dat); nodir does not exist, so nothing can
-    be written under it.
+    A case gives its flag, or its whole message after "error: " where that
+    is pinned.  Commands run in a directory holding a valid table (t.dat),
+    a table with its grid declaration alone (one.dat), an n = 16 table
+    (n16.dat), tables declared '# m=32' (m32.dat) and '# n=abc' (nabc.dat),
+    a table whose row 3 has 4 fields (four.dat), a directory (adir) and a
+    file that is not text (bin.dat); nodir and nope.txt do not exist, so
+    nothing can be written under nodir.
     """
 
     CASES = [
@@ -847,16 +850,35 @@ class TestFlagBoundary:
         (["verify", "--suite", "identities", "--metric", "sphere:r=1e300"], "--metric"),
         (["energy", "--schwarzschild", "m=1e300,r=1e301"], "--schwarzschild"),
         (["verify", "--suite", "identities", "--metric", "sphere:r=1e-300"], "--metric"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", " "], "--tau: empty time-function spec"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:nope.txt"],
+         "--tau: cannot read nope.txt: nope.txt not found."),
+        (["energy", "--minkowski", "0.1*P1"], "--minkowski: expected tau0=SPEC, got '0.1*P1'"),
+        (["energy", "--data", "n16.dat", "--grid-n", "32"],
+         "--data: file grid n=16 does not match --grid-n 32"),
+        (["energy", "--data", "m32.dat"], "--data: malformed grid declaration '# m=32'"),
+        (["energy", "--data", "nabc.dat"], "--data: malformed grid declaration '# n=abc'"),
+        (["energy", "--data", "four.dat"], "--data: row 3 has 4 fields, expected 5"),
     ]
 
-    @pytest.mark.parametrize("argv, flag", CASES, ids=[" ".join(argv) for argv, _ in CASES])
-    def test_rejected_input_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_rejected_input_names_its_flag(self, argv, expected, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         store_physical_data(schwarzschild_sphere(make_grid(32), 1.0, 4.0), "t.dat")
-        (tmp_path / "one.dat").write_text("# n=32\n")
+        store_physical_data(schwarzschild_sphere(make_grid(16), 1.0, 4.0), "n16.dat")
+        declaration, header, *rows = (tmp_path / "t.dat").read_text().splitlines(keepends=True)
+        (tmp_path / "one.dat").write_text(declaration)
+        (tmp_path / "m32.dat").write_text("".join(["# m=32\n", header, *rows]))
+        (tmp_path / "nabc.dat").write_text("".join(["# n=abc\n", header, *rows]))
+        rows[3] = " ".join(rows[3].split()[:4]) + "\n"
+        (tmp_path / "four.dat").write_text("".join([declaration, header, *rows]))
         (tmp_path / "adir").mkdir()
         (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
         assert main(argv) == 1
         out, err = capsys.readouterr()
-        assert err.startswith(f"error: {flag}: ")
+        flag, _, message = expected.partition(": ")
+        if message:
+            assert err == f"error: {expected}\n"
+        else:
+            assert err.startswith(f"error: {flag}: ")
         assert out == ""

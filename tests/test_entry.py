@@ -1,8 +1,9 @@
-"""The process entry and the import footprint, each checked in a fresh interpreter.
+"""The process entry, what a process prints, and the import footprint, each checked in a fresh interpreter.
 
 The other CLI tests call main(argv) in-process; these start
-`python -m quasilocal.cli` and the console-script entry as processes, and
-read sys.modules of a fresh interpreter to see what a command loads.
+`python -m quasilocal.cli` and the console-script entry as processes,
+check that a process prints its report and nothing else, and read
+sys.modules of a fresh interpreter to see what a command loads.
 """
 
 import os
@@ -95,6 +96,48 @@ class TestProcessEntry:
         )
         assert out.startswith("artifact = quasilocal ")
         assert out.endswith("\nfrozen True\n")
+
+
+@pytest.fixture(scope="module")
+def table(tmp_path_factory):
+    """The m = 1, r = 4 sphere's table, written by a gen-data process."""
+    path = tmp_path_factory.mktemp("table") / "t.dat"
+    proc = cli("gen-data", *SPHERE, "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {path}\n".encode(), b"")
+    return path
+
+
+FAILS_ON_THE_GAP = ["worst_check = mean-curvature-gap", "worst_margin = 0"]
+# argv, exit status and the lines the report must hold; {table} is the gen-data table
+SILENT = [
+    (["verify", "--suite", "identities", "--metric", "sphere:r=2"], 0, []),
+    (["verify", "--suite", "identities", "--metric", "sphere:r=0.01"], 0, []),
+    (["verify", "--suite", "lemma41", "--metric", "sphere:r=1e5"], 0, []),
+    (["verify", "--suite", "lemma41", "--metric", "sphere:r=0.01", "--tau", "0.001*P1"], 0, []),
+    (["verify", "--suite", "lemma41", "--metric", "sphere:r=1e-5", "--tau", "1e-6*P1"], 0, []),
+    (["verify", "--suite", "lemma41", "--grid-n", "4", "--tau", "0.1*P1"], 0, []),
+    (["verify", "--suite", "theorem1", "--data", "{table}"], 0, []),
+    (["verify", "--suite", "theorem3", "--data", "{table}"], 0, []),
+    (["verify", "--suite", "theorem1", "--schwarzschild", "m=0.1,r=1e8"], 0, []),
+    (["verify", "--suite", "theorem3", "--schwarzschild", "m=0.1,r=1e8"], 0, []),
+    (["verify", "--suite", "theorem3", "--schwarzschild", "m=0,r=1e-10"], 2, []),
+    (["verify", "--suite", "theorem1", "--minkowski", "tau0=zero"], 2, FAILS_ON_THE_GAP),
+    (["verify", "--suite", "theorem3", "--minkowski", "tau0=zero"], 2, FAILS_ON_THE_GAP),
+    (["verify", "--suite", "theorem1", "--minkowski", "tau0=0.1*P1", "--tau", "0.1*P1"], 2,
+     FAILS_ON_THE_GAP),
+    (["verify", "--suite", "theorem3", "--grid-n", "4", *SPHERE], 2, ["samples = 2"]),
+]
+
+
+@pytest.mark.parametrize("argv, status, lines", SILENT, ids=[" ".join(argv) for argv, _, _ in SILENT])
+def test_a_process_prints_its_report_and_nothing_else(argv, status, lines, table):
+    # pytest makes a RuntimeWarning an error in-process, but what a process
+    # prints only a process shows: nothing on stderr and no nan in the report
+    proc = cli(*[arg.format(table=table) for arg in argv])
+    assert proc.returncode == status
+    assert proc.stderr == b""
+    assert b"nan" not in proc.stdout
+    assert set(lines) <= set(proc.stdout.decode().splitlines())
 
 
 def loaded_after(statements: str) -> set:

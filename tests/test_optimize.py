@@ -1,5 +1,6 @@
 """Coefficient-space descent, the convexity guard, and mode gradients."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -624,6 +625,27 @@ class TestMinimizeEnergy:
         assert any(offered)
         assert len(built) == 1 + rebuilt.iterations - (rebuilt.stop == "gradient")
 
+    def test_kept_step_outside_the_guard_runs_the_iteration_on_a_rebuilt_model(self, monkeypatch):
+        # 3 P3 leaves the convexity region (as a start the guard refuses
+        # it), so a kept step moved by it is refused by the guard, which the
+        # report records; the iteration then runs as one without a kept model
+        d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+        init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
+        kept = optimize_module._kept_direction
+        monkeypatch.setattr(optimize_module, "_kept_direction", lambda *args: None)
+        rebuilt = minimize_energy(d, init)
+
+        def past_the_guard(*args):
+            direction = kept(*args)
+            return None if direction is None else direction + 3.0 * np.eye(8)[2]
+
+        monkeypatch.setattr(optimize_module, "_kept_direction", past_the_guard)
+        report = minimize_energy(d, init)
+        assert report.guard_active is True and rebuilt.guard_active is False
+        assert report.stop == "gradient"
+        assert abs(report.energy_star - schwarzschild_energy(1.0, 4.0)) <= 1e-9 * report.energy_star
+        assert report == dataclasses.replace(rebuilt, guard_active=True)
+
     @pytest.mark.parametrize("scale", sorted(MOST_ITERATIONS_REBUILT))
     def test_seeded_starts_converge_with_kept_models(self, scale):
         iterations = []
@@ -711,15 +733,17 @@ class TestMinimizeEnergy:
         newton = optimize_module._newton_direction
 
         def recording(values, vectors, grad):
-            directions.append(newton(values, vectors, grad))
-            return directions[-1]
+            directions.append(values)
+            return newton(values, vectors, grad)
 
         monkeypatch.setattr(optimize_module, "_hessian", lifting_once)
         monkeypatch.setattr(optimize_module, "_newton_direction", recording)
         report = minimize_energy(d, init, max_iterations=3)
         assert len(models) == 1
         assert len(refused) == 2
-        assert len(directions) == 1  # the Newton model of the start only
+        # the Newton model of the start only: its step at iteration 1, and
+        # at iteration 2 its kept step, refused for its decrement
+        assert len(directions) == 2 and all(values is models[0][0] for values in directions)
         assert report.iterations == 3
         assert report.hessian_min_eigenvalue == models[0][0][0]
         trace = report.energy_trace
