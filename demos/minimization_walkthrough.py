@@ -14,12 +14,10 @@ import numpy as np
 from quasilocal import (
     GuardViolationError,
     TauCoefficients,
-    convexity_guard,
     make_grid,
     minimize_energy,
     qle,
     schwarzschild_sphere,
-    tau_from_coefficients,
 )
 
 MASS, RADIUS = 1.0, 4.0
@@ -32,9 +30,9 @@ def main():
     print(f"time-symmetric energy  E(0) = {flat:.12f}")
 
     init = TauCoefficients((0.0, 0.08, -0.03, 0.0, 0.02, 0.0, 0.0, 0.0))
-    start = tau_from_coefficients(grid, init)
+    start = d.evaluate(grid.time_function(init.coeffs))
     print(f"start: coefficients {init.coeffs[:5]}..., guard margin "
-          f"{convexity_guard(d.metric, start):.4f}, E = {qle(d, start).total:.8f}")
+          f"{start.ev.guard:.4f}, E = {start.energy.total:.8f}")
 
     report = minimize_energy(d, init, tol=1e-8)
     print(f"descent trace ({report.iterations} iterations):")

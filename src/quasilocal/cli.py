@@ -36,7 +36,7 @@ from .geometry import (
     LENGTH_MAX,
     FieldShapeError,
     InvalidParameterError,
-    integrate_surface,
+    _integrate,
     make_grid,
     round_sphere,
     Grid,
@@ -141,12 +141,13 @@ def _tau_on(spec: str, metric: AxisymMetric) -> Evaluation:
 
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
     try:
+        open(path, "rb").close()  # its OSError gives the system's reason apart from the path
         with warnings.catch_warnings():
             # a table without values is rejected below, not warned about
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(path)
     except OSError as exc:
-        raise CliValidationError(field, f"cannot read {path}: {exc}") from None
+        raise CliValidationError(field, f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
     if table.size == 0:
@@ -324,11 +325,9 @@ def cmd_energy(args, grid: Grid) -> int:
 
 
 def cmd_residual(args, grid: Grid) -> int:
-    from .energy import residual
-
     d, echo = build_data(args, grid)
-    field = residual(d, _tau_on(args.tau, d.metric))
-    norm = float(np.sqrt(integrate_surface(d.metric, field**2)))
+    field = d.evaluate(_tau_on(args.tau, d.metric)).residual
+    norm = float(np.sqrt(_integrate(d.metric, field**2)))
     body = [
         f"residual_l2 = {_fmt(norm)}",
         f"residual_max = {_fmt(np.max(np.abs(field)))}",

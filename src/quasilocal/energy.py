@@ -26,11 +26,11 @@ in theorem1's gap, the reference terms cancel and only physical_term is
 read.  A caller that reads several at one tau holds one DataEvaluation,
 and data of a surface in Minkowski space bind their own lift once, so
 the boost angle and the stationarity terms are formed once per lift.
-qle, qle_angle_form and residual are one-line wrappers over its fields,
-which read the data, the derivatives of tau and the projection (hhat_tt
-and the mean curvature), never the lift's normal-bundle data; nothing
-here checks that a lift could be physical data: only
-physdata.minkowski_surface_data does.
+qle, qle_angle_form and residual wrap its fields for callers outside the
+package, whose own code reads the fields (tests/test_source_hygiene.py).
+The fields read the data, the derivatives of tau and the projection
+(hhat_tt, the mean curvature), never the lift's normal-bundle data; only
+physdata.minkowski_surface_data checks that a lift could be physical data.
 
 The gauge energy tilde_energy generalizes the physical term to an
 arbitrary normal gauge via the generalized mean curvature

@@ -38,11 +38,11 @@ the right shape, finite, and within the length range or LENGTH_MAX in
 size, tested by one min and one max, naming the first bad node
 otherwise.  The public operators laplacian, hessian and
 hat_gauss_curvature admit their field as embedding.Evaluation admits a
-time function and return the bits of its lap, hess_tt and k_hat; the
-package calls the kernels (_divergence_from_x_component, _hessian,
-_sin_factored_theta_derivative, and _integrate, integrate_surface
-without its shape check) with arrays that were already admitted or that
-it formed itself.
+time function and return the bits of its lap, hess_tt and k_hat.  They
+and integrate_surface serve callers outside the package; its own code
+calls the kernels (_divergence_from_x_component, _hessian,
+_sin_factored_theta_derivative, _integrate) on arrays it admitted or
+formed, as tests/test_source_hygiene.py holds.
 Fields computed when first read use the lazy descriptor below.
 """
 
@@ -411,7 +411,7 @@ class AxisymMetric:
     @lazy
     def area_radius(self) -> float:
         """sqrt(area / 4 pi), the radius of the round sphere of the same area."""
-        return float(np.sqrt(integrate_surface(self, np.ones(self.grid.n_nodes)) / (4.0 * np.pi)))
+        return float(np.sqrt(_integrate(self, np.ones(self.grid.n_nodes)) / (4.0 * np.pi)))
 
     @lazy
     def lu(self) -> np.ndarray:

@@ -140,8 +140,7 @@ def energy_gradient(d: PhysicalData, tau: TauCoefficients) -> np.ndarray:
     finite differences of qle along each mode reproduce these pairings.
     """
     grid = d.metric.grid
-    field = tau_from_coefficients(grid, tau)
-    return d.evaluate(field).first_variation(*grid.modes(len(tau.coeffs)))[0]
+    return d.evaluate(grid.time_function(tau.coeffs)).first_variation(*grid.modes(len(tau.coeffs)))[0]
 
 
 def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:

@@ -71,13 +71,13 @@ from .geometry import (
     _check_field,
     _divergence_from_x_component,
     _hessian,
+    _integrate,
     _read_only,
     _sin_factored_theta_derivative,
-    integrate_surface,
 )
 from .embedding import embed_r3, evaluate
 from .physdata import PhysicalData, _fmt
-from .energy import breve_gauge, qle, tilde_energy
+from .energy import breve_gauge, tilde_energy
 from .optimize import _fd_gradient, _perturbed
 
 # a strict hypothesis must clear this floor times r^p; on the unit sphere
@@ -368,12 +368,12 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
     res = at_tau0.residual
-    res_norm = float(np.sqrt(integrate_surface(m, res * res)))
+    res_norm = float(np.sqrt(_integrate(m, res * res)))
 
     energy_tau0 = at_tau0.energy.total
     s1 = at_tau0.ev.s1
     x0 = at_tau0.ev.lap / s1
-    closed_form = integrate_surface(
+    closed_form = _integrate(
         m, (np.sqrt(reference.norm_H**2 + x0**2) - np.sqrt(d.norm_H**2 + x0**2)) / s1
     )
     closed_dev = abs(closed_form - energy_tau0)
@@ -493,14 +493,14 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     radicand = family_ev.mean_sq + (family_ev.lap / s1) ** 2
     # rounding drives it negative on small spheres (r <= 1e-8), where there is nothing to measure
     integrand = np.sqrt(np.maximum(radicand, 0.0)) / s1
-    physical = integrate_surface(m, integrand).reshape(-1, n_s)
+    physical = _integrate(m, integrand).reshape(-1, n_s)
     closed = (reference - physical)[:, interior] / s_grid[interior]
     closed_dev = _deviation_margin(reference_slope[:, interior] - closed)
     if (radicand < 0.0).any():
         closed_dev = -np.inf
 
     at_one = np.arange(admitted.size * n_s) % n_s == n_s - 1
-    increase = qle(d, family_ev.rows(at_one)).total - energy_rest
+    increase = d.evaluate(family_ev.rows(at_one)).energy.total - energy_rest
     varying = ~_is_constant(samples[admitted])
 
     checks = (

@@ -852,7 +852,9 @@ class TestFlagBoundary:
         (["verify", "--suite", "identities", "--metric", "sphere:r=1e-300"], "--metric"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", " "], "--tau: empty time-function spec"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:nope.txt"],
-         "--tau: cannot read nope.txt: nope.txt not found."),
+         "--tau: cannot read nope.txt: No such file or directory"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:adir"],
+         "--tau: cannot read adir: Is a directory"),
         (["energy", "--minkowski", "0.1*P1"], "--minkowski: expected tau0=SPEC, got '0.1*P1'"),
         (["energy", "--data", "n16.dat", "--grid-n", "32"],
          "--data: file grid n=16 does not match --grid-n 32"),

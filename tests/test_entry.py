@@ -185,6 +185,11 @@ class TestImportFootprint:
             "assert set(quasilocal.__all__) <= set(dir(quasilocal))\n"
         )
 
+    def test_dir_is_sorted_and_holds_every_public_name(self):
+        names = dir(quasilocal)
+        assert names == sorted(names)
+        assert {"__version__", *quasilocal.__all__} <= set(names)
+
     def test_a_rebound_module_attribute_shows_through(self, monkeypatch):
         def stand_in():
             pass

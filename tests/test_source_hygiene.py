@@ -164,3 +164,28 @@ def test_every_traced_name_is_defined():
     tracer = parse(ROOT / "perfbench" / "tracer.py")
     traced = set(literal(tracer, "PUBLIC")) | set(literal(tracer, "INTERNAL"))
     assert traced and sorted(traced - defined) == []
+
+
+# wrappers over a kernel or a field, kept for callers outside the package
+DELEGATING_WRAPPERS = {
+    "integrate_surface", "qle", "qle_angle_form", "residual", "reference_mean_curvature_integral",
+    "laplacian", "hessian", "gauss_curvature", "hat_gauss_curvature", "embed_lifted",
+    "extrinsic_data", "mean_curvature", "convexity_guard", "energy_gradient",
+    "tau_from_coefficients", "integral_from_north",
+}
+
+
+def test_package_calls_no_delegating_wrapper():
+    """Package code calls the kernel or reads the field a delegating wrapper wraps, never the wrapper.
+
+    Calls by bare name and by attribute count; a read such as
+    proj.mean_curvature is not a call and does not.
+    """
+    calls = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in PACKAGE
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in DELEGATING_WRAPPERS
+    ]
+    assert calls == []
