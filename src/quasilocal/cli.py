@@ -36,7 +36,6 @@ from .geometry import (
     LENGTH_MAX,
     FieldShapeError,
     InvalidParameterError,
-    _integrate,
     make_grid,
     round_sphere,
     Grid,
@@ -82,10 +81,15 @@ NOT_DATA = (NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
 def _for_flag(field: str, build, *args):
-    """build(*args), with rejected input, lifts that cannot be data and unusable paths blamed on field."""
+    """build(*args), with rejected input, lifts that cannot be data and unusable paths blamed on field.
+
+    A path is named once, as 'PATH: REASON', without the errno.
+    """
     try:
         return build(*args)
     except (InvalidParameterError, DataFormatError, OSError, *NOT_DATA) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None and exc.strerror:
+            raise CliValidationError(field, f"{exc.filename}: {exc.strerror}") from None
         raise CliValidationError(field, str(exc)) from None
 
 
@@ -102,7 +106,7 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     if spec == "zero":
         return np.zeros(grid.n_nodes)
     if spec.startswith("file:"):
-        return _tau_from_file(spec[5:], grid, field)
+        return _for_flag(field, _tau_from_file, spec[5:], grid, field)
     compact = spec.replace(" ", "")
     if not compact:
         raise CliValidationError(field, "empty time-function spec")
@@ -140,14 +144,12 @@ def _tau_on(spec: str, metric: AxisymMetric) -> Evaluation:
 
 
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
+    open(path, "rb").close()  # an unreadable path fails here with the system's reason, not numpy's
     try:
-        open(path, "rb").close()  # its OSError gives the system's reason apart from the path
         with warnings.catch_warnings():
             # a table without values is rejected below, not warned about
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(path)
-    except OSError as exc:
-        raise CliValidationError(field, f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
     if table.size == 0:
@@ -326,10 +328,10 @@ def cmd_energy(args, grid: Grid) -> int:
 
 def cmd_residual(args, grid: Grid) -> int:
     d, echo = build_data(args, grid)
-    field = d.evaluate(_tau_on(args.tau, d.metric)).residual
-    norm = float(np.sqrt(_integrate(d.metric, field**2)))
+    at_tau = d.evaluate(_tau_on(args.tau, d.metric))
+    field = at_tau.residual
     body = [
-        f"residual_l2 = {_fmt(norm)}",
+        f"residual_l2 = {_fmt(at_tau.residual_norm)}",
         f"residual_max = {_fmt(np.max(np.abs(field)))}",
     ]
     _emit("residual", args, echo, body, ("theta residual", grid.nodes, field))

@@ -13,8 +13,9 @@ integrated-by-parts form of the defining functional; the angle form
 evaluates the original integrand, with the angle's gradient explicit, as
 an independent cross-check.  The two agree to discretization rounding.
 Stationary time functions make the residual of a second-order equation
-vanish; the first variation pairs its terms with directions in weak
-form, the exact first variation of the discrete energy.
+vanish, and its L2 norm, DataEvaluation.residual_norm, is the one measure
+of criticality; the first variation pairs its terms with directions in
+weak form, the exact first variation of the discrete energy.
 
 PhysicalData.evaluate binds the Evaluation of a time function, or of a
 (k, n) stack of them, to the data: a DataEvaluation, whose fields are
@@ -190,7 +191,14 @@ class DataEvaluation:
         with shat the projected-surface metric and Hess the covariant
         Hessian of the base metric.  Critical time functions make this vanish.
         """
-        return _residual_from_terms(self.metric, *self.stationarity)
+        trace_part, flux = self.stationarity
+        return trace_part + _divergence_from_x_component(self.metric, flux)
+
+    @lazy
+    def residual_norm(self) -> float | np.ndarray:
+        """The L2 norm of the residual, one per row: the criticality measure every caller reads."""
+        res = self.residual
+        return np.sqrt(_integrate(self.metric, res * res))
 
     def first_variation(self, directions: np.ndarray, slopes: np.ndarray) -> tuple:
         """Weak first variations of the energy and of its reference term, (..., j) each.
@@ -206,11 +214,6 @@ class DataEvaluation:
         reference = (m.weighted_PQ * trace_part) @ directions
         total = reference + (m.weighted_flux_factor * flux) @ slopes
         return (2.0 * np.pi) * total, (2.0 * np.pi) * reference
-
-
-def _residual_from_terms(m: AxisymMetric, trace_part: np.ndarray, flux: np.ndarray) -> np.ndarray:
-    """The residual from the stationarity terms (trace term, flux) on the metric m."""
-    return trace_part + _divergence_from_x_component(m, flux)
 
 
 def reference_mean_curvature_integral(

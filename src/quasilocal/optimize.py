@@ -17,8 +17,8 @@ section 5.4); a kept model takes one full step, which must not raise the
 energy and must lower the gradient norm, and never decides a stop.  It
 reads the guard, the energy and the gradient at each field or stack from
 one DataEvaluation.  Its start is row 0 of the stack of its first
-Hessian, so the start costs no evaluation of its own, and the residual
-it reports is formed from the terms that gave its last gradient.  The
+Hessian, so the start costs no evaluation of its own, and it reports the
+residual_norm of the evaluation that gave its last gradient.  The
 iteration runs on arrays of coefficients: Grid.time_function gives the
 node values of the start and of every trial and Grid.modes the gradient's
 directions, the grid's one basis and mode bound, and the kept model is
@@ -30,14 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    AxisymMetric,
-    FieldShapeError,
-    InvalidParameterError,
-    _integrate,
-)
+from .geometry import AxisymMetric, FieldShapeError, InvalidParameterError
 from .embedding import Evaluation, NonEmbeddableError, evaluate
-from .energy import _residual_from_terms
 from .physdata import PhysicalData
 
 # Armijo sufficient-decrease factor; the step below which the line search
@@ -278,9 +272,9 @@ def minimize_energy(
     rounding and calibrate nothing: calibration_rel_error is then 0.
     hessian_min_eigenvalue is the least eigenvalue, before the raise, of
     the last H the run built (the start's when it kept that one
-    throughout): the discrete second variation.  residual_norm is the L2
-    norm of energy.residual at the final iterate, formed from the
-    stationarity terms that gave the last gradient.
+    throughout): the discrete second variation.  residual_norm is
+    DataEvaluation.residual_norm at the final iterate, read from the
+    evaluation that gave the last gradient (row 0 of the start's stack).
 
     A tol that is not positive and finite, or a max_iterations that is
     not an integer >= 0, raises InvalidParameterError; an init with no
@@ -340,8 +334,7 @@ def minimize_energy(
     grads = stack.first_variation(*modes)[0]
     grad = grads[0]
     grad_norm = _norm(grad)
-    trace_part, flux = stack.stationarity
-    terms = trace_part[0], flux[0]
+    last = stack  # the DataEvaluation the last gradient came from
 
     # differences below the energy's rounding floor over the step are rounding
     fd = _fd_gradient(totals[1:], fd_step)
@@ -422,16 +415,15 @@ def minimize_energy(
         floor = _rounding_floor(scale)
         grad = trial_grad
         grad_norm = trial_norm
-        terms = at_trial.stationarity
+        last = at_trial
         trace.append(energy)
         iterations += 1
     else:
         stop = "gradient" if grad_norm < tol else "iterations"
-    res = _residual_from_terms(m, *terms)  # of the terms the last gradient paired
     return MinimizeReport(
         tau_star=TauCoefficients(tuple(coeffs)),
         energy_star=energy,
-        residual_norm=math.sqrt(_integrate(m, res * res)),
+        residual_norm=float(np.ravel(last.residual_norm)[0]),
         iterations=iterations,
         guard_active=guard_active,
         energy_trace=tuple(trace),

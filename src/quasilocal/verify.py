@@ -367,8 +367,6 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     r = m.area_radius
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
-    res = at_tau0.residual
-    res_norm = float(np.sqrt(_integrate(m, res * res)))
 
     energy_tau0 = at_tau0.energy.total
     s1 = at_tau0.ev.s1
@@ -393,7 +391,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     gaps, equality_gap = trial_gaps[:-1], float(trial_gaps[-1])
 
     checks = (
-        CheckOutcome("criticality", -res_norm, 1e-6 / r),
+        CheckOutcome("criticality", -float(at_tau0.residual_norm), 1e-6 / r),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR / r),
         CheckOutcome("closed-form", -float(closed_dev), 1e-7 * r),
         CheckOutcome("gap", float(np.min(gaps)) if gaps.size else -np.inf, 1e-8 * r),

@@ -44,7 +44,10 @@ def regular_metric(grid, bq, rho):
 # the normal-bundle fields of an Evaluation
 NORMAL_BUNDLE = ("lap_vt", "mean_sq", "breve_h", "breve_h4", "breve_alpha")
 # the fields of a DataEvaluation
-BOUND_FIELDS = ("sinh", "angle", "cosh", "energy", "angle_form", "stationarity", "residual")
+BOUND_FIELDS = (
+    "sinh", "angle", "cosh", "physical_term", "energy", "angle_form", "stationarity", "residual",
+    "residual_norm",
+)
 
 
 def count_formed(monkeypatch, owner, names):

@@ -12,7 +12,7 @@ from conftest import legendre_mode
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
 from quasilocal import physdata
-from quasilocal.physdata import load_physical_data, schwarzschild_sphere, store_physical_data
+from quasilocal.physdata import _fmt, load_physical_data, schwarzschild_sphere, store_physical_data
 from quasilocal.verify import check_theorem1, format_report
 
 SPHERE_ENERGY = 32.0 * np.pi * (1.0 - np.sqrt(0.5))
@@ -435,6 +435,12 @@ class TestResidualCommand:
         assert main(["residual", "--schwarzschild", "m=1,r=4", "--tau", "zero"]) == 0
         assert float(report_value(capsys.readouterr().out, "residual_l2")) <= 1e-10
 
+    def test_residual_l2_is_the_norm_field_of_the_data_at_tau(self, capsys):
+        assert main(["residual", "--schwarzschild", "m=1,r=4", "--tau", "0.1*P2"]) == 0
+        grid = make_grid(32)
+        at_tau = schwarzschild_sphere(grid, 1.0, 4.0).evaluate(parse_tau("0.1*P2", grid))
+        assert report_value(capsys.readouterr().out, "residual_l2") == _fmt(at_tau.residual_norm)
+
     def test_columns_file(self, tmp_path):
         cols = tmp_path / "res.cols"
         argv = ["residual", "--schwarzschild", "m=1,r=4", "--tau", "0.1*P2",
@@ -818,14 +824,16 @@ class TestFlagBoundary:
     """
 
     CASES = [
-        (["energy", "--data", "nope.dat"], "--data"),
-        (["energy", "--data", "adir"], "--data"),
+        (["energy", "--data", "nope.dat"], "--data: nope.dat: No such file or directory"),
+        (["energy", "--data", "adir"], "--data: adir: Is a directory"),
         (["energy", "--data", "bin.dat"], "--data"),
         (["energy", "--data", "one.dat"], "--data"),
         (["energy", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
-        (["energy", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out: adir: Is a directory"),
         (["residual", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
         (["residual", "--schwarzschild", "m=1,r=4", "--columns", "nodir/r.cols"], "--columns"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", "adir"],
+         "--columns: adir: Is a directory"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--grid-n", "16", "--out", "nodir/r.txt"],
          "--out"),
         (["minimize", "--schwarzschild", "m=1,r=4", "--grid-n", "16", "--columns", "nodir/r.cols"],
@@ -833,6 +841,7 @@ class TestFlagBoundary:
         (["verify", "--suite", "theorem1", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"],
          "--out"),
         (["gen-data", "--schwarzschild", "m=1,r=4", "--out", "nodir/t.dat"], "--out"),
+        (["gen-data", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out: adir: Is a directory"),
         (["verify", "--suite", "identities", "--metric", "sphere:r=0"], "--metric"),
         (["energy", "--minkowski", "tau0=zero", "--metric", "sphere:r=-2"], "--metric"),
         (["energy", "--schwarzschild", "m=1,r=4", "--metric", "torus"], "--metric"),
@@ -852,9 +861,9 @@ class TestFlagBoundary:
         (["verify", "--suite", "identities", "--metric", "sphere:r=1e-300"], "--metric"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", " "], "--tau: empty time-function spec"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:nope.txt"],
-         "--tau: cannot read nope.txt: No such file or directory"),
+         "--tau: nope.txt: No such file or directory"),
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:adir"],
-         "--tau: cannot read adir: Is a directory"),
+         "--tau: adir: Is a directory"),
         (["energy", "--minkowski", "0.1*P1"], "--minkowski: expected tau0=SPEC, got '0.1*P1'"),
         (["energy", "--data", "n16.dat", "--grid-n", "32"],
          "--data: file grid n=16 does not match --grid-n 32"),

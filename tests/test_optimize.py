@@ -559,6 +559,26 @@ class TestMinimizeEnergy:
         res = residual(d, tau_from_coefficients(d.metric.grid, report.tau_star))
         assert report.residual_norm == float(np.sqrt(integrate_surface(d.metric, res * res)))
 
+    def test_seeded_runs_report_the_residual_norm_field_of_their_final_iterate(self):
+        # the one owner of the norm, to the bit, on Schwarzschild and lift data alike
+        stepped = []
+        for d, start, _ in seeded_starts(0.3, count=4):
+            report = minimize_energy(d, TauCoefficients(start), max_iterations=100)
+            assert report.iterations >= 1
+            final = d.evaluate(d.metric.grid.time_function(report.tau_star.coeffs))
+            assert report.residual_norm == final.residual_norm
+            stepped.append(report.iterations)
+        assert len(stepped) == 8
+
+    def test_start_at_the_lift_takes_no_step_and_reports_a_vanishing_residual(self):
+        # the residual_norm of row 0 of the start's stack
+        grid = make_grid(32)
+        start = TauCoefficients((0.1, 0.05))
+        d = minkowski_surface_data(round_sphere(grid), tau_from_coefficients(grid, start))
+        report = minimize_energy(d, start)
+        assert report.iterations == 0
+        assert report.residual_norm < 1e-10
+
     def test_more_modes_than_the_grid_resolves_named_as_the_gradient_does(self):
         d = schwarzschild_sphere(make_grid(8), 1.0, 4.0)
         message = r"^8 modes requested, the grid resolves 6$"

@@ -22,6 +22,7 @@ from quasilocal.geometry import (
     InvalidParameterError,
     _divergence_from_x_component,
     laplacian,
+    lazy,
     make_grid,
     round_sphere,
 )
@@ -159,9 +160,16 @@ class TestSharedLift:
         energy_gradient(plain, coeffs)
         assert len(lifted) == 4
 
+    def test_bound_fields_are_every_lazy_field(self):
+        # so a new field of DataEvaluation cannot be left out of the count below
+        assert set(BOUND_FIELDS) == {
+            name for name, field in vars(DataEvaluation).items() if isinstance(field, lazy)
+        }
+
     def test_energy_residual_and_gradient_at_tau0_form_each_field_once(self, monkeypatch):
-        # the kept DataEvaluation serves all three: the boost angle and the
-        # stationarity terms once, cosh only for the terms, no angle form
+        # the kept DataEvaluation serves all three: the boost angle, the
+        # physical term and the stationarity terms once, cosh only for the
+        # terms, neither the angle form nor the residual's norm
         d, tau0, coeffs = lift_data(32)
         formed = count_formed(monkeypatch, DataEvaluation, BOUND_FIELDS)
         qle(d, tau0)
@@ -169,7 +177,8 @@ class TestSharedLift:
         energy_gradient(d, coeffs)
         bound = d.evaluate(tau0)
         assert bound.ev is d.lift
-        assert formed == {name: [] if name == "angle_form" else [bound] for name in BOUND_FIELDS}
+        unread = ("angle_form", "residual_norm")
+        assert formed == {name: [] if name in unread else [bound] for name in BOUND_FIELDS}
 
     @pytest.mark.parametrize("n", LADDER_SIZES)
     def test_results_are_bit_identical_to_a_fresh_lift(self, n):

@@ -742,6 +742,14 @@ class TestCheckTheorem1:
         assert not report.passed
         assert not outcome(report, "criticality").ok
 
+    @pytest.mark.parametrize("scale", [0.0, 0.2])
+    def test_criticality_is_the_residual_norm_at_tau0(self, scale):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        tau0 = scale * legendre_mode(grid, 2)
+        report = check_theorem1(d, tau0)
+        assert outcome(report, "criticality").margin == -d.compared_at(tau0)[1].residual_norm
+
     def test_guard_violating_samples_are_counted(self):
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
