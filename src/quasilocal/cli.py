@@ -10,9 +10,9 @@ Every report is flat 'key = value' text prefixed with the artifact
 version, command, grid size, data source and time function, so a fixed
 configuration reproduces the output byte for byte.  Column files for
 plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
-0 on success, 1 on a validation error or an unreadable or unwritable
-path, naming the offending flag, 2 when a computation or certification
-suite fails.
+0 on success, 1 on a validation error or an unreadable, unwritable or
+empty path, naming the offending flag, 2 when a computation or
+certification suite fails.
 
 Subcommands import optimize and verify, and data energy when evaluated,
 as they run, so a process loads only its own command's code.  main(argv)
@@ -106,6 +106,8 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     if spec == "zero":
         return np.zeros(grid.n_nodes)
     if spec.startswith("file:"):
+        if spec == "file:":
+            raise CliValidationError(field, "empty path")
         return _for_flag(field, _tau_from_file, spec[5:], grid, field)
     compact = spec.replace(" ", "")
     if not compact:
@@ -503,6 +505,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("out", "columns", "data"):
+            if getattr(args, flag, None) == "":
+                raise CliValidationError(f"--{flag}", "empty path")
         return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
     except (CliValidationError, FieldShapeError) as exc:
         return _failed(exc, 1)

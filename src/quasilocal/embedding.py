@@ -1,15 +1,11 @@
 """Isometric embeddings of axisymmetric metrics and their extrinsic data.
 
-An admissible metric sigma = P^2 dtheta^2 + Q^2 sin^2 dphi^2 embeds as a
-surface of revolution in Euclidean 3-space,
+A metric's surface of revolution in Euclidean 3-space is its own: the
+fields v_prime, w, hhat_tt and mean_curvature of geometry.AxisymMetric,
+and embed_r3 checks that it exists.  Augmenting the metric with a time
+profile tau lifts the picture to Minkowski space R^{3,1}: the graph
 
-    X = (u sin(phi), u cos(phi), v),   u = Q sin(theta),
-    v' = sqrt(P^2 - u'^2) >= 0,        v(north pole) = 0,
-
-whenever P^2 - u'^2 > 0.  Augmenting the metric with a time profile tau
-lifts the picture to Minkowski space R^{3,1}: the graph
-
-    X = (tau, u sin(phi), u cos(phi), v_tilde)
+    X = (tau, u sin(phi), u cos(phi), v_tilde),   u = Q sin(theta),
 
 over the revolution surface of sigma + dtau x dtau is an isometric
 embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
@@ -25,15 +21,14 @@ whose lifts share the base metric; an error names the first failing row
 of a stack and the worst node in it.
 
 Two kinds of data come from a lift.  The projection (Evaluation.projected)
-carries the theta-theta component hhat_tt of its second fundamental form
-and its mean curvature.  The lift's own normal-bundle data, <H, H> and
-the components and connection one-form of the translated outward frame,
-are fields of the Evaluation, defined for every lift whose projection
-embeds.  Nothing here checks that H is spacelike or framed by the
-outward wedge: only physdata.minkowski_surface_data, where a lift
-becomes physical data, does.  All computations happen on the phi = 0
-slice; axisymmetry supplies the rest, and a one-form is the array of its
-dtheta component.
+is the lifted metric sigma + dtau x dtau, with its surface's hhat_tt and
+mean curvature.  The lift's own normal-bundle data, <H, H> and the
+components and connection one-form of the translated outward frame, are
+fields of the Evaluation, defined for every lift whose projection embeds.
+Nothing here checks that H is spacelike or framed by the outward wedge:
+only physdata.minkowski_surface_data, where a lift becomes physical
+data, does.  All computations happen on the phi = 0 slice; axisymmetry
+supplies the rest, and a one-form is the array of its dtheta component.
 
 Sign conventions.  The spatial unit normal points outward and the second
 fundamental form is taken positive on round spheres (H_hat = 2/r).  The
@@ -44,51 +39,18 @@ unit sphere at tau = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
     AxisymMetric,
     InvalidParameterError,
+    NonEmbeddableError,
     _admit,
-    _at,
     _divergence_from_x_component,
     _hessian,
     _integrate,
-    _sin_factored_theta_derivative,
     lazy,
 )
-
-
-def _first_nonpositive(values: np.ndarray) -> tuple:
-    """Where a field or stack whose least value is not > 0 first fails.
-
-    (node,) of the least value of a field; (row, node) of the least value
-    in the first row of a stack whose least value is not > 0, so a NaN fails.
-    """
-    if values.ndim == 1:
-        return (int(np.argmin(values)),)
-    i = int(np.flatnonzero(~(values.min(axis=1) > 0.0))[0])
-    return i, int(np.argmin(values[i]))
-
-
-class NonEmbeddableError(ValueError):
-    """The profile admits no revolution-surface embedding at some node.
-
-    row is the failing row of a stack of profiles, None for one profile.
-    """
-
-    def __init__(self, node_index: int, theta: float, margin: float, row: int | None = None):
-        self.node_index = node_index
-        self.theta = theta
-        self.margin = margin
-        self.row = row
-        where = _at((node_index,) if row is None else (row, node_index))
-        super().__init__(
-            "metric is not embeddable as a surface of revolution: "
-            f"P^2 - (Q sin)'^2 = {margin} at {where} (theta = {theta})"
-        )
 
 
 class NonSpacelikeMeanCurvatureError(ValueError):
@@ -115,47 +77,6 @@ class GaugeOrientationError(ValueError):
 LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
-@dataclass(frozen=True, eq=False)
-class RevolutionSurface:
-    """Embedded surface of revolution (u sin phi, u cos phi, v).
-
-    u_prime and v_prime cache the theta derivatives of the profile,
-    computed analytically rather than by re-differentiating node values:
-    both carry sin(theta) factors that spectral differentiation in x
-    would mangle.  v_prime is the nonnegative root, which orients the
-    unit normal outward.  The curvature formulas need only u' and v', never
-    the height v itself.  w = v'/sin(theta), hhat_tt and the mean curvature
-    are each computed once, when first read.
-    """
-
-    metric: AxisymMetric
-    u_prime: np.ndarray
-    v_prime: np.ndarray
-
-    @lazy
-    def w(self) -> np.ndarray:
-        """v'/sin(theta), smooth in x for pole-regular profiles."""
-        return self.v_prime / self.metric.grid.sin_theta
-
-    @lazy
-    def hhat_tt(self) -> np.ndarray:
-        """theta-theta component of the second fundamental form, outward.
-
-        Positive on convex surfaces: r on the round sphere of radius r,
-        where h_ab = sigma_ab / r.
-        """
-        m = self.metric
-        v2 = _sin_factored_theta_derivative(m.grid, self.w)
-        return (self.u_prime * v2 - m.u_second * self.v_prime) / m.P
-
-    @lazy
-    def mean_curvature(self) -> np.ndarray:
-        """Scalar mean curvature (sum of principal curvatures), outward."""
-        m = self.metric
-        # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
-        return self.hhat_tt / m.P_sq + self.w / (m.Q * m.P)
-
-
 class Evaluation:
     """The lift of (metric, tau) to Minkowski space, each derived field computed once.
 
@@ -164,8 +85,8 @@ class Evaluation:
     with |tau| <= LENGTH_MAX, by geometry._admit, whose error names the
     first bad row and node.  The derivatives of tau, the Gauss curvature
     k_hat of sigma + dtau x dtau and the convexity margin guard, the
-    lifted profile p_hat, the projected revolution surface, which embeds
-    sigma + dtau x dtau, its total mean curvature and the lift's
+    lifted profile p_hat and metric sigma + dtau x dtau (projected), the
+    total mean curvature of its surface of revolution and the lift's
     normal-bundle data are computed when first read and then kept; every
     array field of a stack has one row per time function, which rows
     relies on.  Quantities that depend on physical data are formulas of
@@ -265,15 +186,15 @@ class Evaluation:
         return _admit(self.metric.grid, "sqrt(P^2 + tau_theta^2)", p_hat, lengths=True, stack=True)
 
     @lazy
-    def projected(self) -> RevolutionSurface:
-        """The revolution surface of sigma + dtau x dtau, profile p_hat, not tested again."""
+    def projected(self) -> AxisymMetric:
+        """The lifted metric sigma + dtau x dtau, profile p_hat, not tested again; it embeds."""
         return embed_r3(self.metric._with_P(self.p_hat))
 
     @lazy
     def reference(self) -> float | np.ndarray:
         """Total mean curvature of the projected surface."""
         proj = self.projected
-        return _integrate(proj.metric, proj.mean_curvature)
+        return _integrate(proj, proj.mean_curvature)
 
     @lazy
     def lap_vt(self) -> np.ndarray:
@@ -289,13 +210,13 @@ class Evaluation:
     def breve_h(self) -> np.ndarray:
         """<H, e3_breve>, of either sign."""
         proj = self.projected
-        return (self.metric.lu * proj.v_prime - self.lap_vt * proj.u_prime) / proj.metric.P
+        return (self.metric.lu * proj.v_prime - self.lap_vt * proj.u_prime) / proj.P
 
     @lazy
     def breve_h4(self) -> np.ndarray:
         """<H, e4_breve>."""
         m, proj = self.metric, self.projected
-        p_hat = proj.metric.P
+        p_hat = proj.P
         h_tangent = m.lu * proj.u_prime + self.lap_vt * proj.v_prime
         return -self.lap * p_hat / m.P + self.tau_theta * h_tangent / (m.P * p_hat)
 
@@ -303,7 +224,7 @@ class Evaluation:
     def breve_alpha(self) -> np.ndarray:
         """The connection one-form <d e3_breve, e4_breve> of the breve frame."""
         proj = self.projected
-        return proj.hhat_tt * self.tau_theta / (self.metric.P * proj.metric.P)
+        return proj.hhat_tt * self.tau_theta / (self.metric.P * proj.P)
 
     def rows(self, keep: np.ndarray) -> Evaluation:
         """The Evaluation of rows keep of a stack, with the array fields read here; no new admission."""
@@ -332,28 +253,19 @@ def evaluate(m: AxisymMetric, tau: np.ndarray | Evaluation) -> Evaluation:
     return tau
 
 
-def embed_r3(m: AxisymMetric) -> RevolutionSurface:
-    """Embed an axisymmetric metric as a surface of revolution.
-
-    Raises NonEmbeddableError where P^2 - u'^2 <= 0, reporting the worst
-    node and margin.
-    """
-    u_prime = m.u_prime
-    margin = m.P_sq - u_prime**2
-    if not margin.min(initial=np.inf) > 0.0:  # an empty stack passes
-        bad = _first_nonpositive(margin)
-        row = bad[0] if len(bad) == 2 else None
-        raise NonEmbeddableError(bad[-1], float(m.grid.nodes[bad[-1]]), float(margin[bad]), row)
-    return RevolutionSurface(metric=m, u_prime=u_prime, v_prime=np.sqrt(margin))
+def embed_r3(m: AxisymMetric) -> AxisymMetric:
+    """m, its surface of revolution formed: NonEmbeddableError names the worst node where P^2 - u'^2 <= 0."""
+    m.v_prime
+    return m
 
 
-def mean_curvature(surf: RevolutionSurface) -> np.ndarray:
-    """Scalar mean curvature (sum of principal curvatures), outward.
+def mean_curvature(m: AxisymMetric) -> np.ndarray:
+    """Scalar mean curvature (sum of principal curvatures) of m's surface of revolution, outward.
 
-    Package code reads surf.mean_curvature, computed once per surface;
+    Package code reads m.mean_curvature, computed once per metric;
     this function stays only because the benchmark's tracer lists it.
     """
-    return surf.mean_curvature
+    return m.mean_curvature
 
 
 def embed_lifted(m: AxisymMetric, tau: np.ndarray) -> Evaluation:

@@ -157,7 +157,7 @@ class DataEvaluation:
         """
         ev, m = self.ev, self.metric
         proj = ev.projected
-        p_hat, p_hat_sq = proj.metric.P, proj.metric.P_sq
+        p_hat, p_hat_sq = proj.P, proj.P_sq
 
         s1 = ev.s1
         tau_x = ev.tau_x

@@ -29,8 +29,9 @@ Grid.time_function is the one synthesis of a time function from its
 Legendre coefficients, over the modes P_1..P_{n-2} the grid resolves.
 An AxisymMetric likewise keeps, once per metric, the products of its
 profiles that the operators use on every call (P^2, P Q, P^4 Q,
-(1 - x^2) Q/P, the weights of the energy's weak pairing and others) and
-its area radius.
+(1 - x^2) Q/P, the weights of the energy's weak pairing and others), its
+area radius and its surface of revolution in Euclidean 3-space: v_prime,
+w, hhat_tt and mean_curvature, which raise NonEmbeddableError if none.
 
 Every field that reaches the numerics (P, Q, |H|, alpha_H, a time
 function and its lifted profile) is admitted by _admit, the one rule:
@@ -61,6 +62,24 @@ class InvalidParameterError(ValueError):
 
 class FieldShapeError(ValueError):
     """A node-value array does not match the grid it is used with."""
+
+
+class NonEmbeddableError(ValueError):
+    """The profile admits no revolution-surface embedding at some node.
+
+    row is the failing row of a stack of profiles, None for one profile.
+    """
+
+    def __init__(self, node_index: int, theta: float, margin: float, row: int | None = None):
+        self.node_index = node_index
+        self.theta = theta
+        self.margin = margin
+        self.row = row
+        where = _at((node_index,) if row is None else (row, node_index))
+        super().__init__(
+            "metric is not embeddable as a surface of revolution: "
+            f"P^2 - (Q sin)'^2 = {margin} at {where} (theta = {theta})"
+        )
 
 
 # The product form of the barycentric weights in _differentiation_matrix
@@ -323,6 +342,18 @@ def _first(bad: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
+def _first_nonpositive(values: np.ndarray) -> tuple:
+    """Where a field or stack whose least value is not > 0 first fails.
+
+    (node,) of the least value of a field; (row, node) of the least value
+    in the first row of a stack whose least value is not > 0, so a NaN fails.
+    """
+    if values.ndim == 1:
+        return (int(np.argmin(values)),)
+    i = int(np.flatnonzero(~(values.min(axis=1) > 0.0))[0])
+    return i, int(np.argmin(values[i]))
+
+
 def _at(index: tuple) -> str:
     """'node j', or 'row i, node j' in a stack."""
     return f"node {index[-1]}" if len(index) == 1 else f"row {index[0]}, node {index[-1]}"
@@ -377,6 +408,15 @@ class AxisymMetric:
     Each product is formed as the inline expression it replaces was, so
     a kernel gives the same bits either way.  The lifted metric of an
     Evaluation shares Q, u' and u'' and forms its own P-dependent fields.
+
+    The metric embeds as a surface of revolution in Euclidean 3-space,
+
+        X = (u sin(phi), u cos(phi), v),   u = Q sin(theta),
+        v' = sqrt(P^2 - u'^2) >= 0,        v(north pole) = 0,
+
+    whenever P^2 - u'^2 > 0.  v_prime, w = v'/sin(theta), hhat_tt and
+    mean_curvature are that surface's fields, formed from u' and u''
+    analytically, never from the height v.
     """
 
     grid: Grid
@@ -474,6 +514,41 @@ class AxisymMetric:
     def weighted_flux_factor(self) -> np.ndarray:
         """w (1 - x^2) Q / P with w the quadrature weights: the flux weights of a weak pairing."""
         return _read_only(self.grid.weights * self.grid.one_minus_x_sq * (self.Q / self.P))
+
+    @lazy
+    def v_prime(self) -> np.ndarray:
+        """v' = sqrt(P^2 - u'^2) > 0, the root that orients the normal outward.
+
+        NonEmbeddableError names the first row of a stack where P^2 - u'^2
+        is not > 0, its worst node and margin; an empty stack passes.
+        """
+        margin = self.P_sq - self.u_prime**2
+        if not margin.min(initial=np.inf) > 0.0:
+            bad = _first_nonpositive(margin)
+            row = bad[0] if len(bad) == 2 else None
+            raise NonEmbeddableError(bad[-1], float(self.grid.nodes[bad[-1]]), float(margin[bad]), row)
+        return _read_only(np.sqrt(margin))
+
+    @lazy
+    def w(self) -> np.ndarray:
+        """v'/sin(theta), smooth in x for pole-regular profiles."""
+        return _read_only(self.v_prime / self.grid.sin_theta)
+
+    @lazy
+    def hhat_tt(self) -> np.ndarray:
+        """theta-theta component of the second fundamental form, outward.
+
+        Positive on convex surfaces: r on the round sphere of radius r,
+        where h_ab = sigma_ab / r.
+        """
+        v2 = _sin_factored_theta_derivative(self.grid, self.w)
+        return _read_only((self.u_prime * v2 - self.u_second * self.v_prime) / self.P)
+
+    @lazy
+    def mean_curvature(self) -> np.ndarray:
+        """Scalar mean curvature (sum of principal curvatures), outward."""
+        # h_pp / u^2 = (v'/sin) / (Q P) with the sin cancelled analytically
+        return _read_only(self.hhat_tt / self.P_sq + self.w / (self.Q * self.P))
 
 
 def round_sphere(grid: Grid, radius: float = 1.0) -> AxisymMetric:

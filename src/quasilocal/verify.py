@@ -17,9 +17,9 @@ still produces a document.
 Every allowance is c r^p: c a constant of its check, r = sqrt(area / 4 pi)
 the radius of the round sphere of the same area (AxisymMetric.area_radius,
 formed once per metric), and p the length dimension of the quantity the
-margin bounds.  The energy is homogeneous
-of degree one under (sigma, tau) -> (lambda^2 sigma, lambda tau), so each
-margin scales as its allowance and no verdict depends on size alone:
+margin bounds.  The energy is homogeneous of degree one under
+(sigma, tau) -> (lambda^2 sigma, lambda tau), so each margin scales as
+its allowance; the default sample families do not (below):
 
   p = 1    energies and their s-derivatives (closed-form, gap, equality,
            zero-value, zero-derivative, ode, positivity, monotonicity,
@@ -32,10 +32,13 @@ margin scales as its allowance and no verdict depends on size alone:
 The strict hypotheses' floor is STRICT_FLOOR r^p.
 
 Sampling is deterministic: the default sample families are fixed
-Legendre-coefficient boxes and profiles over the modes the grid resolves.
-They depend on the grid alone, so each is a read-only stack built once
-per grid and shared by every call, and each family is evaluated as one
-stack of time functions, anew on every call.  Both comparison suites
+Legendre-coefficient boxes and profiles over the modes the grid resolves,
+not scaled by r, so a verdict can depend on size alone: on the
+Schwarzschild sphere m = 1e-4, r = 4e-4 theorem3 fails its guard (margin
+-5.6e7) and theorem1 skips 28 of its 36 samples.  The families depend on
+the grid alone, so each is a read-only stack built once per grid and
+shared by every call, and each family is evaluated as one stack of time
+functions, anew on every call.  Both comparison suites
 take Sigma_tau0 and the data's energy and residual at tau0 from
 PhysicalData.compared_at, theorem1 at its tau0 and theorem3 at tau0 = 0;
 the data keep that pair for a tau0 of +0.0 bytes and every other tau0
@@ -228,7 +231,7 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     g = m.grid
     ev = evaluate(m, tau)
     proj = ev.projected
-    p_hat = proj.metric.P
+    p_hat = proj.P
     tau_theta = ev.tau_theta
     s1 = ev.s1
 
@@ -253,9 +256,9 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     gauge_dev = np.max(np.abs(ev.breve_alpha - frame_alpha))
 
     tau_up = tau_theta / m.P_sq
-    inverse_dev = np.max(np.abs((1.0 / m.P_sq - tau_up**2 / s1**2) * proj.metric.P_sq - 1.0))
+    inverse_dev = np.max(np.abs((1.0 / m.P_sq - tau_up**2 / s1**2) * proj.P_sq - 1.0))
 
-    graph_dev = np.max(np.abs(_hessian(proj.metric, ev.tau_x, tau_theta) - ev.hess_tt / s1**2))
+    graph_dev = np.max(np.abs(_hessian(proj, ev.tau_x, tau_theta) - ev.hess_tt / s1**2))
 
     r = m.area_radius
     checks = tuple(
@@ -298,7 +301,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     tau_up = ev.tau_theta / m.P_sq
     alpha_pair = ev.pairing(ev.breve_alpha)
     flux = (
-        -proj.hhat_tt * tau_up / (proj.metric.P_sq * s1)
+        -proj.hhat_tt * tau_up / (proj.P_sq * s1)
         - tau_up * alpha_pair / s1**2
         + ev.breve_alpha / m.P_sq
     )

@@ -8,32 +8,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from quasilocal.embedding import Evaluation, RevolutionSurface
+from quasilocal.embedding import Evaluation
 from quasilocal.energy import GaugeData
-from quasilocal.geometry import AxisymMetric, _differentiation_matrix
+from quasilocal.geometry import AxisymMetric, Grid, _differentiation_matrix
 from quasilocal.physdata import PhysicalData
 from quasilocal.verify import chebyshev_s_grid
 
 
-def height(surf: RevolutionSurface) -> np.ndarray:
-    """The height v of the surface, anchored to 0 at the north pole.
+def height(m: AxisymMetric) -> np.ndarray:
+    """The height v of the metric's surface of revolution, anchored to 0 at the north pole.
 
     w = v'/sin(theta) is smooth in x, so integrating it in x recovers the
     height with spectral accuracy.
     """
-    return surf.metric.grid.integral_from_north(surf.w)
+    return m.grid.integral_from_north(m.w)
 
 
-def isometry_residual(surf: RevolutionSurface) -> np.ndarray:
+def isometry_residual(m: AxisymMetric) -> np.ndarray:
     """Pointwise defect u'^2 + v'^2 - P^2 with v re-differentiated.
 
     v is reconstructed by quadrature, so differentiating its node values
     is a genuine consistency check of the discretization, not a
     tautology.
     """
-    g = surf.metric.grid
-    v_theta = g.dtheta(height(surf))
-    return surf.u_prime**2 + v_theta**2 - surf.metric.P**2
+    v_theta = m.grid.dtheta(height(m))
+    return m.u_prime**2 + v_theta**2 - m.P**2
 
 
 def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
@@ -42,10 +41,9 @@ def minkowski_isometry_residual(surf: Evaluation) -> np.ndarray:
     return -(surf.tau_theta**2) + surf.projected.u_prime**2 + vt_theta**2 - surf.metric.P**2
 
 
-def gauss_curvature_from_shape(surf: RevolutionSurface) -> np.ndarray:
+def gauss_curvature_from_shape(m: AxisymMetric) -> np.ndarray:
     """Gauss curvature as the determinant of the shape operator."""
-    P = surf.metric.P
-    return (surf.hhat_tt / P**2) * (surf.w / (surf.metric.Q * P))
+    return (m.hhat_tt / m.P**2) * (m.w / (m.Q * m.P))
 
 
 def hessian_phi_phi(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
@@ -57,10 +55,9 @@ def hessian_phi_phi(m: AxisymMetric, f: np.ndarray) -> np.ndarray:
     return u * m.u_prime * m.grid.dtheta(f) / m.P**2
 
 
-def hhat_phi_phi(surf: RevolutionSurface) -> np.ndarray:
+def hhat_phi_phi(m: AxisymMetric) -> np.ndarray:
     """hhat_pp = u v' / P, the phi-phi second fundamental form, outward."""
-    m = surf.metric
-    return m.Q * m.grid.sin_theta * surf.v_prime / m.P
+    return m.Q * m.grid.sin_theta * m.v_prime / m.P
 
 
 def trace(m: AxisymMetric, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
@@ -82,6 +79,29 @@ def canonical_gauge(d: PhysicalData, tau: np.ndarray | Evaluation) -> GaugeData:
         inner_h=-bound.cosh * d.norm_H,
         alpha=d.alpha_H + d.metric.grid.dtheta(bound.angle),
     )
+
+
+def offcentre_sphere(grid: Grid, mass: float, centre: float, radius: float) -> PhysicalData:
+    """The Euclidean sphere of radius rho about a point at distance R_c from the origin.
+
+    The sphere lies in the isotropic time-symmetric slice of Schwarzschild
+    mass m, whose metric is psi^4 times the flat one, psi = 1 + m/(2|x|).
+    On it |x|^2 = R_c^2 + rho^2 + 2 R_c rho x, so P = Q = psi^2 rho,
+
+        |H| = psi^-2 (2/rho + 4 d_nu psi / psi),
+        d_nu psi = -m (R_c x + rho) / (2 |x|^3),
+
+    and alpha_H = 0.  At R_c = 0 it is schwarzschild_sphere(m, psi^2 rho):
+    P to the bit and |H| to rounding.  The sphere must stay clear of the
+    horizon |x| = m/2.
+    """
+    x = grid.x
+    dist = np.sqrt(centre * centre + radius * radius + 2.0 * centre * radius * x)
+    psi = 1.0 + mass / (2.0 * dist)
+    d_nu_psi = -mass * (centre * x + radius) / (2.0 * dist**3)
+    norm_h = (2.0 / radius + 4.0 * d_nu_psi / psi) / (psi * psi)
+    profile = psi * psi * radius
+    return PhysicalData(AxisymMetric(grid, profile, profile), norm_h, np.zeros(grid.n_nodes))
 
 
 def unscaled_differentiation_matrix(x: np.ndarray) -> np.ndarray:

@@ -870,6 +870,12 @@ class TestFlagBoundary:
         (["energy", "--data", "m32.dat"], "--data: malformed grid declaration '# m=32'"),
         (["energy", "--data", "nabc.dat"], "--data: malformed grid declaration '# n=abc'"),
         (["energy", "--data", "four.dat"], "--data: row 3 has 4 fields, expected 5"),
+        # an empty path is refused, never read as no path or rendered as nothing
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", ""], "--out: empty path"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", ""], "--columns: empty path"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:"], "--tau: empty path"),
+        (["energy", "--data", ""], "--data: empty path"),
+        (["gen-data", "--schwarzschild", "m=1,r=4", "--out", ""], "--out: empty path"),
     ]
 
     @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])

@@ -9,7 +9,7 @@ from numpy.polynomial import legendre as npleg
 
 import quasilocal.embedding as embedding_module
 import quasilocal.geometry as geometry_module
-from conftest import legendre_mode, regular_random_metric, random_time_profile
+from conftest import count_formed, legendre_mode, regular_random_metric, random_time_profile
 from quasilocal.geometry import (
     AxisymMetric,
     FieldShapeError,
@@ -96,6 +96,27 @@ class TestEmbedR3:
         assert 0 <= exc.value.node_index < 16
         assert "node" in str(exc.value)
 
+    def test_the_embedding_is_the_metric_formed_once(self, monkeypatch):
+        formed = count_formed(monkeypatch, AxisymMetric, ("v_prime",))["v_prime"]
+        m = regular_random_metric(make_grid(16), np.random.default_rng(0))
+        assert embed_r3(m) is m
+        assert embed_r3(m) is m
+        assert formed == [m]
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_a_field_of_a_metric_that_does_not_embed_raises_as_embed_r3(self, rows):
+        # P^2 - u'^2 = 0.25 - cos^2(theta) turns negative towards the poles;
+        # in the stack, row 1 is the first that fails
+        P = np.full(16, 0.5) if rows is None else np.array([1.0, 0.5, 1.0])[:, None] * np.ones(16)
+        m = AxisymMetric(make_grid(16), P, np.ones(16))
+        with pytest.raises(NonEmbeddableError) as embedding:
+            embed_r3(m)
+        with pytest.raises(NonEmbeddableError) as field:
+            m.mean_curvature
+        where = [(e.value.row, e.value.node_index, e.value.margin) for e in (embedding, field)]
+        assert where[0] == where[1]
+        assert where[0][0] == (None if rows is None else 1) and where[0][2] < 0.0
+
 
 class TestShapeOperator:
     def test_round_sphere_second_fundamental_form(self):
@@ -154,7 +175,7 @@ class TestEmbedLifted:
         lifted = embed_lifted(m, np.zeros(32))
         base = embed_r3(m)
         assert np.max(np.abs(height(lifted.projected) - height(base))) <= 1e-12
-        assert np.max(np.abs(lifted.projected.metric.P - m.P)) <= 1e-12
+        assert np.max(np.abs(lifted.projected.P - m.P)) <= 1e-12
 
     def test_constant_time_same_projection(self):
         grid = make_grid(32)
@@ -281,7 +302,7 @@ class TestLiftLengths:
         grid = make_grid(8)
         m = round_sphere(grid)
         assert admit(m, np.empty((0, grid.n_nodes))).shape == (0, grid.n_nodes)
-        assert Evaluation(m, np.empty((0, grid.n_nodes))).projected.metric.P.shape == (
+        assert Evaluation(m, np.empty((0, grid.n_nodes))).projected.P.shape == (
             0, grid.n_nodes
         )
 
@@ -304,7 +325,7 @@ class TestLiftLengths:
         if field == "tau":
             ev = Evaluation(m, tau)
         else:
-            assert ev.projected.metric.P is ev.p_hat
+            assert ev.projected.P is ev.p_hat
         assert len(calls) == 1 and calls[0] is getattr(ev, field)
 
     def test_the_guard_never_forms_the_lifted_profile(self):
@@ -312,7 +333,7 @@ class TestLiftLengths:
         ev = evaluate(round_sphere(grid), 0.1 * grid.x)
         convexity_guard(ev.metric, ev)
         assert "p_hat" not in vars(ev) and "projected" not in vars(ev)
-        assert ev.projected.metric.P is ev.p_hat
+        assert ev.projected.P is ev.p_hat
 
     @pytest.mark.parametrize("formula", [qle, qle_angle_form, residual, convexity_guard])
     def test_every_formula_names_tau_and_its_node(self, formula):

@@ -1,12 +1,11 @@
 """Energy functional, gauge energy, residual, and the comparison scalar."""
 
 import sys
-from functools import cached_property
 
 import numpy as np
 import pytest
 
-from conftest import legendre_mode, regular_random_metric, random_time_profile
+from conftest import count_formed, legendre_mode, regular_random_metric, random_time_profile
 from reference import (
     canonical_gauge,
     comparison_f,
@@ -25,7 +24,7 @@ from quasilocal.geometry import (
     round_sphere,
     AxisymMetric,
 )
-from quasilocal.embedding import NonEmbeddableError, RevolutionSurface, embed_lifted, mean_curvature
+from quasilocal.embedding import NonEmbeddableError, embed_lifted, mean_curvature
 from quasilocal.physdata import (
     PhysicalData,
     minkowski_surface_data,
@@ -152,16 +151,7 @@ class TestReferenceMeanCurvatureIntegral:
 
 class TestMeanCurvatureOnce:
     def test_reference_and_residual_share_one_computation(self, monkeypatch):
-        formula = RevolutionSurface.mean_curvature.func
-        calls = []
-
-        def counting(surf):
-            calls.append(surf)
-            return formula(surf)
-
-        counted = cached_property(counting)
-        counted.__set_name__(RevolutionSurface, "mean_curvature")
-        monkeypatch.setattr(RevolutionSurface, "mean_curvature", counted)
+        calls = count_formed(monkeypatch, AxisymMetric, ("mean_curvature",))["mean_curvature"]
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
         at_tau = evaluate(d.metric, generic_tau(grid))
@@ -170,7 +160,7 @@ class TestMeanCurvatureOnce:
         hhat = at_tau.projected.mean_curvature
         assert len(calls) == 1
         assert calls[0] is at_tau.projected
-        assert reference == integrate_surface(calls[0].metric, hhat)
+        assert reference == integrate_surface(calls[0], hhat)
 
 
 class TestDerivativesOnce:
@@ -350,9 +340,9 @@ class TestResidual:
             hess_pp = hessian_phi_phi(m, ev.tau)
             u = m.Q * grid.sin_theta
             contracted = (
-                proj.hhat_tt * ev.hess_tt / proj.metric.P**4 + hhat_phi_phi(proj) * hess_pp / u**4
+                proj.hhat_tt * ev.hess_tt / proj.P**4 + hhat_phi_phi(proj) * hess_pp / u**4
             )
-            mean_part = proj.mean_curvature * trace(proj.metric, ev.hess_tt, hess_pp)
+            mean_part = proj.mean_curvature * trace(proj, ev.hess_tt, hess_pp)
             want = -(mean_part - contracted) / ev.s1
             trace_part, _ = d.evaluate(ev).stationarity
             assert np.max(np.abs(trace_part - want)) <= 1e-9

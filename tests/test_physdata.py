@@ -501,7 +501,6 @@ class TestTableRoundTrip:
 ARRAY_DATACLASSES = {
     "PhysicalData": lambda g: schwarzschild_sphere(g, 1.0, 4.0),
     "AxisymMetric": round_sphere,
-    "RevolutionSurface": lambda g: embed_r3(round_sphere(g)),
     "GaugeData": lambda g: breve_gauge(evaluate(round_sphere(g), 0.3 * g.x)),
 }
 

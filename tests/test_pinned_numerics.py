@@ -32,7 +32,7 @@ from numpy.polynomial import legendre as npleg
 
 import quasilocal.embedding as embedding_module
 from conftest import regular_metric, weighted_modes
-from quasilocal.geometry import AxisymMetric, make_grid, round_sphere
+from quasilocal.geometry import AxisymMetric, lazy, make_grid, round_sphere
 from quasilocal.optimize import TauCoefficients, minimize_energy
 from quasilocal.physdata import minkowski_surface_data, schwarzschild_sphere
 
@@ -245,7 +245,14 @@ def test_stalled_lift_stops_on_the_decrement(monkeypatch):
     assert len(lifted) == 1 + 2 * report.iterations
 
 
-@pytest.mark.parametrize("name", ["u_prime", "u_second", "K"])
+# every array-valued field a metric keeps, found by introspection so a new one is covered
+METRIC_ARRAY_FIELDS = [
+    name for name, field in vars(AxisymMetric).items()
+    if isinstance(field, lazy) and name != "area_radius"
+]
+
+
+@pytest.mark.parametrize("name", METRIC_ARRAY_FIELDS)
 def test_cached_metric_fields_are_read_only(name):
     m = round_sphere(make_grid(16), 2.0)
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from quasilocal.geometry import (
     make_grid,
     round_sphere,
 )
-from quasilocal.embedding import Evaluation, NonEmbeddableError, RevolutionSurface, evaluate
+from quasilocal.embedding import Evaluation, NonEmbeddableError, evaluate
 from quasilocal.energy import qle
 from quasilocal.optimize import convexity_guard
 from quasilocal.physdata import PhysicalData, minkowski_surface_data, schwarzschild_sphere
@@ -491,7 +491,7 @@ class TestTheorem1GapIsADifferenceOfPhysicalTerms:
             tau0 = 0.2 * grid.x
             d = minkowski_surface_data(oblate_metric(grid), tau0)
         references = count_formed(monkeypatch, Evaluation, ("reference",))["reference"]
-        curvatures = count_formed(monkeypatch, RevolutionSurface, ("mean_curvature",))["mean_curvature"]
+        curvatures = count_formed(monkeypatch, AxisymMetric, ("mean_curvature",))["mean_curvature"]
         check_theorem1(d, tau0)
         assert [ev.tau.tobytes() for ev in references] == [tau0.tobytes()]
         if case == "rest":
