@@ -10,8 +10,8 @@ Every report is flat 'key = value' text prefixed with the artifact
 version, command, grid size, data source and time function, so a fixed
 configuration reproduces the output byte for byte.  Column files for
 plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
-0 on success, 1 on a validation error or an unreadable, unwritable or
-empty path, naming the offending flag, 2 when a computation or
+0 on success, 1 on a validation error or an unreadable, unwritable,
+empty or blank path, naming the offending flag, 2 when a computation or
 certification suite fails.
 
 Subcommands import optimize and verify, and data energy when evaluated,
@@ -106,9 +106,10 @@ def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     if spec == "zero":
         return np.zeros(grid.n_nodes)
     if spec.startswith("file:"):
-        if spec == "file:":
+        path = spec[5:].strip()
+        if not path:
             raise CliValidationError(field, "empty path")
-        return _for_flag(field, _tau_from_file, spec[5:], grid, field)
+        return _for_flag(field, _tau_from_file, path, grid, field)
     compact = spec.replace(" ", "")
     if not compact:
         raise CliValidationError(field, "empty time-function spec")
@@ -506,7 +507,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         for flag in ("out", "columns", "data"):
-            if getattr(args, flag, None) == "":
+            path = getattr(args, flag, None)
+            if path is not None and not path.strip():
                 raise CliValidationError(f"--{flag}", "empty path")
         return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
     except (CliValidationError, FieldShapeError) as exc:

@@ -87,9 +87,8 @@ class PhysicalData:
     a curvature and must lie in [1/LENGTH_MAX, LENGTH_MAX], and alpha_H
     must be at most LENGTH_MAX in size, so that the energy's squares and
     products of them stay finite; the constructor admits both by
-    geometry._admit, which names the first bad node, and names a finite
-    |H| <= 0 as not positive.  The metric's P must be one profile, not a
-    stack.
+    geometry._admit, which names the first bad node, as AxisymMetric
+    admits P and Q.  The metric's P must be one profile, not a stack.
 
     lift is not a constructor argument: it is None, except on data built
     by minkowski_surface_data, which sets it to the lift of its own copy
@@ -109,17 +108,7 @@ class PhysicalData:
     def __post_init__(self):
         grid = self.metric.grid
         _check_field(grid, "P", self.metric.P)  # the data of one surface, not a stack
-        try:
-            norm_h = _admit(grid, "normH", self.norm_H, lengths=True)
-        except InvalidParameterError:
-            norm_h = np.asarray(self.norm_H, dtype=float)
-            j = int(np.argmin(norm_h))
-            if np.isfinite(norm_h).all() and norm_h[j] <= 0.0:
-                raise InvalidParameterError(
-                    f"normH must be positive; normH = {norm_h[j]} at node {j}"
-                ) from None
-            raise
-        object.__setattr__(self, "norm_H", norm_h)
+        object.__setattr__(self, "norm_H", _admit(grid, "normH", self.norm_H, lengths=True))
         object.__setattr__(self, "alpha_H", _admit(grid, "alpha_theta", self.alpha_H, lengths=False))
 
     @lazy

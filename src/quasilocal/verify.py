@@ -78,7 +78,7 @@ from .geometry import (
     _read_only,
     _sin_factored_theta_derivative,
 )
-from .embedding import embed_r3, evaluate
+from .embedding import evaluate
 from .physdata import PhysicalData, _fmt
 from .energy import breve_gauge, tilde_energy
 from .optimize import _fd_gradient, _perturbed
@@ -184,8 +184,10 @@ def _is_constant(taus: np.ndarray) -> np.ndarray:
     return np.max(np.abs(taus - first), axis=1) <= 1e-14 * np.maximum(1.0, np.abs(first[:, 0]))
 
 
-def _sample_stack(grid: Grid, tau_samples) -> np.ndarray:
-    """The sampled time functions as one (k, n) stack; k may be 0.  A wrong shape names its row."""
+def _samples(grid: Grid, tau_samples, default: np.ndarray) -> np.ndarray:
+    """tau_samples as one (k, n) stack, k may be 0, or default if it is None; a wrong shape names its row."""
+    if tau_samples is None:
+        return default
     samples = [_check_field(grid, f"tau at row {i}", t) for i, t in enumerate(tau_samples)]
     return np.stack(samples) if samples else np.empty((0, grid.n_nodes))
 
@@ -236,9 +238,8 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     s1 = ev.s1
 
     # rest embedding quantities for the mean curvature identity
-    base = embed_r3(m)
-    h0 = base.mean_curvature
-    w_v = base.w
+    h0 = m.mean_curvature
+    w_v = m.w
     taux = ev.tau_x
     defect = (w_v * ev.lap + taux * _divergence_from_x_component(m, w_v)) ** 2
     lemma_dev = np.max(np.abs(ev.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
@@ -363,10 +364,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     # reference's lift, on the metric of d, serves the energies of both at tau0
     reference, at_tau0 = d.compared_at(tau0)
     tau0 = at_tau0.ev.tau
-    if tau_samples is None:
-        samples = tau0 + coefficient_box(g)
-    else:
-        samples = _sample_stack(g, tau_samples)
+    samples = _samples(g, tau_samples, tau0 + coefficient_box(g))
     r = m.area_radius
 
     hyp_margin = float(np.min(reference.norm_H - d.norm_H))
@@ -454,10 +452,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     """
     m = d.metric
     g = m.grid
-    if tau_samples is None:
-        samples = _default_profiles(g)
-    else:
-        samples = _sample_stack(g, tau_samples)
+    samples = _samples(g, tau_samples, _default_profiles(g))
     sampled = evaluate(m, samples)  # admits the samples, naming a bad one's row
     r = m.area_radius
     s_grid = chebyshev_s_grid()

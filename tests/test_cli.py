@@ -876,6 +876,13 @@ class TestFlagBoundary:
         (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:"], "--tau: empty path"),
         (["energy", "--data", ""], "--data: empty path"),
         (["gen-data", "--schwarzschild", "m=1,r=4", "--out", ""], "--out: empty path"),
+        # and so is a blank one
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", " "], "--out: empty path"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", "  "], "--columns: empty path"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:  "], "--tau: empty path"),
+        (["energy", "--minkowski", "tau0=file: "], "--minkowski: empty path"),
+        (["energy", "--data", " "], "--data: empty path"),
+        (["gen-data", "--schwarzschild", "m=1,r=4", "--out", "\t"], "--out: empty path"),
     ]
 
     @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -899,3 +906,31 @@ class TestFlagBoundary:
         else:
             assert err.startswith(f"error: {flag}: ")
         assert out == ""
+        assert all(path.name.strip() for path in tmp_path.iterdir())
+
+    def test_nonpositive_norm_in_a_table_is_out_of_range(self, tmp_path, monkeypatch, capsys):
+        # normH meets the length range of P and Q, with the same message
+        monkeypatch.chdir(tmp_path)
+        store_physical_data(schwarzschild_sphere(make_grid(32), 1.0, 4.0), "t.dat")
+        declaration, header, *rows = (tmp_path / "t.dat").read_text().splitlines(keepends=True)
+        rows[5] = " ".join(rows[5].split()[:3] + ["0", "0"]) + "\n"
+        (tmp_path / "z.dat").write_text("".join([declaration, header, *rows]))
+        assert main(["energy", "--data", "z.dat"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --data: normH must lie in [1e-38, 1e+38]; normH[5] = 0.0 at theta = ")
+
+    @pytest.mark.parametrize("source", [
+        ["--schwarzschild", "m=1,r=4", "--tau", "file:{}"],
+        ["--minkowski", "tau0=file:{}"],
+    ])
+    def test_the_path_after_file_is_stripped(self, source, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("".join(f"{_fmt(v)}\n" for v in TAU_FILE_BASE))
+        bodies = []
+        for path in ("t.txt", " t.txt"):
+            assert main(["energy"] + [arg.format(path) for arg in source]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            bodies.append(out.splitlines()[5:])
+        assert bodies[0] == bodies[1] != []

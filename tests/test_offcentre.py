@@ -13,6 +13,7 @@ import pytest
 from reference import offcentre_sphere
 from quasilocal.energy import qle
 from quasilocal.geometry import make_grid
+from quasilocal.optimize import TauCoefficients, minimize_energy
 from quasilocal.physdata import schwarzschild_sphere
 from quasilocal.verify import check_theorem1, check_theorem3
 
@@ -63,3 +64,19 @@ def test_the_suites_report_the_broken_hypothesis(radius):
         assert not report.passed
     for label in ("ode", "positivity", "monotonicity"):
         assert checks["theorem3"][label].ok
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20")
+@pytest.mark.parametrize(
+    "radius, c", [(4.0, 0.05), (4.0, 0.2), (1.0, 0.05), (0.25, 0.0125), (0.25, 0.075), (0.125, 0.0375)]
+)
+def test_the_minimizer_converges_to_the_rest_energy_from_c_p1(radius, c):
+    # item 20's anchors: a stop on the gradient or the decrement within 10
+    # iterations, at E(0) to 16 eps of the energy's term scale
+    d = offcentre_sphere(make_grid(32), 1.0, 10.0, radius)
+    rest = qle(d, np.zeros(32))
+    floor = 16.0 * np.finfo(float).eps * max(1.0, abs(rest.reference_term), abs(rest.physical_term))
+    report = minimize_energy(d, TauCoefficients((c, 0.0, 0.0, 0.0, 0.0, 0.0)))
+    assert report.stop in ("gradient", "decrement")
+    assert report.iterations <= 10
+    assert abs(report.energy_star - rest.total) <= floor

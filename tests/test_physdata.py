@@ -293,8 +293,9 @@ class TestValidation:
         grid = make_grid(8)
         bad = np.ones(8)
         bad[3] = 0.0
-        with pytest.raises(InvalidParameterError, match="node 3"):
+        with pytest.raises(InvalidParameterError) as info:
             PhysicalData(round_sphere(grid), bad, np.zeros(8))
+        assert str(info.value).startswith("normH must lie in [1e-38, 1e+38]; normH[3] = 0.0 at theta = ")
 
     def test_nonfinite_norm_rejected(self):
         grid = make_grid(8)
@@ -406,7 +407,7 @@ class TestTableRoundTrip:
     def test_zero_norm_row_named(self, tmp_path):
         rows = self._valid_rows()
         rows[5] = rows[5].rsplit(" ", 2)[0] + " 0 0"
-        with pytest.raises(DataFormatError, match=r"^normH must be positive; normH = 0.0 at node 5$"):
+        with pytest.raises(DataFormatError, match=r"^normH must lie in \[1e-38, 1e\+38\]; normH\[5\] = 0\.0 at theta = "):
             load_physical_data(self._write_rows(tmp_path, rows))
 
     @pytest.mark.parametrize(

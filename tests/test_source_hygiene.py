@@ -1,5 +1,6 @@
 """Source hygiene, read with ast: no unused imports, and no library code that only tests run."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -189,3 +190,26 @@ def test_package_calls_no_delegating_wrapper():
         and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in DELEGATING_WRAPPERS
     ]
     assert calls == []
+
+
+def test_every_flag_an_error_names_is_a_flag_of_the_parser():
+    """Each literal flag of a CliValidationError or _for_flag in cli.py is an option of a subcommand.
+
+    A flag is the first argument when that is a string literal; each
+    '/'-separated part of it must be an option string of build_parser().
+    """
+    from quasilocal.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {option for sub in commands.choices.values() for option in sub._option_string_actions}
+    named = {
+        part
+        for node in ast.walk(parse(ROOT / "src" / "quasilocal" / "cli.py"))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("CliValidationError", "_for_flag")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+        for part in node.args[0].value.split("/")
+    }
+    assert len(named) >= 10 and sorted(named - options) == []
