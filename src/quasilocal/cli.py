@@ -160,7 +160,7 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
     # a NaN theta fails the comparison
     if table.ndim == 2 and table.shape[1] == 2:
         theta, values = table[:, 0], table[:, 1]
-        if theta.shape != grid.nodes.shape or not np.max(np.abs(theta - grid.nodes)) <= 1e-12:
+        if theta.shape != grid.nodes.shape or not np.abs(theta - grid.nodes).max() <= 1e-12:
             raise CliValidationError(
                 field, f"{path}: theta column does not match the n={grid.n_nodes} grid"
             )
@@ -186,8 +186,8 @@ def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
 
 def _defect(grid: Grid, field: np.ndarray, coeffs: np.ndarray) -> float | None:
     """max|field - sum_l coeffs[l] P_l| when above 1e-10 max(1, max|field|): modes beyond coeffs."""
-    defect = float(np.max(np.abs(field - coeffs[0] - grid.time_function(coeffs[1:]))))
-    return defect if defect > 1e-10 * max(1.0, float(np.max(np.abs(field)))) else None
+    defect = float(np.abs(field - coeffs[0] - grid.time_function(coeffs[1:])).max())
+    return defect if defect > 1e-10 * max(1.0, float(np.abs(field).max())) else None
 
 
 def _parse_assignments(spec: str, field: str, keys: tuple) -> list:
@@ -335,7 +335,7 @@ def cmd_residual(args, grid: Grid) -> int:
     field = at_tau.residual
     body = [
         f"residual_l2 = {_fmt(at_tau.residual_norm)}",
-        f"residual_max = {_fmt(np.max(np.abs(field)))}",
+        f"residual_max = {_fmt(np.abs(field).max())}",
     ]
     _emit("residual", args, echo, body, ("theta residual", grid.nodes, field))
     return 0

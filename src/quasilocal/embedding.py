@@ -176,8 +176,7 @@ class Evaluation:
     def guard(self) -> float | np.ndarray:
         """The convexity margin, one per row: the least of K_hat, K and K_hat (1 + |grad tau|^2)."""
         k_hat = self.k_hat
-        scaled = k_hat * self.one_plus_grad_sq
-        return np.minimum(np.minimum(k_hat.min(axis=-1), self.metric.K.min()), scaled.min(axis=-1))
+        return np.minimum(np.minimum(k_hat, k_hat * self.one_plus_grad_sq).min(axis=-1), self.metric.K.min())
 
     @lazy
     def p_hat(self) -> np.ndarray:

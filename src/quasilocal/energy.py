@@ -211,6 +211,7 @@ class DataEvaluation:
         """
         m = self.metric
         trace_part, flux = self.stationarity
+        # @, not np.dot: against the slopes np.dot differs in the last bit on one row at L = 2, 3
         reference = (m.weighted_PQ * trace_part) @ directions
         total = reference + (m.weighted_flux_factor * flux) @ slopes
         return (2.0 * np.pi) * total, (2.0 * np.pi) * reference

@@ -16,11 +16,11 @@ apparent pole singularities analytically:
 
 Scalar fields are plain float arrays of node values, or (k, n) stacks of
 k fields; every operator acts on the last axis, so a stack costs one
-matrix product per operator.  An axisymmetric one-form has only a
-dtheta component and is that array; of a symmetric 2-tensor only the
-theta-theta component is formed (hessian), since every formula that
-needs the phi-phi component uses it with its sin(theta) factors
-cancelled analytically.
+matrix product per operator (np.dot; see Grid).  An axisymmetric
+one-form has only a dtheta component and is that array; of a symmetric
+2-tensor only the theta-theta component is formed (hessian), since every
+formula that needs the phi-phi component uses it with its sin(theta)
+factors cancelled analytically.
 
 The Grid owns, as read-only arrays built once per size, the nodes,
 weights, d/dx and Legendre Vandermonde matrices and the factors 1 - x^2
@@ -145,9 +145,9 @@ class Grid:
     a caller that wants one adds it to the synthesis.
 
     make_grid shares one Grid per size, so its arrays are read-only and
-    grids compare and hash by identity.  dx multiplies by the transpose of
-    diff_matrix_x, and time_function by that of legendre_vandermonde,
-    views the grid keeps.
+    grids compare and hash by identity.  dx, quad_dx and time_function
+    multiply through np.dot (by kept transposed views): the bits of @ at a
+    cheaper call, and an evaluation at n <= 128 pays for calls, not arithmetic.
     """
 
     n_nodes: int
@@ -167,7 +167,7 @@ class Grid:
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         """d/dx of the interpolant of f.  Accurate for f smooth in x."""
-        return np.asarray(f, dtype=float) @ self._diff_matrix_x_t
+        return np.dot(f, self._diff_matrix_x_t)
 
     def dtheta(self, f: np.ndarray) -> np.ndarray:
         """d/dtheta of the interpolant of f, -sin(theta) times its d/dx.
@@ -182,7 +182,7 @@ class Grid:
 
         A float for one field, one integral per row for a stack.
         """
-        q = np.asarray(f, dtype=float) @ self.weights
+        q = np.dot(f, self.weights)
         return float(q) if q.ndim == 0 else q
 
     def legendre_coeffs(self, f: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ class Grid:
 
     def time_function(self, coeffs) -> np.ndarray:
         """Node values of sum_l c_l P_l from c_1..c_L, the product of 0, c_1..c_L with P_0..P_L."""
-        return np.concatenate(([0.0], coeffs)) @ self._vandermonde_t[: self._columns(len(coeffs))]
+        return np.dot(np.concatenate(([0.0], coeffs)), self._vandermonde_t[: self._columns(len(coeffs))])
 
     def modes(self, count: int) -> tuple:
         """P_1..P_count at the nodes, (n, count), and their x-derivatives: the directions of tau."""
@@ -339,7 +339,7 @@ def _admit(grid: Grid, name: str, values: np.ndarray, lengths: bool, stack: bool
 
 def _first(bad: np.ndarray) -> tuple:
     """Index of the first True entry of a field or stack: (node,) or (row, node)."""
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    return tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
 def _first_nonpositive(values: np.ndarray) -> tuple:
@@ -349,9 +349,9 @@ def _first_nonpositive(values: np.ndarray) -> tuple:
     in the first row of a stack whose least value is not > 0, so a NaN fails.
     """
     if values.ndim == 1:
-        return (int(np.argmin(values)),)
+        return (int(values.argmin()),)
     i = int(np.flatnonzero(~(values.min(axis=1) > 0.0))[0])
-    return i, int(np.argmin(values[i]))
+    return i, int(values[i].argmin())
 
 
 def _at(index: tuple) -> str:
@@ -360,7 +360,7 @@ def _at(index: tuple) -> str:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

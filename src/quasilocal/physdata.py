@@ -208,10 +208,10 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     """
     tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
     lift = Evaluation(m, _read_only(tau0))
-    j = int(np.argmin(lift.mean_sq))
+    j = int(lift.mean_sq.argmin())
     if lift.mean_sq[j] <= 0.0:
         raise NonSpacelikeMeanCurvatureError(lift.mean_sq, j)
-    j = int(np.argmax(lift.breve_h))
+    j = int(lift.breve_h.argmax())
     if lift.breve_h[j] >= 0.0:
         raise GaugeOrientationError(
             f"<H, e3_breve> = {lift.breve_h[j]} >= 0 at node {j}; "
@@ -296,7 +296,7 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     except InvalidParameterError as exc:
         raise DataFormatError(f"grid declaration {lines[0]!r}: {exc}") from None
     theta = table[:, 0]
-    j = int(np.argmax(np.abs(theta - grid.nodes)))  # a NaN is the first maximum
+    j = int(np.abs(theta - grid.nodes).argmax())  # a NaN is the first maximum
     if not abs(theta[j] - grid.nodes[j]) <= 1e-12:
         raise DataFormatError(
             f"row {j}, column theta: node {theta[j]} does not match the "

@@ -64,7 +64,7 @@ F' >= F/s degenerates there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -172,16 +172,16 @@ def coefficient_box(grid: Grid) -> np.ndarray:
     return _read_only(np.stack([grid.time_function((c, d)) for c in signed for d in signed]))
 
 
+@cache
 def chebyshev_s_grid() -> np.ndarray:
-    """The 33 Chebyshev-Lobatto nodes on [0, 1], ascending from s = 0."""
-    k = np.arange(33)
-    return (1.0 - np.cos(np.pi * k / 32)) / 2.0
+    """The 33 Chebyshev-Lobatto nodes on [0, 1], ascending from s = 0, formed once, read-only."""
+    return _read_only((1.0 - np.cos(np.pi * np.arange(33) / 32)) / 2.0)
 
 
 def _is_constant(taus: np.ndarray) -> np.ndarray:
     """Per row of a stack: is that time function constant?"""
     first = taus[:, :1]
-    return np.max(np.abs(taus - first), axis=1) <= 1e-14 * np.maximum(1.0, np.abs(first[:, 0]))
+    return np.abs(taus - first).max(axis=1) <= 1e-14 * np.maximum(1.0, np.abs(first[:, 0]))
 
 
 def _samples(grid: Grid, tau_samples, default: np.ndarray) -> np.ndarray:
@@ -194,17 +194,17 @@ def _samples(grid: Grid, tau_samples, default: np.ndarray) -> np.ndarray:
 
 def _least(values: np.ndarray) -> float:
     """The least value; inf when there is none."""
-    return float(np.min(values, initial=np.inf))
+    return float(values.min(initial=np.inf))
 
 
 def _deviation_margin(values: np.ndarray) -> float:
     """Minus the largest |value|; 0 when there is none."""
-    return -float(np.max(np.abs(values), initial=0.0))
+    return -float(np.abs(values).max(initial=0.0))
 
 
 def _worst_index(values: np.ndarray, rows: np.ndarray) -> float:
     """The sample index rows[i] of the least values[i]; -1 when there is none."""
-    return float(rows[np.argmin(values)]) if values.size else -1.0
+    return float(rows[values.argmin()]) if values.size else -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,10 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     w_v = m.w
     taux = ev.tau_x
     defect = (w_v * ev.lap + taux * _divergence_from_x_component(m, w_v)) ** 2
-    lemma_dev = np.max(np.abs(ev.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))))
+    lemma_dev = np.abs(ev.mean_sq - (h0**2 - defect / (w_v**2 + taux**2))).max()
 
     alpha_pair = ev.pairing(ev.breve_alpha)
-    proj_dev = np.max(np.abs(proj.mean_curvature + ev.breve_h + alpha_pair / s1))
+    proj_dev = np.abs(proj.mean_curvature + ev.breve_h + alpha_pair / s1).max()
 
     # frame derivative <d e3/dtheta, e4> at phi = 0; the vertical leg of
     # e3 carries a sin factor, so its derivative is assembled analytically
@@ -254,12 +254,12 @@ def check_identities(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     frame_alpha = (
         d_vert * tau_theta * proj.u_prime + d_horiz * tau_theta * proj.v_prime
     ) / (m.P * p_hat)
-    gauge_dev = np.max(np.abs(ev.breve_alpha - frame_alpha))
+    gauge_dev = np.abs(ev.breve_alpha - frame_alpha).max()
 
     tau_up = tau_theta / m.P_sq
-    inverse_dev = np.max(np.abs((1.0 / m.P_sq - tau_up**2 / s1**2) * proj.P_sq - 1.0))
+    inverse_dev = np.abs((1.0 / m.P_sq - tau_up**2 / s1**2) * proj.P_sq - 1.0).max()
 
-    graph_dev = np.max(np.abs(_hessian(proj, ev.tau_x, tau_theta) - ev.hess_tt / s1**2))
+    graph_dev = np.abs(_hessian(proj, ev.tau_x, tau_theta) - ev.hess_tt / s1**2).max()
 
     r = m.area_radius
     checks = tuple(
@@ -306,7 +306,7 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
         - tau_up * alpha_pair / s1**2
         + ev.breve_alpha / m.P_sq
     )
-    flux_dev = float(np.max(np.abs(flux)))
+    flux_dev = float(np.abs(flux).max())
 
     # the perturbed time functions tau +- step * delta form one stack
     r = m.area_radius
@@ -367,7 +367,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     samples = _samples(g, tau_samples, tau0 + coefficient_box(g))
     r = m.area_radius
 
-    hyp_margin = float(np.min(reference.norm_H - d.norm_H))
+    hyp_margin = float((reference.norm_H - d.norm_H).min())
 
     energy_tau0 = at_tau0.energy.total
     s1 = at_tau0.ev.s1
@@ -395,14 +395,14 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
         CheckOutcome("criticality", -float(at_tau0.residual_norm), 1e-6 / r),
         CheckOutcome("mean-curvature-gap", hyp_margin, -STRICT_FLOOR / r),
         CheckOutcome("closed-form", -float(closed_dev), 1e-7 * r),
-        CheckOutcome("gap", float(np.min(gaps)) if gaps.size else -np.inf, 1e-8 * r),
+        CheckOutcome("gap", float(gaps.min()) if gaps.size else -np.inf, 1e-8 * r),
         CheckOutcome("equality", -abs(equality_gap), 1e-9 * r),
     )
     details = (
         ("skipped-samples", float(len(samples) - gaps.size)),
-        ("largest-gap", float(np.max(gaps, initial=-np.inf))),
-        ("reference-mean-curvature-min", float(np.min(reference.norm_H))),
-        ("physical-mean-curvature-max", float(np.max(d.norm_H))),
+        ("largest-gap", float(gaps.max(initial=-np.inf))),
+        ("reference-mean-curvature-min", float(reference.norm_H.min())),
+        ("physical-mean-curvature-max", float(d.norm_H.max())),
         ("worst-gap-sample", _worst_index(gaps, admitted)),
     )
     return TheoremReport(name="theorem1", samples=int(gaps.size), checks=checks, details=details)
@@ -458,11 +458,11 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
 
-    alpha_dev = float(np.max(np.abs(d.alpha_H)))
+    alpha_dev = float(np.abs(d.alpha_H).max())
     # rest's lift, on the metric of d, serves the energies of both at tau = 0
     rest, at_rest = d.compared_at(np.zeros(g.n_nodes))
-    hyp_margin = float(np.min(rest.norm_H - d.norm_H))
-    positive_margin = float(np.min(d.norm_H))
+    hyp_margin = float((rest.norm_H - d.norm_H).min())
+    positive_margin = float(d.norm_H.min())
     energy_rest = at_rest.energy.total
 
     # the families s * tau over the s-grid as one evaluation, whose admitted
@@ -480,7 +480,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     profiles, own = samples[admitted], np.arange(admitted.size)
     variations = on_rest.first_variation(profiles.T, sampled.tau_x[admitted].T)
     slope, reference_slope = (v.reshape(own.size, n_s, own.size)[own, :, own] for v in variations)
-    ode = np.min(slope[:, interior] - family[:, interior] / s_grid[interior], axis=1)
+    ode = (slope[:, interior] - family[:, interior] / s_grid[interior]).min(axis=1)
 
     # rest shares the metric m, so these are the reference integrals of m;
     # their s-derivative has a closed form in <H, H> of the lift

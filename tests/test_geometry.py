@@ -196,6 +196,32 @@ class TestSharedGrid:
         assert len({grid, make_grid(8), make_grid(16)}) == 2
 
 
+class TestProductBits:
+    """dx, quad_dx and time_function multiply through np.dot and give the bits of @.
+
+    Pinned with numpy 2.4 on Python 3.11; a BLAS that sums np.dot and @ in
+    different orders fails here first.
+    """
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 32, 33, 64, 128])
+    def test_dot_gives_the_bits_of_matmul(self, n):
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (1, n), (2, n), (17, n), (37, n), (99, n)]:
+            f = rng.standard_normal(shape)
+            assert np.array_equal(grid.dx(f), f @ grid.diff_matrix_x.T), shape
+            assert np.array_equal(grid.quad_dx(f), f @ grid.weights), shape
+        for count in sorted({1, 2, 3, 8, n - 2} & set(range(1, n - 1))):
+            c = rng.standard_normal(count)
+            want = np.concatenate(([0.0], c)) @ grid.legendre_vandermonde[:, : count + 1].T
+            assert np.array_equal(grid.time_function(c), want), count
+
+    def test_dx_of_integers_is_dx_of_their_floats(self):
+        grid = make_grid(16)
+        values = list(range(-8, 8))
+        assert np.array_equal(grid.dx(values), grid.dx(np.array(values, dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # metric container
 # ---------------------------------------------------------------------------

@@ -120,6 +120,21 @@ def test_only_the_grid_reads_the_legendre_basis():
     assert readers == ["geometry.py"]
 
 
+def test_reductions_are_array_methods():
+    """np.min, np.max and their kin cost a call wrapper more than v.min(): package code calls the methods."""
+    module_reductions = {"min", "max", "amin", "amax", "argmin", "argmax"}
+    calls = [
+        f"{path.name}:{node.lineno} np.{node.func.attr}"
+        for path in PACKAGE
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "np"
+        and node.func.attr in module_reductions
+    ]
+    assert calls == []
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"

@@ -588,6 +588,12 @@ class TestDefaultFamiliesAreGridConstants:
         with pytest.raises(ValueError):
             stack[0, 0] = 1.0
 
+    def test_s_grid_is_shared_and_read_only(self):
+        s = chebyshev_s_grid()
+        assert chebyshev_s_grid() is s
+        with pytest.raises(ValueError):
+            s[0] = 1.0
+
     def test_second_suite_run_synthesizes_nothing(self, monkeypatch):
         grid = make_grid(32)
         d, tau0 = self.data(grid)["schwarzschild"]
