@@ -11,8 +11,9 @@ version, command, grid size, data source and time function, so a fixed
 configuration reproduces the output byte for byte.  Column files for
 plotting carry 'theta value' (or 'iteration energy') rows.  Exit status:
 0 on success, 1 on a validation error or an unreadable, unwritable,
-empty or blank path, naming the offending flag, 2 when a computation or
-certification suite fails.
+empty or blank path, or an output path that names the file of an input
+or of the other output, naming the offending flag, 2 when a computation
+or certification suite fails.
 
 Subcommands import optimize and verify, and data energy when evaluated,
 as they run, so a process loads only its own command's code.  main(argv)
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ from .physdata import (
     METRIC_FAMILIES,
     DataFormatError,
     _fmt,
+    _load_node_values,
+    _write_table,
     load_physical_data,
     minkowski_surface_data,
     store_physical_data,
@@ -64,8 +67,10 @@ time function grammar (--tau and tau0= in --minkowski):
                      0.3*P1+0.1*P2 or 0.5*P1-2e-2*P3; bare constants allowed;
                      a spec starting with '-' is joined to its flag by '=',
                      as in --tau=-0.3*P1
-  file:PATH          whitespace table of node values: either one value per
-                     node or 'theta value' rows matching the grid exactly\
+  file:PATH          table of node values, one row per node: 'value' or
+                     'theta value' with theta on the grid's nodes; fields
+                     split by whitespace or commas, lines starting with '#'
+                     skipped, a bad field named by its row and column\
 """
 
 
@@ -102,14 +107,14 @@ _TERM = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?:\*P(\d+))?")
 
 def parse_tau(spec: str, grid: Grid, field: str = "--tau") -> np.ndarray:
     """Node values of a time-function spec; see TAU_GRAMMAR."""
+    path = _tau_path(spec)
+    if path is not None:
+        if not path:
+            raise CliValidationError(field, "empty path")
+        return _tau_from_file(path, grid, field)
     spec = spec.strip()
     if spec == "zero":
         return np.zeros(grid.n_nodes)
-    if spec.startswith("file:"):
-        path = spec[5:].strip()
-        if not path:
-            raise CliValidationError(field, "empty path")
-        return _for_flag(field, _tau_from_file, path, grid, field)
     compact = spec.replace(" ", "")
     if not compact:
         raise CliValidationError(field, "empty time-function spec")
@@ -146,31 +151,15 @@ def _tau_on(spec: str, metric: AxisymMetric) -> Evaluation:
     return lift
 
 
+def _tau_path(spec: str) -> str | None:
+    """The stripped PATH of a 'file:PATH' time-function spec, or None for any other spec."""
+    spec = spec.strip()
+    return spec[5:].strip() if spec.startswith("file:") else None
+
+
 def _tau_from_file(path: str, grid: Grid, field: str) -> np.ndarray:
-    open(path, "rb").close()  # an unreadable path fails here with the system's reason, not numpy's
-    try:
-        with warnings.catch_warnings():
-            # a table without values is rejected below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(path)
-    except ValueError as exc:
-        raise CliValidationError(field, f"{path} is not a numeric table: {exc}") from None
-    if table.size == 0:
-        raise CliValidationError(field, f"{path} holds no values")
-    # a NaN theta fails the comparison
-    if table.ndim == 2 and table.shape[1] == 2:
-        theta, values = table[:, 0], table[:, 1]
-        if theta.shape != grid.nodes.shape or not np.abs(theta - grid.nodes).max() <= 1e-12:
-            raise CliValidationError(
-                field, f"{path}: theta column does not match the n={grid.n_nodes} grid"
-            )
-    elif table.ndim == 1 and table.shape == (grid.n_nodes,):
-        values = table
-    else:
-        raise CliValidationError(
-            field,
-            f"{path}: expected {grid.n_nodes} node values or 'theta value' rows, got shape {table.shape}",
-        )
+    """The node values of a file: table, refused naming field if they carry a mode above P_{n-2}."""
+    values = _for_flag(field, _load_node_values, path, grid)
     # values that are not finite or exceed LENGTH_MAX are named by the admission with the lift
     if np.all(np.abs(values) <= LENGTH_MAX):
         highest = grid.highest_mode
@@ -282,15 +271,12 @@ def build_data(args, grid: Grid):
 def _emit(command: str, args, echo: str, body: list, columns=None) -> None:
     """Print the report, or write it to --out, under its header.
 
-    columns, (heading, first, second), go to --columns if it is given,
+    columns, (heading lines, rows), go to --columns if it is given,
     before anything is printed, so that a path that cannot be written
     leaves stdout empty; their 'wrote' line follows the report.
     """
     if columns and args.columns:
-        heading, first, second = columns
-        lines = [f"# {heading}"]
-        lines.extend(f"{_fmt(a)} {_fmt(b)}" for a, b in zip(first, second))
-        _for_flag("--columns", Path(args.columns).write_text, "\n".join(lines) + "\n")
+        _for_flag("--columns", _write_table, args.columns, *columns)
     header = [
         f"artifact = quasilocal {__version__}",
         f"command = {command}",
@@ -337,7 +323,7 @@ def cmd_residual(args, grid: Grid) -> int:
         f"residual_l2 = {_fmt(at_tau.residual_norm)}",
         f"residual_max = {_fmt(np.abs(field).max())}",
     ]
-    _emit("residual", args, echo, body, ("theta residual", grid.nodes, field))
+    _emit("residual", args, echo, body, (["# theta residual"], zip(grid.nodes, field)))
     return 0
 
 
@@ -386,8 +372,7 @@ def cmd_minimize(args, grid: Grid) -> int:
         f"coefficient.P{i} = {_fmt(c)}" for i, c in enumerate(report.tau_star.coeffs, start=1)
     )
     body.extend(f"trace.{k} = {_fmt(e)}" for k, e in enumerate(report.energy_trace))
-    trace = report.energy_trace
-    _emit("minimize", args, echo, body, ("iteration energy", np.arange(len(trace)), trace))
+    _emit("minimize", args, echo, body, (["# iteration energy"], enumerate(report.energy_trace)))
     return 0
 
 
@@ -506,15 +491,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for flag in ("out", "columns", "data"):
-            path = getattr(args, flag, None)
-            if path is not None and not path.strip():
-                raise CliValidationError(f"--{flag}", "empty path")
+        _check_paths(args)
         return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
     except (CliValidationError, FieldShapeError) as exc:
         return _failed(exc, 1)
     except (*LIFT_ERRORS, InvalidParameterError) as exc:
         return _failed(exc, 2)
+
+
+def _check_paths(args) -> None:
+    """Refuse a blank --out, --columns or --data path, and an output that would overwrite an input.
+
+    An --out or --columns path must not resolve to the file of the other
+    output, of --data, or of the file: path of --tau or --minkowski
+    tau0=.  Nothing has been read or written yet.  realpath, unlike
+    Path.resolve, leaves a symlink loop to fail where it is opened.
+    """
+    tau0 = (args.minkowski or "").strip().removeprefix("tau0=")
+    paths = [("--out", args.out), ("--columns", getattr(args, "columns", None)), ("--data", args.data),
+             ("--tau", _tau_path(getattr(args, "tau", None) or "")), ("--minkowski", _tau_path(tau0))]
+    for flag, path in paths[:3]:
+        if path is not None and not path.strip():
+            raise CliValidationError(flag, "empty path")
+    named = [(flag, path, os.path.realpath(path)) for flag, path in paths if path]
+    for i, (flag, path, target) in enumerate(named):
+        for other, other_path, other_target in named[i + 1:]:
+            if target == other_target and flag in ("--out", "--columns"):
+                raise CliValidationError(flag, f"{path} is the same file as {other} {other_path}")
 
 
 def _failed(exc: Exception, status: int) -> int:

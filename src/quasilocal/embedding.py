@@ -135,15 +135,8 @@ class Evaluation:
 
     @lazy
     def lap(self) -> np.ndarray:
-        """Laplacian of tau, d/dx[(1 - x^2) (Q/P) tau_x] / (P Q).
-
-        _divergence_from_x_component(m, -tau_x) without its two sign
-        flips, which cancel: negation is exact and commutes with the
-        products.  The bits are the same, except that an exact zero is
-        +0.0 where the flips gave -0.0 (a tau_x that is exactly zero).
-        """
-        m = self.metric
-        return m.grid.dx(m.flux_factor * self.tau_x) / m.PQ
+        """Laplacian of tau, d/dx[(1 - x^2) (Q/P) tau_x] / (P Q)."""
+        return -_divergence_from_x_component(self.metric, self.tau_x)
 
     @lazy
     def hess_tt(self) -> np.ndarray:

@@ -30,7 +30,11 @@ declaring the grid size and one header line naming the columns:
 Node positions are regenerated from the declared grid size on load and
 checked against the theta column; values are never interpolated.
 AxisymMetric and PhysicalData admit the values, as they do data from
-any other source.
+any other source.  Fields may also be split by commas.  The same row
+reader, theta check and row writer serve the command line's other
+tables: the time functions of its file: specs, one row per node
+('value' or 'theta value', '#' lines skipped), and the files of
+--columns.
 
 DATA_FAMILIES and METRIC_FAMILIES are the table of what the command line
 builds from parameters, one row each: a name, a builder taking the grid
@@ -230,15 +234,7 @@ def store_physical_data(d: PhysicalData, path: str | os.PathLike) -> None:
     rows = np.column_stack(
         [g.nodes, d.metric.P, d.metric.Q, d.norm_H, d.alpha_H]
     )
-    lines = [f"# n={g.n_nodes}", " ".join(COLUMNS)]
-    for row in rows:
-        lines.append(" ".join(map(_fmt, row)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _split_row(line: str) -> list[str]:
-    return line.replace(",", " ").split()
+    _write_table(path, [f"# n={g.n_nodes}", " ".join(COLUMNS)], rows)
 
 
 def load_physical_data(path: str | os.PathLike) -> PhysicalData:
@@ -249,12 +245,7 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     PhysicalData admit the values.  Raises DataFormatError on any
     violation, naming the column and the row or node, or the declaration.
     """
-    with open(path) as fh:
-        try:
-            raw = [line.strip() for line in fh]
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"not a text table: {exc}") from None
-    lines = [line for line in raw if line]
+    lines = _text_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise DataFormatError("missing '# n=<N>' declaration on the first line")
     decl = lines[0].lstrip("#").strip()
@@ -276,32 +267,13 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
     body = lines[2:]
     if len(body) != n:
         raise DataFormatError(f"table has {len(body)} rows, declared grid needs {n}")
-    table = np.empty((n, len(COLUMNS)))
-    for i, line in enumerate(body):
-        parts = _split_row(line)
-        if len(parts) != len(COLUMNS):
-            raise DataFormatError(
-                f"row {i} has {len(parts)} fields, expected {len(COLUMNS)}"
-            )
-        for j, part in enumerate(parts):
-            try:
-                table[i, j] = float(part)
-            except ValueError:
-                raise DataFormatError(
-                    f"row {i}, column {COLUMNS[j]}: not a number: {part!r}"
-                ) from None
+    table = _parse_rows(body, COLUMNS)
 
     try:
         grid = make_grid(n)
     except InvalidParameterError as exc:
         raise DataFormatError(f"grid declaration {lines[0]!r}: {exc}") from None
-    theta = table[:, 0]
-    j = int(np.abs(theta - grid.nodes).argmax())  # a NaN is the first maximum
-    if not abs(theta[j] - grid.nodes[j]) <= 1e-12:
-        raise DataFormatError(
-            f"row {j}, column theta: node {theta[j]} does not match the "
-            f"n={n} grid node {grid.nodes[j]}"
-        )
+    _check_theta(grid, table[:, 0])
     try:
         return PhysicalData(
             metric=AxisymMetric(grid, table[:, 1], table[:, 2]),
@@ -310,3 +282,62 @@ def load_physical_data(path: str | os.PathLike) -> PhysicalData:
         )
     except InvalidParameterError as exc:
         raise DataFormatError(str(exc)) from None
+
+
+def _load_node_values(path: str | os.PathLike, grid: Grid) -> np.ndarray:
+    """The node values of a file: spec's table; see the module docstring for its layout.
+
+    Only the layout is checked, as by load_physical_data; the layout of
+    the first row, 'value' or 'theta value', is the table's.
+    """
+    body = [line for line in _text_lines(path) if not line.startswith("#")]
+    if len(body) != grid.n_nodes:
+        raise DataFormatError(f"table has {len(body)} rows, expected {grid.n_nodes} node values")
+    table = _parse_rows(body, ("value",) if len(_split_row(body[0])) == 1 else ("theta", "value"))
+    if table.shape[1] == 2:
+        _check_theta(grid, table[:, 0])
+    return table[:, -1]
+
+
+def _write_table(path: str | os.PathLike, head: list[str], rows) -> None:
+    """Write the lines of head, then each row as its numbers by _fmt, joined by spaces."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(head + [" ".join(map(_fmt, row)) for row in rows]) + "\n")
+
+
+def _text_lines(path: str | os.PathLike) -> list[str]:
+    """The lines of a text table that are not blank, stripped."""
+    with open(path) as fh:
+        try:
+            return [text for line in fh if (text := line.strip())]
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not a text table: {exc}") from None
+
+
+def _split_row(line: str) -> list[str]:
+    return line.replace(",", " ").split()
+
+
+def _parse_rows(body: list[str], columns: tuple[str, ...]) -> np.ndarray:
+    """The rows as floats, one column each; DataFormatError names the row, and the column of a non-number."""
+    table = np.empty((len(body), len(columns)))
+    for i, line in enumerate(body):
+        parts = _split_row(line)
+        if len(parts) != len(columns):
+            raise DataFormatError(f"row {i} has {len(parts)} fields, expected {len(columns)}")
+        for j, part in enumerate(parts):
+            try:
+                table[i, j] = float(part)
+            except ValueError:
+                raise DataFormatError(f"row {i}, column {columns[j]}: not a number: {part!r}") from None
+    return table
+
+
+def _check_theta(grid: Grid, theta: np.ndarray) -> None:
+    """Raise DataFormatError naming the first row whose theta is not within 1e-12 of its node."""
+    j = int(np.abs(theta - grid.nodes).argmax())  # a NaN is the first maximum
+    if not abs(theta[j] - grid.nodes[j]) <= 1e-12:
+        raise DataFormatError(
+            f"row {j}, column theta: node {theta[j]} does not match the "
+            f"n={grid.n_nodes} grid node {grid.nodes[j]}"
+        )

@@ -357,6 +357,49 @@ class TestTauFileResolution:
         assert capsys.readouterr().err.startswith(f"error: --tau: {rule}")
 
 
+class TestTauTable:
+    """A file: table has one row per node, 'value' or 'theta value', and is read by physdata's row reader."""
+
+    def test_a_residual_columns_file_reads_back_bit_for_bit(self, tmp_path, monkeypatch, capsys):
+        # the '# theta residual' heading is skipped and 17 digits round-trip every value
+        monkeypatch.chdir(tmp_path)
+        argv = ["residual", "--schwarzschild", "m=1,r=4", "--tau", "0.01*P1", "--columns", "c.txt"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        field = d.evaluate(parse_tau("0.01*P1", grid)).residual
+        assert (tmp_path / "c.txt").read_text().startswith("# theta residual\n")
+        assert parse_tau("file:c.txt", grid).tobytes() == field.tobytes()
+
+    def test_comma_separated_rows_are_read(self, tmp_path):
+        grid = make_grid(32)
+        spaced, commas = tmp_path / "spaced.txt", tmp_path / "commas.txt"
+        spaced.write_text("".join(f"{_fmt(t)} {_fmt(v)}\n" for t, v in zip(grid.nodes, TAU_FILE_BASE)))
+        commas.write_text("".join(f"{_fmt(t)}, {_fmt(v)}\n" for t, v in zip(grid.nodes, TAU_FILE_BASE)))
+        assert parse_tau(f"file:{commas}", grid).tobytes() == parse_tau(f"file:{spaced}", grid).tobytes()
+        assert parse_tau(f"file:{spaced}", grid).tobytes() == TAU_FILE_BASE.tobytes()
+
+    def test_all_values_on_one_line_are_refused_by_row_count(self, tmp_path):
+        path = tmp_path / "tau.txt"
+        path.write_text(" ".join(map(_fmt, TAU_FILE_BASE)) + "\n")
+        with pytest.raises(CliValidationError) as info:
+            parse_tau(f"file:{path}", make_grid(32))
+        assert str(info.value) == "--tau: table has 1 rows, expected 32 node values"
+
+    @pytest.mark.parametrize("layout", ["values", "pairs"])
+    def test_a_cell_that_is_not_a_number_is_named_by_row_and_column(self, layout, tmp_path):
+        grid = make_grid(32)
+        rows = [f"{_fmt(v)}" if layout == "values" else f"{_fmt(t)} {_fmt(v)}"
+                for t, v in zip(grid.nodes, TAU_FILE_BASE)]
+        rows[2] = rows[2].rpartition(" ")[0] + " x" if layout == "pairs" else "x"
+        path = tmp_path / "tau.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CliValidationError) as info:
+            parse_tau(f"file:{path}", grid, "--minkowski")
+        assert str(info.value) == "--minkowski: row 2, column value: not a number: 'x'"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["energy", "--schwarzschild", "m=1,r=4,r=5"], "--schwarzschild"),
     (["verify", "--suite", "identities", "--metric", "sphere:r=2,r=3"], "--metric"),
@@ -753,7 +796,9 @@ class TestNonFiniteInput:
         np.savetxt(path, np.column_stack([theta, np.zeros(32)]))
         argv = ["energy", "--schwarzschild", "m=1,r=4", "--tau", f"file:{path}"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: --tau: {path}: theta column does not match")
+        assert capsys.readouterr().err.startswith(
+            "error: --tau: row 5, column theta: node nan does not match the n=32 grid node "
+        )
 
     @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
     def test_tau_file_without_values_is_one_error_line(self, text, tmp_path, capsys):
@@ -818,9 +863,11 @@ class TestFlagBoundary:
     is pinned.  Commands run in a directory holding a valid table (t.dat),
     a table with its grid declaration alone (one.dat), an n = 16 table
     (n16.dat), tables declared '# m=32' (m32.dat) and '# n=abc' (nabc.dat),
-    a table whose row 3 has 4 fields (four.dat), a directory (adir) and a
-    file that is not text (bin.dat); nodir and nope.txt do not exist, so
-    nothing can be written under nodir.
+    a table whose row 3 has 4 fields (four.dat), a directory (adir), a
+    symlink to itself (loop), a file that is not text (bin.dat), a --tau
+    table (tau.txt) and a columns file (c.txt); nodir and nope.txt do not
+    exist, so nothing can be written under nodir.  {cwd} stands for that
+    directory.  No rejected command writes or changes a file.
     """
 
     CASES = [
@@ -830,6 +877,8 @@ class TestFlagBoundary:
         (["energy", "--data", "one.dat"], "--data"),
         (["energy", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
         (["energy", "--schwarzschild", "m=1,r=4", "--out", "adir"], "--out: adir: Is a directory"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--out", "loop"],
+         "--out: loop: Too many levels of symbolic links"),
         (["residual", "--schwarzschild", "m=1,r=4", "--out", "nodir/r.txt"], "--out"),
         (["residual", "--schwarzschild", "m=1,r=4", "--columns", "nodir/r.cols"], "--columns"),
         (["residual", "--schwarzschild", "m=1,r=4", "--columns", "adir"],
@@ -883,6 +932,23 @@ class TestFlagBoundary:
         (["energy", "--minkowski", "tau0=file: "], "--minkowski: empty path"),
         (["energy", "--data", " "], "--data: empty path"),
         (["gen-data", "--schwarzschild", "m=1,r=4", "--out", "\t"], "--out: empty path"),
+        # an output never overwrites an input or the other output, however the path is spelled
+        (["energy", "--data", "t.dat", "--out", "t.dat"], "--out: t.dat is the same file as --data t.dat"),
+        (["energy", "--data", "./t.dat", "--out", "{cwd}/t.dat"],
+         "--out: {cwd}/t.dat is the same file as --data ./t.dat"),
+        (["gen-data", "--data", "t.dat", "--out", "t.dat"], "--out: t.dat is the same file as --data t.dat"),
+        (["energy", "--schwarzschild", "m=1,r=4", "--tau", "file:tau.txt", "--out", "tau.txt"],
+         "--out: tau.txt is the same file as --tau tau.txt"),
+        (["energy", "--minkowski", "tau0=file: tau.txt", "--out", "./tau.txt"],
+         "--out: ./tau.txt is the same file as --minkowski tau.txt"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", "c.txt", "--out", "c.txt"],
+         "--out: c.txt is the same file as --columns c.txt"),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--grid-n", "16", "--columns", "c.txt",
+          "--out", "./c.txt"], "--out: ./c.txt is the same file as --columns c.txt"),
+        (["residual", "--data", "t.dat", "--columns", "{cwd}/t.dat"],
+         "--columns: {cwd}/t.dat is the same file as --data t.dat"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--tau", "file:tau.txt", "--columns", "tau.txt"],
+         "--columns: tau.txt is the same file as --tau tau.txt"),
     ]
 
     @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -897,7 +963,13 @@ class TestFlagBoundary:
         rows[3] = " ".join(rows[3].split()[:4]) + "\n"
         (tmp_path / "four.dat").write_text("".join([declaration, header, *rows]))
         (tmp_path / "adir").mkdir()
+        (tmp_path / "loop").symlink_to("loop")
         (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
+        (tmp_path / "tau.txt").write_text("".join(f"{_fmt(v)}\n" for v in TAU_FILE_BASE))
+        (tmp_path / "c.txt").write_text("# theta residual\n")
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        argv = [arg.replace("{cwd}", str(tmp_path)) for arg in argv]
+        expected = expected.replace("{cwd}", str(tmp_path))
         assert main(argv) == 1
         out, err = capsys.readouterr()
         flag, _, message = expected.partition(": ")
@@ -907,6 +979,7 @@ class TestFlagBoundary:
             assert err.startswith(f"error: {flag}: ")
         assert out == ""
         assert all(path.name.strip() for path in tmp_path.iterdir())
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
 
     def test_nonpositive_norm_in_a_table_is_out_of_range(self, tmp_path, monkeypatch, capsys):
         # normH meets the length range of P and Q, with the same message

@@ -540,3 +540,23 @@ def test_boosted_sphere_area_is_preserved():
     grid = make_grid(24)
     m, tau, _, _ = boosted_sphere(grid, 0.5)
     assert abs(integrate_surface(m, np.ones(24)) - 4.0 * np.pi) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 32, 33, 64, 128])
+def test_lap_keeps_the_bits_of_the_flux_quotient(n):
+    """Evaluation.lap, the negated divergence of tau_x, is dx(flux_factor tau_x) / PQ to the bit.
+
+    Negation is exact and commutes with the product and the quotient, so
+    signed zeros agree too: tau = 0 and a constant tau give exact zeros.
+    """
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    taus = [np.zeros(n), np.full(n, 0.7), random_time_profile(grid, rng),
+            random_time_profile(grid, rng)[None, :],
+            np.stack([random_time_profile(grid, rng), np.zeros(n), np.full(n, -2.0)])]
+    for m in (round_sphere(grid, 2.0), regular_random_metric(grid, rng)):
+        for tau in taus:
+            ev = Evaluation(m, tau)
+            flux_quotient = grid.dx(m.flux_factor * ev.tau_x) / m.PQ
+            assert ev.lap.shape == flux_quotient.shape
+            assert ev.lap.tobytes() == flux_quotient.tobytes()

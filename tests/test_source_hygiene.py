@@ -120,19 +120,27 @@ def test_only_the_grid_reads_the_legendre_basis():
     assert readers == ["geometry.py"]
 
 
-def test_reductions_are_array_methods():
-    """np.min, np.max and their kin cost a call wrapper more than v.min(): package code calls the methods."""
-    module_reductions = {"min", "max", "amin", "amax", "argmin", "argmax"}
-    calls = [
+def numpy_calls(names: set) -> list:
+    """Each call np.NAME in package code with NAME in names, as 'file:line np.NAME'."""
+    return [
         f"{path.name}:{node.lineno} np.{node.func.attr}"
         for path in PACKAGE
         for node in ast.walk(parse(path))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and getattr(node.func.value, "id", None) == "np"
-        and node.func.attr in module_reductions
+        and node.func.attr in names
     ]
-    assert calls == []
+
+
+def test_reductions_are_array_methods():
+    """np.min, np.max and their kin cost a call wrapper more than v.min(): package code calls the methods."""
+    assert numpy_calls({"min", "max", "amin", "amax", "argmin", "argmax"}) == []
+
+
+def test_tables_are_read_and_written_by_physdata():
+    """physdata's row reader and writer own the table format: package code calls no numpy file reader or writer."""
+    assert numpy_calls({"loadtxt", "genfromtxt", "savetxt", "fromfile"}) == []
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
