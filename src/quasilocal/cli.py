@@ -42,12 +42,7 @@ from .geometry import (
     Grid,
     AxisymMetric,
 )
-from .embedding import (
-    LIFT_ERRORS,
-    Evaluation,
-    GaugeOrientationError,
-    NonSpacelikeMeanCurvatureError,
-)
+from .embedding import LIFT_ERRORS, NOT_DATA, Evaluation
 from .physdata import (
     DATA_FAMILIES,
     METRIC_FAMILIES,
@@ -79,10 +74,6 @@ class CliValidationError(ValueError):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-
-
-# what minkowski_surface_data raises for a lift that cannot be physical data
-NOT_DATA = (NonSpacelikeMeanCurvatureError, GaugeOrientationError)
 
 
 def _for_flag(field: str, build, *args):
@@ -502,10 +493,12 @@ def main(argv=None) -> int:
 def _check_paths(args) -> None:
     """Refuse a blank --out, --columns or --data path, and an output that would overwrite an input.
 
-    An --out or --columns path must not resolve to the file of the other
+    An --out or --columns path must not name the file of the other
     output, of --data, or of the file: path of --tau or --minkowski
-    tau0=.  Nothing has been read or written yet.  realpath, unlike
-    Path.resolve, leaves a symlink loop to fail where it is opened.
+    tau0=: not by its real path, and, where both exist, not by its
+    device and inode, which a hard link shares.  Nothing has been read
+    or written yet.  realpath, unlike Path.resolve, and _file_id leave a
+    symlink loop to fail where it is opened.
     """
     tau0 = (args.minkowski or "").strip().removeprefix("tau0=")
     paths = [("--out", args.out), ("--columns", getattr(args, "columns", None)), ("--data", args.data),
@@ -513,11 +506,21 @@ def _check_paths(args) -> None:
     for flag, path in paths[:3]:
         if path is not None and not path.strip():
             raise CliValidationError(flag, "empty path")
-    named = [(flag, path, os.path.realpath(path)) for flag, path in paths if path]
-    for i, (flag, path, target) in enumerate(named):
-        for other, other_path, other_target in named[i + 1:]:
-            if target == other_target and flag in ("--out", "--columns"):
+    named = [(flag, path, os.path.realpath(path), _file_id(path)) for flag, path in paths if path]
+    for i, (flag, path, target, file_id) in enumerate(named):
+        for other, other_path, other_target, other_id in named[i + 1:]:
+            same = target == other_target or (file_id is not None and file_id == other_id)
+            if same and flag in ("--out", "--columns"):
                 raise CliValidationError(flag, f"{path} is the same file as {other} {other_path}")
+
+
+def _file_id(path: str) -> tuple | None:
+    """(st_dev, st_ino) of the file path names, or None where os.stat raises: no file yet, or a loop."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
 
 
 def _failed(exc: Exception, status: int) -> int:

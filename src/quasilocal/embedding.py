@@ -72,9 +72,11 @@ class GaugeOrientationError(ValueError):
     """The outward frame decomposition of H needs <H, e3_breve> < 0."""
 
 
-# failures of a lift, or of a lift as physical data, that reject a field
-# rather than signal a bug
-LIFT_ERRORS = (NonEmbeddableError, NonSpacelikeMeanCurvatureError, GaugeOrientationError)
+# what physdata.minkowski_surface_data raises for a lift that cannot be
+# physical data; with a lift that does not embed, the failures that
+# reject a field rather than signal a bug
+NOT_DATA = (NonSpacelikeMeanCurvatureError, GaugeOrientationError)
+LIFT_ERRORS = (NonEmbeddableError, *NOT_DATA)
 
 
 class Evaluation:

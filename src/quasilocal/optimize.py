@@ -142,8 +142,7 @@ def _perturbed(tau: np.ndarray, bumps: np.ndarray) -> np.ndarray:
 
     The package's one central difference: the minimizer's calibration and
     Hessian and verify.check_lemma41 evaluate on this stack and take
-    _fd_gradient of the values.  The minimizer's start stack puts the
-    start before these rows, in the same concatenate.
+    _fd_gradient of the values.
     """
     return np.concatenate([tau + bumps, tau - bumps])
 
@@ -323,7 +322,7 @@ def minimize_energy(
     # the start and its 2L perturbations (_perturbed) as one stack: row 0
     # for the guard, the energy and the gradient, rows 1..2L for the
     # calibration and H
-    stack = d.evaluate(np.concatenate([tau[None], tau + bumps, tau - bumps]))
+    stack = d.evaluate(np.concatenate([tau[None], _perturbed(tau, bumps)]))
     margin = float(stack.ev.guard[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)

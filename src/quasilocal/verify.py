@@ -59,6 +59,11 @@ variation along the profile, exact at every node of the s-grid, never
 differences of sampled energies; the s = 0 endpoint is covered by
 dedicated value and derivative checks because the comparison inequality
 F' >= F/s degenerates there.
+
+Only check_lemma41 evaluates the gauge energy and takes the minimizer's
+central difference, and it imports both where it runs: loading this
+module loads neither energy nor optimize, and the comparison suites
+load energy through the data they compare.
 """
 
 from __future__ import annotations
@@ -80,8 +85,6 @@ from .geometry import (
 )
 from .embedding import evaluate
 from .physdata import PhysicalData, _fmt
-from .energy import breve_gauge, tilde_energy
-from .optimize import _fd_gradient, _perturbed
 
 # a strict hypothesis must clear this floor times r^p; on the unit sphere
 # discretization noise in the margins sits around 1e-12, physical
@@ -292,8 +295,12 @@ def check_lemma41(m: AxisymMetric, tau: np.ndarray) -> TheoremReport:
     margins bit-identical under 2^k scaling) along the first three modes
     the grid resolves, Grid.modes: P1, P2 and P3, or P1 and P2 on a 4-node
     grid.  Surfaces that fail to embed for a perturbed time function raise;
-    the identity is only certified on valid configurations.
+    the identity is only certified on valid configurations.  The central
+    difference and the gauge energy are imported here, where they run.
     """
+    from .energy import breve_gauge, tilde_energy
+    from .optimize import _fd_gradient, _perturbed
+
     variations = m.grid.modes(min(3, m.grid.highest_mode))[0].T
 
     ev = evaluate(m, tau)

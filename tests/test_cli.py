@@ -865,9 +865,10 @@ class TestFlagBoundary:
     (n16.dat), tables declared '# m=32' (m32.dat) and '# n=abc' (nabc.dat),
     a table whose row 3 has 4 fields (four.dat), a directory (adir), a
     symlink to itself (loop), a file that is not text (bin.dat), a --tau
-    table (tau.txt) and a columns file (c.txt); nodir and nope.txt do not
-    exist, so nothing can be written under nodir.  {cwd} stands for that
-    directory.  No rejected command writes or changes a file.
+    table (tau.txt), a columns file (c.txt) and hard links to t.dat,
+    tau.txt and c.txt (t.link, tau.link and c.link); nodir and nope.txt
+    do not exist, so nothing can be written under nodir.  {cwd} stands
+    for that directory.  No rejected command writes or changes a file.
     """
 
     CASES = [
@@ -949,6 +950,12 @@ class TestFlagBoundary:
          "--columns: {cwd}/t.dat is the same file as --data t.dat"),
         (["residual", "--schwarzschild", "m=1,r=4", "--tau", "file:tau.txt", "--columns", "tau.txt"],
          "--columns: tau.txt is the same file as --tau tau.txt"),
+        # nor through a hard link, which shares the file but not its path
+        (["energy", "--data", "t.dat", "--out", "t.link"], "--out: t.link is the same file as --data t.dat"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--tau", "file:tau.txt", "--columns", "tau.link"],
+         "--columns: tau.link is the same file as --tau tau.txt"),
+        (["residual", "--schwarzschild", "m=1,r=4", "--columns", "c.txt", "--out", "c.link"],
+         "--out: c.link is the same file as --columns c.txt"),
     ]
 
     @pytest.mark.parametrize("argv, expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])
@@ -967,6 +974,8 @@ class TestFlagBoundary:
         (tmp_path / "bin.dat").write_bytes(bytes(range(256)))
         (tmp_path / "tau.txt").write_text("".join(f"{_fmt(v)}\n" for v in TAU_FILE_BASE))
         (tmp_path / "c.txt").write_text("# theta residual\n")
+        for link, source in (("t.link", "t.dat"), ("tau.link", "tau.txt"), ("c.link", "c.txt")):
+            (tmp_path / link).hardlink_to(tmp_path / source)
         files = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
         argv = [arg.replace("{cwd}", str(tmp_path)) for arg in argv]
         expected = expected.replace("{cwd}", str(tmp_path))

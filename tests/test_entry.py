@@ -161,9 +161,13 @@ class TestImportFootprint:
             (["residual", *SPHERE], {"quasilocal.energy"}),
             (["energy", *SPHERE], {"quasilocal.energy"}),
             (["minimize", *SPHERE], {"quasilocal.energy", "quasilocal.optimize"}),
-            (["verify", "--suite", "theorem3", *SPHERE], NUMERICS),
+            (["verify", "--suite", "identities"], {"quasilocal.verify"}),
+            (["verify", "--suite", "theorem1", *SPHERE], {"quasilocal.energy", "quasilocal.verify"}),
+            (["verify", "--suite", "theorem3", *SPHERE], {"quasilocal.energy", "quasilocal.verify"}),
+            (["verify", "--suite", "lemma41"], NUMERICS),
         ],
-        ids=["gen-data", "gen-data-minkowski", "residual", "energy", "minimize", "verify"],
+        ids=["gen-data", "gen-data-minkowski", "residual", "energy", "minimize", "verify-identities",
+             "verify-theorem1", "verify-theorem3", "verify-lemma41"],
     )
     def test_a_command_loads_only_what_it_uses(self, argv, numerics, tmp_path):
         argv = [arg.format(tmp=tmp_path) for arg in argv]

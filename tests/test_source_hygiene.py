@@ -143,6 +143,49 @@ def test_tables_are_read_and_written_by_physdata():
     assert numpy_calls({"loadtxt", "genfromtxt", "savetxt", "fromfile"}) == []
 
 
+# the modules a command loads only when it runs them
+NUMERICS = {"energy", "optimize", "verify"}
+
+
+def load_time_imports(statements):
+    """The import statements among statements, and nested in them, that run when their module loads.
+
+    Function bodies run when called, and an `if TYPE_CHECKING:` body never.
+    """
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from load_time_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from load_time_imports(ast.iter_child_nodes(node))
+
+
+def package_modules(node: ast.Import | ast.ImportFrom) -> list:
+    """The package modules an import loads, named without the package prefix.
+
+    `from .energy import qle`, `from . import energy` and `import
+    quasilocal.energy` each load energy.
+    """
+    if isinstance(node, ast.ImportFrom) and node.module not in (None, "quasilocal"):
+        names = [node.module]
+    else:
+        names = [alias.name for alias in node.names]
+    return [name.removeprefix("quasilocal.") for name in names]
+
+
+def test_the_numerics_are_imported_where_they_run():
+    """No package module imports energy, optimize or verify as it loads: a process loads only what its command uses."""
+    loaded = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in PACKAGE
+        for node in load_time_imports(parse(path).body)
+        for name in package_modules(node)
+        if name in NUMERICS
+    ]
+    assert loaded == []
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
