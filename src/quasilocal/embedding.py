@@ -11,10 +11,13 @@ over the revolution surface of sigma + dtau x dtau is an isometric
 embedding of sigma itself, since -tau'^2 + u'^2 + v_tilde'^2 = P^2.
 
 An Evaluation is that lift: one time function tau, or a (k, n) stack of
-them, on one metric, whose derivatives, lifted Gauss curvature and
-convexity margin, projected surface, reference integral and
-normal-bundle data are each computed at most once, when first read, and
-the one place that admits a time function and its lifted profile.
+them, on one metric, and the one place that admits a time function and
+its lifted profile.  Its fields are each computed at most once.  A
+field is formed as the Evaluation is constructed when every reader reads
+it, and when first read when some reader skips it: tau's first
+derivatives tau_x and tau_theta are formed at once; the Laplacian,
+Hessian, lifted Gauss curvature and convexity margin, projected surface,
+reference integral and normal-bundle data wait to be read.
 embed_lifted builds one and checks that its projection embeds.  Every
 function here takes one time function or a (k, n) stack of them,
 whose lifts share the base metric; an error names the first failing row
@@ -85,14 +88,28 @@ class Evaluation:
     tau is one field of node values or a (k, n) stack of fields; the
     metric is shared by every row.  The constructor admits tau, finite
     with |tau| <= LENGTH_MAX, by geometry._admit, whose error names the
-    first bad row and node.  The derivatives of tau, the Gauss curvature
-    k_hat of sigma + dtau x dtau and the convexity margin guard, the
-    lifted profile p_hat and metric sigma + dtau x dtau (projected), the
-    total mean curvature of its surface of revolution and the lift's
-    normal-bundle data are computed when first read and then kept; every
-    array field of a stack has one row per time function, which rows
-    relies on.  Quantities that depend on physical data are formulas of
-    the energy module and are not kept.
+    first bad row and node, and forms tau_x = dtau/dx and tau_theta, which
+    every reader reads.  Every other field is computed when first read
+    and then kept, because some reader skips it:
+
+    - s1 and lap (the Laplacian): a guard-only lift, such as a trial or
+      sample outside the guard;
+    - hess_tt, minus_u_prime_tau_x, grad_sq, one_plus_grad_sq, the Gauss
+      curvature k_hat of sigma + dtau x dtau and the convexity margin
+      guard: a projection-only lift, such as the command line's --tau
+      admission, which reads p_hat alone;
+    - the lifted profile p_hat, the lifted metric sigma + dtau x dtau
+      (projected) and the total mean curvature of its surface of
+      revolution (reference): a guard-only lift; projected also defers
+      the NonEmbeddableError of a lift that does not embed to the reader
+      that needs its surface;
+    - the normal-bundle data: the energy, its residual and its gradient,
+      which never read them (minkowski_surface_data and the identities,
+      lemma41 and theorem3 suites do).
+
+    Every array field of a stack has one row per time function, which
+    rows relies on.  Quantities that depend on physical data are fields
+    of energy.DataEvaluation.
 
     The normal-bundle fields are taken on the phi = 0 slice, where in
     coordinates (t, y1, y2, z) with signature (-+++) the surface passes
@@ -111,14 +128,8 @@ class Evaluation:
     def __init__(self, metric: AxisymMetric, tau: np.ndarray):
         self.tau = _admit(metric.grid, "tau", tau, lengths=False, stack=True)
         self.metric = metric
-
-    @lazy
-    def tau_theta(self) -> np.ndarray:
-        return self.metric.grid.minus_sin_theta * self.tau_x
-
-    @lazy
-    def tau_x(self) -> np.ndarray:
-        return self.metric.grid.dx(self.tau)
+        self.tau_x = metric.grid.dx(self.tau)
+        self.tau_theta = metric.grid.minus_sin_theta * self.tau_x
 
     @lazy
     def grad_sq(self) -> np.ndarray:
@@ -169,9 +180,13 @@ class Evaluation:
 
     @lazy
     def guard(self) -> float | np.ndarray:
-        """The convexity margin, one per row: the least of K_hat, K and K_hat (1 + |grad tau|^2)."""
+        """The convexity margin, one per row: the least of K_hat, K and K_hat (1 + |grad tau|^2).
+
+        Each row reads the K of its own row of a stacked metric.
+        """
         k_hat = self.k_hat
-        return np.minimum(np.minimum(k_hat, k_hat * self.one_plus_grad_sq).min(axis=-1), self.metric.K.min())
+        least = np.minimum(k_hat, k_hat * self.one_plus_grad_sq).min(axis=-1)
+        return np.minimum(least, self.metric.K.min(axis=-1))
 
     @lazy
     def p_hat(self) -> np.ndarray:

@@ -19,8 +19,10 @@ weak form, the exact first variation of the discrete energy.
 
 PhysicalData.evaluate binds the Evaluation of a time function, or of a
 (k, n) stack of them, to the data: a DataEvaluation, whose fields are
-the quantities that depend on the data, each formed when first read and
-kept (with a leading axis of length k for a stack).  physical_term is
+the quantities that depend on the data, with a leading axis of length k
+for a stack.  The boost angle, which every reader reads, is formed as
+the data are bound, and the other fields, which some reader skips, when
+first read, and then kept.  physical_term is
 the physical integral alone, one per row, and energy pairs it with the
 lift's reference term; where two data are compared at the same tau, as
 in theorem1's gap, the reference terms cancel and only physical_term is
@@ -89,21 +91,25 @@ class GaugeData:
 
 
 class DataEvaluation:
-    """The Evaluation ev bound to data: it keeps their arrays, not the data, which may keep it."""
+    """The Evaluation ev bound to data: it keeps their arrays, not the data, which may keep it.
+
+    The constructor forms the boost angle theta, sinh = -Dtau / (|H| s1)
+    with s1 = sqrt(1 + |grad tau|^2) and angle = arcsinh(sinh), which the
+    physical term, the angle form and the stationarity terms all read.
+    Every other field is formed when first read and then kept, because
+    some reader skips it: the minimizer's Hessian stacks read
+    first_variation alone, so skip physical_term and energy; theorem1's
+    samples read physical_term alone, so skip cosh and the stationarity
+    terms; angle_form is the cross-check that only its own callers read;
+    residual and residual_norm are read by the residual, the minimizer's
+    last evaluation and theorem1's criticality alone.
+    """
 
     def __init__(self, data: PhysicalData, ev: Evaluation):
         self.metric, self.norm_H, self.alpha_H = data.metric, data.norm_H, data.alpha_H
         self.ev = ev
-
-    @lazy
-    def sinh(self) -> np.ndarray:
-        """sinh(theta) = -Dtau / (|H| sqrt(1+|grad tau|^2)) of the boost angle theta."""
-        return -self.ev.lap / (self.norm_H * self.ev.s1)
-
-    @lazy
-    def angle(self) -> np.ndarray:
-        """The boost angle theta."""
-        return np.arcsinh(self.sinh)
+        self.sinh = -ev.lap / (self.norm_H * ev.s1)
+        self.angle = np.arcsinh(self.sinh)
 
     @lazy
     def cosh(self) -> np.ndarray:

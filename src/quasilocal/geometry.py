@@ -367,12 +367,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class lazy:
     """A field computed by func when first read, then kept in the instance __dict__.
 
-    Later reads find the value there without calling the descriptor, as
-    with functools.cached_property, which up to Python 3.11 takes a lock
-    on every first read; an Evaluation bound to data makes up to twenty, and
-    at n = 32 costs more in such fixed per-call work than in arithmetic.  Without the
-    lock, two threads reading a field first at once would both compute
-    it; the package starts no threads.
+    A field is lazy only where some reader skips it; one that every
+    reader reads is formed by its owner's constructor (Evaluation's
+    tau_x and tau_theta, DataEvaluation's sinh and angle).  Later reads
+    find the value in __dict__ without calling the descriptor, as with
+    functools.cached_property, which up to Python 3.11 takes a lock on
+    every first read.  A trial's guard, energy and gradient make twenty
+    first reads, fifteen on its Evaluation and DataEvaluation and five
+    on its lifted metric, and at n = 32 an evaluation costs more in such
+    fixed per-call work than in arithmetic.  Without the lock, two
+    threads reading a field first at once would both compute it; the
+    package starts no threads.
     """
 
     def __init__(self, func):
@@ -404,10 +409,14 @@ class AxisymMetric:
     the u'' term of the second fundamental form, the Gauss curvature K,
     Lu, (dP/dtheta)/P and the profile products the operators divide or
     weight by) are computed when first read and kept as read-only
-    arrays; the area radius is likewise formed when first read and kept.
-    Each product is formed as the inline expression it replaces was, so
-    a kernel gives the same bits either way.  The lifted metric of an
-    Evaluation shares Q, u' and u'' and forms its own P-dependent fields.
+    arrays, because some reader skips them: the lifted metric of an
+    Evaluation, which shares Q, u' and u'' and forms its own P-dependent
+    fields, reads only P^2 and its surface of revolution, and the metric
+    of a Schwarzschild sphere that gen-data builds and stores reads none.
+    The area radius, a float or one per row of a stack, is formed when
+    first read and kept; only the suites and the minimizer read it.  Each
+    product is formed as the inline expression it replaces was, so a
+    kernel gives the same bits either way.
 
     The metric embeds as a surface of revolution in Euclidean 3-space,
 
@@ -416,7 +425,9 @@ class AxisymMetric:
 
     whenever P^2 - u'^2 > 0.  v_prime, w = v'/sin(theta), hhat_tt and
     mean_curvature are that surface's fields, formed from u' and u''
-    analytically, never from the height v.
+    analytically, never from the height v.  They are lazy too: the
+    NonEmbeddableError of a metric that does not embed reaches only a
+    reader that needs its surface, not one that reads its guard.
     """
 
     grid: Grid
@@ -449,9 +460,10 @@ class AxisymMetric:
         return _read_only(self.grid.dtheta(self.u_prime))
 
     @lazy
-    def area_radius(self) -> float:
-        """sqrt(area / 4 pi), the radius of the round sphere of the same area."""
-        return float(np.sqrt(_integrate(self, np.ones(self.grid.n_nodes)) / (4.0 * np.pi)))
+    def area_radius(self) -> float | np.ndarray:
+        """sqrt(area / 4 pi), the radius of the round sphere of the same area: a float, or one per row of P."""
+        radius = np.sqrt(_integrate(self, np.ones(self.grid.n_nodes)) / (4.0 * np.pi))
+        return float(radius) if radius.ndim == 0 else _read_only(radius)
 
     @lazy
     def lu(self) -> np.ndarray:

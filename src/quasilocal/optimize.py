@@ -16,7 +16,8 @@ instead of being built again (a lagged Newton model, Kelley 1995,
 section 5.4); a kept model takes one full step, which must not raise the
 energy and must lower the gradient norm, and never decides a stop.  It
 reads the guard, the energy and the gradient at each field or stack from
-one DataEvaluation.  Its start is row 0 of the stack of its first
+one Evaluation, bound once to the data; a trial is bound only once its
+guard has passed.  Its start is row 0 of the stack of its first
 Hessian, so the start costs no evaluation of its own, and it reports the
 residual_norm of the evaluation that gave its last gradient.  The
 iteration runs on arrays of coefficients: Grid.time_function gives the
@@ -211,13 +212,17 @@ def _rounding_floor(scale: float) -> float:
 def _assess(d: PhysicalData, field: np.ndarray) -> tuple:
     """A trial field's DataEvaluation and energy.
 
-    The energy is None when the guard margin is not positive, and inf (with
-    no DataEvaluation) when the Evaluation does not admit the field or its
-    projection does not embed.
+    The guard of the field's Evaluation is read before the field is bound
+    to the data: the energy is None, with no DataEvaluation, when the
+    margin is not positive, and inf (with none) when the Evaluation does
+    not admit the field or its projection does not embed.
     """
     try:
-        at_trial = d.evaluate(field)
-        return at_trial, at_trial.energy.total if at_trial.ev.guard > 0.0 else None
+        ev = evaluate(d.metric, field)
+        if not ev.guard > 0.0:
+            return None, None
+        at_trial = d.evaluate(ev)
+        return at_trial, at_trial.energy.total
     except (InvalidParameterError, NonEmbeddableError):
         # refused by the Evaluation, p_hat out of range, or a projection that does not embed
         return None, np.inf
@@ -281,7 +286,7 @@ def minimize_energy(
     energy_gradient does.  A start the Evaluation of the (2L + 1)-row
     stack does not admit raises InvalidParameterError naming row 0; then a
     start outside the guard raises GuardViolationError before anything is
-    lifted, and a start or a perturbed field whose lift fails raises
+    lifted or bound to the data, and a start or a perturbed field whose lift fails raises
     naming its row of the stack.
 
     MinimizeReport.stop says why the run ended: "gradient" when the
@@ -321,11 +326,12 @@ def minimize_energy(
 
     # the start and its 2L perturbations (_perturbed) as one stack: row 0
     # for the guard, the energy and the gradient, rows 1..2L for the
-    # calibration and H
-    stack = d.evaluate(np.concatenate([tau[None], _perturbed(tau, bumps)]))
-    margin = float(stack.ev.guard[0])
+    # calibration and H; bound to the data once the start passes the guard
+    lifted = evaluate(m, np.concatenate([tau[None], _perturbed(tau, bumps)]))
+    margin = float(lifted.guard[0])
     if not margin > 0.0:
         raise GuardViolationError(margin)
+    stack = d.evaluate(lifted)
 
     totals = stack.energy.total
     energy = float(totals[0])

@@ -43,11 +43,23 @@ def regular_metric(grid, bq, rho):
 
 # the normal-bundle fields of an Evaluation
 NORMAL_BUNDLE = ("lap_vt", "mean_sq", "breve_h", "breve_h4", "breve_alpha")
-# the fields of a DataEvaluation
+# the lazy fields of a DataEvaluation; the boost angle's sinh and angle are formed as it is constructed
 BOUND_FIELDS = (
-    "sinh", "angle", "cosh", "physical_term", "energy", "angle_form", "stationarity", "residual",
-    "residual_norm",
+    "cosh", "physical_term", "energy", "angle_form", "stationarity", "residual", "residual_norm",
 )
+
+
+def count_constructed(monkeypatch, cls):
+    """The instances of cls constructed, each recorded as its __init__ starts, the constructor unchanged."""
+    made = []
+    init = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return made
 
 
 def count_formed(monkeypatch, owner, names):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_formed, legendre_mode, regular_random_metric, random_time_profile
+from conftest import count_constructed, count_formed, legendre_mode, regular_random_metric, random_time_profile
 from reference import (
     canonical_gauge,
     comparison_f,
@@ -24,7 +24,7 @@ from quasilocal.geometry import (
     round_sphere,
     AxisymMetric,
 )
-from quasilocal.embedding import NonEmbeddableError, embed_lifted, mean_curvature
+from quasilocal.embedding import Evaluation, NonEmbeddableError, embed_lifted, mean_curvature
 from quasilocal.physdata import (
     PhysicalData,
     minkowski_surface_data,
@@ -165,16 +165,17 @@ class TestMeanCurvatureOnce:
 
 class TestDerivativesOnce:
     def test_qle_and_residual_share_tau_x_and_the_laplacian(self, monkeypatch):
-        # tau_theta, the Laplacian and the Hessian all come from the one tau_x
+        # one Evaluation serves both, and forms tau_x as it is constructed:
+        # tau_theta, the Laplacian and the Hessian all come from that tau_x
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, 1.0, 4.0)
-        ev = evaluate(d.metric, generic_tau(grid))
+        evaluations = count_constructed(monkeypatch, Evaluation)
 
         dx = Grid.dx
         of_tau = []
 
         def counting_dx(self, f):
-            if f is ev.tau:
+            if any(f is ev.tau for ev in evaluations):
                 of_tau.append(None)
             return dx(self, f)
 
@@ -189,10 +190,37 @@ class TestDerivativesOnce:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "quasilocal" and getattr(module, "laplacian", None) is laplacian:
                 monkeypatch.setattr(module, "laplacian", counting_laplacian)
+        ev = evaluate(d.metric, generic_tau(grid))
         qle(d, ev)
         residual(d, ev)
+        assert evaluations == [ev]
         assert len(of_tau) == 1
         assert laplacians == []
+
+
+class TestEagerFields:
+    """A field is formed as its owner is constructed only where every reader reads it.
+
+    The rest stay lazy for the readers that skip them (a guard-only lift
+    reads neither s1 nor the Laplacian), which eager fields slowed, so a
+    new eager field fails here.
+    """
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_a_new_evaluation_holds_tau_and_its_first_derivatives(self, rows):
+        grid = make_grid(32)
+        tau = generic_tau(grid) if rows is None else np.outer(np.arange(1.0, rows + 1), generic_tau(grid))
+        ev = evaluate(round_sphere(grid, 2.0), tau)
+        assert set(vars(ev)) == {"tau", "metric", "tau_x", "tau_theta"}
+
+    def test_a_new_binding_holds_its_inputs_and_the_boost_angle(self):
+        grid = make_grid(32)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        ev = evaluate(d.metric, generic_tau(grid))
+        bound = d.evaluate(ev)
+        assert set(vars(bound)) == {"metric", "norm_H", "alpha_H", "ev", "sinh", "angle"}
+        # the angle reads s1 and the Laplacian of the lift, nothing of its projection
+        assert set(vars(ev)) == {"tau", "metric", "tau_x", "tau_theta", "grad_sq", "one_plus_grad_sq", "s1", "lap"}
 
 
 class TestFormEquivalence:

@@ -9,6 +9,7 @@ from numpy.polynomial import legendre as npleg
 
 from conftest import (
     NORMAL_BUNDLE,
+    count_constructed,
     count_formed,
     legendre_mode,
     random_time_profile,
@@ -492,33 +493,37 @@ class TestMinimizeEnergy:
         with pytest.raises(InvalidParameterError, match=message):
             minimize_energy(d, TauCoefficients(coeffs))
 
-    def test_start_leaving_the_guard_and_the_length_range_is_a_guard_violation(self):
-        # the guard reads the start stack before its lift: 9e37 P3 fails both, while
-        # 9e37 P2 passes the guard and its lifted profile reaches 1.17e38 at node 2
+    def test_start_leaving_the_guard_and_the_length_range_is_a_guard_violation(self, monkeypatch):
+        # the guard reads the start stack before its lift and its binding to the
+        # data: 9e37 P3 fails both, while 9e37 P2 passes the guard and its
+        # lifted profile reaches 1.17e38 at node 2
         d = schwarzschild_sphere(make_grid(16), 0.5, 4.0)
+        bindings = count_constructed(monkeypatch, DataEvaluation)
         with pytest.raises(GuardViolationError):
             minimize_energy(d, TauCoefficients((0.0, 0.0, 9e37)))
+        assert bindings == []
         profile = re.escape("sqrt(P^2 + tau_theta^2)")
         with pytest.raises(InvalidParameterError, match=f"^{profile} must lie in .*{profile}\\[0, 2\\] = "):
             minimize_energy(d, TauCoefficients((0.0, 9e37)))
 
     @pytest.mark.parametrize("source", ["schwarzschild", "lift"])
     def test_boost_angle_is_formed_once_per_evaluated_stack_or_trial(self, source, monkeypatch):
-        # every lift whose energy or gradient is read forms s1, and is bound
-        # to the data once: the start stack, each Hessian stack and each
-        # trial past the guard form the angle once, by one DataEvaluation
+        # every lift whose energy or gradient is read is bound to the data
+        # once, and its binding forms s1 and the angle as it is constructed:
+        # the start stack, each Hessian stack and each trial past the guard
+        # form the angle once, by one DataEvaluation
         if source == "schwarzschild":
             d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
             init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
         else:
             d = lift_data([0.04, 0.01, -0.005], [0.03, -0.01, 0.002], [0.2, 0.0, 0.1])
             init = TauCoefficients((0.201, -0.002, 0.1) + (0.0,) * 5)
-        angles = count_formed(monkeypatch, DataEvaluation, ("angle",))["angle"]
+        bindings = count_constructed(monkeypatch, DataEvaluation)
         lifts = count_formed(monkeypatch, Evaluation, ("s1",))["s1"]
         report = minimize_energy(d, init)
         assert report.iterations >= 2
-        assert [bound.ev for bound in angles] == lifts
-        assert {bound.ev.tau.ndim for bound in angles} == {1, 2}  # trials and stacks
+        assert [bound.ev for bound in bindings] == lifts
+        assert {bound.ev.tau.ndim for bound in bindings} == {1, 2}  # trials and stacks
 
     def test_overflowing_trial_is_rejected_before_any_arithmetic(self, monkeypatch):
         # a trial field beyond the length range has no Evaluation, so no guard
@@ -665,6 +670,27 @@ class TestMinimizeEnergy:
         assert report.stop == "gradient"
         assert abs(report.energy_star - schwarzschild_energy(1.0, 4.0)) <= 1e-9 * report.energy_star
         assert report == dataclasses.replace(rebuilt, guard_active=True)
+
+    def test_trial_outside_the_guard_is_not_bound_to_the_data(self, monkeypatch):
+        # the guard of a trial's Evaluation is read before the trial is
+        # bound, so a kept step moved past the guard by 3 P3 forms no boost
+        # angle, and every trial inside the guard is bound once
+        d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+        kept = optimize_module._kept_direction
+
+        def past_the_guard(*args):
+            direction = kept(*args)
+            return None if direction is None else direction + 3.0 * np.eye(8)[2]
+
+        monkeypatch.setattr(optimize_module, "_kept_direction", past_the_guard)
+        guarded = count_guards(monkeypatch)
+        bindings = count_constructed(monkeypatch, DataEvaluation)
+        report = minimize_energy(d, TauCoefficients((0.0, 0.05) + (0.0,) * 6))
+        trials = [ev for ev in guarded if ev.tau.ndim == 1]
+        rejected = [ev for ev in trials if not ev.guard > 0.0]
+        assert report.guard_active and rejected
+        bound = [b.ev for b in bindings if b.ev.tau.ndim == 1]
+        assert bound == [ev for ev in trials if ev.guard > 0.0]
 
     @pytest.mark.parametrize("scale", sorted(MOST_ITERATIONS_REBUILT))
     def test_seeded_starts_converge_with_kept_models(self, scale):

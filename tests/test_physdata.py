@@ -10,6 +10,7 @@ import quasilocal.embedding as embedding_module
 from conftest import (
     BOUND_FIELDS,
     MODE_WEIGHTS,
+    count_constructed,
     count_formed,
     legendre_mode,
     random_time_profile,
@@ -167,16 +168,19 @@ class TestSharedLift:
         }
 
     def test_energy_residual_and_gradient_at_tau0_form_each_field_once(self, monkeypatch):
-        # the kept DataEvaluation serves all three: the boost angle, the
-        # physical term and the stationarity terms once, cosh only for the
-        # terms, neither the angle form nor the residual's norm
+        # the kept DataEvaluation serves all three: the boost angle (formed
+        # as it is constructed), the physical term and the stationarity
+        # terms once, cosh only for the terms, neither the angle form nor
+        # the residual's norm
         d, tau0, coeffs = lift_data(32)
+        bindings = count_constructed(monkeypatch, DataEvaluation)
         formed = count_formed(monkeypatch, DataEvaluation, BOUND_FIELDS)
         qle(d, tau0)
         residual(d, tau0)
         energy_gradient(d, coeffs)
         bound = d.evaluate(tau0)
         assert bound.ev is d.lift
+        assert bindings == [bound]
         unread = ("angle_form", "residual_norm")
         assert formed == {name: [] if name in unread else [bound] for name in BOUND_FIELDS}
 
@@ -239,11 +243,10 @@ class TestSharedLift:
         flipped[5] = -0.0
         assert np.array_equal(flipped, tau0)
         assert d.evaluate(flipped).ev is not d.lift
-        # each -0.0 field gets a fresh lift of its own, which forms its own angle
-        formed = count_formed(monkeypatch, DataEvaluation, ("angle",))
+        # each -0.0 field gets a fresh lift of its own, bound anew, which forms its own angle
+        fresh = count_constructed(monkeypatch, DataEvaluation)
         qle(d, flipped)
         qle(d, flipped)
-        fresh = formed["angle"]
         assert len(fresh) == 2
         assert all(b.ev is not d.lift and b.ev.tau.tobytes() == flipped.tobytes() for b in fresh)
 

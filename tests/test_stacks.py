@@ -122,3 +122,33 @@ def test_first_failing_row_is_named():
     with pytest.raises(NonEmbeddableError) as exc:
         embed_r3(AxisymMetric(GRID, profiles, m.Q))
     assert exc.value.row == 1
+
+
+def two_row_metric():
+    """Two profiles on one Q whose Gauss curvatures have different least values."""
+    x = GRID.x
+    Q = 1.0 + 0.02 * x
+    return AxisymMetric(GRID, np.stack([Q * (1.0 + 0.3 * (1.0 - x * x)), Q * (1.0 - 0.2 * x * (1.0 - x * x))]), Q)
+
+
+def test_guard_of_a_metric_stack_reads_each_row_alone():
+    # each row's margin takes the least K of its own row, not of the stack
+    m = two_row_metric()
+    taus = np.stack([0.05 * GRID.x] * 2)
+    guards = convexity_guard(m, taus)
+    assert guards.shape == (2,)
+    for P, tau, guard in zip(m.P, taus, guards):
+        alone = AxisymMetric(GRID, P, m.Q)
+        assert abs(guard - convexity_guard(alone, tau)) <= 64 * EPS * D_NORM * np.max(np.abs(alone.K))
+
+
+def test_area_radius_of_a_metric_stack_is_one_per_row():
+    m = two_row_metric()
+    radii = m.area_radius
+    assert radii.shape == (2,)
+    for P, radius in zip(m.P, radii):
+        alone = AxisymMetric(GRID, P, m.Q).area_radius
+        assert isinstance(alone, float)
+        assert abs(radius - alone) <= 64 * EPS * alone
+    with pytest.raises(ValueError):
+        radii[0] = 1.0
