@@ -52,6 +52,7 @@ from .geometry import (
     _divergence_from_x_component,
     _hessian,
     _integrate,
+    _read_only,
     lazy,
 )
 
@@ -89,8 +90,11 @@ class Evaluation:
     metric is shared by every row.  The constructor admits tau, finite
     with |tau| <= LENGTH_MAX, by geometry._admit, whose error names the
     first bad row and node, and forms tau_x = dtau/dx and tau_theta, which
-    every reader reads.  Every other field is computed when first read
-    and then kept, because some reader skips it:
+    every reader reads.  It reads the tau it is given without a copy,
+    where a metric or data keep read-only copies: whatever keeps an
+    Evaluation owns its tau, as minkowski_surface_data does.  Every other
+    field is computed when first read and then kept, because some reader
+    skips it:
 
     - s1 and lap (the Laplacian): a guard-only lift, such as a trial or
       sample outside the guard;
@@ -236,11 +240,15 @@ class Evaluation:
         return proj.hhat_tt * self.tau_theta / (self.metric.P * proj.P)
 
     def rows(self, keep: np.ndarray) -> Evaluation:
-        """The Evaluation of rows keep of a stack, with the array fields read here; no new admission."""
+        """The Evaluation of rows keep of a stack, with the array fields read here; no new admission.
+
+        A metric stack's P is sliced with the rows, so each kept row keeps
+        its own profile; a one-profile metric is shared as it is.
+        """
         if keep.all():
             return self
         sub = object.__new__(Evaluation)
-        sub.metric = self.metric
+        sub.metric = self.metric if self.metric.P.ndim == 1 else self.metric._with_P(_read_only(self.metric.P[keep]))
         sub.__dict__.update((k, v[keep]) for k, v in vars(self).items() if isinstance(v, np.ndarray))
         return sub
 

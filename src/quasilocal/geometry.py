@@ -364,6 +364,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a: what a metric or data keep of an array they are given."""
+    return _read_only(a.copy())
+
+
 class lazy:
     """A field computed by func when first read, then kept in the instance __dict__.
 
@@ -403,7 +408,9 @@ class AxisymMetric:
     poles corresponds to profiles smooth in x with P = Q at x = +-1; all
     constructors in this package produce such profiles.  P may be a
     (k, n) stack of profiles sharing Q.  The constructor is the only
-    admission of a metric.
+    admission of a metric, and it keeps a read-only copy of each profile
+    it admits: what an object keeps, it owns, so writing to the caller's
+    arrays later leaves the metric and every field it cached as they were.
 
     The fields that depend on the metric alone (u' with u = Q sin(theta),
     the u'' term of the second fundamental form, the Gauss curvature K,
@@ -435,13 +442,14 @@ class AxisymMetric:
     Q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _admit(self.grid, "P", self.P, lengths=True, stack=True))
-        object.__setattr__(self, "Q", _admit(self.grid, "Q", self.Q, lengths=True))
+        object.__setattr__(self, "P", _owned(_admit(self.grid, "P", self.P, lengths=True, stack=True)))
+        object.__setattr__(self, "Q", _owned(_admit(self.grid, "Q", self.Q, lengths=True)))
 
     def _with_P(self, P: np.ndarray) -> "AxisymMetric":
         """The metric with profile P and this Q, sharing the Q-only fields.
 
-        P is Evaluation.p_hat, admitted where it is formed; nothing is tested again.
+        P is Evaluation.p_hat, admitted where it is formed, or the rows of
+        this metric's P that Evaluation.rows keeps; nothing is tested again.
         """
         other = object.__new__(AxisymMetric)
         other.__dict__.update(

@@ -16,9 +16,16 @@ that lift, bound once, for the data's own time function, given bit for
 bit, so the energy, the residual and the gradient at tau0 share the lift
 and its fields.  PhysicalData.compared_at gives Sigma_tau0, the data of
 the lift at tau0, with the data bound to its lift: the comparison both
-suites make.  It owns the one rule of what is kept: Sigma_0 and that
+suites make.  It decides which comparisons are kept: Sigma_0 and that
 binding are formed once per data, however often the suites run, and
 every other tau0 is lifted anew.
+
+Every array data keep is theirs: PhysicalData keeps a read-only copy of
+the |H| and alpha_H it admits, as AxisymMetric does of P and Q, and
+minkowski_surface_data lifts a read-only copy of tau0, so nothing a
+caller writes to its arrays later reaches what data have formed or will
+form.  An Evaluation reads the tau it is given; whatever keeps one owns
+its tau.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:
@@ -57,7 +64,7 @@ from .geometry import (
     InvalidParameterError,
     _admit,
     _check_field,
-    _read_only,
+    _owned,
     lazy,
     make_grid,
     round_sphere,
@@ -91,8 +98,9 @@ class PhysicalData:
     a curvature and must lie in [1/LENGTH_MAX, LENGTH_MAX], and alpha_H
     must be at most LENGTH_MAX in size, so that the energy's squares and
     products of them stay finite; the constructor admits both by
-    geometry._admit, which names the first bad node, as AxisymMetric
-    admits P and Q.  The metric's P must be one profile, not a stack.
+    geometry._admit, which names the first bad node, and keeps a
+    read-only copy of each, as AxisymMetric does of P and Q.  The
+    metric's P must be one profile, not a stack.
 
     lift is not a constructor argument: it is None, except on data built
     by minkowski_surface_data, which sets it to the lift of its own copy
@@ -112,8 +120,8 @@ class PhysicalData:
     def __post_init__(self):
         grid = self.metric.grid
         _check_field(grid, "P", self.metric.P)  # the data of one surface, not a stack
-        object.__setattr__(self, "norm_H", _admit(grid, "normH", self.norm_H, lengths=True))
-        object.__setattr__(self, "alpha_H", _admit(grid, "alpha_theta", self.alpha_H, lengths=False))
+        object.__setattr__(self, "norm_H", _owned(_admit(grid, "normH", self.norm_H, lengths=True)))
+        object.__setattr__(self, "alpha_H", _owned(_admit(grid, "alpha_theta", self.alpha_H, lengths=False)))
 
     @lazy
     def _own(self) -> DataEvaluation:
@@ -129,11 +137,12 @@ class PhysicalData:
     def compared_at(self, tau0: np.ndarray) -> tuple[PhysicalData, DataEvaluation]:
         """Sigma_tau0 and these data evaluated on its lift, the comparison at tau0.
 
-        tau0 must be one field of node values.  One whose bytes are all
-        those of +0.0 gives Sigma_0 and its binding, formed once and kept;
-        any other, -0.0 included, is lifted anew by minkowski_surface_data.
+        tau0 must be one field of node values; only its shape and bytes
+        are read here.  One whose bytes are all those of +0.0 gives
+        Sigma_0 and its binding, formed once and kept; any other, -0.0
+        included, is lifted anew by minkowski_surface_data, from its copy.
         """
-        tau0 = _check_field(self.metric.grid, "tau0", np.array(tau0, dtype=float))
+        tau0 = _check_field(self.metric.grid, "tau0", tau0)
         if tau0.tobytes() == bytes(tau0.nbytes):
             return self._rest
         reference = minkowski_surface_data(self.metric, tau0)
@@ -204,14 +213,12 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
     differential of the boost angle, alpha_H = breve_alpha - d beta.
 
     tau0 is an array of node values of shape (n,).  It is lifted from a
-    read-only copy, which the data keep as their lift, so changing the
-    caller's array later cannot leave the lift stale; every call lifts
-    anew, a zero tau0 included (PhysicalData.compared_at keeps one such
-    lift per data for the comparison suites).  The data's norm_H and
-    alpha_H are read-only too, since the lift bound to them keeps them.
+    read-only copy, which the data keep as their lift, as they keep
+    read-only copies of the norm_H and alpha_H formed here; every call
+    lifts anew, a zero tau0 included (PhysicalData.compared_at keeps one
+    such lift per data for the comparison suites).
     """
-    tau0 = _check_field(m.grid, "tau0", np.array(tau0, dtype=float))
-    lift = Evaluation(m, _read_only(tau0))
+    lift = Evaluation(m, _owned(_check_field(m.grid, "tau0", tau0)))
     j = int(lift.mean_sq.argmin())
     if lift.mean_sq[j] <= 0.0:
         raise NonSpacelikeMeanCurvatureError(lift.mean_sq, j)
@@ -222,8 +229,7 @@ def minkowski_surface_data(m: AxisymMetric, tau0: np.ndarray) -> PhysicalData:
             "the lifted surface is not convex enough to frame H"
         )
     norm_h = np.sqrt(lift.mean_sq)
-    alpha_h = lift.breve_alpha - m.grid.dtheta(np.arcsinh(lift.breve_h4 / norm_h))
-    d = PhysicalData(metric=m, norm_H=_read_only(norm_h), alpha_H=_read_only(alpha_h))
+    d = PhysicalData(m, norm_h, lift.breve_alpha - m.grid.dtheta(np.arcsinh(lift.breve_h4 / norm_h)))
     object.__setattr__(d, "lift", lift)
     return d
 

@@ -76,6 +76,7 @@ import numpy as np
 from .geometry import (
     AxisymMetric,
     Grid,
+    _admit,
     _check_field,
     _divergence_from_x_component,
     _hessian,
@@ -459,8 +460,8 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     """
     m = d.metric
     g = m.grid
-    samples = _samples(g, tau_samples, _default_profiles(g))
-    sampled = evaluate(m, samples)  # admits the samples, naming a bad one's row
+    # admitted as an Evaluation admits a time function, naming a bad sample's row
+    samples = _admit(g, "tau", _samples(g, tau_samples, _default_profiles(g)), lengths=False, stack=True)
     r = m.area_radius
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0
@@ -485,7 +486,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     family = on_rest.energy.total.reshape(-1, n_s)
     # each member pairs with its own profile: a diagonal of all the pairings
     profiles, own = samples[admitted], np.arange(admitted.size)
-    variations = on_rest.first_variation(profiles.T, sampled.tau_x[admitted].T)
+    variations = on_rest.first_variation(profiles.T, g.dx(samples)[admitted].T)
     slope, reference_slope = (v.reshape(own.size, n_s, own.size)[own, :, own] for v in variations)
     ode = (slope[:, interior] - family[:, interior] / s_grid[interior]).min(axis=1)
 

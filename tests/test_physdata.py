@@ -30,7 +30,10 @@ from quasilocal.geometry import (
 from quasilocal.embedding import embed_r3, evaluate, mean_curvature
 from quasilocal.energy import DataEvaluation, breve_gauge, qle, qle_angle_form, residual
 from quasilocal.optimize import TauCoefficients, energy_gradient, tau_from_coefficients
+from quasilocal.verify import check_theorem1, check_theorem3, format_report
 from quasilocal.physdata import (
+    DATA_FAMILIES,
+    METRIC_FAMILIES,
     DataFormatError,
     HorizonError,
     PhysicalData,
@@ -516,3 +519,94 @@ def test_array_dataclasses_compare_by_identity(kind):
     assert type(x).__name__ == kind
     assert x == x and (x == y) is False
     assert hash(x) == hash(x)
+
+
+# example parameters of every family the command line builds: a family
+# added to DATA_FAMILIES or METRIC_FAMILIES needs a row here, so that its
+# kept arrays are checked below
+FAMILY_EXAMPLES = {"schwarzschild": (1.0, 4.0), "sphere": (2.0,)}
+
+
+def test_every_family_has_example_parameters():
+    for families in (DATA_FAMILIES, METRIC_FAMILIES):
+        for name, (_, params) in families.items():
+            assert len(FAMILY_EXAMPLES[name]) == len(params), name
+
+
+def caller_arrays(grid):
+    """P, Q, normH and alpha_theta of a pole-regular surface, fresh writable arrays a caller holds."""
+    x = grid.x
+    Q = 1.0 + 0.02 * x
+    return {
+        "P": Q * (1.0 + 0.1 * (1.0 - x * x)),
+        "Q": Q,
+        "normH": 0.3 + 0.01 * x,
+        "alpha_theta": 0.01 * (1.0 - x * x),
+    }
+
+
+def from_arrays(grid, arrays):
+    return PhysicalData(
+        AxisymMetric(grid, arrays["P"], arrays["Q"]), arrays["normH"], arrays["alpha_theta"]
+    )
+
+
+def built_by(source, grid, tmp_path):
+    """(what source builds on grid, the arrays its caller passed and still holds)."""
+    if source in DATA_FAMILIES or source in METRIC_FAMILIES:
+        builder, _ = {**DATA_FAMILIES, **METRIC_FAMILIES}[source]
+        return builder(grid, *FAMILY_EXAMPLES[source]), []
+    if source == "load_physical_data":
+        path = tmp_path / "d.dat"
+        store_physical_data(from_arrays(grid, caller_arrays(grid)), path)
+        return load_physical_data(path), []
+    if source == "minkowski_surface_data":
+        tau0 = 0.1 * grid.x
+        return minkowski_surface_data(round_sphere(grid, 2.0), tau0), [tau0]
+    arrays = caller_arrays(grid)
+    if source == "AxisymMetric":
+        return AxisymMetric(grid, arrays["P"], arrays["Q"]), [arrays["P"], arrays["Q"]]
+    return from_arrays(grid, arrays), list(arrays.values())
+
+
+def kept_arrays(built):
+    """name -> every array a built metric or datum keeps."""
+    if isinstance(built, AxisymMetric):
+        return {"P": built.P, "Q": built.Q}
+    kept = {"P": built.metric.P, "Q": built.metric.Q, "norm_H": built.norm_H, "alpha_H": built.alpha_H}
+    if built.lift is not None:
+        kept["lift.tau"] = built.lift.tau
+    return kept
+
+
+BUILDERS = [*DATA_FAMILIES, *METRIC_FAMILIES, "load_physical_data", "minkowski_surface_data",
+            "AxisymMetric", "PhysicalData"]
+
+
+@pytest.mark.parametrize("source", BUILDERS)
+def test_every_kept_array_is_an_owned_read_only_copy(source, tmp_path):
+    # an object that keeps an array owns it: a read-only array with no
+    # writable base behind it, sharing no memory with what the caller holds
+    built, held = built_by(source, make_grid(32), tmp_path)
+    for name, kept in kept_arrays(built).items():
+        assert not kept.flags.writeable, name
+        assert kept.flags.owndata, name
+        assert not any(np.shares_memory(kept, mine) for mine in held), name
+
+
+@pytest.mark.parametrize("name", ["P", "Q", "normH", "alpha_theta"])
+def test_caller_changing_an_array_in_place_leaves_the_reports(name):
+    # after a suite run has formed what the data keep (the metric's fields,
+    # Sigma_0 and its binding), writing to the caller's array changes
+    # nothing: the reports equal those of data built from copies
+    grid = make_grid(32)
+    arrays = caller_arrays(grid)
+    d = from_arrays(grid, arrays)
+    fresh = from_arrays(grid, {key: value.copy() for key, value in arrays.items()})
+
+    def reports(data):
+        return format_report(check_theorem1(data, np.zeros(32))) + format_report(check_theorem3(data))
+
+    before = reports(d)
+    arrays[name] *= 0.9
+    assert reports(d) == reports(fresh) == before

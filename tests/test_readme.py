@@ -1,4 +1,6 @@
-"""Every command of the README's command-line block runs as documented."""
+"""Every command of the README's command-line block runs as documented,
+and every Python example of its "Evaluations" section runs after the
+section's preamble."""
 
 import re
 import shlex
@@ -31,3 +33,18 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     assert len(commands) >= 9
     for argv, status in commands:
         assert main(argv) == status, argv
+
+
+def evaluation_examples():
+    """The Python blocks of the "Evaluations" section, in order; the first is their preamble."""
+    section = README.read_text().split("## Evaluations", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+def test_evaluation_examples_run_after_the_preamble():
+    preamble, *examples = evaluation_examples()
+    assert len(examples) == 3
+    for example in examples:
+        namespace = {}
+        exec(preamble, namespace)
+        exec(example, namespace)

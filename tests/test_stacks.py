@@ -152,3 +152,27 @@ def test_area_radius_of_a_metric_stack_is_one_per_row():
         assert abs(radius - alone) <= 64 * EPS * alone
     with pytest.raises(ValueError):
         radii[0] = 1.0
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_rows_of_a_metric_stack_keep_their_own_profiles(row):
+    # rows slices the metric's P rows with the arrays, so the fields a
+    # sub-Evaluation forms later read the kept row's own profile
+    m = two_row_metric()
+    keep = np.arange(2) == row
+    sub = evaluate(m, np.stack([0.05 * GRID.x] * 2)).rows(keep)
+    assert sub.metric.P.tobytes() == m.P[row].tobytes()
+    assert sub.metric.Q is m.Q
+    with pytest.raises(ValueError, match="read-only"):
+        sub.metric.P[0, 0] = 1.0
+    alone = evaluate(AxisymMetric(GRID, m.P[row], m.Q), 0.05 * GRID.x)
+    assert sub.reference.shape == (1,)
+    assert abs(sub.reference[0] - alone.reference) <= 64 * EPS * D_NORM * abs(alone.reference)
+    assert abs(sub.guard[0] - alone.guard) <= 64 * EPS * D_NORM * np.max(np.abs(alone.metric.K))
+
+
+def test_rows_of_a_one_profile_metric_share_the_metric():
+    m = round_sphere(GRID)
+    sub = evaluate(m, np.stack([0.05 * GRID.x, 0.1 * GRID.x])).rows(np.array([False, True]))
+    assert sub.metric is m
+    assert evaluate(m, sub) is sub

@@ -442,6 +442,15 @@ class TestEachTimeFunctionIsEvaluatedOnce:
         assert check_theorem1(schwarzschild_sphere(grid, 1.0, 4.0), np.zeros(32)).passed
         assert sum(len(np.atleast_2d(ev.tau)) for ev in evaluations) == 38
 
+    def test_theorem3_derives_each_time_function_once(self, monkeypatch):
+        # the rest profile (lifted by d.compared_at), then the 3 profiles'
+        # s-families as one stack: the profiles themselves are admitted and
+        # differentiated, never lifted as a stack of their own
+        grid = make_grid(32)
+        evaluations = count_constructed(monkeypatch, Evaluation)
+        assert check_theorem3(schwarzschild_sphere(grid, 1.0, 4.0)).passed
+        assert [len(np.atleast_2d(ev.tau)) for ev in evaluations] == [1, 3 * len(chebyshev_s_grid())]
+
     def test_theorem3_evaluates_the_physical_energy_at_s_1_only(self, monkeypatch):
         # the rest profile (bound by d.compared_at), then the s = 1 row of each of the 3 families
         grid = make_grid(32)
