@@ -52,7 +52,6 @@ from .geometry import (
     _divergence_from_x_component,
     _hessian,
     _integrate,
-    _read_only,
     lazy,
 )
 
@@ -200,7 +199,11 @@ class Evaluation:
 
     @lazy
     def projected(self) -> AxisymMetric:
-        """The lifted metric sigma + dtau x dtau, profile p_hat, not tested again; it embeds."""
+        """The lifted metric sigma + dtau x dtau, profile p_hat, not tested again; it embeds.
+
+        Derived by AxisymMetric._with_P, it holds p_hat read-only, as every
+        metric the package derives holds its profile.
+        """
         return embed_r3(self.metric._with_P(self.p_hat))
 
     @lazy
@@ -243,12 +246,14 @@ class Evaluation:
         """The Evaluation of rows keep of a stack, with the array fields read here; no new admission.
 
         A metric stack's P is sliced with the rows, so each kept row keeps
-        its own profile; a one-profile metric is shared as it is.
+        its own profile, read-only as _with_P holds it; a one-profile
+        metric is shared as it is.  The other arrays are copies of the
+        rows, writable like every array an Evaluation forms.
         """
         if keep.all():
             return self
         sub = object.__new__(Evaluation)
-        sub.metric = self.metric if self.metric.P.ndim == 1 else self.metric._with_P(_read_only(self.metric.P[keep]))
+        sub.metric = self.metric if self.metric.P.ndim == 1 else self.metric._with_P(self.metric.P[keep])
         sub.__dict__.update((k, v[keep]) for k, v in vars(self).items() if isinstance(v, np.ndarray))
         return sub
 

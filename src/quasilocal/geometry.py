@@ -448,12 +448,14 @@ class AxisymMetric:
     def _with_P(self, P: np.ndarray) -> "AxisymMetric":
         """The metric with profile P and this Q, sharing the Q-only fields.
 
-        P is Evaluation.p_hat, admitted where it is formed, or the rows of
-        this metric's P that Evaluation.rows keeps; nothing is tested again.
+        The one place a metric is derived: P is Evaluation.p_hat, admitted
+        where it is formed, or the rows of this metric's P that
+        Evaluation.rows keeps, arrays no caller holds; nothing is tested
+        again, and P is marked read-only, as the constructor's copy is.
         """
         other = object.__new__(AxisymMetric)
         other.__dict__.update(
-            grid=self.grid, P=P, Q=self.Q, u_prime=self.u_prime, u_second=self.u_second
+            grid=self.grid, P=_read_only(P), Q=self.Q, u_prime=self.u_prime, u_second=self.u_second
         )
         return other
 

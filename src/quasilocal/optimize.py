@@ -14,10 +14,12 @@ Hessian is positive and varies slowly, so a model that needed no
 modification and predicts a small decrease is kept for the next iterate
 instead of being built again (a lagged Newton model, Kelley 1995,
 section 5.4); a kept model takes one full step, which must not raise the
-energy and must lower the gradient norm, and never decides a stop.  It
-reads the guard, the energy and the gradient at each field or stack from
-one Evaluation, bound once to the data; a trial is bound only once its
-guard has passed.  Its start is row 0 of the stack of its first
+energy and must lower the gradient norm, and never decides a stop.  The
+kept step and every line-search step are one kind of trial: a trial
+field that rounds to the current one is refused without an evaluation.
+It reads the guard, the energy and the gradient at each field or stack
+from one Evaluation, bound once to the data; a trial is bound only once
+its guard has passed.  Its start is row 0 of the stack of its first
 Hessian, so the start costs no evaluation of its own, and it reports the
 residual_norm of the evaluation that gave its last gradient.  The
 iteration runs on arrays of coefficients: Grid.time_function gives the
@@ -195,37 +197,40 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _term_scale(reference: float, energy: float) -> float:
-    """max(1, |reference_term|, |physical_term|) at an iterate of that energy.
+def _rounding(reference: float, energy: float) -> tuple:
+    """The term scale and the energy's rounding floor at an iterate of that energy.
 
-    The energy is the difference of its two terms, so its rounding scales
-    with them, not with the energy, which vanishes on lift data.
+    The scale is max(1, |reference_term|, |physical_term|) and the floor
+    16 eps times it.  The energy is the difference of its two terms, so
+    its rounding scales with them, not with the energy, which vanishes on
+    lift data.
     """
-    return max(1.0, abs(reference), abs(reference - energy))
+    scale = max(1.0, abs(reference), abs(reference - energy))
+    return scale, 16.0 * EPS * scale
 
 
-def _rounding_floor(scale: float) -> float:
-    """16 eps times the term scale: the energy's rounding floor at an iterate."""
-    return 16.0 * EPS * scale
+def _trial(d: PhysicalData, tau: np.ndarray, coeffs: np.ndarray) -> tuple | None:
+    """The field of trial coefficients, its DataEvaluation and energy; None when it rounds to tau.
 
-
-def _assess(d: PhysicalData, field: np.ndarray) -> tuple:
-    """A trial field's DataEvaluation and energy.
-
-    The guard of the field's Evaluation is read before the field is bound
-    to the data: the energy is None, with no DataEvaluation, when the
-    margin is not positive, and inf (with none) when the Evaluation does
-    not admit the field or its projection does not embed.
+    A field equal at every node to the current field tau is the current
+    iterate, refused without an evaluation.  Otherwise the guard of the
+    field's Evaluation is read before the field is bound to the data: the
+    energy is None, with no DataEvaluation, when the margin is not
+    positive, and inf (with none) when the Evaluation does not admit the
+    field or its projection does not embed.
     """
+    field = d.metric.grid.time_function(coeffs)
+    if (field == tau).all():
+        return None
     try:
         ev = evaluate(d.metric, field)
         if not ev.guard > 0.0:
-            return None, None
+            return field, None, None
         at_trial = d.evaluate(ev)
-        return at_trial, at_trial.energy.total
+        return field, at_trial, at_trial.energy.total
     except (InvalidParameterError, NonEmbeddableError):
         # refused by the Evaluation, p_hat out of range, or a projection that does not embed
-        return None, np.inf
+        return field, None, np.inf
 
 
 def minimize_energy(
@@ -256,11 +261,12 @@ def minimize_energy(
     decrement g.H^-1 g / 2 at the new iterate is below KEEP_DECREMENT times
     the term scale max(1, |reference_term|, |physical_term|); that test is
     made only when another iteration follows.  A kept H takes one full
-    step, accepted only if the trial is admitted, passes the guard, does
-    not raise the energy and lowers the gradient norm; otherwise H is
-    rebuilt at that iterate and the iteration runs as above.  So only a
-    freshly built H ends a run on the decrement, and a modified model (lift
-    data's boost orbit) is rebuilt at every iterate.
+    step, accepted only if the trial field differs from the current one,
+    is admitted, passes the guard, does not raise the energy and lowers
+    the gradient norm; otherwise H is rebuilt at that iterate and the
+    iteration runs as above.  So only a freshly built H ends a run on the
+    decrement, and a modified model (lift data's boost orbit) is rebuilt
+    at every iterate.
 
     Steps leaving the
     convexity region, the length range or the embeddable family are
@@ -301,7 +307,9 @@ def minimize_energy(
     STEP_FLOOR) or one whose energy ties the current energy.  The run
     ends at the current iterate.  No step above that floor raises
     LineSearchError.  Each trial field is evaluated once, for the guard,
-    the energy and, if accepted, the gradient.
+    the energy and, if accepted, the gradient; a kept or line-search
+    trial field that rounds to the current field is refused without an
+    evaluation.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
@@ -335,7 +343,7 @@ def minimize_energy(
 
     totals = stack.energy.total
     energy = float(totals[0])
-    scale = _term_scale(float(stack.ev.reference[0]), energy)
+    scale, floor = _rounding(float(stack.ev.reference[0]), energy)
     grads = stack.first_variation(*modes)[0]
     grad = grads[0]
     grad_norm = _norm(grad)
@@ -344,7 +352,6 @@ def minimize_energy(
     # differences below the energy's rounding floor over the step are rounding
     fd = _fd_gradient(totals[1:], fd_step)
     fd_norm = _norm(fd)
-    floor = _rounding_floor(scale)
     calibration = _norm(fd - grad) / fd_norm if fd_norm > floor / fd_step else 0.0
     model = _hessian(grads[1:], fd_step)
     least = float(model[0][0])
@@ -354,23 +361,9 @@ def minimize_energy(
     iterations = 0
 
     while iterations < max_iterations and grad_norm >= tol:
-        accepted = False
         # the Newton step of the model of the last iterate, if kept
         kept = _kept_direction(model, grad, scale) if iterations else None
-        if kept is not None:
-            # one full step on the kept model, accepted only if it does not
-            # raise the energy and lowers the gradient norm; otherwise H is
-            # rebuilt at this iterate and the iteration runs as below
-            trial = coeffs + kept
-            field = grid.time_function(trial)
-            at_trial, trial_energy = _assess(d, field)
-            if trial_energy is None:
-                guard_active = True
-            elif trial_energy <= energy:
-                trial_grad = at_trial.first_variation(*modes)[0]
-                trial_norm = _norm(trial_grad)
-                accepted = trial_norm < grad_norm
-        if not accepted:
+        if kept is None:
             if iterations > 0:
                 try:
                     model = _hessian(
@@ -385,42 +378,49 @@ def minimize_energy(
             if newton is not None and -0.5 * slope < floor:
                 stop = "decrement"
                 break
+            shortest = STEP_FLOOR
+        else:
+            # one full step, never shortened: it needs no Armijo decrease
+            # (slope 0), only no rise in the energy and a lower gradient norm
+            direction, slope, shortest = kept, 0.0, 1.0
 
-            step = 1.0
-            while step >= STEP_FLOOR:
-                trial = coeffs + step * direction
-                field = grid.time_function(trial)
-                if (field == tau).all():
-                    break
-                at_trial, trial_energy = _assess(d, field)
-                if trial_energy is None:
-                    guard_active = True
-                else:
-                    # strict decrease below the rounding floor cannot be
-                    # certified; accept any non-increasing step there
-                    predicted = -ARMIJO * step * slope
-                    if trial_energy <= energy - (predicted if predicted >= floor else 0.0):
-                        accepted = True
-                        break
-                step *= 0.5
-            if (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * floor:
-                stop = "rounding-floor"
+        accepted = False
+        step = 1.0
+        while step >= shortest:
+            trial = coeffs + step * direction
+            assessed = _trial(d, tau, trial)
+            if assessed is None:
                 break
-            if not accepted:
-                raise LineSearchError(
-                    f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
-                )
+            field, at_trial, trial_energy = assessed
+            if trial_energy is None:
+                guard_active = True
+            else:
+                # strict decrease below the rounding floor cannot be
+                # certified; accept any non-increasing step there
+                predicted = -ARMIJO * step * slope
+                if trial_energy <= energy - (predicted if predicted >= floor else 0.0):
+                    accepted = True
+                    break
+            step *= 0.5
+        if kept is None and (not accepted or trial_energy >= energy) and -slope < FLOOR_MULTIPLE * floor:
+            stop = "rounding-floor"
+            break
+        if accepted:
             trial_grad = at_trial.first_variation(*modes)[0]
             trial_norm = _norm(trial_grad)
+        if kept is not None and not (accepted and trial_norm < grad_norm):
+            # a refused kept step drops the model, which _kept_direction
+            # needs, so the iteration runs again here on an H built here
+            model = None
+            continue
+        if not accepted:
+            raise LineSearchError(
+                f"no acceptable step above {STEP_FLOOR:.1e} at iteration {iterations}"
+            )
 
-        tau = field
-        coeffs = trial
-        energy = trial_energy
-        scale = _term_scale(at_trial.ev.reference, energy)
-        floor = _rounding_floor(scale)
-        grad = trial_grad
-        grad_norm = trial_norm
-        last = at_trial
+        tau, coeffs, energy, last = field, trial, trial_energy, at_trial
+        scale, floor = _rounding(at_trial.ev.reference, energy)
+        grad, grad_norm = trial_grad, trial_norm
         trace.append(energy)
         iterations += 1
     else:

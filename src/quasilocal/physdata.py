@@ -24,8 +24,11 @@ Every array data keep is theirs: PhysicalData keeps a read-only copy of
 the |H| and alpha_H it admits, as AxisymMetric does of P and Q, and
 minkowski_surface_data lifts a read-only copy of tau0, so nothing a
 caller writes to its arrays later reaches what data have formed or will
-form.  An Evaluation reads the tau it is given; whatever keeps one owns
-its tau.
+form.  A metric the package derives (a lift's projection, the rows of a
+metric stack) holds its profile read-only too, so no write reaches the
+projection of a kept lift.  An Evaluation reads the tau it is given, and
+the other arrays it forms stay writable: whatever keeps one owns its tau
+and them.
 
 Files are whitespace-separated decimal tables with one comment line
 declaring the grid size and one header line naming the columns:

@@ -650,6 +650,31 @@ class TestMinimizeEnergy:
         assert any(offered)
         assert len(built) == 1 + rebuilt.iterations - (rebuilt.stop == "gradient")
 
+    def test_kept_step_that_rounds_to_the_iterate_is_refused_unevaluated(self, monkeypatch):
+        # a kept step of 1e-300 times the Newton step leaves the field as it
+        # is: it is refused as a line-search step that rounds to the current
+        # field is, with no Evaluation, and the iteration runs as one
+        # without a kept model
+        d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+        init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
+        kept = optimize_module._kept_direction
+        monkeypatch.setattr(optimize_module, "_kept_direction", lambda *args: None)
+        rebuilt = minimize_energy(d, init)
+
+        offered = []
+
+        def negligible(*args):
+            direction = kept(*args)
+            offered.append(direction is not None)
+            return None if direction is None else 1e-300 * direction
+
+        monkeypatch.setattr(optimize_module, "_kept_direction", negligible)
+        lifts = count_constructed(monkeypatch, Evaluation)
+        assert minimize_energy(d, init) == rebuilt
+        assert offered.count(True) == 1
+        # one one-row trial per iteration: the kept step is never evaluated
+        assert [ev.tau.ndim for ev in lifts].count(1) == rebuilt.iterations == 2
+
     def test_kept_step_outside_the_guard_runs_the_iteration_on_a_rebuilt_model(self, monkeypatch):
         # 3 P3 leaves the convexity region (as a start the guard refuses
         # it), so a kept step moved by it is refused by the guard, which the

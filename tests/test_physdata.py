@@ -563,6 +563,9 @@ def built_by(source, grid, tmp_path):
     if source == "minkowski_surface_data":
         tau0 = 0.1 * grid.x
         return minkowski_surface_data(round_sphere(grid, 2.0), tau0), [tau0]
+    if source == "compared_at":
+        tau0 = np.zeros(grid.n_nodes)
+        return schwarzschild_sphere(grid, 1.0, 4.0).compared_at(tau0)[0], [tau0]
     arrays = caller_arrays(grid)
     if source == "AxisymMetric":
         return AxisymMetric(grid, arrays["P"], arrays["Q"]), [arrays["P"], arrays["Q"]]
@@ -576,11 +579,12 @@ def kept_arrays(built):
     kept = {"P": built.metric.P, "Q": built.metric.Q, "norm_H": built.norm_H, "alpha_H": built.alpha_H}
     if built.lift is not None:
         kept["lift.tau"] = built.lift.tau
+        kept["lift.projected.P"] = built.lift.projected.P
     return kept
 
 
 BUILDERS = [*DATA_FAMILIES, *METRIC_FAMILIES, "load_physical_data", "minkowski_surface_data",
-            "AxisymMetric", "PhysicalData"]
+            "compared_at", "AxisymMetric", "PhysicalData"]
 
 
 @pytest.mark.parametrize("source", BUILDERS)
@@ -592,6 +596,19 @@ def test_every_kept_array_is_an_owned_read_only_copy(source, tmp_path):
         assert not kept.flags.writeable, name
         assert kept.flags.owndata, name
         assert not any(np.shares_memory(kept, mine) for mine in held), name
+
+
+def test_writing_into_a_kept_lifted_profile_is_refused():
+    # Sigma_0's projection is a metric the package derives, and its profile
+    # is the lift's p_hat: a write into it raises and theorem1 reports as
+    # before
+    d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+    before = format_report(check_theorem1(d, np.zeros(32)))
+    lift = d.compared_at(np.zeros(32))[0].lift
+    assert lift.projected.P is lift.p_hat
+    with pytest.raises(ValueError, match="read-only"):
+        lift.p_hat *= 1.5
+    assert format_report(check_theorem1(d, np.zeros(32))) == before
 
 
 @pytest.mark.parametrize("name", ["P", "Q", "normH", "alpha_theta"])

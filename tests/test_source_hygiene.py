@@ -143,6 +143,34 @@ def test_tables_are_read_and_written_by_physdata():
     assert numpy_calls({"loadtxt", "genfromtxt", "savetxt", "fromfile"}) == []
 
 
+def scoped(node: ast.AST, scope: str = ""):
+    """(the dotted name of the enclosing classes and functions, node) for each node under node."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from scoped(child, f"{scope}.{child.name}".lstrip("."))
+        else:
+            yield from scoped(child, scope)
+
+
+def test_metrics_are_derived_only_by_with_P():
+    """object.__new__(AxisymMetric) appears only in AxisymMetric._with_P, which marks the profile read-only.
+
+    A metric made without its constructor skips the constructor's
+    read-only copy, so a metric the package derives later goes through
+    _with_P and keeps the rule.
+    """
+    makers = [
+        f"{path.name} {scope}"
+        for path in PACKAGE
+        for scope, node in scoped(parse(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and any(ast.unparse(arg).split(".")[-1] == "AxisymMetric" for arg in node.args)
+    ]
+    assert makers == ["geometry.py AxisymMetric._with_P"]
+
+
 # the modules a command loads only when it runs them
 NUMERICS = {"energy", "optimize", "verify"}
 
