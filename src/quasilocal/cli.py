@@ -15,10 +15,13 @@ empty or blank path, or an output path that names the file of an input
 or of the other output, naming the offending flag, 2 when a computation
 or certification suite fails.
 
-Subcommands import optimize and verify, and data energy when evaluated,
-as they run, so a process loads only its own command's code.  main(argv)
-is the in-process entry and returns the status; run() is the process
-entry of `python -m quasilocal.cli` and the console script.
+main(argv) reads every input a command shares: it refuses unusable
+paths, builds the grid and then the data source, once, and passes both
+to the command, which computes its report and writes it.  Subcommands
+import optimize and verify, and data energy when evaluated, as they
+run, so a process loads only its own command's code.  main(argv) is the
+in-process entry and returns the status; run() is the process entry of
+`python -m quasilocal.cli` and the console script.
 """
 
 from __future__ import annotations
@@ -290,8 +293,7 @@ def _emit(command: str, args, echo: str, body: list, columns=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_energy(args, grid: Grid) -> int:
-    d, echo = build_data(args, grid)
+def cmd_energy(args, grid: Grid, d, echo: str) -> int:
     at_tau = d.evaluate(_tau_on(args.tau, d.metric))
     breakdown, cross = at_tau.energy, at_tau.angle_form
     body = [
@@ -306,8 +308,7 @@ def cmd_energy(args, grid: Grid) -> int:
     return 0
 
 
-def cmd_residual(args, grid: Grid) -> int:
-    d, echo = build_data(args, grid)
+def cmd_residual(args, grid: Grid, d, echo: str) -> int:
     at_tau = d.evaluate(_tau_on(args.tau, d.metric))
     field = at_tau.residual
     body = [
@@ -339,10 +340,9 @@ def _initial_coefficients(args, metric: AxisymMetric):
     return TauCoefficients(tuple(coeffs[1 : args.modes + 1]))
 
 
-def cmd_minimize(args, grid: Grid) -> int:
+def cmd_minimize(args, grid: Grid, d, echo: str) -> int:
     from .optimize import GuardViolationError, LineSearchError, minimize_energy
 
-    d, echo = build_data(args, grid)
     init = _initial_coefficients(args, d.metric)
     try:
         report = minimize_energy(d, init, tol=args.tol, max_iterations=args.max_iterations)
@@ -367,7 +367,7 @@ def cmd_minimize(args, grid: Grid) -> int:
     return 0
 
 
-def cmd_verify(args, grid: Grid) -> int:
+def cmd_verify(args, grid: Grid, d, echo: str) -> int:
     from .verify import (
         check_identities,
         check_lemma41,
@@ -376,7 +376,6 @@ def cmd_verify(args, grid: Grid) -> int:
         format_report,
     )
 
-    d, echo = build_data(args, grid)
     metric = d.metric if d is not None else build_metric(args.metric, grid)
     lift = _tau_on(args.tau, metric)
     if args.suite in METRIC_SUITES:
@@ -399,8 +398,7 @@ def cmd_verify(args, grid: Grid) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_gen_data(args, grid: Grid) -> int:
-    d, echo = build_data(args, grid)
+def cmd_gen_data(args, grid: Grid, d, echo: str) -> int:
     if not args.out:
         raise CliValidationError("--out", "gen-data needs an output path")
     _for_flag("--out", store_physical_data, d, args.out)
@@ -483,7 +481,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_paths(args)
-        return args.run(args, _for_flag("--grid-n", make_grid, args.grid_n))
+        grid = _for_flag("--grid-n", make_grid, args.grid_n)
+        return args.run(args, grid, *build_data(args, grid))
     except (CliValidationError, FieldShapeError) as exc:
         return _failed(exc, 1)
     except (*LIFT_ERRORS, InvalidParameterError) as exc:

@@ -36,8 +36,8 @@ Legendre-coefficient boxes and profiles over the modes the grid resolves,
 not scaled by r, so a verdict can depend on size alone: on the
 Schwarzschild sphere m = 1e-4, r = 4e-4 theorem3 fails its guard (margin
 -5.6e7) and theorem1 skips 28 of its 36 samples.  The families depend on
-the grid alone, so each is a read-only stack built once per grid and
-shared by every call, and each family is evaluated as one stack of time
+the grid's size alone, so each is a read-only stack built once per size
+and shared by every call, and each family is evaluated as one stack of time
 functions, anew on every call.  Both comparison suites
 take Sigma_tau0 and the data's energy and residual at tau0 from
 PhysicalData.compared_at, theorem1 at its tau0 and theorem3 at tau0 = 0;
@@ -83,6 +83,7 @@ from .geometry import (
     _integrate,
     _read_only,
     _sin_factored_theta_derivative,
+    make_grid,
 )
 from .embedding import evaluate
 from .physdata import PhysicalData, _fmt
@@ -162,16 +163,18 @@ def format_report(report: TheoremReport) -> str:
 
 
 @lru_cache(maxsize=8)
-def coefficient_box(grid: Grid) -> np.ndarray:
-    """The +-amplitude box over the first two Legendre modes.
+def coefficient_box(n: int) -> np.ndarray:
+    """The +-amplitude box over the first two Legendre modes on the n-node grid.
 
     Returns all (c, d) combinations of c*P1 + d*P2 with c and d running
     over 0.05, 0.2, 0.5 and their negatives, as a read-only (36, n)
     stack: the default sample family for the comparison inequality.  It
-    depends on the grid alone, so it is a grid constant, synthesized row
-    by row by Grid.time_function once per grid (the last 8 grids are
-    kept) and shared by every caller.
+    depends on the grid size alone, so it is a grid constant, synthesized
+    row by row by make_grid(n).time_function once per size (the last 8
+    sizes are kept) and shared by every caller.  It is keyed by the size,
+    as make_grid is, so it keeps no grid alive that make_grid has let go.
     """
+    grid = make_grid(n)
     signed = [a * s for a in (0.05, 0.2, 0.5) for s in (1.0, -1.0)]
     return _read_only(np.stack([grid.time_function((c, d)) for c in signed for d in signed]))
 
@@ -372,7 +375,7 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
     # reference's lift, on the metric of d, serves the energies of both at tau0
     reference, at_tau0 = d.compared_at(tau0)
     tau0 = at_tau0.ev.tau
-    samples = _samples(g, tau_samples, tau0 + coefficient_box(g))
+    samples = _samples(g, tau_samples, tau0 + coefficient_box(g.n_nodes))
     r = m.area_radius
 
     hyp_margin = float((reference.norm_H - d.norm_H).min())
@@ -417,15 +420,16 @@ def check_theorem1(d: PhysicalData, tau0: np.ndarray, tau_samples=None) -> Theor
 
 
 @lru_cache(maxsize=8)
-def _default_profiles(grid: Grid) -> np.ndarray:
-    """theorem3's default profiles 0.3 P1, 0.2 P1 + 0.1 P2 and 0.1 P2 + 0.05 P3.
+def _default_profiles(n: int) -> np.ndarray:
+    """theorem3's default profiles 0.3 P1, 0.2 P1 + 0.1 P2 and 0.1 P2 + 0.05 P3 on the n-node grid.
 
     Only the profiles whose modes the grid resolves are kept, so 4 nodes
     (highest mode P2) give a (2, n) stack and larger grids (3, n).  A
-    read-only grid constant like coefficient_box: synthesized row by row
-    by Grid.time_function once per grid (the last 8 grids are kept) and
-    shared by every caller.
+    read-only grid constant keyed by the size like coefficient_box:
+    synthesized row by row by make_grid(n).time_function once per size
+    (the last 8 sizes are kept) and shared by every caller.
     """
+    grid = make_grid(n)
     profiles = ((0.3,), (0.2, 0.1), (0.0, 0.1, 0.05))
     return _read_only(np.stack([grid.time_function(c) for c in profiles if len(c) <= grid.highest_mode]))
 
@@ -461,7 +465,7 @@ def check_theorem3(d: PhysicalData, tau_samples=None) -> TheoremReport:
     m = d.metric
     g = m.grid
     # admitted as an Evaluation admits a time function, naming a bad sample's row
-    samples = _admit(g, "tau", _samples(g, tau_samples, _default_profiles(g)), lengths=False, stack=True)
+    samples = _admit(g, "tau", _samples(g, tau_samples, _default_profiles(g.n_nodes)), lengths=False, stack=True)
     r = m.area_radius
     s_grid = chebyshev_s_grid()
     interior = s_grid >= 0.02  # F/s degenerates at s = 0

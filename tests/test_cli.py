@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import legendre_mode
+from quasilocal import cli
 from quasilocal.cli import CliValidationError, main, parse_tau
 from quasilocal.geometry import make_grid
 from quasilocal import physdata
@@ -744,6 +745,55 @@ class TestExitPaths:
     def test_help_shows_the_grammar(self, capsys):
         assert main(["--help"]) == 0
         assert "c*Pl" in capsys.readouterr().out
+
+
+class TestMainBuildsTheSourceOnce:
+    """main builds the data source once per run and hands it to the command; a usage error builds none."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        built = []
+        build = cli.build_data
+
+        def counting(args, grid):
+            built.append(args.command)
+            return build(args, grid)
+
+        monkeypatch.setattr(cli, "build_data", counting)
+        return built
+
+    @pytest.mark.parametrize("argv, status", [
+        (["energy"], 0),
+        (["residual", "--tau", "0.1*P2"], 0),
+        (["minimize", "--tau", "0.05*P2", "--modes", "2"], 0),
+        (["verify", "--suite", "theorem1", "--tau", "0.01*P1"], 2),
+        (["gen-data", "--out", "sphere.dat"], 0),
+    ], ids=["energy", "residual", "minimize", "verify", "gen-data"])
+    def test_each_command_builds_its_source_once(self, argv, status, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        built = self.counted(monkeypatch)
+        assert main([*argv, "--schwarzschild", "m=1,r=4", "--grid-n", "16"]) == status
+        assert capsys.readouterr().err == ""
+        assert built == [argv[0]]
+
+    def test_a_metric_suite_asks_main_for_its_source_once(self, monkeypatch, capsys):
+        built = self.counted(monkeypatch)
+        assert main(["verify", "--suite", "identities", "--grid-n", "16"]) == 0
+        assert report_value(capsys.readouterr().out, "source") == "metric unit-sphere"
+        assert built == ["verify"]
+
+    @pytest.mark.parametrize("argv, status", [
+        (["frobnicate"], 1),
+        (["energy", "--bogus"], 1),
+        (["minimize", "--schwarzschild", "m=1,r=4", "--modes", "two"], 1),
+        (["verify", "--schwarzschild", "m=1,r=4"], 1),
+        (["energy", "--help"], 0),
+    ])
+    def test_a_usage_error_or_help_builds_no_source(self, argv, status, monkeypatch, capsys):
+        built = self.counted(monkeypatch)
+        assert main(argv) == status
+        capsys.readouterr()
+        assert built == []
 
 
 class TestNonFiniteInput:

@@ -525,6 +525,26 @@ class TestMinimizeEnergy:
         assert [bound.ev for bound in bindings] == lifts
         assert {bound.ev.tau.ndim for bound in bindings} == {1, 2}  # trials and stacks
 
+    @pytest.mark.parametrize("source, rows, iterations", [
+        ("schwarzschild", [17, 1, 1, 1], 3),
+        ("lift", [17, 1, 16, 1], 2),
+    ])
+    def test_each_run_evaluates_exactly_these_stacks_and_trials(self, source, rows, iterations, monkeypatch):
+        # the work of a run, counted instead of timed: the rows of every
+        # Evaluation it constructs, in order (the 17-row start stack, its
+        # one-row trials, and the lift's 16-row Hessian stack), so a change
+        # that adds an evaluation fails here with no timing noise
+        if source == "schwarzschild":
+            d = schwarzschild_sphere(make_grid(32), 1.0, 4.0)
+            init = TauCoefficients((0.0, 0.05) + (0.0,) * 6)
+        else:
+            d = lift_data([0.04, 0.01, -0.005], [0.03, -0.01, 0.002], [0.2, 0.0, 0.1])
+            init = TauCoefficients((0.201, -0.002, 0.1) + (0.0,) * 5)
+        made = count_constructed(monkeypatch, Evaluation)
+        report = minimize_energy(d, init)
+        assert report.iterations == iterations
+        assert [1 if ev.tau.ndim == 1 else len(ev.tau) for ev in made] == rows
+
     def test_overflowing_trial_is_rejected_before_any_arithmetic(self, monkeypatch):
         # a trial field beyond the length range has no Evaluation, so no guard
         # runs on it: it counts as a trial whose lift fails, not as a guard

@@ -171,6 +171,16 @@ def test_metrics_are_derived_only_by_with_P():
     assert makers == ["geometry.py AxisymMetric._with_P"]
 
 
+def test_the_data_source_is_built_only_by_main():
+    """cli.build_data is called in one place, main, which hands the source to every command."""
+    callers = [
+        scope
+        for scope, node in scoped(parse(ROOT / "src" / "quasilocal" / "cli.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_data"
+    ]
+    assert callers == ["main"]
+
+
 # the modules a command loads only when it runs them
 NUMERICS = {"energy", "optimize", "verify"}
 

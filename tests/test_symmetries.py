@@ -133,8 +133,8 @@ def theorem_report(suite, source, k):
     d, tau0 = THEOREM_DATA[source](k)
     grid, lam = d.metric.grid, 2.0**k
     if suite == "theorem1":
-        return check_theorem1(d, tau0, tau_samples=tau0 + lam * coefficient_box(grid))
-    return check_theorem3(d, tau_samples=lam * _default_profiles(grid))
+        return check_theorem1(d, tau0, tau_samples=tau0 + lam * coefficient_box(grid.n_nodes))
+    return check_theorem3(d, tau_samples=lam * _default_profiles(grid.n_nodes))
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "theorem3"])

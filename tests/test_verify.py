@@ -471,7 +471,7 @@ def energy_gaps(d, tau0):
     m = d.metric
     reference = minkowski_surface_data(m, tau0)
     energy_tau0 = qle(d, reference.lift).total
-    samples = reference.lift.tau + coefficient_box(m.grid)
+    samples = reference.lift.tau + coefficient_box(m.grid.n_nodes)
     members = evaluate(m, np.concatenate([samples, [reference.lift.tau + 3.0 * m.area_radius]]))
     keep = convexity_guard(m, members) > 0.0
     keep[-1] = True
@@ -558,29 +558,28 @@ class TestDefaultFamiliesAreGridConstants:
     def test_default_reports_equal_the_explicit_rows(self, n):
         grid = make_grid(n)
         for d, tau0 in self.data(grid).values():
-            given = tuple(tau0 + f for f in coefficient_box(grid))
+            given = tuple(tau0 + f for f in coefficient_box(n))
             assert format_report(check_theorem1(d, tau0)) == format_report(
                 check_theorem1(d, tau0, tau_samples=given)
             )
-            profiles = tuple(_default_profiles(grid))
+            profiles = tuple(_default_profiles(n))
             assert format_report(check_theorem3(d)) == format_report(check_theorem3(d, tau_samples=profiles))
 
     def test_families_keep_their_bits(self):
         # sha256 of the n = 32 stacks: the families' rows keep their bits
         # whichever synthesis path forms them
-        grid = make_grid(32)
         digest = {
             coefficient_box: "6256c110539b113987c7a88d6352dbe7bef3a2255b0bdd9e0ae8a06e1c3bae30",
             _default_profiles: "373fc43bdd8a5cc4b6804a8f728635da62719a66884b9fafebc0e721c9f24c5a",
         }
         for family, expected in digest.items():
-            assert hashlib.sha256(family(grid).tobytes()).hexdigest() == expected
+            assert hashlib.sha256(family(32).tobytes()).hexdigest() == expected
 
     @pytest.mark.parametrize("n", [4, 5, 16])
     @pytest.mark.parametrize("family", [coefficient_box, _default_profiles])
     def test_families_carry_only_resolved_modes(self, family, n):
         grid = make_grid(n)
-        for row in family(grid):
+        for row in family(n):
             beyond = grid.legendre_coeffs(row)[grid.highest_mode + 1 :]
             assert np.max(np.abs(beyond)) <= 1e-14, beyond
 
@@ -591,12 +590,25 @@ class TestDefaultFamiliesAreGridConstants:
 
     @pytest.mark.parametrize("family", [coefficient_box, _default_profiles])
     def test_family_is_shared_and_read_only(self, family):
-        grid = make_grid(16)
-        stack = family(grid)
-        assert family(grid) is stack
-        assert family(make_grid(32)).shape == (len(stack), 32)
+        stack = family(16)
+        assert family(16) is stack
+        assert family(32).shape == (len(stack), 32)
         with pytest.raises(ValueError):
             stack[0, 0] = 1.0
+
+    def test_families_keep_no_grid_alive_past_make_grid(self):
+        # the families are keyed by size, as make_grid is: once make_grid
+        # evicts a grid, the suites' default samples do not keep it alive
+        grid = make_grid(23)
+        d = schwarzschild_sphere(grid, 1.0, 4.0)
+        check_theorem1(d, np.zeros(23))
+        check_theorem3(d)
+        kept = weakref.ref(grid)
+        del grid, d
+        for n in range(8, 17):  # nine other sizes; make_grid keeps the last 8
+            make_grid(n)
+        gc.collect()
+        assert kept() is None
 
     def test_s_grid_is_shared_and_read_only(self):
         s = chebyshev_s_grid()
@@ -681,7 +693,7 @@ class TestScaleInvariantAllowances:
         # time functions are lengths too: the samples scale with the sphere
         grid = make_grid(32)
         d = schwarzschild_sphere(grid, mass, radius)
-        box = [scale * f for f in coefficient_box(grid)]
+        box = [scale * f for f in coefficient_box(32)]
         profiles = [scale * p for p in (0.3 * grid.x, 0.1 * legendre_mode(grid, 2))]
         return {
             "theorem1": check_theorem1(d, np.zeros(32), tau_samples=box),
@@ -791,8 +803,7 @@ class TestCheckTheorem1:
             check_theorem1(d, np.full(16, value))
 
     def test_box_family_shape(self):
-        grid = make_grid(8)
-        box = coefficient_box(grid)
+        box = coefficient_box(8)
         assert len(box) == 36
         assert all(f.shape == (8,) for f in box)
 
@@ -881,7 +892,7 @@ class TestCheckTheorem3:
         m = schwarzschild_sphere(grid, 1.0, 4.0).metric
         rest = minkowski_surface_data(m, np.zeros(n))
         s = chebyshev_s_grid()
-        for tau in _default_profiles(grid):
+        for tau in _default_profiles(n):
             family = rest.evaluate(s[:, None] * tau)
             slope, reference_slope = (
                 v[:, 0] for v in family.first_variation(tau[:, None], grid.dx(tau)[:, None])
